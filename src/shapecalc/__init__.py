@@ -17,8 +17,8 @@ from .geometry import (FrenetFrame, ParamCurve, ParamSurface,
                        curve_curvature_derivs, curve_frame,
                        distance_to_manifold, integrate_curve,
                        integrate_surface, nearest_curve_param,
-                       nearest_surface_param, surface_mean_curvature,
-                       surface_normal)
+                       nearest_surface_param, surface_max_curvature,
+                       surface_mean_curvature, surface_normal)
 from .fields import (AmbientField, Ball, FieldSplit, TangencyReport,
                      bump_field, bump_profile, check_tangency,
                      default_holdall, fd_jacobian, project_normal,

@@ -318,8 +318,17 @@ def _shape_cylinder(p: _Params, name: str) -> ParamSurface:
         return np.stack([-r * np.cos(vs), -r * np.sin(vs),
                          np.zeros_like(vs)], axis=-1)
 
+    # exact nearest point: height clipped to the widened axis range, angle
+    # read off the position (a point on the axis takes angle 0)
+    def foot(pts, extend_u):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        u = np.clip(pts[:, 2], -extend_u, h + extend_u)
+        v = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
+        return u, v
+
     return ParamSurface(a=0.0, b=h, c=0.0, d=2.0 * np.pi, phi=phi,
-                        phi_u=phi_u, phi_v=phi_v, phi_vv=phi_vv, name=name)
+                        phi_u=phi_u, phi_v=phi_v, phi_vv=phi_vv, name=name,
+                        foot=foot)
 
 
 def _shape_arc(p: _Params, name: str) -> ParamCurve:

@@ -312,6 +312,12 @@ def _cmd_run(args) -> int:
     plan = load_plan(args.config)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    formats = tuple(args.format.split(",")) if args.format else plan.formats
+    for f in formats:
+        if f not in FORMAT_NAMES:
+            raise ConfigError(
+                f"--format: unknown format '{f}' (known: {', '.join(FORMAT_NAMES)})"
+            )
 
     cjobs = comparison_jobs(plan) if "compare" in plan.suites else []
     sjobs = suite_jobs(plan)
@@ -328,12 +334,6 @@ def _cmd_run(args) -> int:
 
     out_dir = args.out or plan.out_path or "."
     os.makedirs(out_dir, exist_ok=True)
-    formats = tuple(args.format.split(",")) if args.format else plan.formats
-    for f in formats:
-        if f not in FORMAT_NAMES:
-            raise ConfigError(
-                f"--format: unknown format '{f}' (known: {', '.join(FORMAT_NAMES)})"
-            )
     if "json" in formats:
         path = os.path.join(out_dir, "report.json")
         write_json(path, doc)

@@ -27,7 +27,7 @@ from .geometry import (
     curve_frame,
     nearest_curve_param,
     nearest_surface_param,
-    surface_mean_curvature,
+    surface_max_curvature,
     surface_normal,
 )
 
@@ -516,8 +516,7 @@ def restriction_field(manifold, field: AmbientField, component: str,
             gu = np.linspace(manifold.a, manifold.b, 24)
             gv = np.linspace(manifold.c, manifold.d, 24)
             GU, GV = np.meshgrid(gu, gv, indexing="ij")
-            kmax = float(np.abs(
-                surface_mean_curvature(manifold, GU.ravel(), GV.ravel())).max())
+            kmax = float(surface_max_curvature(manifold, GU.ravel(), GV.ravel()).max())
         reach = 0.5 / kmax if kmax > 1e-12 else np.inf
         tube_radius = min(0.1 * manifold.diameter, 0.4 * reach)
     V = _component_on_params(manifold, field, component)

@@ -146,11 +146,22 @@ def _flow_surface(field: AmbientField, surf: ParamSurface,
         us, vs = np.broadcast_arrays(us, vs)
         return flow_point(field, np.asarray(surf.phi(us, vs), dtype=float), cfg)
 
+    # phi_u and phi_v are nearly always asked for on the same nodes one
+    # after the other; the last transported Jacobian serves both.  The memo
+    # is private to this flowed surface, and the (key, J) pair is replaced
+    # as one object, so a reader never sees a key with another key's J.
+    last = [(None, None)]
+
     def _transport(base_deriv, us, vs):
         us = np.atleast_1d(np.asarray(us, dtype=float))
         vs = np.atleast_1d(np.asarray(vs, dtype=float))
         us, vs = np.broadcast_arrays(us, vs)
-        _, J = flow_with_jacobian(field, np.asarray(surf.phi(us, vs), dtype=float), cfg)
+        key = (us.shape, us.tobytes(), vs.tobytes())
+        last_key, J = last[0]
+        if last_key != key:
+            _, J = flow_with_jacobian(
+                field, np.asarray(surf.phi(us, vs), dtype=float), cfg)
+            last[0] = (key, J)
         return np.einsum("nij,nj->ni", J, np.asarray(base_deriv(us, vs), dtype=float))
 
     def phi_u_t(us, vs):

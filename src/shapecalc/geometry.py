@@ -182,6 +182,11 @@ class ParamSurface:
     transported marks surfaces produced by numerically flowing another
     surface; seam detection and consistency checks then tolerate the
     integrator and Jacobian-transport noise in the derivative callables.
+
+    foot, when set, is an exact nearest-point map foot(pts, extend_u) ->
+    (u, v) onto the surface with its u-range widened by extend_u; it
+    replaces the Newton search in nearest_surface_param.  Construction
+    checks it on grid points pushed off the surface along +-N.
     """
 
     a: float
@@ -194,6 +199,7 @@ class ParamSurface:
     phi_vv: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "surface"
     transported: bool = False
+    foot: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]] | None = None
 
     dim = 3
 
@@ -250,6 +256,8 @@ class ParamSurface:
                 f"surface '{self.name}': samples nearly coincide (self-intersection?)"
             )
         self._check_derivative_consistency()
+        if self.foot is not None:
+            self._check_foot(pts, pu, pv, 1e-3 * diam)
         object.__setattr__(self, "_diameter", float(diam))
 
     def _check_derivative_consistency(self):
@@ -275,6 +283,35 @@ class ParamSurface:
                 raise InvariantViolation(
                     f"surface '{self.name}': {label} disagrees with finite differences "
                     f"(rel {rel.max():.2e})"
+                )
+
+    def _check_foot(self, pts, pu, pv, offset):
+        """Points at distance `offset` along +-N must project back onto the
+        surface at that distance, with p - phi orthogonal to phi_u, phi_v."""
+        cr = np.cross(pu, pv)
+        N = cr / np.linalg.norm(cr, axis=1)[:, None]
+        for sign in (1.0, -1.0):
+            p = pts + sign * offset * N
+            u, v = self.foot(p, 0.0)
+            u = np.asarray(u, dtype=float)
+            v = np.asarray(v, dtype=float)
+            if u.shape != (len(p),) or v.shape != (len(p),):
+                raise InvariantViolation(
+                    f"surface '{self.name}': foot must map (n, 3) to two (n,) arrays"
+                )
+            r = p - np.asarray(self.phi(u, v), dtype=float)
+            gap = np.abs(np.linalg.norm(r, axis=1) - offset) / offset
+            tang = np.zeros(len(p))
+            for fn in (self.phi_u, self.phi_v):
+                d = np.asarray(fn(u, v), dtype=float)
+                tang = np.maximum(tang, np.abs(np.einsum("ij,ij->i", r, d))
+                                  / (offset * np.linalg.norm(d, axis=1)))
+            worst = max(gap.max(), tang.max())
+            if not worst <= 1e-10:
+                k = int(np.argmax(np.maximum(gap, tang)))
+                raise InvariantViolation(
+                    f"surface '{self.name}': foot is not the nearest point near "
+                    f"({u[k]:g}, {v[k]:g}) (rel {worst:.2e})"
                 )
 
     @property
@@ -392,12 +429,12 @@ def surface_normal(surf: ParamSurface, u, v) -> np.ndarray:
     return N[0] if scalar else N
 
 
-def surface_mean_curvature(surf: ParamSurface, u, v, h: float | None = None):
-    """Trace of the Weingarten map in the {phi_u, phi_v} basis.
+def _weingarten(surf: ParamSurface, u, v, h: float | None):
+    """Coordinates of N_u = a1 phi_u + a2 phi_v and N_v = a3 phi_u + a4 phi_v.
 
     N_u and N_v come from 5-point differences of the unit normal; their
-    tangent coordinates solve the 2x2 Gram systems.  Sign follows the
-    orientation of N (cylinder with inward N gives H = -1/r).
+    tangent coordinates solve the 2x2 Gram systems.  Returns
+    (was_scalar, a1, a2, a3, a4).
     """
     us, scalar = _as_params(u)
     vs, _ = _as_params(v)
@@ -424,11 +461,35 @@ def surface_mean_curvature(surf: ParamSurface, u, v, h: float | None = None):
             f"surface '{surf.name}': tangent Gram system condition exceeds 1e10"
         )
     det = E * G - F * F
-    # alpha1 = coordinate of N_u along phi_u, alpha4 = N_v along phi_v
     a1 = (G * np.einsum("ij,ij->i", pu, Nu) - F * np.einsum("ij,ij->i", pv, Nu)) / det
+    a2 = (E * np.einsum("ij,ij->i", pv, Nu) - F * np.einsum("ij,ij->i", pu, Nu)) / det
+    a3 = (G * np.einsum("ij,ij->i", pu, Nv) - F * np.einsum("ij,ij->i", pv, Nv)) / det
     a4 = (E * np.einsum("ij,ij->i", pv, Nv) - F * np.einsum("ij,ij->i", pu, Nv)) / det
+    return scalar, a1, a2, a3, a4
+
+
+def surface_mean_curvature(surf: ParamSurface, u, v, h: float | None = None):
+    """Trace of the Weingarten map in the {phi_u, phi_v} basis.
+
+    Sign follows the orientation of N (cylinder with inward N gives
+    H = -1/r).
+    """
+    scalar, a1, _, _, a4 = _weingarten(surf, u, v, h)
     H = a1 + a4
     return float(H[0]) if scalar else H
+
+
+def surface_max_curvature(surf: ParamSurface, u, v, h: float | None = None):
+    """Largest |principal curvature|: the largest |eigenvalue| of the
+    Weingarten map.  Unlike |H| it does not vanish on a saddle, so it bounds
+    the reach from above wherever the surface bends."""
+    scalar, a1, a2, a3, a4 = _weingarten(surf, u, v, h)
+    half_tr = 0.5 * (a1 + a4)
+    # the map is self-adjoint in the first fundamental form, so its
+    # eigenvalues are real; clamp the roundoff below zero
+    root = np.sqrt(np.maximum(half_tr**2 - (a1 * a4 - a2 * a3), 0.0))
+    kmax = np.abs(half_tr) + root
+    return float(kmax[0]) if scalar else kmax
 
 
 # ---------------------------------------------------------------------------
@@ -586,33 +647,22 @@ def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
 
 
 def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
-                          extend_u: float = 0.0,
-                          seed_window: tuple[tuple[float, float],
-                                             tuple[float, float]] | None = None,
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) of the nearest surface point per ambient point (Gauss-Newton).
+                          extend_u: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) of the nearest surface point per ambient point.
 
-    seed_window = ((u0, v0), (wu, wv)) restricts seeding to the chart box
-    around (u0, v0); only valid when every query point projects inside it.
+    Uses the surface's exact foot map when it has one, otherwise coarse grid
+    seeding plus Gauss-Newton.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if surf.foot is not None:
+        return surf.foot(pts, extend_u)
     span_u = surf.b - surf.a
     span_v = surf.d - surf.c
-    if seed_window is not None:
-        (u0, v0), (wu, wv) = seed_window
-        us = np.clip(np.linspace(u0 - wu, u0 + wu, 17),
-                     surf.a - extend_u, surf.b + extend_u)
-        vs = np.linspace(v0 - wv, v0 + wv, 17)
-        if surf.periodic_v:
-            vs = surf.c + np.mod(vs - surf.c, span_v)
-        else:
-            vs = np.clip(vs, surf.c, surf.d)
-    else:
-        # coarse enough to keep the distance matrix small for big batches;
-        # Gauss-Newton below recovers the rest
-        nu_, nv_ = 24, 24
-        us = np.linspace(surf.a - extend_u, surf.b + extend_u, nu_)
-        vs = np.linspace(surf.c, surf.d, nv_, endpoint=not surf.periodic_v)
+    # coarse enough to keep the distance matrix small for big batches;
+    # Gauss-Newton below recovers the rest
+    nu_, nv_ = 24, 24
+    us = np.linspace(surf.a - extend_u, surf.b + extend_u, nu_)
+    vs = np.linspace(surf.c, surf.d, nv_, endpoint=not surf.periodic_v)
     U, V = np.meshgrid(us, vs, indexing="ij")
     seeds = np.asarray(surf.phi(U.ravel(), V.ravel()), dtype=float)
     # chunked |p - s|^2 argmin, avoiding an n x m x 3 temporary

@@ -35,7 +35,7 @@ from .functionals import CrackFunctional
 from .geometry import (ParamCurve, ParamSurface, boundary_outward_normal,
                        curvature, curve_frame, integrate_curve,
                        nearest_curve_param, nearest_surface_param,
-                       surface_mean_curvature, surface_normal)
+                       surface_max_curvature, surface_normal)
 
 TANGENCY_TOL = 1e-12
 INVARIANCE_BOUND = 1e-7
@@ -224,8 +224,7 @@ def locality_pairs(M, fields: Sequence[AmbientField], seed: int = 0,
         gu = np.linspace(M.a, M.b, 24)
         gv = np.linspace(M.c, M.d, 24)
         GU, GV = np.meshgrid(gu, gv, indexing="ij")
-        kmax = float(np.abs(
-            surface_mean_curvature(M, GU.ravel(), GV.ravel())).max())
+        kmax = float(surface_max_curvature(M, GU.ravel(), GV.ravel()).max())
         speed_min = 1.0
     reach = 0.5 / kmax if kmax > 1e-12 else np.inf
     delta = min(0.8 * reach, 0.2 * M.diameter)
@@ -391,8 +390,7 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0,
     GU, GV = np.meshgrid(gu, gv, indexing="ij")
     grid_pts = np.asarray(M.phi(GU.ravel(), GV.ravel()), dtype=float)
     mx = float(np.linalg.norm(grid_pts, axis=1).max())
-    Hm = surface_mean_curvature(M, GU.ravel(), GV.ravel())
-    kmax = float(np.abs(Hm).max())
+    kmax = float(surface_max_curvature(M, GU.ravel(), GV.ravel()).max())
     delta = 0.8 * 0.5 / kmax if kmax > 1e-12 else 0.5
     support = Ball(np.zeros(3), mx + delta + 0.5)
     for i in range(n):

@@ -127,3 +127,42 @@ def test_invariance_residual_accepts_config(cylinder):
     )
     res = invariance_residual(rot3, cylinder, FlowConfig(0.5, 500))
     assert res <= 1e-9
+
+
+def _counting_flows(monkeypatch):
+    import shapecalc.flow as flow_mod
+
+    calls = []
+    real = flow_mod.flow_with_jacobian
+
+    def counted(field, x0, cfg):
+        calls.append(len(np.atleast_2d(x0)))
+        return real(field, x0, cfg)
+
+    monkeypatch.setattr(flow_mod, "flow_with_jacobian", counted)
+    return calls
+
+
+def _bumped(cylinder):
+    field = bump_field(np.array([1.0, 0.0, 1.0]), 0.8, np.array([0.3, 0.2, 0.1]))
+    return lambda: flow_manifold(field, cylinder, FlowConfig(0.1, 10))
+
+
+def test_flowed_surface_shares_one_jacobian_per_node_set(cylinder, monkeypatch):
+    calls = _counting_flows(monkeypatch)
+    make = _bumped(cylinder)
+    moved = make()
+    us = np.linspace(0.2, 1.8, 9)
+    vs = np.linspace(0.0, 1.5, 9)
+    calls.clear()
+    pu = moved.phi_u(us, vs)
+    pv = moved.phi_v(us, vs)
+    assert calls == [9]
+    # each derivative taken cold on its own flowed surface agrees bit for bit
+    np.testing.assert_array_equal(pu, make().phi_u(us, vs))
+    np.testing.assert_array_equal(pv, make().phi_v(us, vs))
+    # a change in either parameter is a new node set
+    calls.clear()
+    moved.phi_v(us, vs + 0.01)
+    moved.phi_u(us + 0.01, vs + 0.01)
+    assert calls == [9, 9]

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapecalc.errors import DegenerateFrame, DegenerateImmersion, NoBoundary
+from shapecalc.errors import (
+    DegenerateFrame,
+    DegenerateImmersion,
+    InvariantViolation,
+    NoBoundary,
+)
 from shapecalc.geometry import (
     ParamCurve,
+    ParamSurface,
     boundary_outward_normal,
     curvature,
     curve_curvature_derivs,
@@ -17,6 +23,7 @@ from shapecalc.geometry import (
     integrate_surface,
     nearest_curve_param,
     nearest_surface_param,
+    surface_max_curvature,
     surface_mean_curvature,
     surface_normal,
 )
@@ -202,6 +209,85 @@ def test_nearest_point_on_cylinder(cylinder):
     np.testing.assert_allclose(np.linalg.norm(pts - feet, axis=1), d, rtol=1e-9)
     np.testing.assert_allclose(feet[0], [1.0, 0.0, 1.0], atol=1e-9)
     np.testing.assert_allclose(d, [1.0, 0.5], rtol=1e-9)
+
+
+def _without_foot(surf, **overrides):
+    """The same chart with the foot hook left out, or overridden."""
+    kw = dict(a=surf.a, b=surf.b, c=surf.c, d=surf.d, phi=surf.phi,
+              phi_u=surf.phi_u, phi_v=surf.phi_v, phi_vv=surf.phi_vv,
+              name=surf.name + "_newton")
+    kw.update(overrides)
+    return ParamSurface(**kw)
+
+
+def test_cylinder_foot_matches_newton(cylinder):
+    rng = np.random.default_rng(11)
+    n = 300
+    r = rng.uniform(0.6, 1.4, n)
+    z = rng.uniform(-0.3, 2.3, n)
+    th = rng.uniform(0.0, TWO_PI, n)
+    # seam points on either side of v = 0 = 2*pi
+    th[:6] = [0.0, 1e-9, -1e-9, TWO_PI - 1e-9, 1e-14, -1e-14]
+    pts = np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
+    newton = _without_foot(cylinder)
+    assert cylinder.foot is not None and newton.foot is None
+    uf, vf = nearest_surface_param(cylinder, pts, extend_u=0.3)
+    un, vn = nearest_surface_param(newton, pts, extend_u=0.3)
+    np.testing.assert_allclose(uf, un, rtol=0.0, atol=1e-12)
+    assert np.all((vf >= 0.0) & (vf <= TWO_PI))
+    dv = np.abs(np.angle(np.exp(1j * (vf - vn))))
+    df = np.linalg.norm(pts - cylinder.phi(uf, vf), axis=1)
+    dn = np.linalg.norm(pts - cylinder.phi(un, vn), axis=1)
+    np.testing.assert_allclose(df, dn, rtol=0.0, atol=1e-12)
+    # Gauss-Newton drops the curvature term, so in v it contracts only by
+    # |1 - rho/r| per step and its 25-step cap leaves ~1e-11 near the tube
+    # edge; there the closed form must be the one that is stationary
+    near = np.abs(r - 1.0) <= 0.25
+    assert dv[near].max() <= 1e-12
+    assert dv.max() <= 1e-10
+    rf = np.abs(np.einsum("ij,ij->i", pts - cylinder.phi(uf, vf),
+                          cylinder.phi_v(uf, vf)))
+    rn = np.abs(np.einsum("ij,ij->i", pts - cylinder.phi(un, vn),
+                          cylinder.phi_v(un, vn)))
+    assert rf.max() <= 1e-14
+    assert rf.max() < rn.max()
+
+
+def test_flowed_cylinder_drops_foot(cylinder, e3_field):
+    from shapecalc.flow import FlowConfig, flow_manifold
+
+    moved = flow_manifold(e3_field, cylinder, FlowConfig(0.1, 10))
+    assert moved.foot is None
+
+
+def test_wrong_foot_rejected(cylinder):
+    def shifted(pts, extend_u):
+        u, v = cylinder.foot(pts, extend_u)
+        return u, v + 0.1
+
+    with pytest.raises(InvariantViolation, match="foot"):
+        _without_foot(cylinder, foot=shifted, name="cylinder_bad_foot")
+
+
+def test_surface_max_curvature_saddle_and_cylinder(cylinder):
+    # z = u^2 - v^2 has principal curvatures +-2 at the origin and H = 0
+    saddle = ParamSurface(
+        a=-0.5, b=0.5, c=-0.5, d=0.5,
+        phi=lambda u, v: np.stack([u, v, u * u - v * v], axis=-1),
+        phi_u=lambda u, v: np.stack(
+            [np.ones_like(u), np.zeros_like(u), 2.0 * u], axis=-1),
+        phi_v=lambda u, v: np.stack(
+            [np.zeros_like(v), np.ones_like(v), -2.0 * v], axis=-1),
+        phi_vv=lambda u, v: np.stack(
+            [np.zeros_like(v), np.zeros_like(v), np.full_like(v, -2.0)], axis=-1),
+        name="saddle",
+    )
+    assert surface_mean_curvature(saddle, 0.0, 0.0) == pytest.approx(0.0, abs=1e-6)
+    assert surface_max_curvature(saddle, 0.0, 0.0) == pytest.approx(2.0, rel=1e-6)
+    us = np.linspace(cylinder.a, cylinder.b, 7)
+    vs = np.linspace(cylinder.c, cylinder.d, 7)
+    np.testing.assert_allclose(surface_max_curvature(cylinder, us, vs), 1.0,
+                               rtol=0.0, atol=1e-6)
 
 
 def test_reversed_curve_same_points_same_bend(ellipse21):
