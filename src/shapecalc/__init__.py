@@ -12,9 +12,9 @@ from .errors import (ConfigError, CrackNotInterior, DegenerateFrame,
                      DegenerateImmersion, IllConditioned, InvariantViolation,
                      NoBoundary, NoConvergence, NonFinite, NotArcLength,
                      ProbeOverlap, ShapecalcError, SupportViolation)
-from .geometry import (FrenetFrame, ParamCurve, ParamSurface,
+from .geometry import (CurveFoot, FrenetFrame, ParamCurve, ParamSurface,
                        boundary_outward_normal, curvature,
-                       curve_curvature_derivs, curve_frame,
+                       curve_curvature_derivs, curve_foot, curve_frame,
                        distance_to_manifold, integrate_curve,
                        integrate_surface, nearest_curve_param,
                        nearest_surface_param, surface_max_curvature,

@@ -27,7 +27,7 @@ from .catalog import (ParsedField, ParsedFunctional, _Params, build_shape,
                       compatible, parse_field, parse_functional)
 from .derivative import FDConfig, compare
 from .errors import ConfigError, ShapecalcError
-from .flow import FlowConfig
+from .flow import DEFAULT_MAX_STEP
 from .functionals import CrackFunctional
 from .geometry import ParamCurve, curvature
 from .report_io import (comparison_record, comparisons_csv, load_report,
@@ -83,10 +83,10 @@ def load_plan(path: str) -> RunPlan:
     t0 = fd.scalar("t0", default=1e-2, positive=True)
     levels = fd.integer("levels", default=5, minimum=2)
     richardson = fd.boolean("richardson", default=True)
-    max_step = fd.scalar("max_step", default=None, positive=True)
+    max_step = fd.scalar("max_step", default=DEFAULT_MAX_STEP, positive=True)
     fd.finish()
-    flow_cfg = None if max_step is None else FlowConfig(t_final=max_step, n_steps=1)
-    cfg = FDConfig(t0=t0, levels=levels, richardson=richardson, flow_cfg=flow_cfg)
+    cfg = FDConfig(t0=t0, levels=levels, richardson=richardson,
+                   max_step=max_step)
 
     tol = _Params(top.mapping("tolerances", default=None), "config.tolerances")
     rel_tol = tol.scalar("rel_tol", default=1e-5, positive=True)

@@ -33,28 +33,21 @@ ABS_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Halving schedule t_i = t0/2^i, i = 0..levels-1.
-
-    flow_cfg, when given, only contributes its step size |t_final|/n_steps,
-    which caps the RK4 step of every flow in the schedule (default 0.01).
-    """
+    """Halving schedule t_i = t0/2^i, i = 0..levels-1; max_step caps the
+    RK4 step of every flow in the schedule."""
 
     t0: float = 1e-2
     levels: int = 5
     richardson: bool = True
-    flow_cfg: Optional[FlowConfig] = None
+    max_step: float = DEFAULT_MAX_STEP
 
     def __post_init__(self):
         if not self.t0 > 0:
             raise InvariantViolation("t0 must be positive")
         if self.levels < 2:
             raise InvariantViolation("need at least 2 levels")
-
-    @property
-    def max_step(self) -> float:
-        if self.flow_cfg is None or self.flow_cfg.t_final == 0.0:
-            return DEFAULT_MAX_STEP
-        return abs(self.flow_cfg.t_final) / self.flow_cfg.n_steps
+        if not self.max_step > 0:
+            raise InvariantViolation("max_step must be positive")
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,8 @@ class NonFinite(ShapecalcError):
 
 
 class NoConvergence(ShapecalcError):
-    """Finite-difference quotient sequence diverges (ratio test)."""
+    """Finite-difference quotient sequence diverges (ratio test), or a
+    nearest-point Newton search reaches its iteration cap."""
 
 
 class CrackNotInterior(ShapecalcError):

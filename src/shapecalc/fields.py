@@ -18,14 +18,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._stencil import sample_derivative
 from .errors import InvariantViolation, SupportViolation
 from .geometry import (
     ParamCurve,
     ParamSurface,
     boundary_outward_normal,
     curvature,
+    curve_foot,
     curve_frame,
-    nearest_curve_param,
     nearest_surface_param,
     surface_max_curvature,
     surface_normal,
@@ -202,13 +203,40 @@ def fd_jacobian(X: Callable[[np.ndarray], np.ndarray], dim: int,
     return dX
 
 
+def last_call_memo(fn: Callable[..., object]) -> Callable[..., object]:
+    """fn with a one-entry memo keyed on the exact bytes of its array
+    arguments.
+
+    Pairs of evaluations on the same arrays one after the other share one
+    computation: a field's X and dX in an RK4 stage with Jacobian transport
+    (one nearest-point projection), a flowed surface's phi_u and phi_v (one
+    transported Jacobian).  The memo is private to the closure that holds
+    it, and the (key, value) pair is replaced as one object, so a reader
+    never sees a key with another key's value.
+    """
+    last = [(None, None)]
+
+    def call(*arrays: np.ndarray):
+        key = tuple((a.shape, a.tobytes()) for a in arrays)
+        last_key, value = last[0]
+        if last_key != key:
+            value = fn(*arrays)
+            last[0] = (key, value)
+        return value
+
+    return call
+
+
 def bump_field(center, radius: float, direction, dim: int | None = None,
-               holdall: Ball | None = None, name: str = "bump") -> AmbientField:
+               holdall: Ball | None = None, name: str = "bump",
+               direction_jacobian=None) -> AmbientField:
     """Smooth bump supported in the ball B(center, radius).
 
     X(p) = beta(|p - center| / radius) * direction(p); `direction` is a
-    constant vector or a vectorized callable.  Raises SupportViolation if
-    the ball is not contained in the hold-all.
+    constant vector or a vectorized callable (n, d) -> (n, d).  A callable
+    direction comes with `direction_jacobian`, (n, d) -> (n, d, d); both
+    are called only where the bump is alive, and X calls only the first.
+    Raises SupportViolation if the ball is not contained in the hold-all.
     """
     center = np.asarray(center, dtype=float)
     if dim is None:
@@ -222,6 +250,8 @@ def bump_field(center, radius: float, direction, dim: int | None = None,
     const_dir = not callable(direction)
     if const_dir:
         dvec = np.asarray(direction, dtype=float)
+    elif direction_jacobian is None:
+        raise ValueError("a callable bump direction needs direction_jacobian")
 
     def X(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -237,19 +267,28 @@ def bump_field(center, radius: float, direction, dim: int | None = None,
             out[m] = beta[m, None] * np.asarray(direction(pts[m]), dtype=float)
         return out
 
-    if const_dir:
-        def dX(pts: np.ndarray) -> np.ndarray:
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            r = pts - center
-            dist = np.linalg.norm(r, axis=1)
-            s = dist / radius
-            grad_s = np.zeros_like(pts)
-            m = dist > 1e-300
-            grad_s[m] = r[m] / (dist[m, None] * radius)
-            dbeta = bump_profile_deriv(s)
-            return dvec[None, :, None] * (dbeta[:, None] * grad_s)[:, None, :]
-    else:
-        dX = fd_jacobian(X, dim, 1e-7 * (1.0 + radius))
+    def dX(pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        r = pts - center
+        dist = np.linalg.norm(r, axis=1)
+        s = dist / radius
+        grad_s = np.zeros_like(pts)
+        m = dist > 1e-300
+        grad_s[m] = r[m] / (dist[m, None] * radius)
+        grad_beta = bump_profile_deriv(s)[:, None] * grad_s
+        if const_dir:
+            return dvec[None, :, None] * grad_beta[:, None, :]
+        # d(beta D) = D (x) grad beta + beta dD
+        out = np.zeros((len(pts), dim, dim))
+        beta = bump_profile(s)
+        m = beta > 0.0
+        if np.any(m):
+            q = pts[m]
+            out[m] = (np.asarray(direction(q), dtype=float)[:, :, None]
+                      * grad_beta[m, None, :]
+                      + beta[m, None, None] * np.asarray(direction_jacobian(q),
+                                                         dtype=float))
+        return out
 
     return AmbientField(dim=dim, X=X, dX=dX,
                         support=Ball(center, radius), name=name, scale=radius)
@@ -370,13 +409,6 @@ class FieldSplit:
     x_tan: np.ndarray
     x_nu: np.ndarray
     boundary_mask: np.ndarray
-
-    @property
-    def samples(self):
-        """Iterate (parameter, p, X_p, Xperp_p, Xtan_p, Xnu_p) tuples."""
-        for i in range(len(self.points)):
-            yield (self.params[i], self.points[i], self.x[i],
-                   self.x_perp[i], self.x_tan[i], self.x_nu[i])
 
 
 def _sample_params(manifold, n_samples: int):
@@ -504,6 +536,9 @@ def restriction_field(manifold, field: AmbientField, component: str,
     manifold (parameter domain extended slightly past open ends so the
     projection stays smooth there) and cut off with a C^infinity profile in
     the distance to the manifold.  component: "perp" | "tan" | "nu".
+    On curves dX is exact, built from the foot point's implicit-function
+    derivative and sharing X's projection; on surfaces it is a central
+    difference of X.
     """
     if component not in ("perp", "tan", "nu"):
         raise ValueError("component must be 'perp', 'tan' or 'nu'")
@@ -534,34 +569,67 @@ def restriction_field(manifold, field: AmbientField, component: str,
     mid = samples.mean(axis=0)
     rad = np.linalg.norm(samples - mid, axis=1).max() + tube_radius + 0.5 * extend
 
-    if is_curve:
-        def inner(pts):
-            t = nearest_curve_param(manifold, pts, extend=extend)
-            q = np.asarray(manifold.gamma(t), dtype=float)
-            dist = np.linalg.norm(pts - q, axis=1)
-            chi = smooth_step(dist / tube_radius)
-            return chi[:, None] * V(t)
-    else:
-        def inner(pts):
-            u, v = nearest_surface_param(manifold, pts, extend_u=extend)
-            q = np.asarray(manifold.phi(u, v), dtype=float)
-            dist = np.linalg.norm(pts - q, axis=1)
-            chi = smooth_step(dist / tube_radius)
-            return chi[:, None] * V((u, v))
+    dim = manifold.dim if is_curve else 3
 
-    def X(pts):
+    def in_ball(pts):
         # projection is only needed inside the support ball; everything
         # outside is zero by construction
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros_like(pts)
-        m = np.linalg.norm(pts - mid, axis=1) <= rad
-        if np.any(m):
-            out[m] = inner(pts[m])
-        return out
-    dim = manifold.dim if is_curve else 3
-    return AmbientField(
-        dim=dim, X=X,
-        dX=fd_jacobian(X, dim, 1e-6 * (1.0 + manifold.diameter)),
-        support=Ball(mid, rad),
-        name=f"{field.name}|{component}",
-    )
+        return pts, np.linalg.norm(pts - mid, axis=1) <= rad
+
+    if is_curve:
+        foot = last_call_memo(
+            lambda pts: curve_foot(manifold, pts, extend=extend))
+        lo, hi = manifold.a - extend, manifold.b + extend
+        h_t = 1e-4 * (manifold.b - manifold.a)
+
+        def X(pts):
+            pts, m = in_ball(pts)
+            out = np.zeros_like(pts)
+            if np.any(m):
+                ft = foot(pts[m])
+                chi = smooth_step(ft.dist / tube_radius)
+                out[m] = chi[:, None] * V(ft.t)
+            return out
+
+        def dX(pts):
+            # X = chi(d / tau) V(t):
+            # dX = V (x) chi'(d / tau) grad d / tau + chi dV/dt (x) grad t
+            pts, m = in_ball(pts)
+            out = np.zeros((len(pts), dim, dim))
+            if not np.any(m):
+                return out
+            ft = foot(pts[m])
+            s = ft.dist / tube_radius
+            chi = smooth_step(s)
+            # chi' vanishes wherever chi does (the two underflow together),
+            # and inside the tube grad t is finite
+            k = chi > 0.0
+            if np.any(k):
+                t = ft.t[k]
+                dV = sample_derivative(V, t, h_t, 1, lo, hi,
+                                       periodic=manifold.closed)
+                sub = np.zeros((len(s), dim, dim))
+                sub[k] = (V(t)[:, :, None]
+                          * (smooth_step_deriv(s[k])[:, None] * ft.grad_dist[k]
+                             / tube_radius)[:, None, :]
+                          + chi[k, None, None] * dV[:, :, None] * ft.grad_t[k, None, :])
+                out[m] = sub
+            return out
+    else:
+        def X(pts):
+            pts, m = in_ball(pts)
+            out = np.zeros_like(pts)
+            if np.any(m):
+                q = pts[m]
+                u, v = nearest_surface_param(manifold, q, extend_u=extend)
+                dist = np.linalg.norm(q - np.asarray(manifold.phi(u, v), dtype=float),
+                                      axis=1)
+                chi = smooth_step(dist / tube_radius)
+                out[m] = chi[:, None] * V((u, v))
+            return out
+
+        dX = fd_jacobian(X, dim, 1e-6 * (1.0 + manifold.diameter))
+
+    return AmbientField(dim=dim, X=X, dX=dX, support=Ball(mid, rad),
+                        name=f"{field.name}|{component}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._stencil import sample_derivative
 from .errors import InvariantViolation, NonFinite
-from .fields import AmbientField
+from .fields import AmbientField, last_call_memo
 from .geometry import ParamCurve, ParamSurface, distance_to_manifold
 
 DEFAULT_MAX_STEP = 0.01
@@ -36,11 +36,8 @@ class FlowConfig:
 
     t_final: float
     n_steps: int | None = None
-    method: str = "rk4"
 
     def __post_init__(self):
-        if self.method != "rk4":
-            raise InvariantViolation(f"unknown flow method '{self.method}'")
         if self.n_steps is None:
             object.__setattr__(
                 self, "n_steps",
@@ -147,21 +144,15 @@ def _flow_surface(field: AmbientField, surf: ParamSurface,
         return flow_point(field, np.asarray(surf.phi(us, vs), dtype=float), cfg)
 
     # phi_u and phi_v are nearly always asked for on the same nodes one
-    # after the other; the last transported Jacobian serves both.  The memo
-    # is private to this flowed surface, and the (key, J) pair is replaced
-    # as one object, so a reader never sees a key with another key's J.
-    last = [(None, None)]
+    # after the other; the last transported Jacobian serves both
+    jacobian = last_call_memo(lambda us, vs: flow_with_jacobian(
+        field, np.asarray(surf.phi(us, vs), dtype=float), cfg)[1])
 
     def _transport(base_deriv, us, vs):
         us = np.atleast_1d(np.asarray(us, dtype=float))
         vs = np.atleast_1d(np.asarray(vs, dtype=float))
         us, vs = np.broadcast_arrays(us, vs)
-        key = (us.shape, us.tobytes(), vs.tobytes())
-        last_key, J = last[0]
-        if last_key != key:
-            _, J = flow_with_jacobian(
-                field, np.asarray(surf.phi(us, vs), dtype=float), cfg)
-            last[0] = (key, J)
+        J = jacobian(us, vs)
         return np.einsum("nij,nj->ni", J, np.asarray(base_deriv(us, vs), dtype=float))
 
     def phi_u_t(us, vs):

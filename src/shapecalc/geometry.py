@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -30,11 +31,16 @@ from .errors import (
     IllConditioned,
     InvariantViolation,
     NoBoundary,
+    NoConvergence,
 )
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 _CHECK_RNG_SEED = 1097
+
+# iteration cap of the nearest-point Newton searches; the curve search
+# raises NoConvergence when it is reached
+NEWTON_MAX_ITER = 25
 
 
 def _as_params(t) -> tuple[np.ndarray, bool]:
@@ -599,7 +605,8 @@ def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
     extend > 0 the search interval widens to [a - extend, b + extend] (the
     callables must remain valid there); closed curves wrap instead.
     seed_window = (t0, w) restricts seeding to [t0 - w, t0 + w]; only valid
-    when every query point is known to project into that window.
+    when every query point is known to project into that window.  Raises
+    NoConvergence when Newton still moves after NEWTON_MAX_ITER steps.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     span = curve.b - curve.a
@@ -627,7 +634,8 @@ def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
     t = seeds_t[best].copy()
     lo = curve.a - extend
     hi = curve.b + extend
-    for _ in range(25):
+    tol = 1e-13 * span
+    for _ in range(NEWTON_MAX_ITER):
         g = np.asarray(curve.gamma(t), dtype=float)
         dg = np.asarray(curve.dgamma(t), dtype=float)
         ddg = np.asarray(curve.ddgamma(t), dtype=float)
@@ -641,9 +649,73 @@ def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
             t = curve.a + np.mod(t - curve.a, span)
         else:
             t = np.clip(t, lo, hi)
-        if np.abs(step).max() < 1e-13 * span:
-            break
-    return t
+            # a foot held at an end of the search interval by a step that
+            # points out of it has converged there
+            step = np.where(((t == lo) & (step < 0.0)) | ((t == hi) & (step > 0.0)),
+                            0.0, step)
+        if np.abs(step).max() < tol:
+            return t
+    k = int(np.argmax(np.abs(step)))
+    raise NoConvergence(
+        f"curve '{curve.name}': nearest-point Newton still moving after "
+        f"{NEWTON_MAX_ITER} steps (worst step {abs(step[k]):.3e} at t = {t[k]:g}, "
+        f"tolerance {tol:.3e})"
+    )
+
+
+class CurveFoot:
+    """Nearest-point data of ambient points p over a curve gamma.
+
+    t is the foot parameter and dist = |p - gamma(t)|.  The gradients are
+    computed on first use, so a caller that needs only the values pays for
+    no more than the projection:
+
+    * grad_dist = (p - gamma)/dist, 0 where dist = 0;
+    * grad_t = gamma'^T / (|gamma'|^2 - (p - gamma).gamma''), the
+      implicit-function derivative of (p - gamma(t)).gamma'(t) = 0; 0 where
+      t is held at an open end of the search interval, and not finite at a
+      focal point (the centre of a circle), where the foot is not
+      differentiable.  Inside the reach the denominator is positive.
+    """
+
+    def __init__(self, curve: ParamCurve, t: np.ndarray, r: np.ndarray,
+                 held: np.ndarray):
+        self.curve = curve
+        self.t = t
+        self.dist = np.linalg.norm(r, axis=1)
+        self._r = r
+        self._held = held
+
+    @cached_property
+    def grad_dist(self) -> np.ndarray:
+        out = np.zeros_like(self._r)
+        m = self.dist > 0.0
+        out[m] = self._r[m] / self.dist[m, None]
+        return out
+
+    @cached_property
+    def grad_t(self) -> np.ndarray:
+        dg = np.asarray(self.curve.dgamma(self.t), dtype=float)
+        ddg = np.asarray(self.curve.ddgamma(self.t), dtype=float)
+        den = np.einsum("ij,ij->i", dg, dg) - np.einsum("ij,ij->i", self._r, ddg)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = dg / den[:, None]
+        out[self._held] = 0.0
+        return out
+
+
+def curve_foot(curve: ParamCurve, pts: np.ndarray, extend: float = 0.0,
+               seed_window: tuple[float, float] | None = None) -> CurveFoot:
+    """Foot parameter, distance and their gradients: one projection
+    (nearest_curve_param, same arguments) per point set."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    t = nearest_curve_param(curve, pts, extend=extend, seed_window=seed_window)
+    r = pts - np.asarray(curve.gamma(t), dtype=float)
+    if curve.closed:
+        held = np.zeros(len(t), dtype=bool)
+    else:
+        held = (t <= curve.a - extend) | (t >= curve.b + extend)
+    return CurveFoot(curve, t, r, held)
 
 
 def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
@@ -675,7 +747,7 @@ def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
     u = U.ravel()[best].copy()
     v = V.ravel()[best].copy()
     lo_u, hi_u = surf.a - extend_u, surf.b + extend_u
-    for _ in range(25):
+    for _ in range(NEWTON_MAX_ITER):
         p = np.asarray(surf.phi(u, v), dtype=float)
         pu = np.asarray(surf.phi_u(u, v), dtype=float)
         pv = np.asarray(surf.phi_v(u, v), dtype=float)

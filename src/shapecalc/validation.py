@@ -20,22 +20,22 @@ control that correctly violates its bound counts as a passed case.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .derivative import FDConfig, eulerian_fd
 from .errors import ProbeOverlap
 from .fields import (AmbientField, Ball, bump_field, check_tangency,
-                     default_holdall, fd_jacobian, restriction_field,
-                     smooth_step)
+                     default_holdall, fd_jacobian, last_call_memo,
+                     restriction_field, smooth_step, smooth_step_deriv)
 from .flow import invariance_residual
 from .functionals import CrackFunctional
-from .geometry import (ParamCurve, ParamSurface, boundary_outward_normal,
-                       curvature, curve_frame, integrate_curve,
-                       nearest_curve_param, nearest_surface_param,
-                       surface_max_curvature, surface_normal)
+from .geometry import (ParamCurve, boundary_outward_normal, curvature,
+                       curve_foot, curve_frame, integrate_curve,
+                       nearest_surface_param, surface_max_curvature,
+                       surface_normal)
 
 TANGENCY_TOL = 1e-12
 INVARIANCE_BOUND = 1e-7
@@ -186,26 +186,61 @@ def _tube_discrepancy(M, W: np.ndarray, delta: float, extend: float,
     mid = samples.mean(axis=0)
     rad = float(np.linalg.norm(samples - mid, axis=1).max()) + delta
 
-    def X(pts):
+    def in_ball(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.zeros_like(pts)
-        m = np.linalg.norm(pts - mid, axis=1) <= rad
-        if not np.any(m):
-            return out
-        q = pts[m]
-        if is_curve:
-            foot_t = nearest_curve_param(M, q, extend=extend)
-            foot = np.asarray(M.gamma(foot_t), dtype=float)
-        else:
-            fu, fv = nearest_surface_param(M, q, extend_u=extend)
-            foot = np.asarray(M.phi(fu, fv), dtype=float)
-        s = np.linalg.norm(q - foot, axis=1) / delta
-        out[m] = (s * s * smooth_step(s))[:, None] * W
-        return out
+        return pts, np.linalg.norm(pts - mid, axis=1) <= rad
 
-    return AmbientField(dim=dim, X=X,
-                        dX=fd_jacobian(X, dim, 1e-6 * (1.0 + M.diameter)),
-                        support=Ball(mid, rad), name=name)
+    if is_curve:
+        # X = g(s) W with g(s) = s^2 step(s), s = d / delta, so
+        # dX = W (x) g'(s) grad d / delta
+        foot = last_call_memo(lambda q: curve_foot(M, q, extend=extend))
+
+        def X(pts):
+            pts, m = in_ball(pts)
+            out = np.zeros_like(pts)
+            if np.any(m):
+                s = foot(pts[m]).dist / delta
+                out[m] = (s * s * smooth_step(s))[:, None] * W
+            return out
+
+        def dX(pts):
+            pts, m = in_ball(pts)
+            out = np.zeros((len(pts), dim, dim))
+            if np.any(m):
+                ft = foot(pts[m])
+                s = ft.dist / delta
+                dg = 2.0 * s * smooth_step(s) + s * s * smooth_step_deriv(s)
+                out[m] = W[None, :, None] * (dg[:, None] * ft.grad_dist / delta)[:, None, :]
+            return out
+    else:
+        def X(pts):
+            pts, m = in_ball(pts)
+            out = np.zeros_like(pts)
+            if np.any(m):
+                q = pts[m]
+                fu, fv = nearest_surface_param(M, q, extend_u=extend)
+                foot = np.asarray(M.phi(fu, fv), dtype=float)
+                s = np.linalg.norm(q - foot, axis=1) / delta
+                out[m] = (s * s * smooth_step(s))[:, None] * W
+            return out
+
+        dX = fd_jacobian(X, dim, 1e-6 * (1.0 + M.diameter))
+
+    return AmbientField(dim=dim, X=X, dX=dX, support=Ball(mid, rad), name=name)
+
+
+def _plus(X: AmbientField, D: AmbientField) -> AmbientField:
+    """X + D, with the support of the pair and X's name extended by D's."""
+
+    def Y_X(pts):
+        return np.asarray(X.X(pts), dtype=float) + D.X(pts)
+
+    def Y_dX(pts):
+        return np.asarray(X.dX(pts), dtype=float) + D.dX(pts)
+
+    return AmbientField(dim=X.dim, X=Y_X, dX=Y_dX,
+                        support=_covering_ball(X.support, D.support),
+                        name=f"{X.name}+{D.name}")
 
 
 def locality_pairs(M, fields: Sequence[AmbientField], seed: int = 0,
@@ -258,15 +293,7 @@ def locality_pairs(M, fields: Sequence[AmbientField], seed: int = 0,
         W = W / np.linalg.norm(W)
         D = _tube_discrepancy(M, W, delta, extend,
                               name=f"tube-discrepancy{i}[{M.name}]")
-
-        def Y_X(pts, X=X, D=D):
-            return np.asarray(X.X(pts), dtype=float) + D.X(pts)
-
-        Y = AmbientField(dim=dim, X=Y_X,
-                         dX=fd_jacobian(Y_X, dim, 1e-6 * (1.0 + M.diameter)),
-                         support=_covering_ball(X.support, D.support),
-                         name=f"{X.name}+{D.name}")
-        pairs.append(LocalityPair(X, Y, witnesses,
+        pairs.append(LocalityPair(X, _plus(X, D), witnesses,
                                   f"{X.name} vs +off-M tube term", True))
     if include_negative and fields:
         X = fields[0]
@@ -280,15 +307,7 @@ def locality_pairs(M, fields: Sequence[AmbientField], seed: int = 0,
             d_dir = off[1]
         D_on = bump_field(center, delta, d_dir, dim,
                           name=f"on-manifold-bump[{M.name}]")
-
-        def Yn_X(pts, X=X, D=D_on):
-            return np.asarray(X.X(pts), dtype=float) + D.X(pts)
-
-        Yn = AmbientField(dim=dim, X=Yn_X,
-                          dX=fd_jacobian(Yn_X, dim, 1e-6 * (1.0 + M.diameter)),
-                          support=_covering_ball(X.support, D_on.support),
-                          name=f"{X.name}+{D_on.name}")
-        pairs.append(LocalityPair(X, Yn, witnesses,
+        pairs.append(LocalityPair(X, _plus(X, D_on), witnesses,
                                   f"{X.name} vs +on-M bump", False))
     return pairs
 
@@ -368,14 +387,27 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0,
             # support points project within 4*rho/speed of t0 in parameter
             window = (t0, min(4.0 * rho / speed_min, 0.5 * span))
 
-            def direction(pts, amp=amp, window=window):
-                pts = np.atleast_2d(np.asarray(pts, dtype=float))
-                ts = nearest_curve_param(M, pts, seed_window=window)
-                d1 = np.asarray(M.dgamma(ts), dtype=float)
+            foot = last_call_memo(
+                lambda pts, window=window: curve_foot(M, pts, seed_window=window))
+
+            def direction(pts, amp=amp, foot=foot):
+                d1 = np.asarray(M.dgamma(foot(pts).t), dtype=float)
                 return amp * d1 / np.linalg.norm(d1, axis=1)[:, None]
 
+            def direction_jacobian(pts, amp=amp, foot=foot):
+                # d(amp T(t(p))) = amp dT/dt (x) grad t, with
+                # dT/dt = (gamma'' - T (T . gamma'')) / |gamma'|
+                ft = foot(pts)
+                d1 = np.asarray(M.dgamma(ft.t), dtype=float)
+                d2 = np.asarray(M.ddgamma(ft.t), dtype=float)
+                v = np.linalg.norm(d1, axis=1)[:, None]
+                T = d1 / v
+                dT = (d2 - T * np.einsum("ij,ij->i", T, d2)[:, None]) / v
+                return amp * dT[:, :, None] * ft.grad_t[:, None, :]
+
             out.append(bump_field(center, rho, direction, M.dim, holdall,
-                                  name=f"tangent-bump{i}[{M.name}]"))
+                                  name=f"tangent-bump{i}[{M.name}]",
+                                  direction_jacobian=direction_jacobian))
         return out
 
     # surfaces: tangent-frame waves localized to a tube around the surface.

@@ -11,6 +11,7 @@ import pytest
 
 from shapecalc.catalog import build_field, build_shape
 from shapecalc.derivative import FDConfig
+from shapecalc.fields import fd_jacobian
 
 TWO_PI = 2.0 * np.pi
 
@@ -131,3 +132,67 @@ def fd5():
     # five halving levels keep the Richardson tail long enough to settle the
     # noisier probe-field derivatives
     return FDConfig(t0=1e-2, levels=5)
+
+
+@pytest.fixture(scope="session")
+def tube_points():
+    """make(M, radius, n, seed) -> (n, dim) points at signed distances up
+    to `radius` from a curve along its normal directions; the first four sit
+    just inside the cutoff, at 0.97 to 0.995 of `radius`."""
+
+    def make(M, radius, n=24, seed=0):
+        rng = np.random.default_rng(seed)
+        ts = rng.uniform(M.a, M.b, n)
+        d1 = np.asarray(M.dgamma(ts), dtype=float)
+        T = d1 / np.linalg.norm(d1, axis=1)[:, None]
+        if M.dim == 2:
+            nrm = np.stack([-T[:, 1], T[:, 0]], axis=-1)
+        else:
+            e = rng.normal(size=(n, 3))
+            e -= T * np.einsum("ij,ij->i", e, T)[:, None]
+            nrm = e / np.linalg.norm(e, axis=1)[:, None]
+        frac = rng.uniform(-0.95, 0.95, n)
+        frac[:4] = [0.97, -0.98, 0.99, -0.995]
+        return np.asarray(M.gamma(ts), dtype=float) + (frac * radius)[:, None] * nrm
+
+    return make
+
+
+@pytest.fixture
+def projection_calls(monkeypatch):
+    """List that gains one entry per nearest_curve_param call."""
+    from shapecalc import geometry
+
+    calls = []
+    real = geometry.nearest_curve_param
+
+    def counted(*args, **kwargs):
+        calls.append(len(np.atleast_2d(args[1])))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "nearest_curve_param", counted)
+    return calls
+
+
+@pytest.fixture(scope="session")
+def linear_field():
+    """dim -> a linear field with normal, tangential and conormal parts on
+    every test curve."""
+    matrices = {2: [[0.3, 1.0], [-0.7, 0.2]],
+                3: [[0.3, 1.0, 0.0], [-0.7, 0.2, 0.4], [0.1, -0.5, 0.6]]}
+    return lambda dim: build_field(
+        {"kind": "linear", "matrix": matrices[dim], "name": "lin"}, dim)
+
+
+@pytest.fixture(scope="session")
+def assert_fd_jacobian():
+    """check(F, pts): F.dX matches central differences of F.X to 1e-6
+    relative to the largest Jacobian entry."""
+
+    def check(F, pts):
+        got = F.dX(pts)
+        ref = fd_jacobian(F.X, F.dim, 1e-6)(pts)
+        scale = 1.0 + np.abs(got).max()
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-6 * scale)
+
+    return check

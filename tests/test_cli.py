@@ -71,3 +71,64 @@ def test_invalid_json_is_a_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"shapes\": [")
     assert cli.main(["run", str(bad), "--out", str(tmp_path)]) == 2
+
+
+TINY_CURVE = {
+    "name": "tiny-circle",
+    "fd": {"t0": 0.01, "levels": LEVELS, "richardson": True},
+    "shapes": [{"kind": "circle", "radius": 1.0, "name": "circle1"}],
+    "fields": [{"kind": "radial", "name": "radial"},
+               {"kind": "rotation", "name": "rotation"}],
+    "functionals": [{"kind": "length"}],
+    "suites": ["compare", "normal_dependence"],
+}
+
+
+@pytest.fixture(scope="module")
+def curve_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "tiny_curve.json"
+    path.write_text(json.dumps(TINY_CURVE))
+    return str(path)
+
+
+def test_corrupted_closed_form_exits_1(curve_config, tmp_path, monkeypatch):
+    from shapecalc import functionals
+
+    real = functionals.analytic_dlength
+    monkeypatch.setattr(functionals, "analytic_dlength",
+                        lambda M, X: real(M, X) + 1e-3)
+    assert cli.main(["run", curve_config, "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert [c["verdict"] for c in doc["comparisons"]] == ["fail", "fail"]
+    assert all(c["abs_diff"] == pytest.approx(1e-3, rel=1e-3)
+               for c in doc["comparisons"])
+    assert doc["summary"]["comparison_failures"] == 2
+    assert doc["summary"]["passed"] is False
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_csv_mirrors_match_report(curve_config, tmp_path):
+    assert cli.main(["run", curve_config, "--out", str(tmp_path),
+                     "--format", "json,csv"]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    comparisons = _csv_rows(tmp_path / "comparisons.csv")
+    assert len(comparisons) == len(doc["comparisons"]) == 2
+    for row, rec in zip(comparisons, doc["comparisons"]):
+        for key in ("functional", "manifold", "field", "verdict"):
+            assert row[key] == rec[key]
+        for key in ("fd_value", "fd_error_estimate", "analytic_value",
+                    "abs_diff", "rel_diff"):
+            assert float(row[key]) == rec[key]
+    cases = [(s["suite"], c) for s in doc["suites"] for c in s["cases"]]
+    suites = _csv_rows(tmp_path / "suites.csv")
+    assert len(suites) == len(cases) == 2
+    for row, (suite, case) in zip(suites, cases):
+        assert row["suite"] == suite
+        assert row["description"] == case["description"]
+        assert float(row["measured"]) == case["measured"]
+        assert float(row["bound"]) == case["bound"]
+        assert row["status"] == ("pass" if case["passed"] else "fail")

@@ -6,7 +6,6 @@ import pytest
 from shapecalc.derivative import FDConfig, compare, eulerian_fd, fd_quotients
 from shapecalc.errors import InvariantViolation, NoConvergence
 from shapecalc.fields import sum_field
-from shapecalc.flow import FlowConfig
 from shapecalc.functionals import ShapeFunctional, analytic_dlength, length
 
 TWO_PI = 2.0 * np.pi
@@ -103,8 +102,10 @@ def test_fd_config_validation():
 
 def test_max_step_resolution():
     assert FDConfig().max_step == pytest.approx(0.01)
-    cfg = FDConfig(flow_cfg=FlowConfig(t_final=0.005, n_steps=1))
-    assert cfg.max_step == pytest.approx(0.005)
+    assert FDConfig(max_step=0.005).max_step == pytest.approx(0.005)
+    for bad in (0.0, -0.005):
+        with pytest.raises(InvariantViolation):
+            FDConfig(max_step=bad)
 
 
 def test_error_estimate_has_floor(segment01, e1_field, fd5):

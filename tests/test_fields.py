@@ -107,6 +107,11 @@ def test_bump_field_support_and_scale():
     np.testing.assert_allclose(b.X(far), 0.0, atol=0.0)
 
 
+def test_callable_bump_direction_needs_jacobian():
+    with pytest.raises(ValueError):
+        bump_field(np.array([0.5, 0.0]), 0.3, lambda p: np.ones_like(p))
+
+
 def test_bump_field_must_fit_holdall():
     hold = default_holdall(2)
     with pytest.raises(SupportViolation):
@@ -220,3 +225,74 @@ def test_restriction_field_conormal_on_segment(segment01, e1_field):
 def test_restriction_field_rejects_unknown_component(circle1, radial2):
     with pytest.raises(ValueError):
         restriction_field(circle1, radial2, "sideways")
+
+
+# ---------------------------------------------------------------------------
+# analytic Jacobians of curve pullback fields
+
+CURVES = ["circle1", "ellipse21", "segment01", "helix1"]
+TUBE = {"circle1": 0.2, "ellipse21": 0.1, "segment01": 0.1, "helix1": 0.3}
+
+
+def _restriction_points(M, tube_points):
+    pts = tube_points(M, TUBE[M.name], n=24, seed=7)
+    if M.name == "segment01":
+        # past both extended ends, where the foot is held at the end
+        ext = 0.15 * (M.b - M.a)
+        past = np.array([M.b + ext + 0.005, M.b + ext + 0.02,
+                         M.a - ext - 0.005, M.a - ext - 0.02])
+        side = np.zeros((4, M.dim))
+        side[:, 1] = [0.01, -0.01, 0.005, -0.005]
+        pts = np.vstack([pts, np.asarray(M.gamma(past), dtype=float) + side])
+    return pts
+
+
+@pytest.mark.parametrize("curve", CURVES)
+@pytest.mark.parametrize("component", ["perp", "tan", "nu"])
+def test_restriction_field_analytic_jacobian(curve, component, request,
+                                             tube_points, linear_field,
+                                             assert_fd_jacobian):
+    from shapecalc.fields import _component_on_params
+    from shapecalc.geometry import nearest_curve_param
+
+    M = request.getfixturevalue(curve)
+    field = linear_field(M.dim)
+    tau = TUBE[curve]
+    F = restriction_field(M, field, component, tube_radius=tau)
+    pts = _restriction_points(M, tube_points)
+    assert np.all(np.linalg.norm(pts - F.support.center, axis=1)
+                  <= F.support.radius)
+    assert_fd_jacobian(F, pts)
+    # X is the pullback formula, bit for bit
+    extend = 0.0 if M.closed else 0.15 * (M.b - M.a)
+    t = nearest_curve_param(M, pts, extend=extend)
+    dist = np.linalg.norm(pts - M.gamma(t), axis=1)
+    direct = (smooth_step(dist / tau)[:, None]
+              * _component_on_params(M, field, component)(t))
+    assert np.array_equal(F.X(pts), direct)
+    if curve == "segment01" and component == "perp":
+        # the held feet past the extended ends still carry a value
+        assert np.all(np.linalg.norm(F.X(pts[-4:]), axis=1) > 0.0)
+
+
+def test_restriction_field_jacobian_finite_at_circle_centre(circle1, radial2):
+    for component in ("perp", "tan"):
+        F = restriction_field(circle1, radial2, component)
+        dX = F.dX(np.zeros((1, 2)))
+        assert np.all(np.isfinite(dX))
+        np.testing.assert_array_equal(dX, 0.0)
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_restriction_field_shares_one_projection(curve, request, tube_points,
+                                                 linear_field, projection_calls):
+    M = request.getfixturevalue(curve)
+    F = restriction_field(M, linear_field(M.dim), "perp",
+                          tube_radius=TUBE[curve])
+    pts = tube_points(M, TUBE[curve], n=16, seed=11)
+    projection_calls.clear()
+    F.X(pts)
+    F.dX(pts)
+    assert len(projection_calls) == 1
+    F.dX(tube_points(M, TUBE[curve], n=16, seed=12))
+    assert len(projection_calls) == 2

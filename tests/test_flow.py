@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shapecalc.errors import InvariantViolation, NonFinite
+from shapecalc.errors import NonFinite
 from shapecalc.fields import bump_field
 from shapecalc.flow import (
     FlowConfig,
@@ -68,11 +68,6 @@ def test_default_step_count_matches_explicit(rotation2):
     auto = flow_point(rotation2, np.array([1.0, 0.0]), FlowConfig(0.05))
     manual = flow_point(rotation2, np.array([1.0, 0.0]), FlowConfig(0.05, n_steps=5))
     np.testing.assert_array_equal(auto, manual)
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(InvariantViolation):
-        FlowConfig(0.1, method="euler")
 
 
 def test_flow_manifold_scales_circle(circle1, identity2):

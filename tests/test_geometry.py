@@ -10,13 +10,16 @@ from shapecalc.errors import (
     DegenerateImmersion,
     InvariantViolation,
     NoBoundary,
+    NoConvergence,
 )
+from shapecalc import geometry
 from shapecalc.geometry import (
     ParamCurve,
     ParamSurface,
     boundary_outward_normal,
     curvature,
     curve_curvature_derivs,
+    curve_foot,
     curve_frame,
     distance_to_manifold,
     integrate_curve,
@@ -199,6 +202,53 @@ def test_nearest_point_matches_distance(ellipse21):
         np.linalg.norm(pts[:, None, :] - dense[None, :, :], axis=2), axis=1
     )
     assert np.all(d <= brute + 1e-9)
+
+
+def test_newton_cap_raises(ellipse21, monkeypatch):
+    pts = np.array([[2.3, 0.4], [-0.3, 1.4], [0.7, -0.6]])
+    nearest_curve_param(ellipse21, pts)
+    monkeypatch.setattr(geometry, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="ellipse21.*worst step"):
+        nearest_curve_param(ellipse21, pts)
+
+
+def test_held_feet_converge_at_extended_ends(segment01):
+    # the foot of a point past an extended end is held there; that counts
+    # as converged, and the foot parameter does not move with the point
+    ext = 0.15
+    pts = np.array([[1.7, 0.02], [0.3, -0.01], [1.0, 0.05]])
+    ft = curve_foot(segment01, pts, extend=ext)
+    np.testing.assert_array_equal(ft.t[:2], [segment01.b + ext, segment01.a - ext])
+    np.testing.assert_array_equal(ft.grad_t[:2], 0.0)
+    np.testing.assert_allclose(ft.grad_t[2], [1.0, 0.0], rtol=1e-14)
+
+
+@pytest.mark.parametrize("curve", ["ellipse21", "helix1"])
+def test_curve_foot_gradients_match_fd(curve, request):
+    M = request.getfixturevalue(curve)
+    rng = np.random.default_rng(5)
+    ts = rng.uniform(M.a + 0.5, M.b - 0.5, 12)
+    pts = M.gamma(ts) + 0.2 * rng.uniform(-1.0, 1.0, (12, M.dim))
+    ft = curve_foot(M, pts)
+    h = 1e-6
+    for j in range(M.dim):
+        e = np.zeros(M.dim)
+        e[j] = h
+        up, down = curve_foot(M, pts + e), curve_foot(M, pts - e)
+        np.testing.assert_allclose(ft.grad_t[:, j], (up.t - down.t) / (2 * h),
+                                   atol=1e-7)
+        np.testing.assert_allclose(ft.grad_dist[:, j],
+                                   (up.dist - down.dist) / (2 * h), atol=1e-7)
+    np.testing.assert_array_equal(ft.t, nearest_curve_param(M, pts))
+    np.testing.assert_array_equal(
+        ft.dist, np.linalg.norm(pts - M.gamma(ft.t), axis=1))
+
+
+def test_curve_foot_at_circle_centre(circle1):
+    # every point of the circle is a foot of its centre: grad t blows up
+    ft = curve_foot(circle1, np.zeros((1, 2)))
+    assert ft.dist[0] == pytest.approx(1.0)
+    assert not np.all(np.isfinite(ft.grad_t))
 
 
 def test_nearest_point_on_cylinder(cylinder):

@@ -151,3 +151,130 @@ def test_closed_crack_rejected(circle1, fd5):
 def test_length_density_quadrature_matches_closed_form(circle1, radial2):
     got = length_density_quadrature(circle1, radial2)
     assert got == pytest.approx(analytic_dlength(circle1, radial2), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# analytic Jacobians of curve pullback fields
+
+CURVES = ["circle1", "ellipse21", "segment01", "helix1"]
+
+
+def _tube_formula(M, W, delta, extend, pts):
+    from shapecalc.fields import smooth_step
+    from shapecalc.geometry import nearest_curve_param
+
+    t = nearest_curve_param(M, pts, extend=extend)
+    s = np.linalg.norm(pts - M.gamma(t), axis=1) / delta
+    return (s * s * smooth_step(s))[:, None] * W
+
+
+def _locality_setup(M, seed=0):
+    """The tube width, extension and first direction locality_pairs draws."""
+    from shapecalc.geometry import curvature
+
+    kmax = float(np.abs(curvature(M, M._grid_ts)).max())
+    speed_min = float(np.linalg.norm(M.dgamma(M._grid_ts), axis=1).min())
+    reach = 0.5 / kmax if kmax > 1e-12 else np.inf
+    delta = min(0.8 * reach, 0.2 * M.diameter)
+    extend = 0.0 if M.closed else min(0.5 * (M.b - M.a), 1.3 * delta / speed_min)
+    W = np.random.default_rng(seed).normal(size=M.dim)
+    return delta, extend, W / np.linalg.norm(W)
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_tube_discrepancy_analytic_jacobian(curve, request, tube_points,
+                                            assert_fd_jacobian, projection_calls):
+    from shapecalc.validation import _tube_discrepancy
+
+    M = request.getfixturevalue(curve)
+    delta, extend, W = _locality_setup(M)
+    D = _tube_discrepancy(M, W, delta, extend, name="tube")
+    pts = tube_points(M, delta, n=24, seed=3)
+    assert_fd_jacobian(D, pts)
+    assert np.array_equal(D.X(pts), _tube_formula(M, W, delta, extend, pts))
+    fresh = tube_points(M, delta, n=16, seed=4)
+    projection_calls.clear()
+    D.X(fresh)
+    D.dX(fresh)
+    assert len(projection_calls) == 1
+    D.X(tube_points(M, delta, n=16, seed=5))
+    assert len(projection_calls) == 2
+
+
+def test_tube_discrepancy_jacobian_finite_at_circle_centre(circle1):
+    from shapecalc.validation import _tube_discrepancy
+
+    delta, extend, W = _locality_setup(circle1)
+    D = _tube_discrepancy(circle1, W, delta, extend, name="tube")
+    assert np.all(np.isfinite(D.dX(np.zeros((1, 2)))))
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_locality_sums_analytic_jacobian(curve, request, tube_points, linear_field,
+                                         assert_fd_jacobian, projection_calls):
+    M = request.getfixturevalue(curve)
+    X = linear_field(M.dim)
+    tube_pair, bump_pair = locality_pairs(M, [X], seed=0)
+    delta, extend, W = _locality_setup(M)
+    pts = tube_points(M, delta, n=24, seed=3)
+    for pair in (tube_pair, bump_pair):
+        assert_fd_jacobian(pair.Y, pts)
+        assert np.all(np.isfinite(pair.Y.dX(np.zeros((1, M.dim)))))
+    assert np.array_equal(tube_pair.Y.X(pts),
+                          X.X(pts) + _tube_formula(M, W, delta, extend, pts))
+    fresh = tube_points(M, delta, n=16, seed=4)
+    projection_calls.clear()
+    tube_pair.Y.X(fresh)
+    tube_pair.Y.dX(fresh)
+    assert len(projection_calls) == 1
+    # the on-manifold bump has a constant direction: no projection at all
+    bump_pair.Y.X(fresh)
+    bump_pair.Y.dX(fresh)
+    assert len(projection_calls) == 1
+
+
+def _probe_points(P, n, seed):
+    """Points in the probe's ball, some just inside its rim."""
+    rng = np.random.default_rng(seed)
+    c, rho = P.support.center, P.support.radius
+    dirs = rng.normal(size=(n, len(c)))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    frac = rng.uniform(0.0, 0.95, n)
+    frac[:3] = [0.97, 0.98, 0.99]
+    return c + (frac * rho)[:, None] * dirs
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_tangent_probe_analytic_jacobian(curve, request, assert_fd_jacobian,
+                                         projection_calls):
+    from shapecalc.fields import bump_profile
+    from shapecalc.geometry import nearest_curve_param
+
+    M = request.getfixturevalue(curve)
+    probes = tangential_probe_fields(M, n=2, seed=0)
+    # the draws tangential_probe_fields makes for each probe
+    rng = np.random.default_rng(0)
+    speed_min = float(np.linalg.norm(M.dgamma(M._grid_ts), axis=1).min())
+    for P in probes:
+        t0 = M.a + (M.b - M.a) * (rng.uniform(0.0, 1.0) if M.closed
+                                  else rng.uniform(0.25, 0.75))
+        amp = rng.uniform(0.5, 1.5)
+        c, rho = P.support.center, P.support.radius
+        np.testing.assert_array_equal(c, M.gamma(np.array([t0]))[0])
+        pts = _probe_points(P, 24, seed=5)
+        assert_fd_jacobian(P, pts)
+        window = (t0, min(4.0 * rho / speed_min, 0.5 * (M.b - M.a)))
+        d1 = M.dgamma(nearest_curve_param(M, pts, seed_window=window))
+        beta = bump_profile(np.linalg.norm(pts - c, axis=1) / rho)
+        direct = beta[:, None] * (amp * d1 / np.linalg.norm(d1, axis=1)[:, None])
+        assert np.array_equal(P.X(pts), direct)
+        fresh = _probe_points(P, 16, seed=6)
+        projection_calls.clear()
+        P.X(fresh)
+        P.dX(fresh)
+        assert len(projection_calls) == 1
+        P.dX(_probe_points(P, 16, seed=7))
+        assert len(projection_calls) == 2
+    if curve == "circle1":
+        for P in probes:
+            assert np.all(np.isfinite(P.dX(np.zeros((1, 2)))))
