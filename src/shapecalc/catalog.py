@@ -390,28 +390,39 @@ def _localized(nominal_X, nominal_dX, dim: int, name: str) -> AmbientField:
 
     The cutoff is identically 1 on |p| <= CUTOFF_INNER, so values and
     Jacobians near the catalog shapes are exactly those of the nominal
-    field; the product rule supplies the Jacobian in the transition shell.
+    field, returned as they are; the cutoff and, for the Jacobian, the
+    product rule are applied only to the rows outside that radius, in
+    place (the nominal forms return new arrays).
     """
     span = CUTOFF_OUTER - CUTOFF_INNER
 
-    def X(pts):
+    def shell_of(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         rr = np.linalg.norm(pts, axis=1)
-        w = smooth_step((rr - CUTOFF_INNER) / span)
-        return w[:, None] * nominal_X(pts)
+        shell = rr > CUTOFF_INNER
+        return pts, rr[shell], shell
+
+    def X(pts):
+        pts, rr, shell = shell_of(pts)
+        out = nominal_X(pts)
+        if shell.any():
+            w = smooth_step((rr - CUTOFF_INNER) / span)
+            out[shell] = w[:, None] * out[shell]
+        return out
 
     def dX(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rr = np.linalg.norm(pts, axis=1)
-        s = (rr - CUTOFF_INNER) / span
-        w = smooth_step(s)
-        dw = np.asarray(smooth_step_deriv(s), dtype=float) / span
-        grad = np.zeros_like(pts)
-        act = dw != 0.0
-        if act.any():
-            grad[act] = (dw[act] / rr[act])[:, None] * pts[act]
-        return (w[:, None, None] * nominal_dX(pts)
-                + nominal_X(pts)[:, :, None] * grad[:, None, :])
+        pts, rr, shell = shell_of(pts)
+        out = nominal_dX(pts)
+        if shell.any():
+            s = (rr - CUTOFF_INNER) / span
+            w = smooth_step(s)
+            dw = np.asarray(smooth_step_deriv(s), dtype=float) / span
+            grad = np.zeros((len(rr), dim))
+            act = dw != 0.0
+            grad[act] = (dw[act] / rr[act])[:, None] * pts[shell][act]
+            out[shell] = (w[:, None, None] * out[shell]
+                          + nominal_X(pts)[shell][:, :, None] * grad[:, None, :])
+        return out
 
     return AmbientField(dim=dim, X=X, dX=dX,
                         support=Ball(np.zeros(dim), CUTOFF_OUTER), name=name)

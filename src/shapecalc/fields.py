@@ -548,10 +548,8 @@ def restriction_field(manifold, field: AmbientField, component: str,
         if isinstance(manifold, ParamCurve):
             kmax = float(np.abs(curvature(manifold, manifold._grid_ts)).max())
         else:
-            gu = np.linspace(manifold.a, manifold.b, 24)
-            gv = np.linspace(manifold.c, manifold.d, 24)
-            GU, GV = np.meshgrid(gu, gv, indexing="ij")
-            kmax = float(surface_max_curvature(manifold, GU.ravel(), GV.ravel()).max())
+            kmax = float(surface_max_curvature(
+                manifold, manifold._grid_us, manifold._grid_vs).max())
         reach = 0.5 / kmax if kmax > 1e-12 else np.inf
         tube_radius = min(0.1 * manifold.diameter, 0.4 * reach)
     V = _component_on_params(manifold, field, component)
@@ -559,13 +557,7 @@ def restriction_field(manifold, field: AmbientField, component: str,
     extend = 0.0 if (is_curve and manifold.closed) else 0.15 * (manifold.b - manifold.a)
 
     # support: ball spanning the manifold plus the tube
-    if is_curve:
-        samples = manifold._grid_points
-    else:
-        us = np.linspace(manifold.a, manifold.b, 24)
-        vs = np.linspace(manifold.c, manifold.d, 24)
-        U, Vg = np.meshgrid(us, vs, indexing="ij")
-        samples = np.asarray(manifold.phi(U.ravel(), Vg.ravel()), dtype=float)
+    samples = manifold._grid_points
     mid = samples.mean(axis=0)
     rad = np.linalg.norm(samples - mid, axis=1).max() + tube_radius + 0.5 * extend
 

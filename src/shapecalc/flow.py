@@ -47,11 +47,17 @@ class FlowConfig:
 
 
 def flow_point(field: AmbientField, x0, cfg: FlowConfig) -> np.ndarray:
-    """Flow one point or a batch (n, d) of points to time t_final."""
+    """Flow one point or a batch (n, d) of points to time t_final.
+
+    At t_final = 0 the flow is the identity and the field is not called.
+    """
     x = np.asarray(x0, dtype=float)
     scalar = x.ndim == 1
     x = np.atleast_2d(x)
     h = cfg.t_final / cfg.n_steps
+    if h == 0.0:
+        x = x.copy()
+        return x[0] if scalar else x
     X = field.X
     for _ in range(cfg.n_steps):
         k1 = np.asarray(X(x), dtype=float)
@@ -67,16 +73,19 @@ def flow_point(field: AmbientField, x0, cfg: FlowConfig) -> np.ndarray:
 def flow_with_jacobian(field: AmbientField, x0,
                        cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
     """(Phi_t(x0), dPhi_t(x0)) for a batch of points, via the joint RK4 on
-    the variational system."""
+    the variational system.  At t_final = 0 this is (x0, I) without a
+    field call."""
     x = np.atleast_2d(np.asarray(x0, dtype=float))
     n, d = x.shape
     J = np.broadcast_to(np.eye(d), (n, d, d)).copy()
     h = cfg.t_final / cfg.n_steps
+    if h == 0.0:
+        return x.copy(), J
     X, dX = field.X, field.dX
 
     def rhs(xc, Jc):
         return (np.asarray(X(xc), dtype=float),
-                np.einsum("nij,njk->nik", np.asarray(dX(xc), dtype=float), Jc))
+                _jacobian_product(np.asarray(dX(xc), dtype=float), Jc))
 
     for _ in range(cfg.n_steps):
         k1x, k1J = rhs(x, J)
@@ -88,6 +97,25 @@ def flow_with_jacobian(field: AmbientField, x0,
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(J))):
             raise NonFinite(f"flow of '{field.name}' left the numeric range")
     return x, J
+
+
+def _jacobian_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per-point matrix product A[n] @ B[n] of two (n, d, d) stacks.
+
+    Sums the d products over j = 0, 1, ... with whole-column operations,
+    in the order of einsum("nij,njk->nik"), whose values it reproduces
+    (only the sign of a zero can differ) at a fraction of the cost for
+    d = 2, 3.  matmul is not used: its sums are not bit-equal to einsum's.
+    """
+    n, d, _ = A.shape
+    out = np.empty((n, d, d))
+    for i in range(d):
+        for k in range(d):
+            acc = A[:, i, 0] * B[:, 0, k]
+            for j in range(1, d):
+                acc += A[:, i, j] * B[:, j, k]
+            out[:, i, k] = acc
+    return out
 
 
 def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -52,6 +52,57 @@ def _as_params(t) -> tuple[np.ndarray, bool]:
 
 def _cross2(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+
+# ---------------------------------------------------------------------------
+# embedding desk check
+
+
+def _embedding_extent(pts: np.ndarray, nonadj: np.ndarray) -> tuple[float, float]:
+    """(diameter, separation) of a sample set: the largest distance between
+    two samples and the smallest between two non-adjacent ones (inf when
+    no pair is non-adjacent).
+
+    Squared distances accumulate coordinate by coordinate, in the order of
+    norm's reduction, so no (n, n, dim) temporary is built; sqrt is
+    monotone and correctly rounded, so taking it after max / min gives the
+    same bits as taking it first.
+    """
+    d2 = np.subtract.outer(pts[:, 0], pts[:, 0]) ** 2
+    for k in range(1, pts.shape[1]):
+        d2 += np.subtract.outer(pts[:, k], pts[:, k]) ** 2
+    sep2 = np.min(d2, where=nonadj, initial=np.inf)
+    return float(np.sqrt(d2.max())), float(np.sqrt(sep2))
+
+
+def _frozen(mask: np.ndarray) -> np.ndarray:
+    mask.flags.writeable = False
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _curve_nonadjacent(n: int, closed: bool) -> np.ndarray:
+    """Pairs of n curve samples more than one step apart (across the seam
+    of a closed curve too)."""
+    idx = np.arange(n)
+    gap = np.abs(idx[:, None] - idx[None, :])
+    if closed:
+        gap = np.minimum(gap, n - gap)
+    return _frozen(gap > 1)
+
+
+@lru_cache(maxsize=None)
+def _surface_nonadjacent(n: int, u_closed: bool, periodic_v: bool) -> np.ndarray:
+    """Pairs of an n x n surface grid outside each other's 8-neighborhood,
+    the first and last rows / columns adjacent where the chart closes."""
+    iu, iv = np.divmod(np.arange(n * n), n)
+    du = np.abs(iu[:, None] - iu[None, :])
+    dv = np.abs(iv[:, None] - iv[None, :])
+    if u_closed:
+        du = np.minimum(du, n - 1 - du)
+    if periodic_v:
+        dv = np.minimum(dv, n - 1 - dv)
+    return _frozen((du > 1) | (dv > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +156,8 @@ class ParamCurve:
                 f"curve '{self.name}': speed vanishes near t = {grid[speed.argmin()]:g}"
             )
         # embedding desk check: non-adjacent samples must stay separated
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        diam = dist.max()
-        idx = np.arange(n)
-        gap = np.abs(idx[:, None] - idx[None, :])
-        if self.closed:
-            gap = np.minimum(gap, n - gap)
-        nonadj = gap > 1
-        if nonadj.any() and dist[nonadj].min() < 1e-7 * diam:
+        diam, sep = _embedding_extent(pts, _curve_nonadjacent(n, self.closed))
+        if sep < 1e-7 * diam:
             raise DegenerateImmersion(
                 f"curve '{self.name}': samples nearly coincide (self-intersection?)"
             )
@@ -135,7 +179,7 @@ class ParamCurve:
         self._check_derivative_consistency(grid, pts, vel)
         object.__setattr__(self, "_grid_ts", grid)
         object.__setattr__(self, "_grid_points", pts)
-        object.__setattr__(self, "_diameter", float(diam))
+        object.__setattr__(self, "_diameter", diam)
 
     def _check_derivative_consistency(self, grid, pts, vel):
         rng = np.random.default_rng(_CHECK_RNG_SEED)
@@ -247,24 +291,19 @@ class ParamSurface:
         )
         object.__setattr__(self, "u_closed", bool(u_closed))
         # embedding desk check, adjacency on the sample grid (8-neighborhood)
-        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-        diam = dist.max()
-        iu, iv = np.divmod(np.arange(n * n), n)
-        du = np.abs(iu[:, None] - iu[None, :])
-        dv = np.abs(iv[:, None] - iv[None, :])
-        if u_closed:
-            du = np.minimum(du, n - 1 - du)
-        if per_v:
-            dv = np.minimum(dv, n - 1 - dv)
-        nonadj = (du > 1) | (dv > 1)
-        if nonadj.any() and dist[nonadj].min() < 1e-7 * diam:
+        diam, sep = _embedding_extent(
+            pts, _surface_nonadjacent(n, u_closed, per_v))
+        if sep < 1e-7 * diam:
             raise DegenerateImmersion(
                 f"surface '{self.name}': samples nearly coincide (self-intersection?)"
             )
         self._check_derivative_consistency()
         if self.foot is not None:
             self._check_foot(pts, pu, pv, 1e-3 * diam)
-        object.__setattr__(self, "_diameter", float(diam))
+        object.__setattr__(self, "_grid_us", uu)
+        object.__setattr__(self, "_grid_vs", vv)
+        object.__setattr__(self, "_grid_points", pts)
+        object.__setattr__(self, "_diameter", diam)
 
     def _check_derivative_consistency(self):
         rng = np.random.default_rng(_CHECK_RNG_SEED + 1)

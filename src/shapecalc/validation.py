@@ -176,13 +176,7 @@ def _tube_discrepancy(M, W: np.ndarray, delta: float, extend: float,
     is_curve = isinstance(M, ParamCurve)
     dim = M.dim if is_curve else 3
     W = np.asarray(W, dtype=float)
-    if is_curve:
-        samples = M._grid_points
-    else:
-        gu = np.linspace(M.a, M.b, 24)
-        gv = np.linspace(M.c, M.d, 24)
-        GU, GV = np.meshgrid(gu, gv, indexing="ij")
-        samples = np.asarray(M.phi(GU.ravel(), GV.ravel()), dtype=float)
+    samples = M._grid_points
     mid = samples.mean(axis=0)
     rad = float(np.linalg.norm(samples - mid, axis=1).max()) + delta
 
@@ -256,10 +250,7 @@ def locality_pairs(M, fields: Sequence[AmbientField], seed: int = 0,
         speed_min = float(np.linalg.norm(
             np.asarray(M.dgamma(M._grid_ts), dtype=float), axis=1).min())
     else:
-        gu = np.linspace(M.a, M.b, 24)
-        gv = np.linspace(M.c, M.d, 24)
-        GU, GV = np.meshgrid(gu, gv, indexing="ij")
-        kmax = float(surface_max_curvature(M, GU.ravel(), GV.ravel()).max())
+        kmax = float(surface_max_curvature(M, M._grid_us, M._grid_vs).max())
         speed_min = 1.0
     reach = 0.5 / kmax if kmax > 1e-12 else np.inf
     delta = min(0.8 * reach, 0.2 * M.diameter)
@@ -417,12 +408,8 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0,
     # where nearest-point projection stops being single valued.
     span_u = M.b - M.a
     span_v = M.d - M.c
-    gu = np.linspace(M.a, M.b, 24)
-    gv = np.linspace(M.c, M.d, 24)
-    GU, GV = np.meshgrid(gu, gv, indexing="ij")
-    grid_pts = np.asarray(M.phi(GU.ravel(), GV.ravel()), dtype=float)
-    mx = float(np.linalg.norm(grid_pts, axis=1).max())
-    kmax = float(surface_max_curvature(M, GU.ravel(), GV.ravel()).max())
+    mx = float(np.linalg.norm(M._grid_points, axis=1).max())
+    kmax = float(surface_max_curvature(M, M._grid_us, M._grid_vs).max())
     delta = 0.8 * 0.5 / kmax if kmax > 1e-12 else 0.5
     support = Ball(np.zeros(3), mx + delta + 0.5)
     for i in range(n):
@@ -498,10 +485,7 @@ def nullity_negative_field(M, holdall: Ball | None = None) -> AmbientField:
     vm = M.c + 0.37 * (M.d - M.c)
     center = np.asarray(M.phi(np.array([um]), np.array([vm])), dtype=float)[0]
     d = surface_normal(M, um, vm)
-    gu = np.linspace(M.a, M.b, 24)
-    gv = np.linspace(M.c, M.d, 24)
-    GU, GV = np.meshgrid(gu, gv, indexing="ij")
-    pts = np.asarray(M.phi(GU.ravel(), GV.ravel()), dtype=float)
+    pts = M._grid_points
     rho = 0.2 * float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
     return bump_field(center, rho, d, 3, holdall,
                       name=f"normal-bump[{M.name}]")

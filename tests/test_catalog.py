@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shapecalc import catalog
 from shapecalc.catalog import (
     FIELD_KINDS,
     FUNCTIONAL_KINDS,
@@ -14,6 +15,7 @@ from shapecalc.catalog import (
     parse_functional,
 )
 from shapecalc.errors import ConfigError
+from shapecalc.fields import smooth_step, smooth_step_deriv
 from shapecalc.functionals import (
     area_functional,
     elastic_functional,
@@ -169,3 +171,73 @@ def test_shape_names_default_and_custom():
     assert named.name == "ring"
     anon = build_shape({"kind": "circle", "radius": 1.0})
     assert anon.name
+
+
+# the hold-all cutoff: the field kinds that _localized wraps, against the
+# old whole-array formula (kept here as the reference)
+
+LOCALIZED_KINDS = [
+    ({"kind": "constant", "vector": [0.3, -1.0], "name": "c2"}, 2),
+    ({"kind": "constant", "vector": [0.0, 0.0, 1.0], "name": "e3"}, 3),
+    ({"kind": "radial", "name": "radial"}, 2),
+    ({"kind": "radial", "name": "radial"}, 3),
+    ({"kind": "rotation", "name": "rotation"}, 2),
+    ({"kind": "rotation", "axis": [0.0, 0.0, 1.0], "name": "spin_z"}, 3),
+    ({"kind": "linear", "matrix": [[0.0, 1.0], [0.0, 0.0]], "name": "shear"}, 2),
+    ({"kind": "linear", "matrix": [[0.3, 1.0, 0.0], [-0.7, 0.2, 0.4],
+                                   [0.1, -0.5, 0.6]], "name": "lin3"}, 3),
+]
+
+
+def _reference_localized(nominal_X, nominal_dX, pts):
+    span = catalog.CUTOFF_OUTER - catalog.CUTOFF_INNER
+    rr = np.linalg.norm(pts, axis=1)
+    s = (rr - catalog.CUTOFF_INNER) / span
+    w = smooth_step(s)
+    dw = np.asarray(smooth_step_deriv(s), dtype=float) / span
+    grad = np.zeros_like(pts)
+    act = dw != 0.0
+    if act.any():
+        grad[act] = (dw[act] / rr[act])[:, None] * pts[act]
+    X = w[:, None] * nominal_X(pts)
+    dX = (w[:, None, None] * nominal_dX(pts)
+          + nominal_X(pts)[:, :, None] * grad[:, None, :])
+    return X, dX
+
+
+def _cutoff_points(dim, rng):
+    # inside the inner radius, in the transition shell and outside, plus
+    # the two radii themselves
+    inner, outer = catalog.CUTOFF_INNER, catalog.CUTOFF_OUTER
+    radii = np.concatenate([
+        rng.uniform(0.0, inner, 3000), rng.uniform(inner, outer, 3000),
+        rng.uniform(outer, 12.0, 496),
+        [0.0, inner, np.nextafter(inner, np.inf), outer, inner + 1e-12]])
+    e = rng.standard_normal((len(radii), dim))
+    e /= np.linalg.norm(e, axis=1)[:, None]
+    return radii[:, None] * e
+
+
+@pytest.mark.parametrize("desc,dim", LOCALIZED_KINDS,
+                         ids=[f"{d['name']}-{k}" for d, k in LOCALIZED_KINDS])
+def test_localized_cutoff_matches_whole_array_formula(desc, dim, monkeypatch):
+    nominals = []
+    real = catalog._localized
+
+    def spy(nominal_X, nominal_dX, d, name):
+        nominals.append((nominal_X, nominal_dX))
+        return real(nominal_X, nominal_dX, d, name)
+
+    monkeypatch.setattr(catalog, "_localized", spy)
+    field = build_field(desc, dim)
+    (nominal_X, nominal_dX), = nominals
+    pts = _cutoff_points(dim, np.random.default_rng(dim))
+    ref_X, ref_dX = _reference_localized(nominal_X, nominal_dX, pts)
+    X = field.X(pts)
+    assert X.dtype == ref_X.dtype and X.shape == ref_X.shape
+    assert X.tobytes() == ref_X.tobytes()
+    # values equal; 1.0 * a + x * 0.0 used to turn some -0.0 into +0.0
+    np.testing.assert_array_equal(field.dX(pts), ref_dX)
+    # rows inside the inner radius are the nominal field itself
+    inside = np.linalg.norm(pts, axis=1) <= catalog.CUTOFF_INNER
+    np.testing.assert_array_equal(field.dX(pts[inside]), nominal_dX(pts[inside]))

@@ -132,3 +132,13 @@ def test_csv_mirrors_match_report(curve_config, tmp_path):
         assert float(row["measured"]) == case["measured"]
         assert float(row["bound"]) == case["bound"]
         assert row["status"] == ("pass" if case["passed"] else "fail")
+
+
+def test_two_jobs_write_the_same_report(curve_config, tmp_path):
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli.main(["run", curve_config, "--out", str(out),
+                         "--jobs", jobs]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]

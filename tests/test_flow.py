@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from shapecalc.errors import NonFinite
-from shapecalc.fields import bump_field
+from shapecalc.fields import AmbientField, bump_field
 from shapecalc.flow import (
     FlowConfig,
+    _jacobian_product,
     flow_manifold,
     flow_point,
     flow_with_jacobian,
@@ -161,3 +162,45 @@ def test_flowed_surface_shares_one_jacobian_per_node_set(cylinder, monkeypatch):
     moved.phi_v(us, vs + 0.01)
     moved.phi_u(us + 0.01, vs + 0.01)
     assert calls == [9, 9]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_jacobian_product_equals_einsum(d):
+    rng = np.random.default_rng(40 + d)
+    for n in (1, 7, 2560):
+        A = rng.standard_normal((n, d, d))
+        B = rng.standard_normal((n, d, d))
+        A[rng.random(A.shape) < 0.2] = 0.0
+        np.testing.assert_array_equal(_jacobian_product(A, B),
+                                      np.einsum("nij,njk->nik", A, B))
+
+
+def _counted(field):
+    calls = []
+
+    def X(pts):
+        calls.append("X")
+        return field.X(pts)
+
+    def dX(pts):
+        calls.append("dX")
+        return field.dX(pts)
+
+    return AmbientField(dim=field.dim, X=X, dX=dX, support=field.support,
+                        name=field.name), calls
+
+
+@pytest.mark.parametrize("t_final", [0.0, -0.0])
+def test_zero_time_flow_is_the_identity_without_field_calls(radial2, t_final):
+    field, calls = _counted(radial2)
+    calls.clear()  # construction checks sample the field
+    cfg = FlowConfig(t_final)
+    pts = np.array([[1.0, 0.5], [-0.25, 2.0], [0.0, -0.0]])
+    moved = flow_point(field, pts, cfg)
+    np.testing.assert_array_equal(moved, pts)
+    assert moved is not pts
+    np.testing.assert_array_equal(flow_point(field, pts[0], cfg), pts[0])
+    x, J = flow_with_jacobian(field, pts, cfg)
+    np.testing.assert_array_equal(x, pts)
+    np.testing.assert_array_equal(J, np.broadcast_to(np.eye(2), (3, 2, 2)))
+    assert calls == []

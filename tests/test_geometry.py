@@ -413,3 +413,119 @@ def _ellipse_cached():
 
         _ELL["e"] = build_shape({"kind": "ellipse", "a": 2.0, "b": 1.0, "name": "e"})
     return _ELL["e"]
+
+
+# embedding desk check: the helper against the formula it replaced, kept
+# here as the reference (full distance matrix, inline adjacency masks)
+
+
+def _reference_extent(pts, nonadj):
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    return dist.max(), dist[nonadj].min()
+
+
+def _reference_curve_mask(n, closed):
+    idx = np.arange(n)
+    gap = np.abs(idx[:, None] - idx[None, :])
+    if closed:
+        gap = np.minimum(gap, n - gap)
+    return gap > 1
+
+
+def _reference_surface_mask(n, u_closed, periodic_v):
+    iu, iv = np.divmod(np.arange(n * n), n)
+    du = np.abs(iu[:, None] - iu[None, :])
+    dv = np.abs(iv[:, None] - iv[None, :])
+    if u_closed:
+        du = np.minimum(du, n - 1 - du)
+    if periodic_v:
+        dv = np.minimum(dv, n - 1 - dv)
+    return (du > 1) | (dv > 1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("closed", [False, True])
+def test_curve_embedding_extent_bit_equal_to_reference(dim, closed):
+    n = 512
+    mask = geometry._curve_nonadjacent(n, closed)
+    np.testing.assert_array_equal(mask, _reference_curve_mask(n, closed))
+    rng = np.random.default_rng(17 + dim + 2 * closed)
+    for _ in range(20):
+        # random walks of mixed scale: near-coincident and far samples
+        steps = rng.standard_normal((n, dim)) * rng.uniform(1e-3, 1.0)
+        pts = np.cumsum(steps, axis=0) * rng.uniform(0.1, 10.0)
+        diam, sep = geometry._embedding_extent(pts, mask)
+        ref_diam, ref_sep = _reference_extent(pts, mask)
+        assert diam == ref_diam and sep == ref_sep
+
+
+@pytest.mark.parametrize("u_closed", [False, True])
+@pytest.mark.parametrize("periodic_v", [False, True])
+def test_surface_embedding_extent_bit_equal_to_reference(u_closed, periodic_v):
+    n = 24
+    mask = geometry._surface_nonadjacent(n, u_closed, periodic_v)
+    np.testing.assert_array_equal(
+        mask, _reference_surface_mask(n, u_closed, periodic_v))
+    rng = np.random.default_rng(29 + u_closed + 2 * periodic_v)
+    for _ in range(10):
+        pts = rng.standard_normal((n * n, 3)) * rng.uniform(0.1, 10.0)
+        diam, sep = geometry._embedding_extent(pts, mask)
+        ref_diam, ref_sep = _reference_extent(pts, mask)
+        assert diam == ref_diam and sep == ref_sep
+
+
+def test_nonadjacency_masks_are_shared_and_read_only():
+    for make, args in ((geometry._curve_nonadjacent, (512, True)),
+                       (geometry._surface_nonadjacent, (24, False, True))):
+        mask = make(*args)
+        assert make(*args) is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = True
+
+
+def test_embedding_extent_without_nonadjacent_pairs():
+    # no pair to compare: the separation is inf, so no coincidence is flagged
+    pts = np.random.default_rng(3).standard_normal((4, 3))
+    diam, sep = geometry._embedding_extent(pts, np.zeros((4, 4), dtype=bool))
+    assert sep == np.inf and diam > 0.0
+
+
+def test_lapped_surface_chart_rejected():
+    # the cylinder chart over v in [0, 2 pi 23/12]: grid column 12 lands on
+    # column 0, so non-adjacent samples coincide
+    with pytest.raises(DegenerateImmersion):
+        ParamSurface(
+            a=0.0, b=2.0, c=0.0, d=TWO_PI * 23.0 / 12.0,
+            phi=lambda u, v: np.stack([np.cos(v), np.sin(v), u], axis=-1),
+            phi_u=lambda u, v: np.stack(
+                [np.zeros_like(u), np.zeros_like(u), np.ones_like(u)], axis=-1),
+            phi_v=lambda u, v: np.stack(
+                [-np.sin(v), np.cos(v), np.zeros_like(u)], axis=-1),
+            phi_vv=lambda u, v: np.stack(
+                [-np.cos(v), -np.sin(v), np.zeros_like(u)], axis=-1),
+            name="lapped-cylinder",
+        )
+
+
+def test_lapped_open_arc_rejected():
+    # an open arc over t in [0, 2 pi 511/300]: sample 300 lands on sample 0
+    with pytest.raises(DegenerateImmersion):
+        ParamCurve(
+            dim=2, a=0.0, b=TWO_PI * 511.0 / 300.0,
+            gamma=lambda t: np.stack([np.cos(t), np.sin(t)], axis=-1),
+            dgamma=lambda t: np.stack([-np.sin(t), np.cos(t)], axis=-1),
+            ddgamma=lambda t: np.stack([-np.cos(t), -np.sin(t)], axis=-1),
+            closed=False,
+            name="lapped-arc",
+        )
+
+
+def test_surface_keeps_its_sample_grid(cylinder):
+    us = np.linspace(cylinder.a, cylinder.b, 24)
+    vs = np.linspace(cylinder.c, cylinder.d, 24)
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    np.testing.assert_array_equal(cylinder._grid_us, U.ravel())
+    np.testing.assert_array_equal(cylinder._grid_vs, V.ravel())
+    np.testing.assert_array_equal(cylinder._grid_points,
+                                  cylinder.phi(U.ravel(), V.ravel()))
