@@ -218,8 +218,15 @@ def _shape_circle(p: _Params, name: str) -> ParamCurve:
         th = np.asarray(ts, dtype=float) / r
         return np.stack([-np.cos(th), -np.sin(th)], axis=-1) / r
 
+    # exact nearest point: the angle of p about the centre (the centre
+    # itself takes angle 0); a closed curve ignores extend
+    def foot(pts, extend):
+        q = np.atleast_2d(np.asarray(pts, dtype=float)) - center
+        return r * np.mod(np.arctan2(q[:, 1], q[:, 0]), 2.0 * np.pi)
+
     return ParamCurve(dim=2, a=0.0, b=2.0 * np.pi * r, gamma=gamma,
-                      dgamma=dgamma, ddgamma=ddgamma, closed=True, name=name)
+                      dgamma=dgamma, ddgamma=ddgamma, closed=True, name=name,
+                      foot=foot)
 
 
 def _shape_segment(p: _Params, name: str) -> ParamCurve:
@@ -233,6 +240,7 @@ def _shape_segment(p: _Params, name: str) -> ParamCurve:
         raise ConfigError(f"{p.where}: p0 and p1 coincide")
     u = (p1 - p0) / L
     dim = len(p0)
+    a, b = 0.0, L
 
     def gamma(ts):
         return p0 + np.asarray(ts, dtype=float)[:, None] * u
@@ -243,8 +251,14 @@ def _shape_segment(p: _Params, name: str) -> ParamCurve:
     def ddgamma(ts):
         return np.zeros((len(np.atleast_1d(ts)), dim))
 
-    return ParamCurve(dim=dim, a=0.0, b=L, gamma=gamma, dgamma=dgamma,
-                      ddgamma=ddgamma, closed=False, name=name)
+    # exact nearest point: the coordinate along u, clipped to the widened
+    # range with the bounds curve_foot's held test compares against
+    def foot(pts, extend):
+        s = (np.atleast_2d(np.asarray(pts, dtype=float)) - p0) @ u
+        return np.clip(s, a - extend, b + extend)
+
+    return ParamCurve(dim=dim, a=a, b=b, gamma=gamma, dgamma=dgamma,
+                      ddgamma=ddgamma, closed=False, name=name, foot=foot)
 
 
 def _shape_ellipse(p: _Params, name: str) -> ParamCurve:
@@ -356,8 +370,21 @@ def _shape_arc(p: _Params, name: str) -> ParamCurve:
         th = a0 + np.asarray(ts, dtype=float) / r
         return np.stack([-np.cos(th), -np.sin(th)], axis=-1) / r
 
-    return ParamCurve(dim=2, a=0.0, b=r * (a1 - a0), gamma=gamma,
-                      dgamma=dgamma, ddgamma=ddgamma, closed=False, name=name)
+    # exact nearest point: the angle of p unwrapped into the turn centred on
+    # the arc's mid-angle, so a point beyond either end lands nearer that
+    # end, then clipped to the widened range as curve_foot's held test
+    # expects
+    a, b = 0.0, r * (a1 - a0)
+    mid = 0.5 * (a0 + a1)
+
+    def foot(pts, extend):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        th = np.arctan2(pts[:, 1], pts[:, 0])
+        th = mid + np.mod(th - mid + np.pi, 2.0 * np.pi) - np.pi
+        return np.clip(r * (th - a0), a - extend, b + extend)
+
+    return ParamCurve(dim=2, a=a, b=b, gamma=gamma, dgamma=dgamma,
+                      ddgamma=ddgamma, closed=False, name=name, foot=foot)
 
 
 SHAPE_KINDS: Mapping[str, Callable] = {

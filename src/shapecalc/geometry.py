@@ -105,6 +105,38 @@ def _surface_nonadjacent(n: int, u_closed: bool, periodic_v: bool) -> np.ndarray
     return _frozen((du > 1) | (dv > 1))
 
 
+def _check_foot(where: str, foot, chart, partials, pts, normals, offset,
+                shape_msg: str):
+    """Foot-hook desk check shared by curves and surfaces.
+
+    Points at distance `offset` along +-normals must project back onto the
+    manifold at that distance, with p - chart orthogonal to every partial.
+    foot(p) returns the tuple of (n,) parameter arrays that chart and
+    partials take; `shape_msg` names the expected mapping.
+    """
+    p = np.concatenate([pts + offset * normals, pts - offset * normals])
+    params = tuple(np.asarray(x, dtype=float) for x in foot(p))
+    if (len(params) != len(partials)
+            or any(x.shape != (len(p),) for x in params)):
+        raise InvariantViolation(f"{where}: foot must map {shape_msg}")
+    r = p - np.asarray(chart(*params), dtype=float)
+    gap = np.abs(np.linalg.norm(r, axis=1) - offset) / offset
+    tang = np.zeros(len(p))
+    for fn in partials:
+        d = np.asarray(fn(*params), dtype=float)
+        tang = np.maximum(tang, np.abs(np.einsum("ij,ij->i", r, d))
+                          / (offset * np.linalg.norm(d, axis=1)))
+    worst = max(gap.max(), tang.max())
+    if not worst <= 1e-10:
+        k = int(np.argmax(np.maximum(gap, tang)))
+        at = ", ".join(f"{x[k]:g}" for x in params)
+        near = f"({at})" if len(params) > 1 else f"t = {at}"
+        raise InvariantViolation(
+            f"{where}: foot is not the nearest point near {near} "
+            f"(rel {worst:.2e})"
+        )
+
+
 # ---------------------------------------------------------------------------
 # types
 
@@ -122,6 +154,13 @@ class ParamCurve:
     their derivative callables carry integrator and Jacobian-transport
     noise (~1e-11 absolute), so the endpoint-matching and FD-consistency
     tolerances are relaxed accordingly.  Hand-written charts stay strict.
+
+    foot, when set, is an exact nearest-point map foot(pts, extend) -> t
+    onto the curve with its parameter range widened to [a - extend,
+    b + extend] (closed curves wrap and ignore extend); nearest_curve_param
+    returns it with no grid seeding, no Newton iteration and no seed
+    window.  Construction checks it on grid points pushed off the curve
+    along +-normal directions.  Flowed and reversed curves carry none.
     """
 
     dim: int
@@ -133,6 +172,7 @@ class ParamCurve:
     closed: bool
     name: str = "curve"
     transported: bool = False
+    foot: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -177,6 +217,18 @@ class ParamCurve:
                         f"curve '{self.name}': closed but {label}(a) != {label}(b)"
                     )
         self._check_derivative_consistency(grid, pts, vel)
+        if self.foot is not None:
+            T = vel / speed[:, None]
+            if self.dim == 2:
+                normals = np.stack([-T[:, 1], T[:, 0]], axis=-1)
+            else:
+                # the coordinate axis least aligned with T, made normal to it
+                e = np.eye(3)[np.argmin(np.abs(T), axis=1)]
+                e -= T * np.einsum("ij,ij->i", e, T)[:, None]
+                normals = e / np.linalg.norm(e, axis=1)[:, None]
+            _check_foot(f"curve '{self.name}'", lambda p: (self.foot(p, 0.0),),
+                        self.gamma, (self.dgamma,), pts, normals, 1e-3 * diam,
+                        f"(n, {self.dim}) to an (n,) array")
         object.__setattr__(self, "_grid_ts", grid)
         object.__setattr__(self, "_grid_points", pts)
         object.__setattr__(self, "_diameter", diam)
@@ -205,7 +257,8 @@ class ParamCurve:
         return self._diameter
 
     def reversed(self) -> "ParamCurve":
-        """Same point set traversed with t -> a + b - t."""
+        """Same point set traversed with t -> a + b - t.  The foot hook is
+        dropped: a + b - t would not hit the search bounds bit for bit."""
         a, b = self.a, self.b
         return ParamCurve(
             dim=self.dim,
@@ -299,7 +352,11 @@ class ParamSurface:
             )
         self._check_derivative_consistency()
         if self.foot is not None:
-            self._check_foot(pts, pu, pv, 1e-3 * diam)
+            cr = np.cross(pu, pv)
+            _check_foot(f"surface '{self.name}'", lambda p: self.foot(p, 0.0),
+                        self.phi, (self.phi_u, self.phi_v), pts,
+                        cr / np.linalg.norm(cr, axis=1)[:, None], 1e-3 * diam,
+                        "(n, 3) to two (n,) arrays")
         object.__setattr__(self, "_grid_us", uu)
         object.__setattr__(self, "_grid_vs", vv)
         object.__setattr__(self, "_grid_points", pts)
@@ -328,35 +385,6 @@ class ParamSurface:
                 raise InvariantViolation(
                     f"surface '{self.name}': {label} disagrees with finite differences "
                     f"(rel {rel.max():.2e})"
-                )
-
-    def _check_foot(self, pts, pu, pv, offset):
-        """Points at distance `offset` along +-N must project back onto the
-        surface at that distance, with p - phi orthogonal to phi_u, phi_v."""
-        cr = np.cross(pu, pv)
-        N = cr / np.linalg.norm(cr, axis=1)[:, None]
-        for sign in (1.0, -1.0):
-            p = pts + sign * offset * N
-            u, v = self.foot(p, 0.0)
-            u = np.asarray(u, dtype=float)
-            v = np.asarray(v, dtype=float)
-            if u.shape != (len(p),) or v.shape != (len(p),):
-                raise InvariantViolation(
-                    f"surface '{self.name}': foot must map (n, 3) to two (n,) arrays"
-                )
-            r = p - np.asarray(self.phi(u, v), dtype=float)
-            gap = np.abs(np.linalg.norm(r, axis=1) - offset) / offset
-            tang = np.zeros(len(p))
-            for fn in (self.phi_u, self.phi_v):
-                d = np.asarray(fn(u, v), dtype=float)
-                tang = np.maximum(tang, np.abs(np.einsum("ij,ij->i", r, d))
-                                  / (offset * np.linalg.norm(d, axis=1)))
-            worst = max(gap.max(), tang.max())
-            if not worst <= 1e-10:
-                k = int(np.argmax(np.maximum(gap, tang)))
-                raise InvariantViolation(
-                    f"surface '{self.name}': foot is not the nearest point near "
-                    f"({u[k]:g}, {v[k]:g}) (rel {worst:.2e})"
                 )
 
     @property
@@ -640,14 +668,19 @@ def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
                         seed_window: tuple[float, float] | None = None) -> np.ndarray:
     """Parameter of the point on the curve nearest to each ambient point.
 
-    Coarse grid seeding plus Newton on (p - gamma(t)).gamma'(t) = 0.  With
-    extend > 0 the search interval widens to [a - extend, b + extend] (the
-    callables must remain valid there); closed curves wrap instead.
-    seed_window = (t0, w) restricts seeding to [t0 - w, t0 + w]; only valid
-    when every query point is known to project into that window.  Raises
-    NoConvergence when Newton still moves after NEWTON_MAX_ITER steps.
+    With extend > 0 the search interval widens to [a - extend, b + extend]
+    (the callables must remain valid there); closed curves wrap instead.
+    A curve with a foot hook returns foot(pts, extend): no seeding, no
+    Newton cap, and seed_window, a seeding aid only, is ignored.
+    Otherwise: coarse grid seeding plus Newton on
+    (p - gamma(t)).gamma'(t) = 0.  seed_window = (t0, w) restricts seeding
+    to [t0 - w, t0 + w]; only valid when every query point is known to
+    project into that window.  Raises NoConvergence when Newton still moves
+    after NEWTON_MAX_ITER steps.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if curve.foot is not None:
+        return curve.foot(pts, extend)
     span = curve.b - curve.a
     if seed_window is not None:
         t0, w = seed_window

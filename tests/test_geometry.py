@@ -1,5 +1,7 @@
 """Curves, surfaces, frames, curvature, and nearest-point queries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,7 @@ def test_nearest_point_matches_distance(ellipse21):
 
 
 def test_newton_cap_raises(ellipse21, monkeypatch):
+    assert ellipse21.foot is None
     pts = np.array([[2.3, 0.4], [-0.3, 1.4], [0.7, -0.6]])
     nearest_curve_param(ellipse21, pts)
     monkeypatch.setattr(geometry, "NEWTON_MAX_ITER", 1)
@@ -249,6 +252,157 @@ def test_curve_foot_at_circle_centre(circle1):
     ft = curve_foot(circle1, np.zeros((1, 2)))
     assert ft.dist[0] == pytest.approx(1.0)
     assert not np.all(np.isfinite(ft.grad_t))
+
+
+def _past_the_ends(M, extend, n=16, seed=0):
+    """Points next to the curve beyond both ends, inside and past the
+    widened range [a - extend, b + extend]: along the chart's own
+    continuation, nudged off the curve by up to 0.05."""
+    rng = np.random.default_rng(seed)
+    reach = max(extend, 0.2)
+    ts = np.concatenate([rng.uniform(M.a - 2 * reach, M.a, n // 2),
+                         rng.uniform(M.b, M.b + 2 * reach, n - n // 2)])
+    return (np.asarray(M.gamma(ts), dtype=float)
+            + rng.uniform(-0.05, 0.05, (n, M.dim)))
+
+
+def _arc_far_side(r, angle0, angle1, n=24, seed=0):
+    """Points on the uncovered side of an arc's circle, within 80 degrees
+    of an end, inside and outside the circle."""
+    rng = np.random.default_rng(seed)
+    k = n // 2
+    off = np.radians(rng.uniform(1.0, 80.0, n))
+    th = np.concatenate([angle0 - off[:k], angle1 + off[k:]])
+    rho = r * rng.uniform(0.3, 2.0, n)
+    return np.stack([rho * np.cos(th), rho * np.sin(th)], axis=-1)
+
+
+_FOOT_SHAPES = {
+    "circle1": None,
+    "circle_off_centre": {"kind": "circle", "radius": 1.5,
+                          "center": [0.4, -0.7], "name": "circle_off_centre"},
+    "crack_arc": None,
+    "arc_negative": {"kind": "arc", "radius": 1.0, "angle0": -2.5,
+                     "angle1": 3.0, "name": "arc_negative"},
+    "segment01": None,
+    "segment3d": {"kind": "segment", "p0": [0.1, -0.2, 0.3],
+                  "p1": [1.0, 0.5, -0.4], "name": "segment3d"},
+}
+# (radius, angle0, angle1) of the arcs above
+_ARCS = {"crack_arc": (2.0, np.pi + 0.5, TWO_PI - 0.5),
+         "arc_negative": (1.0, -2.5, 3.0)}
+
+
+@pytest.mark.parametrize("extend", [0.0, 0.3, 0.6])
+@pytest.mark.parametrize("shape", list(_FOOT_SHAPES))
+def test_curve_foot_hook_matches_newton(shape, extend, request, tube_points):
+    from shapecalc.catalog import build_shape
+
+    desc = _FOOT_SHAPES[shape]
+    M = request.getfixturevalue(shape) if desc is None else build_shape(desc)
+    newton = dataclasses.replace(M, foot=None)
+    assert M.foot is not None and newton.foot is None
+    span = M.b - M.a
+    # inside the reach of every shape here (radius >= 1, segments: any)
+    sets = [tube_points(M, 0.5, n=40, seed=3)]
+    if not M.closed:
+        sets.append(_past_the_ends(M, extend, seed=4))
+    if shape in _ARCS:
+        sets.append(_arc_far_side(*_ARCS[shape], seed=5))
+    pts = np.concatenate(sets)
+    ff = curve_foot(M, pts, extend=extend)
+    fn = curve_foot(newton, pts, extend=extend)
+    same = np.abs(ff.t - fn.t) <= 1e-12 * span
+    # arc_negative widened by 0.6 wraps all the way round, covering the
+    # angles around its gap twice; there the two searches may pick feet one
+    # turn apart, and no foot is held
+    wraps = shape == "arc_negative" and extend == 0.6
+    twice = ~same
+    if wraps:
+        assert twice.any()
+        np.testing.assert_allclose(np.abs(ff.t - fn.t)[twice], TWO_PI,
+                                   rtol=0.0, atol=1e-12 * span)
+        np.testing.assert_allclose(M.gamma(ff.t[twice]), M.gamma(fn.t[twice]),
+                                   rtol=0.0, atol=1e-12 * span)
+    else:
+        assert same.all()
+    np.testing.assert_allclose(ff.dist, fn.dist, rtol=0.0, atol=1e-12 * span)
+    np.testing.assert_array_equal(ff._held, fn._held)
+    np.testing.assert_array_equal(np.all(ff.grad_t == 0.0, axis=1),
+                                  np.all(fn.grad_t == 0.0, axis=1))
+    if not (M.closed or wraps):
+        assert ff._held.any() and not ff._held.all()
+        # held feet sit on the widened bounds bit for bit
+        np.testing.assert_array_equal(
+            ff.t[ff._held],
+            np.where(ff.t[ff._held] < 0.5 * (M.a + M.b), M.a - extend, M.b + extend))
+
+
+def test_arc_foot_deep_in_the_gap(crack_arc):
+    # points more than 90 degrees past both ends of the arc: the nearest
+    # point is the nearer end, which a dense sampling confirms
+    r, a0, a1 = _ARCS["crack_arc"]
+    mid_gap = 0.5 * (a0 + a1) + np.pi
+    th = mid_gap + np.linspace(-0.9, 0.9, 19) * (np.pi - 0.5 * (a1 - a0) - np.pi / 2)
+    rho = np.linspace(0.2, 3.0, 19) * r
+    pts = np.stack([rho * np.cos(th), rho * np.sin(th)], axis=-1)
+    ft = curve_foot(crack_arc, pts)
+    dense = crack_arc.gamma(np.linspace(crack_arc.a, crack_arc.b, 20001))
+    brute = np.min(np.linalg.norm(pts[:, None] - dense[None], axis=2), axis=1)
+    np.testing.assert_allclose(ft.dist, brute, rtol=0.0, atol=1e-12)
+    assert ft._held.all()
+    np.testing.assert_array_equal(ft.t, np.where(th < mid_gap, crack_arc.b, crack_arc.a))
+
+
+def test_curve_foot_hook_skips_newton(circle1, monkeypatch):
+    pts = np.array([[2.3, 0.4], [-0.3, 1.4], [0.7, -0.6], [0.0, -0.2]])
+    ref = nearest_curve_param(circle1, pts)
+    # no seeding window and no iteration cap apply to the hook
+    np.testing.assert_array_equal(
+        nearest_curve_param(circle1, pts, seed_window=(0.0, 0.1)), ref)
+    monkeypatch.setattr(geometry, "NEWTON_MAX_ITER", 1)
+    np.testing.assert_array_equal(nearest_curve_param(circle1, pts), ref)
+    with pytest.raises(NoConvergence):
+        nearest_curve_param(dataclasses.replace(circle1, foot=None), pts)
+
+
+def test_wrong_curve_foot_rejected(circle1):
+    from shapecalc.catalog import build_shape
+
+    def shifted(pts, extend):
+        return circle1.foot(pts, extend) + 0.1
+
+    with pytest.raises(InvariantViolation, match="foot is not the nearest point near t ="):
+        dataclasses.replace(circle1, foot=shifted, name="circle_shifted_foot")
+
+    off = build_shape({"kind": "circle", "radius": 1.0, "center": [0.5, -0.3],
+                       "name": "circle_off_centre"})
+
+    def centre_blind(pts, extend):
+        return np.mod(np.arctan2(pts[:, 1], pts[:, 0]), TWO_PI)
+
+    with pytest.raises(InvariantViolation, match="foot is not the nearest point"):
+        dataclasses.replace(off, foot=centre_blind)
+
+    def wrong_shape(pts, extend):
+        return circle1.foot(pts, extend)[:, None]
+
+    with pytest.raises(InvariantViolation, match=r"foot must map \(n, 2\) to an \(n,\) array"):
+        dataclasses.replace(circle1, foot=wrong_shape)
+
+
+def test_flowed_and_reversed_curves_drop_foot(circle1, crack_arc, radial2):
+    from shapecalc.flow import FlowConfig, flow_manifold
+
+    assert flow_manifold(radial2, circle1, FlowConfig(0.1, 10)).foot is None
+    pts = np.array([[1.3, 0.2], [-0.4, -0.9], [0.3, -2.4], [-1.5, -1.2]])
+    for M in (circle1, crack_arc):
+        rev = M.reversed()
+        assert M.foot is not None and rev.foot is None
+        # the reversed chart's Newton search finds the same feet
+        np.testing.assert_allclose(rev.gamma(nearest_curve_param(rev, pts)),
+                                   M.gamma(nearest_curve_param(M, pts)),
+                                   rtol=0.0, atol=1e-12)
 
 
 def test_nearest_point_on_cylinder(cylinder):
