@@ -29,7 +29,7 @@ from .derivative import FDConfig, compare
 from .errors import ConfigError, ShapecalcError
 from .flow import DEFAULT_MAX_STEP
 from .functionals import CrackFunctional
-from .geometry import ParamCurve, curvature
+from .geometry import curvature
 from .report_io import (comparison_record, comparisons_csv, load_report,
                         plot_csv, report_document, suite_record, suites_csv,
                         write_json, write_text)
@@ -155,10 +155,6 @@ class _Job:
     run: Callable[[], object]
 
 
-def _shape_dim(M) -> int:
-    return M.dim if isinstance(M, ParamCurve) else 3
-
-
 def _generic_shapes(plan: RunPlan) -> list:
     crack_names = {pf.crack.name for pf in plan.functionals if pf.crack is not None}
     return [M for name, M in plan.shapes.items() if name not in crack_names]
@@ -170,13 +166,12 @@ def _plain_functionals(plan: RunPlan) -> list:
 
 
 def _fields_for(plan: RunPlan, M, cache: dict) -> list:
-    dim = _shape_dim(M)
     out = []
     for f in plan.fields:
-        if dim in f.dims:
-            key = (f.name, dim)
+        if M.dim in f.dims:
+            key = (f.name, M.dim)
             if key not in cache:
-                cache[key] = f.build(dim)
+                cache[key] = f.build(M.dim)
             out.append(cache[key])
     return out
 

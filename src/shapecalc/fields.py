@@ -2,14 +2,9 @@
 
 An AmbientField is a compactly supported C^k field on the hold-all domain,
 given by vectorized callables X: (n, d) -> (n, d) and dX: (n, d) -> (n, d, d).
-split_field decomposes the restriction X|_M into
-
-    X = X_perp + X_tan + X_nu
-
-with X_perp normal to the tangent space, X_nu the boundary-normal part
-(carried by a smooth extension of the outward boundary normal, cut off away
-from the boundary) and X_tan the tangential remainder, which lies in the
-tangent space of the boundary at boundary points.
+split_field decomposes the restriction X|_M into X = X_perp + X_tan + X_nu
+with the manifold's own queries (see geometry): X_perp is normal_part, X_nu
+the component along conormal_extension, X_tan the remainder.
 """
 from __future__ import annotations
 
@@ -20,17 +15,7 @@ import numpy as np
 
 from ._stencil import sample_derivative
 from .errors import InvariantViolation, SupportViolation
-from .geometry import (
-    ParamCurve,
-    ParamSurface,
-    boundary_outward_normal,
-    curvature,
-    curve_foot,
-    curve_frame,
-    nearest_surface_param,
-    surface_max_curvature,
-    surface_normal,
-)
+from .geometry import ParamCurve, curve_foot, nearest_surface_param
 
 _CHECK_RNG_SEED = 4243
 
@@ -321,16 +306,6 @@ def sum_field(fields: Sequence[AmbientField], name: str = "sum") -> AmbientField
 # projections and splitting
 
 
-def _tangent_basis_surface(surf: ParamSurface, us, vs):
-    """Orthonormal tangent basis (e1, e2) from Gram-Schmidt on phi_u, phi_v."""
-    pu = np.asarray(surf.phi_u(us, vs), dtype=float)
-    pv = np.asarray(surf.phi_v(us, vs), dtype=float)
-    e1 = pu / np.linalg.norm(pu, axis=1)[:, None]
-    w = pv - e1 * np.einsum("ij,ij->i", pv, e1)[:, None]
-    e2 = w / np.linalg.norm(w, axis=1)[:, None]
-    return e1, e2
-
-
 def project_normal(manifold, param, vec) -> np.ndarray:
     """Component of `vec` orthogonal to the tangent space at `param`.
 
@@ -338,59 +313,13 @@ def project_normal(manifold, param, vec) -> np.ndarray:
     Idempotent and self-adjoint by construction.
     """
     vec = np.asarray(vec, dtype=float)
-    scalar = vec.ndim == 1
-    V = np.atleast_2d(vec)
-    if isinstance(manifold, ParamCurve):
-        fr = curve_frame(manifold, param)
-        T = np.atleast_2d(fr.T)
-        out = V - T * np.einsum("ij,ij->i", V, T)[:, None]
-    elif isinstance(manifold, ParamSurface):
-        u, v = param
-        us = np.atleast_1d(np.asarray(u, dtype=float))
-        vs = np.atleast_1d(np.asarray(v, dtype=float))
-        us, vs = np.broadcast_arrays(us, vs)
-        e1, e2 = _tangent_basis_surface(manifold, us, vs)
-        out = (V - e1 * np.einsum("ij,ij->i", V, e1)[:, None]
-                 - e2 * np.einsum("ij,ij->i", V, e2)[:, None])
-    else:
-        raise TypeError("expected ParamCurve or ParamSurface")
-    return out[0] if scalar else out
+    out = manifold.normal_part(param, np.atleast_2d(vec))
+    return out[0] if vec.ndim == 1 else out
 
 
-def _curve_conormal_extension(curve: ParamCurve, ts: np.ndarray) -> np.ndarray:
-    """Smooth tangent field equal to the outward conormal at each end; zero
-    if closed.  A polynomial ramp keeps the profile analytic, so fixed-panel
-    quadrature of anything built on it converges spectrally."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if curve.closed:
-        return np.zeros((len(ts), curve.dim))
-    span = curve.b - curve.a
-    T = np.atleast_2d(curve_frame(curve, ts).T)
-    w_b = ((ts - curve.a) / span) ** 4
-    w_a = ((curve.b - ts) / span) ** 4
-    return (w_b - w_a)[:, None] * T
-
-
-def _surface_conormal_extension(surf: ParamSurface, us: np.ndarray,
-                                vs: np.ndarray) -> np.ndarray:
-    """Surface analogue: outward conormal at the u-sides, polynomial ramp
-    in between."""
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    vs = np.atleast_1d(np.asarray(vs, dtype=float))
-    if surf.u_closed:
-        return np.zeros((len(us), 3))
-    if not surf.periodic_v:
-        raise InvariantViolation(
-            f"surface '{surf.name}': boundary-normal extension needs a "
-            "v-periodic (cylinder-like) surface"
-        )
-    span = surf.b - surf.a
-    pv = np.asarray(surf.phi_v(us, vs), dtype=float)
-    N = np.atleast_2d(surface_normal(surf, us, vs))
-    nu = np.cross(pv, N) / np.linalg.norm(pv, axis=1)[:, None]
-    w_b = ((us - surf.a) / span) ** 4
-    w_a = ((surf.b - us) / span) ** 4
-    return (w_b - w_a)[:, None] * nu
+def _conormal_part(manifold, params, x: np.ndarray) -> np.ndarray:
+    nu = manifold.conormal_extension(params)
+    return np.einsum("ij,ij->i", x, nu)[:, None] * nu
 
 
 @dataclass(frozen=True)
@@ -423,32 +352,14 @@ def _sample_params(manifold, n_samples: int):
 
 def split_field(manifold, field: AmbientField, n_samples: int = 64) -> FieldSplit:
     """Decompose the restriction of `field` at sampled parameters."""
-    if isinstance(manifold, ParamCurve):
-        ts = _sample_params(manifold, n_samples)
-        pts = np.asarray(manifold.gamma(ts), dtype=float)
-        x = np.asarray(field.X(pts), dtype=float)
-        x_perp = project_normal(manifold, ts, x)
-        nu = _curve_conormal_extension(manifold, ts)
-        params = ts
-        if manifold.closed:
-            bmask = np.zeros(len(ts), dtype=bool)
-        else:
-            bmask = (ts == manifold.a) | (ts == manifold.b)
-    else:
-        us, vs = _sample_params(manifold, n_samples)
-        pts = np.asarray(manifold.phi(us, vs), dtype=float)
-        x = np.asarray(field.X(pts), dtype=float)
-        x_perp = project_normal(manifold, (us, vs), x)
-        nu = _surface_conormal_extension(manifold, us, vs)
-        params = np.stack([us, vs], axis=-1)
-        if manifold.u_closed:
-            bmask = np.zeros(len(us), dtype=bool)
-        else:
-            bmask = (us == manifold.a) | (us == manifold.b)
-    x_nu = np.einsum("ij,ij->i", x, nu)[:, None] * nu
-    x_tan = x - x_perp - x_nu
-    return FieldSplit(params=params, points=pts, x=x, x_perp=x_perp,
-                      x_tan=x_tan, x_nu=x_nu, boundary_mask=bmask)
+    params = _sample_params(manifold, n_samples)
+    pts = manifold.chart(params)
+    x = np.asarray(field.X(pts), dtype=float)
+    x_perp = manifold.normal_part(params, x)
+    x_nu = _conormal_part(manifold, params, x)
+    return FieldSplit(params=np.asarray(params).T, points=pts, x=x,
+                      x_perp=x_perp, x_tan=x - x_perp - x_nu, x_nu=x_nu,
+                      boundary_mask=manifold.on_boundary(params))
 
 
 @dataclass(frozen=True)
@@ -457,31 +368,17 @@ class TangencyReport:
     max_boundary_residual: float
 
 
-def check_tangency(manifold, field: AmbientField,
-                   n_samples: int = 200) -> TangencyReport:
-    """Max |X_perp| over samples and max |X . nu| over boundary samples."""
-    split = split_field(manifold, field, n_samples=n_samples)
+def check_tangency(manifold, field: AmbientField) -> TangencyReport:
+    """Max |X_perp| over 200 samples and max |X . nu| over the boundary
+    samples among them."""
+    split = split_field(manifold, field, n_samples=200)
     normal_res = float(np.linalg.norm(split.x_perp, axis=1).max())
     bmask = split.boundary_mask
     if not bmask.any():
         return TangencyReport(normal_res, 0.0)
-    if isinstance(manifold, ParamCurve):
-        res = 0.0
-        for end in ("a", "b"):
-            t_end = manifold.a if end == "a" else manifold.b
-            nu = boundary_outward_normal(manifold, end)
-            xe = np.asarray(field.X(np.asarray(manifold.gamma(np.array([t_end])),
-                                               dtype=float)), dtype=float)[0]
-            res = max(res, abs(float(xe @ nu)))
-        return TangencyReport(normal_res, res)
-    res = 0.0
-    for end in ("a", "b"):
-        u0 = manifold.a if end == "a" else manifold.b
-        vs = np.unique(split.params[bmask][:, 1])
-        nu = np.atleast_2d(boundary_outward_normal(manifold, end, vs))
-        pts = np.asarray(manifold.phi(np.full_like(vs, u0), vs), dtype=float)
-        xe = np.asarray(field.X(pts), dtype=float)
-        res = max(res, float(np.abs(np.einsum("ij,ij->i", xe, nu)).max()))
+    # the conormal extension is the outward unit conormal on the boundary
+    nu = manifold.conormal_extension(split.params[bmask].T)
+    res = float(np.abs(np.einsum("ij,ij->i", split.x[bmask], nu)).max())
     return TangencyReport(normal_res, res)
 
 
@@ -492,39 +389,13 @@ def check_tangency(manifold, field: AmbientField,
 def _component_on_params(manifold, field: AmbientField, which: str):
     """Return V(params) evaluating one split component, valid slightly
     beyond the parameter domain (frames extend through the callables)."""
-    if isinstance(manifold, ParamCurve):
-        def V(ts):
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            d1 = np.asarray(manifold.dgamma(ts), dtype=float)
-            T = d1 / np.linalg.norm(d1, axis=1)[:, None]
-            pts = np.asarray(manifold.gamma(ts), dtype=float)
-            x = np.asarray(field.X(pts), dtype=float)
-            x_perp = x - T * np.einsum("ij,ij->i", x, T)[:, None]
-            if which == "perp":
-                return x_perp
-            nu = _curve_conormal_extension(manifold, ts)
-            x_nu = np.einsum("ij,ij->i", x, nu)[:, None] * nu
-            if which == "nu":
-                return x_nu
-            return x - x_perp - x_nu
-        return V
-
     def V(params):
-        us, vs = params
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        vs = np.atleast_1d(np.asarray(vs, dtype=float))
-        pts = np.asarray(manifold.phi(us, vs), dtype=float)
-        x = np.asarray(field.X(pts), dtype=float)
-        e1, e2 = _tangent_basis_surface(manifold, us, vs)
-        x_perp = (x - e1 * np.einsum("ij,ij->i", x, e1)[:, None]
-                    - e2 * np.einsum("ij,ij->i", x, e2)[:, None])
+        x = np.asarray(field.X(manifold.chart(params)), dtype=float)
+        x_perp = manifold.normal_part(params, x)
         if which == "perp":
             return x_perp
-        nu = _surface_conormal_extension(manifold, us, vs)
-        x_nu = np.einsum("ij,ij->i", x, nu)[:, None] * nu
-        if which == "nu":
-            return x_nu
-        return x - x_perp - x_nu
+        x_nu = _conormal_part(manifold, params, x)
+        return x_nu if which == "nu" else x - x_perp - x_nu
     return V
 
 
@@ -545,13 +416,7 @@ def restriction_field(manifold, field: AmbientField, component: str,
     if tube_radius is None:
         # stay well inside the focal radius: past it the nearest-point
         # projection goes multivalued and the pullback loses smoothness
-        if isinstance(manifold, ParamCurve):
-            kmax = float(np.abs(curvature(manifold, manifold._grid_ts)).max())
-        else:
-            kmax = float(surface_max_curvature(
-                manifold, manifold._grid_us, manifold._grid_vs).max())
-        reach = 0.5 / kmax if kmax > 1e-12 else np.inf
-        tube_radius = min(0.1 * manifold.diameter, 0.4 * reach)
+        tube_radius = min(0.1 * manifold.diameter, 0.4 * manifold.reach)
     V = _component_on_params(manifold, field, component)
     is_curve = isinstance(manifold, ParamCurve)
     extend = 0.0 if (is_curve and manifold.closed) else 0.15 * (manifold.b - manifold.a)
@@ -560,8 +425,7 @@ def restriction_field(manifold, field: AmbientField, component: str,
     samples = manifold._grid_points
     mid = samples.mean(axis=0)
     rad = np.linalg.norm(samples - mid, axis=1).max() + tube_radius + 0.5 * extend
-
-    dim = manifold.dim if is_curve else 3
+    dim = manifold.dim
 
     def in_ball(pts):
         # projection is only needed inside the support ball; everything
@@ -614,11 +478,10 @@ def restriction_field(manifold, field: AmbientField, component: str,
             out = np.zeros_like(pts)
             if np.any(m):
                 q = pts[m]
-                u, v = nearest_surface_param(manifold, q, extend_u=extend)
-                dist = np.linalg.norm(q - np.asarray(manifold.phi(u, v), dtype=float),
-                                      axis=1)
-                chi = smooth_step(dist / tube_radius)
-                out[m] = chi[:, None] * V((u, v))
+                uv = nearest_surface_param(manifold, q, extend_u=extend)
+                chi = smooth_step(np.linalg.norm(q - manifold.chart(uv), axis=1)
+                                  / tube_radius)
+                out[m] = chi[:, None] * V(uv)
             return out
 
         dX = fd_jacobian(X, dim, 1e-6 * (1.0 + manifold.diameter))

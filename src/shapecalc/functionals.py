@@ -61,24 +61,23 @@ def length(curve: ParamCurve, panels: int = CURVE_PANELS) -> float:
     return integrate_curve(curve, lambda ts: np.ones_like(ts), panels=panels)
 
 
-def _unit_tangent_at(curve: ParamCurve, t: float) -> np.ndarray:
-    d1 = np.asarray(curve.dgamma(np.array([t])), dtype=float)[0]
-    return d1 / np.linalg.norm(d1)
-
-
-def _dlength_hadamard(curve: ParamCurve, X: AmbientField) -> float:
+def length_density(curve: ParamCurve, X: AmbientField):
+    """ts -> -kappa (X.N): the interior density of the length variation
+    against the arc measure."""
     def density(ts):
         fr = curve_frame(curve, ts)
         xv = np.asarray(X.X(np.asarray(curve.gamma(ts), dtype=float)), dtype=float)
         return -fr.kappa * np.einsum("ij,ij->i", xv, fr.N)
 
-    total = integrate_curve(curve, density, panels=CURVE_PANELS)
+    return density
+
+
+def _dlength_hadamard(curve: ParamCurve, X: AmbientField) -> float:
+    total = integrate_curve(curve, length_density(curve, X), panels=CURVE_PANELS)
     if not curve.closed:
-        for t, sgn in ((curve.b, 1.0), (curve.a, -1.0)):
-            T = _unit_tangent_at(curve, t)
-            xv = np.asarray(X.X(np.asarray(curve.gamma(np.array([t])), dtype=float)),
-                            dtype=float)[0]
-            total += sgn * float(xv @ T)
+        for end, t in (("b", curve.b), ("a", curve.a)):
+            xv = np.asarray(X.X(curve.chart(t)), dtype=float)[0]
+            total += float(xv @ boundary_outward_normal(curve, end))
     return total
 
 

@@ -14,6 +14,32 @@ Conventions, fixed once and used by every downstream module:
 
 All parametrization callables are vectorized: a curve maps (n,) parameter
 arrays to (n, dim) points, a surface maps a pair of (n,) arrays to (n, 3).
+
+ParamCurve and ParamSurface answer the same manifold queries, so callers
+never branch on the type to ask them.  `params` is t for a curve and the
+pair (u, v) for a surface, scalars or (n,) arrays; every query returns one
+row per parameter point.
+
+* dim: ambient dimension (2 or 3 for curves, 3 for surfaces).
+* reach: 0.5 / (largest |curvature| on the construction grid), inf when
+  that is at most 1e-12; half the smallest focal radius seen, the scale
+  below which tubes and probes keep the nearest-point projection single
+  valued and smooth.  Computed once per manifold.
+* chart(params): points on the manifold, (n, dim).
+* tangent_frame(params): orthonormal tangent vectors, (T,) for a curve and
+  Gram-Schmidt (e1, e2) of (phi_u, phi_v) for a surface; needs only first
+  derivatives, so it exists on straight space curves too.
+* unit_normal(params): one unit vector orthogonal to the tangent space.
+  Surfaces: N.  Plane curves: T turned by 90 degrees.  Space curves: the
+  coordinate axis least aligned with T, made normal to it (defined where
+  the Frenet normal is not).
+* normal_part(params, x): x minus its tangent-frame components; a
+  projection (idempotent, self-adjoint).
+* on_boundary(params): mask of parameters on the boundary, the ends of
+  [a, b] in t or u; empty for closed curves and u-closed surfaces.
+* conormal_extension(params): smooth tangent field equal to the outward
+  unit conormal on the boundary, ramped by ((s - a)/L)^4 - ((b - s)/L)^4
+  in between (s = t or u, L = b - a), zero without a boundary.
 """
 from __future__ import annotations
 
@@ -52,6 +78,40 @@ def _as_params(t) -> tuple[np.ndarray, bool]:
 
 def _cross2(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+
+def _surface_params(params) -> tuple[np.ndarray, np.ndarray]:
+    u, v = (np.atleast_1d(np.asarray(x, dtype=float)) for x in params)
+    # the hot callers pass equal shapes, where broadcasting is a no-op
+    # that still costs more than the query it serves
+    return (u, v) if u.shape == v.shape else np.broadcast_arrays(u, v)
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def _reach(kappa: np.ndarray) -> float:
+    kmax = float(kappa.max())
+    return 0.5 / kmax if kmax > 1e-12 else np.inf
+
+
+def _reject(x, frame) -> np.ndarray:
+    """x minus its components along the orthonormal vectors in frame, each
+    taken against x itself."""
+    x = np.asarray(x, dtype=float)
+    out = x
+    for e in frame:
+        out = out - e * np.einsum("ij,ij->i", x, e)[:, None]
+    return out
+
+
+def _ramp(s: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Conormal-extension weight: -1 at s = a, +1 at s = b, a polynomial in
+    between, so fixed-panel quadrature of anything built on it converges
+    spectrally."""
+    span = b - a
+    return ((s - a) / span) ** 4 - ((b - s) / span) ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +278,9 @@ class ParamCurve:
                     )
         self._check_derivative_consistency(grid, pts, vel)
         if self.foot is not None:
-            T = vel / speed[:, None]
-            if self.dim == 2:
-                normals = np.stack([-T[:, 1], T[:, 0]], axis=-1)
-            else:
-                # the coordinate axis least aligned with T, made normal to it
-                e = np.eye(3)[np.argmin(np.abs(T), axis=1)]
-                e -= T * np.einsum("ij,ij->i", e, T)[:, None]
-                normals = e / np.linalg.norm(e, axis=1)[:, None]
             _check_foot(f"curve '{self.name}'", lambda p: (self.foot(p, 0.0),),
-                        self.gamma, (self.dgamma,), pts, normals, 1e-3 * diam,
-                        f"(n, {self.dim}) to an (n,) array")
+                        self.gamma, (self.dgamma,), pts, self.unit_normal(grid),
+                        1e-3 * diam, f"(n, {self.dim}) to an (n,) array")
         object.__setattr__(self, "_grid_ts", grid)
         object.__setattr__(self, "_grid_points", pts)
         object.__setattr__(self, "_diameter", diam)
@@ -255,6 +307,39 @@ class ParamCurve:
     @property
     def diameter(self) -> float:
         return self._diameter
+
+    # -- manifold queries (see the module docstring) ----------------------
+
+    @cached_property
+    def reach(self) -> float:
+        return _reach(np.abs(curvature(self, self._grid_ts)))
+
+    def chart(self, t) -> np.ndarray:
+        return np.asarray(self.gamma(_as_params(t)[0]), dtype=float)
+
+    def tangent_frame(self, t) -> tuple[np.ndarray]:
+        return (_unit_rows(np.asarray(self.dgamma(_as_params(t)[0]), dtype=float)),)
+
+    def unit_normal(self, t) -> np.ndarray:
+        (T,) = self.tangent_frame(t)
+        if self.dim == 2:
+            return np.stack([-T[:, 1], T[:, 0]], axis=-1)
+        e = np.eye(3)[np.argmin(np.abs(T), axis=1)]
+        e -= T * np.einsum("ij,ij->i", e, T)[:, None]
+        return _unit_rows(e)
+
+    def normal_part(self, t, x) -> np.ndarray:
+        return _reject(x, self.tangent_frame(t))
+
+    def on_boundary(self, t) -> np.ndarray:
+        t = _as_params(t)[0]
+        return ((t == self.a) | (t == self.b)) & (not self.closed)
+
+    def conormal_extension(self, t) -> np.ndarray:
+        t = _as_params(t)[0]
+        if self.closed:
+            return np.zeros((len(t), self.dim))
+        return _ramp(t, self.a, self.b)[:, None] * self.tangent_frame(t)[0]
 
     def reversed(self) -> "ParamCurve":
         """Same point set traversed with t -> a + b - t.  The foot hook is
@@ -352,10 +437,9 @@ class ParamSurface:
             )
         self._check_derivative_consistency()
         if self.foot is not None:
-            cr = np.cross(pu, pv)
             _check_foot(f"surface '{self.name}'", lambda p: self.foot(p, 0.0),
                         self.phi, (self.phi_u, self.phi_v), pts,
-                        cr / np.linalg.norm(cr, axis=1)[:, None], 1e-3 * diam,
+                        _unit_rows(np.cross(pu, pv)), 1e-3 * diam,
                         "(n, 3) to two (n,) arrays")
         object.__setattr__(self, "_grid_us", uu)
         object.__setattr__(self, "_grid_vs", vv)
@@ -390,6 +474,45 @@ class ParamSurface:
     @property
     def diameter(self) -> float:
         return self._diameter
+
+    # -- manifold queries (see the module docstring) ----------------------
+
+    @cached_property
+    def reach(self) -> float:
+        return _reach(surface_max_curvature(self, self._grid_us, self._grid_vs))
+
+    def chart(self, params) -> np.ndarray:
+        return np.asarray(self.phi(*_surface_params(params)), dtype=float)
+
+    def tangent_frame(self, params) -> tuple[np.ndarray, np.ndarray]:
+        us, vs = _surface_params(params)
+        e1 = _unit_rows(np.asarray(self.phi_u(us, vs), dtype=float))
+        pv = np.asarray(self.phi_v(us, vs), dtype=float)
+        return e1, _unit_rows(pv - e1 * np.einsum("ij,ij->i", pv, e1)[:, None])
+
+    def unit_normal(self, params) -> np.ndarray:
+        return surface_normal(self, *_surface_params(params))
+
+    def normal_part(self, params, x) -> np.ndarray:
+        return _reject(x, self.tangent_frame(params))
+
+    def on_boundary(self, params) -> np.ndarray:
+        us, _ = _surface_params(params)
+        return ((us == self.a) | (us == self.b)) & (not self.u_closed)
+
+    def conormal_extension(self, params) -> np.ndarray:
+        us, vs = _surface_params(params)
+        if self.u_closed:
+            return np.zeros((len(us), 3))
+        if not self.periodic_v:
+            raise InvariantViolation(
+                f"surface '{self.name}': boundary-normal extension needs a "
+                "v-periodic (cylinder-like) surface"
+            )
+        pv = np.asarray(self.phi_v(us, vs), dtype=float)
+        nu = np.cross(pv, surface_normal(self, us, vs))
+        nu /= np.linalg.norm(pv, axis=1)[:, None]
+        return _ramp(us, self.a, self.b)[:, None] * nu
 
 
 @dataclass(frozen=True)
@@ -456,7 +579,7 @@ def curve_frame(curve: ParamCurve, t) -> FrenetFrame:
     return FrenetFrame(T, N, B, v, kap)
 
 
-def curve_curvature_derivs(curve: ParamCurve, t, h: float | None = None):
+def curve_curvature_derivs(curve: ParamCurve, t):
     """(kappa, dkappa/ds, d2kappa/ds2) at parameter(s) t.
 
     Parameter derivatives of kappa use central differences with one
@@ -464,8 +587,7 @@ def curve_curvature_derivs(curve: ParamCurve, t, h: float | None = None):
     then the chain rule converts to arc-length derivatives.
     """
     ts, scalar = _as_params(t)
-    if h is None:
-        h = 1e-4 * (curve.b - curve.a)
+    h = 1e-4 * (curve.b - curve.a)
     kfun = lambda s: np.asarray(curvature(curve, s))
     k = kfun(ts)
     k1 = sample_derivative(kfun, ts, h, 1, curve.a, curve.b, periodic=curve.closed)
@@ -502,7 +624,7 @@ def surface_normal(surf: ParamSurface, u, v) -> np.ndarray:
     return N[0] if scalar else N
 
 
-def _weingarten(surf: ParamSurface, u, v, h: float | None):
+def _weingarten(surf: ParamSurface, u, v):
     """Coordinates of N_u = a1 phi_u + a2 phi_v and N_v = a3 phi_u + a4 phi_v.
 
     N_u and N_v come from 5-point differences of the unit normal; their
@@ -513,8 +635,7 @@ def _weingarten(surf: ParamSurface, u, v, h: float | None):
     vs, _ = _as_params(v)
     us, vs = np.broadcast_arrays(us, vs)
     us, vs = np.ascontiguousarray(us), np.ascontiguousarray(vs)
-    if h is None:
-        h = 1e-5 * min(surf.b - surf.a, surf.d - surf.c)
+    h = 1e-5 * min(surf.b - surf.a, surf.d - surf.c)
     Nu = sample_derivative(
         lambda uu: surface_normal(surf, uu, np.repeat(vs, 5)),
         us, h, 1, surf.a, surf.b, periodic=surf.u_closed)
@@ -541,22 +662,22 @@ def _weingarten(surf: ParamSurface, u, v, h: float | None):
     return scalar, a1, a2, a3, a4
 
 
-def surface_mean_curvature(surf: ParamSurface, u, v, h: float | None = None):
+def surface_mean_curvature(surf: ParamSurface, u, v):
     """Trace of the Weingarten map in the {phi_u, phi_v} basis.
 
     Sign follows the orientation of N (cylinder with inward N gives
     H = -1/r).
     """
-    scalar, a1, _, _, a4 = _weingarten(surf, u, v, h)
+    scalar, a1, _, _, a4 = _weingarten(surf, u, v)
     H = a1 + a4
     return float(H[0]) if scalar else H
 
 
-def surface_max_curvature(surf: ParamSurface, u, v, h: float | None = None):
+def surface_max_curvature(surf: ParamSurface, u, v):
     """Largest |principal curvature|: the largest |eigenvalue| of the
     Weingarten map.  Unlike |H| it does not vanish on a saddle, so it bounds
     the reach from above wherever the surface bends."""
-    scalar, a1, a2, a3, a4 = _weingarten(surf, u, v, h)
+    scalar, a1, a2, a3, a4 = _weingarten(surf, u, v)
     half_tr = 0.5 * (a1 + a4)
     # the map is self-adjoint in the first fundamental form, so its
     # eigenvalues are real; clamp the roundoff below zero
@@ -673,7 +794,10 @@ def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
     A curve with a foot hook returns foot(pts, extend): no seeding, no
     Newton cap, and seed_window, a seeding aid only, is ignored.
     Otherwise: coarse grid seeding plus Newton on
-    (p - gamma(t)).gamma'(t) = 0.  seed_window = (t0, w) restricts seeding
+    (p - gamma(t)).gamma'(t) = 0, every step taken downhill in the
+    distance, so it settles in a minimum and not in a farthest point (a
+    seed at an open end where the distance rises inward stays there).
+    seed_window = (t0, w) restricts seeding
     to [t0 - w, t0 + w]; only valid when every query point is known to
     project into that window.  Raises NoConvergence when Newton still moves
     after NEWTON_MAX_ITER steps.
@@ -714,7 +838,10 @@ def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
         r = pts - g
         f = np.einsum("ij,ij->i", r, dg)
         fp = np.einsum("ij,ij->i", r, ddg) - np.einsum("ij,ij->i", dg, dg)
-        step = -f / np.where(np.abs(fp) > 1e-300, fp, 1.0)
+        # f and fp are -F' and -F'' for F = |p - gamma(t)|^2 / 2.  Where F is
+        # convex (fp < 0) the Newton step -f / fp goes downhill; elsewhere it
+        # climbs toward a farthest point, so it is mirrored downhill instead
+        step = f / np.maximum(np.abs(fp), 1e-300)
         step = np.clip(step, -0.1 * span, 0.1 * span)
         t = t + step
         if curve.closed:
@@ -849,7 +976,7 @@ def distance_to_manifold(manifold, pts: np.ndarray) -> np.ndarray:
     """Euclidean distance from ambient points to the manifold."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if isinstance(manifold, ParamCurve):
-        t = nearest_curve_param(manifold, pts)
-        return np.linalg.norm(pts - np.asarray(manifold.gamma(t), dtype=float), axis=1)
-    u, v = nearest_surface_param(manifold, pts)
-    return np.linalg.norm(pts - np.asarray(manifold.phi(u, v), dtype=float), axis=1)
+        params = nearest_curve_param(manifold, pts)
+    else:
+        params = nearest_surface_param(manifold, pts)
+    return np.linalg.norm(pts - manifold.chart(params), axis=1)

@@ -28,14 +28,13 @@ import numpy as np
 from .derivative import FDConfig, eulerian_fd
 from .errors import ProbeOverlap
 from .fields import (AmbientField, Ball, bump_field, check_tangency,
-                     default_holdall, fd_jacobian, last_call_memo,
-                     restriction_field, smooth_step, smooth_step_deriv)
+                     fd_jacobian, last_call_memo, restriction_field,
+                     smooth_step, smooth_step_deriv)
 from .flow import invariance_residual
-from .functionals import CrackFunctional
+from .functionals import CrackFunctional, length_density
 from .geometry import (ParamCurve, boundary_outward_normal, curvature,
                        curve_foot, curve_frame, integrate_curve,
-                       nearest_surface_param, surface_max_curvature,
-                       surface_normal)
+                       nearest_surface_param)
 
 TANGENCY_TOL = 1e-12
 INVARIANCE_BOUND = 1e-7
@@ -132,11 +131,11 @@ def _samples_on(M, n: int) -> np.ndarray:
 
 
 def locality_suite(J, M, pairs: Sequence[LocalityPair],
-                   cfg: FDConfig | None = None,
-                   n_samples: int = 200) -> StructureSuiteResult:
-    """Derivatives must agree for field pairs that coincide on M."""
+                   cfg: FDConfig | None = None) -> StructureSuiteResult:
+    """Derivatives must agree for field pairs that coincide on M (checked on
+    200 samples)."""
     cases: list[SuiteCase] = []
-    pts = _samples_on(M, n_samples)
+    pts = _samples_on(M, 200)
     for pair in pairs:
         tag = f"{J.name}/{M.name}/{pair.description}"
         on_m = float(np.abs(np.asarray(pair.X.X(pts), dtype=float)
@@ -173,8 +172,7 @@ def _tube_discrepancy(M, W: np.ndarray, delta: float, extend: float,
     extension of) M times a constant direction, cut off at distance delta.
     Adding it to any field changes nothing on M, including first space
     derivatives, so shape derivatives must not move."""
-    is_curve = isinstance(M, ParamCurve)
-    dim = M.dim if is_curve else 3
+    dim = M.dim
     W = np.asarray(W, dtype=float)
     samples = M._grid_points
     mid = samples.mean(axis=0)
@@ -184,7 +182,7 @@ def _tube_discrepancy(M, W: np.ndarray, delta: float, extend: float,
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return pts, np.linalg.norm(pts - mid, axis=1) <= rad
 
-    if is_curve:
+    if isinstance(M, ParamCurve):
         # X = g(s) W with g(s) = s^2 step(s), s = d / delta, so
         # dX = W (x) g'(s) grad d / delta
         foot = last_call_memo(lambda q: curve_foot(M, q, extend=extend))
@@ -212,8 +210,7 @@ def _tube_discrepancy(M, W: np.ndarray, delta: float, extend: float,
             out = np.zeros_like(pts)
             if np.any(m):
                 q = pts[m]
-                fu, fv = nearest_surface_param(M, q, extend_u=extend)
-                foot = np.asarray(M.phi(fu, fv), dtype=float)
+                foot = M.chart(nearest_surface_param(M, q, extend_u=extend))
                 s = np.linalg.norm(q - foot, axis=1) / delta
                 out[m] = (s * s * smooth_step(s))[:, None] * W
             return out
@@ -237,66 +234,47 @@ def _plus(X: AmbientField, D: AmbientField) -> AmbientField:
                         name=f"{X.name}+{D.name}")
 
 
-def locality_pairs(M, fields: Sequence[AmbientField], seed: int = 0,
-                   include_negative: bool = True) -> list[LocalityPair]:
+def locality_pairs(M, fields: Sequence[AmbientField],
+                   seed: int = 0) -> list[LocalityPair]:
     """One pair per field: the field against itself plus an off-manifold
-    discrepancy.  Optionally appends a negative control whose discrepancy
-    is an on-manifold normal bump."""
+    discrepancy.  Appends a negative control whose discrepancy is an
+    on-manifold bump: along the normal, or along the outward conormal at
+    the end of an open curve."""
     rng = np.random.default_rng(seed)
-    is_curve = isinstance(M, ParamCurve)
-    dim = M.dim if is_curve else 3
-    if is_curve:
-        kmax = float(np.abs(curvature(M, M._grid_ts)).max())
+    delta = min(0.8 * M.reach, 0.2 * M.diameter)
+    if isinstance(M, ParamCurve):
+        open_curve = not M.closed
         speed_min = float(np.linalg.norm(
             np.asarray(M.dgamma(M._grid_ts), dtype=float), axis=1).min())
+        extend = (min(0.5 * (M.b - M.a), 1.3 * delta / speed_min)
+                  if open_curve else 0.0)
+        params = M.a + (M.b - M.a) * np.array([0.3, 0.55, 0.8])
     else:
-        kmax = float(surface_max_curvature(M, M._grid_us, M._grid_vs).max())
-        speed_min = 1.0
-    reach = 0.5 / kmax if kmax > 1e-12 else np.inf
-    delta = min(0.8 * reach, 0.2 * M.diameter)
-    closed = M.closed if is_curve else True
-    extend = 0.0 if closed else min(0.5 * (M.b - M.a),
-                                    1.3 * delta / speed_min)
-
+        open_curve, extend = False, 0.0
+        params = (M.a + (M.b - M.a) * np.array([0.3, 0.55, 0.8]),
+                  M.c + (M.d - M.c) * np.array([0.2, 0.5, 0.85]))
     # witness points half a tube radius off the manifold
-    if is_curve:
-        tw = M.a + (M.b - M.a) * np.array([0.3, 0.55, 0.8])
-        foot = np.asarray(M.gamma(tw), dtype=float)
-        d1 = np.asarray(M.dgamma(tw), dtype=float)
-        T = d1 / np.linalg.norm(d1, axis=1)[:, None]
-        if dim == 2:
-            off = np.stack([-T[:, 1], T[:, 0]], axis=-1)
-        else:
-            e = np.zeros((len(tw), 3))
-            e[:, np.argmin(np.abs(T).mean(axis=0))] = 1.0
-            off = e - T * np.einsum("ij,ij->i", e, T)[:, None]
-            off = off / np.linalg.norm(off, axis=1)[:, None]
-    else:
-        uw = M.a + (M.b - M.a) * np.array([0.3, 0.55, 0.8])
-        vw = M.c + (M.d - M.c) * np.array([0.2, 0.5, 0.85])
-        foot = np.asarray(M.phi(uw, vw), dtype=float)
-        off = np.atleast_2d(surface_normal(M, uw, vw))
+    foot = M.chart(params)
+    off = M.unit_normal(params)
     witnesses = foot + 0.5 * delta * off
 
     pairs: list[LocalityPair] = []
     for i, X in enumerate(fields):
-        W = rng.normal(size=dim)
+        W = rng.normal(size=M.dim)
         W = W / np.linalg.norm(W)
         D = _tube_discrepancy(M, W, delta, extend,
                               name=f"tube-discrepancy{i}[{M.name}]")
         pairs.append(LocalityPair(X, _plus(X, D), witnesses,
                                   f"{X.name} vs +off-M tube term", True))
-    if include_negative and fields:
+    if fields:
         X = fields[0]
-        if is_curve and not M.closed:
+        if open_curve:
             # interior normal bumps leave a geodesic's length stationary;
             # move an endpoint along the outward conormal instead
-            center = np.asarray(M.gamma(np.array([M.b])), dtype=float)[0]
-            d_dir = boundary_outward_normal(M, "b")
+            center, d_dir = M.chart(M.b)[0], boundary_outward_normal(M, "b")
         else:
-            center = foot[1]
-            d_dir = off[1]
-        D_on = bump_field(center, delta, d_dir, dim,
+            center, d_dir = foot[1], off[1]
+        D_on = bump_field(center, delta, d_dir, M.dim,
                           name=f"on-manifold-bump[{M.name}]")
         pairs.append(LocalityPair(X, _plus(X, D_on), witnesses,
                                   f"{X.name} vs +on-M bump", False))
@@ -339,8 +317,7 @@ def normal_dependence_suite(J, M, fields: Sequence[AmbientField],
 # tangential probe fields (shared by the CLI and the test-suites)
 
 
-def tangential_probe_fields(M, n: int = 5, seed: int = 0,
-                            holdall: Ball | None = None) -> list[AmbientField]:
+def tangential_probe_fields(M, n: int = 5, seed: int = 0) -> list[AmbientField]:
     """Random fields tangent to M (and inert on its boundary).
 
     Curves get bump-modulated unit-tangent fields localized away from the
@@ -349,14 +326,10 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0,
     restriction to M smooth enough for the fixed-panel quadrature used by
     the built-in functionals."""
     rng = np.random.default_rng(seed)
-    if holdall is None:
-        holdall = default_holdall(M.dim if isinstance(M, ParamCurve) else 3)
     out: list[AmbientField] = []
 
     if isinstance(M, ParamCurve):
         span = M.b - M.a
-        kmax = float(np.abs(curvature(M, M._grid_ts)).max())
-        reach = 0.5 / kmax if kmax > 1e-12 else np.inf
         speed_min = float(np.linalg.norm(
             np.asarray(M.dgamma(M._grid_ts), dtype=float), axis=1).min())
         for i in range(n):
@@ -365,15 +338,15 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0,
             # quadrature-error slope the extrapolation cannot remove
             if M.closed:
                 t0 = M.a + span * rng.uniform(0.0, 1.0)
-                rho = min(0.25 * M.diameter, 0.8 * reach)
+                center = M.chart(t0)[0]
+                rho = min(0.25 * M.diameter, 0.8 * M.reach)
             else:
                 t0 = M.a + span * rng.uniform(0.25, 0.75)
+                center = M.chart(t0)[0]
                 # keep the bump clear of both endpoints
-                ends = np.asarray(M.gamma(np.array([M.a, M.b])), dtype=float)
-                c0 = np.asarray(M.gamma(np.array([t0])), dtype=float)[0]
-                dend = float(np.linalg.norm(ends - c0, axis=1).min())
-                rho = min(0.25 * M.diameter, 0.8 * reach, 0.8 * dend)
-            center = np.asarray(M.gamma(np.array([t0])), dtype=float)[0]
+                dend = float(np.linalg.norm(M.chart([M.a, M.b]) - center,
+                                            axis=1).min())
+                rho = min(0.25 * M.diameter, 0.8 * M.reach, 0.8 * dend)
             amp = rng.uniform(0.5, 1.5)
             # support points project within 4*rho/speed of t0 in parameter
             window = (t0, min(4.0 * rho / speed_min, 0.5 * span))
@@ -396,7 +369,7 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0,
                 dT = (d2 - T * np.einsum("ij,ij->i", T, d2)[:, None]) / v
                 return amp * dT[:, :, None] * ft.grad_t[:, None, :]
 
-            out.append(bump_field(center, rho, direction, M.dim, holdall,
+            out.append(bump_field(center, rho, direction, M.dim,
                                   name=f"tangent-bump{i}[{M.name}]",
                                   direction_jacobian=direction_jacobian))
         return out
@@ -409,8 +382,7 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0,
     span_u = M.b - M.a
     span_v = M.d - M.c
     mx = float(np.linalg.norm(M._grid_points, axis=1).max())
-    kmax = float(surface_max_curvature(M, M._grid_us, M._grid_vs).max())
-    delta = 0.8 * 0.5 / kmax if kmax > 1e-12 else 0.5
+    delta = 0.8 * M.reach if np.isfinite(M.reach) else 0.5
     support = Ball(np.zeros(3), mx + delta + 0.5)
     for i in range(n):
         c1 = rng.uniform(0.5, 1.5)
@@ -428,19 +400,13 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0,
                 return out_
             q = pts[near]
             us, vs = nearest_surface_param(M, q)
-            foot = np.asarray(M.phi(us, vs), dtype=float)
-            dist = np.linalg.norm(q - foot, axis=1)
-            w = smooth_step(dist / delta)
+            w = smooth_step(np.linalg.norm(q - M.chart((us, vs)), axis=1) / delta)
             # modulation vanishing at open sides keeps X . nu = 0 there
             if not M.u_closed:
                 w = w * np.sin(np.pi * (us - M.a) / span_u) ** 2
             if not M.periodic_v:
                 w = w * np.sin(np.pi * (vs - M.c) / span_v) ** 2
-            pu = np.asarray(M.phi_u(us, vs), dtype=float)
-            pv = np.asarray(M.phi_v(us, vs), dtype=float)
-            e1 = pu / np.linalg.norm(pu, axis=1)[:, None]
-            pv_o = pv - e1 * np.einsum("ij,ij->i", pv, e1)[:, None]
-            e2 = pv_o / np.linalg.norm(pv_o, axis=1)[:, None]
+            e1, e2 = M.tangent_frame((us, vs))
             ang = 2.0 * np.pi * (vs - M.c) / span_v
             mod1 = np.cos(k1 * ang + th1)
             mod2 = np.cos(k2 * ang + th2)
@@ -454,40 +420,23 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0,
     return out
 
 
-def nullity_negative_field(M, holdall: Ball | None = None) -> AmbientField:
+def nullity_negative_field(M) -> AmbientField:
     """Control field that must break the nullity suite.
 
     Closed curves and surfaces get a normal-direction bump at an interior
     point; open curves get a conormal bump at an endpoint, since an interior
     normal bump leaves a geodesic's length stationary at first order."""
-    if holdall is None:
-        holdall = default_holdall(M.dim if isinstance(M, ParamCurve) else 3)
     if isinstance(M, ParamCurve):
         rho = 0.2 * M.diameter
         if not M.closed:
-            center = np.asarray(M.gamma(np.array([M.b])), dtype=float)[0]
-            d = boundary_outward_normal(M, "b")
-            return bump_field(center, rho, d, M.dim, holdall,
-                              name=f"conormal-bump[{M.name}]")
-        tmid = M.a + 0.37 * (M.b - M.a)
-        center = np.asarray(M.gamma(np.array([tmid])), dtype=float)[0]
-        if M.dim == 2:
-            d = curve_frame(M, tmid).N
-        else:
-            T = np.asarray(M.dgamma(np.array([tmid])), dtype=float)[0]
-            T = T / np.linalg.norm(T)
-            e = np.eye(3)[int(np.argmin(np.abs(T)))]
-            d = e - (e @ T) * T
-            d = d / np.linalg.norm(d)
-        return bump_field(center, rho, d, M.dim, holdall,
-                          name=f"normal-bump[{M.name}]")
-    um = 0.5 * (M.a + M.b)
-    vm = M.c + 0.37 * (M.d - M.c)
-    center = np.asarray(M.phi(np.array([um]), np.array([vm])), dtype=float)[0]
-    d = surface_normal(M, um, vm)
-    pts = M._grid_points
-    rho = 0.2 * float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
-    return bump_field(center, rho, d, 3, holdall,
+            return bump_field(M.chart(M.b)[0], rho, boundary_outward_normal(M, "b"),
+                              M.dim, name=f"conormal-bump[{M.name}]")
+        params = M.a + 0.37 * (M.b - M.a)
+    else:
+        pts = M._grid_points
+        rho = 0.2 * float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
+        params = (0.5 * (M.a + M.b), M.c + 0.37 * (M.d - M.c))
+    return bump_field(M.chart(params)[0], rho, M.unit_normal(params)[0], M.dim,
                       name=f"normal-bump[{M.name}]")
 
 
@@ -506,19 +455,16 @@ class CrackCoefficients:
     probe_radius: float
 
 
-def _conormal_probe(curve: ParamCurve, t: float, rho: float, dim: int,
-                    holdall: Ball, name: str) -> tuple[AmbientField, np.ndarray]:
-    center = np.asarray(curve.gamma(np.array([t])), dtype=float)[0]
-    end = "a" if t == curve.a else "b"
-    nu = boundary_outward_normal(curve, end)
-    return bump_field(center, rho, nu, dim, holdall, name=name), center
+def _interior_probe(curve: ParamCurve, t: float, center: np.ndarray,
+                    rho: float) -> AmbientField:
+    return bump_field(center, rho, curve_frame(curve, float(t)).N, curve.dim,
+                      name=f"interior-probe@{t:g}")
 
 
 def extract_crack_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
                                probe_radius: float | None = None,
                                k_interior: int = 5,
-                               cfg: FDConfig | None = None,
-                               holdall: Ball | None = None) -> CrackCoefficients:
+                               cfg: FDConfig | None = None) -> CrackCoefficients:
     """Probe the crack derivative with unit bumps.
 
     alpha_i = derivative under a bump at tip i directed along the outward
@@ -532,11 +478,8 @@ def extract_crack_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
     if probe_radius is None:
         probe_radius = min(0.1 * length_val, 0.5 * J_crack.margin)
     J_crack.require_probe(probe_radius)
-    if holdall is None:
-        holdall = default_holdall(curve.dim)
 
-    A = np.asarray(curve.gamma(np.array([curve.a])), dtype=float)[0]
-    B = np.asarray(curve.gamma(np.array([curve.b])), dtype=float)[0]
+    A, B = curve.chart(curve.a)[0], curve.chart(curve.b)[0]
     if np.linalg.norm(A - B) <= 2.0 * probe_radius:
         raise ProbeOverlap(
             f"endpoint probes of radius {probe_radius:g} overlap "
@@ -544,10 +487,10 @@ def extract_crack_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
         )
 
     alphas = []
-    for t_end in (curve.a, curve.b):
-        X, center = _conormal_probe(curve, t_end, probe_radius, curve.dim,
-                                    holdall, name=f"tip-probe@{t_end:g}")
-        nu = boundary_outward_normal(curve, "a" if t_end == curve.a else "b")
+    for end, t_end, center in (("a", curve.a, A), ("b", curve.b, B)):
+        nu = boundary_outward_normal(curve, end)
+        X = bump_field(center, probe_radius, nu, curve.dim,
+                       name=f"tip-probe@{t_end:g}")
         trace = float(np.asarray(X.X(center[None, :]), dtype=float)[0] @ nu)
         val, _ = eulerian_fd(J_crack, curve, X, cfg)
         alphas.append(val / trace)
@@ -563,9 +506,7 @@ def extract_crack_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
         )
     h_vals = np.empty(k_interior)
     for j, (t_j, c_j) in enumerate(zip(stations, spts)):
-        fr = curve_frame(curve, float(t_j))
-        X = bump_field(c_j, probe_radius, fr.N, curve.dim, holdall,
-                       name=f"interior-probe@{t_j:g}")
+        X = _interior_probe(curve, t_j, c_j, probe_radius)
         h_vals[j], _ = eulerian_fd(J_crack, curve, X, cfg)
     return CrackCoefficients(alpha1=float(alphas[0]), alpha2=float(alphas[1]),
                              h_samples=h_vals, stations=stations,
@@ -577,12 +518,7 @@ def length_density_quadrature(curve: ParamCurve, X: AmbientField,
     """Quadrature of the interior length-variation density -kappa (X.N)
     against the arc measure; the closed-form target for interior h-samples
     of a crack-length functional."""
-    def density(ts):
-        fr = curve_frame(curve, ts)
-        xv = np.asarray(X.X(np.asarray(curve.gamma(ts), dtype=float)), dtype=float)
-        return -fr.kappa * np.einsum("ij,ij->i", xv, fr.N)
-
-    return integrate_curve(curve, density, panels=panels)
+    return integrate_curve(curve, length_density(curve, X), panels=panels)
 
 
 def crack_suite(J_crack: CrackFunctional, curve: ParamCurve,
@@ -621,12 +557,9 @@ def crack_suite(J_crack: CrackFunctional, curve: ParamCurve,
             f"tip values recorded: alpha1={co.alpha1:.6g}, "
             f"alpha2={co.alpha2:.6g} (curved tips) [{tag}]", 0.0, 0.0, True))
     if J_crack.inner.name == "length":
-        holdall = default_holdall(curve.dim)
         for t_j, h_j in zip(co.stations, co.h_samples):
-            c_j = np.asarray(curve.gamma(np.array([float(t_j)])), dtype=float)[0]
-            fr = curve_frame(curve, float(t_j))
-            X = bump_field(c_j, co.probe_radius, fr.N, curve.dim, holdall,
-                           name=f"interior-probe@{t_j:g}")
+            X = _interior_probe(curve, t_j, curve.chart(float(t_j))[0],
+                                co.probe_radius)
             target = length_density_quadrature(curve, X)
             err = abs(h_j - target)
             bound = 1e-5 * (1.0 + abs(h_j))

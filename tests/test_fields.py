@@ -222,6 +222,28 @@ def test_restriction_field_conormal_on_segment(segment01, e1_field):
     assert np.linalg.norm(nu.X(mid)) < 1e-3
 
 
+def test_straight_space_segment_needs_only_the_tangent(linear_field):
+    # a straight space curve has no Frenet normal; the split needs only T
+    from shapecalc.catalog import build_shape
+
+    M = build_shape({"kind": "segment", "p0": [0.5, 0.0, 0.2],
+                     "p1": [1.5, 0.4, -0.3], "name": "segment3d"})
+    field = linear_field(3)
+    T = M.dgamma(np.array([0.0]))[0]
+    T = T / np.linalg.norm(T)
+    ts = np.linspace(M.a, M.b, 7)
+    vec = field.X(M.gamma(ts))
+    perp = project_normal(M, ts, vec)
+    np.testing.assert_allclose(perp @ T, 0.0, atol=1e-14)
+    np.testing.assert_allclose(perp, vec - np.outer(vec @ T, T), atol=1e-14)
+    rep = check_tangency(M, field)
+    assert rep.max_normal_residual > 0.1 and rep.max_boundary_residual > 0.1
+    nu = restriction_field(M, field, "nu")
+    ends = M.gamma(np.array([M.a, M.b]))
+    np.testing.assert_allclose(nu.X(ends), np.outer(field.X(ends) @ T, T),
+                               atol=1e-9)
+
+
 def test_restriction_field_rejects_unknown_component(circle1, radial2):
     with pytest.raises(ValueError):
         restriction_field(circle1, radial2, "sideways")

@@ -683,3 +683,83 @@ def test_surface_keeps_its_sample_grid(cylinder):
     np.testing.assert_array_equal(cylinder._grid_vs, V.ravel())
     np.testing.assert_array_equal(cylinder._grid_points,
                                   cylinder.phi(U.ravel(), V.ravel()))
+
+
+# ---------------------------------------------------------------------------
+# hook-free Newton finds the nearest point, not just a stationary one
+
+
+@pytest.mark.parametrize("shape", ["crack_arc", "arc_m2", "helix1"])
+def test_newton_projection_matches_brute_force(shape, request):
+    from shapecalc.catalog import build_shape
+
+    if shape == "arc_m2":
+        M = build_shape({"kind": "arc", "radius": 2.0, "angle0": -2.0,
+                         "angle1": np.pi - 3.0, "name": "arc_m2"})
+    else:
+        M = request.getfixturevalue(shape)
+    M = dataclasses.replace(M, foot=None)
+    pts = np.random.default_rng(0).uniform(-3.0, 3.0, (400, M.dim))
+    dist = np.linalg.norm(pts - M.gamma(nearest_curve_param(M, pts)), axis=1)
+    dense = M.gamma(np.linspace(M.a, M.b, 20001))
+    brute = np.min(np.linalg.norm(pts[:, None] - dense[None], axis=2), axis=1)
+    # brute force only samples the curve, so it can never beat a true minimum
+    assert np.all(dist <= brute + 1e-12)
+    assert np.all(brute - dist <= 2e-6)
+
+
+# ---------------------------------------------------------------------------
+# the manifold queries shared by curves and surfaces
+
+
+def test_reach_values(circle2, segment01, helix1, cylinder):
+    # 0.5 / kappa_max: a radius-2 circle and the unit helix of pitch 2 pi
+    # both bend with kappa = 1/2
+    assert circle2.reach == pytest.approx(1.0, rel=1e-12)
+    assert segment01.reach == np.inf
+    assert helix1.reach == pytest.approx(1.0, rel=1e-12)
+    assert cylinder.reach == pytest.approx(0.5, rel=1e-9)
+
+
+def _query_params(M, n=9):
+    t = np.linspace(M.a, M.b, n)
+    if isinstance(M, ParamCurve):
+        return t
+    return t, np.linspace(M.c, M.d, n)
+
+
+@pytest.mark.parametrize("shape", ["circle1", "segment01", "crack_arc",
+                                   "helix1", "cylinder"])
+def test_manifold_queries_agree(shape, request):
+    M = request.getfixturevalue(shape)
+    params = _query_params(M)
+    pts = M.chart(params)
+    frame = M.tangent_frame(params)
+    N = M.unit_normal(params)
+    assert pts.shape == N.shape == (9, M.dim)
+    gram = np.einsum("aij,bij->iab", np.array(frame), np.array(frame))
+    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(len(frame)), gram.shape),
+                               atol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(N, axis=1), 1.0, atol=1e-14)
+    for e in frame:
+        np.testing.assert_allclose(np.einsum("ij,ij->i", N, e), 0.0, atol=1e-14)
+    # normal_part is a projection that keeps N and kills the tangent frame
+    x = np.random.default_rng(1).normal(size=(9, M.dim))
+    once = M.normal_part(params, x)
+    np.testing.assert_allclose(M.normal_part(params, once), once, atol=1e-14)
+    np.testing.assert_allclose(M.normal_part(params, N), N, atol=1e-14)
+    for e in frame:
+        np.testing.assert_allclose(M.normal_part(params, e), 0.0, atol=1e-14)
+    # the conormal extension is the outward conormal on the boundary
+    nu = M.conormal_extension(params)
+    on = M.on_boundary(params)
+    if M.name == "circle1":
+        assert not on.any()
+        np.testing.assert_array_equal(nu, 0.0)
+        return
+    np.testing.assert_array_equal(np.flatnonzero(on), [0, 8])
+    assert np.all(np.linalg.norm(nu[1:-1], axis=1) < 1.0)
+    for k, end in ((0, "a"), (-1, "b")):
+        want = (boundary_outward_normal(M, end) if isinstance(M, ParamCurve)
+                else boundary_outward_normal(M, end, params[1][k]))
+        np.testing.assert_allclose(nu[k], want, atol=1e-14)

@@ -81,6 +81,32 @@ def test_locality_pairs_structure(circle1, e1_field, rotation2):
         assert p.witness_points.shape[1] == 2
 
 
+@pytest.mark.parametrize("shape,fields", [("cylinder", ["e3_field", "stretch_z"]),
+                                          ("helix1", ["radial3", "e3_field"])])
+def test_locality_pairs_surface_and_space_curve(shape, fields, request):
+    from shapecalc.geometry import distance_to_manifold
+    from shapecalc.validation import TANGENCY_TOL, _samples_on
+
+    M = request.getfixturevalue(shape)
+    pairs = locality_pairs(M, [request.getfixturevalue(f) for f in fields], seed=0)
+    assert [p.expect_equal for p in pairs] == [True, True, False]
+    # witnesses sit half a tube radius off M, along the unit normal
+    delta = min(0.8 * M.reach, 0.2 * M.diameter)
+    np.testing.assert_allclose(distance_to_manifold(M, pairs[0].witness_points),
+                               0.5 * delta, rtol=1e-9)
+    on_m = _samples_on(M, 200)
+    for p in pairs:
+        wit = p.witness_points
+        gap = np.abs(p.X.X(on_m) - p.Y.X(on_m)).max()
+        off = np.abs(p.X.X(wit) - p.Y.X(wit)).max()
+        if p.expect_equal:
+            assert gap <= TANGENCY_TOL
+            assert off > 0.0
+        else:
+            # the negative control's bump lives on M
+            assert gap > 1e-3
+
+
 def test_locality_suite_passes(circle1, e1_field, rotation2, fd5):
     pairs = locality_pairs(circle1, [e1_field, rotation2], seed=0)
     res = locality_suite(length_functional(), circle1, pairs, cfg=fd5)
