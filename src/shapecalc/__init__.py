@@ -10,15 +10,14 @@ coefficients.
 
 from .errors import (ConfigError, CrackNotInterior, DegenerateFrame,
                      DegenerateImmersion, IllConditioned, InvariantViolation,
-                     NoBoundary, NoConvergence, NonFinite, NotArcLength,
-                     ProbeOverlap, ShapecalcError, SupportViolation)
-from .geometry import (CurveFoot, FrenetFrame, ParamCurve, ParamSurface,
-                       boundary_outward_normal, curvature,
-                       curve_curvature_derivs, curve_foot, curve_frame,
-                       distance_to_manifold, integrate_curve,
-                       integrate_surface, nearest_curve_param,
-                       nearest_surface_param, surface_max_curvature,
-                       surface_mean_curvature, surface_normal)
+                     NoConvergence, NonFinite, NotArcLength, ProbeOverlap,
+                     ShapecalcError, SupportViolation)
+from .geometry import (Foot, FrenetFrame, ParamCurve, ParamSurface,
+                       curvature, curve_curvature_derivs, curve_frame,
+                       integrate_curve, integrate_surface,
+                       nearest_curve_param, nearest_surface_param,
+                       surface_max_curvature, surface_mean_curvature,
+                       surface_normal)
 from .fields import (AmbientField, Ball, FieldSplit, TangencyReport,
                      bump_field, bump_profile, check_tangency,
                      default_holdall, fd_jacobian, project_normal,

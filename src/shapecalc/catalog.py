@@ -16,9 +16,9 @@ import numpy as np
 from .errors import ConfigError, ShapecalcError
 from .fields import (AmbientField, Ball, bump_field, smooth_step,
                      smooth_step_deriv, sum_field)
-from .functionals import (ARC_LENGTH_TOL, CrackFunctional, ShapeFunctional,
-                          area_functional, crack_functional,
-                          elastic_functional, length_functional)
+from .functionals import (ARC_LENGTH_TOL, CrackFunctional, area_functional,
+                          crack_functional, elastic_functional,
+                          length_functional)
 from .geometry import ParamCurve, ParamSurface
 
 __all__ = [
@@ -252,7 +252,7 @@ def _shape_segment(p: _Params, name: str) -> ParamCurve:
         return np.zeros((len(np.atleast_1d(ts)), dim))
 
     # exact nearest point: the coordinate along u, clipped to the widened
-    # range with the bounds curve_foot's held test compares against
+    # range with the bounds ParamCurve.project's held test compares against
     def foot(pts, extend):
         s = (np.atleast_2d(np.asarray(pts, dtype=float)) - p0) @ u
         return np.clip(s, a - extend, b + extend)
@@ -372,8 +372,8 @@ def _shape_arc(p: _Params, name: str) -> ParamCurve:
 
     # exact nearest point: the angle of p unwrapped into the turn centred on
     # the arc's mid-angle, so a point beyond either end lands nearer that
-    # end, then clipped to the widened range as curve_foot's held test
-    # expects
+    # end, then clipped to the widened range as ParamCurve.project's held
+    # test expects
     a, b = 0.0, r * (a1 - a0)
     mid = 0.5 * (a0 + a1)
 

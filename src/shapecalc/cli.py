@@ -6,8 +6,12 @@ flow oracle, runs the requested structure suites, and writes a canonical
 JSON report (plus CSV extracts on request).  `shapecalc plot report.json`
 flattens the stored quotient traces into a CSV for plotting.
 
+Cases run one after another in a single thread, so a run's report is the
+same bytes every time; `--jobs` is accepted for scripts that pass
+`--jobs 1`, and any other value is a usage error.
+
 Exit status: 0 all checks passed, 1 a check failed or a derivative did not
-converge, 2 the config or an input file is unusable.
+converge, 2 the config, an option or an input file is unusable.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -267,23 +270,14 @@ def _run_labeled(job: _Job):
         raise type(exc)(f"{job.label}: {exc}") from exc
 
 
-def _run_jobs(jobs: Sequence[_Job], n_workers: int, verbose: bool,
+def _run_jobs(jobs: Sequence[_Job], verbose: bool,
               describe: Callable[[object], str]) -> list:
     results = []
-    if n_workers <= 1:
-        for job in jobs:
-            out = _run_labeled(job)
-            if verbose:
-                print(f"  {job.label}: {describe(out)}")
-            results.append(out)
-        return results
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(_run_labeled, job) for job in jobs]
-        for job, fut in zip(jobs, futures):
-            out = fut.result()
-            if verbose:
-                print(f"  {job.label}: {describe(out)}")
-            results.append(out)
+    for job in jobs:
+        out = _run_labeled(job)
+        if verbose:
+            print(f"  {job.label}: {describe(out)}")
+        results.append(out)
     return results
 
 
@@ -304,9 +298,10 @@ def _describe_suite(res) -> str:
 
 def _cmd_run(args) -> int:
     started = time.perf_counter()
+    if args.jobs != 1:
+        raise ConfigError(
+            f"--jobs must be 1, got {args.jobs}: cases run in one thread")
     plan = load_plan(args.config)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     formats = tuple(args.format.split(",")) if args.format else plan.formats
     for f in formats:
         if f not in FORMAT_NAMES:
@@ -319,8 +314,8 @@ def _cmd_run(args) -> int:
     if args.verbose:
         print(f"{plan.label}: {len(cjobs)} comparisons, {len(sjobs)} suites")
 
-    reports = _run_jobs(cjobs, args.jobs, args.verbose, _describe_comparison)
-    suite_results = _run_jobs(sjobs, args.jobs, args.verbose, _describe_suite)
+    reports = _run_jobs(cjobs, args.verbose, _describe_comparison)
+    suite_results = _run_jobs(sjobs, args.verbose, _describe_suite)
 
     comparisons = [comparison_record(rep) for rep in reports]
     suites = [suite_record(res) for res in suite_results]
@@ -372,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--format", default=None, metavar="LIST",
                        help="comma-separated output formats: json,csv")
     run_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker threads for independent cases (default 1)")
+                       help="must be 1 (the default): cases run one after "
+                            "another in a single thread")
     run_p.add_argument("-v", "--verbose", action="store_true",
                        help="print one line per case as it completes")
     run_p.set_defaults(func=_cmd_run)

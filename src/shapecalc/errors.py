@@ -26,10 +26,6 @@ class IllConditioned(ShapecalcError):
     """A tangent Gram system is numerically singular (condition > 1e10)."""
 
 
-class NoBoundary(ShapecalcError):
-    """Boundary data requested on a closed manifold."""
-
-
 class NotArcLength(ShapecalcError):
     """Operation requires an arc-length parametrization (| |gamma'| - 1 | <= 1e-8)."""
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._stencil import sample_derivative
 from .errors import InvariantViolation, SupportViolation
-from .geometry import ParamCurve, curve_foot, nearest_surface_param
+from .geometry import ParamCurve
 
 _CHECK_RNG_SEED = 4243
 
@@ -213,22 +213,20 @@ def last_call_memo(fn: Callable[..., object]) -> Callable[..., object]:
 
 
 def bump_field(center, radius: float, direction, dim: int | None = None,
-               holdall: Ball | None = None, name: str = "bump",
-               direction_jacobian=None) -> AmbientField:
+               name: str = "bump", direction_jacobian=None) -> AmbientField:
     """Smooth bump supported in the ball B(center, radius).
 
     X(p) = beta(|p - center| / radius) * direction(p); `direction` is a
     constant vector or a vectorized callable (n, d) -> (n, d).  A callable
     direction comes with `direction_jacobian`, (n, d) -> (n, d, d); both
     are called only where the bump is alive, and X calls only the first.
-    Raises SupportViolation if the ball is not contained in the hold-all.
+    Raises SupportViolation if the ball is not contained in the hold-all
+    default_holdall(dim).
     """
     center = np.asarray(center, dtype=float)
     if dim is None:
         dim = len(center)
-    if holdall is None:
-        holdall = default_holdall(dim)
-    if not holdall.contains_ball(center, radius):
+    if not default_holdall(dim).contains_ball(center, radius):
         raise SupportViolation(
             f"bump at {center.tolist()} radius {radius:g} escapes the hold-all"
         )
@@ -426,6 +424,8 @@ def restriction_field(manifold, field: AmbientField, component: str,
     mid = samples.mean(axis=0)
     rad = np.linalg.norm(samples - mid, axis=1).max() + tube_radius + 0.5 * extend
     dim = manifold.dim
+    # X and dX on the same points share one projection
+    foot = last_call_memo(lambda pts: manifold.project(pts, extend))
 
     def in_ball(pts):
         # projection is only needed inside the support ball; everything
@@ -433,20 +433,18 @@ def restriction_field(manifold, field: AmbientField, component: str,
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return pts, np.linalg.norm(pts - mid, axis=1) <= rad
 
+    def X(pts):
+        pts, m = in_ball(pts)
+        out = np.zeros_like(pts)
+        if np.any(m):
+            ft = foot(pts[m])
+            chi = smooth_step(ft.dist / tube_radius)
+            out[m] = chi[:, None] * V(ft.params)
+        return out
+
     if is_curve:
-        foot = last_call_memo(
-            lambda pts: curve_foot(manifold, pts, extend=extend))
         lo, hi = manifold.a - extend, manifold.b + extend
         h_t = 1e-4 * (manifold.b - manifold.a)
-
-        def X(pts):
-            pts, m = in_ball(pts)
-            out = np.zeros_like(pts)
-            if np.any(m):
-                ft = foot(pts[m])
-                chi = smooth_step(ft.dist / tube_radius)
-                out[m] = chi[:, None] * V(ft.t)
-            return out
 
         def dX(pts):
             # X = chi(d / tau) V(t):
@@ -462,7 +460,7 @@ def restriction_field(manifold, field: AmbientField, component: str,
             # and inside the tube grad t is finite
             k = chi > 0.0
             if np.any(k):
-                t = ft.t[k]
+                t = ft.params[k]
                 dV = sample_derivative(V, t, h_t, 1, lo, hi,
                                        periodic=manifold.closed)
                 sub = np.zeros((len(s), dim, dim))
@@ -473,17 +471,7 @@ def restriction_field(manifold, field: AmbientField, component: str,
                 out[m] = sub
             return out
     else:
-        def X(pts):
-            pts, m = in_ball(pts)
-            out = np.zeros_like(pts)
-            if np.any(m):
-                q = pts[m]
-                uv = nearest_surface_param(manifold, q, extend_u=extend)
-                chi = smooth_step(np.linalg.norm(q - manifold.chart(uv), axis=1)
-                                  / tube_radius)
-                out[m] = chi[:, None] * V(uv)
-            return out
-
+        # a surface chart has no phi_uu or phi_uv, so no exact foot gradient
         dX = fd_jacobian(X, dim, 1e-6 * (1.0 + manifold.diameter))
 
     return AmbientField(dim=dim, X=X, dX=dX, support=Ball(mid, rad),

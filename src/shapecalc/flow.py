@@ -21,7 +21,7 @@ import numpy as np
 from ._stencil import sample_derivative
 from .errors import InvariantViolation, NonFinite
 from .fields import AmbientField, last_call_memo
-from .geometry import ParamCurve, ParamSurface, distance_to_manifold
+from .geometry import ParamCurve, ParamSurface
 
 DEFAULT_MAX_STEP = 0.01
 
@@ -225,4 +225,4 @@ def invariance_residual(field: AmbientField, manifold, cfg) -> float:
         params = (U.ravel(), V.ravel())
     pts = manifold.chart(params)
     flowed = flow_point(field, pts, cfg)
-    return float(distance_to_manifold(manifold, flowed).max())
+    return float(manifold.project(flowed).dist.max())

@@ -2,9 +2,9 @@
 
 Sign conventions inherited from the geometry module (planar N = 90-degree
 CCW rotation of T, signed planar curvature, surface N = phi_u x phi_v,
-outward boundary (co)normals) pin every formula below; each global sign was
-fixed by matching a finite-difference derivative on circle / segment /
-cylinder model cases:
+outward unit conormals on the boundary) pin every formula below; each
+global sign was fixed by matching a finite-difference derivative on
+circle / segment / cylinder model cases:
 
   d length(X)  = -int kappa (X.N) ds + (X.T)(b) - (X.T)(a)
                =  int T.(dX T) ds                       (Jacobian form)
@@ -21,14 +21,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (CrackNotInterior, DegenerateFrame, InvariantViolation,
-                     NotArcLength)
+from .errors import CrackNotInterior, InvariantViolation, NotArcLength
 from .fields import AmbientField, Ball
 from .geometry import (GL_NODES, GL_WEIGHTS, ParamCurve, ParamSurface,
-                       boundary_outward_normal, curvature,
-                       curve_curvature_derivs, curve_frame, integrate_curve,
-                       integrate_surface, surface_mean_curvature,
-                       surface_normal)
+                       curvature, curve_curvature_derivs, curve_frame,
+                       frenet_rows, integrate_curve, integrate_surface,
+                       surface_mean_curvature, surface_normal)
 
 ARC_LENGTH_TOL = 1e-8
 # default quadrature resolution: fine enough that sharply modulated probe
@@ -63,25 +61,30 @@ def length(curve: ParamCurve, panels: int = CURVE_PANELS) -> float:
 
 def length_density(curve: ParamCurve, X: AmbientField):
     """ts -> -kappa (X.N): the interior density of the length variation
-    against the arc measure."""
+    against the arc measure.  kappa N is the curvature vector, 0 where a
+    space curve is straight and its Frenet N does not exist."""
     def density(ts):
-        fr = curve_frame(curve, ts)
+        fr, _ = frenet_rows(curve, ts)
         xv = np.asarray(X.X(np.asarray(curve.gamma(ts), dtype=float)), dtype=float)
         return -fr.kappa * np.einsum("ij,ij->i", xv, fr.N)
 
     return density
 
 
-def _dlength_hadamard(curve: ParamCurve, X: AmbientField) -> float:
+def analytic_dlength(curve: ParamCurve, X: AmbientField) -> float:
+    """First variation of arc length along X: the curvature density plus,
+    on an open curve, X against the outward unit conormal at both ends."""
     total = integrate_curve(curve, length_density(curve, X), panels=CURVE_PANELS)
     if not curve.closed:
-        for end, t in (("b", curve.b), ("a", curve.a)):
+        for t in (curve.b, curve.a):
             xv = np.asarray(X.X(curve.chart(t)), dtype=float)[0]
-            total += float(xv @ boundary_outward_normal(curve, end))
+            total += float(xv @ curve.conormal_extension(t)[0])
     return total
 
 
 def _dlength_jacobian(curve: ParamCurve, X: AmbientField) -> float:
+    """The Jacobian form int T.(dX T) ds, needing no frame: the reference the
+    tests hold analytic_dlength to."""
     def density(ts):
         d1 = np.asarray(curve.dgamma(ts), dtype=float)
         T = d1 / np.linalg.norm(d1, axis=1)[:, None]
@@ -89,29 +92,6 @@ def _dlength_jacobian(curve: ParamCurve, X: AmbientField) -> float:
         return np.einsum("ni,nij,nj->n", T, J, T)
 
     return integrate_curve(curve, density, panels=CURVE_PANELS)
-
-
-def analytic_dlength(curve: ParamCurve, X: AmbientField,
-                     form: str = "auto") -> float:
-    """First variation of arc length along X.
-
-    The curvature form (with its tangential boundary terms) is used when
-    unit normals exist on the quadrature grid; straight pieces of a space
-    curve make the normal undefined, and the tangent-Jacobian form, which
-    needs no frame, takes over.  Both forms agree wherever both exist.
-    """
-    if form == "jacobian":
-        return _dlength_jacobian(curve, X)
-    if form == "hadamard":
-        return _dlength_hadamard(curve, X)
-    if form != "auto":
-        raise ValueError("form must be 'auto', 'hadamard' or 'jacobian'")
-    if curve.dim == 2:
-        return _dlength_hadamard(curve, X)
-    try:
-        return _dlength_hadamard(curve, X)
-    except DegenerateFrame:
-        return _dlength_jacobian(curve, X)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +113,8 @@ def _side_flux(surf: ParamSurface, X: AmbientField, end: str,
     wts = np.tile(halfw * GL_WEIGHTS, panels)
     u0 = surf.a if end == "a" else surf.b
     us = np.full_like(vn, u0)
-    nu = boundary_outward_normal(surf, end, vn)
+    # the conormal extension is the outward unit conormal on the u-sides
+    nu = surf.conormal_extension((us, vn))
     pv = np.asarray(surf.phi_v(us, vn), dtype=float)
     xv = np.asarray(X.X(np.asarray(surf.phi(us, vn), dtype=float)), dtype=float)
     vals = np.einsum("ij,ij->i", xv, nu) * np.linalg.norm(pv, axis=1)

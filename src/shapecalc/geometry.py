@@ -9,7 +9,8 @@ Conventions, fixed once and used by every downstream module:
 * surfaces: N = phi_u x phi_v / |phi_u x phi_v|; the mean curvature returned
   by surface_mean_curvature is the trace of the Weingarten map in the
   {phi_u, phi_v} basis, so its sign is tied to the orientation of N;
-* outward boundary normals: -T(a) / +T(b) at curve ends, and
+* outward unit conormal: conormal_extension at the boundary parameters,
+  where its ramp is exactly -1 / +1: -T(a) and +T(b) at curve ends, and
   -+ phi_v x N / |phi_v| on the u = a / u = b sides of a surface.
 
 All parametrization callables are vectorized: a curve maps (n,) parameter
@@ -40,6 +41,21 @@ row per parameter point.
 * conormal_extension(params): smooth tangent field equal to the outward
   unit conormal on the boundary, ramped by ((s - a)/L)^4 - ((b - s)/L)^4
   in between (s = t or u, L = b - a), zero without a boundary.
+* project(pts, extend=0.0): the nearest-point foot of ambient points
+  (n, dim), with the parameter range widened by extend past open ends (t
+  on a curve, u on a surface; closed directions wrap).  Curves also take
+  seed_window, a seeding aid of nearest_curve_param.  Returns a Foot:
+  - params: the foot parameters, t or the pair (u, v);
+  - dist: |p - chart(params)|;
+  - grad_dist = (p - chart)/dist, 0 where dist = 0, computed on first use;
+    it is the gradient of the distance on any manifold inside the reach;
+  - grad_t (curves only, computed on first use): the implicit-function
+    gradient of t, 0 where t is held at an end of the widened range.
+  A manifold with a foot hook returns the hook's exact feet, with no
+  seeding and no Newton iteration; otherwise both kinds run a Newton
+  search from grid seeds and raise NoConvergence when it still moves
+  after NEWTON_MAX_ITER steps.  nearest_curve_param and
+  nearest_surface_param are the module functions behind project.
 """
 from __future__ import annotations
 
@@ -56,7 +72,6 @@ from .errors import (
     DegenerateImmersion,
     IllConditioned,
     InvariantViolation,
-    NoBoundary,
     NoConvergence,
 )
 
@@ -64,8 +79,8 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 _CHECK_RNG_SEED = 1097
 
-# iteration cap of the nearest-point Newton searches; the curve search
-# raises NoConvergence when it is reached
+# iteration cap of the nearest-point Newton searches, which raise
+# NoConvergence when it is reached
 NEWTON_MAX_ITER = 25
 
 
@@ -341,6 +356,18 @@ class ParamCurve:
             return np.zeros((len(t), self.dim))
         return _ramp(t, self.a, self.b)[:, None] * self.tangent_frame(t)[0]
 
+    def project(self, pts, extend: float = 0.0,
+                seed_window: tuple[float, float] | None = None) -> "Foot":
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        # called through the module global, so a wrapper installed there
+        # sees every projection
+        t = nearest_curve_param(self, pts, extend, seed_window)
+        if self.closed:
+            held = np.zeros(len(t), dtype=bool)
+        else:
+            held = (t <= self.a - extend) | (t >= self.b + extend)
+        return Foot(self, t, pts - self.chart(t), held)
+
     def reversed(self) -> "ParamCurve":
         """Same point set traversed with t -> a + b - t.  The foot hook is
         dropped: a + b - t would not hit the search bounds bit for bit."""
@@ -514,6 +541,11 @@ class ParamSurface:
         nu /= np.linalg.norm(pv, axis=1)[:, None]
         return _ramp(us, self.a, self.b)[:, None] * nu
 
+    def project(self, pts, extend: float = 0.0) -> "Foot":
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        uv = nearest_surface_param(self, pts, extend)
+        return Foot(self, uv, pts - self.chart(uv))
+
 
 @dataclass(frozen=True)
 class FrenetFrame:
@@ -547,9 +579,10 @@ def curvature(curve: ParamCurve, t) -> np.ndarray:
     return kap[0] if scalar else kap
 
 
-def curve_frame(curve: ParamCurve, t) -> FrenetFrame:
-    """Tangent/normal frame, speed and curvature at parameter(s) t."""
-    ts, scalar = _as_params(t)
+def frenet_rows(curve: ParamCurve, ts: np.ndarray) -> tuple[FrenetFrame, np.ndarray]:
+    """Frame at (n,) parameters ts and the mask of rows where a space curve
+    is straight (|T'| at most 1e-12 relative to gamma''); N and B are 0 on
+    those rows, so kappa N is the curvature vector on every row."""
     d1 = np.asarray(curve.dgamma(ts), dtype=float)
     d2 = np.asarray(curve.ddgamma(ts), dtype=float)
     v = np.linalg.norm(d1, axis=1)
@@ -561,22 +594,31 @@ def curve_frame(curve: ParamCurve, t) -> FrenetFrame:
     if curve.dim == 2:
         N = np.stack([-T[:, 1], T[:, 0]], axis=-1)
         kap = _cross2(d1, d2) / v**3
-        B = None
-    else:
-        kap = np.linalg.norm(np.cross(d1, d2), axis=1) / v**3
-        Tp = (d2 - T * np.einsum("ij,ij->i", T, d2)[:, None]) / v[:, None]
-        nTp = np.linalg.norm(Tp, axis=1)
-        if nTp.min() <= 1e-12 * (1.0 + np.linalg.norm(d2, axis=1).max()):
-            raise DegenerateFrame(
-                f"curve '{curve.name}': unit normal undefined at t = "
-                f"{ts[nTp.argmin()]:g} (straight segment)"
-            )
+        return FrenetFrame(T, N, None, v, kap), np.zeros(len(ts), dtype=bool)
+    kap = np.linalg.norm(np.cross(d1, d2), axis=1) / v**3
+    Tp = (d2 - T * np.einsum("ij,ij->i", T, d2)[:, None]) / v[:, None]
+    nTp = np.linalg.norm(Tp, axis=1)
+    straight = nTp <= 1e-12 * (1.0 + np.linalg.norm(d2, axis=1).max())
+    with np.errstate(divide="ignore", invalid="ignore"):
         N = Tp / nTp[:, None]
-        B = np.cross(T, N)
+    N[straight] = 0.0
+    return FrenetFrame(T, N, np.cross(T, N), v, kap), straight
+
+
+def curve_frame(curve: ParamCurve, t) -> FrenetFrame:
+    """Tangent/normal frame, speed and curvature at parameter(s) t.  Raises
+    DegenerateFrame where a space curve is straight."""
+    ts, scalar = _as_params(t)
+    fr, straight = frenet_rows(curve, ts)
+    if straight.any():
+        raise DegenerateFrame(
+            f"curve '{curve.name}': unit normal undefined at t = "
+            f"{ts[straight.argmax()]:g} (straight segment)"
+        )
     if scalar:
-        return FrenetFrame(T[0], N[0], None if B is None else B[0],
-                           float(v[0]), float(kap[0]))
-    return FrenetFrame(T, N, B, v, kap)
+        return FrenetFrame(fr.T[0], fr.N[0], None if fr.B is None else fr.B[0],
+                           float(fr.speed[0]), float(fr.kappa[0]))
+    return fr
 
 
 def curve_curvature_derivs(curve: ParamCurve, t):
@@ -741,45 +783,6 @@ def integrate_surface(surf: ParamSurface,
 
 
 # ---------------------------------------------------------------------------
-# boundary data
-
-
-def boundary_outward_normal(manifold, end: str, v=None):
-    """Outward unit (co)normal on the boundary.
-
-    Curves: end "a" -> -T(a), end "b" -> +T(b).  Surfaces: the u = a / u = b
-    side circle, evaluated at v (scalar or array); the result is tangent to
-    the surface, orthogonal to the boundary curve, pointing out of it.
-    Raises NoBoundary on closed curves / u-closed surfaces.
-    """
-    if end not in ("a", "b"):
-        raise ValueError("end must be 'a' or 'b'")
-    if isinstance(manifold, ParamCurve):
-        if manifold.closed:
-            raise NoBoundary(f"curve '{manifold.name}' is closed")
-        t = manifold.a if end == "a" else manifold.b
-        d1 = np.asarray(manifold.dgamma(np.array([t])), dtype=float)[0]
-        T = d1 / np.linalg.norm(d1)
-        return -T if end == "a" else T
-    if isinstance(manifold, ParamSurface):
-        if manifold.u_closed:
-            raise NoBoundary(f"surface '{manifold.name}' is closed in u")
-        if v is None:
-            raise ValueError("surface boundary normal needs the v parameter")
-        vs, scalar = _as_params(v)
-        u0 = manifold.a if end == "a" else manifold.b
-        us = np.full_like(vs, u0)
-        pv = np.asarray(manifold.phi_v(us, vs), dtype=float)
-        N = surface_normal(manifold, us, vs)
-        N = np.atleast_2d(N)
-        nu = np.cross(pv, N) / np.linalg.norm(pv, axis=1)[:, None]
-        if end == "a":
-            nu = -nu
-        return nu[0] if scalar else nu
-    raise TypeError("expected ParamCurve or ParamSurface")
-
-
-# ---------------------------------------------------------------------------
 # nearest-point projection (shared by flow invariance checks and field
 # restrictions)
 
@@ -862,25 +865,27 @@ def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
     )
 
 
-class CurveFoot:
-    """Nearest-point data of ambient points p over a curve gamma.
+class Foot:
+    """Nearest-point data of ambient points p over a curve or a surface, as
+    returned by project (see the module docstring).
 
-    t is the foot parameter and dist = |p - gamma(t)|.  The gradients are
-    computed on first use, so a caller that needs only the values pays for
-    no more than the projection:
+    params are the foot parameters (t, or the pair (u, v)) and
+    dist = |p - chart(params)|.  The gradients are computed on first use,
+    so a caller that needs only the values pays for no more than the
+    projection:
 
-    * grad_dist = (p - gamma)/dist, 0 where dist = 0;
-    * grad_t = gamma'^T / (|gamma'|^2 - (p - gamma).gamma''), the
-      implicit-function derivative of (p - gamma(t)).gamma'(t) = 0; 0 where
-      t is held at an open end of the search interval, and not finite at a
-      focal point (the centre of a circle), where the foot is not
+    * grad_dist = (p - chart)/dist, 0 where dist = 0;
+    * grad_t, curves only: gamma'^T / (|gamma'|^2 - (p - gamma).gamma''),
+      the implicit-function derivative of (p - gamma(t)).gamma'(t) = 0; 0
+      where t is held at an open end of the search interval, and not finite
+      at a focal point (the centre of a circle), where the foot is not
       differentiable.  Inside the reach the denominator is positive.
     """
 
-    def __init__(self, curve: ParamCurve, t: np.ndarray, r: np.ndarray,
-                 held: np.ndarray):
-        self.curve = curve
-        self.t = t
+    def __init__(self, manifold, params, r: np.ndarray,
+                 held: np.ndarray | None = None):
+        self.manifold = manifold
+        self.params = params
         self.dist = np.linalg.norm(r, axis=1)
         self._r = r
         self._held = held
@@ -894,8 +899,9 @@ class CurveFoot:
 
     @cached_property
     def grad_t(self) -> np.ndarray:
-        dg = np.asarray(self.curve.dgamma(self.t), dtype=float)
-        ddg = np.asarray(self.curve.ddgamma(self.t), dtype=float)
+        curve = self.manifold
+        dg = np.asarray(curve.dgamma(self.params), dtype=float)
+        ddg = np.asarray(curve.ddgamma(self.params), dtype=float)
         den = np.einsum("ij,ij->i", dg, dg) - np.einsum("ij,ij->i", self._r, ddg)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = dg / den[:, None]
@@ -903,26 +909,14 @@ class CurveFoot:
         return out
 
 
-def curve_foot(curve: ParamCurve, pts: np.ndarray, extend: float = 0.0,
-               seed_window: tuple[float, float] | None = None) -> CurveFoot:
-    """Foot parameter, distance and their gradients: one projection
-    (nearest_curve_param, same arguments) per point set."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    t = nearest_curve_param(curve, pts, extend=extend, seed_window=seed_window)
-    r = pts - np.asarray(curve.gamma(t), dtype=float)
-    if curve.closed:
-        held = np.zeros(len(t), dtype=bool)
-    else:
-        held = (t <= curve.a - extend) | (t >= curve.b + extend)
-    return CurveFoot(curve, t, r, held)
-
-
 def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
                           extend_u: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """(u, v) of the nearest surface point per ambient point.
 
     Uses the surface's exact foot map when it has one, otherwise coarse grid
-    seeding plus Gauss-Newton.
+    seeding plus Newton on |p - phi|^2 / 2, Gauss-Newton in the u entries
+    (the chart has no phi_uu or phi_uv).  Raises NoConvergence when the
+    search still moves after NEWTON_MAX_ITER steps.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if surf.foot is not None:
@@ -946,37 +940,46 @@ def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
     u = U.ravel()[best].copy()
     v = V.ravel()[best].copy()
     lo_u, hi_u = surf.a - extend_u, surf.b + extend_u
+    tol = 1e-13 * max(span_u, span_v)
     for _ in range(NEWTON_MAX_ITER):
         p = np.asarray(surf.phi(u, v), dtype=float)
         pu = np.asarray(surf.phi_u(u, v), dtype=float)
         pv = np.asarray(surf.phi_v(u, v), dtype=float)
+        pvv = np.asarray(surf.phi_vv(u, v), dtype=float)
         r = pts - p
         g1 = np.einsum("ij,ij->i", r, pu)
         g2 = np.einsum("ij,ij->i", r, pv)
         E = np.einsum("ij,ij->i", pu, pu)
         F = np.einsum("ij,ij->i", pu, pv)
         G = np.einsum("ij,ij->i", pv, pv)
+        # with phi_vv the v-v entry is the Hessian's, so v (a cylinder's
+        # angle) converges quadratically off the surface; where the
+        # corrected matrix is not positive definite the Gauss-Newton entry
+        # stays
+        Gc = G - np.einsum("ij,ij->i", r, pvv)
+        G = np.where(E * Gc - F * F > 0.0, Gc, G)
         det = np.maximum(E * G - F * F, 1e-300)
         du = (G * g1 - F * g2) / det
         dv = (E * g2 - F * g1) / det
-        du = np.clip(du, -0.1 * span_u, 0.1 * span_u)
-        dv = np.clip(dv, -0.1 * span_v, 0.1 * span_v)
-        u = np.clip(u + du, lo_u, hi_u)
-        v = v + dv
+        # a coordinate that the step pushes out of the search box is held
+        # at its bound, and the other one solves its own equation there
+        held_u = (u + du < lo_u) | (u + du > hi_u)
+        held_v = ((v + dv < surf.c) | (v + dv > surf.d)) & (not surf.periodic_v)
+        du = np.clip(np.where(held_v, g1 / E, du), -0.1 * span_u, 0.1 * span_u)
+        dv = np.clip(np.where(held_u, g2 / G, dv), -0.1 * span_v, 0.1 * span_v)
+        u_next = np.clip(u + du, lo_u, hi_u)
         if surf.periodic_v:
-            v = surf.c + np.mod(v - surf.c, span_v)
+            v_next = surf.c + np.mod(v + dv - surf.c, span_v)
+            step = np.maximum(np.abs(u_next - u), np.abs(dv))
         else:
-            v = np.clip(v, surf.c, surf.d)
-        if max(np.abs(du).max(), np.abs(dv).max()) < 1e-13 * max(span_u, span_v):
-            break
-    return u, v
-
-
-def distance_to_manifold(manifold, pts: np.ndarray) -> np.ndarray:
-    """Euclidean distance from ambient points to the manifold."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if isinstance(manifold, ParamCurve):
-        params = nearest_curve_param(manifold, pts)
-    else:
-        params = nearest_surface_param(manifold, pts)
-    return np.linalg.norm(pts - manifold.chart(params), axis=1)
+            v_next = np.clip(v + dv, surf.c, surf.d)
+            step = np.maximum(np.abs(u_next - u), np.abs(v_next - v))
+        u, v = u_next, v_next
+        if step.max() < tol:
+            return u, v
+    k = int(np.argmax(step))
+    raise NoConvergence(
+        f"surface '{surf.name}': nearest-point Newton still moving after "
+        f"{NEWTON_MAX_ITER} steps (worst step {step[k]:.3e} at "
+        f"(u, v) = ({u[k]:g}, {v[k]:g}), tolerance {tol:.3e})"
+    )

@@ -34,7 +34,7 @@ def _num(x) -> float:
     return x
 
 
-def comparison_record(rep: DerivativeReport, include_trace: bool = True) -> dict:
+def comparison_record(rep: DerivativeReport) -> dict:
     rec = {
         "functional": rep.functional,
         "manifold": rep.manifold,
@@ -46,7 +46,7 @@ def comparison_record(rep: DerivativeReport, include_trace: bool = True) -> dict
         "rel_diff": _num(rep.rel_diff),
         "verdict": rep.verdict,
     }
-    if include_trace and rep.trace is not None:
+    if rep.trace is not None:
         rec["trace"] = {
             "ts": [_num(t) for t in rep.trace.ts],
             "quotients": [_num(q) for q in rep.trace.quotients],

@@ -32,9 +32,7 @@ from .fields import (AmbientField, Ball, bump_field, check_tangency,
                      smooth_step, smooth_step_deriv)
 from .flow import invariance_residual
 from .functionals import CrackFunctional, length_density
-from .geometry import (ParamCurve, boundary_outward_normal, curvature,
-                       curve_foot, curve_frame, integrate_curve,
-                       nearest_surface_param)
+from .geometry import ParamCurve, curvature, integrate_curve
 
 TANGENCY_TOL = 1e-12
 INVARIANCE_BOUND = 1e-7
@@ -182,40 +180,27 @@ def _tube_discrepancy(M, W: np.ndarray, delta: float, extend: float,
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return pts, np.linalg.norm(pts - mid, axis=1) <= rad
 
-    if isinstance(M, ParamCurve):
-        # X = g(s) W with g(s) = s^2 step(s), s = d / delta, so
-        # dX = W (x) g'(s) grad d / delta
-        foot = last_call_memo(lambda q: curve_foot(M, q, extend=extend))
+    # X = g(s) W with g(s) = s^2 step(s), s = d / delta, so
+    # dX = W (x) g'(s) grad d / delta, grad d = (p - foot) / d on any manifold
+    foot = last_call_memo(lambda q: M.project(q, extend))
 
-        def X(pts):
-            pts, m = in_ball(pts)
-            out = np.zeros_like(pts)
-            if np.any(m):
-                s = foot(pts[m]).dist / delta
-                out[m] = (s * s * smooth_step(s))[:, None] * W
-            return out
+    def X(pts):
+        pts, m = in_ball(pts)
+        out = np.zeros_like(pts)
+        if np.any(m):
+            s = foot(pts[m]).dist / delta
+            out[m] = (s * s * smooth_step(s))[:, None] * W
+        return out
 
-        def dX(pts):
-            pts, m = in_ball(pts)
-            out = np.zeros((len(pts), dim, dim))
-            if np.any(m):
-                ft = foot(pts[m])
-                s = ft.dist / delta
-                dg = 2.0 * s * smooth_step(s) + s * s * smooth_step_deriv(s)
-                out[m] = W[None, :, None] * (dg[:, None] * ft.grad_dist / delta)[:, None, :]
-            return out
-    else:
-        def X(pts):
-            pts, m = in_ball(pts)
-            out = np.zeros_like(pts)
-            if np.any(m):
-                q = pts[m]
-                foot = M.chart(nearest_surface_param(M, q, extend_u=extend))
-                s = np.linalg.norm(q - foot, axis=1) / delta
-                out[m] = (s * s * smooth_step(s))[:, None] * W
-            return out
-
-        dX = fd_jacobian(X, dim, 1e-6 * (1.0 + M.diameter))
+    def dX(pts):
+        pts, m = in_ball(pts)
+        out = np.zeros((len(pts), dim, dim))
+        if np.any(m):
+            ft = foot(pts[m])
+            s = ft.dist / delta
+            dg = 2.0 * s * smooth_step(s) + s * s * smooth_step_deriv(s)
+            out[m] = W[None, :, None] * (dg[:, None] * ft.grad_dist / delta)[:, None, :]
+        return out
 
     return AmbientField(dim=dim, X=X, dX=dX, support=Ball(mid, rad), name=name)
 
@@ -271,7 +256,7 @@ def locality_pairs(M, fields: Sequence[AmbientField],
         if open_curve:
             # interior normal bumps leave a geodesic's length stationary;
             # move an endpoint along the outward conormal instead
-            center, d_dir = M.chart(M.b)[0], boundary_outward_normal(M, "b")
+            center, d_dir = M.chart(M.b)[0], M.conormal_extension(M.b)[0]
         else:
             center, d_dir = foot[1], off[1]
         D_on = bump_field(center, delta, d_dir, M.dim,
@@ -352,18 +337,18 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0) -> list[AmbientField]:
             window = (t0, min(4.0 * rho / speed_min, 0.5 * span))
 
             foot = last_call_memo(
-                lambda pts, window=window: curve_foot(M, pts, seed_window=window))
+                lambda pts, window=window: M.project(pts, seed_window=window))
 
             def direction(pts, amp=amp, foot=foot):
-                d1 = np.asarray(M.dgamma(foot(pts).t), dtype=float)
+                d1 = np.asarray(M.dgamma(foot(pts).params), dtype=float)
                 return amp * d1 / np.linalg.norm(d1, axis=1)[:, None]
 
             def direction_jacobian(pts, amp=amp, foot=foot):
                 # d(amp T(t(p))) = amp dT/dt (x) grad t, with
                 # dT/dt = (gamma'' - T (T . gamma'')) / |gamma'|
                 ft = foot(pts)
-                d1 = np.asarray(M.dgamma(ft.t), dtype=float)
-                d2 = np.asarray(M.ddgamma(ft.t), dtype=float)
+                d1 = np.asarray(M.dgamma(ft.params), dtype=float)
+                d2 = np.asarray(M.ddgamma(ft.params), dtype=float)
                 v = np.linalg.norm(d1, axis=1)[:, None]
                 T = d1 / v
                 dT = (d2 - T * np.einsum("ij,ij->i", T, d2)[:, None]) / v
@@ -398,9 +383,9 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0) -> list[AmbientField]:
             near = np.linalg.norm(pts, axis=1) <= mx + delta
             if not np.any(near):
                 return out_
-            q = pts[near]
-            us, vs = nearest_surface_param(M, q)
-            w = smooth_step(np.linalg.norm(q - M.chart((us, vs)), axis=1) / delta)
+            ft = M.project(pts[near])
+            us, vs = ft.params
+            w = smooth_step(ft.dist / delta)
             # modulation vanishing at open sides keeps X . nu = 0 there
             if not M.u_closed:
                 w = w * np.sin(np.pi * (us - M.a) / span_u) ** 2
@@ -429,7 +414,7 @@ def nullity_negative_field(M) -> AmbientField:
     if isinstance(M, ParamCurve):
         rho = 0.2 * M.diameter
         if not M.closed:
-            return bump_field(M.chart(M.b)[0], rho, boundary_outward_normal(M, "b"),
+            return bump_field(M.chart(M.b)[0], rho, M.conormal_extension(M.b)[0],
                               M.dim, name=f"conormal-bump[{M.name}]")
         params = M.a + 0.37 * (M.b - M.a)
     else:
@@ -457,7 +442,7 @@ class CrackCoefficients:
 
 def _interior_probe(curve: ParamCurve, t: float, center: np.ndarray,
                     rho: float) -> AmbientField:
-    return bump_field(center, rho, curve_frame(curve, float(t)).N, curve.dim,
+    return bump_field(center, rho, curve.unit_normal(t)[0], curve.dim,
                       name=f"interior-probe@{t:g}")
 
 
@@ -487,8 +472,8 @@ def extract_crack_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
         )
 
     alphas = []
-    for end, t_end, center in (("a", curve.a, A), ("b", curve.b, B)):
-        nu = boundary_outward_normal(curve, end)
+    for t_end, center in ((curve.a, A), (curve.b, B)):
+        nu = curve.conormal_extension(t_end)[0]
         X = bump_field(center, probe_radius, nu, curve.dim,
                        name=f"tip-probe@{t_end:g}")
         trace = float(np.asarray(X.X(center[None, :]), dtype=float)[0] @ nu)

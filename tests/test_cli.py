@@ -134,11 +134,38 @@ def test_csv_mirrors_match_report(curve_config, tmp_path):
         assert row["status"] == ("pass" if case["passed"] else "fail")
 
 
-def test_two_jobs_write_the_same_report(curve_config, tmp_path):
+def test_jobs_flag_accepts_only_one(curve_config, tmp_path, capsys):
+    # cases run in one thread: any other worker count is a usage error,
+    # raised before a case runs
+    assert cli.main(["run", curve_config, "--out", str(tmp_path / "two"),
+                     "--jobs", "2"]) == 2
+    assert "one thread" in capsys.readouterr().err
+    assert not (tmp_path / "two").exists()
     reports = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        assert cli.main(["run", curve_config, "--out", str(out),
-                         "--jobs", jobs]) == 0
+    for extra in ([], ["--jobs", "1"]):
+        out = tmp_path / f"run{len(reports)}"
+        assert cli.main(["run", curve_config, "--out", str(out)] + extra) == 0
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+CRACK_3D = {
+    "name": "crack-3d-segment",
+    "shapes": [{"kind": "segment", "p0": [-1.0, 0.0, 0.0],
+                "p1": [1.0, 0.0, 0.0], "name": "crack3"}],
+    "functionals": [{"kind": "crack", "inner": "length", "crack": "crack3",
+                     "region_center": [0.0, 0.0, 0.0], "region_radius": 3.0}],
+    "suites": ["crack"],
+}
+
+
+def test_crack_on_straight_space_segment_passes(tmp_path):
+    # the interior probes and the curvature density need no Frenet normal
+    path = tmp_path / "crack3.json"
+    path.write_text(json.dumps(CRACK_3D))
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    (suite,) = doc["suites"]
+    assert suite["suite"] == "crack"
+    assert len(suite["cases"]) == 7
+    assert all(c["passed"] for c in suite["cases"])

@@ -6,6 +6,7 @@ import pytest
 from shapecalc.errors import CrackNotInterior, NotArcLength
 from shapecalc.fields import Ball
 from shapecalc.functionals import (
+    _dlength_jacobian,
     analytic_darea,
     analytic_delastic,
     analytic_dlength,
@@ -67,9 +68,24 @@ def test_dlength_circle_radial(circle1, radial2):
 
 def test_dlength_forms_agree(ellipse21, rotation2, shear2):
     for X in (rotation2, shear2):
-        hadamard = analytic_dlength(ellipse21, X, form="hadamard")
-        jacobian = analytic_dlength(ellipse21, X, form="jacobian")
+        hadamard = analytic_dlength(ellipse21, X)
+        jacobian = _dlength_jacobian(ellipse21, X)
         assert hadamard == pytest.approx(jacobian, rel=1e-8, abs=1e-10)
+
+
+def test_dlength_straight_space_segment(linear_field, e3_field):
+    # no Frenet normal exists anywhere on it; the curvature vector is 0
+    from shapecalc.catalog import build_shape
+    from shapecalc.fields import bump_field
+
+    seg = build_shape({"kind": "segment", "p0": [-1.0, 0.0, 0.0],
+                       "p1": [1.0, 0.0, 0.0], "name": "segment3"})
+    bump = bump_field([0.2, 0.1, 0.0], 0.5, [0.3, -1.0, 0.4])
+    for X in (linear_field(3), e3_field, bump):
+        assert analytic_dlength(seg, X) == pytest.approx(
+            _dlength_jacobian(seg, X), rel=1e-10, abs=1e-12)
+    # X(x) = A x stretches the segment along e1 at rate 2 A_00
+    assert analytic_dlength(seg, linear_field(3)) == pytest.approx(0.6, rel=1e-12)
 
 
 def test_dlength_segment_translation_and_stretch(segment01, e1_field, identity2):

@@ -11,19 +11,15 @@ from shapecalc.errors import (
     DegenerateFrame,
     DegenerateImmersion,
     InvariantViolation,
-    NoBoundary,
     NoConvergence,
 )
 from shapecalc import geometry
 from shapecalc.geometry import (
     ParamCurve,
     ParamSurface,
-    boundary_outward_normal,
     curvature,
     curve_curvature_derivs,
-    curve_foot,
     curve_frame,
-    distance_to_manifold,
     integrate_curve,
     integrate_surface,
     nearest_curve_param,
@@ -187,7 +183,7 @@ def test_nearest_point_on_circle(circle1):
     np.testing.assert_allclose(feet[0], [1.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(feet[1], [0.0, 1.0], atol=1e-12)
     np.testing.assert_allclose(feet[2], [-1.0, 0.0], atol=1e-12)
-    d = distance_to_manifold(circle1, pts)
+    d = circle1.project(pts).dist
     np.testing.assert_allclose(d, [1.0, 2.0, 0.5], rtol=1e-12)
 
 
@@ -196,7 +192,7 @@ def test_nearest_point_matches_distance(ellipse21):
     pts = rng.uniform(-1.5, 1.5, size=(12, 2)) + np.array([0.0, 1.2])
     ts = nearest_curve_param(ellipse21, pts)
     feet = ellipse21.gamma(ts)
-    d = distance_to_manifold(ellipse21, pts)
+    d = ellipse21.project(pts).dist
     np.testing.assert_allclose(np.linalg.norm(pts - feet, axis=1), d, rtol=1e-9)
     # foot must beat a dense sampling of the curve
     dense = ellipse21.gamma(np.linspace(ellipse21.a, ellipse21.b, 4000))
@@ -220,8 +216,8 @@ def test_held_feet_converge_at_extended_ends(segment01):
     # as converged, and the foot parameter does not move with the point
     ext = 0.15
     pts = np.array([[1.7, 0.02], [0.3, -0.01], [1.0, 0.05]])
-    ft = curve_foot(segment01, pts, extend=ext)
-    np.testing.assert_array_equal(ft.t[:2], [segment01.b + ext, segment01.a - ext])
+    ft = segment01.project(pts, extend=ext)
+    np.testing.assert_array_equal(ft.params[:2], [segment01.b + ext, segment01.a - ext])
     np.testing.assert_array_equal(ft.grad_t[:2], 0.0)
     np.testing.assert_allclose(ft.grad_t[2], [1.0, 0.0], rtol=1e-14)
 
@@ -232,24 +228,24 @@ def test_curve_foot_gradients_match_fd(curve, request):
     rng = np.random.default_rng(5)
     ts = rng.uniform(M.a + 0.5, M.b - 0.5, 12)
     pts = M.gamma(ts) + 0.2 * rng.uniform(-1.0, 1.0, (12, M.dim))
-    ft = curve_foot(M, pts)
+    ft = M.project(pts)
     h = 1e-6
     for j in range(M.dim):
         e = np.zeros(M.dim)
         e[j] = h
-        up, down = curve_foot(M, pts + e), curve_foot(M, pts - e)
-        np.testing.assert_allclose(ft.grad_t[:, j], (up.t - down.t) / (2 * h),
-                                   atol=1e-7)
+        up, down = M.project(pts + e), M.project(pts - e)
+        np.testing.assert_allclose(ft.grad_t[:, j],
+                                   (up.params - down.params) / (2 * h), atol=1e-7)
         np.testing.assert_allclose(ft.grad_dist[:, j],
                                    (up.dist - down.dist) / (2 * h), atol=1e-7)
-    np.testing.assert_array_equal(ft.t, nearest_curve_param(M, pts))
+    np.testing.assert_array_equal(ft.params, nearest_curve_param(M, pts))
     np.testing.assert_array_equal(
-        ft.dist, np.linalg.norm(pts - M.gamma(ft.t), axis=1))
+        ft.dist, np.linalg.norm(pts - M.gamma(ft.params), axis=1))
 
 
 def test_curve_foot_at_circle_centre(circle1):
     # every point of the circle is a foot of its centre: grad t blows up
-    ft = curve_foot(circle1, np.zeros((1, 2)))
+    ft = circle1.project(np.zeros((1, 2)))
     assert ft.dist[0] == pytest.approx(1.0)
     assert not np.all(np.isfinite(ft.grad_t))
 
@@ -310,9 +306,9 @@ def test_curve_foot_hook_matches_newton(shape, extend, request, tube_points):
     if shape in _ARCS:
         sets.append(_arc_far_side(*_ARCS[shape], seed=5))
     pts = np.concatenate(sets)
-    ff = curve_foot(M, pts, extend=extend)
-    fn = curve_foot(newton, pts, extend=extend)
-    same = np.abs(ff.t - fn.t) <= 1e-12 * span
+    ff = M.project(pts, extend=extend)
+    fn = newton.project(pts, extend=extend)
+    same = np.abs(ff.params - fn.params) <= 1e-12 * span
     # arc_negative widened by 0.6 wraps all the way round, covering the
     # angles around its gap twice; there the two searches may pick feet one
     # turn apart, and no foot is held
@@ -320,9 +316,10 @@ def test_curve_foot_hook_matches_newton(shape, extend, request, tube_points):
     twice = ~same
     if wraps:
         assert twice.any()
-        np.testing.assert_allclose(np.abs(ff.t - fn.t)[twice], TWO_PI,
+        np.testing.assert_allclose(np.abs(ff.params - fn.params)[twice], TWO_PI,
                                    rtol=0.0, atol=1e-12 * span)
-        np.testing.assert_allclose(M.gamma(ff.t[twice]), M.gamma(fn.t[twice]),
+        np.testing.assert_allclose(M.gamma(ff.params[twice]),
+                                   M.gamma(fn.params[twice]),
                                    rtol=0.0, atol=1e-12 * span)
     else:
         assert same.all()
@@ -333,9 +330,9 @@ def test_curve_foot_hook_matches_newton(shape, extend, request, tube_points):
     if not (M.closed or wraps):
         assert ff._held.any() and not ff._held.all()
         # held feet sit on the widened bounds bit for bit
+        held = ff.params[ff._held]
         np.testing.assert_array_equal(
-            ff.t[ff._held],
-            np.where(ff.t[ff._held] < 0.5 * (M.a + M.b), M.a - extend, M.b + extend))
+            held, np.where(held < 0.5 * (M.a + M.b), M.a - extend, M.b + extend))
 
 
 def test_arc_foot_deep_in_the_gap(crack_arc):
@@ -346,12 +343,13 @@ def test_arc_foot_deep_in_the_gap(crack_arc):
     th = mid_gap + np.linspace(-0.9, 0.9, 19) * (np.pi - 0.5 * (a1 - a0) - np.pi / 2)
     rho = np.linspace(0.2, 3.0, 19) * r
     pts = np.stack([rho * np.cos(th), rho * np.sin(th)], axis=-1)
-    ft = curve_foot(crack_arc, pts)
+    ft = crack_arc.project(pts)
     dense = crack_arc.gamma(np.linspace(crack_arc.a, crack_arc.b, 20001))
     brute = np.min(np.linalg.norm(pts[:, None] - dense[None], axis=2), axis=1)
     np.testing.assert_allclose(ft.dist, brute, rtol=0.0, atol=1e-12)
     assert ft._held.all()
-    np.testing.assert_array_equal(ft.t, np.where(th < mid_gap, crack_arc.b, crack_arc.a))
+    np.testing.assert_array_equal(ft.params,
+                                  np.where(th < mid_gap, crack_arc.b, crack_arc.a))
 
 
 def test_curve_foot_hook_skips_newton(circle1, monkeypatch):
@@ -409,7 +407,7 @@ def test_nearest_point_on_cylinder(cylinder):
     pts = np.array([[2.0, 0.0, 1.0], [0.0, 0.5, 0.5]])
     us, vs = nearest_surface_param(cylinder, pts)
     feet = cylinder.phi(us, vs)
-    d = distance_to_manifold(cylinder, pts)
+    d = cylinder.project(pts).dist
     np.testing.assert_allclose(np.linalg.norm(pts - feet, axis=1), d, rtol=1e-9)
     np.testing.assert_allclose(feet[0], [1.0, 0.0, 1.0], atol=1e-9)
     np.testing.assert_allclose(d, [1.0, 0.5], rtol=1e-9)
@@ -443,18 +441,53 @@ def test_cylinder_foot_matches_newton(cylinder):
     df = np.linalg.norm(pts - cylinder.phi(uf, vf), axis=1)
     dn = np.linalg.norm(pts - cylinder.phi(un, vn), axis=1)
     np.testing.assert_allclose(df, dn, rtol=0.0, atol=1e-12)
-    # Gauss-Newton drops the curvature term, so in v it contracts only by
-    # |1 - rho/r| per step and its 25-step cap leaves ~1e-11 near the tube
-    # edge; there the closed form must be the one that is stationary
-    near = np.abs(r - 1.0) <= 0.25
-    assert dv[near].max() <= 1e-12
-    assert dv.max() <= 1e-10
+    # with the phi_vv term the search is Newton in v, so it converges
+    # quadratically across the whole tube and both feet are stationary
+    assert dv.max() <= 1e-12
     rf = np.abs(np.einsum("ij,ij->i", pts - cylinder.phi(uf, vf),
                           cylinder.phi_v(uf, vf)))
     rn = np.abs(np.einsum("ij,ij->i", pts - cylinder.phi(un, vn),
                           cylinder.phi_v(un, vn)))
     assert rf.max() <= 1e-14
-    assert rf.max() < rn.max()
+    assert rn.max() <= 1e-14
+
+
+def test_surface_newton_cap_raises(cylinder, monkeypatch):
+    newton = _without_foot(cylinder)
+    pts = np.array([[1.3, 0.4, 0.7], [-0.2, 0.9, 1.5], [0.6, -0.6, 0.1]])
+    nearest_surface_param(newton, pts)
+    # feet held at the rims by steps pointing out of the box have converged
+    past = np.array([[1.2, 0.3, 2.5], [0.4, -0.8, -0.6]])
+    u, v = nearest_surface_param(newton, past)
+    np.testing.assert_array_equal(u, [newton.b, newton.a])
+    np.testing.assert_allclose(v, np.mod(np.arctan2(past[:, 1], past[:, 0]), TWO_PI),
+                               rtol=0.0, atol=1e-14)
+    monkeypatch.setattr(geometry, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NoConvergence, match="cylinder_newton.*worst step"):
+        nearest_surface_param(newton, pts)
+
+
+def _reference_distance(M, pts):
+    """Distance to M as computed before project existed."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if isinstance(M, ParamCurve):
+        params = nearest_curve_param(M, pts)
+    else:
+        params = nearest_surface_param(M, pts)
+    return np.linalg.norm(pts - M.chart(params), axis=1)
+
+
+@pytest.mark.parametrize("shape", ["circle1", "ellipse21", "helix1", "cylinder"])
+def test_project_dist_bit_equal_to_reference(shape, request):
+    M = request.getfixturevalue(shape)
+    rng = np.random.default_rng(7)
+    base = M._grid_points[::7]
+    pts = base + 0.3 * rng.uniform(-1.0, 1.0, base.shape)
+    ft = M.project(pts)
+    np.testing.assert_array_equal(ft.dist, _reference_distance(M, pts))
+    # grad_dist is the unit vector from the foot
+    np.testing.assert_allclose(ft.grad_dist * ft.dist[:, None], ft._r,
+                               rtol=0.0, atol=1e-15)
 
 
 def test_flowed_cylinder_drops_foot(cylinder, e3_field):
@@ -473,9 +506,9 @@ def test_wrong_foot_rejected(cylinder):
         _without_foot(cylinder, foot=shifted, name="cylinder_bad_foot")
 
 
-def test_surface_max_curvature_saddle_and_cylinder(cylinder):
+def _saddle():
     # z = u^2 - v^2 has principal curvatures +-2 at the origin and H = 0
-    saddle = ParamSurface(
+    return ParamSurface(
         a=-0.5, b=0.5, c=-0.5, d=0.5,
         phi=lambda u, v: np.stack([u, v, u * u - v * v], axis=-1),
         phi_u=lambda u, v: np.stack(
@@ -486,6 +519,30 @@ def test_surface_max_curvature_saddle_and_cylinder(cylinder):
             [np.zeros_like(v), np.zeros_like(v), np.full_like(v, -2.0)], axis=-1),
         name="saddle",
     )
+
+
+def test_saddle_newton_matches_brute_force():
+    # phi_u . phi_v = -4uv couples u and v, so a foot held at a u-side must
+    # still minimise the distance over v along that side
+    saddle = _saddle()
+    rng = np.random.default_rng(0)
+    n = 120
+    us, vs = rng.uniform(-0.7, 0.7, n), rng.uniform(-0.45, 0.45, n)
+    off = 0.4 * saddle.reach * rng.uniform(-1.0, 1.0, n)
+    pts = saddle.phi(us, vs) + off[:, None] * surface_normal(saddle, us, vs)
+    u, v = nearest_surface_param(saddle, pts)
+    assert np.sum(np.abs(u) == 0.5) > 20
+    dist = saddle.project(pts).dist
+    g = np.linspace(-0.5, 0.5, 401)
+    dense = saddle.phi(*(x.ravel() for x in np.meshgrid(g, g, indexing="ij")))
+    brute = np.array([np.linalg.norm(dense - p, axis=1).min() for p in pts])
+    # sampling can never beat the true minimum
+    assert np.all(dist <= brute + 1e-12)
+    assert np.all(brute - dist <= 2e-3)
+
+
+def test_surface_max_curvature_saddle_and_cylinder(cylinder):
+    saddle = _saddle()
     assert surface_mean_curvature(saddle, 0.0, 0.0) == pytest.approx(0.0, abs=1e-6)
     assert surface_max_curvature(saddle, 0.0, 0.0) == pytest.approx(2.0, rel=1e-6)
     us = np.linspace(cylinder.a, cylinder.b, 7)
@@ -512,20 +569,46 @@ def test_reversed_curve_same_points_same_bend(ellipse21):
 
 
 def test_boundary_outward_normals(segment01, circle1, cylinder):
+    # the conormal extension at the boundary parameters is the outward
+    # unit conormal
     np.testing.assert_allclose(
-        boundary_outward_normal(segment01, "a"), [-1.0, 0.0], atol=1e-14
-    )
-    np.testing.assert_allclose(
-        boundary_outward_normal(segment01, "b"), [1.0, 0.0], atol=1e-14
-    )
-    with pytest.raises(NoBoundary):
-        boundary_outward_normal(circle1, "a")
+        segment01.conormal_extension([segment01.a, segment01.b]),
+        [[-1.0, 0.0], [1.0, 0.0]], atol=1e-14)
+    # a closed curve has no boundary, and the extension is zero
+    np.testing.assert_array_equal(circle1.conormal_extension([0.0, 1.0]), 0.0)
     # cylinder u runs along the axis, so the "a" rim points down
     np.testing.assert_allclose(
-        boundary_outward_normal(cylinder, "a", v=0.3), [0.0, 0.0, -1.0], atol=1e-12
-    )
-    with pytest.raises(ValueError):
-        boundary_outward_normal(cylinder, "a")
+        cylinder.conormal_extension((cylinder.a, 0.3)), [[0.0, 0.0, -1.0]],
+        atol=1e-12)
+
+
+def _reference_outward_normal(M, end, v=None):
+    """The outward unit conormal by its own formula: -T(a) / +T(b) at curve
+    ends, -+ phi_v x N / |phi_v| on the u = a / u = b sides of a surface."""
+    if isinstance(M, ParamCurve):
+        t = M.a if end == "a" else M.b
+        d1 = np.asarray(M.dgamma(np.array([t])), dtype=float)[0]
+        T = d1 / np.linalg.norm(d1)
+        return -T if end == "a" else T
+    vs = np.atleast_1d(np.asarray(v, dtype=float))
+    us = np.full_like(vs, M.a if end == "a" else M.b)
+    pv = np.asarray(M.phi_v(us, vs), dtype=float)
+    nu = np.cross(pv, surface_normal(M, us, vs)) / np.linalg.norm(pv, axis=1)[:, None]
+    return -nu if end == "a" else nu
+
+
+@pytest.mark.parametrize("shape", ["segment01", "crack_arc", "cylinder"])
+def test_conormal_extension_is_the_outward_conormal(shape, request):
+    M = request.getfixturevalue(shape)
+    for end, s in (("a", M.a), ("b", M.b)):
+        if isinstance(M, ParamCurve):
+            got = M.conormal_extension(s)[0]
+            want = _reference_outward_normal(M, end)
+        else:
+            vs = np.linspace(M.c, M.d, 17)
+            got = M.conormal_extension((np.full_like(vs, s), vs))
+            want = _reference_outward_normal(M, end, vs)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-16)
 
 
 def test_cylinder_surface_quantities(cylinder):
@@ -760,6 +843,6 @@ def test_manifold_queries_agree(shape, request):
     np.testing.assert_array_equal(np.flatnonzero(on), [0, 8])
     assert np.all(np.linalg.norm(nu[1:-1], axis=1) < 1.0)
     for k, end in ((0, "a"), (-1, "b")):
-        want = (boundary_outward_normal(M, end) if isinstance(M, ParamCurve)
-                else boundary_outward_normal(M, end, params[1][k]))
+        want = (_reference_outward_normal(M, end) if isinstance(M, ParamCurve)
+                else _reference_outward_normal(M, end, params[1][k])[0])
         np.testing.assert_allclose(nu[k], want, atol=1e-14)

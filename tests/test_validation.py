@@ -84,7 +84,6 @@ def test_locality_pairs_structure(circle1, e1_field, rotation2):
 @pytest.mark.parametrize("shape,fields", [("cylinder", ["e3_field", "stretch_z"]),
                                           ("helix1", ["radial3", "e3_field"])])
 def test_locality_pairs_surface_and_space_curve(shape, fields, request):
-    from shapecalc.geometry import distance_to_manifold
     from shapecalc.validation import TANGENCY_TOL, _samples_on
 
     M = request.getfixturevalue(shape)
@@ -92,7 +91,7 @@ def test_locality_pairs_surface_and_space_curve(shape, fields, request):
     assert [p.expect_equal for p in pairs] == [True, True, False]
     # witnesses sit half a tube radius off M, along the unit normal
     delta = min(0.8 * M.reach, 0.2 * M.diameter)
-    np.testing.assert_allclose(distance_to_manifold(M, pairs[0].witness_points),
+    np.testing.assert_allclose(M.project(pairs[0].witness_points).dist,
                                0.5 * delta, rtol=1e-9)
     on_m = _samples_on(M, 200)
     for p in pairs:
@@ -233,6 +232,33 @@ def test_tube_discrepancy_jacobian_finite_at_circle_centre(circle1):
     delta, extend, W = _locality_setup(circle1)
     D = _tube_discrepancy(circle1, W, delta, extend, name="tube")
     assert np.all(np.isfinite(D.dX(np.zeros((1, 2)))))
+
+
+def test_tube_discrepancy_exact_jacobian_on_surface(cylinder, assert_fd_jacobian,
+                                                   monkeypatch):
+    # grad d = (p - foot) / d holds on a surface too, past its rims included
+    from shapecalc import geometry
+    from shapecalc.validation import _tube_discrepancy
+
+    delta = min(0.8 * cylinder.reach, 0.2 * cylinder.diameter)
+    W = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    D = _tube_discrepancy(cylinder, W, delta, 0.0, name="tube")
+    rng = np.random.default_rng(6)
+    n = 32
+    rho = 1.0 + delta * rng.uniform(-0.95, 0.95, n)
+    th = rng.uniform(0.0, 2.0 * np.pi, n)
+    z = rng.uniform(cylinder.a - 0.5 * delta, cylinder.b + 0.5 * delta, n)
+    pts = np.stack([rho * np.cos(th), rho * np.sin(th), z], axis=-1)
+    assert_fd_jacobian(D, pts)
+    assert np.abs(D.dX(pts)).max() > 0.1
+    calls = []
+    real = geometry.nearest_surface_param
+    monkeypatch.setattr(geometry, "nearest_surface_param",
+                        lambda *args: calls.append(1) or real(*args))
+    fresh = pts + 1e-3
+    D.X(fresh)
+    D.dX(fresh)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("curve", CURVES)
