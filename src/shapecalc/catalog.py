@@ -686,7 +686,5 @@ def compatible(functional, shape) -> bool:
     if functional.name == "elastic":
         if not (isinstance(shape, ParamCurve) and shape.dim == 2):
             return False
-        speed = np.linalg.norm(
-            np.asarray(shape.dgamma(shape._grid_ts), dtype=float), axis=1)
-        return float(np.abs(speed - 1.0).max()) <= ARC_LENGTH_TOL
+        return float(np.abs(shape.grid_speed - 1.0).max()) <= ARC_LENGTH_TOL
     return False

@@ -24,15 +24,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .catalog import (ParsedField, ParsedFunctional, _Params, build_shape,
                       compatible, parse_field, parse_functional)
 from .derivative import FDConfig, compare
 from .errors import ConfigError, ShapecalcError
 from .flow import DEFAULT_MAX_STEP
 from .functionals import CrackFunctional
-from .geometry import curvature
 from .report_io import (comparison_record, comparisons_csv, load_report,
                         plot_csv, report_document, suite_record, suites_csv,
                         write_json, write_text)
@@ -42,11 +39,6 @@ from .validation import (crack_suite, locality_pairs, locality_suite,
 
 SUITE_NAMES = ("compare", "nullity", "locality", "normal_dependence", "crack")
 FORMAT_NAMES = ("json", "csv")
-
-# interior stations per crack, and the tip-curvature threshold below which
-# straight-tip behavior (unit endpoint weights) is asserted
-CRACK_STATIONS = 3
-STRAIGHT_TIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -224,7 +216,7 @@ def suite_jobs(plan: RunPlan) -> list[_Job]:
             M = first_compatible(J)
             if M is None or not _fields_for(plan, M, cache):
                 continue
-            pairs = locality_pairs(M, _fields_for(plan, M, cache), seed=0)
+            pairs = locality_pairs(M, _fields_for(plan, M, cache))
             jobs.append(_Job(
                 f"locality {J.name}/{M.name}",
                 lambda J=J, M=M, pairs=pairs:
@@ -248,15 +240,9 @@ def suite_jobs(plan: RunPlan) -> list[_Job]:
             if pf.crack is None:
                 continue
             J, curve = pf.functional, pf.crack
-            tips = np.abs(np.array([curvature(curve, curve.a),
-                                    curvature(curve, curve.b)]))
-            expect = (1.0 if J.inner.name == "length"
-                      and tips.max() <= STRAIGHT_TIP_TOL else None)
             jobs.append(_Job(
                 f"crack {J.name}",
-                lambda J=J, curve=curve, expect=expect:
-                    crack_suite(J, curve, cfg=plan.cfg, expect_alpha=expect,
-                                k_interior=CRACK_STATIONS)))
+                lambda J=J, curve=curve: crack_suite(J, curve, cfg=plan.cfg)))
     return jobs
 
 

@@ -420,9 +420,8 @@ def restriction_field(manifold, field: AmbientField, component: str,
     extend = 0.0 if (is_curve and manifold.closed) else 0.15 * (manifold.b - manifold.a)
 
     # support: ball spanning the manifold plus the tube
-    samples = manifold._grid_points
-    mid = samples.mean(axis=0)
-    rad = np.linalg.norm(samples - mid, axis=1).max() + tube_radius + 0.5 * extend
+    mid, rad = manifold.grid_ball
+    rad = rad + tube_radius + 0.5 * extend
     dim = manifold.dim
     # X and dX on the same points share one projection
     foot = last_call_memo(lambda pts: manifold.project(pts, extend))

@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import CrackNotInterior, InvariantViolation, NotArcLength
 from .fields import AmbientField, Ball
-from .geometry import (GL_NODES, GL_WEIGHTS, ParamCurve, ParamSurface,
-                       curvature, curve_curvature_derivs, curve_frame,
-                       frenet_rows, integrate_curve, integrate_surface,
+from .geometry import (ParamCurve, ParamSurface, curvature,
+                       curve_curvature_derivs, curve_frame, frenet_rows,
+                       gauss_legendre, integrate_curve, integrate_surface,
                        surface_mean_curvature, surface_normal)
 
 ARC_LENGTH_TOL = 1e-8
@@ -103,14 +103,9 @@ def surface_area(surf: ParamSurface, panels: tuple[int, int] = SURFACE_PANELS) -
     return integrate_surface(surf, lambda us, vs: np.ones_like(us), panels=panels)
 
 
-def _side_flux(surf: ParamSurface, X: AmbientField, end: str,
-               panels: int = SIDE_PANELS) -> float:
+def _side_flux(surf: ParamSurface, X: AmbientField, end: str) -> float:
     # int_c^d (X . nu_out)(phi(u0, v)) |phi_v(u0, v)| dv on one u-side
-    edges = np.linspace(surf.c, surf.d, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    halfw = 0.5 * (edges[1] - edges[0])
-    vn = (mid[:, None] + halfw * GL_NODES[None, :]).ravel()
-    wts = np.tile(halfw * GL_WEIGHTS, panels)
+    vn, wts = gauss_legendre(surf.c, surf.d, SIDE_PANELS)
     u0 = surf.a if end == "a" else surf.b
     us = np.full_like(vn, u0)
     # the conormal extension is the outward unit conormal on the u-sides
@@ -146,9 +141,7 @@ def analytic_darea(surf: ParamSurface, X: AmbientField) -> float:
 
 
 def _require_arc_length(curve: ParamCurve):
-    speed = np.linalg.norm(
-        np.asarray(curve.dgamma(curve._grid_ts), dtype=float), axis=1)
-    dev = float(np.abs(speed - 1.0).max())
+    dev = float(np.abs(curve.grid_speed - 1.0).max())
     if dev > ARC_LENGTH_TOL:
         raise NotArcLength(
             f"curve '{curve.name}': |gamma'| deviates from 1 by {dev:.3e}"
@@ -210,23 +203,18 @@ def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
 # functional objects and the cracked-set wrapper
 
 
-def length_functional(panels: int = CURVE_PANELS) -> ShapeFunctional:
-    # the default resolves sharply localized probe fields; callers pairing
-    # the functional with smooth fields only may pass something coarser
-    return ShapeFunctional("length", lambda c: length(c, panels=panels),
-                           analytic_dlength)
+def length_functional() -> ShapeFunctional:
+    return ShapeFunctional("length", length, analytic_dlength)
 
 
-def area_functional(panels: tuple[int, int] = SURFACE_PANELS) -> ShapeFunctional:
-    return ShapeFunctional("area", lambda s: surface_area(s, panels=panels),
-                           analytic_darea)
+def area_functional() -> ShapeFunctional:
+    return ShapeFunctional("area", surface_area, analytic_darea)
 
 
-def elastic_functional(panels: int = CURVE_PANELS) -> ShapeFunctional:
+def elastic_functional() -> ShapeFunctional:
     # bending_energy keeps the value well-defined on flowed (no longer
     # arc-length) transports of an arc-length base curve
-    return ShapeFunctional("elastic", lambda c: bending_energy(c, panels=panels),
-                           analytic_delastic)
+    return ShapeFunctional("elastic", bending_energy, analytic_delastic)
 
 
 @dataclass(frozen=True)

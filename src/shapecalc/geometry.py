@@ -41,10 +41,16 @@ row per parameter point.
 * conormal_extension(params): smooth tangent field equal to the outward
   unit conormal on the boundary, ramped by ((s - a)/L)^4 - ((b - s)/L)^4
   in between (s = t or u, L = b - a), zero without a boundary.
-* project(pts, extend=0.0): the nearest-point foot of ambient points
-  (n, dim), with the parameter range widened by extend past open ends (t
-  on a curve, u on a surface; closed directions wrap).  Curves also take
-  seed_window, a seeding aid of nearest_curve_param.  Returns a Foot:
+* diameter: the largest distance between two construction-grid points.
+* grid_ball: (centroid, radius) of the construction grid, computed once;
+  every grid point lies within radius of the centroid, and radius is at
+  most the diameter.
+* grid_speed (curves only): |gamma'| at the construction grid, kept from
+  the regularity check; every entry is above 1e-12 times max(1, largest).
+* project(pts, extend=0.0), one signature on both kinds: the nearest-point
+  foot of ambient points (n, dim), with the parameter range widened by
+  extend past open ends (t on a curve, u on a surface; closed directions
+  wrap).  Returns a Foot:
   - params: the foot parameters, t or the pair (u, v);
   - dist: |p - chart(params)|;
   - grad_dist = (p - chart)/dist, 0 where dist = 0, computed on first use;
@@ -216,8 +222,22 @@ def _check_foot(where: str, foot, chart, partials, pts, normals, offset,
 # types
 
 
+class _Sampled:
+    """Construction-grid facts that curves and surfaces share (see the
+    module docstring)."""
+
+    @property
+    def diameter(self) -> float:
+        return self._diameter
+
+    @cached_property
+    def grid_ball(self) -> tuple[np.ndarray, float]:
+        mid = _frozen(self._grid_points.mean(axis=0))
+        return mid, float(np.linalg.norm(self._grid_points - mid, axis=1).max())
+
+
 @dataclass(frozen=True)
-class ParamCurve:
+class ParamCurve(_Sampled):
     """Regular parametrized curve gamma: [a, b] -> R^dim (dim = 2 or 3).
 
     gamma, dgamma, ddgamma map (n,) parameter arrays to (n, dim) values.
@@ -233,9 +253,9 @@ class ParamCurve:
     foot, when set, is an exact nearest-point map foot(pts, extend) -> t
     onto the curve with its parameter range widened to [a - extend,
     b + extend] (closed curves wrap and ignore extend); nearest_curve_param
-    returns it with no grid seeding, no Newton iteration and no seed
-    window.  Construction checks it on grid points pushed off the curve
-    along +-normal directions.  Flowed and reversed curves carry none.
+    returns it with no grid seeding and no Newton iteration.  Construction
+    checks it on grid points pushed off the curve along +-normal
+    directions.  Flowed and reversed curves carry none.
     """
 
     dim: int
@@ -298,6 +318,7 @@ class ParamCurve:
                         1e-3 * diam, f"(n, {self.dim}) to an (n,) array")
         object.__setattr__(self, "_grid_ts", grid)
         object.__setattr__(self, "_grid_points", pts)
+        object.__setattr__(self, "grid_speed", _frozen(speed))
         object.__setattr__(self, "_diameter", diam)
 
     def _check_derivative_consistency(self, grid, pts, vel):
@@ -318,10 +339,6 @@ class ParamCurve:
                     f"curve '{self.name}': {label} disagrees with finite differences "
                     f"near t = {ts[rel.argmax()]:g} (rel {rel.max():.2e})"
                 )
-
-    @property
-    def diameter(self) -> float:
-        return self._diameter
 
     # -- manifold queries (see the module docstring) ----------------------
 
@@ -356,12 +373,11 @@ class ParamCurve:
             return np.zeros((len(t), self.dim))
         return _ramp(t, self.a, self.b)[:, None] * self.tangent_frame(t)[0]
 
-    def project(self, pts, extend: float = 0.0,
-                seed_window: tuple[float, float] | None = None) -> "Foot":
+    def project(self, pts, extend: float = 0.0) -> "Foot":
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         # called through the module global, so a wrapper installed there
         # sees every projection
-        t = nearest_curve_param(self, pts, extend, seed_window)
+        t = nearest_curve_param(self, pts, extend)
         if self.closed:
             held = np.zeros(len(t), dtype=bool)
         else:
@@ -386,7 +402,7 @@ class ParamCurve:
 
 
 @dataclass(frozen=True)
-class ParamSurface:
+class ParamSurface(_Sampled):
     """Regular parametrized surface phi: [a,b] x [c,d] -> R^3.
 
     phi, phi_u, phi_v, phi_vv map pairs of (n,) arrays to (n, 3).  Whether
@@ -497,10 +513,6 @@ class ParamSurface:
                     f"surface '{self.name}': {label} disagrees with finite differences "
                     f"(rel {rel.max():.2e})"
                 )
-
-    @property
-    def diameter(self) -> float:
-        return self._diameter
 
     # -- manifold queries (see the module docstring) ----------------------
 
@@ -732,6 +744,16 @@ def surface_max_curvature(surf: ParamSurface, u, v):
 # quadrature
 
 
+def gauss_legendre(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of composite 5-point Gauss-Legendre on [lo, hi] with
+    `panels` equal panels."""
+    edges = np.linspace(lo, hi, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    halfw = 0.5 * (edges[1] - edges[0])
+    return ((mid[:, None] + halfw * GL_NODES[None, :]).ravel(),
+            np.tile(halfw * GL_WEIGHTS, panels))
+
+
 def integrate_curve(curve: ParamCurve, density: Callable[[np.ndarray], np.ndarray],
                     panels: int = 64) -> float:
     """Integral of density(t) against the arc-length measure |gamma'(t)| dt.
@@ -739,11 +761,7 @@ def integrate_curve(curve: ParamCurve, density: Callable[[np.ndarray], np.ndarra
     Composite 5-point Gauss-Legendre with `panels` equal panels.  Non-finite
     density values propagate to a NaN result (with a warning).
     """
-    edges = np.linspace(curve.a, curve.b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    halfw = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + halfw * GL_NODES[None, :]).ravel()
-    wts = np.tile(halfw * GL_WEIGHTS, panels)
+    nodes, wts = gauss_legendre(curve.a, curve.b, panels)
     speed = np.linalg.norm(np.asarray(curve.dgamma(nodes), dtype=float), axis=1)
     vals = np.asarray(density(nodes), dtype=float)
     total = float(np.sum(wts * vals * speed))
@@ -757,17 +775,8 @@ def integrate_surface(surf: ParamSurface,
                       density: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       panels: tuple[int, int] = (16, 16)) -> float:
     """Integral of density(u, v) against the area measure |phi_u x phi_v| du dv."""
-    pu_, pv_ = panels
-    eu = np.linspace(surf.a, surf.b, pu_ + 1)
-    ev = np.linspace(surf.c, surf.d, pv_ + 1)
-    mu = 0.5 * (eu[:-1] + eu[1:])
-    mv = 0.5 * (ev[:-1] + ev[1:])
-    hu = 0.5 * (eu[1] - eu[0])
-    hv = 0.5 * (ev[1] - ev[0])
-    un = (mu[:, None] + hu * GL_NODES[None, :]).ravel()
-    vn = (mv[:, None] + hv * GL_NODES[None, :]).ravel()
-    wu = np.tile(hu * GL_WEIGHTS, pu_)
-    wv = np.tile(hv * GL_WEIGHTS, pv_)
+    un, wu = gauss_legendre(surf.a, surf.b, panels[0])
+    vn, wv = gauss_legendre(surf.c, surf.d, panels[1])
     U, V = np.meshgrid(un, vn, indexing="ij")
     W = wu[:, None] * wv[None, :]
     uu, vv = U.ravel(), V.ravel()
@@ -787,50 +796,43 @@ def integrate_surface(surf: ParamSurface,
 # restrictions)
 
 
+def _nearest_seed(pts: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Index of the seed nearest to each point: a |p - s|^2 argmin over
+    chunks of 8192 points, which builds no n x m x dim temporary."""
+    s2 = (seeds ** 2).sum(axis=1)
+    best = np.empty(len(pts), dtype=np.intp)
+    for k0 in range(0, len(pts), 8192):
+        d2 = s2[None, :] - 2.0 * (pts[k0:k0 + 8192] @ seeds.T)
+        best[k0:k0 + 8192] = d2.argmin(axis=1)
+    return best
+
+
 def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
-                        extend: float = 0.0,
-                        seed_window: tuple[float, float] | None = None) -> np.ndarray:
+                        extend: float = 0.0) -> np.ndarray:
     """Parameter of the point on the curve nearest to each ambient point.
 
     With extend > 0 the search interval widens to [a - extend, b + extend]
     (the callables must remain valid there); closed curves wrap instead.
-    A curve with a foot hook returns foot(pts, extend): no seeding, no
-    Newton cap, and seed_window, a seeding aid only, is ignored.
-    Otherwise: coarse grid seeding plus Newton on
-    (p - gamma(t)).gamma'(t) = 0, every step taken downhill in the
-    distance, so it settles in a minimum and not in a farthest point (a
+    A curve with a foot hook returns foot(pts, extend): no seeding and no
+    Newton cap.  Otherwise: seeds from the construction grid (a 768-point
+    grid of the widened interval when extend > 0 on an open curve) plus
+    Newton on (p - gamma(t)).gamma'(t) = 0, every step taken downhill in
+    the distance, so it settles in a minimum and not in a farthest point (a
     seed at an open end where the distance rises inward stays there).
-    seed_window = (t0, w) restricts seeding
-    to [t0 - w, t0 + w]; only valid when every query point is known to
-    project into that window.  Raises NoConvergence when Newton still moves
-    after NEWTON_MAX_ITER steps.
+    Raises NoConvergence when Newton still moves after NEWTON_MAX_ITER
+    steps.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if curve.foot is not None:
         return curve.foot(pts, extend)
     span = curve.b - curve.a
-    if seed_window is not None:
-        t0, w = seed_window
-        seeds_t = np.linspace(t0 - w, t0 + w, 33)
-        if curve.closed:
-            seeds_t = curve.a + np.mod(seeds_t - curve.a, span)
-        else:
-            seeds_t = np.clip(seeds_t, curve.a - extend, curve.b + extend)
-        seeds_p = np.asarray(curve.gamma(seeds_t), dtype=float)
-    elif curve.closed or extend == 0.0:
+    if curve.closed or extend == 0.0:
         seeds_t = curve._grid_ts
         seeds_p = curve._grid_points
     else:
         seeds_t = np.linspace(curve.a - extend, curve.b + extend, 768)
         seeds_p = np.asarray(curve.gamma(seeds_t), dtype=float)
-    # chunked |p - s|^2 argmin, avoiding an n x m x dim temporary
-    s2 = (seeds_p ** 2).sum(axis=1)
-    best = np.empty(len(pts), dtype=np.intp)
-    for k0 in range(0, len(pts), 8192):
-        chunk = pts[k0:k0 + 8192]
-        d2 = s2[None, :] - 2.0 * (chunk @ seeds_p.T)
-        best[k0:k0 + 8192] = d2.argmin(axis=1)
-    t = seeds_t[best].copy()
+    t = seeds_t[_nearest_seed(pts, seeds_p)]
     lo = curve.a - extend
     hi = curve.b + extend
     tol = 1e-13 * span
@@ -914,9 +916,10 @@ def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
     """(u, v) of the nearest surface point per ambient point.
 
     Uses the surface's exact foot map when it has one, otherwise coarse grid
-    seeding plus Newton on |p - phi|^2 / 2, Gauss-Newton in the u entries
-    (the chart has no phi_uu or phi_uv).  Raises NoConvergence when the
-    search still moves after NEWTON_MAX_ITER steps.
+    seeding plus Newton on |p - phi|^2 / 2, with phi_uu and phi_uv taken by
+    5-point differences of phi_u and phi_v in u (the chart has neither).
+    Raises NoConvergence when the search still moves after NEWTON_MAX_ITER
+    steps.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if surf.foot is not None:
@@ -929,18 +932,11 @@ def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
     us = np.linspace(surf.a - extend_u, surf.b + extend_u, nu_)
     vs = np.linspace(surf.c, surf.d, nv_, endpoint=not surf.periodic_v)
     U, V = np.meshgrid(us, vs, indexing="ij")
-    seeds = np.asarray(surf.phi(U.ravel(), V.ravel()), dtype=float)
-    # chunked |p - s|^2 argmin, avoiding an n x m x 3 temporary
-    s2 = (seeds ** 2).sum(axis=1)
-    best = np.empty(len(pts), dtype=np.intp)
-    for k0 in range(0, len(pts), 8192):
-        chunk = pts[k0:k0 + 8192]
-        d2 = s2[None, :] - 2.0 * (chunk @ seeds.T)
-        best[k0:k0 + 8192] = d2.argmin(axis=1)
-    u = U.ravel()[best].copy()
-    v = V.ravel()[best].copy()
+    best = _nearest_seed(pts, np.asarray(surf.phi(U.ravel(), V.ravel()), dtype=float))
+    u, v = U.ravel()[best], V.ravel()[best]
     lo_u, hi_u = surf.a - extend_u, surf.b + extend_u
     tol = 1e-13 * max(span_u, span_v)
+    h_u = 1e-4 * span_u
     for _ in range(NEWTON_MAX_ITER):
         p = np.asarray(surf.phi(u, v), dtype=float)
         pu = np.asarray(surf.phi_u(u, v), dtype=float)
@@ -952,12 +948,20 @@ def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
         E = np.einsum("ij,ij->i", pu, pu)
         F = np.einsum("ij,ij->i", pu, pv)
         G = np.einsum("ij,ij->i", pv, pv)
-        # with phi_vv the v-v entry is the Hessian's, so v (a cylinder's
-        # angle) converges quadratically off the surface; where the
-        # corrected matrix is not positive definite the Gauss-Newton entry
-        # stays
+        vv = np.repeat(v, 5)
+        d_u = sample_derivative(
+            lambda uu: np.hstack([surf.phi_u(uu, vv), surf.phi_v(uu, vv)]),
+            u, h_u, 1, lo_u, hi_u)
+        # the Hessian's own entries, so both coordinates converge
+        # quadratically off the surface, wherever they form a positive
+        # definite matrix; elsewhere the u entries stay Gauss-Newton, and
+        # the v-v entry the Hessian's where that is positive definite
+        Ec = E - np.einsum("ij,ij->i", r, d_u[:, :3])
+        Fc = F - np.einsum("ij,ij->i", r, d_u[:, 3:])
         Gc = G - np.einsum("ij,ij->i", r, pvv)
-        G = np.where(E * Gc - F * F > 0.0, Gc, G)
+        full = (Ec > 0.0) & (Ec * Gc - Fc * Fc > 0.0)
+        G = np.where(full | (E * Gc - F * F > 0.0), Gc, G)
+        E, F = np.where(full, Ec, E), np.where(full, Fc, F)
         det = np.maximum(E * G - F * F, 1e-300)
         du = (G * g1 - F * g2) / det
         dv = (E * g2 - F * g1) / det

@@ -29,7 +29,7 @@ from .derivative import FDConfig, eulerian_fd
 from .errors import ProbeOverlap
 from .fields import (AmbientField, Ball, bump_field, check_tangency,
                      fd_jacobian, last_call_memo, restriction_field,
-                     smooth_step, smooth_step_deriv)
+                     smooth_step, smooth_step_deriv, sum_field)
 from .flow import invariance_residual
 from .functionals import CrackFunctional, length_density
 from .geometry import ParamCurve, curvature, integrate_curve
@@ -37,6 +37,8 @@ from .geometry import ParamCurve, curvature, integrate_curve
 TANGENCY_TOL = 1e-12
 INVARIANCE_BOUND = 1e-7
 NULLITY_TIME = 0.5
+# interior stations per crack
+CRACK_STATIONS = 3
 
 
 @dataclass(frozen=True)
@@ -159,11 +161,6 @@ def locality_suite(J, M, pairs: Sequence[LocalityPair],
     return StructureSuiteResult("locality", cases)
 
 
-def _covering_ball(a: Ball, b: Ball) -> Ball:
-    gap = float(np.linalg.norm(np.asarray(a.center) - np.asarray(b.center)))
-    return Ball(a.center, max(a.radius, gap + b.radius))
-
-
 def _tube_discrepancy(M, W: np.ndarray, delta: float, extend: float,
                       name: str) -> AmbientField:
     """Field vanishing to second order on M: squared distance to (a smooth
@@ -172,9 +169,8 @@ def _tube_discrepancy(M, W: np.ndarray, delta: float, extend: float,
     derivatives, so shape derivatives must not move."""
     dim = M.dim
     W = np.asarray(W, dtype=float)
-    samples = M._grid_points
-    mid = samples.mean(axis=0)
-    rad = float(np.linalg.norm(samples - mid, axis=1).max()) + delta
+    mid, rad = M.grid_ball
+    rad = rad + delta
 
     def in_ball(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -205,32 +201,16 @@ def _tube_discrepancy(M, W: np.ndarray, delta: float, extend: float,
     return AmbientField(dim=dim, X=X, dX=dX, support=Ball(mid, rad), name=name)
 
 
-def _plus(X: AmbientField, D: AmbientField) -> AmbientField:
-    """X + D, with the support of the pair and X's name extended by D's."""
-
-    def Y_X(pts):
-        return np.asarray(X.X(pts), dtype=float) + D.X(pts)
-
-    def Y_dX(pts):
-        return np.asarray(X.dX(pts), dtype=float) + D.dX(pts)
-
-    return AmbientField(dim=X.dim, X=Y_X, dX=Y_dX,
-                        support=_covering_ball(X.support, D.support),
-                        name=f"{X.name}+{D.name}")
-
-
-def locality_pairs(M, fields: Sequence[AmbientField],
-                   seed: int = 0) -> list[LocalityPair]:
+def locality_pairs(M, fields: Sequence[AmbientField]) -> list[LocalityPair]:
     """One pair per field: the field against itself plus an off-manifold
     discrepancy.  Appends a negative control whose discrepancy is an
     on-manifold bump: along the normal, or along the outward conormal at
     the end of an open curve."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     delta = min(0.8 * M.reach, 0.2 * M.diameter)
     if isinstance(M, ParamCurve):
         open_curve = not M.closed
-        speed_min = float(np.linalg.norm(
-            np.asarray(M.dgamma(M._grid_ts), dtype=float), axis=1).min())
+        speed_min = float(M.grid_speed.min())
         extend = (min(0.5 * (M.b - M.a), 1.3 * delta / speed_min)
                   if open_curve else 0.0)
         params = M.a + (M.b - M.a) * np.array([0.3, 0.55, 0.8])
@@ -249,8 +229,8 @@ def locality_pairs(M, fields: Sequence[AmbientField],
         W = W / np.linalg.norm(W)
         D = _tube_discrepancy(M, W, delta, extend,
                               name=f"tube-discrepancy{i}[{M.name}]")
-        pairs.append(LocalityPair(X, _plus(X, D), witnesses,
-                                  f"{X.name} vs +off-M tube term", True))
+        pairs.append(LocalityPair(X, sum_field([X, D], f"{X.name}+{D.name}"),
+                                  witnesses, f"{X.name} vs +off-M tube term", True))
     if fields:
         X = fields[0]
         if open_curve:
@@ -261,8 +241,8 @@ def locality_pairs(M, fields: Sequence[AmbientField],
             center, d_dir = foot[1], off[1]
         D_on = bump_field(center, delta, d_dir, M.dim,
                           name=f"on-manifold-bump[{M.name}]")
-        pairs.append(LocalityPair(X, _plus(X, D_on), witnesses,
-                                  f"{X.name} vs +on-M bump", False))
+        pairs.append(LocalityPair(X, sum_field([X, D_on], f"{X.name}+{D_on.name}"),
+                                  witnesses, f"{X.name} vs +on-M bump", False))
     return pairs
 
 
@@ -315,8 +295,6 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0) -> list[AmbientField]:
 
     if isinstance(M, ParamCurve):
         span = M.b - M.a
-        speed_min = float(np.linalg.norm(
-            np.asarray(M.dgamma(M._grid_ts), dtype=float), axis=1).min())
         for i in range(n):
             # wide bumps keep the restriction slowly varying; the bending
             # integrand in particular punishes narrow probes with a
@@ -333,11 +311,7 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0) -> list[AmbientField]:
                                             axis=1).min())
                 rho = min(0.25 * M.diameter, 0.8 * M.reach, 0.8 * dend)
             amp = rng.uniform(0.5, 1.5)
-            # support points project within 4*rho/speed of t0 in parameter
-            window = (t0, min(4.0 * rho / speed_min, 0.5 * span))
-
-            foot = last_call_memo(
-                lambda pts, window=window: M.project(pts, seed_window=window))
+            foot = last_call_memo(M.project)
 
             def direction(pts, amp=amp, foot=foot):
                 d1 = np.asarray(M.dgamma(foot(pts).params), dtype=float)
@@ -418,8 +392,7 @@ def nullity_negative_field(M) -> AmbientField:
                               M.dim, name=f"conormal-bump[{M.name}]")
         params = M.a + 0.37 * (M.b - M.a)
     else:
-        pts = M._grid_points
-        rho = 0.2 * float(np.linalg.norm(pts - pts.mean(axis=0), axis=1).max())
+        rho = 0.2 * M.grid_ball[1]
         params = (0.5 * (M.a + M.b), M.c + 0.37 * (M.d - M.c))
     return bump_field(M.chart(params)[0], rho, M.unit_normal(params)[0], M.dim,
                       name=f"normal-bump[{M.name}]")
@@ -448,14 +421,13 @@ def _interior_probe(curve: ParamCurve, t: float, center: np.ndarray,
 
 def extract_crack_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
                                probe_radius: float | None = None,
-                               k_interior: int = 5,
                                cfg: FDConfig | None = None) -> CrackCoefficients:
     """Probe the crack derivative with unit bumps.
 
     alpha_i = derivative under a bump at tip i directed along the outward
     conormal there, normalized by the probe's own trace value (which is 1
     for a unit bump); h_samples = derivatives under normal-directed bumps
-    at k equispaced interior stations.
+    at CRACK_STATIONS equispaced interior stations.
     """
     if curve.closed:
         raise ProbeOverlap("crack endpoint probes need an open curve")
@@ -480,7 +452,7 @@ def extract_crack_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
         val, _ = eulerian_fd(J_crack, curve, X, cfg)
         alphas.append(val / trace)
 
-    stations = np.linspace(curve.a, curve.b, k_interior + 2)[1:-1]
+    stations = np.linspace(curve.a, curve.b, CRACK_STATIONS + 2)[1:-1]
     spts = np.asarray(curve.gamma(stations), dtype=float)
     dmin = min(float(np.linalg.norm(spts - A, axis=1).min()),
                float(np.linalg.norm(spts - B, axis=1).min()))
@@ -489,7 +461,7 @@ def extract_crack_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
             f"interior probes of radius {probe_radius:g} reach a crack tip "
             f"(closest station distance {dmin:g})"
         )
-    h_vals = np.empty(k_interior)
+    h_vals = np.empty(CRACK_STATIONS)
     for j, (t_j, c_j) in enumerate(zip(stations, spts)):
         X = _interior_probe(curve, t_j, c_j, probe_radius)
         h_vals[j], _ = eulerian_fd(J_crack, curve, X, cfg)
@@ -498,39 +470,39 @@ def extract_crack_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
                              probe_radius=float(probe_radius))
 
 
-def length_density_quadrature(curve: ParamCurve, X: AmbientField,
-                              panels: int = 256) -> float:
+def length_density_quadrature(curve: ParamCurve, X: AmbientField) -> float:
     """Quadrature of the interior length-variation density -kappa (X.N)
-    against the arc measure; the closed-form target for interior h-samples
-    of a crack-length functional."""
-    return integrate_curve(curve, length_density(curve, X), panels=panels)
+    against the arc measure, on 256 panels; the closed-form target for
+    interior h-samples of a crack-length functional."""
+    return integrate_curve(curve, length_density(curve, X), panels=256)
 
 
 def crack_suite(J_crack: CrackFunctional, curve: ParamCurve,
-                cfg: FDConfig | None = None,
-                expect_alpha: float | None = None,
-                k_interior: int = 5) -> StructureSuiteResult:
+                cfg: FDConfig | None = None) -> StructureSuiteResult:
     """Recorded crack-coefficient checks.
 
-    Tip coefficients against an expected value when one is known; stability
-    under probe halving whenever the tips are locally straight (curved tips
-    pollute the halving test at second order in the radius, so only the
-    values themselves are recorded there); interior h-samples against the
-    curvature-density quadrature when the inner functional is length.
+    Tips count as straight when |curvature| is at most 1e-9 at both ends.
+    Straight tips with length as the inner functional: both tip coefficients
+    are asserted to equal 1, the unit endpoint weights of the length
+    variation.  Straight tips, any inner functional: the coefficients must
+    be stable under probe halving (curved tips pollute that test at second
+    order in the radius, so only the values are recorded there).  Length as
+    the inner functional: interior h-samples against the curvature-density
+    quadrature.
     """
     cases: list[SuiteCase] = []
-    co = extract_crack_coefficients(J_crack, curve, k_interior=k_interior, cfg=cfg)
+    co = extract_crack_coefficients(J_crack, curve, cfg=cfg)
     tag = f"{J_crack.name}/{curve.name}"
-    if expect_alpha is not None:
-        for nm, a in (("alpha1", co.alpha1), ("alpha2", co.alpha2)):
-            err = abs(a - expect_alpha)
-            cases.append(SuiteCase(
-                f"{nm} = {expect_alpha:g} [{tag}]", err, 1e-5, err <= 1e-5))
+    is_length = J_crack.inner.name == "length"
     k_ends = np.abs(np.array([curvature(curve, curve.a), curvature(curve, curve.b)]))
-    if k_ends.max() <= 1e-9:
+    straight = k_ends.max() <= 1e-9
+    if is_length and straight:
+        for nm, a in (("alpha1", co.alpha1), ("alpha2", co.alpha2)):
+            err = abs(a - 1.0)
+            cases.append(SuiteCase(f"{nm} = 1 [{tag}]", err, 1e-5, err <= 1e-5))
+    if straight:
         half = extract_crack_coefficients(
-            J_crack, curve, probe_radius=0.5 * co.probe_radius,
-            k_interior=k_interior, cfg=cfg)
+            J_crack, curve, probe_radius=0.5 * co.probe_radius, cfg=cfg)
         for nm, a, b in (("alpha1", co.alpha1, half.alpha1),
                          ("alpha2", co.alpha2, half.alpha2)):
             d = abs(a - b)
@@ -541,7 +513,7 @@ def crack_suite(J_crack: CrackFunctional, curve: ParamCurve,
         cases.append(SuiteCase(
             f"tip values recorded: alpha1={co.alpha1:.6g}, "
             f"alpha2={co.alpha2:.6g} (curved tips) [{tag}]", 0.0, 0.0, True))
-    if J_crack.inner.name == "length":
+    if is_length:
         for t_j, h_j in zip(co.stations, co.h_samples):
             X = _interior_probe(curve, t_j, curve.chart(float(t_j))[0],
                                 co.probe_radius)

@@ -169,3 +169,53 @@ def test_crack_on_straight_space_segment_passes(tmp_path):
     assert suite["suite"] == "crack"
     assert len(suite["cases"]) == 7
     assert all(c["passed"] for c in suite["cases"])
+
+
+# exit paths: 2 for an unusable option or input file, 1 for a case that
+# aborts the suite
+
+
+def test_out_naming_a_file_exits_2(config, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert cli.main(["run", config, "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert taken.read_text() == "not a directory"
+
+
+def test_no_convergence_aborts_with_exit_1(config, tmp_path, capsys,
+                                           monkeypatch):
+    from shapecalc.errors import NoConvergence
+
+    def stuck(*args, **kwargs):
+        raise NoConvergence("Newton still moving")
+
+    monkeypatch.setattr(cli, "compare", stuck)
+    assert cli.main(["run", config, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("suite aborted: area/cylinder/e3: Newton still moving")
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_plot_of_a_missing_report_exits_2(tmp_path, capsys):
+    out = tmp_path / "plot.csv"
+    assert cli.main(["plot", str(tmp_path / "absent.json"),
+                     "--out", str(out)]) == 2
+    assert "cannot read report" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plot_of_a_report_without_comparisons_exits_2(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"suites": [], "summary": {}}))
+    out = tmp_path / "plot.csv"
+    assert cli.main(["plot", str(report), "--out", str(out)]) == 2
+    assert "no 'comparisons' section" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_no_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err

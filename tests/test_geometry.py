@@ -1,6 +1,7 @@
 """Curves, surfaces, frames, curvature, and nearest-point queries."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -355,9 +356,7 @@ def test_arc_foot_deep_in_the_gap(crack_arc):
 def test_curve_foot_hook_skips_newton(circle1, monkeypatch):
     pts = np.array([[2.3, 0.4], [-0.3, 1.4], [0.7, -0.6], [0.0, -0.2]])
     ref = nearest_curve_param(circle1, pts)
-    # no seeding window and no iteration cap apply to the hook
-    np.testing.assert_array_equal(
-        nearest_curve_param(circle1, pts, seed_window=(0.0, 0.1)), ref)
+    # no iteration cap applies to the hook
     monkeypatch.setattr(geometry, "NEWTON_MAX_ITER", 1)
     np.testing.assert_array_equal(nearest_curve_param(circle1, pts), ref)
     with pytest.raises(NoConvergence):
@@ -539,6 +538,29 @@ def test_saddle_newton_matches_brute_force():
     # sampling can never beat the true minimum
     assert np.all(dist <= brute + 1e-12)
     assert np.all(brute - dist <= 2e-3)
+
+
+def test_saddle_newton_exact_in_u_past_the_v_edges():
+    # tube points past v = +-0.5: each foot is held on a v-edge, where only
+    # the u equation is left, and the u-u entry must be the Hessian's (with
+    # phi_uu) for Newton to converge inside the iteration cap
+    saddle = _saddle()
+    rng = np.random.default_rng(0)
+    n = 400
+    us = rng.uniform(-0.5, 0.5, n)
+    vs = np.sign(rng.uniform(-1.0, 1.0, n)) * rng.uniform(0.5, 0.7, n)
+    off = 0.4 * saddle.reach * rng.uniform(-1.0, 1.0, n)
+    pts = saddle.phi(us, vs) + off[:, None] * surface_normal(saddle, us, vs)
+    ft = saddle.project(pts)
+    u, v = ft.params
+    np.testing.assert_array_equal(np.abs(v), 0.5)
+    g = np.linspace(-0.5, 0.5, 20001)
+    for k in range(n):
+        # brute force along the edge the foot sits on
+        brute = np.linalg.norm(saddle.phi(g, np.full_like(g, v[k])) - pts[k],
+                               axis=1).min()
+        assert ft.dist[k] <= brute + 1e-12
+        assert brute - ft.dist[k] <= 1e-7
 
 
 def test_surface_max_curvature_saddle_and_cylinder(cylinder):
@@ -846,3 +868,63 @@ def test_manifold_queries_agree(shape, request):
         want = (_reference_outward_normal(M, end) if isinstance(M, ParamCurve)
                 else _reference_outward_normal(M, end, params[1][k])[0])
         np.testing.assert_allclose(nu[k], want, atol=1e-14)
+
+
+def test_project_has_one_signature():
+    assert (inspect.signature(ParamCurve.project)
+            == inspect.signature(ParamSurface.project))
+
+
+def _reference_rule(lo, hi, panels):
+    # reference: the composite rule written out in full
+    edges = np.linspace(lo, hi, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    halfw = 0.5 * (edges[1] - edges[0])
+    nodes = (mid[:, None] + halfw * geometry.GL_NODES[None, :]).ravel()
+    return nodes, np.tile(halfw * geometry.GL_WEIGHTS, panels)
+
+
+def test_gauss_legendre_matches_the_inline_rule(circle1, crack_arc, cylinder):
+    from shapecalc.functionals import CURVE_PANELS, SIDE_PANELS, SURFACE_PANELS
+    intervals = [(circle1.a, circle1.b, CURVE_PANELS), (circle1.a, circle1.b, 64),
+                 (crack_arc.a, crack_arc.b, 256),
+                 (cylinder.a, cylinder.b, SURFACE_PANELS[0]),
+                 (cylinder.c, cylinder.d, SURFACE_PANELS[1]),
+                 (cylinder.c, cylinder.d, SIDE_PANELS)]
+    for lo, hi, panels in intervals:
+        for got, ref in zip(geometry.gauss_legendre(lo, hi, panels),
+                            _reference_rule(lo, hi, panels)):
+            np.testing.assert_array_equal(got, ref)
+    # the tensor-product surface rule, summed as integrate_surface sums it
+    un, wu = _reference_rule(cylinder.a, cylinder.b, 8)
+    vn, wv = _reference_rule(cylinder.c, cylinder.d, 24)
+    U, V = np.meshgrid(un, vn, indexing="ij")
+    uu, vv = U.ravel(), V.ravel()
+    jac = np.linalg.norm(np.cross(cylinder.phi_u(uu, vv), cylinder.phi_v(uu, vv)),
+                         axis=1)
+    ref = float(np.sum((wu[:, None] * wv[None, :]).ravel() * np.cos(vv) ** 2 * jac))
+    assert integrate_surface(cylinder, lambda u, v: np.cos(v) ** 2,
+                             panels=(8, 24)) == ref
+
+
+def test_nearest_seed_matches_brute_force():
+    # more points than one chunk of the search
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(8192 + 1500, 3))
+    seeds = rng.normal(size=(97, 3))
+    brute = np.argmin(np.linalg.norm(pts[:, None, :] - seeds[None], axis=2), axis=1)
+    np.testing.assert_array_equal(geometry._nearest_seed(pts, seeds), brute)
+
+
+def test_grid_speed_and_grid_ball(ellipse21, helix1, cylinder):
+    for M in (ellipse21, helix1):
+        np.testing.assert_array_equal(
+            M.grid_speed, np.linalg.norm(M.dgamma(M._grid_ts), axis=1))
+        assert not M.grid_speed.flags.writeable
+    for M in (ellipse21, helix1, cylinder):
+        mid, rad = M.grid_ball
+        np.testing.assert_array_equal(mid, M._grid_points.mean(axis=0))
+        assert rad == np.linalg.norm(M._grid_points - mid, axis=1).max()
+        assert rad <= M.diameter
+        assert M.grid_ball is M.grid_ball
+        assert not mid.flags.writeable

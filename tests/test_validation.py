@@ -8,6 +8,7 @@ from shapecalc.fields import Ball, check_tangency
 from shapecalc.functionals import (
     analytic_dlength,
     crack_functional,
+    elastic_functional,
     length_functional,
 )
 from shapecalc.validation import (
@@ -73,7 +74,7 @@ def test_nullity_suite_flags_normal_probe(circle1, radial2, fd5):
 
 
 def test_locality_pairs_structure(circle1, e1_field, rotation2):
-    pairs = locality_pairs(circle1, [e1_field, rotation2], seed=0)
+    pairs = locality_pairs(circle1, [e1_field, rotation2])
     assert len(pairs) == 3
     assert all(p.expect_equal for p in pairs[:-1])
     assert not pairs[-1].expect_equal
@@ -87,7 +88,7 @@ def test_locality_pairs_surface_and_space_curve(shape, fields, request):
     from shapecalc.validation import TANGENCY_TOL, _samples_on
 
     M = request.getfixturevalue(shape)
-    pairs = locality_pairs(M, [request.getfixturevalue(f) for f in fields], seed=0)
+    pairs = locality_pairs(M, [request.getfixturevalue(f) for f in fields])
     assert [p.expect_equal for p in pairs] == [True, True, False]
     # witnesses sit half a tube radius off M, along the unit normal
     delta = min(0.8 * M.reach, 0.2 * M.diameter)
@@ -107,7 +108,7 @@ def test_locality_pairs_surface_and_space_curve(shape, fields, request):
 
 
 def test_locality_suite_passes(circle1, e1_field, rotation2, fd5):
-    pairs = locality_pairs(circle1, [e1_field, rotation2], seed=0)
+    pairs = locality_pairs(circle1, [e1_field, rotation2])
     res = locality_suite(length_functional(), circle1, pairs, cfg=fd5)
     assert res.passed
     agree = [c for c in res.cases if c.description.startswith("|dJ(X) - dJ(Y)|")]
@@ -126,7 +127,7 @@ def test_normal_dependence_suite_segment(segment01, rotation2, fd5):
 
 def test_crack_suite_straight(crack_segment, fd5):
     J = crack_functional(Ball(np.zeros(2), 3.0), crack_segment)
-    res = crack_suite(J, crack_segment, cfg=fd5, expect_alpha=1.0, k_interior=3)
+    res = crack_suite(J, crack_segment, cfg=fd5)
     assert res.passed
     descs = [c.description for c in res.cases]
     assert sum("= 1 [" in d for d in descs) == 2
@@ -136,18 +137,29 @@ def test_crack_suite_straight(crack_segment, fd5):
 
 def test_crack_suite_curved_tips(crack_arc, fd5):
     J = crack_functional(Ball(np.zeros(2), 4.0), crack_arc)
-    res = crack_suite(J, crack_arc, cfg=fd5, k_interior=3)
+    res = crack_suite(J, crack_arc, cfg=fd5)
     assert res.passed
     descs = [c.description for c in res.cases]
     # curved tips: coefficients are recorded, not pinned to a constant
     assert any("tip values recorded" in d for d in descs)
+    assert not any("= 1 [" in d for d in descs)
     assert not any("stable under probe halving" in d for d in descs)
     assert sum("matches curvature density" in d for d in descs) == 3
 
 
+def test_crack_suite_straight_elastic_asserts_no_unit_weights(crack_segment, fd5):
+    # unit endpoint weights belong to the length variation only
+    J = crack_functional(Ball(np.zeros(2), 3.0), crack_segment,
+                         inner=elastic_functional())
+    descs = [c.description for c in crack_suite(J, crack_segment, cfg=fd5).cases]
+    assert not any("= 1 [" in d for d in descs)
+    assert sum("stable under probe halving" in d for d in descs) == 2
+    assert not any("matches curvature density" in d for d in descs)
+
+
 def test_crack_coefficients_straight(crack_segment, fd5):
     J = crack_functional(Ball(np.zeros(2), 3.0), crack_segment)
-    co = extract_crack_coefficients(J, crack_segment, k_interior=3, cfg=fd5)
+    co = extract_crack_coefficients(J, crack_segment, cfg=fd5)
     assert co.alpha1 == pytest.approx(1.0, abs=2e-5)
     assert co.alpha2 == pytest.approx(1.0, abs=2e-5)
     assert co.stations.shape == (3,)
@@ -162,9 +174,7 @@ def test_probe_overlap_detected(crack_segment, fd5):
     with pytest.raises(ProbeOverlap):
         extract_crack_coefficients(J, crack_segment, probe_radius=1.2, cfg=fd5)
     with pytest.raises(ProbeOverlap):
-        extract_crack_coefficients(
-            J, crack_segment, probe_radius=0.9, k_interior=3, cfg=fd5
-        )
+        extract_crack_coefficients(J, crack_segment, probe_radius=0.9, cfg=fd5)
 
 
 def test_closed_crack_rejected(circle1, fd5):
@@ -266,7 +276,7 @@ def test_locality_sums_analytic_jacobian(curve, request, tube_points, linear_fie
                                          assert_fd_jacobian, projection_calls):
     M = request.getfixturevalue(curve)
     X = linear_field(M.dim)
-    tube_pair, bump_pair = locality_pairs(M, [X], seed=0)
+    tube_pair, bump_pair = locality_pairs(M, [X])
     delta, extend, W = _locality_setup(M)
     pts = tube_points(M, delta, n=24, seed=3)
     for pair in (tube_pair, bump_pair):
@@ -306,7 +316,6 @@ def test_tangent_probe_analytic_jacobian(curve, request, assert_fd_jacobian,
     probes = tangential_probe_fields(M, n=2, seed=0)
     # the draws tangential_probe_fields makes for each probe
     rng = np.random.default_rng(0)
-    speed_min = float(np.linalg.norm(M.dgamma(M._grid_ts), axis=1).min())
     for P in probes:
         t0 = M.a + (M.b - M.a) * (rng.uniform(0.0, 1.0) if M.closed
                                   else rng.uniform(0.25, 0.75))
@@ -315,8 +324,7 @@ def test_tangent_probe_analytic_jacobian(curve, request, assert_fd_jacobian,
         np.testing.assert_array_equal(c, M.gamma(np.array([t0]))[0])
         pts = _probe_points(P, 24, seed=5)
         assert_fd_jacobian(P, pts)
-        window = (t0, min(4.0 * rho / speed_min, 0.5 * (M.b - M.a)))
-        d1 = M.dgamma(nearest_curve_param(M, pts, seed_window=window))
+        d1 = M.dgamma(nearest_curve_param(M, pts))
         beta = bump_profile(np.linalg.norm(pts - c, axis=1) / rho)
         direct = beta[:, None] * (amp * d1 / np.linalg.norm(d1, axis=1)[:, None])
         assert np.array_equal(P.X(pts), direct)
