@@ -21,7 +21,8 @@ from .geometry import (Foot, FrenetFrame, ParamCurve, ParamSurface,
 from .fields import (AmbientField, Ball, FieldSplit, TangencyReport,
                      bump_field, bump_profile, check_tangency,
                      default_holdall, fd_jacobian, project_normal,
-                     restriction_field, smooth_step, split_field, sum_field)
+                     pullback_field, restriction_field, smooth_step,
+                     split_field, sum_field)
 from .flow import (FlowConfig, flow_manifold, flow_point, flow_with_jacobian,
                    invariance_residual)
 from .functionals import (CrackFunctional, ShapeFunctional, analytic_darea,

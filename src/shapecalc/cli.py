@@ -294,6 +294,9 @@ def _cmd_run(args) -> int:
             raise ConfigError(
                 f"--format: unknown format '{f}' (known: {', '.join(FORMAT_NAMES)})"
             )
+    # an unusable output path fails before any job is built
+    out_dir = args.out or plan.out_path or "."
+    os.makedirs(out_dir, exist_ok=True)
 
     cjobs = comparison_jobs(plan) if "compare" in plan.suites else []
     sjobs = suite_jobs(plan)
@@ -308,8 +311,6 @@ def _cmd_run(args) -> int:
     doc = report_document(comparisons, suites)
     summary = doc["summary"]
 
-    out_dir = args.out or plan.out_path or "."
-    os.makedirs(out_dir, exist_ok=True)
     if "json" in formats:
         path = os.path.join(out_dir, "report.json")
         write_json(path, doc)

@@ -45,8 +45,9 @@ row per parameter point.
 * grid_ball: (centroid, radius) of the construction grid, computed once;
   every grid point lies within radius of the centroid, and radius is at
   most the diameter.
-* grid_speed (curves only): |gamma'| at the construction grid, kept from
-  the regularity check; every entry is above 1e-12 times max(1, largest).
+* grid_speed: the speed along the direction project widens, at the
+  construction grid: |phi_u| on a surface, |gamma'| on a curve (kept from
+  the regularity check, every entry above 1e-12 times max(1, largest)).
 * project(pts, extend=0.0), one signature on both kinds: the nearest-point
   foot of ambient points (n, dim), with the parameter range widened by
   extend past open ends (t on a curve, u on a surface; closed directions
@@ -487,6 +488,7 @@ class ParamSurface(_Sampled):
         object.__setattr__(self, "_grid_us", uu)
         object.__setattr__(self, "_grid_vs", vv)
         object.__setattr__(self, "_grid_points", pts)
+        object.__setattr__(self, "grid_speed", _frozen(np.linalg.norm(pu, axis=1)))
         object.__setattr__(self, "_diameter", diam)
 
     def _check_derivative_consistency(self):

@@ -175,12 +175,16 @@ def test_crack_on_straight_space_segment_passes(tmp_path):
 # aborts the suite
 
 
-def test_out_naming_a_file_exits_2(config, tmp_path, capsys):
+def test_out_naming_a_file_exits_2(config, tmp_path, capsys, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("not a directory")
+    # the unusable path is reported before any comparison runs
+    calls = []
+    monkeypatch.setattr(cli, "compare", lambda *args, **kwargs: calls.append(args))
     assert cli.main(["run", config, "--out", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert taken.read_text() == "not a directory"
+    assert calls == []
 
 
 def test_no_convergence_aborts_with_exit_1(config, tmp_path, capsys,

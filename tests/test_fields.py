@@ -318,3 +318,28 @@ def test_restriction_field_shares_one_projection(curve, request, tube_points,
     assert len(projection_calls) == 1
     F.dX(tube_points(M, TUBE[curve], n=16, seed=12))
     assert len(projection_calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the support ball of a pullback field holds its whole tube
+
+
+def _sphere_points(F, n, seed, frac=0.999999999):
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n, F.dim))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return F.support.center + frac * F.support.radius * dirs
+
+
+@pytest.mark.parametrize("shape", ["segment01", "crack_arc", "helix1", "cylinder"])
+def test_restriction_field_vanishes_just_inside_its_support(shape, request,
+                                                             radial2, radial3):
+    # the tube about the widened manifold ends inside the support sphere,
+    # so nothing is clipped there
+    M = request.getfixturevalue(shape)
+    radial = radial2 if M.dim == 2 else radial3
+    for component in ("perp", "tan", "nu"):
+        F = restriction_field(M, radial, component)
+        pts = _sphere_points(F, 20000, seed=1)
+        np.testing.assert_array_equal(F.X(pts), 0.0)
+        np.testing.assert_array_equal(F.dX(pts[:2000]), 0.0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shapecalc.errors import ProbeOverlap
 from shapecalc.fields import Ball, check_tangency
@@ -219,11 +221,12 @@ def _locality_setup(M, seed=0):
 @pytest.mark.parametrize("curve", CURVES)
 def test_tube_discrepancy_analytic_jacobian(curve, request, tube_points,
                                             assert_fd_jacobian, projection_calls):
-    from shapecalc.validation import _tube_discrepancy
+    from shapecalc.fields import pullback_field
+    from shapecalc.validation import _SQUARED_STEP
 
     M = request.getfixturevalue(curve)
     delta, extend, W = _locality_setup(M)
-    D = _tube_discrepancy(M, W, delta, extend, name="tube")
+    D = pullback_field(M, W, delta, extend, "tube", profile=_SQUARED_STEP)
     pts = tube_points(M, delta, n=24, seed=3)
     assert_fd_jacobian(D, pts)
     assert np.array_equal(D.X(pts), _tube_formula(M, W, delta, extend, pts))
@@ -237,10 +240,11 @@ def test_tube_discrepancy_analytic_jacobian(curve, request, tube_points,
 
 
 def test_tube_discrepancy_jacobian_finite_at_circle_centre(circle1):
-    from shapecalc.validation import _tube_discrepancy
+    from shapecalc.fields import pullback_field
+    from shapecalc.validation import _SQUARED_STEP
 
     delta, extend, W = _locality_setup(circle1)
-    D = _tube_discrepancy(circle1, W, delta, extend, name="tube")
+    D = pullback_field(circle1, W, delta, extend, "tube", profile=_SQUARED_STEP)
     assert np.all(np.isfinite(D.dX(np.zeros((1, 2)))))
 
 
@@ -248,11 +252,12 @@ def test_tube_discrepancy_exact_jacobian_on_surface(cylinder, assert_fd_jacobian
                                                    monkeypatch):
     # grad d = (p - foot) / d holds on a surface too, past its rims included
     from shapecalc import geometry
-    from shapecalc.validation import _tube_discrepancy
+    from shapecalc.fields import pullback_field
+    from shapecalc.validation import _SQUARED_STEP
 
     delta = min(0.8 * cylinder.reach, 0.2 * cylinder.diameter)
     W = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
-    D = _tube_discrepancy(cylinder, W, delta, 0.0, name="tube")
+    D = pullback_field(cylinder, W, delta, 0.0, "tube", profile=_SQUARED_STEP)
     rng = np.random.default_rng(6)
     n = 32
     rho = 1.0 + delta * rng.uniform(-0.95, 0.95, n)
@@ -338,3 +343,150 @@ def test_tangent_probe_analytic_jacobian(curve, request, assert_fd_jacobian,
     if curve == "circle1":
         for P in probes:
             assert np.all(np.isfinite(P.dX(np.zeros((1, 2)))))
+
+
+# ---------------------------------------------------------------------------
+# the locality discrepancy is a squared-step pullback field
+
+
+def _tube_jacobian_formula(M, W, delta, extend, pts):
+    """W (x) g'(s) grad d / delta for g(s) = s^2 step(s), as the discrepancy
+    wrote it inline before it became a pullback field."""
+    from shapecalc.fields import smooth_step, smooth_step_deriv
+
+    ft = M.project(pts, extend)
+    s = ft.dist / delta
+    dg = 2.0 * s * smooth_step(s) + s * s * smooth_step_deriv(s)
+    return W[None, :, None] * (dg[:, None] * ft.grad_dist / delta)[:, None, :]
+
+
+def _past_widened_ends(M, delta, extend):
+    """Points beyond both ends of the widened curve, within delta of them."""
+    ts = np.array([M.b + extend + 0.3 * delta, M.b + extend + 0.1 * delta,
+                   M.a - extend - 0.3 * delta, M.a - extend - 0.1 * delta])
+    off = np.array([0.4, -0.6, 0.5, -0.3])[:, None] * delta
+    return np.asarray(M.gamma(ts), dtype=float) + off * M.unit_normal(ts)
+
+
+@pytest.mark.parametrize("curve", ["segment01", "crack_arc"])
+def test_locality_discrepancy_holds_the_whole_tube(curve, request, radial2):
+    M = request.getfixturevalue(curve)
+    pair = locality_pairs(M, [radial2])[0]
+    delta, extend, W = _locality_setup(M)
+    pts = _past_widened_ends(M, delta, extend)
+    assert np.array_equal(pair.Y.X(pts),
+                          radial2.X(pts) + _tube_formula(M, W, delta, extend, pts))
+    assert np.all(np.abs(_tube_formula(M, W, delta, extend, pts)) > 0.0)
+    if curve == "segment01":
+        # both 0.05 from the widened segment, which ends at x = 1.76
+        pts = np.array([[1.695, 0.05], [1.699, 0.05]])
+        D = pair.Y.X(pts) - pair.X.X(pts)
+        np.testing.assert_allclose(D[0], D[1], rtol=0.0, atol=1e-15)
+        assert np.abs(D).min() > 0.01
+
+
+@pytest.mark.parametrize("shape", CURVES + ["cylinder"])
+def test_squared_step_pullback_jacobian_is_the_inline_formula(shape, request,
+                                                              tube_points):
+    from shapecalc.fields import pullback_field
+    from shapecalc.validation import _SQUARED_STEP
+
+    M = request.getfixturevalue(shape)
+    if shape == "cylinder":
+        delta, extend = min(0.8 * M.reach, 0.2 * M.diameter), 0.0
+        W = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        rng = np.random.default_rng(8)
+        rho = 1.0 + delta * rng.uniform(-1.2, 1.2, 40)
+        th = rng.uniform(0.0, 2.0 * np.pi, 40)
+        z = rng.uniform(M.a - 0.5 * delta, M.b + 0.5 * delta, 40)
+        pts = np.stack([rho * np.cos(th), rho * np.sin(th), z], axis=-1)
+    else:
+        delta, extend, W = _locality_setup(M)
+        pts = tube_points(M, 1.2 * delta, n=40, seed=9)
+        if not M.closed:
+            pts = np.vstack([pts, _past_widened_ends(M, delta, extend)])
+    D = pullback_field(M, W, delta, extend, "tube", profile=_SQUARED_STEP)
+    got = D.dX(pts)
+    assert np.array_equal(got, _tube_jacobian_formula(M, W, delta, extend, pts))
+    assert np.abs(got).max() > 0.1
+
+
+def _arc(r, angle0, span):
+    from shapecalc.catalog import build_shape
+
+    return build_shape({"kind": "arc", "radius": r, "angle0": angle0,
+                        "angle1": angle0 + span, "name": "arc"})
+
+
+def _segment(p0, p1):
+    from shapecalc.catalog import build_shape
+
+    return build_shape({"kind": "segment", "p0": list(p0), "p1": list(p1),
+                        "name": "segment"})
+
+
+def _point(dim):
+    # x >= 0.5 keeps the segment off the origin (d = 2) and the vertical
+    # axis (d = 3), where the smoothed radial field varies on a tiny scale
+    return st.tuples(st.floats(0.5, 3.0), *[st.floats(-2.0, 2.0)] * (dim - 1))
+
+
+def _segments(dim):
+    ends = st.tuples(_point(dim), _point(dim))
+    return ends.filter(lambda e: np.linalg.norm(np.subtract(*e)) >= 0.3).map(
+        lambda e: _segment(*e))
+
+
+_OPEN_CURVES = st.one_of(
+    st.builds(_arc, st.floats(0.5, 3.0), st.floats(-np.pi, np.pi),
+              st.floats(0.3, np.pi)),
+    _segments(2), _segments(3))
+
+
+@settings(max_examples=25, deadline=None)
+@given(M=_OPEN_CURVES)
+def test_pullback_fields_property_on_open_curves(M, tube_points, assert_fd_jacobian):
+    """The restriction components of radial and the locality discrepancy,
+    each widened as its caller widens it: dX matches central differences
+    of X in the tube and past the widened ends, and X is 0 just inside the
+    support sphere."""
+    from shapecalc.catalog import build_field
+    from shapecalc.fields import pullback_field, restriction_field
+    from shapecalc.validation import _SQUARED_STEP
+
+    radial = build_field({"kind": "radial", "name": "radial"}, M.dim)
+    tau = min(0.1 * M.diameter, 0.4 * M.reach)
+    delta, extend, W = _locality_setup(M)
+    D = pullback_field(M, W, delta, extend, "tube", profile=_SQUARED_STEP)
+    pair = locality_pairs(M, [radial])[0]
+    cases = [(restriction_field(M, radial, c), tau, 0.15 * (M.b - M.a))
+             for c in ("perp", "tan", "nu")] + [(D, delta, extend)]
+    for F, tube, widen in cases:
+        pts = np.vstack([tube_points(M, tube, n=16, seed=1),
+                         _past_widened_ends(M, tube, widen)])
+        assert_fd_jacobian(F, pts)
+        rng = np.random.default_rng(2)
+        dirs = rng.normal(size=(2000, M.dim))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        rim = F.support.center + 0.999999999 * F.support.radius * dirs
+        np.testing.assert_array_equal(F.X(rim), 0.0)
+    # the pair's sum carries exactly this discrepancy
+    assert np.array_equal(pair.Y.X(pts), radial.X(pts) + D.X(pts))
+    assert_fd_jacobian(pair.Y, pts)
+
+
+def test_crack_suite_runs_only_the_probes_it_reports(crack_segment, crack_arc,
+                                                     fd5, monkeypatch):
+    # straight tips: two tip probes, three interior probes, and the two tip
+    # probes again at half the radius; curved tips skip the halving
+    from shapecalc import validation
+
+    calls = []
+    real = validation.eulerian_fd
+    monkeypatch.setattr(validation, "eulerian_fd",
+                        lambda *args: calls.append(1) or real(*args))
+    for curve, expected in ((crack_segment, 7), (crack_arc, 5)):
+        calls.clear()
+        J = crack_functional(Ball(np.zeros(2), 4.0), curve)
+        crack_suite(J, curve, cfg=fd5)
+        assert len(calls) == expected
