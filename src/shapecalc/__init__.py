@@ -16,22 +16,20 @@ from .geometry import (Foot, FrenetFrame, ParamCurve, ParamSurface,
                        curvature, curve_curvature_derivs, curve_frame,
                        integrate_curve, integrate_surface,
                        nearest_curve_param, nearest_surface_param,
-                       surface_max_curvature, surface_mean_curvature,
-                       surface_normal)
+                       surface_max_curvature, surface_mean_curvature)
 from .fields import (AmbientField, Ball, FieldSplit, TangencyReport,
                      bump_field, bump_profile, check_tangency,
-                     default_holdall, fd_jacobian, project_normal,
-                     pullback_field, restriction_field, smooth_step,
-                     split_field, sum_field)
+                     default_holdall, fd_jacobian, pullback_field,
+                     restriction_field, smooth_step, split_field, sum_field)
 from .flow import (FlowConfig, flow_manifold, flow_point, flow_with_jacobian,
                    invariance_residual)
 from .functionals import (CrackFunctional, ShapeFunctional, analytic_darea,
                           analytic_delastic, analytic_dlength,
                           area_functional, bending_energy, crack_functional,
-                          elastic_energy, elastic_functional, length,
-                          length_functional, surface_area)
+                          elastic_functional, length, length_functional,
+                          surface_area)
 from .derivative import (DerivativeReport, FDConfig, FDTrace, compare,
-                         eulerian_fd, fd_quotients)
+                         fd_quotients)
 from .validation import (CrackCoefficients, LocalityPair,
                          StructureSuiteResult, SuiteCase, crack_suite,
                          extract_crack_coefficients,
@@ -40,8 +38,8 @@ from .validation import (CrackCoefficients, LocalityPair,
                          nullity_negative_field, tangential_nullity_suite,
                          tangential_probe_fields)
 from .catalog import (FIELD_KINDS, FUNCTIONAL_KINDS, SHAPE_KINDS, ParsedField,
-                      ParsedFunctional, build_field, build_shape, compatible,
-                      parse_field, parse_functional)
+                      build_field, build_shape, compatible, parse_field,
+                      parse_functional)
 from .report_io import (comparison_record, comparisons_csv, dumps_canonical,
                         load_report, plot_csv, report_document, suite_record,
                         suites_csv, write_json, write_text)

@@ -23,7 +23,7 @@ from .geometry import ParamCurve, ParamSurface
 
 __all__ = [
     "SHAPE_KINDS", "FIELD_KINDS", "FUNCTIONAL_KINDS",
-    "ParsedField", "ParsedFunctional",
+    "ParsedField",
     "build_shape", "parse_field", "build_field", "parse_functional",
     "compatible",
 ]
@@ -54,10 +54,17 @@ class _Params:
         self.raw = dict(raw)
         self.where = where
 
-    def scalar(self, key: str, default=_MISSING, positive: bool = False) -> float:
+    def _take(self, key: str, default):
+        """Remove and return the value under key, or default when it is
+        absent; an absent required key (default _MISSING) raises.  Readers
+        treat a null as absent only where the default is None."""
         val = self.raw.pop(key, default)
         if val is _MISSING:
             raise ConfigError(f"{self.where}: missing required parameter '{key}'")
+        return val
+
+    def scalar(self, key: str, default=_MISSING, positive: bool = False) -> float:
+        val = self._take(key, default)
         if val is None and default is None:
             return None
         if isinstance(val, bool) or not isinstance(val, (int, float)):
@@ -72,9 +79,7 @@ class _Params:
         return val
 
     def integer(self, key: str, default=_MISSING, minimum: int | None = None) -> int:
-        val = self.raw.pop(key, default)
-        if val is _MISSING:
-            raise ConfigError(f"{self.where}: missing required parameter '{key}'")
+        val = self._take(key, default)
         if isinstance(val, bool) or not isinstance(val, int):
             raise ConfigError(f"{self.where}: parameter '{key}' must be an integer")
         if minimum is not None and val < minimum:
@@ -85,18 +90,14 @@ class _Params:
         return val
 
     def boolean(self, key: str, default=_MISSING) -> bool:
-        val = self.raw.pop(key, default)
-        if val is _MISSING:
-            raise ConfigError(f"{self.where}: missing required parameter '{key}'")
+        val = self._take(key, default)
         if not isinstance(val, bool):
             raise ConfigError(f"{self.where}: parameter '{key}' must be a boolean")
         return val
 
     def vector(self, key: str, default=_MISSING, dims=(2, 3)):
-        val = self.raw.pop(key, default)
-        if val is _MISSING:
-            raise ConfigError(f"{self.where}: missing required parameter '{key}'")
-        if val is None:
+        val = self._take(key, default)
+        if val is None and default is None:
             return None
         try:
             arr = np.asarray(val, dtype=float)
@@ -113,9 +114,7 @@ class _Params:
         return arr
 
     def matrix(self, key: str):
-        val = self.raw.pop(key, _MISSING)
-        if val is _MISSING:
-            raise ConfigError(f"{self.where}: missing required parameter '{key}'")
+        val = self._take(key, _MISSING)
         try:
             arr = np.asarray(val, dtype=float)
         except (TypeError, ValueError):
@@ -131,9 +130,7 @@ class _Params:
         return arr
 
     def string(self, key: str, default=_MISSING) -> str:
-        val = self.raw.pop(key, default)
-        if val is _MISSING:
-            raise ConfigError(f"{self.where}: missing required parameter '{key}'")
+        val = self._take(key, default)
         if val is None and default is None:
             return None
         if not isinstance(val, str) or not val:
@@ -143,9 +140,7 @@ class _Params:
         return val
 
     def sequence(self, key: str, default=_MISSING) -> list:
-        val = self.raw.pop(key, default)
-        if val is _MISSING:
-            raise ConfigError(f"{self.where}: missing required parameter '{key}'")
+        val = self._take(key, default)
         if val is None and default is None:
             return []
         if not isinstance(val, (list, tuple)) or not val:
@@ -155,9 +150,7 @@ class _Params:
         return list(val)
 
     def mapping(self, key: str, default=_MISSING) -> dict:
-        val = self.raw.pop(key, default)
-        if val is _MISSING:
-            raise ConfigError(f"{self.where}: missing required parameter '{key}'")
+        val = self._take(key, default)
         if val is None and default is None:
             return {}
         if not isinstance(val, dict):
@@ -200,23 +193,29 @@ def _split_desc(desc, where: str, kinds, named: bool = True):
 # shapes
 
 
+def _circle_chart(r: float, center: np.ndarray, th0: float):
+    """(gamma, gamma', gamma'') of the counterclockwise arc-length chart of
+    the circle of radius r about center, starting at the angle th0."""
+    def gamma(ts):
+        th = th0 + np.asarray(ts, dtype=float) / r
+        return center + r * np.stack([np.cos(th), np.sin(th)], axis=-1)
+
+    def dgamma(ts):
+        th = th0 + np.asarray(ts, dtype=float) / r
+        return np.stack([-np.sin(th), np.cos(th)], axis=-1)
+
+    def ddgamma(ts):
+        th = th0 + np.asarray(ts, dtype=float) / r
+        return np.stack([-np.cos(th), -np.sin(th)], axis=-1) / r
+
+    return gamma, dgamma, ddgamma
+
+
 def _shape_circle(p: _Params, name: str) -> ParamCurve:
     r = p.scalar("radius", default=1.0, positive=True)
     center = p.vector("center", default=(0.0, 0.0), dims=(2,))
     p.finish()
-
-    # arc-length parametrization, counterclockwise
-    def gamma(ts):
-        th = np.asarray(ts, dtype=float) / r
-        return center + r * np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-    def dgamma(ts):
-        th = np.asarray(ts, dtype=float) / r
-        return np.stack([-np.sin(th), np.cos(th)], axis=-1)
-
-    def ddgamma(ts):
-        th = np.asarray(ts, dtype=float) / r
-        return np.stack([-np.cos(th), -np.sin(th)], axis=-1) / r
+    gamma, dgamma, ddgamma = _circle_chart(r, center, 0.0)
 
     # exact nearest point: the angle of p about the centre (the centre
     # itself takes angle 0); a closed curve ignores extend
@@ -357,18 +356,7 @@ def _shape_arc(p: _Params, name: str) -> ParamCurve:
             f"{p.where}: arc spans a full turn or more; use a circle"
         )
 
-    # arc-length parametrization along the circle of radius r
-    def gamma(ts):
-        th = a0 + np.asarray(ts, dtype=float) / r
-        return r * np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-    def dgamma(ts):
-        th = a0 + np.asarray(ts, dtype=float) / r
-        return np.stack([-np.sin(th), np.cos(th)], axis=-1)
-
-    def ddgamma(ts):
-        th = a0 + np.asarray(ts, dtype=float) / r
-        return np.stack([-np.cos(th), -np.sin(th)], axis=-1) / r
+    gamma, dgamma, ddgamma = _circle_chart(r, np.zeros(2), a0)
 
     # exact nearest point: the angle of p unwrapped into the turn centred on
     # the arc's mid-angle, so a point beyond either end lands nearer that
@@ -611,28 +599,21 @@ def build_field(desc, dim: int, where: str = "field") -> AmbientField:
 FUNCTIONAL_KINDS = ("length", "area", "elastic", "crack")
 
 
-@dataclass(frozen=True)
-class ParsedFunctional:
-    """A functional plus, for crack functionals, the crack curve it acts on."""
-
-    functional: object
-    crack: ParamCurve | None = None
-
-
 def parse_functional(desc, shapes: Mapping[str, object],
-                     where: str = "functional") -> ParsedFunctional:
-    """Resolve a functional descriptor; cracks reference shapes by name."""
+                     where: str = "functional"):
+    """Resolve a functional descriptor to a ShapeFunctional, or to a
+    CrackFunctional carrying the crack curve it names by shape."""
     kind, _, params = _split_desc(desc, where, FUNCTIONAL_KINDS, named=False)
     p = _Params(params, where)
     if kind == "length":
         p.finish()
-        return ParsedFunctional(length_functional())
+        return length_functional()
     if kind == "area":
         p.finish()
-        return ParsedFunctional(area_functional())
+        return area_functional()
     if kind == "elastic":
         p.finish()
-        return ParsedFunctional(elastic_functional())
+        return elastic_functional()
 
     inner_kind = p.string("inner", default="length")
     crack_name = p.string("crack")
@@ -662,12 +643,11 @@ def parse_functional(desc, shapes: Mapping[str, object],
         )
     inner = length_functional() if inner_kind == "length" else elastic_functional()
     try:
-        fn = crack_functional(Ball(center, radius), crack, inner=inner)
+        return crack_functional(Ball(center, radius), crack, inner=inner)
     except ConfigError:
         raise
     except ShapecalcError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return ParsedFunctional(fn, crack=crack)
 
 
 def compatible(functional, shape) -> bool:

@@ -24,8 +24,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .catalog import (ParsedField, ParsedFunctional, _Params, build_shape,
-                      compatible, parse_field, parse_functional)
+from .catalog import (ParsedField, _Params, build_shape, compatible,
+                      parse_field, parse_functional)
 from .derivative import FDConfig, compare
 from .errors import ConfigError, ShapecalcError
 from .flow import DEFAULT_MAX_STEP
@@ -51,7 +51,7 @@ class RunPlan:
     abs_tol: float
     shapes: dict
     fields: list[ParsedField]
-    functionals: list[ParsedFunctional]
+    functionals: list
     suites: tuple[str, ...]
     out_path: Optional[str]
     formats: tuple[str, ...]
@@ -151,13 +151,13 @@ class _Job:
 
 
 def _generic_shapes(plan: RunPlan) -> list:
-    crack_names = {pf.crack.name for pf in plan.functionals if pf.crack is not None}
+    crack_names = {J.crack.name for J in plan.functionals
+                   if isinstance(J, CrackFunctional)}
     return [M for name, M in plan.shapes.items() if name not in crack_names]
 
 
 def _plain_functionals(plan: RunPlan) -> list:
-    return [pf.functional for pf in plan.functionals
-            if not isinstance(pf.functional, CrackFunctional)]
+    return [J for J in plan.functionals if not isinstance(J, CrackFunctional)]
 
 
 def _fields_for(plan: RunPlan, M, cache: dict) -> list:
@@ -236,13 +236,10 @@ def suite_jobs(plan: RunPlan) -> list[_Job]:
             break
 
     if "crack" in plan.suites:
-        for pf in plan.functionals:
-            if pf.crack is None:
-                continue
-            J, curve = pf.functional, pf.crack
-            jobs.append(_Job(
-                f"crack {J.name}",
-                lambda J=J, curve=curve: crack_suite(J, curve, cfg=plan.cfg)))
+        for J in plan.functionals:
+            if isinstance(J, CrackFunctional):
+                jobs.append(_Job(f"crack {J.name}",
+                                 lambda J=J: crack_suite(J, cfg=plan.cfg)))
     return jobs
 
 

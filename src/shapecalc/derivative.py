@@ -114,13 +114,6 @@ def fd_quotients(J, M, X: AmbientField, cfg: FDConfig | None = None) -> FDTrace:
                    error_estimate=err)
 
 
-def eulerian_fd(J, M, X: AmbientField,
-                cfg: FDConfig | None = None) -> tuple[float, float]:
-    """(derivative value, error estimate) by extrapolated one-sided FD."""
-    tr = fd_quotients(J, M, X, cfg)
-    return tr.value, tr.error_estimate
-
-
 @dataclass(frozen=True)
 class DerivativeReport:
     """Side-by-side FD vs closed-form derivative, with verdict.

@@ -311,17 +311,6 @@ def sum_field(fields: Sequence[AmbientField], name: str = "sum") -> AmbientField
 # projections and splitting
 
 
-def project_normal(manifold, param, vec) -> np.ndarray:
-    """Component of `vec` orthogonal to the tangent space at `param`.
-
-    param: scalar t (curve) or pair (u, v) (surface); vec: (d,) or (n, d).
-    Idempotent and self-adjoint by construction.
-    """
-    vec = np.asarray(vec, dtype=float)
-    out = manifold.normal_part(param, np.atleast_2d(vec))
-    return out[0] if vec.ndim == 1 else out
-
-
 def _conormal_part(manifold, params, x: np.ndarray) -> np.ndarray:
     nu = manifold.conormal_extension(params)
     return np.einsum("ij,ij->i", x, nu)[:, None] * nu

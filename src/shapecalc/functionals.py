@@ -26,7 +26,7 @@ from .fields import AmbientField, Ball
 from .geometry import (ParamCurve, ParamSurface, curvature,
                        curve_curvature_derivs, curve_frame, frenet_rows,
                        gauss_legendre, integrate_curve, integrate_surface,
-                       surface_mean_curvature, surface_normal)
+                       surface_mean_curvature)
 
 ARC_LENGTH_TOL = 1e-8
 # default quadrature resolution: fine enough that sharply modulated probe
@@ -126,9 +126,9 @@ def analytic_darea(surf: ParamSurface, X: AmbientField) -> float:
 
     def density(us, vs):
         H = surface_mean_curvature(surf, us, vs)
-        N = surface_normal(surf, us, vs)
+        N = surf.unit_normal((us, vs))
         xv = np.asarray(X.X(np.asarray(surf.phi(us, vs), dtype=float)), dtype=float)
-        return H * np.einsum("ij,ij->i", xv, np.atleast_2d(N))
+        return H * np.einsum("ij,ij->i", xv, N)
 
     total = integrate_surface(surf, density, panels=SURFACE_PANELS)
     if not surf.u_closed:
@@ -152,16 +152,6 @@ def bending_energy(curve: ParamCurve, panels: int = CURVE_PANELS) -> float:
     """int kappa^2 ds in any regular parametrization."""
     return integrate_curve(curve, lambda ts: curvature(curve, ts) ** 2,
                            panels=panels)
-
-
-def elastic_energy(curve: ParamCurve, panels: int = CURVE_PANELS) -> float:
-    """int kappa^2 ds for an arc-length parametrized curve.
-
-    Raises NotArcLength when |gamma'| strays from 1 beyond 1e-8; the
-    parametrization-free bending_energy has no such restriction.
-    """
-    _require_arc_length(curve)
-    return bending_energy(curve, panels=panels)
 
 
 def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
@@ -223,12 +213,14 @@ class CrackFunctional:
     crack Sigma: the complement's geometry is fixed, so evaluation and
     first variation delegate to the inner curve functional.
 
-    `margin` is the clearance between the crack and the region boundary at
+    `crack` is the curve Sigma the functional was built around, and
+    `margin` the clearance between it and the region boundary at
     construction; probe fields must fit inside it.
     """
 
     name: str
     region: Ball
+    crack: ParamCurve
     inner: ShapeFunctional
     margin: float
     evaluate: Callable[[object], float] = field(init=False)
@@ -265,4 +257,4 @@ def crack_functional(region: Ball, crack: ParamCurve,
             f"(max point distance {dmax:g} vs radius {region.radius:g})"
         )
     return CrackFunctional(name=f"crack[{inner.name}@{crack.name}]", region=region,
-                           inner=inner, margin=margin)
+                           crack=crack, inner=inner, margin=margin)

@@ -98,10 +98,6 @@ def _as_params(t) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), scalar
 
 
-def _cross2(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
-
-
 def _surface_params(params) -> tuple[np.ndarray, np.ndarray]:
     u, v = (np.atleast_1d(np.asarray(x, dtype=float)) for x in params)
     # the hot callers pass equal shapes, where broadcasting is a no-op
@@ -256,7 +252,7 @@ class ParamCurve(_Sampled):
     b + extend] (closed curves wrap and ignore extend); nearest_curve_param
     returns it with no grid seeding and no Newton iteration.  Construction
     checks it on grid points pushed off the curve along +-normal
-    directions.  Flowed and reversed curves carry none.
+    directions.  Flowed curves carry none.
     """
 
     dim: int
@@ -312,7 +308,7 @@ class ParamCurve(_Sampled):
                     raise InvariantViolation(
                         f"curve '{self.name}': closed but {label}(a) != {label}(b)"
                     )
-        self._check_derivative_consistency(grid, pts, vel)
+        self._check_derivative_consistency()
         if self.foot is not None:
             _check_foot(f"curve '{self.name}'", lambda p: (self.foot(p, 0.0),),
                         self.gamma, (self.dgamma,), pts, self.unit_normal(grid),
@@ -322,7 +318,7 @@ class ParamCurve(_Sampled):
         object.__setattr__(self, "grid_speed", _frozen(speed))
         object.__setattr__(self, "_diameter", diam)
 
-    def _check_derivative_consistency(self, grid, pts, vel):
+    def _check_derivative_consistency(self):
         rng = np.random.default_rng(_CHECK_RNG_SEED)
         h = 1e-6 * (self.b - self.a)
         ts = rng.uniform(self.a + 2 * h, self.b - 2 * h, 32)
@@ -384,22 +380,6 @@ class ParamCurve(_Sampled):
         else:
             held = (t <= self.a - extend) | (t >= self.b + extend)
         return Foot(self, t, pts - self.chart(t), held)
-
-    def reversed(self) -> "ParamCurve":
-        """Same point set traversed with t -> a + b - t.  The foot hook is
-        dropped: a + b - t would not hit the search bounds bit for bit."""
-        a, b = self.a, self.b
-        return ParamCurve(
-            dim=self.dim,
-            a=a,
-            b=b,
-            gamma=lambda t: self.gamma(a + b - np.asarray(t, dtype=float)),
-            dgamma=lambda t: -np.asarray(self.dgamma(a + b - np.asarray(t, dtype=float))),
-            ddgamma=lambda t: np.asarray(self.ddgamma(a + b - np.asarray(t, dtype=float))),
-            closed=self.closed,
-            name=self.name + "_rev",
-            transported=self.transported,
-        )
 
 
 @dataclass(frozen=True)
@@ -532,7 +512,16 @@ class ParamSurface(_Sampled):
         return e1, _unit_rows(pv - e1 * np.einsum("ij,ij->i", pv, e1)[:, None])
 
     def unit_normal(self, params) -> np.ndarray:
-        return surface_normal(self, *_surface_params(params))
+        us, vs = _surface_params(params)
+        cr = np.cross(np.asarray(self.phi_u(us, vs), dtype=float),
+                      np.asarray(self.phi_v(us, vs), dtype=float))
+        ncr = np.linalg.norm(cr, axis=1)
+        if ncr.min() <= 1e-12:
+            k = ncr.argmin()
+            raise DegenerateImmersion(
+                f"surface '{self.name}': normal undefined at ({us[k]:g}, {vs[k]:g})"
+            )
+        return cr / ncr[:, None]
 
     def normal_part(self, params, x) -> np.ndarray:
         return _reject(x, self.tangent_frame(params))
@@ -551,7 +540,7 @@ class ParamSurface(_Sampled):
                 "v-periodic (cylinder-like) surface"
             )
         pv = np.asarray(self.phi_v(us, vs), dtype=float)
-        nu = np.cross(pv, surface_normal(self, us, vs))
+        nu = np.cross(pv, self.unit_normal((us, vs)))
         nu /= np.linalg.norm(pv, axis=1)[:, None]
         return _ramp(us, self.a, self.b)[:, None] * nu
 
@@ -577,6 +566,16 @@ class FrenetFrame:
 # frames and curvature
 
 
+def _kappa(d1: np.ndarray, d2: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Curvature from gamma', gamma'' and the speed v: the signed planar
+    cross product, or |gamma' x gamma''| in space, over v^3."""
+    if d1.shape[1] == 2:
+        cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    else:
+        cross = np.linalg.norm(np.cross(d1, d2), axis=1)
+    return cross / v**3
+
+
 def curvature(curve: ParamCurve, t) -> np.ndarray:
     """Curvature without frame construction (safe where a 3d curve is straight).
 
@@ -585,11 +584,7 @@ def curvature(curve: ParamCurve, t) -> np.ndarray:
     ts, scalar = _as_params(t)
     d1 = np.asarray(curve.dgamma(ts), dtype=float)
     d2 = np.asarray(curve.ddgamma(ts), dtype=float)
-    v = np.linalg.norm(d1, axis=1)
-    if curve.dim == 2:
-        kap = _cross2(d1, d2) / v**3
-    else:
-        kap = np.linalg.norm(np.cross(d1, d2), axis=1) / v**3
+    kap = _kappa(d1, d2, np.linalg.norm(d1, axis=1))
     return kap[0] if scalar else kap
 
 
@@ -605,11 +600,10 @@ def frenet_rows(curve: ParamCurve, ts: np.ndarray) -> tuple[FrenetFrame, np.ndar
             f"curve '{curve.name}': zero speed at t = {ts[v.argmin()]:g}"
         )
     T = d1 / v[:, None]
+    kap = _kappa(d1, d2, v)
     if curve.dim == 2:
         N = np.stack([-T[:, 1], T[:, 0]], axis=-1)
-        kap = _cross2(d1, d2) / v**3
         return FrenetFrame(T, N, None, v, kap), np.zeros(len(ts), dtype=bool)
-    kap = np.linalg.norm(np.cross(d1, d2), axis=1) / v**3
     Tp = (d2 - T * np.einsum("ij,ij->i", T, d2)[:, None]) / v[:, None]
     nTp = np.linalg.norm(Tp, axis=1)
     straight = nTp <= 1e-12 * (1.0 + np.linalg.norm(d2, axis=1).max())
@@ -660,24 +654,7 @@ def curve_curvature_derivs(curve: ParamCurve, t):
 
 
 # ---------------------------------------------------------------------------
-# surface normal and mean curvature
-
-
-def surface_normal(surf: ParamSurface, u, v) -> np.ndarray:
-    """Unit normal phi_u x phi_v / |...| at parameter(s) (u, v)."""
-    us, scalar = _as_params(u)
-    vs, _ = _as_params(v)
-    us, vs = np.broadcast_arrays(us, vs)
-    cr = np.cross(np.asarray(surf.phi_u(us, vs), dtype=float),
-                  np.asarray(surf.phi_v(us, vs), dtype=float))
-    ncr = np.linalg.norm(cr, axis=1)
-    if ncr.min() <= 1e-12:
-        k = ncr.argmin()
-        raise DegenerateImmersion(
-            f"surface '{surf.name}': normal undefined at ({us[k]:g}, {vs[k]:g})"
-        )
-    N = cr / ncr[:, None]
-    return N[0] if scalar else N
+# mean and principal curvature
 
 
 def _weingarten(surf: ParamSurface, u, v):
@@ -693,10 +670,10 @@ def _weingarten(surf: ParamSurface, u, v):
     us, vs = np.ascontiguousarray(us), np.ascontiguousarray(vs)
     h = 1e-5 * min(surf.b - surf.a, surf.d - surf.c)
     Nu = sample_derivative(
-        lambda uu: surface_normal(surf, uu, np.repeat(vs, 5)),
+        lambda uu: surf.unit_normal((uu, np.repeat(vs, 5))),
         us, h, 1, surf.a, surf.b, periodic=surf.u_closed)
     Nv = sample_derivative(
-        lambda vv: surface_normal(surf, np.repeat(us, 5), vv),
+        lambda vv: surf.unit_normal((np.repeat(us, 5), vv)),
         vs, h, 1, surf.c, surf.d, periodic=surf.periodic_v)
     pu = np.asarray(surf.phi_u(us, vs), dtype=float)
     pv = np.asarray(surf.phi_v(us, vs), dtype=float)

@@ -151,7 +151,7 @@ def write_text(path: str, text: str):
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="") as f:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -200,8 +200,12 @@ def plot_csv(doc: dict) -> str:
     Richardson extrapolant, for external convergence plots."""
     if not isinstance(doc, dict) or "comparisons" not in doc:
         raise ConfigError("report has no 'comparisons' section")
+    comparisons = doc["comparisons"]
+    if not (isinstance(comparisons, list)
+            and all(isinstance(c, dict) for c in comparisons)):
+        raise ConfigError("report 'comparisons' must be a list of objects")
     rows = []
-    for c in doc["comparisons"]:
+    for c in comparisons:
         tr = c.get("trace")
         if tr is None:
             continue
@@ -219,7 +223,7 @@ def plot_csv(doc: dict) -> str:
 
 def load_report(path: str) -> dict:
     try:
-        with open(path, "r") as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read report '{path}': {exc}") from exc

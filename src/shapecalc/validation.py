@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .derivative import FDConfig, eulerian_fd
+from .derivative import FDConfig, fd_quotients
 from .errors import ProbeOverlap
 from .fields import (AmbientField, Ball, _sample_params, bump_field,
                      check_tangency, fd_jacobian, last_call_memo,
@@ -86,11 +86,11 @@ def tangential_nullity_suite(J, M, fields: Sequence[AmbientField],
             inv = invariance_residual(X, M, NULLITY_TIME)
             cases.append(SuiteCase(f"flow invariance t={NULLITY_TIME:g} [{tag}]",
                                    inv, INVARIANCE_BOUND, inv <= INVARIANCE_BOUND))
-            val, _ = eulerian_fd(J, M, X, cfg)
+            val = fd_quotients(J, M, X, cfg).value
             cases.append(SuiteCase(f"|dJ| [{tag}]", abs(val), fd_bound,
                                    abs(val) <= fd_bound))
         else:
-            val, _ = eulerian_fd(J, M, X, cfg)
+            val = fd_quotients(J, M, X, cfg).value
             broke = tres > TANGENCY_TOL and abs(val) > fd_bound
             cases.append(SuiteCase(
                 f"negative control breaks nullity [{tag}]", abs(val), fd_bound,
@@ -140,8 +140,8 @@ def locality_suite(J, M, pairs: Sequence[LocalityPair],
         wit = np.atleast_2d(np.asarray(pair.witness_points, dtype=float))
         off_m = float(np.abs(np.asarray(pair.X.X(wit), dtype=float)
                              - np.asarray(pair.Y.X(wit), dtype=float)).max())
-        vx, _ = eulerian_fd(J, M, pair.X, cfg)
-        vy, _ = eulerian_fd(J, M, pair.Y, cfg)
+        vx = fd_quotients(J, M, pair.X, cfg).value
+        vy = fd_quotients(J, M, pair.Y, cfg).value
         diff = abs(vx - vy)
         bound = 1e-6 * (1.0 + abs(vx))
         if pair.expect_equal:
@@ -227,10 +227,10 @@ def normal_dependence_suite(J, M, fields: Sequence[AmbientField],
         Xp = restriction_field(M, X, "perp")
         Xn = restriction_field(M, X, "nu")
         Xt = restriction_field(M, X, "tan")
-        v, _ = eulerian_fd(J, M, X, cfg)
-        vp, _ = eulerian_fd(J, M, Xp, cfg)
-        vn, _ = eulerian_fd(J, M, Xn, cfg)
-        vt, _ = eulerian_fd(J, M, Xt, cfg)
+        v = fd_quotients(J, M, X, cfg).value
+        vp = fd_quotients(J, M, Xp, cfg).value
+        vn = fd_quotients(J, M, Xn, cfg).value
+        vt = fd_quotients(J, M, Xt, cfg).value
         scale = 1.0 + abs(v)
         bound = 1e-6 * scale
         resid = abs(v - vp - vn)
@@ -382,30 +382,34 @@ def _interior_probe(curve: ParamCurve, t: float, center: np.ndarray,
                       name=f"interior-probe@{t:g}")
 
 
-def _tip_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
-                      probe_radius: float, cfg: FDConfig | None) -> list[float]:
-    """[alpha1, alpha2]: the derivative under a unit bump at each tip along
-    its outward conormal, over the probe's own trace value there."""
+def _tip_coefficients(J_crack: CrackFunctional, probe_radius: float,
+                      cfg: FDConfig | None) -> list[float]:
+    """[alpha1, alpha2]: the derivative under a unit bump at each tip of the
+    functional's crack along its outward conormal, over the probe's own
+    trace value there."""
+    curve = J_crack.crack
     alphas = []
     for t_end in (curve.a, curve.b):
         center, nu = curve.chart(t_end)[0], curve.conormal_extension(t_end)[0]
         X = bump_field(center, probe_radius, nu, curve.dim,
                        name=f"tip-probe@{t_end:g}")
         trace = float(np.asarray(X.X(center[None, :]), dtype=float)[0] @ nu)
-        alphas.append(float(eulerian_fd(J_crack, curve, X, cfg)[0] / trace))
+        alphas.append(float(fd_quotients(J_crack, curve, X, cfg).value / trace))
     return alphas
 
 
-def extract_crack_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
+def extract_crack_coefficients(J_crack: CrackFunctional,
                                probe_radius: float | None = None,
                                cfg: FDConfig | None = None) -> CrackCoefficients:
-    """Probe the crack derivative with unit bumps.
+    """Probe the crack derivative with unit bumps on the functional's own
+    crack curve, J_crack.crack.
 
     alpha_i = derivative under a bump at tip i directed along the outward
     conormal there, normalized by the probe's own trace value (which is 1
     for a unit bump); h_samples = derivatives under normal-directed bumps
     at CRACK_STATIONS equispaced interior stations.
     """
+    curve = J_crack.crack
     if curve.closed:
         raise ProbeOverlap("crack endpoint probes need an open curve")
     length_val = float(integrate_curve(curve, lambda ts: np.ones_like(ts)))
@@ -420,7 +424,7 @@ def extract_crack_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
             f"(tip separation {np.linalg.norm(A - B):g})"
         )
 
-    alpha1, alpha2 = _tip_coefficients(J_crack, curve, probe_radius, cfg)
+    alpha1, alpha2 = _tip_coefficients(J_crack, probe_radius, cfg)
 
     stations = np.linspace(curve.a, curve.b, CRACK_STATIONS + 2)[1:-1]
     spts = np.asarray(curve.gamma(stations), dtype=float)
@@ -434,7 +438,7 @@ def extract_crack_coefficients(J_crack: CrackFunctional, curve: ParamCurve,
     h_vals = np.empty(CRACK_STATIONS)
     for j, (t_j, c_j) in enumerate(zip(stations, spts)):
         X = _interior_probe(curve, t_j, c_j, probe_radius)
-        h_vals[j], _ = eulerian_fd(J_crack, curve, X, cfg)
+        h_vals[j] = fd_quotients(J_crack, curve, X, cfg).value
     return CrackCoefficients(alpha1=alpha1, alpha2=alpha2,
                              h_samples=h_vals, stations=stations,
                              probe_radius=float(probe_radius))
@@ -447,9 +451,10 @@ def length_density_quadrature(curve: ParamCurve, X: AmbientField) -> float:
     return integrate_curve(curve, length_density(curve, X), panels=256)
 
 
-def crack_suite(J_crack: CrackFunctional, curve: ParamCurve,
+def crack_suite(J_crack: CrackFunctional,
                 cfg: FDConfig | None = None) -> StructureSuiteResult:
-    """Recorded crack-coefficient checks.
+    """Recorded crack-coefficient checks on the functional's own crack
+    curve, J_crack.crack.
 
     Tips count as straight when |curvature| is at most 1e-9 at both ends.
     Straight tips with length as the inner functional: both tip coefficients
@@ -461,7 +466,8 @@ def crack_suite(J_crack: CrackFunctional, curve: ParamCurve,
     quadrature.
     """
     cases: list[SuiteCase] = []
-    co = extract_crack_coefficients(J_crack, curve, cfg=cfg)
+    curve = J_crack.crack
+    co = extract_crack_coefficients(J_crack, cfg=cfg)
     tag = f"{J_crack.name}/{curve.name}"
     is_length = J_crack.inner.name == "length"
     k_ends = np.abs(np.array([curvature(curve, curve.a), curvature(curve, curve.b)]))
@@ -472,7 +478,7 @@ def crack_suite(J_crack: CrackFunctional, curve: ParamCurve,
             cases.append(SuiteCase(f"{nm} = 1 [{tag}]", err, 1e-5, err <= 1e-5))
     if straight:
         # the tips alone: every overlap check passed at the full radius
-        half = _tip_coefficients(J_crack, curve, 0.5 * co.probe_radius, cfg)
+        half = _tip_coefficients(J_crack, 0.5 * co.probe_radius, cfg)
         for nm, a, b in zip(("alpha1", "alpha2"), (co.alpha1, co.alpha2), half):
             d = abs(a - b)
             bound = 1e-5 * (1.0 + abs(a))

@@ -117,12 +117,60 @@ def test_sum_field_from_config():
     np.testing.assert_allclose(f.X(np.array([[0.0, 0.0]]))[0], [1.0, 2.0], rtol=1e-12)
 
 
+def test_circle_and_arc_charts_match_their_reference_formulas():
+    # the inline charts each kind carried before they shared one
+    r, c = 1.5, np.array([0.3, -0.7])
+    circle = build_shape({"kind": "circle", "radius": r, "center": c.tolist()})
+    ts = np.linspace(circle.a, circle.b, 1000)
+    th = ts / r
+    np.testing.assert_array_equal(
+        circle.gamma(ts), c + r * np.stack([np.cos(th), np.sin(th)], axis=-1))
+    np.testing.assert_array_equal(
+        circle.dgamma(ts), np.stack([-np.sin(th), np.cos(th)], axis=-1))
+    np.testing.assert_array_equal(
+        circle.ddgamma(ts), np.stack([-np.cos(th), -np.sin(th)], axis=-1) / r)
+    r, a0 = 2.0, 0.4
+    arc = build_shape({"kind": "arc", "radius": r, "angle0": a0, "angle1": 2.5})
+    ts = np.linspace(arc.a, arc.b, 1000)
+    th = a0 + ts / r
+    np.testing.assert_array_equal(
+        arc.gamma(ts), r * np.stack([np.cos(th), np.sin(th)], axis=-1))
+    np.testing.assert_array_equal(
+        arc.dgamma(ts), np.stack([-np.sin(th), np.cos(th)], axis=-1))
+    np.testing.assert_array_equal(
+        arc.ddgamma(ts), np.stack([-np.cos(th), -np.sin(th)], axis=-1) / r)
+
+
+@pytest.mark.parametrize("reader, bad, wrong, null", [
+    ("scalar", "x", "must be a number", "must be a number"),
+    ("integer", 1.5, "must be an integer", "must be an integer"),
+    ("boolean", 1, "must be a boolean", "must be a boolean"),
+    ("vector", "x", "must be a vector of numbers",
+     "must be a finite vector of length 2 or 3"),
+    ("matrix", "x", "must be a matrix of numbers",
+     "must be a finite square matrix of size 2 or 3"),
+    ("string", 3, "must be a non-empty string", "must be a non-empty string"),
+    ("sequence", 3, "must be a non-empty list", "must be a non-empty list"),
+    ("mapping", 3, "must be a JSON object", "must be a JSON object"),
+])
+def test_param_reader_messages(reader, bad, wrong, null):
+    def read(raw):
+        with pytest.raises(ConfigError) as exc:
+            getattr(catalog._Params(raw, "cfg"), reader)("k")
+        return str(exc.value)
+
+    assert read({}) == "cfg: missing required parameter 'k'"
+    assert read({"k": bad}) == f"cfg: parameter 'k' {wrong}"
+    # a null stands for "absent" only where the default is None
+    assert read({"k": None}) == f"cfg: parameter 'k' {null}"
+
+
 def test_functional_parsing_and_naming(crack_segment):
     shapes = {"crack_straight": crack_segment}
     for kind in ("length", "elastic", "area"):
         parsed = parse_functional({"kind": kind}, shapes)
-        assert parsed.crack is None
-        assert parsed.functional.name == kind
+        assert not hasattr(parsed, "crack")
+        assert parsed.name == kind
     parsed = parse_functional(
         {
             "kind": "crack",
@@ -134,7 +182,7 @@ def test_functional_parsing_and_naming(crack_segment):
         shapes,
     )
     assert parsed.crack is crack_segment
-    assert parsed.functional.name == "crack[length@crack_straight]"
+    assert parsed.name == "crack[length@crack_straight]"
 
 
 def test_crack_functional_config_errors(crack_segment, cylinder):

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +220,55 @@ def test_plot_of_a_report_without_comparisons_exits_2(tmp_path, capsys):
     assert cli.main(["plot", str(report), "--out", str(out)]) == 2
     assert "no 'comparisons' section" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, entry, key", [
+    ("shapes", {"kind": "segment", "p0": None, "p1": [1.0, 0.0]}, "p0"),
+    ("fields", {"kind": "bump", "center": None, "radius": 0.5,
+                "dir": [1.0, 0.0]}, "center"),
+])
+def test_null_required_vector_exits_2(section, entry, key, tmp_path, capsys):
+    cfg = dict(TINY_CURVE, **{section: TINY_CURVE[section] + [entry]})
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"parameter '{key}' must be a finite vector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("comparisons", [[1], 5])
+def test_plot_of_malformed_comparisons_exits_2(comparisons, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"comparisons": comparisons}))
+    out = tmp_path / "plot.csv"
+    assert cli.main(["plot", str(report), "--out", str(out)]) == 2
+    assert "'comparisons' must be a list of objects" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_files_are_utf8_whatever_the_locale(tmp_path):
+    # every file the CLI reads or writes names its encoding: with the
+    # locale's default one a warning, here an error, would be raised
+    cfg = dict(TINY_CURVE, suites=["compare"],
+               shapes=[{"kind": "circle", "radius": 1.0, "name": "cercle-é"}],
+               fields=[{"kind": "radial", "name": "radial"}],
+               output={"formats": ["json", "csv"]})
+    path = tmp_path / "utf8.json"
+    path.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=src)
+    python = [sys.executable, "-X", "warn_default_encoding",
+              "-W", "error::EncodingWarning", "-m", "shapecalc.cli"]
+    out = tmp_path / "out"
+    for args in (["run", str(path), "--out", str(out)],
+                 ["plot", str(out / "report.json"), "--out", str(out / "plot.csv")]):
+        proc = subprocess.run(python + args, env=env, capture_output=True,
+                              encoding="utf-8", timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    doc = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert doc["comparisons"][0]["manifold"] == "cercle-é"
+    for name in ("comparisons.csv", "plot.csv"):
+        assert "cercle-é" in (out / name).read_text(encoding="utf-8")
 
 
 def test_no_subcommand_is_a_usage_error(capsys):

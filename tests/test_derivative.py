@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shapecalc.derivative import FDConfig, compare, eulerian_fd, fd_quotients
+from shapecalc.derivative import FDConfig, compare, fd_quotients
 from shapecalc.errors import InvariantViolation, NoConvergence
 from shapecalc.fields import sum_field
 from shapecalc.functionals import ShapeFunctional, analytic_dlength, length
@@ -25,7 +25,8 @@ def length_functional_plain():
 
 
 def test_fd_matches_growth_rate(circle1, radial2, fd5):
-    val, err = eulerian_fd(length_functional_plain(), circle1, radial2, cfg=fd5)
+    tr = fd_quotients(length_functional_plain(), circle1, radial2, cfg=fd5)
+    val, err = tr.value, tr.error_estimate
     assert val == pytest.approx(TWO_PI, rel=1e-8)
     assert abs(val - analytic_dlength(circle1, radial2)) <= 10 * err
 
@@ -41,8 +42,8 @@ def test_richardson_beats_raw_quotients(circle1, identity2, fd5):
 
 def test_derivative_scales_linearly(circle1, radial2, fd5):
     doubled = sum_field([radial2, radial2], name="radial*2")
-    v1, _ = eulerian_fd(length_functional_plain(), circle1, radial2, cfg=fd5)
-    v2, _ = eulerian_fd(length_functional_plain(), circle1, doubled, cfg=fd5)
+    v1 = fd_quotients(length_functional_plain(), circle1, radial2, cfg=fd5).value
+    v2 = fd_quotients(length_functional_plain(), circle1, doubled, cfg=fd5).value
     assert v2 == pytest.approx(2.0 * v1, rel=1e-6)
 
 
@@ -90,7 +91,7 @@ def test_square_root_kink_is_flagged(circle1, radial2, fd5):
         evaluate=lambda M: float(np.sqrt(abs(length(M) - TWO_PI))),
     )
     with pytest.raises(NoConvergence):
-        eulerian_fd(kink, circle1, radial2, cfg=fd5)
+        fd_quotients(kink, circle1, radial2, cfg=fd5)
 
 
 def test_fd_config_validation():
@@ -111,6 +112,7 @@ def test_max_step_resolution():
 def test_error_estimate_has_floor(segment01, e1_field, fd5):
     # translating a segment never changes its length; the estimate must
     # still be positive so downstream ratios stay defined
-    val, err = eulerian_fd(length_functional_plain(), segment01, e1_field, cfg=fd5)
+    tr = fd_quotients(length_functional_plain(), segment01, e1_field, cfg=fd5)
+    val, err = tr.value, tr.error_estimate
     assert val == pytest.approx(0.0, abs=1e-12)
     assert err > 0.0

@@ -15,7 +15,6 @@ from shapecalc.fields import (
     check_tangency,
     default_holdall,
     fd_jacobian,
-    project_normal,
     restriction_field,
     smooth_step,
     smooth_step_deriv,
@@ -195,8 +194,8 @@ def test_project_normal_is_projection(ellipse21, rotation2):
     ts = np.linspace(0.0, 2 * np.pi, 15)
     pts = ellipse21.gamma(ts)
     vec = rotation2.X(pts)
-    once = project_normal(ellipse21, ts, vec)
-    twice = project_normal(ellipse21, ts, once)
+    once = ellipse21.normal_part(ts, vec)
+    twice = ellipse21.normal_part(ts, once)
     np.testing.assert_allclose(once, twice, atol=1e-12)
     tangents = ellipse21.dgamma(ts)
     np.testing.assert_allclose(np.sum(once * tangents, axis=1), 0.0, atol=1e-9)
@@ -233,7 +232,7 @@ def test_straight_space_segment_needs_only_the_tangent(linear_field):
     T = T / np.linalg.norm(T)
     ts = np.linspace(M.a, M.b, 7)
     vec = field.X(M.gamma(ts))
-    perp = project_normal(M, ts, vec)
+    perp = M.normal_part(ts, vec)
     np.testing.assert_allclose(perp @ T, 0.0, atol=1e-14)
     np.testing.assert_allclose(perp, vec - np.outer(vec @ T, T), atol=1e-14)
     rep = check_tangency(M, field)

@@ -13,7 +13,6 @@ from shapecalc.functionals import (
     area_functional,
     bending_energy,
     crack_functional,
-    elastic_energy,
     elastic_functional,
     length,
     length_functional,
@@ -41,13 +40,14 @@ def test_quadrature_panels_converged(ellipse21):
 
 def test_elastic_energy_circle(circle1, circle2):
     # integral of kappa^2 over the curve: 2*pi/r
-    assert elastic_energy(circle1) == pytest.approx(TWO_PI, rel=1e-12)
-    assert elastic_energy(circle2) == pytest.approx(np.pi, rel=1e-12)
-    assert bending_energy(circle2) == pytest.approx(elastic_energy(circle2), rel=1e-13)
+    assert bending_energy(circle1) == pytest.approx(TWO_PI, rel=1e-12)
+    assert bending_energy(circle2) == pytest.approx(np.pi, rel=1e-12)
+    assert elastic_functional().evaluate(circle2) == pytest.approx(
+        bending_energy(circle2), rel=1e-13)
 
 
 def test_elastic_energy_straight_is_zero(segment01):
-    assert elastic_energy(segment01) == pytest.approx(0.0, abs=1e-15)
+    assert bending_energy(segment01) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_surface_area_cylinder(cylinder):
@@ -137,7 +137,7 @@ def test_crack_must_sit_inside_region(crack_segment):
         crack_functional(Ball(np.zeros(2), 1.0), crack_segment)
 
 
-def test_arc_length_guard():
+def test_arc_length_guard(e1_field):
     from shapecalc.geometry import ParamCurve
 
     fast = ParamCurve(
@@ -150,7 +150,8 @@ def test_arc_length_guard():
         closed=False,
         name="fast",
     )
-    # bending_energy accepts any regular chart, elastic_energy does not
+    # bending_energy accepts any regular chart, its closed-form first
+    # variation only an arc-length one
     assert bending_energy(fast) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(NotArcLength):
-        elastic_energy(fast)
+        analytic_delastic(fast, e1_field)

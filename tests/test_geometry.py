@@ -27,7 +27,6 @@ from shapecalc.geometry import (
     nearest_surface_param,
     surface_max_curvature,
     surface_mean_curvature,
-    surface_normal,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -394,10 +393,10 @@ def test_flowed_and_reversed_curves_drop_foot(circle1, crack_arc, radial2):
     assert flow_manifold(radial2, circle1, FlowConfig(0.1, 10)).foot is None
     pts = np.array([[1.3, 0.2], [-0.4, -0.9], [0.3, -2.4], [-1.5, -1.2]])
     for M in (circle1, crack_arc):
-        rev = M.reversed()
-        assert M.foot is not None and rev.foot is None
-        # the reversed chart's Newton search finds the same feet
-        np.testing.assert_allclose(rev.gamma(nearest_curve_param(rev, pts)),
+        bare = dataclasses.replace(M, foot=None)
+        assert M.foot is not None and bare.foot is None
+        # the hook-free chart's Newton search finds the same feet
+        np.testing.assert_allclose(bare.gamma(nearest_curve_param(bare, pts)),
                                    M.gamma(nearest_curve_param(M, pts)),
                                    rtol=0.0, atol=1e-12)
 
@@ -520,6 +519,38 @@ def _saddle():
     )
 
 
+def _reference_surface_normal(surf, us, vs):
+    """phi_u x phi_v / |phi_u x phi_v|, as the free surface_normal function
+    that ParamSurface.unit_normal replaced computed it."""
+    cr = np.cross(np.asarray(surf.phi_u(us, vs), dtype=float),
+                  np.asarray(surf.phi_v(us, vs), dtype=float))
+    return cr / np.linalg.norm(cr, axis=1)[:, None]
+
+
+def test_unit_normal_is_the_reference_formula(cylinder):
+    rng = np.random.default_rng(3)
+    for M in (cylinder, _saddle()):
+        us = rng.uniform(M.a, M.b, 200)
+        vs = rng.uniform(M.c, M.d, 200)
+        np.testing.assert_array_equal(M.unit_normal((us, vs)),
+                                      _reference_surface_normal(M, us, vs))
+    # a cone chart, regular on its box, pinches to a point at u = 0
+    cone = ParamSurface(
+        a=1.0, b=2.0, c=0.0, d=TWO_PI,
+        phi=lambda u, v: np.stack([u * np.cos(v), u * np.sin(v), u], axis=-1),
+        phi_u=lambda u, v: np.stack(
+            [np.cos(v), np.sin(v), np.ones_like(u)], axis=-1),
+        phi_v=lambda u, v: np.stack(
+            [-u * np.sin(v), u * np.cos(v), np.zeros_like(u)], axis=-1),
+        phi_vv=lambda u, v: np.stack(
+            [-u * np.cos(v), -u * np.sin(v), np.zeros_like(u)], axis=-1),
+        name="cone",
+    )
+    with pytest.raises(DegenerateImmersion) as exc:
+        cone.unit_normal((np.array([1.5, 0.0]), np.array([0.1, 0.3])))
+    assert str(exc.value) == "surface 'cone': normal undefined at (0, 0.3)"
+
+
 def test_saddle_newton_matches_brute_force():
     # phi_u . phi_v = -4uv couples u and v, so a foot held at a u-side must
     # still minimise the distance over v along that side
@@ -528,7 +559,7 @@ def test_saddle_newton_matches_brute_force():
     n = 120
     us, vs = rng.uniform(-0.7, 0.7, n), rng.uniform(-0.45, 0.45, n)
     off = 0.4 * saddle.reach * rng.uniform(-1.0, 1.0, n)
-    pts = saddle.phi(us, vs) + off[:, None] * surface_normal(saddle, us, vs)
+    pts = saddle.phi(us, vs) + off[:, None] * saddle.unit_normal((us, vs))
     u, v = nearest_surface_param(saddle, pts)
     assert np.sum(np.abs(u) == 0.5) > 20
     dist = saddle.project(pts).dist
@@ -550,7 +581,7 @@ def test_saddle_newton_exact_in_u_past_the_v_edges():
     us = rng.uniform(-0.5, 0.5, n)
     vs = np.sign(rng.uniform(-1.0, 1.0, n)) * rng.uniform(0.5, 0.7, n)
     off = 0.4 * saddle.reach * rng.uniform(-1.0, 1.0, n)
-    pts = saddle.phi(us, vs) + off[:, None] * surface_normal(saddle, us, vs)
+    pts = saddle.phi(us, vs) + off[:, None] * saddle.unit_normal((us, vs))
     ft = saddle.project(pts)
     u, v = ft.params
     np.testing.assert_array_equal(np.abs(v), 0.5)
@@ -574,7 +605,14 @@ def test_surface_max_curvature_saddle_and_cylinder(cylinder):
 
 
 def test_reversed_curve_same_points_same_bend(ellipse21):
-    rev = ellipse21.reversed()
+    # the same point set traversed with t -> a + b - t
+    a, b = ellipse21.a, ellipse21.b
+    rev = ParamCurve(
+        dim=2, a=a, b=b,
+        gamma=lambda t: ellipse21.gamma(a + b - np.asarray(t, dtype=float)),
+        dgamma=lambda t: -ellipse21.dgamma(a + b - np.asarray(t, dtype=float)),
+        ddgamma=lambda t: ellipse21.ddgamma(a + b - np.asarray(t, dtype=float)),
+        closed=True, name="ellipse21_rev")
     ts = np.linspace(ellipse21.a, ellipse21.b, 9)
     np.testing.assert_allclose(
         rev.gamma(ellipse21.a + ellipse21.b - ts), ellipse21.gamma(ts), atol=1e-12
@@ -615,7 +653,7 @@ def _reference_outward_normal(M, end, v=None):
     vs = np.atleast_1d(np.asarray(v, dtype=float))
     us = np.full_like(vs, M.a if end == "a" else M.b)
     pv = np.asarray(M.phi_v(us, vs), dtype=float)
-    nu = np.cross(pv, surface_normal(M, us, vs)) / np.linalg.norm(pv, axis=1)[:, None]
+    nu = np.cross(pv, M.unit_normal((us, vs))) / np.linalg.norm(pv, axis=1)[:, None]
     return -nu if end == "a" else nu
 
 
@@ -636,7 +674,7 @@ def test_conormal_extension_is_the_outward_conormal(shape, request):
 def test_cylinder_surface_quantities(cylinder):
     us = np.array([0.5, 1.5])
     vs = np.array([0.0, np.pi / 2])
-    n = surface_normal(cylinder, us, vs)
+    n = cylinder.unit_normal((us, vs))
     np.testing.assert_allclose(np.linalg.norm(n, axis=1), 1.0, rtol=1e-12)
     # this parameterization orients the normal toward the axis
     np.testing.assert_allclose(n[0], [-1.0, 0.0, 0.0], atol=1e-12)

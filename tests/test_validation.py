@@ -129,7 +129,7 @@ def test_normal_dependence_suite_segment(segment01, rotation2, fd5):
 
 def test_crack_suite_straight(crack_segment, fd5):
     J = crack_functional(Ball(np.zeros(2), 3.0), crack_segment)
-    res = crack_suite(J, crack_segment, cfg=fd5)
+    res = crack_suite(J, cfg=fd5)
     assert res.passed
     descs = [c.description for c in res.cases]
     assert sum("= 1 [" in d for d in descs) == 2
@@ -139,7 +139,7 @@ def test_crack_suite_straight(crack_segment, fd5):
 
 def test_crack_suite_curved_tips(crack_arc, fd5):
     J = crack_functional(Ball(np.zeros(2), 4.0), crack_arc)
-    res = crack_suite(J, crack_arc, cfg=fd5)
+    res = crack_suite(J, cfg=fd5)
     assert res.passed
     descs = [c.description for c in res.cases]
     # curved tips: coefficients are recorded, not pinned to a constant
@@ -153,7 +153,7 @@ def test_crack_suite_straight_elastic_asserts_no_unit_weights(crack_segment, fd5
     # unit endpoint weights belong to the length variation only
     J = crack_functional(Ball(np.zeros(2), 3.0), crack_segment,
                          inner=elastic_functional())
-    descs = [c.description for c in crack_suite(J, crack_segment, cfg=fd5).cases]
+    descs = [c.description for c in crack_suite(J, cfg=fd5).cases]
     assert not any("= 1 [" in d for d in descs)
     assert sum("stable under probe halving" in d for d in descs) == 2
     assert not any("matches curvature density" in d for d in descs)
@@ -161,7 +161,7 @@ def test_crack_suite_straight_elastic_asserts_no_unit_weights(crack_segment, fd5
 
 def test_crack_coefficients_straight(crack_segment, fd5):
     J = crack_functional(Ball(np.zeros(2), 3.0), crack_segment)
-    co = extract_crack_coefficients(J, crack_segment, cfg=fd5)
+    co = extract_crack_coefficients(J, cfg=fd5)
     assert co.alpha1 == pytest.approx(1.0, abs=2e-5)
     assert co.alpha2 == pytest.approx(1.0, abs=2e-5)
     assert co.stations.shape == (3,)
@@ -174,15 +174,15 @@ def test_crack_coefficients_straight(crack_segment, fd5):
 def test_probe_overlap_detected(crack_segment, fd5):
     J = crack_functional(Ball(np.zeros(2), 3.0), crack_segment)
     with pytest.raises(ProbeOverlap):
-        extract_crack_coefficients(J, crack_segment, probe_radius=1.2, cfg=fd5)
+        extract_crack_coefficients(J, probe_radius=1.2, cfg=fd5)
     with pytest.raises(ProbeOverlap):
-        extract_crack_coefficients(J, crack_segment, probe_radius=0.9, cfg=fd5)
+        extract_crack_coefficients(J, probe_radius=0.9, cfg=fd5)
 
 
 def test_closed_crack_rejected(circle1, fd5):
     J = crack_functional(Ball(np.zeros(2), 3.0), circle1)
     with pytest.raises(ProbeOverlap):
-        extract_crack_coefficients(J, circle1, cfg=fd5)
+        extract_crack_coefficients(J, cfg=fd5)
 
 
 def test_length_density_quadrature_matches_closed_form(circle1, radial2):
@@ -482,11 +482,11 @@ def test_crack_suite_runs_only_the_probes_it_reports(crack_segment, crack_arc,
     from shapecalc import validation
 
     calls = []
-    real = validation.eulerian_fd
-    monkeypatch.setattr(validation, "eulerian_fd",
+    real = validation.fd_quotients
+    monkeypatch.setattr(validation, "fd_quotients",
                         lambda *args: calls.append(1) or real(*args))
     for curve, expected in ((crack_segment, 7), (crack_arc, 5)):
         calls.clear()
         J = crack_functional(Ball(np.zeros(2), 4.0), curve)
-        crack_suite(J, curve, cfg=fd5)
+        crack_suite(J, cfg=fd5)
         assert len(calls) == expected
