@@ -26,9 +26,8 @@ from typing import Callable, Optional, Sequence
 
 from .catalog import (ParsedField, _Params, build_shape, compatible,
                       parse_field, parse_functional)
-from .derivative import FDConfig, compare
-from .errors import ConfigError, ShapecalcError
-from .flow import DEFAULT_MAX_STEP
+from .derivative import ABS_TOL, REL_TOL, FDConfig, compare
+from .errors import ConfigError, InvariantViolation, ShapecalcError
 from .functionals import CrackFunctional
 from .report_io import (comparison_record, comparisons_csv, load_report,
                         plot_csv, report_document, suite_record, suites_csv,
@@ -75,17 +74,20 @@ def load_plan(path: str) -> RunPlan:
     label = top.string("name", default="run")
 
     fd = _Params(top.mapping("fd", default=None), "config.fd")
-    t0 = fd.scalar("t0", default=1e-2, positive=True)
-    levels = fd.integer("levels", default=5, minimum=2)
-    richardson = fd.boolean("richardson", default=True)
-    max_step = fd.scalar("max_step", default=DEFAULT_MAX_STEP, positive=True)
+    t0 = fd.scalar("t0", default=FDConfig.t0, positive=True)
+    levels = fd.integer("levels", default=FDConfig.levels, minimum=2)
+    richardson = fd.boolean("richardson", default=FDConfig.richardson)
+    max_step = fd.scalar("max_step", default=FDConfig.max_step, positive=True)
     fd.finish()
-    cfg = FDConfig(t0=t0, levels=levels, richardson=richardson,
-                   max_step=max_step)
+    try:
+        cfg = FDConfig(t0=t0, levels=levels, richardson=richardson,
+                       max_step=max_step)
+    except InvariantViolation as exc:
+        raise ConfigError(f"config.fd: {exc}") from None
 
     tol = _Params(top.mapping("tolerances", default=None), "config.tolerances")
-    rel_tol = tol.scalar("rel_tol", default=1e-5, positive=True)
-    abs_tol = tol.scalar("abs_tol", default=1e-8, positive=True)
+    rel_tol = tol.scalar("rel_tol", default=REL_TOL, positive=True)
+    abs_tol = tol.scalar("abs_tol", default=ABS_TOL, positive=True)
     tol.finish()
 
     shapes: dict = {}

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NoConvergence, NonFinite
 from .fields import AmbientField
-from .flow import DEFAULT_MAX_STEP, FlowConfig, flow_manifold
+from .flow import DEFAULT_MAX_STEP, FlowConfig, flow_manifold, step_count
 
 REL_TOL = 1e-5
 ABS_TOL = 1e-8
@@ -48,6 +48,17 @@ class FDConfig:
             raise InvariantViolation("need at least 2 levels")
         if not self.max_step > 0:
             raise InvariantViolation("max_step must be positive")
+        if self.levels > 1024:  # 2.0**1024 overflows
+            raise InvariantViolation(
+                f"levels = {self.levels} overflows the Richardson weights 2^j - 1")
+        if not self.t0 / 2.0 ** (self.levels - 1) > 0:
+            raise InvariantViolation(
+                f"t0 = {self.t0:g} and levels = {self.levels}: the finest time "
+                "t0/2^(levels-1) is not a positive float")
+        if not math.isfinite(self.t0 / self.max_step):
+            raise InvariantViolation(
+                f"t0 = {self.t0:g} and max_step = {self.max_step:g}: the "
+                "step count t0/max_step is not finite")
 
 
 @dataclass(frozen=True)
@@ -62,8 +73,8 @@ class FDTrace:
 
 
 def _flow_at(field: AmbientField, manifold, t: float, max_step: float):
-    n = max(1, math.ceil(abs(t) / max_step)) if t != 0.0 else 1
-    return flow_manifold(field, manifold, FlowConfig(t_final=t, n_steps=n))
+    return flow_manifold(field, manifold,
+                         FlowConfig(t_final=t, n_steps=step_count(t, max_step)))
 
 
 def fd_quotients(J, M, X: AmbientField, cfg: FDConfig | None = None) -> FDTrace:

@@ -201,8 +201,9 @@ def last_call_memo(fn: Callable[..., object]) -> Callable[..., object]:
 
     Pairs of evaluations on the same arrays one after the other share one
     computation: a field's X and dX in an RK4 stage with Jacobian transport
-    (one nearest-point projection), a flowed surface's phi_u and phi_v (one
-    transported Jacobian).  The memo is private to the closure that holds
+    (one nearest-point projection), the transported partials of a flowed
+    manifold (one Jacobian flow: gamma' read twice on a curve, phi_u and
+    phi_v on a surface).  The memo is private to the closure that holds
     it, and the (key, value) pair is replaced as one object, so a reader
     never sees a key with another key's value.
     """

@@ -2,36 +2,47 @@
 
 The flow map Phi_t solves x' = X(x) with a fixed-step RK4 integrator; the
 space Jacobian dPhi_t is co-transported through the variational equation
-(dPhi)' = dX(Phi) dPhi, so first derivatives of a flowed parametrization
-are exact images of the base derivatives:
+(dPhi)' = dX(Phi) dPhi.  Both flows step one RK4 loop, so the points of the
+joint flow are bit for bit those of the point flow.
 
-    (Phi_t o gamma)'(s) = dPhi_t(gamma(s)) gamma'(s).
+A transported manifold is one body for curves and surfaces.  Its chart is
+the point flow of the base chart; each first partial is the base partial
+carried by the Jacobian flow of the base chart at the same parameters,
 
-Second parameter derivatives of flowed manifolds come from 5-point
-differences of the transported first derivatives (wrapped across seams of
-closed curves / v-periodic surfaces, shifted inside open ends).
+    (Phi_t o gamma)'(s) = dPhi_t(gamma(s)) gamma'(s),
+
+and the partials at one parameter set share one Jacobian flow (gamma' on
+a curve, phi_u and phi_v on a surface).  The second derivative is a
+5-point difference of the last transported partial in the last parameter
+(wrapped across the seam of a closed curve / v-periodic surface, shifted
+inside open ends).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._stencil import sample_derivative
 from .errors import InvariantViolation, NonFinite
 from .fields import AmbientField, last_call_memo
-from .geometry import ParamCurve, ParamSurface
+from .geometry import ParamCurve
 
 DEFAULT_MAX_STEP = 0.01
+
+
+def step_count(t: float, max_step: float) -> int:
+    """Fewest RK4 steps that reach time t with steps of at most max_step."""
+    return max(1, math.ceil(abs(t) / max_step))
 
 
 @dataclass(frozen=True)
 class FlowConfig:
     """Fixed-step RK4 flow to time t_final.
 
-    n_steps defaults to ceil(|t_final| / 0.01), keeping the step at or
-    below 0.01.
+    n_steps defaults to step_count(t_final, DEFAULT_MAX_STEP), keeping the
+    step at or below 0.01.
     """
 
     t_final: float
@@ -39,11 +50,29 @@ class FlowConfig:
 
     def __post_init__(self):
         if self.n_steps is None:
-            object.__setattr__(
-                self, "n_steps",
-                max(1, math.ceil(abs(self.t_final) / DEFAULT_MAX_STEP)))
+            object.__setattr__(self, "n_steps",
+                               step_count(self.t_final, DEFAULT_MAX_STEP))
         if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
             raise InvariantViolation("n_steps must be a positive integer")
+
+
+def _rk4(rhs, state: tuple, cfg: FlowConfig, name: str) -> tuple:
+    """Classical RK4 on a tuple of arrays; rhs maps the arrays to their
+    rates.  At t_final = 0 this returns copies without calling rhs."""
+    h = cfg.t_final / cfg.n_steps
+    if h == 0.0:
+        return tuple(s.copy() for s in state)
+    half, sixth = 0.5 * h, h / 6.0
+    for _ in range(cfg.n_steps):
+        k1 = rhs(*state)
+        k2 = rhs(*[s + half * k for s, k in zip(state, k1)])
+        k3 = rhs(*[s + half * k for s, k in zip(state, k2)])
+        k4 = rhs(*[s + h * k for s, k in zip(state, k3)])
+        state = [s + sixth * (a + 2.0 * b + 2.0 * c + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+        if not all(np.isfinite(s).all() for s in state):
+            raise NonFinite(f"flow of '{name}' left the numeric range")
+    return tuple(state)
 
 
 def flow_point(field: AmbientField, x0, cfg: FlowConfig) -> np.ndarray:
@@ -52,22 +81,10 @@ def flow_point(field: AmbientField, x0, cfg: FlowConfig) -> np.ndarray:
     At t_final = 0 the flow is the identity and the field is not called.
     """
     x = np.asarray(x0, dtype=float)
-    scalar = x.ndim == 1
-    x = np.atleast_2d(x)
-    h = cfg.t_final / cfg.n_steps
-    if h == 0.0:
-        x = x.copy()
-        return x[0] if scalar else x
     X = field.X
-    for _ in range(cfg.n_steps):
-        k1 = np.asarray(X(x), dtype=float)
-        k2 = np.asarray(X(x + 0.5 * h * k1), dtype=float)
-        k3 = np.asarray(X(x + 0.5 * h * k2), dtype=float)
-        k4 = np.asarray(X(x + h * k3), dtype=float)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise NonFinite(f"flow of '{field.name}' left the numeric range")
-    return x[0] if scalar else x
+    (out,) = _rk4(lambda xc: (np.asarray(X(xc), dtype=float),),
+                  (np.atleast_2d(x),), cfg, field.name)
+    return out[0] if x.ndim == 1 else out
 
 
 def flow_with_jacobian(field: AmbientField, x0,
@@ -77,26 +94,14 @@ def flow_with_jacobian(field: AmbientField, x0,
     field call."""
     x = np.atleast_2d(np.asarray(x0, dtype=float))
     n, d = x.shape
-    J = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    h = cfg.t_final / cfg.n_steps
-    if h == 0.0:
-        return x.copy(), J
     X, dX = field.X, field.dX
 
     def rhs(xc, Jc):
         return (np.asarray(X(xc), dtype=float),
                 _jacobian_product(np.asarray(dX(xc), dtype=float), Jc))
 
-    for _ in range(cfg.n_steps):
-        k1x, k1J = rhs(x, J)
-        k2x, k2J = rhs(x + 0.5 * h * k1x, J + 0.5 * h * k1J)
-        k3x, k3J = rhs(x + 0.5 * h * k2x, J + 0.5 * h * k2J)
-        k4x, k4J = rhs(x + h * k3x, J + h * k3J)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        J = J + (h / 6.0) * (k1J + 2 * k2J + 2 * k3J + k4J)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(J))):
-            raise NonFinite(f"flow of '{field.name}' left the numeric range")
-    return x, J
+    return _rk4(rhs, (x, np.broadcast_to(np.eye(d), (n, d, d)).copy()), cfg,
+                field.name)
 
 
 def _jacobian_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -121,102 +126,75 @@ def _jacobian_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
     """Manifold transported by the flow, same type as the input.
 
-    The flowed parametrization callables evaluate flows lazily; parameter
-    second derivatives use finite differences of the transported first
-    derivatives with step 1e-5 times the parameter span.
+    One body for both kinds: the chart is flow_point of the base chart,
+    each first partial is the base partial times one memoized Jacobian
+    flow per parameter set, and the second derivative is a 5-point stencil
+    of the last transported partial.  The callables evaluate flows lazily.
     """
     if isinstance(manifold, ParamCurve):
-        return _flow_curve(field, manifold, cfg)
-    if isinstance(manifold, ParamSurface):
-        return _flow_surface(field, manifold, cfg)
-    raise TypeError("expected ParamCurve or ParamSurface")
+        chart, partials, second = "gamma", ("dgamma",), "ddgamma"
+        lo, hi, periodic = manifold.a, manifold.b, manifold.closed
+        # wide stencil step by default: fields with composed direction
+        # callables carry value jitter that the differencing amplifies by
+        # 1/h, and the curvature of anything built on this ddgamma keeps
+        # that noise visible.  A field of characteristic width rho caps the
+        # step instead: the stencil truncation grows like h^4 times a
+        # seventh derivative ~ rho^-7, so the widest safe step scales as
+        # rho^(7/4).
+        h2 = 1.6e-4 * (hi - lo)
+        if field.scale is not None:
+            h2 = min(h2, 2.3e-3 * field.scale ** 1.75)
+    else:
+        chart, partials, second = "phi", ("phi_u", "phi_v"), "phi_vv"
+        lo, hi, periodic = manifold.c, manifold.d, manifold.periodic_v
+        h2 = 1e-5 * (hi - lo)
+    base = getattr(manifold, chart)
 
+    def params_of(args):
+        return np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(p, dtype=float)) for p in args))
 
-def _flow_curve(field: AmbientField, curve: ParamCurve,
-                cfg: FlowConfig) -> ParamCurve:
-    def gamma_t(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return flow_point(field, np.asarray(curve.gamma(ts), dtype=float), cfg)
+    # flow_point and flow_with_jacobian are called through the module
+    # globals, so a wrapper installed there sees every flow
+    def chart_t(*args):
+        return flow_point(field, np.asarray(base(*params_of(args)), dtype=float),
+                          cfg)
 
-    def dgamma_t(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        _, J = flow_with_jacobian(field, np.asarray(curve.gamma(ts), dtype=float), cfg)
-        return np.einsum("nij,nj->ni", J, np.asarray(curve.dgamma(ts), dtype=float))
+    # the partials are nearly always asked for on the same nodes one after
+    # the other; the last transported Jacobian serves them all
+    jacobian = last_call_memo(lambda *params: flow_with_jacobian(
+        field, np.asarray(base(*params), dtype=float), cfg)[1])
 
-    # wide stencil step by default: fields with composed direction callables
-    # carry value jitter that the differencing amplifies by 1/h, and the
-    # curvature of anything built on this ddgamma keeps that noise visible.
-    # A field of characteristic width rho caps the step instead: the stencil
-    # truncation grows like h^4 times a seventh derivative ~ rho^-7, so the
-    # widest safe step scales as rho^(7/4).
-    h2 = 1.6e-4 * (curve.b - curve.a)
-    if field.scale is not None:
-        h2 = min(h2, 2.3e-3 * field.scale ** 1.75)
+    def transported(partial):
+        def partial_t(*args):
+            params = params_of(args)
+            return np.einsum("nij,nj->ni", jacobian(*params),
+                             np.asarray(partial(*params), dtype=float))
+        return partial_t
 
-    def ddgamma_t(ts):
-        return sample_derivative(dgamma_t, ts, h2, 1, curve.a, curve.b,
-                                 periodic=curve.closed)
+    firsts = {name: transported(getattr(manifold, name)) for name in partials}
+    last = firsts[partials[-1]]
 
-    return ParamCurve(dim=curve.dim, a=curve.a, b=curve.b, gamma=gamma_t,
-                      dgamma=dgamma_t, ddgamma=ddgamma_t, closed=curve.closed,
-                      name=f"{curve.name}@{field.name}:{cfg.t_final:g}",
-                      transported=True)
-
-
-def _flow_surface(field: AmbientField, surf: ParamSurface,
-                  cfg: FlowConfig) -> ParamSurface:
-    def phi_t(us, vs):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        vs = np.atleast_1d(np.asarray(vs, dtype=float))
-        us, vs = np.broadcast_arrays(us, vs)
-        return flow_point(field, np.asarray(surf.phi(us, vs), dtype=float), cfg)
-
-    # phi_u and phi_v are nearly always asked for on the same nodes one
-    # after the other; the last transported Jacobian serves both
-    jacobian = last_call_memo(lambda us, vs: flow_with_jacobian(
-        field, np.asarray(surf.phi(us, vs), dtype=float), cfg)[1])
-
-    def _transport(base_deriv, us, vs):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        vs = np.atleast_1d(np.asarray(vs, dtype=float))
-        us, vs = np.broadcast_arrays(us, vs)
-        J = jacobian(us, vs)
-        return np.einsum("nij,nj->ni", J, np.asarray(base_deriv(us, vs), dtype=float))
-
-    def phi_u_t(us, vs):
-        return _transport(surf.phi_u, us, vs)
-
-    def phi_v_t(us, vs):
-        return _transport(surf.phi_v, us, vs)
-
-    h2 = 1e-5 * (surf.d - surf.c)
-
-    def phi_vv_t(us, vs):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        vs = np.atleast_1d(np.asarray(vs, dtype=float))
-        us, vs = np.broadcast_arrays(us, vs)
-        us = np.ascontiguousarray(us)
+    def second_t(*args):
+        *rest, s = params_of(args)
         return sample_derivative(
-            lambda vv: phi_v_t(np.repeat(us, 5), vv),
-            vs, h2, 1, surf.c, surf.d, periodic=surf.periodic_v)
+            lambda ss: last(*(np.repeat(r, 5) for r in rest), ss),
+            s, h2, 1, lo, hi, periodic=periodic)
 
-    return ParamSurface(a=surf.a, b=surf.b, c=surf.c, d=surf.d, phi=phi_t,
-                        phi_u=phi_u_t, phi_v=phi_v_t, phi_vv=phi_vv_t,
-                        name=f"{surf.name}@{field.name}:{cfg.t_final:g}",
-                        transported=True)
+    return replace(
+        manifold, **{chart: chart_t, second: second_t}, **firsts,
+        name=f"{manifold.name}@{field.name}:{cfg.t_final:g}",
+        transported=True, foot=None)
 
 
-def invariance_residual(field: AmbientField, manifold, cfg) -> float:
-    """Max distance from flowed samples back to the manifold: 200 on a
-    curve, a 15 x 15 grid on a surface, seams included.
+def invariance_residual(field: AmbientField, manifold, t: float) -> float:
+    """Max distance from samples flowed to time t back to the manifold: 200
+    on a curve, a 15 x 15 grid on a surface, seams included.
 
-    cfg is a FlowConfig, or a bare time t (then the step defaults to 5e-4:
-    tangential fields keep the manifold invariant, so the residual reduces
-    to integrator error and a small step keeps that error near roundoff).
+    The RK4 step is at most 5e-4: tangential fields keep the manifold
+    invariant, so the residual reduces to integrator error, and a small
+    step keeps that error near roundoff.
     """
-    if not isinstance(cfg, FlowConfig):
-        t = float(cfg)
-        cfg = FlowConfig(t_final=t, n_steps=max(1, math.ceil(abs(t) / 5e-4)))
     if isinstance(manifold, ParamCurve):
         params = np.linspace(manifold.a, manifold.b, 200)
     else:
@@ -224,5 +202,5 @@ def invariance_residual(field: AmbientField, manifold, cfg) -> float:
                            np.linspace(manifold.c, manifold.d, 15), indexing="ij")
         params = (U.ravel(), V.ravel())
     pts = manifold.chart(params)
-    flowed = flow_point(field, pts, cfg)
+    flowed = flow_point(field, pts, FlowConfig(t, step_count(t, 5e-4)))
     return float(manifold.project(flowed).dist.max())

@@ -235,6 +235,30 @@ def test_null_required_vector_exits_2(section, entry, key, tmp_path, capsys):
     assert f"parameter '{key}' must be a finite vector" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fd, key", [({"levels": 1030}, "levels"),
+                                     ({"t0": 1e308}, "t0")],
+                         ids=["levels-1030", "t0-1e308"])
+def test_uncomputable_fd_schedule_exits_2(fd, key, tmp_path, capsys):
+    # 2^1029 overflows the Richardson weights; 1e308 / max_step overflows
+    # the flow's step count
+    path = tmp_path / "fd.json"
+    path.write_text(json.dumps(dict(TINY_CURVE, fd=fd)))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.fd: ") and f"{key} = " in err
+
+
+def test_absent_fd_and_tolerances_take_the_library_defaults(tmp_path):
+    from shapecalc.derivative import ABS_TOL, REL_TOL, FDConfig
+
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(
+        {k: v for k, v in TINY_CURVE.items() if k not in ("fd", "tolerances")}))
+    plan = cli.load_plan(str(path))
+    assert plan.cfg == FDConfig()
+    assert (plan.rel_tol, plan.abs_tol) == (REL_TOL, ABS_TOL)
+
+
 @pytest.mark.parametrize("comparisons", [[1], 5])
 def test_plot_of_malformed_comparisons_exits_2(comparisons, tmp_path, capsys):
     report = tmp_path / "report.json"

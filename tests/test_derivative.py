@@ -101,6 +101,21 @@ def test_fd_config_validation():
         FDConfig(levels=1)
 
 
+@pytest.mark.parametrize("kwargs, ok", [
+    ({"levels": 1024}, True),          # largest weight 2^1023 - 1
+    ({"levels": 1025}, False),         # 2^1024 overflows
+    ({"t0": 1e-300, "levels": 60}, True),
+    ({"t0": 1e-300, "levels": 90}, False),   # finest time underflows to 0
+    ({"t0": 1e300, "max_step": 1e-10}, False),  # step count overflows
+], ids=["levels-1024", "levels-1025", "tiny-t0-60", "tiny-t0-90", "huge-t0"])
+def test_fd_schedule_must_be_computable(kwargs, ok):
+    if ok:
+        FDConfig(**kwargs)
+    else:
+        with pytest.raises(InvariantViolation):
+            FDConfig(**kwargs)
+
+
 def test_max_step_resolution():
     assert FDConfig().max_step == pytest.approx(0.01)
     assert FDConfig(max_step=0.005).max_step == pytest.approx(0.005)

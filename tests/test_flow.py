@@ -110,7 +110,7 @@ def test_invariance_residual_detects_motion(circle1, identity2):
     assert res == pytest.approx(np.exp(0.1) - 1.0, rel=1e-6)
 
 
-def test_invariance_residual_accepts_config(cylinder):
+def test_invariance_residual_rotation_keeps_the_cylinder(cylinder):
     from shapecalc.catalog import build_field
 
     rot3 = build_field(
@@ -121,7 +121,7 @@ def test_invariance_residual_accepts_config(cylinder):
         },
         3,
     )
-    res = invariance_residual(rot3, cylinder, FlowConfig(0.5, 500))
+    res = invariance_residual(rot3, cylinder, 0.5)
     assert res <= 1e-9
 
 
@@ -139,29 +139,79 @@ def _counting_flows(monkeypatch):
     return calls
 
 
-def _bumped(cylinder):
-    field = bump_field(np.array([1.0, 0.0, 1.0]), 0.8, np.array([0.3, 0.2, 0.1]))
-    return lambda: flow_manifold(field, cylinder, FlowConfig(0.1, 10))
+# per shape: bump centre and direction, the transported partials asked for
+# one after the other, and the parameter set they are asked at
+SHARED_JACOBIAN = {
+    "circle1": ([1.0, 0.0], [0.3, 0.2], ("dgamma", "dgamma"),
+                (np.linspace(0.2, 1.8, 9),)),
+    "cylinder": ([1.0, 0.0, 1.0], [0.3, 0.2, 0.1], ("phi_u", "phi_v"),
+                 (np.linspace(0.2, 1.8, 9), np.linspace(0.0, 1.5, 9))),
+}
 
 
-def test_flowed_surface_shares_one_jacobian_per_node_set(cylinder, monkeypatch):
+@pytest.mark.parametrize("shape", SHARED_JACOBIAN)
+def test_flowed_manifold_shares_one_jacobian_per_node_set(shape, request,
+                                                          monkeypatch):
+    center, direction, partials, params = SHARED_JACOBIAN[shape]
+    field = bump_field(np.array(center), 0.8, np.array(direction))
+    base = request.getfixturevalue(shape)
+
+    def make():
+        return flow_manifold(field, base, FlowConfig(0.1, 10))
+
     calls = _counting_flows(monkeypatch)
-    make = _bumped(cylinder)
     moved = make()
-    us = np.linspace(0.2, 1.8, 9)
-    vs = np.linspace(0.0, 1.5, 9)
     calls.clear()
-    pu = moved.phi_u(us, vs)
-    pv = moved.phi_v(us, vs)
+    got = [getattr(moved, name)(*params) for name in partials]
     assert calls == [9]
-    # each derivative taken cold on its own flowed surface agrees bit for bit
-    np.testing.assert_array_equal(pu, make().phi_u(us, vs))
-    np.testing.assert_array_equal(pv, make().phi_v(us, vs))
-    # a change in either parameter is a new node set
+    # each derivative taken cold on its own flowed manifold agrees bit for bit
+    for name, value in zip(partials, got):
+        np.testing.assert_array_equal(value, getattr(make(), name)(*params))
+    # a change in any parameter is a new node set
     calls.clear()
-    moved.phi_v(us, vs + 0.01)
-    moved.phi_u(us + 0.01, vs + 0.01)
+    shifted = params[:-1] + (params[-1] + 0.01,)
+    getattr(moved, partials[-1])(*shifted)
+    getattr(moved, partials[0])(shifted[0] + 0.01, *shifted[1:])
     assert calls == [9, 9]
+
+
+@pytest.mark.parametrize("n_steps", [1, 7])
+@pytest.mark.parametrize("kind", ["bump", "linear"])
+def test_point_flow_is_the_point_part_of_the_joint_flow(kind, n_steps):
+    from shapecalc.catalog import build_field
+
+    if kind == "bump":
+        field = bump_field(np.array([0.1, -0.2]), 1.5, np.array([0.4, -0.3]))
+    else:
+        field = build_field({"kind": "linear", "matrix": [[0.3, -1.0], [0.7, 0.2]],
+                             "name": "lin"}, 2)
+    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (11, 2))
+    cfg = FlowConfig(0.3, n_steps)
+    np.testing.assert_array_equal(flow_point(field, pts, cfg),
+                                  flow_with_jacobian(field, pts, cfg)[0])
+
+
+@pytest.mark.parametrize("shape", ["circle1", "segment01", "crack_arc", "cylinder"])
+def test_zero_time_flowed_manifold_is_the_base(shape, request):
+    from shapecalc.functionals import surface_area
+
+    base = request.getfixturevalue(shape)
+    field = bump_field(np.zeros(base.dim), 0.5, np.ones(base.dim))
+    moved = flow_manifold(field, base, FlowConfig(0.0, 1))
+    if base.dim == 3:
+        U, V = np.meshgrid(np.linspace(base.a, base.b, 7),
+                           np.linspace(base.c, base.d, 7), indexing="ij")
+        params = (U.ravel(), V.ravel())
+        names = ("phi", "phi_u", "phi_v")
+        measure = surface_area
+    else:
+        params = (np.linspace(base.a, base.b, 33),)
+        names = ("gamma", "dgamma")
+        measure = length
+    for name in names:
+        np.testing.assert_array_equal(getattr(moved, name)(*params),
+                                      getattr(base, name)(*params))
+    assert measure(moved) == measure(base)
 
 
 @pytest.mark.parametrize("d", [2, 3])
