@@ -10,6 +10,13 @@ Cases run one after another in a single thread, so a run's report is the
 same bytes every time; `--jobs` is accepted for scripts that pass
 `--jobs 1`, and any other value is a usage error.
 
+Comparisons run shape by shape, then field by field, so the functionals of
+one (shape, field) share its FD schedule; the report lists them functional
+by functional.  Nullity runs one job per shape for the functionals whose
+first compatible shape it is, in the order of their first functional, so
+functionals that interleave shapes (length, area, elastic) report nullity
+grouped by shape (length, elastic, area).  `-v` prints each report record.
+
 Exit status: 0 all checks passed, 1 a check failed or a derivative did not
 converge, 2 the config, an option or an input file is unusable.
 """
@@ -76,12 +83,12 @@ def load_plan(path: str) -> RunPlan:
     fd = _Params(top.mapping("fd", default=None), "config.fd")
     t0 = fd.scalar("t0", default=FDConfig.t0, positive=True)
     levels = fd.integer("levels", default=FDConfig.levels, minimum=2)
-    richardson = fd.boolean("richardson", default=FDConfig.richardson)
+    if not fd.boolean("richardson", default=True):  # always extrapolated
+        raise ConfigError("config.fd: richardson must be true")
     max_step = fd.scalar("max_step", default=FDConfig.max_step, positive=True)
     fd.finish()
     try:
-        cfg = FDConfig(t0=t0, levels=levels, richardson=richardson,
-                       max_step=max_step)
+        cfg = FDConfig(t0=t0, levels=levels, max_step=max_step)
     except InvariantViolation as exc:
         raise ConfigError(f"config.fd: {exc}") from None
 
@@ -90,51 +97,48 @@ def load_plan(path: str) -> RunPlan:
     abs_tol = tol.scalar("abs_tol", default=ABS_TOL, positive=True)
     tol.finish()
 
-    shapes: dict = {}
-    for i, desc in enumerate(top.sequence("shapes")):
-        where = f"config.shapes[{i}]"
-        M = build_shape(desc, where=where)
-        if M.name in shapes:
-            raise ConfigError(f"{where}: duplicate shape name '{M.name}'")
-        shapes[M.name] = M
+    shapes = {M.name: M for M in _named(top.sequence("shapes"), "shapes",
+                                        build_shape)}
+    fields = _named(top.sequence("fields", default=None), "fields", parse_field)
+    functionals = _named(top.sequence("functionals"), "functionals",
+                         lambda d, where: parse_functional(d, shapes, where=where))
 
-    fields: list[ParsedField] = []
-    for i, desc in enumerate(top.sequence("fields", default=None)):
-        f = parse_field(desc, where=f"config.fields[{i}]")
-        if any(g.name == f.name for g in fields):
-            raise ConfigError(
-                f"config.fields[{i}]: duplicate field name '{f.name}'"
-            )
-        fields.append(f)
-
-    functionals = [
-        parse_functional(desc, shapes, where=f"config.functionals[{i}]")
-        for i, desc in enumerate(top.sequence("functionals"))
-    ]
-
-    suites = top.sequence("suites", default=None) or list(SUITE_NAMES)
-    for s in suites:
-        if s not in SUITE_NAMES:
-            known = ", ".join(SUITE_NAMES)
-            raise ConfigError(f"config.suites: unknown suite '{s}' (known: {known})")
+    suites = _known(top.sequence("suites", default=None) or list(SUITE_NAMES),
+                    SUITE_NAMES, "config.suites", "suite")
     if len(set(suites)) != len(suites):
         raise ConfigError("config.suites: duplicate suite names")
 
     out = _Params(top.mapping("output", default=None), "config.output")
     out_path = out.string("path", default=None)
-    formats = out.sequence("formats", default=None) or ["json"]
-    for f in formats:
-        if f not in FORMAT_NAMES:
-            raise ConfigError(
-                f"config.output.formats: unknown format '{f}' "
-                f"(known: {', '.join(FORMAT_NAMES)})"
-            )
+    formats = _known(out.sequence("formats", default=None) or ["json"],
+                     FORMAT_NAMES, "config.output.formats", "format")
     out.finish()
     top.finish()
     return RunPlan(label=label, cfg=cfg, rel_tol=rel_tol, abs_tol=abs_tol,
                    shapes=shapes, fields=fields, functionals=functionals,
                    suites=tuple(suites), out_path=out_path,
                    formats=tuple(dict.fromkeys(formats)))
+
+
+def _named(descs: list, section: str, parse) -> list:
+    """The parsed entries of one config section, whose names are unique."""
+    out: list = []
+    for i, desc in enumerate(descs):
+        where = f"config.{section}[{i}]"
+        obj = parse(desc, where=where)
+        if any(o.name == obj.name for o in out):
+            raise ConfigError(
+                f"{where}: duplicate {section[:-1]} name '{obj.name}'")
+        out.append(obj)
+    return out
+
+
+def _known(names, known: tuple, where: str, kind: str):
+    for name in names:
+        if name not in known:
+            raise ConfigError(f"{where}: unknown {kind} '{name}' "
+                              f"(known: {', '.join(known)})")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +153,12 @@ def load_plan(path: str) -> RunPlan:
 @dataclass(frozen=True)
 class _Job:
     label: str
-    run: Callable[[], object]
+    run: Callable[[], list]
+    tags: tuple[str, ...]       # one per result of run: its record's name
+
+
+def _single(tag: str, run: Callable[[], object]) -> _Job:
+    return _Job(tag, lambda: [run()], (tag,))
 
 
 def _generic_shapes(plan: RunPlan) -> list:
@@ -174,95 +183,82 @@ def _fields_for(plan: RunPlan, M, cache: dict) -> list:
 
 
 def comparison_jobs(plan: RunPlan) -> list[_Job]:
+    # the functionals of one (M, X) run one after the other: one FD schedule
     cache: dict = {}
     jobs = []
-    for J in _plain_functionals(plan):
-        for M in _generic_shapes(plan):
-            if not compatible(J, M):
-                continue
-            for X in _fields_for(plan, M, cache):
-                jobs.append(_Job(
-                    f"{J.name}/{M.name}/{X.name}",
-                    lambda J=J, M=M, X=X: compare(
-                        J, M, X, cfg=plan.cfg,
-                        rel_tol=plan.rel_tol, abs_tol=plan.abs_tol)))
+    for M in _generic_shapes(plan):
+        Js = [J for J in _plain_functionals(plan) if compatible(J, M)]
+        for X in _fields_for(plan, M, cache) if Js else ():
+            jobs.extend(_single(f"{J.name}/{M.name}/{X.name}",
+                                lambda J=J, M=M, X=X: compare(
+                                    J, M, X, cfg=plan.cfg,
+                                    rel_tol=plan.rel_tol, abs_tol=plan.abs_tol))
+                        for J in Js)
     return jobs
 
 
 def suite_jobs(plan: RunPlan) -> list[_Job]:
     generic = _generic_shapes(plan)
-    cache: dict = {}
+    # each plain functional with its first compatible shape
+    firsts = [(J, M) for J in _plain_functionals(plan)
+              if (M := next((S for S in generic if compatible(J, S)), None))
+              is not None]
     jobs = []
 
-    def first_compatible(J):
-        for M in generic:
-            if compatible(J, M):
-                return M
-        return None
-
     if "nullity" in plan.suites:
-        for J in _plain_functionals(plan):
-            M = first_compatible(J)
-            if M is None:
-                continue
+        by_shape: dict = {}
+        for J, M in firsts:
+            by_shape.setdefault(M.name, (M, []))[1].append(J)
+        for M, Js in by_shape.values():
             probes = tangential_probe_fields(M, n=2, seed=0)
             neg = [nullity_negative_field(M)]
             jobs.append(_Job(
-                f"nullity {J.name}/{M.name}",
-                lambda J=J, M=M, probes=probes, neg=neg:
-                    tangential_nullity_suite(J, M, probes, cfg=plan.cfg,
-                                             negative=neg)))
+                f"nullity {'+'.join(J.name for J in Js)}/{M.name}",
+                lambda Js=Js, M=M, probes=probes, neg=neg:
+                    tangential_nullity_suite(Js, M, probes, cfg=plan.cfg,
+                                             negative=neg),
+                tuple(f"nullity {J.name}/{M.name}" for J in Js)))
 
-    if "locality" in plan.suites:
-        for J in _plain_functionals(plan):
-            M = first_compatible(J)
-            if M is None or not _fields_for(plan, M, cache):
-                continue
-            pairs = locality_pairs(M, _fields_for(plan, M, cache))
-            jobs.append(_Job(
-                f"locality {J.name}/{M.name}",
-                lambda J=J, M=M, pairs=pairs:
-                    locality_suite(J, M, pairs, cfg=plan.cfg)))
-            break
-
-    if "normal_dependence" in plan.suites:
-        for J in _plain_functionals(plan):
-            M = first_compatible(J)
-            if M is None or not _fields_for(plan, M, cache):
-                continue
-            X = _fields_for(plan, M, cache)[0]
-            jobs.append(_Job(
-                f"normal_dependence {J.name}/{M.name}",
-                lambda J=J, M=M, X=X:
-                    normal_dependence_suite(J, M, [X], cfg=plan.cfg)))
-            break
+    # locality and normal dependence take the first functional whose shape
+    # has fields
+    if {"locality", "normal_dependence"} & set(plan.suites):
+        cache: dict = {}
+        rep = next(((J, M, fs) for J, M in firsts
+                    if (fs := _fields_for(plan, M, cache))), None)
+        if rep is not None:
+            J, M, fs = rep
+            if "locality" in plan.suites:
+                pairs = locality_pairs(M, fs)
+                jobs.append(_single(f"locality {J.name}/{M.name}",
+                                    lambda J=J, M=M: locality_suite(
+                                        J, M, pairs, cfg=plan.cfg)))
+            if "normal_dependence" in plan.suites:
+                jobs.append(_single(
+                    f"normal_dependence {J.name}/{M.name}",
+                    lambda J=J, M=M: normal_dependence_suite(
+                        J, M, fs[:1], cfg=plan.cfg)))
 
     if "crack" in plan.suites:
-        for J in plan.functionals:
-            if isinstance(J, CrackFunctional):
-                jobs.append(_Job(f"crack {J.name}",
-                                 lambda J=J: crack_suite(J, cfg=plan.cfg)))
+        jobs += [_single(f"crack {J.name}", lambda J=J: crack_suite(J, cfg=plan.cfg))
+                 for J in plan.functionals if isinstance(J, CrackFunctional)]
     return jobs
-
-
-def _run_labeled(job: _Job):
-    try:
-        return job.run()
-    except ConfigError:
-        raise
-    except ShapecalcError as exc:
-        # keep the type, name the case
-        raise type(exc)(f"{job.label}: {exc}") from exc
 
 
 def _run_jobs(jobs: Sequence[_Job], verbose: bool,
               describe: Callable[[object], str]) -> list:
     results = []
     for job in jobs:
-        out = _run_labeled(job)
+        try:
+            outs = job.run()
+        except ConfigError:
+            raise
+        except ShapecalcError as exc:
+            # keep the type, name the case
+            raise type(exc)(f"{job.label}: {exc}") from exc
         if verbose:
-            print(f"  {job.label}: {describe(out)}")
-        results.append(out)
+            for tag, out in zip(job.tags, outs):
+                print(f"  {tag}: {describe(out)}")
+        results.extend(outs)
     return results
 
 
@@ -287,12 +283,8 @@ def _cmd_run(args) -> int:
         raise ConfigError(
             f"--jobs must be 1, got {args.jobs}: cases run in one thread")
     plan = load_plan(args.config)
-    formats = tuple(args.format.split(",")) if args.format else plan.formats
-    for f in formats:
-        if f not in FORMAT_NAMES:
-            raise ConfigError(
-                f"--format: unknown format '{f}' (known: {', '.join(FORMAT_NAMES)})"
-            )
+    formats = (_known(args.format.split(","), FORMAT_NAMES, "--format", "format")
+               if args.format else plan.formats)
     # an unusable output path fails before any job is built
     out_dir = args.out or plan.out_path or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -300,9 +292,13 @@ def _cmd_run(args) -> int:
     cjobs = comparison_jobs(plan) if "compare" in plan.suites else []
     sjobs = suite_jobs(plan)
     if args.verbose:
-        print(f"{plan.label}: {len(cjobs)} comparisons, {len(sjobs)} suites")
+        print(f"{plan.label}: {sum(len(j.tags) for j in cjobs)} comparisons, "
+              f"{sum(len(j.tags) for j in sjobs)} suites")
 
     reports = _run_jobs(cjobs, args.verbose, _describe_comparison)
+    # functional by functional, in config order (names are unique)
+    position = {J.name: i for i, J in enumerate(plan.functionals)}
+    reports.sort(key=lambda rep: position[rep.functional])
     suite_results = _run_jobs(sjobs, args.verbose, _describe_suite)
 
     comparisons = [comparison_record(rep) for rep in reports]

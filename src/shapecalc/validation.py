@@ -64,43 +64,36 @@ class StructureSuiteResult:
 # tangential nullity
 
 
-def tangential_nullity_suite(J, M, fields: Sequence[AmbientField],
+def tangential_nullity_suite(Js: Sequence, M, fields: Sequence[AmbientField],
                              cfg: FDConfig | None = None,
-                             negative: Sequence[AmbientField] = ()) -> StructureSuiteResult:
-    """Tangential fields must keep M invariant and J stationary.
-
-    Fields in `negative` are controls expected to break tangency; their
-    cases pass when the bounds are violated.
+                             negative: Sequence[AmbientField] = ()
+                             ) -> list[StructureSuiteResult]:
+    """Tangential fields must keep M invariant and each J in Js stationary;
+    one result per functional.  Tangency and invariance depend on (M, X)
+    only: each is measured once per field and reported under every
+    functional's tag.  Fields in `negative` are controls expected to break
+    tangency; their cases pass when the bounds are violated.
     """
-    cases: list[SuiteCase] = []
-    J0 = abs(float(J.evaluate(M)))
-    fd_bound = INVARIANCE_BOUND * (1.0 + J0)
-
-    def run(X: AmbientField, expect_zero: bool):
-        tag = f"{J.name}/{M.name}/{X.name}"
+    cases: list[list[SuiteCase]] = [[] for _ in Js]
+    fd_bounds = [INVARIANCE_BOUND * (1.0 + abs(float(J.evaluate(M)))) for J in Js]
+    for k, X in enumerate([*fields, *negative]):
         tr = check_tangency(M, X)
         tres = max(tr.max_normal_residual, tr.max_boundary_residual)
-        if expect_zero:
-            cases.append(SuiteCase(f"tangency residual [{tag}]", tres,
-                                   TANGENCY_TOL, tres <= TANGENCY_TOL))
-            inv = invariance_residual(X, M, NULLITY_TIME)
-            cases.append(SuiteCase(f"flow invariance t={NULLITY_TIME:g} [{tag}]",
-                                   inv, INVARIANCE_BOUND, inv <= INVARIANCE_BOUND))
-            val = fd_quotients(J, M, X, cfg).value
-            cases.append(SuiteCase(f"|dJ| [{tag}]", abs(val), fd_bound,
-                                   abs(val) <= fd_bound))
-        else:
-            val = fd_quotients(J, M, X, cfg).value
-            broke = tres > TANGENCY_TOL and abs(val) > fd_bound
-            cases.append(SuiteCase(
-                f"negative control breaks nullity [{tag}]", abs(val), fd_bound,
-                broke))
-
-    for X in fields:
-        run(X, True)
-    for X in negative:
-        run(X, False)
-    return StructureSuiteResult("tangential_nullity", cases)
+        inv = invariance_residual(X, M, NULLITY_TIME) if k < len(fields) else None
+        for J, out, fd_bound in zip(Js, cases, fd_bounds):
+            tag = f"{J.name}/{M.name}/{X.name}"
+            val = abs(fd_quotients(J, M, X, cfg).value)
+            if inv is None:
+                out.append(SuiteCase(f"negative control breaks nullity [{tag}]",
+                                     val, fd_bound,
+                                     tres > TANGENCY_TOL and val > fd_bound))
+                continue
+            out += [SuiteCase(f"tangency residual [{tag}]", tres, TANGENCY_TOL,
+                              tres <= TANGENCY_TOL),
+                    SuiteCase(f"flow invariance t={NULLITY_TIME:g} [{tag}]", inv,
+                              INVARIANCE_BOUND, inv <= INVARIANCE_BOUND),
+                    SuiteCase(f"|dJ| [{tag}]", val, fd_bound, val <= fd_bound)]
+    return [StructureSuiteResult("tangential_nullity", c) for c in cases]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from shapecalc import cli
+from shapecalc.errors import ConfigError
 
 LEVELS = 3
 
@@ -300,3 +301,89 @@ def test_no_subcommand_is_a_usage_error(capsys):
         cli.main([])
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+def _run_config(cfg: dict, tmp_path, *extra) -> int:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return cli.main(["run", str(path), "--out", str(tmp_path / "out"), *extra])
+
+
+def test_richardson_false_exits_2(tmp_path, capsys):
+    # the oracle always extrapolates; the key is kept for configs that set it
+    cfg = dict(TINY_CURVE, fd={"t0": 0.01, "levels": LEVELS, "richardson": False})
+    assert _run_config(cfg, tmp_path) == 2
+    assert "richardson must be true" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_flow_needing_too_many_steps_is_a_config_error(tmp_path):
+    # t0/max_step = 1e298 RK4 steps would never finish
+    path = tmp_path / "tiny_step.json"
+    path.write_text(json.dumps(dict(TINY_CURVE, fd={"max_step": 1e-300})))
+    with pytest.raises(ConfigError, match="more than 1e[+]06 RK4 steps"):
+        cli.load_plan(str(path))
+
+
+def test_duplicate_functional_names_exit_2(tmp_path, capsys):
+    cfg = dict(TINY_CURVE, functionals=[{"kind": "length"}, {"kind": "length"}])
+    assert _run_config(cfg, tmp_path) == 2
+    assert ("config.functionals[1]: duplicate functional name 'length'"
+            in capsys.readouterr().err)
+
+
+def test_verbose_prints_one_line_per_record(tmp_path, capsys):
+    tiny = Path(__file__).resolve().parents[1] / "perfbench" / "tiny.json"
+    assert cli.main(["run", str(tiny), "--out", str(tmp_path), "-v"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert lines[0] == (f"tiny: {len(doc['comparisons'])} comparisons, "
+                        f"{len(doc['suites'])} suites")
+    records = [line for line in lines if line.startswith("  ")]
+    assert len(records) == len(doc["comparisons"]) + len(doc["suites"])
+    assert records[0].startswith("  length/circle1/radial: pass (rel ")
+    assert records[1] == "  normal_dependence length/circle1: pass (2 cases)"
+
+
+def test_interleaved_functionals_report_in_config_order(tmp_path, capsys,
+                                                        monkeypatch):
+    # comparisons run shape by shape and are reported functional by
+    # functional; nullity runs one job per shape and reports by shape
+    from shapecalc.derivative import DerivativeReport
+    from shapecalc.validation import StructureSuiteResult, SuiteCase
+
+    calls = []
+
+    def fake_compare(J, M, X, **kwargs):
+        calls.append(f"{J.name}/{M.name}/{X.name}")
+        return DerivativeReport(J.name, M.name, X.name, 0.0, 0.0, 0.0, 0.0,
+                                0.0, "pass")
+
+    def fake_nullity(Js, M, fields, **kwargs):
+        return [StructureSuiteResult("tangential_nullity", [SuiteCase(
+            f"fake [{J.name}/{M.name}]", 0.0, 1.0, True)]) for J in Js]
+
+    monkeypatch.setattr(cli, "compare", fake_compare)
+    monkeypatch.setattr(cli, "tangential_nullity_suite", fake_nullity)
+    cfg = {"shapes": [{"kind": "circle", "radius": 1.0, "name": "circle1"},
+                      {"kind": "cylinder", "radius": 1.0, "height": 2.0,
+                       "name": "cylinder"}],
+           "fields": [{"kind": "radial", "name": "radial"},
+                      {"kind": "constant", "vector": [0.0, 0.0, 1.0],
+                       "name": "e3"}],
+           "functionals": [{"kind": "length"}, {"kind": "area"},
+                           {"kind": "elastic"}],
+           "suites": ["compare", "nullity"]}
+    assert _run_config(cfg, tmp_path, "-v") == 0
+    assert calls == ["length/circle1/radial", "elastic/circle1/radial",
+                     "area/cylinder/radial", "area/cylinder/e3"]
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [f"{c['functional']}/{c['manifold']}/{c['field']}"
+            for c in doc["comparisons"]] == [
+        "length/circle1/radial", "area/cylinder/radial", "area/cylinder/e3",
+        "elastic/circle1/radial"]
+    assert [s["cases"][0]["description"] for s in doc["suites"]] == [
+        "fake [length/circle1]", "fake [elastic/circle1]", "fake [area/cylinder]"]
+    out = capsys.readouterr().out
+    assert "run: 4 comparisons, 3 suites" in out
+    assert "  nullity elastic/circle1: pass (1 cases)" in out

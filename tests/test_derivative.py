@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from shapecalc import derivative
+from shapecalc.catalog import build_field, build_shape
 from shapecalc.derivative import FDConfig, compare, fd_quotients
 from shapecalc.errors import InvariantViolation, NoConvergence
 from shapecalc.fields import sum_field
-from shapecalc.functionals import ShapeFunctional, analytic_dlength, length
+from shapecalc.functionals import (ShapeFunctional, analytic_dlength,
+                                   elastic_functional, length)
 
 TWO_PI = 2.0 * np.pi
 
@@ -131,3 +134,59 @@ def test_error_estimate_has_floor(segment01, e1_field, fd5):
     val, err = tr.value, tr.error_estimate
     assert val == pytest.approx(0.0, abs=1e-12)
     assert err > 0.0
+
+
+# ---------------------------------------------------------------------------
+# one flow schedule per (M, X, FDConfig)
+
+FD3 = FDConfig(t0=1e-2, levels=3)
+
+
+def _fresh_pair():
+    # new objects miss the schedule memo, which is keyed on identity
+    return (build_shape({"kind": "circle", "radius": 1.0, "name": "circle1"}),
+            build_field({"kind": "radial", "name": "radial"}, 2))
+
+
+@pytest.fixture
+def flowed(monkeypatch):
+    """Arguments of every flow_manifold call the FD oracle makes."""
+    calls = []
+    real = derivative.flow_manifold
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(derivative, "flow_manifold", counted)
+    return calls
+
+
+def _same_trace(a, b) -> bool:
+    return (all(np.array_equal(getattr(a, k), getattr(b, k))
+                for k in ("ts", "quotients", "extrapolants"))
+            and (a.value, a.error_estimate) == (b.value, b.error_estimate))
+
+
+def test_functionals_on_one_pair_share_one_schedule(flowed):
+    M, X = _fresh_pair()
+    Js = (length_functional(), elastic_functional())
+    shared = [fd_quotients(J, M, X, cfg=FD3) for J in Js]
+    assert len(flowed) == FD3.levels + 1
+    for J, tr in zip(Js, shared):
+        assert _same_trace(tr, fd_quotients(J, *_fresh_pair(), cfg=FD3))
+    assert len(flowed) == 3 * (FD3.levels + 1)
+
+
+def test_schedule_is_never_served_to_another_cfg_or_pair(flowed):
+    M, X = _fresh_pair()
+    J = length_functional()
+    fd_quotients(J, M, X, cfg=FD3)
+    other_M, other_X = _fresh_pair()      # same kinds and names
+    for M_, X_, cfg in ((M, X, FDConfig(t0=5e-3, levels=3)),
+                        (M, other_X, FD3), (other_M, X, FD3), (M, X, FD3)):
+        before = len(flowed)
+        tr = fd_quotients(J, M_, X_, cfg=cfg)
+        assert len(flowed) == before + cfg.levels + 1
+        assert all(c[0] is X_ and c[1] is M_ for c in flowed[before:])
+        assert _same_trace(tr, fd_quotients(J, *_fresh_pair(), cfg=cfg))

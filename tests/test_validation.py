@@ -56,8 +56,8 @@ def test_negative_probe_is_not_tangent(circle1):
 
 def test_nullity_suite_accepts_tangent_rejects_normal(circle1, fd5):
     probes = tangential_probe_fields(circle1, n=2, seed=0)
-    res = tangential_nullity_suite(
-        length_functional(), circle1, probes, cfg=fd5,
+    (res,) = tangential_nullity_suite(
+        [length_functional()], circle1, probes, cfg=fd5,
         negative=[nullity_negative_field(circle1)],
     )
     assert res.suite == "tangential_nullity"
@@ -69,7 +69,8 @@ def test_nullity_suite_accepts_tangent_rejects_normal(circle1, fd5):
 
 
 def test_nullity_suite_flags_normal_probe(circle1, radial2, fd5):
-    res = tangential_nullity_suite(length_functional(), circle1, [radial2], cfg=fd5)
+    (res,) = tangential_nullity_suite([length_functional()], circle1, [radial2],
+                                      cfg=fd5)
     assert not res.passed
     tangency = [c for c in res.cases if c.description.startswith("tangency")]
     assert tangency and not tangency[0].passed
@@ -490,3 +491,26 @@ def test_crack_suite_runs_only_the_probes_it_reports(crack_segment, crack_arc,
         J = crack_functional(Ball(np.zeros(2), 4.0), curve)
         crack_suite(J, cfg=fd5)
         assert len(calls) == expected
+
+
+def test_nullity_measures_field_only_cases_once(circle1, fd5, monkeypatch):
+    from shapecalc import validation
+
+    counts = {"check_tangency": 0, "invariance_residual": 0}
+    for name in counts:
+        def counted(*args, _real=getattr(validation, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(validation, name, counted)
+    probes = tangential_probe_fields(circle1, n=1, seed=0)
+    neg = [nullity_negative_field(circle1)]
+    Js = [length_functional(), elastic_functional()]
+    results = tangential_nullity_suite(Js, circle1, probes, cfg=fd5, negative=neg)
+    # one tangency check per probe, one invariance flow per tangent probe
+    assert counts == {"check_tangency": 2, "invariance_residual": 1}
+    monkeypatch.undo()
+    # each functional's result is the one it gets alone, under its own tag
+    for J, res in zip(Js, results):
+        assert all(f"[{J.name}/circle1/" in c.description for c in res.cases)
+        assert [res] == tangential_nullity_suite([J], circle1, probes, cfg=fd5,
+                                                 negative=neg)
