@@ -49,20 +49,25 @@ _W = {
 
 
 def sample_derivative(
-    f: Callable[[np.ndarray], np.ndarray],
-    t: np.ndarray,
+    f: Callable[..., np.ndarray],
+    params: tuple[np.ndarray, ...],
     h: float,
     m: int,
     lo: float,
     hi: float,
     periodic: bool = False,
+    along: int = -1,
 ) -> np.ndarray:
-    """m-th derivative (m = 1 or 2) of f at parameters t.
+    """m-th derivative (m = 1 or 2) of f along its argument params[along].
 
-    f maps a flat parameter array (k,) to values (k, ...); the result keeps
-    f's trailing shape.  Requires hi - lo >= 4h.
+    params holds f's (n,) argument arrays.  The one differentiated runs
+    over the five stencil nodes of each point, and every other is held at
+    its value there, repeated here over the nodes.  f maps flat (k,)
+    argument arrays to values (k, ...); the result keeps f's trailing
+    shape.  Requires hi - lo >= 4h.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    along %= len(params)
+    t = params[along]
     n = len(t)
     span = hi - lo
     if span < 4.0 * h:
@@ -79,7 +84,8 @@ def sample_derivative(
         s = np.clip(np.full(n, 2), np.maximum(4 - right, 0), np.minimum(left, 4))
         nodes = np.clip(t[:, None] + h * (_OFFSETS - s[:, None]), lo, hi)
         w = _W[m][s]
-    vals = np.asarray(f(nodes.ravel()))
+    vals = f(*(nodes.ravel() if k == along else np.repeat(x, 5)
+               for k, x in enumerate(params)))
     vals = vals.reshape((n, 5) + vals.shape[1:])
     w = w.reshape((n, 5) + (1,) * (vals.ndim - 2))
     return (w * vals).sum(axis=1) / h**m

@@ -197,15 +197,15 @@ def _circle_chart(r: float, center: np.ndarray, th0: float):
     """(gamma, gamma', gamma'') of the counterclockwise arc-length chart of
     the circle of radius r about center, starting at the angle th0."""
     def gamma(ts):
-        th = th0 + np.asarray(ts, dtype=float) / r
+        th = th0 + ts / r
         return center + r * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     def dgamma(ts):
-        th = th0 + np.asarray(ts, dtype=float) / r
+        th = th0 + ts / r
         return np.stack([-np.sin(th), np.cos(th)], axis=-1)
 
     def ddgamma(ts):
-        th = th0 + np.asarray(ts, dtype=float) / r
+        th = th0 + ts / r
         return np.stack([-np.cos(th), -np.sin(th)], axis=-1) / r
 
     return gamma, dgamma, ddgamma
@@ -220,7 +220,7 @@ def _shape_circle(p: _Params, name: str) -> ParamCurve:
     # exact nearest point: the angle of p about the centre (the centre
     # itself takes angle 0); a closed curve ignores extend
     def foot(pts, extend):
-        q = np.atleast_2d(np.asarray(pts, dtype=float)) - center
+        q = pts - center
         return r * np.mod(np.arctan2(q[:, 1], q[:, 0]), 2.0 * np.pi)
 
     return ParamCurve(dim=2, a=0.0, b=2.0 * np.pi * r, gamma=gamma,
@@ -242,18 +242,18 @@ def _shape_segment(p: _Params, name: str) -> ParamCurve:
     a, b = 0.0, L
 
     def gamma(ts):
-        return p0 + np.asarray(ts, dtype=float)[:, None] * u
+        return p0 + ts[:, None] * u
 
     def dgamma(ts):
-        return np.broadcast_to(u, (len(np.atleast_1d(ts)), dim)).copy()
+        return np.broadcast_to(u, (len(ts), dim)).copy()
 
     def ddgamma(ts):
-        return np.zeros((len(np.atleast_1d(ts)), dim))
+        return np.zeros((len(ts), dim))
 
     # exact nearest point: the coordinate along u, clipped to the widened
     # range with the bounds ParamCurve.project's held test compares against
     def foot(pts, extend):
-        s = (np.atleast_2d(np.asarray(pts, dtype=float)) - p0) @ u
+        s = (pts - p0) @ u
         return np.clip(s, a - extend, b + extend)
 
     return ParamCurve(dim=dim, a=a, b=b, gamma=gamma, dgamma=dgamma,
@@ -266,15 +266,12 @@ def _shape_ellipse(p: _Params, name: str) -> ParamCurve:
     p.finish()
 
     def gamma(ts):
-        ts = np.asarray(ts, dtype=float)
         return np.stack([sa * np.cos(ts), sb * np.sin(ts)], axis=-1)
 
     def dgamma(ts):
-        ts = np.asarray(ts, dtype=float)
         return np.stack([-sa * np.sin(ts), sb * np.cos(ts)], axis=-1)
 
     def ddgamma(ts):
-        ts = np.asarray(ts, dtype=float)
         return np.stack([-sa * np.cos(ts), -sb * np.sin(ts)], axis=-1)
 
     return ParamCurve(dim=2, a=0.0, b=2.0 * np.pi, gamma=gamma,
@@ -289,16 +286,13 @@ def _shape_helix(p: _Params, name: str) -> ParamCurve:
     c = pitch / (2.0 * np.pi)
 
     def gamma(ts):
-        ts = np.asarray(ts, dtype=float)
         return np.stack([r * np.cos(ts), r * np.sin(ts), c * ts], axis=-1)
 
     def dgamma(ts):
-        ts = np.asarray(ts, dtype=float)
         return np.stack([-r * np.sin(ts), r * np.cos(ts),
                          np.full_like(ts, c)], axis=-1)
 
     def ddgamma(ts):
-        ts = np.asarray(ts, dtype=float)
         return np.stack([-r * np.cos(ts), -r * np.sin(ts),
                          np.zeros_like(ts)], axis=-1)
 
@@ -312,29 +306,23 @@ def _shape_cylinder(p: _Params, name: str) -> ParamSurface:
     p.finish()
 
     def phi(us, vs):
-        us = np.asarray(us, dtype=float)
-        vs = np.asarray(vs, dtype=float)
         return np.stack([r * np.cos(vs), r * np.sin(vs), us], axis=-1)
 
     def phi_u(us, vs):
-        us = np.asarray(us, dtype=float)
         return np.stack([np.zeros_like(us), np.zeros_like(us),
                          np.ones_like(us)], axis=-1)
 
     def phi_v(us, vs):
-        vs = np.asarray(vs, dtype=float)
         return np.stack([-r * np.sin(vs), r * np.cos(vs),
                          np.zeros_like(vs)], axis=-1)
 
     def phi_vv(us, vs):
-        vs = np.asarray(vs, dtype=float)
         return np.stack([-r * np.cos(vs), -r * np.sin(vs),
                          np.zeros_like(vs)], axis=-1)
 
     # exact nearest point: height clipped to the widened axis range, angle
     # read off the position (a point on the axis takes angle 0)
     def foot(pts, extend_u):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         u = np.clip(pts[:, 2], -extend_u, h + extend_u)
         v = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
         return u, v
@@ -366,7 +354,6 @@ def _shape_arc(p: _Params, name: str) -> ParamCurve:
     mid = 0.5 * (a0 + a1)
 
     def foot(pts, extend):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         th = np.arctan2(pts[:, 1], pts[:, 0])
         th = mid + np.mod(th - mid + np.pi, 2.0 * np.pi) - np.pi
         return np.clip(r * (th - a0), a - extend, b + extend)
@@ -431,7 +418,7 @@ def _localized(nominal_X, nominal_dX, dim: int, name: str) -> AmbientField:
         if shell.any():
             s = (rr - CUTOFF_INNER) / span
             w = smooth_step(s)
-            dw = np.asarray(smooth_step_deriv(s), dtype=float) / span
+            dw = smooth_step_deriv(s) / span
             grad = np.zeros((len(rr), dim))
             act = dw != 0.0
             grad[act] = (dw[act] / rr[act])[:, None] * pts[shell][act]

@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="must be 1 (the default): cases run one after "
                             "another in a single thread")
     run_p.add_argument("-v", "--verbose", action="store_true",
-                       help="print one line per case as it completes")
+                       help="print one line per report record")
     run_p.set_defaults(func=_cmd_run)
 
     plot_p = sub.add_parser("plot", help="flatten a report's traces to CSV")

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._stencil import sample_derivative
 from .errors import InvariantViolation, SupportViolation
-from .geometry import ParamCurve
+from .geometry import ParamCurve, _checked
 
 _CHECK_RNG_SEED = 4243
 
@@ -132,7 +132,11 @@ def default_holdall(dim: int) -> Ball:
 class AmbientField:
     """Compactly supported ambient field with analytic or FD Jacobian.
 
-    Construction samples 64 points outside `support` (X and dX must vanish
+    X maps (n, dim) float64 points to float64 (n, dim) rows and dX to
+    float64 (n, dim, dim) rows.  Construction checks that contract on the
+    values its desk checks compute and raises InvariantViolation naming the
+    callable that broke it; every other reader uses the values as they
+    are.  It samples 64 points outside `support` (X and dX must vanish
     there) and checks dX against central differences of X at 32 interior
     points to relative 1e-6, Richardson-combined with a second step where
     one step alone misses.
@@ -154,16 +158,15 @@ class AmbientField:
             raise InvariantViolation(
                 f"field '{self.name}': scale must be positive, got {self.scale!r}"
             )
+        where, d = f"field '{self.name}'", self.dim
         rng = np.random.default_rng(_CHECK_RNG_SEED)
         out = self.support.exterior_points(64, rng)
-        Xo = np.asarray(self.X(out), dtype=float)
-        dXo = np.asarray(self.dX(out), dtype=float)
+        Xo = _checked(where, "X", self.X(out), (64, d))
+        dXo = _checked(where, "dX", self.dX(out), (64, d, d))
         if np.abs(Xo).max() > 1e-13 or np.abs(dXo).max() > 1e-13:
-            raise InvariantViolation(
-                f"field '{self.name}': does not vanish outside its support"
-            )
+            raise InvariantViolation(f"{where}: does not vanish outside its support")
         pts = self.support.interior_points(32, rng)
-        got = np.asarray(self.dX(pts), dtype=float)
+        got = _checked(where, "dX", self.dX(pts), (32, d, d))
         h = 1e-6 * (1.0 + self.support.radius)
         fd = _central_difference(self.X, pts, self.dim, h)
         denom = 1.0 + np.abs(got).max(axis=(1, 2))
@@ -174,7 +177,7 @@ class AmbientField:
         rel = np.abs(fd - got).max(axis=(1, 2)) / denom
         if rel.max() > 1e-6:
             raise InvariantViolation(
-                f"field '{self.name}': dX disagrees with finite differences "
+                f"{where}: dX disagrees with finite differences "
                 f"(rel {rel.max():.2e})"
             )
 
@@ -185,7 +188,7 @@ def _central_difference(X, pts, dim: int, h: float) -> np.ndarray:
     for j in range(dim):
         e = np.zeros(dim)
         e[j] = h
-        out[:, :, j] = (np.asarray(X(pts + e)) - np.asarray(X(pts - e))) / (2 * h)
+        out[:, :, j] = (X(pts + e) - X(pts - e)) / (2 * h)
     return out
 
 
@@ -298,10 +301,10 @@ def sum_field(fields: Sequence[AmbientField], name: str = "sum") -> AmbientField
               for f in fields)
 
     def X(pts):
-        return sum(np.asarray(f.X(pts), dtype=float) for f in fields)
+        return sum(f.X(pts) for f in fields)
 
     def dX(pts):
-        return sum(np.asarray(f.dX(pts), dtype=float) for f in fields)
+        return sum(f.dX(pts) for f in fields)
 
     scales = [f.scale for f in fields if f.scale is not None]
     return AmbientField(dim=dim, X=X, dX=dX, support=Ball(mid, rad), name=name,
@@ -349,7 +352,7 @@ def split_field(manifold, field: AmbientField, n_samples: int = 64) -> FieldSpli
     """Decompose the restriction of `field` at sampled parameters."""
     params = _sample_params(manifold, n_samples)
     pts = manifold.chart(params)
-    x = np.asarray(field.X(pts), dtype=float)
+    x = field.X(pts)
     x_perp = manifold.normal_part(params, x)
     x_nu = _conormal_part(manifold, params, x)
     return FieldSplit(params=np.asarray(params).T, points=pts, x=x,
@@ -385,7 +388,7 @@ def _component_on_params(manifold, field: AmbientField, which: str):
     """Return V(params) evaluating one split component, valid slightly
     beyond the parameter domain (frames extend through the callables)."""
     def V(params):
-        x = np.asarray(field.X(manifold.chart(params)), dtype=float)
+        x = field.X(manifold.chart(params))
         x_perp = manifold.normal_part(params, x)
         if which == "perp":
             return x_perp
@@ -448,7 +451,7 @@ def pullback_field(manifold, V, tube: float, extend: float, name: str,
             out[rows] = V[None, :, None] * grad
         elif np.any(k):
             t = ft.params[k]
-            dV = sample_derivative(V, t, 1e-4 * (manifold.b - manifold.a), 1,
+            dV = sample_derivative(V, (t,), 1e-4 * (manifold.b - manifold.a), 1,
                                    manifold.a - extend, manifold.b + extend,
                                    periodic=manifold.closed)
             out[rows] = (V(t)[:, :, None] * grad

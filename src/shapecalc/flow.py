@@ -82,8 +82,7 @@ def flow_point(field: AmbientField, x0, cfg: FlowConfig) -> np.ndarray:
     """
     x = np.asarray(x0, dtype=float)
     X = field.X
-    (out,) = _rk4(lambda xc: (np.asarray(X(xc), dtype=float),),
-                  (np.atleast_2d(x),), cfg, field.name)
+    (out,) = _rk4(lambda xc: (X(xc),), (np.atleast_2d(x),), cfg, field.name)
     return out[0] if x.ndim == 1 else out
 
 
@@ -97,8 +96,7 @@ def flow_with_jacobian(field: AmbientField, x0,
     X, dX = field.X, field.dX
 
     def rhs(xc, Jc):
-        return (np.asarray(X(xc), dtype=float),
-                _jacobian_product(np.asarray(dX(xc), dtype=float), Jc))
+        return X(xc), _jacobian_product(dX(xc), Jc)
 
     return _rk4(rhs, (x, np.broadcast_to(np.eye(d), (n, d, d)).copy()), cfg,
                 field.name)
@@ -150,36 +148,27 @@ def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
         h2 = 1e-5 * (hi - lo)
     base = getattr(manifold, chart)
 
-    def params_of(args):
-        return np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(p, dtype=float)) for p in args))
-
+    # the callables take the chart's (n,) parameter arrays (see geometry).
     # flow_point and flow_with_jacobian are called through the module
     # globals, so a wrapper installed there sees every flow
-    def chart_t(*args):
-        return flow_point(field, np.asarray(base(*params_of(args)), dtype=float),
-                          cfg)
+    def chart_t(*params):
+        return flow_point(field, base(*params), cfg)
 
     # the partials are nearly always asked for on the same nodes one after
     # the other; the last transported Jacobian serves them all
-    jacobian = last_call_memo(lambda *params: flow_with_jacobian(
-        field, np.asarray(base(*params), dtype=float), cfg)[1])
+    jacobian = last_call_memo(
+        lambda *params: flow_with_jacobian(field, base(*params), cfg)[1])
 
     def transported(partial):
-        def partial_t(*args):
-            params = params_of(args)
-            return np.einsum("nij,nj->ni", jacobian(*params),
-                             np.asarray(partial(*params), dtype=float))
+        def partial_t(*params):
+            return np.einsum("nij,nj->ni", jacobian(*params), partial(*params))
         return partial_t
 
     firsts = {name: transported(getattr(manifold, name)) for name in partials}
     last = firsts[partials[-1]]
 
-    def second_t(*args):
-        *rest, s = params_of(args)
-        return sample_derivative(
-            lambda ss: last(*(np.repeat(r, 5) for r in rest), ss),
-            s, h2, 1, lo, hi, periodic=periodic)
+    def second_t(*params):
+        return sample_derivative(last, params, h2, 1, lo, hi, periodic=periodic)
 
     return replace(
         manifold, **{chart: chart_t, second: second_t}, **firsts,

@@ -65,7 +65,7 @@ def length_density(curve: ParamCurve, X: AmbientField):
     space curve is straight and its Frenet N does not exist."""
     def density(ts):
         fr, _ = frenet_rows(curve, ts)
-        xv = np.asarray(X.X(np.asarray(curve.gamma(ts), dtype=float)), dtype=float)
+        xv = X.X(curve.gamma(ts))
         return -fr.kappa * np.einsum("ij,ij->i", xv, fr.N)
 
     return density
@@ -77,7 +77,7 @@ def analytic_dlength(curve: ParamCurve, X: AmbientField) -> float:
     total = integrate_curve(curve, length_density(curve, X), panels=CURVE_PANELS)
     if not curve.closed:
         for t in (curve.b, curve.a):
-            xv = np.asarray(X.X(curve.chart(t)), dtype=float)[0]
+            xv = X.X(curve.chart(t))[0]
             total += float(xv @ curve.conormal_extension(t)[0])
     return total
 
@@ -86,9 +86,9 @@ def _dlength_jacobian(curve: ParamCurve, X: AmbientField) -> float:
     """The Jacobian form int T.(dX T) ds, needing no frame: the reference the
     tests hold analytic_dlength to."""
     def density(ts):
-        d1 = np.asarray(curve.dgamma(ts), dtype=float)
+        d1 = curve.dgamma(ts)
         T = d1 / np.linalg.norm(d1, axis=1)[:, None]
-        J = np.asarray(X.dX(np.asarray(curve.gamma(ts), dtype=float)), dtype=float)
+        J = X.dX(curve.gamma(ts))
         return np.einsum("ni,nij,nj->n", T, J, T)
 
     return integrate_curve(curve, density, panels=CURVE_PANELS)
@@ -110,8 +110,8 @@ def _side_flux(surf: ParamSurface, X: AmbientField, end: str) -> float:
     us = np.full_like(vn, u0)
     # the conormal extension is the outward unit conormal on the u-sides
     nu = surf.conormal_extension((us, vn))
-    pv = np.asarray(surf.phi_v(us, vn), dtype=float)
-    xv = np.asarray(X.X(np.asarray(surf.phi(us, vn), dtype=float)), dtype=float)
+    pv = surf.phi_v(us, vn)
+    xv = X.X(surf.phi(us, vn))
     vals = np.einsum("ij,ij->i", xv, nu) * np.linalg.norm(pv, axis=1)
     return float(np.sum(wts * vals))
 
@@ -125,9 +125,9 @@ def analytic_darea(surf: ParamSurface, X: AmbientField) -> float:
         )
 
     def density(us, vs):
-        H = surface_mean_curvature(surf, us, vs)
+        H = surface_mean_curvature(surf, (us, vs))
         N = surf.unit_normal((us, vs))
-        xv = np.asarray(X.X(np.asarray(surf.phi(us, vs), dtype=float)), dtype=float)
+        xv = X.X(surf.phi(us, vs))
         return H * np.einsum("ij,ij->i", xv, N)
 
     total = integrate_surface(surf, density, panels=SURFACE_PANELS)
@@ -170,7 +170,7 @@ def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
     def density(ts):
         fr = curve_frame(curve, ts)
         _, _, k2 = curve_curvature_derivs(curve, ts)
-        xv = np.asarray(X.X(np.asarray(curve.gamma(ts), dtype=float)), dtype=float)
+        xv = X.X(curve.gamma(ts))
         return (2.0 * k2 + fr.kappa**3) * np.einsum("ij,ij->i", xv, fr.N)
 
     total = integrate_curve(curve, density, panels=CURVE_PANELS)
@@ -178,13 +178,15 @@ def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
         return total
     for t, sgn in ((curve.b, 1.0), (curve.a, -1.0)):
         fr = curve_frame(curve, t)
+        T, N = fr.T[0], fr.N[0]
         k, k1, _ = curve_curvature_derivs(curve, t)
-        p = np.asarray(curve.gamma(np.array([t])), dtype=float)
-        xv = np.asarray(X.X(p), dtype=float)[0]
-        dxv = np.asarray(X.dX(p), dtype=float)[0]
-        x_t = float(xv @ fr.T)
-        x_n = float(xv @ fr.N)
-        dxn_ds = float((dxv @ fr.T) @ fr.N) - k * x_t
+        k, k1 = float(k[0]), float(k1[0])
+        p = curve.chart(t)
+        xv = X.X(p)[0]
+        dxv = X.dX(p)[0]
+        x_t = float(xv @ T)
+        x_n = float(xv @ N)
+        dxn_ds = float((dxv @ T) @ N) - k * x_t
         total += sgn * (k**2 * x_t + 2.0 * k * dxn_ds - 2.0 * k1 * x_n)
     return total
 

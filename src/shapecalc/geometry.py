@@ -13,13 +13,19 @@ Conventions, fixed once and used by every downstream module:
   where its ramp is exactly -1 / +1: -T(a) and +T(b) at curve ends, and
   -+ phi_v x N / |phi_v| on the u = a / u = b sides of a surface.
 
-All parametrization callables are vectorized: a curve maps (n,) parameter
-arrays to (n, dim) points, a surface maps a pair of (n,) arrays to (n, 3).
+One array contract for every chart callable: gamma, dgamma, ddgamma take
+one (n,) float64 parameter array, phi, phi_u, phi_v, phi_vv two of one
+length, and each returns float64 rows, (n, dim) on a curve and (n, 3) on a
+surface.  A foot hook takes (n, dim) float64 points and returns float64
+(n,) parameter arrays.  Construction checks the contract on every value
+its desk checks compute and raises InvariantViolation naming the callable
+that broke it; every other reader uses the values as they are.
 
 ParamCurve and ParamSurface answer the same manifold queries, so callers
 never branch on the type to ask them.  `params` is t for a curve and the
-pair (u, v) for a surface, scalars or (n,) arrays; every query returns one
-row per parameter point.
+pair (u, v) for a surface, scalars or (n,) arrays; every query, and every
+curvature function below, returns one row per parameter point, for scalar
+input too.
 
 * dim: ambient dimension (2 or 3 for curves, 3 for surfaces).
 * reach: 0.5 / (largest |curvature| on the construction grid), inf when
@@ -68,7 +74,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -91,18 +97,30 @@ _CHECK_RNG_SEED = 1097
 NEWTON_MAX_ITER = 25
 
 
-def _as_params(t) -> tuple[np.ndarray, bool]:
-    """Return (1d float array, was_scalar)."""
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
-
-
-def _surface_params(params) -> tuple[np.ndarray, np.ndarray]:
-    u, v = (np.atleast_1d(np.asarray(x, dtype=float)) for x in params)
+def _params(params, k: int) -> tuple[np.ndarray, ...]:
+    """The k parameter arrays of a query as chart arguments: t for a curve
+    (k = 1), the pair (u, v) for a surface (k = 2), scalars as one row and
+    a pair of unequal shapes broadcast."""
+    xs = [np.atleast_1d(np.asarray(x, dtype=float))
+          for x in ((params,) if k == 1 else params)]
     # the hot callers pass equal shapes, where broadcasting is a no-op
     # that still costs more than the query it serves
-    return (u, v) if u.shape == v.shape else np.broadcast_arrays(u, v)
+    if all(x.shape == xs[0].shape for x in xs):
+        return tuple(xs)
+    return tuple(np.broadcast_arrays(*xs))
+
+
+def _checked(where: str, label: str, value, shape: tuple) -> np.ndarray:
+    """value, when it is a float64 array of the given shape; otherwise
+    InvariantViolation naming the callable `label` that returned it."""
+    if not (isinstance(value, np.ndarray) and value.dtype == np.float64
+            and value.shape == shape):
+        got = (f"{value.dtype} {value.shape}" if isinstance(value, np.ndarray)
+               else type(value).__name__)
+        raise InvariantViolation(
+            f"{where}: {label} must return a float64 array of shape {shape}, "
+            f"got {got}")
+    return value
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -183,25 +201,31 @@ def _surface_nonadjacent(n: int, u_closed: bool, periodic_v: bool) -> np.ndarray
     return _frozen((du > 1) | (dv > 1))
 
 
-def _check_foot(where: str, foot, chart, partials, pts, normals, offset,
-                shape_msg: str):
+def _check_foot(where: str, foot, chart, partials, pts, normals, diam: float,
+                sep: float, shape_msg: str):
     """Foot-hook desk check shared by curves and surfaces.
 
-    Points at distance `offset` along +-normals must project back onto the
-    manifold at that distance, with p - chart orthogonal to every partial.
-    foot(p) returns the tuple of (n,) parameter arrays that chart and
-    partials take; `shape_msg` names the expected mapping.
+    Points pushed along +-normals by 1e-3 of the diameter, but at most a
+    tenth of the separation of the embedding check, must project back onto
+    the manifold at that distance, with p - chart orthogonal to every
+    partial.  On a resolved grid the separation lies well inside the focal
+    radius, so the cap keeps the probes of a thin shape (a cylinder much
+    longer than wide) from crossing its axis.  foot(p) returns the tuple
+    of float64 (n,) parameter arrays that chart and partials take;
+    `shape_msg` names the expected mapping.
     """
+    offset = min(1e-3 * diam, 0.1 * sep)
     p = np.concatenate([pts + offset * normals, pts - offset * normals])
-    params = tuple(np.asarray(x, dtype=float) for x in foot(p))
+    params = foot(p)
     if (len(params) != len(partials)
-            or any(x.shape != (len(p),) for x in params)):
-        raise InvariantViolation(f"{where}: foot must map {shape_msg}")
-    r = p - np.asarray(chart(*params), dtype=float)
+            or not all(isinstance(x, np.ndarray) and x.dtype == np.float64
+                       and x.shape == (len(p),) for x in params)):
+        raise InvariantViolation(f"{where}: foot must map {shape_msg} of float64")
+    r = p - chart(*params)
     gap = np.abs(np.linalg.norm(r, axis=1) - offset) / offset
     tang = np.zeros(len(p))
     for fn in partials:
-        d = np.asarray(fn(*params), dtype=float)
+        d = fn(*params)
         tang = np.maximum(tang, np.abs(np.einsum("ij,ij->i", r, d))
                           / (offset * np.linalg.norm(d, axis=1)))
     worst = max(gap.max(), tang.max())
@@ -237,9 +261,10 @@ class _Sampled:
 class ParamCurve(_Sampled):
     """Regular parametrized curve gamma: [a, b] -> R^dim (dim = 2 or 3).
 
-    gamma, dgamma, ddgamma map (n,) parameter arrays to (n, dim) values.
-    Construction runs desk checks: regularity and an embedding test on a
-    dense grid, endpoint matching for closed curves, and a finite-difference
+    gamma, dgamma, ddgamma map (n,) float64 parameter arrays to float64
+    (n, dim) values.  Construction runs desk checks: that array contract on
+    every value they compute, regularity and an embedding test on a dense
+    grid, endpoint matching for closed curves, and a finite-difference
     consistency test of the supplied derivatives.
 
     transported marks curves produced by numerically flowing another curve;
@@ -276,12 +301,13 @@ class ParamCurve(_Sampled):
             grid = np.linspace(self.a, self.b, n + 1)[:-1]
         else:
             grid = np.linspace(self.a, self.b, n)
-        pts = np.asarray(self.gamma(grid), dtype=float)
-        if pts.shape != (n, self.dim) or not np.all(np.isfinite(pts)):
+        where = f"curve '{self.name}'"
+        pts = _checked(where, "gamma", self.gamma(grid), (n, self.dim))
+        if not np.all(np.isfinite(pts)):
             raise InvariantViolation(
-                f"curve '{self.name}': gamma must map (n,) to finite (n, {self.dim})"
+                f"{where}: gamma must map (n,) to finite (n, {self.dim})"
             )
-        vel = np.asarray(self.dgamma(grid), dtype=float)
+        vel = _checked(where, "dgamma", self.dgamma(grid), (n, self.dim))
         speed = np.linalg.norm(vel, axis=1)
         if speed.min() <= 1e-12 * max(1.0, speed.max()):
             raise DegenerateImmersion(
@@ -303,16 +329,16 @@ class ParamCurve(_Sampled):
                 (self.dgamma, "dgamma", 1e-12 * scale * slack),
                 (self.ddgamma, "ddgamma", 1e-8 * scale * slack),
             ):
-                va, vb = np.asarray(fn(ends), dtype=float)
+                va, vb = _checked(where, label, fn(ends), (2, self.dim))
                 if np.linalg.norm(va - vb) > tol:
                     raise InvariantViolation(
-                        f"curve '{self.name}': closed but {label}(a) != {label}(b)"
+                        f"{where}: closed but {label}(a) != {label}(b)"
                     )
         self._check_derivative_consistency()
         if self.foot is not None:
-            _check_foot(f"curve '{self.name}'", lambda p: (self.foot(p, 0.0),),
+            _check_foot(where, lambda p: (self.foot(p, 0.0),),
                         self.gamma, (self.dgamma,), pts, self.unit_normal(grid),
-                        1e-3 * diam, f"(n, {self.dim}) to an (n,) array")
+                        diam, sep, f"(n, {self.dim}) to an (n,) array")
         object.__setattr__(self, "_grid_ts", grid)
         object.__setattr__(self, "_grid_points", pts)
         object.__setattr__(self, "grid_speed", _frozen(speed))
@@ -326,8 +352,8 @@ class ParamCurve(_Sampled):
             (self.gamma, self.dgamma, "dgamma"),
             (self.dgamma, self.ddgamma, "ddgamma"),
         ):
-            fd = (np.asarray(fn(ts + h)) - np.asarray(fn(ts - h))) / (2 * h)
-            got = np.asarray(dfn(ts), dtype=float)
+            fd = (fn(ts + h) - fn(ts - h)) / (2 * h)
+            got = _checked(f"curve '{self.name}'", label, dfn(ts), (32, self.dim))
             err = np.linalg.norm(fd - got, axis=1)
             rel = err / (1.0 + np.linalg.norm(got, axis=1))
             rel_tol = 1e-5 if self.transported else 1e-6
@@ -344,10 +370,10 @@ class ParamCurve(_Sampled):
         return _reach(np.abs(curvature(self, self._grid_ts)))
 
     def chart(self, t) -> np.ndarray:
-        return np.asarray(self.gamma(_as_params(t)[0]), dtype=float)
+        return self.gamma(*_params(t, 1))
 
     def tangent_frame(self, t) -> tuple[np.ndarray]:
-        return (_unit_rows(np.asarray(self.dgamma(_as_params(t)[0]), dtype=float)),)
+        return (_unit_rows(self.dgamma(*_params(t, 1))),)
 
     def unit_normal(self, t) -> np.ndarray:
         (T,) = self.tangent_frame(t)
@@ -361,11 +387,11 @@ class ParamCurve(_Sampled):
         return _reject(x, self.tangent_frame(t))
 
     def on_boundary(self, t) -> np.ndarray:
-        t = _as_params(t)[0]
+        (t,) = _params(t, 1)
         return ((t == self.a) | (t == self.b)) & (not self.closed)
 
     def conormal_extension(self, t) -> np.ndarray:
-        t = _as_params(t)[0]
+        (t,) = _params(t, 1)
         if self.closed:
             return np.zeros((len(t), self.dim))
         return _ramp(t, self.a, self.b)[:, None] * self.tangent_frame(t)[0]
@@ -423,33 +449,34 @@ class ParamSurface(_Sampled):
         vs = np.linspace(self.c, self.d, n)
         U, V = np.meshgrid(us, vs, indexing="ij")
         uu, vv = U.ravel(), V.ravel()
-        pts = np.asarray(self.phi(uu, vv), dtype=float)
-        if pts.shape != (n * n, 3) or not np.all(np.isfinite(pts)):
+        where = f"surface '{self.name}'"
+        pts = _checked(where, "phi", self.phi(uu, vv), (n * n, 3))
+        if not np.all(np.isfinite(pts)):
             raise InvariantViolation(
-                f"surface '{self.name}': phi must map (n,),(n,) to finite (n, 3)"
+                f"{where}: phi must map (n,),(n,) to finite (n, 3)"
             )
-        pu = np.asarray(self.phi_u(uu, vv), dtype=float)
-        pv = np.asarray(self.phi_v(uu, vv), dtype=float)
+        pu = _checked(where, "phi_u", self.phi_u(uu, vv), (n * n, 3))
+        pv = _checked(where, "phi_v", self.phi_v(uu, vv), (n * n, 3))
         jac = np.linalg.norm(np.cross(pu, pv), axis=1)
         if jac.min() <= 1e-12 * max(1.0, jac.max()):
             k = jac.argmin()
             raise DegenerateImmersion(
-                f"surface '{self.name}': |phi_u x phi_v| vanishes near "
+                f"{where}: |phi_u x phi_v| vanishes near "
                 f"(u, v) = ({uu[k]:g}, {vv[k]:g})"
             )
+        # before seam detection, which reads phi_vv
+        self._check_derivative_consistency()
         scale = 1.0 + np.abs(pts).max()
         # seam detection; transported charts match only up to integrator noise
         tol = (1e-6 if self.transported else 1e-12) * scale
         per_v = all(
-            np.abs(np.asarray(fn(us, np.full(n, self.c)))
-                   - np.asarray(fn(us, np.full(n, self.d)))).max() <= tol
-            for fn in (self.phi, self.phi_v, self.phi_vv)
+            np.abs(fn(us, np.full(n, self.c)) - fn(us, np.full(n, self.d))).max()
+            <= tol for fn in (self.phi, self.phi_v, self.phi_vv)
         )
         object.__setattr__(self, "periodic_v", bool(per_v))
         u_closed = all(
-            np.abs(np.asarray(fn(np.full(n, self.a), vs))
-                   - np.asarray(fn(np.full(n, self.b), vs))).max() <= tol
-            for fn in (self.phi, self.phi_u, self.phi_v)
+            np.abs(fn(np.full(n, self.a), vs) - fn(np.full(n, self.b), vs)).max()
+            <= tol for fn in (self.phi, self.phi_u, self.phi_v)
         )
         object.__setattr__(self, "u_closed", bool(u_closed))
         # embedding desk check, adjacency on the sample grid (8-neighborhood)
@@ -457,13 +484,12 @@ class ParamSurface(_Sampled):
             pts, _surface_nonadjacent(n, u_closed, per_v))
         if sep < 1e-7 * diam:
             raise DegenerateImmersion(
-                f"surface '{self.name}': samples nearly coincide (self-intersection?)"
+                f"{where}: samples nearly coincide (self-intersection?)"
             )
-        self._check_derivative_consistency()
         if self.foot is not None:
-            _check_foot(f"surface '{self.name}'", lambda p: self.foot(p, 0.0),
+            _check_foot(where, lambda p: self.foot(p, 0.0),
                         self.phi, (self.phi_u, self.phi_v), pts,
-                        _unit_rows(np.cross(pu, pv)), 1e-3 * diam,
+                        _unit_rows(np.cross(pu, pv)), diam, sep,
                         "(n, 3) to two (n,) arrays")
         object.__setattr__(self, "_grid_us", uu)
         object.__setattr__(self, "_grid_vs", vv)
@@ -478,16 +504,16 @@ class ParamSurface(_Sampled):
         us = rng.uniform(self.a + 2 * hu, self.b - 2 * hu, 32)
         vs = rng.uniform(self.c + 2 * hv, self.d - 2 * hv, 32)
         checks = (
-            (lambda u, v: self.phi(u, v), self.phi_u, "phi_u", hu, True),
-            (lambda u, v: self.phi(u, v), self.phi_v, "phi_v", hv, False),
-            (lambda u, v: self.phi_v(u, v), self.phi_vv, "phi_vv", hv, False),
+            (self.phi, self.phi_u, "phi_u", hu, True),
+            (self.phi, self.phi_v, "phi_v", hv, False),
+            (self.phi_v, self.phi_vv, "phi_vv", hv, False),
         )
         for fn, dfn, label, h, along_u in checks:
             if along_u:
-                fd = (np.asarray(fn(us + h, vs)) - np.asarray(fn(us - h, vs))) / (2 * h)
+                fd = (fn(us + h, vs) - fn(us - h, vs)) / (2 * h)
             else:
-                fd = (np.asarray(fn(us, vs + h)) - np.asarray(fn(us, vs - h))) / (2 * h)
-            got = np.asarray(dfn(us, vs), dtype=float)
+                fd = (fn(us, vs + h) - fn(us, vs - h)) / (2 * h)
+            got = _checked(f"surface '{self.name}'", label, dfn(us, vs), (32, 3))
             rel = np.linalg.norm(fd - got, axis=1) / (1.0 + np.linalg.norm(got, axis=1))
             rel_tol = 1e-5 if self.transported else 1e-6
             if rel.max() > rel_tol:
@@ -500,21 +526,20 @@ class ParamSurface(_Sampled):
 
     @cached_property
     def reach(self) -> float:
-        return _reach(surface_max_curvature(self, self._grid_us, self._grid_vs))
+        return _reach(surface_max_curvature(self, (self._grid_us, self._grid_vs)))
 
     def chart(self, params) -> np.ndarray:
-        return np.asarray(self.phi(*_surface_params(params)), dtype=float)
+        return self.phi(*_params(params, 2))
 
     def tangent_frame(self, params) -> tuple[np.ndarray, np.ndarray]:
-        us, vs = _surface_params(params)
-        e1 = _unit_rows(np.asarray(self.phi_u(us, vs), dtype=float))
-        pv = np.asarray(self.phi_v(us, vs), dtype=float)
+        us, vs = _params(params, 2)
+        e1 = _unit_rows(self.phi_u(us, vs))
+        pv = self.phi_v(us, vs)
         return e1, _unit_rows(pv - e1 * np.einsum("ij,ij->i", pv, e1)[:, None])
 
     def unit_normal(self, params) -> np.ndarray:
-        us, vs = _surface_params(params)
-        cr = np.cross(np.asarray(self.phi_u(us, vs), dtype=float),
-                      np.asarray(self.phi_v(us, vs), dtype=float))
+        us, vs = _params(params, 2)
+        cr = np.cross(self.phi_u(us, vs), self.phi_v(us, vs))
         ncr = np.linalg.norm(cr, axis=1)
         if ncr.min() <= 1e-12:
             k = ncr.argmin()
@@ -527,11 +552,11 @@ class ParamSurface(_Sampled):
         return _reject(x, self.tangent_frame(params))
 
     def on_boundary(self, params) -> np.ndarray:
-        us, _ = _surface_params(params)
+        us, _ = _params(params, 2)
         return ((us == self.a) | (us == self.b)) & (not self.u_closed)
 
     def conormal_extension(self, params) -> np.ndarray:
-        us, vs = _surface_params(params)
+        us, vs = _params(params, 2)
         if self.u_closed:
             return np.zeros((len(us), 3))
         if not self.periodic_v:
@@ -539,7 +564,7 @@ class ParamSurface(_Sampled):
                 f"surface '{self.name}': boundary-normal extension needs a "
                 "v-periodic (cylinder-like) surface"
             )
-        pv = np.asarray(self.phi_v(us, vs), dtype=float)
+        pv = self.phi_v(us, vs)
         nu = np.cross(pv, self.unit_normal((us, vs)))
         nu /= np.linalg.norm(pv, axis=1)[:, None]
         return _ramp(us, self.a, self.b)[:, None] * nu
@@ -552,8 +577,9 @@ class ParamSurface(_Sampled):
 
 @dataclass(frozen=True)
 class FrenetFrame:
-    """Frame data along a curve: unit tangent T, unit normal N, binormal B
-    (None in the plane), scalar speed v = |gamma'| and curvature kappa."""
+    """Frame data along a curve, one row per parameter: unit tangent T, unit
+    normal N, binormal B (None in the plane), speed v = |gamma'| and
+    curvature kappa."""
 
     T: np.ndarray
     N: np.ndarray
@@ -581,19 +607,17 @@ def curvature(curve: ParamCurve, t) -> np.ndarray:
 
     Signed in the plane, |gamma' x gamma''|/v^3 >= 0 in space.
     """
-    ts, scalar = _as_params(t)
-    d1 = np.asarray(curve.dgamma(ts), dtype=float)
-    d2 = np.asarray(curve.ddgamma(ts), dtype=float)
-    kap = _kappa(d1, d2, np.linalg.norm(d1, axis=1))
-    return kap[0] if scalar else kap
+    (ts,) = _params(t, 1)
+    d1 = curve.dgamma(ts)
+    return _kappa(d1, curve.ddgamma(ts), np.linalg.norm(d1, axis=1))
 
 
 def frenet_rows(curve: ParamCurve, ts: np.ndarray) -> tuple[FrenetFrame, np.ndarray]:
     """Frame at (n,) parameters ts and the mask of rows where a space curve
     is straight (|T'| at most 1e-12 relative to gamma''); N and B are 0 on
     those rows, so kappa N is the curvature vector on every row."""
-    d1 = np.asarray(curve.dgamma(ts), dtype=float)
-    d2 = np.asarray(curve.ddgamma(ts), dtype=float)
+    d1 = curve.dgamma(ts)
+    d2 = curve.ddgamma(ts)
     v = np.linalg.norm(d1, axis=1)
     if v.min() <= 1e-12:
         raise DegenerateImmersion(
@@ -616,16 +640,13 @@ def frenet_rows(curve: ParamCurve, ts: np.ndarray) -> tuple[FrenetFrame, np.ndar
 def curve_frame(curve: ParamCurve, t) -> FrenetFrame:
     """Tangent/normal frame, speed and curvature at parameter(s) t.  Raises
     DegenerateFrame where a space curve is straight."""
-    ts, scalar = _as_params(t)
+    (ts,) = _params(t, 1)
     fr, straight = frenet_rows(curve, ts)
     if straight.any():
         raise DegenerateFrame(
             f"curve '{curve.name}': unit normal undefined at t = "
             f"{ts[straight.argmax()]:g} (straight segment)"
         )
-    if scalar:
-        return FrenetFrame(fr.T[0], fr.N[0], None if fr.B is None else fr.B[0],
-                           float(fr.speed[0]), float(fr.kappa[0]))
     return fr
 
 
@@ -636,20 +657,18 @@ def curve_curvature_derivs(curve: ParamCurve, t):
     Richardson step (5-point stencils, shifted inside [a, b] near open ends),
     then the chain rule converts to arc-length derivatives.
     """
-    ts, scalar = _as_params(t)
+    (ts,) = _params(t, 1)
     h = 1e-4 * (curve.b - curve.a)
-    kfun = lambda s: np.asarray(curvature(curve, s))
+    kfun = partial(curvature, curve)
     k = kfun(ts)
-    k1 = sample_derivative(kfun, ts, h, 1, curve.a, curve.b, periodic=curve.closed)
-    k2 = sample_derivative(kfun, ts, h, 2, curve.a, curve.b, periodic=curve.closed)
-    d1 = np.asarray(curve.dgamma(ts), dtype=float)
-    d2 = np.asarray(curve.ddgamma(ts), dtype=float)
+    k1 = sample_derivative(kfun, (ts,), h, 1, curve.a, curve.b, periodic=curve.closed)
+    k2 = sample_derivative(kfun, (ts,), h, 2, curve.a, curve.b, periodic=curve.closed)
+    d1 = curve.dgamma(ts)
+    d2 = curve.ddgamma(ts)
     v = np.linalg.norm(d1, axis=1)
     vp = np.einsum("ij,ij->i", d1, d2) / v
     dk_ds = k1 / v
     d2k_ds2 = k2 / v**2 - k1 * vp / v**3
-    if scalar:
-        return float(k[0]), float(dk_ds[0]), float(d2k_ds2[0])
     return k, dk_ds, d2k_ds2
 
 
@@ -657,26 +676,22 @@ def curve_curvature_derivs(curve: ParamCurve, t):
 # mean and principal curvature
 
 
-def _weingarten(surf: ParamSurface, u, v):
-    """Coordinates of N_u = a1 phi_u + a2 phi_v and N_v = a3 phi_u + a4 phi_v.
+def _weingarten(surf: ParamSurface, params):
+    """Coordinates (a1, a2, a3, a4) of N_u = a1 phi_u + a2 phi_v and
+    N_v = a3 phi_u + a4 phi_v.
 
     N_u and N_v come from 5-point differences of the unit normal; their
-    tangent coordinates solve the 2x2 Gram systems.  Returns
-    (was_scalar, a1, a2, a3, a4).
+    tangent coordinates solve the 2x2 Gram systems.
     """
-    us, scalar = _as_params(u)
-    vs, _ = _as_params(v)
-    us, vs = np.broadcast_arrays(us, vs)
-    us, vs = np.ascontiguousarray(us), np.ascontiguousarray(vs)
+    us, vs = _params(params, 2)
     h = 1e-5 * min(surf.b - surf.a, surf.d - surf.c)
-    Nu = sample_derivative(
-        lambda uu: surf.unit_normal((uu, np.repeat(vs, 5))),
-        us, h, 1, surf.a, surf.b, periodic=surf.u_closed)
-    Nv = sample_derivative(
-        lambda vv: surf.unit_normal((np.repeat(us, 5), vv)),
-        vs, h, 1, surf.c, surf.d, periodic=surf.periodic_v)
-    pu = np.asarray(surf.phi_u(us, vs), dtype=float)
-    pv = np.asarray(surf.phi_v(us, vs), dtype=float)
+    normal = lambda *uv: surf.unit_normal(uv)
+    Nu = sample_derivative(normal, (us, vs), h, 1, surf.a, surf.b,
+                           periodic=surf.u_closed, along=0)
+    Nv = sample_derivative(normal, (us, vs), h, 1, surf.c, surf.d,
+                           periodic=surf.periodic_v)
+    pu = surf.phi_u(us, vs)
+    pv = surf.phi_v(us, vs)
     E = np.einsum("ij,ij->i", pu, pu)
     F = np.einsum("ij,ij->i", pu, pv)
     G = np.einsum("ij,ij->i", pv, pv)
@@ -692,31 +707,29 @@ def _weingarten(surf: ParamSurface, u, v):
     a2 = (E * np.einsum("ij,ij->i", pv, Nu) - F * np.einsum("ij,ij->i", pu, Nu)) / det
     a3 = (G * np.einsum("ij,ij->i", pu, Nv) - F * np.einsum("ij,ij->i", pv, Nv)) / det
     a4 = (E * np.einsum("ij,ij->i", pv, Nv) - F * np.einsum("ij,ij->i", pu, Nv)) / det
-    return scalar, a1, a2, a3, a4
+    return a1, a2, a3, a4
 
 
-def surface_mean_curvature(surf: ParamSurface, u, v):
+def surface_mean_curvature(surf: ParamSurface, params) -> np.ndarray:
     """Trace of the Weingarten map in the {phi_u, phi_v} basis.
 
     Sign follows the orientation of N (cylinder with inward N gives
     H = -1/r).
     """
-    scalar, a1, _, _, a4 = _weingarten(surf, u, v)
-    H = a1 + a4
-    return float(H[0]) if scalar else H
+    a1, _, _, a4 = _weingarten(surf, params)
+    return a1 + a4
 
 
-def surface_max_curvature(surf: ParamSurface, u, v):
+def surface_max_curvature(surf: ParamSurface, params) -> np.ndarray:
     """Largest |principal curvature|: the largest |eigenvalue| of the
     Weingarten map.  Unlike |H| it does not vanish on a saddle, so it bounds
     the reach from above wherever the surface bends."""
-    scalar, a1, a2, a3, a4 = _weingarten(surf, u, v)
+    a1, a2, a3, a4 = _weingarten(surf, params)
     half_tr = 0.5 * (a1 + a4)
     # the map is self-adjoint in the first fundamental form, so its
     # eigenvalues are real; clamp the roundoff below zero
     root = np.sqrt(np.maximum(half_tr**2 - (a1 * a4 - a2 * a3), 0.0))
-    kmax = np.abs(half_tr) + root
-    return float(kmax[0]) if scalar else kmax
+    return np.abs(half_tr) + root
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +754,7 @@ def integrate_curve(curve: ParamCurve, density: Callable[[np.ndarray], np.ndarra
     density values propagate to a NaN result (with a warning).
     """
     nodes, wts = gauss_legendre(curve.a, curve.b, panels)
-    speed = np.linalg.norm(np.asarray(curve.dgamma(nodes), dtype=float), axis=1)
+    speed = np.linalg.norm(curve.dgamma(nodes), axis=1)
     vals = np.asarray(density(nodes), dtype=float)
     total = float(np.sum(wts * vals * speed))
     if not np.isfinite(total):
@@ -759,9 +772,7 @@ def integrate_surface(surf: ParamSurface,
     U, V = np.meshgrid(un, vn, indexing="ij")
     W = wu[:, None] * wv[None, :]
     uu, vv = U.ravel(), V.ravel()
-    jac = np.linalg.norm(
-        np.cross(np.asarray(surf.phi_u(uu, vv), dtype=float),
-                 np.asarray(surf.phi_v(uu, vv), dtype=float)), axis=1)
+    jac = np.linalg.norm(np.cross(surf.phi_u(uu, vv), surf.phi_v(uu, vv)), axis=1)
     vals = np.asarray(density(uu, vv), dtype=float)
     total = float(np.sum(W.ravel() * vals * jac))
     if not np.isfinite(total):
@@ -810,16 +821,15 @@ def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
         seeds_p = curve._grid_points
     else:
         seeds_t = np.linspace(curve.a - extend, curve.b + extend, 768)
-        seeds_p = np.asarray(curve.gamma(seeds_t), dtype=float)
+        seeds_p = curve.gamma(seeds_t)
     t = seeds_t[_nearest_seed(pts, seeds_p)]
     lo = curve.a - extend
     hi = curve.b + extend
     tol = 1e-13 * span
     for _ in range(NEWTON_MAX_ITER):
-        g = np.asarray(curve.gamma(t), dtype=float)
-        dg = np.asarray(curve.dgamma(t), dtype=float)
-        ddg = np.asarray(curve.ddgamma(t), dtype=float)
-        r = pts - g
+        r = pts - curve.gamma(t)
+        dg = curve.dgamma(t)
+        ddg = curve.ddgamma(t)
         f = np.einsum("ij,ij->i", r, dg)
         fp = np.einsum("ij,ij->i", r, ddg) - np.einsum("ij,ij->i", dg, dg)
         # f and fp are -F' and -F'' for F = |p - gamma(t)|^2 / 2.  Where F is
@@ -881,8 +891,8 @@ class Foot:
     @cached_property
     def grad_t(self) -> np.ndarray:
         curve = self.manifold
-        dg = np.asarray(curve.dgamma(self.params), dtype=float)
-        ddg = np.asarray(curve.ddgamma(self.params), dtype=float)
+        dg = curve.dgamma(self.params)
+        ddg = curve.ddgamma(self.params)
         den = np.einsum("ij,ij->i", dg, dg) - np.einsum("ij,ij->i", self._r, ddg)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = dg / den[:, None]
@@ -911,26 +921,24 @@ def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
     us = np.linspace(surf.a - extend_u, surf.b + extend_u, nu_)
     vs = np.linspace(surf.c, surf.d, nv_, endpoint=not surf.periodic_v)
     U, V = np.meshgrid(us, vs, indexing="ij")
-    best = _nearest_seed(pts, np.asarray(surf.phi(U.ravel(), V.ravel()), dtype=float))
+    best = _nearest_seed(pts, surf.phi(U.ravel(), V.ravel()))
     u, v = U.ravel()[best], V.ravel()[best]
     lo_u, hi_u = surf.a - extend_u, surf.b + extend_u
     tol = 1e-13 * max(span_u, span_v)
     h_u = 1e-4 * span_u
     for _ in range(NEWTON_MAX_ITER):
-        p = np.asarray(surf.phi(u, v), dtype=float)
-        pu = np.asarray(surf.phi_u(u, v), dtype=float)
-        pv = np.asarray(surf.phi_v(u, v), dtype=float)
-        pvv = np.asarray(surf.phi_vv(u, v), dtype=float)
-        r = pts - p
+        r = pts - surf.phi(u, v)
+        pu = surf.phi_u(u, v)
+        pv = surf.phi_v(u, v)
+        pvv = surf.phi_vv(u, v)
         g1 = np.einsum("ij,ij->i", r, pu)
         g2 = np.einsum("ij,ij->i", r, pv)
         E = np.einsum("ij,ij->i", pu, pu)
         F = np.einsum("ij,ij->i", pu, pv)
         G = np.einsum("ij,ij->i", pv, pv)
-        vv = np.repeat(v, 5)
         d_u = sample_derivative(
-            lambda uu: np.hstack([surf.phi_u(uu, vv), surf.phi_v(uu, vv)]),
-            u, h_u, 1, lo_u, hi_u)
+            lambda uu, vv: np.hstack([surf.phi_u(uu, vv), surf.phi_v(uu, vv)]),
+            (u, v), h_u, 1, lo_u, hi_u, along=0)
         # the Hessian's own entries, so both coordinates converge
         # quadratically off the surface, wherever they form a positive
         # definite matrix; elsewhere the u entries stay Gauss-Newton, and

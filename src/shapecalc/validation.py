@@ -128,11 +128,9 @@ def locality_suite(J, M, pairs: Sequence[LocalityPair],
     pts = _samples_on(M, 200)
     for pair in pairs:
         tag = f"{J.name}/{M.name}/{pair.description}"
-        on_m = float(np.abs(np.asarray(pair.X.X(pts), dtype=float)
-                            - np.asarray(pair.Y.X(pts), dtype=float)).max())
+        on_m = float(np.abs(pair.X.X(pts) - pair.Y.X(pts)).max())
         wit = np.atleast_2d(np.asarray(pair.witness_points, dtype=float))
-        off_m = float(np.abs(np.asarray(pair.X.X(wit), dtype=float)
-                             - np.asarray(pair.Y.X(wit), dtype=float)).max())
+        off_m = float(np.abs(pair.X.X(wit) - pair.Y.X(wit)).max())
         vx = fd_quotients(J, M, pair.X, cfg).value
         vy = fd_quotients(J, M, pair.Y, cfg).value
         diff = abs(vx - vy)
@@ -270,15 +268,15 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0) -> list[AmbientField]:
             foot = last_call_memo(M.project)
 
             def direction(pts, amp=amp, foot=foot):
-                d1 = np.asarray(M.dgamma(foot(pts).params), dtype=float)
+                d1 = M.dgamma(foot(pts).params)
                 return amp * d1 / np.linalg.norm(d1, axis=1)[:, None]
 
             def direction_jacobian(pts, amp=amp, foot=foot):
                 # d(amp T(t(p))) = amp dT/dt (x) grad t, with
                 # dT/dt = (gamma'' - T (T . gamma'')) / |gamma'|
                 ft = foot(pts)
-                d1 = np.asarray(M.dgamma(ft.params), dtype=float)
-                d2 = np.asarray(M.ddgamma(ft.params), dtype=float)
+                d1 = M.dgamma(ft.params)
+                d2 = M.ddgamma(ft.params)
                 v = np.linalg.norm(d1, axis=1)[:, None]
                 T = d1 / v
                 dT = (d2 - T * np.einsum("ij,ij->i", T, d2)[:, None]) / v
@@ -360,19 +358,15 @@ def nullity_negative_field(M) -> AmbientField:
 
 @dataclass(frozen=True)
 class CrackCoefficients:
-    """Endpoint weights and interior density samples of a crack derivative."""
+    """Endpoint weights and interior density samples of a crack derivative,
+    with the interior probe fields that took the samples."""
 
     alpha1: float
     alpha2: float
     h_samples: np.ndarray
     stations: np.ndarray
     probe_radius: float
-
-
-def _interior_probe(curve: ParamCurve, t: float, center: np.ndarray,
-                    rho: float) -> AmbientField:
-    return bump_field(center, rho, curve.unit_normal(t)[0], curve.dim,
-                      name=f"interior-probe@{t:g}")
+    probes: tuple[AmbientField, ...]
 
 
 def _tip_coefficients(J_crack: CrackFunctional, probe_radius: float,
@@ -386,7 +380,7 @@ def _tip_coefficients(J_crack: CrackFunctional, probe_radius: float,
         center, nu = curve.chart(t_end)[0], curve.conormal_extension(t_end)[0]
         X = bump_field(center, probe_radius, nu, curve.dim,
                        name=f"tip-probe@{t_end:g}")
-        trace = float(np.asarray(X.X(center[None, :]), dtype=float)[0] @ nu)
+        trace = float(X.X(center[None, :])[0] @ nu)
         alphas.append(float(fd_quotients(J_crack, curve, X, cfg).value / trace))
     return alphas
 
@@ -400,7 +394,8 @@ def extract_crack_coefficients(J_crack: CrackFunctional,
     alpha_i = derivative under a bump at tip i directed along the outward
     conormal there, normalized by the probe's own trace value (which is 1
     for a unit bump); h_samples = derivatives under normal-directed bumps
-    at CRACK_STATIONS equispaced interior stations.
+    at CRACK_STATIONS equispaced interior stations, which it returns as
+    `probes` so a caller reads their targets off the same fields.
     """
     curve = J_crack.crack
     if curve.closed:
@@ -420,7 +415,7 @@ def extract_crack_coefficients(J_crack: CrackFunctional,
     alpha1, alpha2 = _tip_coefficients(J_crack, probe_radius, cfg)
 
     stations = np.linspace(curve.a, curve.b, CRACK_STATIONS + 2)[1:-1]
-    spts = np.asarray(curve.gamma(stations), dtype=float)
+    spts = curve.gamma(stations)
     dmin = min(float(np.linalg.norm(spts - A, axis=1).min()),
                float(np.linalg.norm(spts - B, axis=1).min()))
     if dmin <= probe_radius:
@@ -428,13 +423,14 @@ def extract_crack_coefficients(J_crack: CrackFunctional,
             f"interior probes of radius {probe_radius:g} reach a crack tip "
             f"(closest station distance {dmin:g})"
         )
-    h_vals = np.empty(CRACK_STATIONS)
-    for j, (t_j, c_j) in enumerate(zip(stations, spts)):
-        X = _interior_probe(curve, t_j, c_j, probe_radius)
-        h_vals[j] = fd_quotients(J_crack, curve, X, cfg).value
+    probes = tuple(bump_field(c_j, probe_radius, curve.unit_normal(t_j)[0],
+                              curve.dim, name=f"interior-probe@{t_j:g}")
+                   for t_j, c_j in zip(stations, spts))
+    h_vals = np.array([fd_quotients(J_crack, curve, X, cfg).value
+                       for X in probes])
     return CrackCoefficients(alpha1=alpha1, alpha2=alpha2,
                              h_samples=h_vals, stations=stations,
-                             probe_radius=float(probe_radius))
+                             probe_radius=float(probe_radius), probes=probes)
 
 
 def length_density_quadrature(curve: ParamCurve, X: AmbientField) -> float:
@@ -463,8 +459,7 @@ def crack_suite(J_crack: CrackFunctional,
     co = extract_crack_coefficients(J_crack, cfg=cfg)
     tag = f"{J_crack.name}/{curve.name}"
     is_length = J_crack.inner.name == "length"
-    k_ends = np.abs(np.array([curvature(curve, curve.a), curvature(curve, curve.b)]))
-    straight = k_ends.max() <= 1e-9
+    straight = np.abs(curvature(curve, np.array([curve.a, curve.b]))).max() <= 1e-9
     if is_length and straight:
         for nm, a in (("alpha1", co.alpha1), ("alpha2", co.alpha2)):
             err = abs(a - 1.0)
@@ -482,9 +477,7 @@ def crack_suite(J_crack: CrackFunctional,
             f"tip values recorded: alpha1={co.alpha1:.6g}, "
             f"alpha2={co.alpha2:.6g} (curved tips) [{tag}]", 0.0, 0.0, True))
     if is_length:
-        for t_j, h_j in zip(co.stations, co.h_samples):
-            X = _interior_probe(curve, t_j, curve.chart(float(t_j))[0],
-                                co.probe_radius)
+        for t_j, h_j, X in zip(co.stations, co.h_samples, co.probes):
             target = length_density_quadrature(curve, X)
             err = abs(h_j - target)
             bound = 1e-5 * (1.0 + abs(h_j))

@@ -342,3 +342,10 @@ def test_restriction_field_vanishes_just_inside_its_support(shape, request,
         pts = _sphere_points(F, 20000, seed=1)
         np.testing.assert_array_equal(F.X(pts), 0.0)
         np.testing.assert_array_equal(F.dX(pts[:2000]), 0.0)
+
+
+def test_field_jacobian_of_wrong_shape_rejected_at_construction(e1_field):
+    # dX rows must be (d, d) matrices: an (n, d) return names dX
+    with pytest.raises(InvariantViolation, match=r"field 'flat': dX must return"):
+        AmbientField(dim=2, X=e1_field.X, dX=lambda p: e1_field.dX(p)[:, :, 0],
+                     support=e1_field.support, name="flat")

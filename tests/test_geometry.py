@@ -596,11 +596,11 @@ def test_saddle_newton_exact_in_u_past_the_v_edges():
 
 def test_surface_max_curvature_saddle_and_cylinder(cylinder):
     saddle = _saddle()
-    assert surface_mean_curvature(saddle, 0.0, 0.0) == pytest.approx(0.0, abs=1e-6)
-    assert surface_max_curvature(saddle, 0.0, 0.0) == pytest.approx(2.0, rel=1e-6)
+    assert surface_mean_curvature(saddle, (0.0, 0.0))[0] == pytest.approx(0.0, abs=1e-6)
+    assert surface_max_curvature(saddle, (0.0, 0.0))[0] == pytest.approx(2.0, rel=1e-6)
     us = np.linspace(cylinder.a, cylinder.b, 7)
     vs = np.linspace(cylinder.c, cylinder.d, 7)
-    np.testing.assert_allclose(surface_max_curvature(cylinder, us, vs), 1.0,
+    np.testing.assert_allclose(surface_max_curvature(cylinder, (us, vs)), 1.0,
                                rtol=0.0, atol=1e-6)
 
 
@@ -679,7 +679,7 @@ def test_cylinder_surface_quantities(cylinder):
     # this parameterization orients the normal toward the axis
     np.testing.assert_allclose(n[0], [-1.0, 0.0, 0.0], atol=1e-12)
     np.testing.assert_allclose(n[1], [0.0, -1.0, 0.0], atol=1e-12)
-    h = surface_mean_curvature(cylinder, us, vs)
+    h = surface_mean_curvature(cylinder, (us, vs))
     np.testing.assert_allclose(h, -1.0, rtol=1e-6)
     one = lambda u, v: np.ones_like(u)
     assert integrate_surface(cylinder, one) == pytest.approx(4 * np.pi, rel=1e-10)
@@ -966,3 +966,56 @@ def test_grid_speed_and_grid_ball(ellipse21, helix1, cylinder):
         assert rad <= M.diameter
         assert M.grid_ball is M.grid_ball
         assert not mid.flags.writeable
+
+
+# -- the array contract of chart callables -------------------------------
+
+
+def _catenary_with(**overrides):
+    cat = catenary()
+    kw = dict(dim=2, a=cat.a, b=cat.b, gamma=cat.gamma, dgamma=cat.dgamma,
+              ddgamma=cat.ddgamma, closed=False, name="catenary_bad")
+    kw.update(overrides)
+    return ParamCurve(**kw)
+
+
+@pytest.mark.parametrize("label, wrap", [
+    ("gamma", lambda fn: lambda t: fn(t).tolist()),
+    ("ddgamma", lambda fn: lambda t: fn(t).astype(np.float32)),
+    ("dgamma", lambda fn: lambda t: fn(t)[:, :1]),
+], ids=["list-gamma", "float32-ddgamma", "n1-dgamma"])
+def test_malformed_curve_callable_rejected_at_construction(label, wrap):
+    bad = wrap(getattr(catenary(), label))
+    with pytest.raises(InvariantViolation,
+                       match=rf"catenary_bad': {label} must return a float64"):
+        _catenary_with(**{label: bad})
+
+
+def test_malformed_surface_callable_rejected_at_construction(cylinder):
+    bad = lambda u, v: cylinder.phi_vv(u, v).astype(np.float32)
+    with pytest.raises(InvariantViolation,
+                       match=r"cylinder_newton': phi_vv must return a float64"):
+        _without_foot(cylinder, phi_vv=bad)
+    bad_foot = lambda pts, extend_u: tuple(x.astype(np.float32)
+                                           for x in cylinder.foot(pts, extend_u))
+    with pytest.raises(InvariantViolation, match="foot must map"):
+        _without_foot(cylinder, foot=bad_foot)
+
+
+def test_curvature_queries_return_rows_for_scalar_input(circle1, segment01,
+                                                        cylinder):
+    assert curvature(circle1, 0.5).shape == (1,)
+    assert curve_frame(circle1, 0.5).T.shape == (1, 2)
+    assert all(x.shape == (1,) for x in curve_curvature_derivs(segment01, 0.5))
+    assert surface_mean_curvature(cylinder, (0.5, 1.0)).shape == (1,)
+    assert surface_max_curvature(cylinder, (0.5, 1.0)).shape == (1,)
+
+
+@pytest.mark.parametrize("radius", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_thin_cylinder_passes_its_foot_check(radius):
+    from shapecalc.catalog import build_shape
+
+    # height 1: a probe pushed by 1e-3 of the diameter would cross the axis
+    M = build_shape({"kind": "cylinder", "name": "thin", "radius": radius})
+    assert M.foot is not None
+    assert M.reach == pytest.approx(0.5 * radius, rel=1e-6)

@@ -514,3 +514,12 @@ def test_nullity_measures_field_only_cases_once(circle1, fd5, monkeypatch):
         assert all(f"[{J.name}/circle1/" in c.description for c in res.cases)
         assert [res] == tangential_nullity_suite([J], circle1, probes, cfg=fd5,
                                                  negative=neg)
+
+
+def test_crack_coefficients_carry_their_interior_probes(crack_arc, fd5):
+    J = crack_functional(Ball(np.zeros(2), 4.0), crack_arc)
+    co = extract_crack_coefficients(J, cfg=fd5)
+    assert len(co.probes) == len(co.stations)
+    for X, t in zip(co.probes, co.stations):
+        np.testing.assert_array_equal(X.support.center, crack_arc.chart(t)[0])
+        assert X.support.radius == co.probe_radius
