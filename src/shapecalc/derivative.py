@@ -30,11 +30,11 @@ import numpy as np
 
 from .errors import InvariantViolation, NoConvergence, NonFinite
 from .fields import AmbientField
-from .flow import DEFAULT_MAX_STEP, FlowConfig, flow_manifold, step_count
+from .flow import (DEFAULT_MAX_STEP, MAX_FLOW_STEPS, FlowConfig,
+                   flow_manifold, step_count)
 
 REL_TOL = 1e-5
 ABS_TOL = 1e-8
-MAX_FLOW_STEPS = 10**6  # ~35 min on 2,560 nodes with Jacobian transport
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,9 @@ class NonFinite(ShapecalcError):
 
 
 class NoConvergence(ShapecalcError):
-    """Finite-difference quotient sequence diverges (ratio test), or a
-    nearest-point Newton search reaches its iteration cap."""
+    """Finite-difference quotient sequence diverges (ratio test), a
+    nearest-point Newton search reaches its iteration cap, or an invariance
+    flow would need more than MAX_FLOW_STEPS steps to meet its budget."""
 
 
 class CrackNotInterior(ShapecalcError):

@@ -31,12 +31,11 @@ from .fields import (AmbientField, Ball, _sample_params, bump_field,
                      check_tangency, fd_jacobian, last_call_memo,
                      pullback_field, restriction_field, smooth_step,
                      smooth_step_deriv, sum_field)
-from .flow import invariance_residual
+from .flow import INVARIANCE_BOUND, invariance_residual
 from .functionals import CrackFunctional, length_density
 from .geometry import ParamCurve, curvature, integrate_curve
 
 TANGENCY_TOL = 1e-12
-INVARIANCE_BOUND = 1e-7
 NULLITY_TIME = 0.5
 # interior stations per crack
 CRACK_STATIONS = 3

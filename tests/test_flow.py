@@ -5,9 +5,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from shapecalc.errors import NonFinite
+from shapecalc.errors import NoConvergence, NonFinite
 from shapecalc.fields import AmbientField, bump_field
 from shapecalc.flow import (
+    INVARIANCE_BUDGET,
     FlowConfig,
     _jacobian_product,
     flow_manifold,
@@ -123,6 +124,74 @@ def test_invariance_residual_rotation_keeps_the_cylinder(cylinder):
     )
     res = invariance_residual(rot3, cylinder, 0.5)
     assert res <= 1e-9
+
+
+def _recording_point_flows(monkeypatch):
+    import shapecalc.flow as flow_mod
+
+    flows = []
+    real = flow_mod.flow_point
+
+    def recorded(field, x0, cfg):
+        out = real(field, x0, cfg)
+        flows.append((x0, cfg, out))
+        return out
+
+    monkeypatch.setattr(flow_mod, "flow_point", recorded)
+    return flows
+
+
+def _first_probe(shape, request):
+    from shapecalc.validation import tangential_probe_fields
+
+    M = request.getfixturevalue(shape)
+    return M, tangential_probe_fields(M, n=2, seed=0)[0]
+
+
+@pytest.mark.parametrize("shape, probe", [("circle1", "tangent-bump0[circle1]"),
+                                          ("cylinder", "tangent-wave0[cylinder]")])
+def test_invariance_flow_meets_its_error_budget(shape, probe, request,
+                                                monkeypatch):
+    M, field = _first_probe(shape, request)
+    assert field.name == probe
+    flows = _recording_point_flows(monkeypatch)
+    invariance_residual(field, M, 0.5)
+    monkeypatch.undo()
+    # the last flow is the one measured; four times its steps is exact to
+    # about 1e-12 / 4^4
+    x0, cfg, measured = flows[-1]
+    ref = flow_point(field, x0, FlowConfig(cfg.t_final, 4 * cfg.n_steps))
+    assert np.linalg.norm(measured - ref, axis=1).max() <= 2.0 * INVARIANCE_BUDGET
+
+
+def test_invariance_flow_counts(circle1, request, monkeypatch):
+    from shapecalc.catalog import build_field
+
+    # RK4 integrates a constant field exactly, so the step-doubling pair
+    # already meets the budget; the bump probe needs a third flow
+    const = build_field({"kind": "constant", "vector": [0.3, -0.2],
+                         "name": "c"}, 2)
+    _, bump = _first_probe("circle1", request)
+    flows = _recording_point_flows(monkeypatch)
+    invariance_residual(const, circle1, 0.5)
+    assert [cfg.n_steps for _, cfg, _ in flows] == [50, 100]
+    flows.clear()
+    invariance_residual(bump, circle1, 0.5)
+    steps = [cfg.n_steps for _, cfg, _ in flows]
+    assert steps[:2] == [50, 100] and len(steps) == 3 and steps[2] > 100
+
+
+def test_invariance_flow_over_the_step_cap_raises_before_flowing(circle1,
+                                                                 monkeypatch):
+    # x' = 300 x reaches e^150 ~ 1e65 at t = 0.5: finite, but the 50- and
+    # 100-step flows differ by ~1e64, far beyond any affordable step.  The
+    # catalog fields are compactly supported, so a bare stand-in serves
+    fast = SimpleNamespace(X=lambda p: 300.0 * p, name="fast")
+    flows = _recording_point_flows(monkeypatch)
+    with pytest.raises(NoConvergence, match=r"'fast'.*error of \S+e\+6\d.*steps"):
+        invariance_residual(fast, circle1, 0.5)
+    assert [cfg.n_steps for _, cfg, _ in flows] == [50, 100]
+    assert all(np.isfinite(out).all() for _, _, out in flows)
 
 
 def _counting_flows(monkeypatch):

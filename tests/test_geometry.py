@@ -1019,3 +1019,25 @@ def test_thin_cylinder_passes_its_foot_check(radius):
     M = build_shape({"kind": "cylinder", "name": "thin", "radius": radius})
     assert M.foot is not None
     assert M.reach == pytest.approx(0.5 * radius, rel=1e-6)
+
+
+# small circles far from the origin: the roundoff of p - chart(foot(p))
+# scales with |p| (up to 7.9e-10 of the offset here), not with the circle
+@pytest.mark.parametrize("radius, center", [(1e-3, [5.0, 5.0]),
+                                            (1e-2, [50.0, 50.0])])
+def test_small_far_circle_passes_its_foot_check(radius, center):
+    from shapecalc.catalog import build_shape
+
+    M = build_shape({"kind": "circle", "name": "far", "radius": radius,
+                     "center": center})
+    assert M.foot is not None
+    # the probe offset is 1e-3 of the diameter (the separation cap is
+    # looser on these circles); t is arc length, so shifting it by 1e-6 of
+    # the offset tilts p - gamma by that share, which must still fail
+    shift = 1e-6 * 1e-3 * M.diameter
+
+    def off(pts, extend):
+        return M.foot(pts, extend) + shift
+
+    with pytest.raises(InvariantViolation, match="foot is not the nearest point"):
+        dataclasses.replace(M, foot=off, name="far_off_foot")
