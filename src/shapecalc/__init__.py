@@ -26,10 +26,11 @@ from .flow import (FlowConfig, flow_manifold, flow_point, flow_with_jacobian,
 from .functionals import (CrackFunctional, ShapeFunctional, analytic_darea,
                           analytic_delastic, analytic_dlength,
                           area_functional, bending_energy, crack_functional,
+                          discrete_darea, discrete_delastic, discrete_dlength,
                           elastic_functional, length, length_functional,
                           surface_area)
 from .derivative import (DerivativeReport, FDConfig, FDTrace, compare,
-                         fd_quotients)
+                         discrete_variation, fd_quotients)
 from .validation import (CrackCoefficients, LocalityPair,
                          StructureSuiteResult, SuiteCase, crack_suite,
                          extract_crack_coefficients,

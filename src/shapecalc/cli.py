@@ -146,7 +146,8 @@ def _known(names, known: tuple, where: str, kind: str):
 
 # The generic suites take representatives rather than the full cross
 # product: comparisons are cheap and run exhaustively, the structure suites
-# re-derive many flows per case and are scoped to keep bundled runs fast.
+# run invariance flows (nullity) and FD oracles (locality) per case and are
+# scoped to keep bundled runs fast.
 # Shapes referenced by a crack functional stay out of the generic suites.
 
 
@@ -215,8 +216,7 @@ def suite_jobs(plan: RunPlan) -> list[_Job]:
             jobs.append(_Job(
                 f"nullity {'+'.join(J.name for J in Js)}/{M.name}",
                 lambda Js=Js, M=M, probes=probes, neg=neg:
-                    tangential_nullity_suite(Js, M, probes, cfg=plan.cfg,
-                                             negative=neg),
+                    tangential_nullity_suite(Js, M, probes, negative=neg),
                 tuple(f"nullity {J.name}/{M.name}" for J in Js)))
 
     # locality and normal dependence take the first functional whose shape
@@ -235,11 +235,10 @@ def suite_jobs(plan: RunPlan) -> list[_Job]:
             if "normal_dependence" in plan.suites:
                 jobs.append(_single(
                     f"normal_dependence {J.name}/{M.name}",
-                    lambda J=J, M=M: normal_dependence_suite(
-                        J, M, fs[:1], cfg=plan.cfg)))
+                    lambda J=J, M=M: normal_dependence_suite(J, M, fs[:1])))
 
     if "crack" in plan.suites:
-        jobs += [_single(f"crack {J.name}", lambda J=J: crack_suite(J, cfg=plan.cfg))
+        jobs += [_single(f"crack {J.name}", lambda J=J: crack_suite(J))
                  for J in plan.functionals if isinstance(J, CrackFunctional)]
     return jobs
 

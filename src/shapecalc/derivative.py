@@ -1,4 +1,5 @@
-"""One-sided finite-difference oracle for shape derivatives.
+"""Shape derivatives of a functional's quadrature: a one-sided
+finite-difference oracle, and the discrete first variation it converges to.
 
 The derivative of J at M along X is the one-sided limit of
 q(t) = (J(Phi_t(M)) - J(M)) / t as t decreases to 0.  The oracle evaluates
@@ -18,8 +19,20 @@ a one-entry memo keyed on the identity of X and M (which it holds, so no
 other object can take their ids) and on cfg, so functionals asked about one
 (M, X) one after the other read the same flowed manifolds.
 
-Entirely independent of the closed-form derivatives in `functionals`: only
-J.evaluate and the flow are used.
+The oracle is entirely independent of the closed-form derivatives in
+`functionals`: only J.evaluate and the flow are used.
+
+`discrete_variation` reads J.discrete_derivative instead: the exact
+t-derivative at t = 0 of the same quadrature on the same transported
+charts, the limit the Richardson triangle extrapolates toward, from X and
+dX on M with no flow.  The nullity, normal-dependence and crack suites
+read it: there it tests the structure theorem, since the Jacobian form
+int T.(dX T) ds of a tangent field vanishes only through an integration by
+parts.  The locality suite and `compare` keep the FD oracle.  DV depends on
+X only along M, so two fields that agree on M have equal DV by
+construction and locality would test nothing; and `compare` is where the
+oracle keeps DV itself honest (|FD - DV| stays within the oracle's error
+estimate).
 """
 from __future__ import annotations
 
@@ -135,6 +148,20 @@ def fd_quotients(J, M, X: AmbientField, cfg: FDConfig | None = None) -> FDTrace:
             )
     return FDTrace(ts=ts, quotients=q, extrapolants=extr, value=value,
                    error_estimate=err)
+
+
+def discrete_variation(J, M, X: AmbientField) -> float:
+    """J's discrete first variation dJ_h(M)(X); NonFinite when it is not
+    finite."""
+    if J.discrete_derivative is None:
+        raise InvariantViolation(
+            f"functional '{J.name}' has no discrete first variation")
+    value = float(J.discrete_derivative(M, X))
+    if not np.isfinite(value):
+        raise NonFinite(
+            f"discrete first variation of '{J.name}' on '{M.name}' along "
+            f"'{X.name}' is not finite")
+    return value
 
 
 @dataclass(frozen=True)

@@ -127,27 +127,36 @@ def _jacobian_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
+def second_derivative_step(field: AmbientField, curve: ParamCurve) -> float:
+    """Step of the 5-point stencil that gives a curve transported by
+    `field` its second derivative (see flow_manifold).
+
+    Wide by default: fields with composed direction callables carry value
+    jitter that the differencing amplifies by 1/h, and the curvature of
+    anything built on that ddgamma keeps the noise visible.  A field of
+    characteristic width rho caps the step instead: the stencil truncation
+    grows like h^4 times a seventh derivative ~ rho^-7, so the widest safe
+    step scales as rho^(7/4).
+    """
+    h2 = 1.6e-4 * (curve.b - curve.a)
+    if field.scale is not None:
+        h2 = min(h2, 2.3e-3 * field.scale ** 1.75)
+    return h2
+
+
 def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
     """Manifold transported by the flow, same type as the input.
 
     One body for both kinds: the chart is flow_point of the base chart,
     each first partial is the base partial times one memoized Jacobian
     flow per parameter set, and the second derivative is a 5-point stencil
-    of the last transported partial.  The callables evaluate flows lazily.
+    of the last transported partial (on a curve at
+    second_derivative_step).  The callables evaluate flows lazily.
     """
     if isinstance(manifold, ParamCurve):
         chart, partials, second = "gamma", ("dgamma",), "ddgamma"
         lo, hi, periodic = manifold.a, manifold.b, manifold.closed
-        # wide stencil step by default: fields with composed direction
-        # callables carry value jitter that the differencing amplifies by
-        # 1/h, and the curvature of anything built on this ddgamma keeps
-        # that noise visible.  A field of characteristic width rho caps the
-        # step instead: the stencil truncation grows like h^4 times a
-        # seventh derivative ~ rho^-7, so the widest safe step scales as
-        # rho^(7/4).
-        h2 = 1.6e-4 * (hi - lo)
-        if field.scale is not None:
-            h2 = min(h2, 2.3e-3 * field.scale ** 1.75)
+        h2 = second_derivative_step(field, manifold)
     else:
         chart, partials, second = "phi", ("phi_u", "phi_v"), "phi_vv"
         lo, hi, periodic = manifold.c, manifold.d, manifold.periodic_v

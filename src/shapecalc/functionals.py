@@ -13,6 +13,26 @@ circle / segment / cylinder model cases:
                  + [kappa^2 (X.T) + 2 kappa d/ds(X.N) - 2 kappa' (X.N)]_a^b
 
 with the brackets dropped on closed curves / u-closed surfaces.
+
+Each functional also has a discrete first variation (DV): the exact
+t-derivative at t = 0 of its own quadrature on a manifold transported by
+the flow of X.  To first order in t the flow moves the chart by X o chart
+and each first partial p by eta = dX(chart) p, and the flowed curve's
+second derivative is the 5-point stencil of its first at
+flow.second_derivative_step, so DV needs X, dX and that stencil, and no
+flow:
+
+  DV length(X)  = sum_w T.eta                      (eta = dX gamma')
+  DV area(X)    = sum_W n.(eta_u x phi_v + phi_u x eta_v) / |n|,
+                  n = phi_u x phi_v
+  DV elastic(X) = sum_w [2 c.(eta x gamma'' + gamma' x eta'') / |gamma'|^5
+                         - 5 |c|^2 (gamma'.eta) / |gamma'|^7],
+                  c = gamma' x gamma''
+
+on the nodes and weights of length, surface_area and bending_energy, with
+gamma'' and eta'' the stencils of gamma' and eta.  The FD oracle in
+`derivative` extrapolates toward the same number; |FD - DV| is the
+oracle's own error.
 """
 from __future__ import annotations
 
@@ -21,12 +41,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._stencil import sample_derivative
 from .errors import CrackNotInterior, InvariantViolation, NotArcLength
 from .fields import AmbientField, Ball
+from .flow import second_derivative_step
 from .geometry import (ParamCurve, ParamSurface, curvature,
                        curve_curvature_derivs, curve_frame, frenet_rows,
                        gauss_legendre, integrate_curve, integrate_surface,
-                       surface_mean_curvature)
+                       surface_mean_curvature, surface_nodes)
 
 ARC_LENGTH_TOL = 1e-8
 # default quadrature resolution: fine enough that sharply modulated probe
@@ -42,12 +64,26 @@ class ShapeFunctional:
     """A real-valued functional of a parametric manifold.
 
     evaluate must be reparametrization-invariant; analytic_derivative, when
-    present, returns the closed-form first variation along an ambient field.
+    present, returns the closed-form first variation along an ambient field,
+    and discrete_derivative the discrete first variation of evaluate's
+    quadrature (see the module docstring).
     """
 
     name: str
     evaluate: Callable[[object], float]
     analytic_derivative: Optional[Callable[[object, AmbientField], float]] = None
+    discrete_derivative: Optional[Callable[[object, AmbientField], float]] = None
+
+
+def _eta(X: AmbientField, chart, partials, params) -> list[np.ndarray]:
+    """dX(chart) p for each first partial p: the t-derivative at t = 0 of
+    the partials of the chart flowed by X."""
+    J = X.dX(chart(*params))
+    return [np.einsum("nij,nj->ni", J, p(*params)) for p in partials]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -82,16 +118,14 @@ def analytic_dlength(curve: ParamCurve, X: AmbientField) -> float:
     return total
 
 
-def _dlength_jacobian(curve: ParamCurve, X: AmbientField) -> float:
-    """The Jacobian form int T.(dX T) ds, needing no frame: the reference the
-    tests hold analytic_dlength to."""
-    def density(ts):
-        d1 = curve.dgamma(ts)
-        T = d1 / np.linalg.norm(d1, axis=1)[:, None]
-        J = X.dX(curve.gamma(ts))
-        return np.einsum("ni,nij,nj->n", T, J, T)
-
-    return integrate_curve(curve, density, panels=CURVE_PANELS)
+def discrete_dlength(curve: ParamCurve, X: AmbientField,
+                     panels: int = CURVE_PANELS) -> float:
+    """DV of length: sum_w T.(dX gamma'), the Jacobian form int T.(dX T) ds
+    on length's nodes.  It needs no frame."""
+    nodes, wts = gauss_legendre(curve.a, curve.b, panels)
+    d1 = curve.dgamma(nodes)
+    (eta,) = _eta(X, curve.gamma, (curve.dgamma,), (nodes,))
+    return float(np.sum(wts * _dot(d1, eta) / np.linalg.norm(d1, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +135,18 @@ def _dlength_jacobian(curve: ParamCurve, X: AmbientField) -> float:
 def surface_area(surf: ParamSurface, panels: tuple[int, int] = SURFACE_PANELS) -> float:
     """Area by composite Gauss-Legendre quadrature of |phi_u x phi_v|."""
     return integrate_surface(surf, lambda us, vs: np.ones_like(us), panels=panels)
+
+
+def discrete_darea(surf: ParamSurface, X: AmbientField,
+                   panels: tuple[int, int] = SURFACE_PANELS) -> float:
+    """DV of surface_area: the t-derivative of |phi_u x phi_v| summed with
+    surface_area's weights."""
+    uu, vv, W = surface_nodes(surf, panels)
+    pu, pv = surf.phi_u(uu, vv), surf.phi_v(uu, vv)
+    eu, ev = _eta(X, surf.phi, (surf.phi_u, surf.phi_v), (uu, vv))
+    n = np.cross(pu, pv)
+    dn = np.cross(eu, pv) + np.cross(pu, ev)
+    return float(np.sum(W * _dot(n, dn) / np.linalg.norm(n, axis=1)))
 
 
 def _side_flux(surf: ParamSurface, X: AmbientField, end: str) -> float:
@@ -154,6 +200,39 @@ def bending_energy(curve: ParamCurve, panels: int = CURVE_PANELS) -> float:
                            panels=panels)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the planar cross product as a one-column array, so |c|^2 and c.dc
+    # read the same in the plane and in space
+    if a.shape[1] == 2:
+        return (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])[:, None]
+    return np.cross(a, b)
+
+
+def discrete_delastic(curve: ParamCurve, X: AmbientField,
+                      panels: int = CURVE_PANELS) -> float:
+    """DV of bending_energy, whose integrand is |c|^2 / |gamma'|^5 with
+    c = gamma' x gamma''.  gamma'' and eta'' are 5-point stencils at the
+    step the flowed curves take theirs with, as on the oracle's t = 0
+    curve."""
+    nodes, wts = gauss_legendre(curve.a, curve.b, panels)
+    h2 = second_derivative_step(X, curve)
+
+    def eta(ts):
+        return _eta(X, curve.gamma, (curve.dgamma,), (ts,))[0]
+
+    def stencil(f):
+        return sample_derivative(f, (nodes,), h2, 1, curve.a, curve.b,
+                                 periodic=curve.closed)
+
+    d1, e1 = curve.dgamma(nodes), eta(nodes)
+    d2, e2 = stencil(curve.dgamma), stencil(eta)
+    c = _cross(d1, d2)
+    dc = _cross(e1, d2) + _cross(d1, e2)
+    v2 = _dot(d1, d1)
+    return float(np.sum(wts * (2.0 * _dot(c, dc) / v2**2.5
+                               - 5.0 * _dot(c, c) * _dot(d1, e1) / v2**3.5)))
+
+
 def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
     """First variation of int kappa^2 ds for planar arc-length curves.
 
@@ -196,24 +275,25 @@ def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
 
 
 def length_functional() -> ShapeFunctional:
-    return ShapeFunctional("length", length, analytic_dlength)
+    return ShapeFunctional("length", length, analytic_dlength, discrete_dlength)
 
 
 def area_functional() -> ShapeFunctional:
-    return ShapeFunctional("area", surface_area, analytic_darea)
+    return ShapeFunctional("area", surface_area, analytic_darea, discrete_darea)
 
 
 def elastic_functional() -> ShapeFunctional:
     # bending_energy keeps the value well-defined on flowed (no longer
     # arc-length) transports of an arc-length base curve
-    return ShapeFunctional("elastic", bending_energy, analytic_delastic)
+    return ShapeFunctional("elastic", bending_energy, analytic_delastic,
+                           discrete_delastic)
 
 
 @dataclass(frozen=True)
 class CrackFunctional:
     """Functional of a cracked set Omega \\ Sigma, driven entirely by the
     crack Sigma: the complement's geometry is fixed, so evaluation and
-    first variation delegate to the inner curve functional.
+    both first variations delegate to the inner curve functional.
 
     `crack` is the curve Sigma the functional was built around, and
     `margin` the clearance between it and the region boundary at
@@ -227,11 +307,11 @@ class CrackFunctional:
     margin: float
     evaluate: Callable[[object], float] = field(init=False)
     analytic_derivative: Optional[Callable] = field(init=False)
+    discrete_derivative: Optional[Callable] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "evaluate", self.inner.evaluate)
-        object.__setattr__(self, "analytic_derivative",
-                           self.inner.analytic_derivative)
+        for name in ("evaluate", "analytic_derivative", "discrete_derivative"):
+            object.__setattr__(self, name, getattr(self.inner, name))
 
     def require_probe(self, radius: float):
         """Probe balls of this radius must stay inside the region."""

@@ -101,6 +101,12 @@ NEWTON_MAX_ITER = 25
 # 13 rad) read up to 12 eps
 FOOT_ROUNDOFF = 32.0 * np.finfo(float).eps
 
+# roundoff of a central difference (f(t + h) - f(t - h)) / 2h per unit
+# max|f| / h in the derivative desk checks: the exact charts of a segment
+# from (50, 50) to (50.001, 50) and of a circle of radius 1e-3 centred at
+# (200, 0) read up to 0.29 of it in dgamma, and the circle 2.25 in ddgamma
+DIFF_ROUNDOFF = 4.0 * np.finfo(float).eps
+
 
 def _params(params, k: int) -> tuple[np.ndarray, ...]:
     """The k parameter arrays of a query as chart arguments: t for a curve
@@ -204,6 +210,25 @@ def _surface_nonadjacent(n: int, u_closed: bool, periodic_v: bool) -> np.ndarray
     if periodic_v:
         dv = np.minimum(dv, n - 1 - dv)
     return _frozen((du > 1) | (dv > 1))
+
+
+def _check_difference(where: str, label: str, plus, minus, got, h: float,
+                      rel_tol: float, ts=None):
+    """Derivative desk check shared by curves and surfaces: `got` must match
+    the central difference (plus - minus) / 2h of f to rel_tol of
+    1 + |got|, or to the difference's roundoff DIFF_ROUNDOFF max|f| / h
+    when that is larger.  `ts`, when given, names the failing parameter."""
+    scale = 1.0 + np.linalg.norm(got, axis=1)
+    rel = np.linalg.norm((plus - minus) / (2.0 * h) - got, axis=1) / scale
+    fmax = max(np.linalg.norm(plus, axis=1).max(),
+               np.linalg.norm(minus, axis=1).max())
+    tol = np.maximum(rel_tol, DIFF_ROUNDOFF * fmax / h / scale)
+    if np.any(rel > tol):
+        k = int(np.argmax(rel / tol))
+        near = "" if ts is None else f" near t = {ts[k]:g}"
+        raise InvariantViolation(
+            f"{where}: {label} disagrees with finite differences{near} "
+            f"(rel {rel[k]:.2e})")
 
 
 def _check_foot(where: str, foot, chart, partials, pts, normals, diam: float,
@@ -357,20 +382,15 @@ class ParamCurve(_Sampled):
         rng = np.random.default_rng(_CHECK_RNG_SEED)
         h = 1e-6 * (self.b - self.a)
         ts = rng.uniform(self.a + 2 * h, self.b - 2 * h, 32)
+        where = f"curve '{self.name}'"
+        rel_tol = 1e-5 if self.transported else 1e-6
         for fn, dfn, label in (
             (self.gamma, self.dgamma, "dgamma"),
             (self.dgamma, self.ddgamma, "ddgamma"),
         ):
-            fd = (fn(ts + h) - fn(ts - h)) / (2 * h)
-            got = _checked(f"curve '{self.name}'", label, dfn(ts), (32, self.dim))
-            err = np.linalg.norm(fd - got, axis=1)
-            rel = err / (1.0 + np.linalg.norm(got, axis=1))
-            rel_tol = 1e-5 if self.transported else 1e-6
-            if rel.max() > rel_tol:
-                raise InvariantViolation(
-                    f"curve '{self.name}': {label} disagrees with finite differences "
-                    f"near t = {ts[rel.argmax()]:g} (rel {rel.max():.2e})"
-                )
+            _check_difference(where, label, fn(ts + h), fn(ts - h),
+                              _checked(where, label, dfn(ts), (32, self.dim)),
+                              h, rel_tol, ts)
 
     # -- manifold queries (see the module docstring) ----------------------
 
@@ -512,24 +532,19 @@ class ParamSurface(_Sampled):
         hv = 1e-6 * (self.d - self.c)
         us = rng.uniform(self.a + 2 * hu, self.b - 2 * hu, 32)
         vs = rng.uniform(self.c + 2 * hv, self.d - 2 * hv, 32)
+        where = f"surface '{self.name}'"
+        rel_tol = 1e-5 if self.transported else 1e-6
+        # (f, its derivative, steps in u and in v)
         checks = (
-            (self.phi, self.phi_u, "phi_u", hu, True),
-            (self.phi, self.phi_v, "phi_v", hv, False),
-            (self.phi_v, self.phi_vv, "phi_vv", hv, False),
+            (self.phi, self.phi_u, "phi_u", hu, 0.0),
+            (self.phi, self.phi_v, "phi_v", 0.0, hv),
+            (self.phi_v, self.phi_vv, "phi_vv", 0.0, hv),
         )
-        for fn, dfn, label, h, along_u in checks:
-            if along_u:
-                fd = (fn(us + h, vs) - fn(us - h, vs)) / (2 * h)
-            else:
-                fd = (fn(us, vs + h) - fn(us, vs - h)) / (2 * h)
-            got = _checked(f"surface '{self.name}'", label, dfn(us, vs), (32, 3))
-            rel = np.linalg.norm(fd - got, axis=1) / (1.0 + np.linalg.norm(got, axis=1))
-            rel_tol = 1e-5 if self.transported else 1e-6
-            if rel.max() > rel_tol:
-                raise InvariantViolation(
-                    f"surface '{self.name}': {label} disagrees with finite differences "
-                    f"(rel {rel.max():.2e})"
-                )
+        for fn, dfn, label, du, dv in checks:
+            _check_difference(where, label, fn(us + du, vs + dv),
+                              fn(us - du, vs - dv),
+                              _checked(where, label, dfn(us, vs), (32, 3)),
+                              du + dv, rel_tol)
 
     # -- manifold queries (see the module docstring) ----------------------
 
@@ -772,18 +787,24 @@ def integrate_curve(curve: ParamCurve, density: Callable[[np.ndarray], np.ndarra
     return total
 
 
+def surface_nodes(surf: ParamSurface, panels: tuple[int, int]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, weights) of the tensor composite Gauss-Legendre rule on the
+    parameter box, flattened u-major."""
+    un, wu = gauss_legendre(surf.a, surf.b, panels[0])
+    vn, wv = gauss_legendre(surf.c, surf.d, panels[1])
+    U, V = np.meshgrid(un, vn, indexing="ij")
+    return U.ravel(), V.ravel(), (wu[:, None] * wv[None, :]).ravel()
+
+
 def integrate_surface(surf: ParamSurface,
                       density: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       panels: tuple[int, int] = (16, 16)) -> float:
     """Integral of density(u, v) against the area measure |phi_u x phi_v| du dv."""
-    un, wu = gauss_legendre(surf.a, surf.b, panels[0])
-    vn, wv = gauss_legendre(surf.c, surf.d, panels[1])
-    U, V = np.meshgrid(un, vn, indexing="ij")
-    W = wu[:, None] * wv[None, :]
-    uu, vv = U.ravel(), V.ravel()
+    uu, vv, W = surface_nodes(surf, panels)
     jac = np.linalg.norm(np.cross(surf.phi_u(uu, vv), surf.phi_v(uu, vv)), axis=1)
     vals = np.asarray(density(uu, vv), dtype=float)
-    total = float(np.sum(W.ravel() * vals * jac))
+    total = float(np.sum(W * vals * jac))
     if not np.isfinite(total):
         warnings.warn(f"integrate_surface('{surf.name}'): non-finite density",
                       RuntimeWarning, stacklevel=2)

@@ -14,6 +14,15 @@ Each suite turns one theorem clause into recorded numeric cases:
     probes at the tips extract the endpoint weights, interior normal probes
     sample the curvature density.
 
+Nullity, normal dependence and crack read each derivative as the
+discrete first variation of J's quadrature (derivative.discrete_variation),
+which takes X and dX on M and no flow.  There it tests the theorem: the
+Jacobian form of a tangent field, or of a field's tangential part, vanishes
+only through an integration by parts, and a tip bump gives the crack's
+endpoint weight.  Locality keeps the flow-based FD oracle: the discrete
+variation depends on X only along M, so two fields that agree on M would
+agree by construction.
+
 Failures are recorded in the result cases, never raised: negative controls
 are first-class citizens and carry expect_zero/expect_equal flags so that a
 control that correctly violates its bound counts as a passed case.
@@ -25,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .derivative import FDConfig, fd_quotients
+from .derivative import FDConfig, discrete_variation, fd_quotients
 from .errors import ProbeOverlap
 from .fields import (AmbientField, Ball, _sample_params, bump_field,
                      check_tangency, fd_jacobian, last_call_memo,
@@ -64,7 +73,6 @@ class StructureSuiteResult:
 
 
 def tangential_nullity_suite(Js: Sequence, M, fields: Sequence[AmbientField],
-                             cfg: FDConfig | None = None,
                              negative: Sequence[AmbientField] = ()
                              ) -> list[StructureSuiteResult]:
     """Tangential fields must keep M invariant and each J in Js stationary;
@@ -74,24 +82,24 @@ def tangential_nullity_suite(Js: Sequence, M, fields: Sequence[AmbientField],
     tangency; their cases pass when the bounds are violated.
     """
     cases: list[list[SuiteCase]] = [[] for _ in Js]
-    fd_bounds = [INVARIANCE_BOUND * (1.0 + abs(float(J.evaluate(M)))) for J in Js]
+    dj_bounds = [INVARIANCE_BOUND * (1.0 + abs(float(J.evaluate(M)))) for J in Js]
     for k, X in enumerate([*fields, *negative]):
         tr = check_tangency(M, X)
         tres = max(tr.max_normal_residual, tr.max_boundary_residual)
         inv = invariance_residual(X, M, NULLITY_TIME) if k < len(fields) else None
-        for J, out, fd_bound in zip(Js, cases, fd_bounds):
+        for J, out, dj_bound in zip(Js, cases, dj_bounds):
             tag = f"{J.name}/{M.name}/{X.name}"
-            val = abs(fd_quotients(J, M, X, cfg).value)
+            val = abs(discrete_variation(J, M, X))
             if inv is None:
                 out.append(SuiteCase(f"negative control breaks nullity [{tag}]",
-                                     val, fd_bound,
-                                     tres > TANGENCY_TOL and val > fd_bound))
+                                     val, dj_bound,
+                                     tres > TANGENCY_TOL and val > dj_bound))
                 continue
             out += [SuiteCase(f"tangency residual [{tag}]", tres, TANGENCY_TOL,
                               tres <= TANGENCY_TOL),
                     SuiteCase(f"flow invariance t={NULLITY_TIME:g} [{tag}]", inv,
                               INVARIANCE_BOUND, inv <= INVARIANCE_BOUND),
-                    SuiteCase(f"|dJ| [{tag}]", val, fd_bound, val <= fd_bound)]
+                    SuiteCase(f"|dJ| [{tag}]", val, dj_bound, val <= dj_bound)]
     return [StructureSuiteResult("tangential_nullity", c) for c in cases]
 
 
@@ -203,13 +211,13 @@ def locality_pairs(M, fields: Sequence[AmbientField]) -> list[LocalityPair]:
 # normal dependence (structure decomposition)
 
 
-def normal_dependence_suite(J, M, fields: Sequence[AmbientField],
-                            cfg: FDConfig | None = None) -> StructureSuiteResult:
-    """fd(X) = fd(X-perp part) + fd(X-conormal part); tangential part inert.
+def normal_dependence_suite(J, M, fields: Sequence[AmbientField]
+                            ) -> StructureSuiteResult:
+    """dJ(X) = dJ(X-perp part) + dJ(X-conormal part); tangential part inert.
 
     Part fields are the ambient realizations of the orthogonal splitting
     restricted to M, so the comparison exercises the full pipeline: split,
-    extend, flow, differentiate.
+    extend, differentiate.
     """
     cases: list[SuiteCase] = []
     for X in fields:
@@ -217,14 +225,11 @@ def normal_dependence_suite(J, M, fields: Sequence[AmbientField],
         Xp = restriction_field(M, X, "perp")
         Xn = restriction_field(M, X, "nu")
         Xt = restriction_field(M, X, "tan")
-        v = fd_quotients(J, M, X, cfg).value
-        vp = fd_quotients(J, M, Xp, cfg).value
-        vn = fd_quotients(J, M, Xn, cfg).value
-        vt = fd_quotients(J, M, Xt, cfg).value
+        v, vp, vn, vt = (discrete_variation(J, M, Y) for Y in (X, Xp, Xn, Xt))
         scale = 1.0 + abs(v)
         bound = 1e-6 * scale
         resid = abs(v - vp - vn)
-        cases.append(SuiteCase(f"additivity fd(X)=fd(Xperp)+fd(Xnu) [{tag}]",
+        cases.append(SuiteCase(f"additivity dJ(X)=dJ(Xperp)+dJ(Xnu) [{tag}]",
                                resid, bound, resid <= bound))
         cases.append(SuiteCase(f"tangential part inert [{tag}]", abs(vt),
                                bound, abs(vt) <= bound))
@@ -368,8 +373,8 @@ class CrackCoefficients:
     probes: tuple[AmbientField, ...]
 
 
-def _tip_coefficients(J_crack: CrackFunctional, probe_radius: float,
-                      cfg: FDConfig | None) -> list[float]:
+def _tip_coefficients(J_crack: CrackFunctional, probe_radius: float
+                      ) -> list[float]:
     """[alpha1, alpha2]: the derivative under a unit bump at each tip of the
     functional's crack along its outward conormal, over the probe's own
     trace value there."""
@@ -380,13 +385,13 @@ def _tip_coefficients(J_crack: CrackFunctional, probe_radius: float,
         X = bump_field(center, probe_radius, nu, curve.dim,
                        name=f"tip-probe@{t_end:g}")
         trace = float(X.X(center[None, :])[0] @ nu)
-        alphas.append(float(fd_quotients(J_crack, curve, X, cfg).value / trace))
+        alphas.append(discrete_variation(J_crack, curve, X) / trace)
     return alphas
 
 
 def extract_crack_coefficients(J_crack: CrackFunctional,
-                               probe_radius: float | None = None,
-                               cfg: FDConfig | None = None) -> CrackCoefficients:
+                               probe_radius: float | None = None
+                               ) -> CrackCoefficients:
     """Probe the crack derivative with unit bumps on the functional's own
     crack curve, J_crack.crack.
 
@@ -411,7 +416,7 @@ def extract_crack_coefficients(J_crack: CrackFunctional,
             f"(tip separation {np.linalg.norm(A - B):g})"
         )
 
-    alpha1, alpha2 = _tip_coefficients(J_crack, probe_radius, cfg)
+    alpha1, alpha2 = _tip_coefficients(J_crack, probe_radius)
 
     stations = np.linspace(curve.a, curve.b, CRACK_STATIONS + 2)[1:-1]
     spts = curve.gamma(stations)
@@ -425,8 +430,7 @@ def extract_crack_coefficients(J_crack: CrackFunctional,
     probes = tuple(bump_field(c_j, probe_radius, curve.unit_normal(t_j)[0],
                               curve.dim, name=f"interior-probe@{t_j:g}")
                    for t_j, c_j in zip(stations, spts))
-    h_vals = np.array([fd_quotients(J_crack, curve, X, cfg).value
-                       for X in probes])
+    h_vals = np.array([discrete_variation(J_crack, curve, X) for X in probes])
     return CrackCoefficients(alpha1=alpha1, alpha2=alpha2,
                              h_samples=h_vals, stations=stations,
                              probe_radius=float(probe_radius), probes=probes)
@@ -439,8 +443,7 @@ def length_density_quadrature(curve: ParamCurve, X: AmbientField) -> float:
     return integrate_curve(curve, length_density(curve, X), panels=256)
 
 
-def crack_suite(J_crack: CrackFunctional,
-                cfg: FDConfig | None = None) -> StructureSuiteResult:
+def crack_suite(J_crack: CrackFunctional) -> StructureSuiteResult:
     """Recorded crack-coefficient checks on the functional's own crack
     curve, J_crack.crack.
 
@@ -455,7 +458,7 @@ def crack_suite(J_crack: CrackFunctional,
     """
     cases: list[SuiteCase] = []
     curve = J_crack.crack
-    co = extract_crack_coefficients(J_crack, cfg=cfg)
+    co = extract_crack_coefficients(J_crack)
     tag = f"{J_crack.name}/{curve.name}"
     is_length = J_crack.inner.name == "length"
     straight = np.abs(curvature(curve, np.array([curve.a, curve.b]))).max() <= 1e-9
@@ -465,7 +468,7 @@ def crack_suite(J_crack: CrackFunctional,
             cases.append(SuiteCase(f"{nm} = 1 [{tag}]", err, 1e-5, err <= 1e-5))
     if straight:
         # the tips alone: every overlap check passed at the full radius
-        half = _tip_coefficients(J_crack, 0.5 * co.probe_radius, cfg)
+        half = _tip_coefficients(J_crack, 0.5 * co.probe_radius)
         for nm, a, b in zip(("alpha1", "alpha2"), (co.alpha1, co.alpha2), half):
             d = abs(a - b)
             bound = 1e-5 * (1.0 + abs(a))

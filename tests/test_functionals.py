@@ -6,13 +6,13 @@ import pytest
 from shapecalc.errors import CrackNotInterior, NotArcLength
 from shapecalc.fields import Ball
 from shapecalc.functionals import (
-    _dlength_jacobian,
     analytic_darea,
     analytic_delastic,
     analytic_dlength,
     area_functional,
     bending_energy,
     crack_functional,
+    discrete_dlength,
     elastic_functional,
     length,
     length_functional,
@@ -69,7 +69,7 @@ def test_dlength_circle_radial(circle1, radial2):
 def test_dlength_forms_agree(ellipse21, rotation2, shear2):
     for X in (rotation2, shear2):
         hadamard = analytic_dlength(ellipse21, X)
-        jacobian = _dlength_jacobian(ellipse21, X)
+        jacobian = discrete_dlength(ellipse21, X)
         assert hadamard == pytest.approx(jacobian, rel=1e-8, abs=1e-10)
 
 
@@ -83,7 +83,7 @@ def test_dlength_straight_space_segment(linear_field, e3_field):
     bump = bump_field([0.2, 0.1, 0.0], 0.5, [0.3, -1.0, 0.4])
     for X in (linear_field(3), e3_field, bump):
         assert analytic_dlength(seg, X) == pytest.approx(
-            _dlength_jacobian(seg, X), rel=1e-10, abs=1e-12)
+            discrete_dlength(seg, X), rel=1e-10, abs=1e-12)
     # X(x) = A x stretches the segment along e1 at rate 2 A_00
     assert analytic_dlength(seg, linear_field(3)) == pytest.approx(0.6, rel=1e-12)
 

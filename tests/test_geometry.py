@@ -1041,3 +1041,36 @@ def test_small_far_circle_passes_its_foot_check(radius, center):
 
     with pytest.raises(InvariantViolation, match="foot is not the nearest point"):
         dataclasses.replace(M, foot=off, name="far_off_foot")
+
+
+# small exact charts far from the origin: the central differences of the
+# derivative desk check lose about eps |gamma| / h to roundoff, which the
+# check allows for (rel 1.73e-6 and 1.01e-6 against 1e-6 without it)
+@pytest.mark.parametrize("desc", [
+    {"kind": "segment", "name": "far_segment", "p0": [50.0, 50.0],
+     "p1": [50.001, 50.0]},
+    {"kind": "circle", "name": "far_circle", "radius": 1e-3,
+     "center": [200.0, 0.0]}])
+def test_small_far_curve_passes_its_derivative_check(desc):
+    from shapecalc.catalog import build_shape
+
+    M = build_shape(desc)
+    assert M.diameter == pytest.approx(1e-3 * (2.0 if desc["kind"] == "circle"
+                                               else 1.0), rel=1e-3)
+
+
+def test_derivative_off_by_1e6_near_origin_still_rejected(circle1, cylinder):
+    # dgamma + 2.4e-6 N on the unit-speed circle, phi_u + 2.4e-6 e_x on the
+    # cylinder (|phi_u| = 1): both read rel 1.2e-6 against their 1e-6
+    def nudged(t):
+        return circle1.dgamma(t) + 2.4e-6 * circle1.unit_normal(t)
+
+    def tilted(u, v):
+        return cylinder.phi_u(u, v) + np.array([2.4e-6, 0.0, 0.0])
+
+    with pytest.raises(InvariantViolation,
+                       match=r"dgamma disagrees with finite differences .*rel 1\.2"):
+        dataclasses.replace(circle1, dgamma=nudged, foot=None, name="nudged")
+    with pytest.raises(InvariantViolation,
+                       match=r"phi_u disagrees with finite differences \(rel 1\.2"):
+        dataclasses.replace(cylinder, phi_u=tilted, foot=None, name="tilted")

@@ -54,10 +54,10 @@ def test_negative_probe_is_not_tangent(circle1):
     assert check_tangency(circle1, bad).max_normal_residual > 1e-3
 
 
-def test_nullity_suite_accepts_tangent_rejects_normal(circle1, fd5):
+def test_nullity_suite_accepts_tangent_rejects_normal(circle1):
     probes = tangential_probe_fields(circle1, n=2, seed=0)
     (res,) = tangential_nullity_suite(
-        [length_functional()], circle1, probes, cfg=fd5,
+        [length_functional()], circle1, probes,
         negative=[nullity_negative_field(circle1)],
     )
     assert res.suite == "tangential_nullity"
@@ -68,9 +68,8 @@ def test_nullity_suite_accepts_tangent_rejects_normal(circle1, fd5):
     assert len(neg) == 1 and neg[0].passed
 
 
-def test_nullity_suite_flags_normal_probe(circle1, radial2, fd5):
-    (res,) = tangential_nullity_suite([length_functional()], circle1, [radial2],
-                                      cfg=fd5)
+def test_nullity_suite_flags_normal_probe(circle1, radial2):
+    (res,) = tangential_nullity_suite([length_functional()], circle1, [radial2])
     assert not res.passed
     tangency = [c for c in res.cases if c.description.startswith("tangency")]
     assert tangency and not tangency[0].passed
@@ -120,17 +119,17 @@ def test_locality_suite_passes(circle1, e1_field, rotation2, fd5):
     assert len(neg) == 1 and neg[0].passed
 
 
-def test_normal_dependence_suite_segment(segment01, rotation2, fd5):
-    res = normal_dependence_suite(length_functional(), segment01, [rotation2], cfg=fd5)
+def test_normal_dependence_suite_segment(segment01, rotation2):
+    res = normal_dependence_suite(length_functional(), segment01, [rotation2])
     assert res.suite == "normal_dependence"
     assert res.passed
     kinds = sorted(c.description.split(" [")[0] for c in res.cases)
-    assert kinds == ["additivity fd(X)=fd(Xperp)+fd(Xnu)", "tangential part inert"]
+    assert kinds == ["additivity dJ(X)=dJ(Xperp)+dJ(Xnu)", "tangential part inert"]
 
 
-def test_crack_suite_straight(crack_segment, fd5):
+def test_crack_suite_straight(crack_segment):
     J = crack_functional(Ball(np.zeros(2), 3.0), crack_segment)
-    res = crack_suite(J, cfg=fd5)
+    res = crack_suite(J)
     assert res.passed
     descs = [c.description for c in res.cases]
     assert sum("= 1 [" in d for d in descs) == 2
@@ -138,9 +137,9 @@ def test_crack_suite_straight(crack_segment, fd5):
     assert sum("matches curvature density" in d for d in descs) == 3
 
 
-def test_crack_suite_curved_tips(crack_arc, fd5):
+def test_crack_suite_curved_tips(crack_arc):
     J = crack_functional(Ball(np.zeros(2), 4.0), crack_arc)
-    res = crack_suite(J, cfg=fd5)
+    res = crack_suite(J)
     assert res.passed
     descs = [c.description for c in res.cases]
     # curved tips: coefficients are recorded, not pinned to a constant
@@ -150,19 +149,19 @@ def test_crack_suite_curved_tips(crack_arc, fd5):
     assert sum("matches curvature density" in d for d in descs) == 3
 
 
-def test_crack_suite_straight_elastic_asserts_no_unit_weights(crack_segment, fd5):
+def test_crack_suite_straight_elastic_asserts_no_unit_weights(crack_segment):
     # unit endpoint weights belong to the length variation only
     J = crack_functional(Ball(np.zeros(2), 3.0), crack_segment,
                          inner=elastic_functional())
-    descs = [c.description for c in crack_suite(J, cfg=fd5).cases]
+    descs = [c.description for c in crack_suite(J).cases]
     assert not any("= 1 [" in d for d in descs)
     assert sum("stable under probe halving" in d for d in descs) == 2
     assert not any("matches curvature density" in d for d in descs)
 
 
-def test_crack_coefficients_straight(crack_segment, fd5):
+def test_crack_coefficients_straight(crack_segment):
     J = crack_functional(Ball(np.zeros(2), 3.0), crack_segment)
-    co = extract_crack_coefficients(J, cfg=fd5)
+    co = extract_crack_coefficients(J)
     assert co.alpha1 == pytest.approx(1.0, abs=2e-5)
     assert co.alpha2 == pytest.approx(1.0, abs=2e-5)
     assert co.stations.shape == (3,)
@@ -172,18 +171,18 @@ def test_crack_coefficients_straight(crack_segment, fd5):
     assert 0.0 < co.probe_radius <= 0.1 * 2.0
 
 
-def test_probe_overlap_detected(crack_segment, fd5):
+def test_probe_overlap_detected(crack_segment):
     J = crack_functional(Ball(np.zeros(2), 3.0), crack_segment)
     with pytest.raises(ProbeOverlap):
-        extract_crack_coefficients(J, probe_radius=1.2, cfg=fd5)
+        extract_crack_coefficients(J, probe_radius=1.2)
     with pytest.raises(ProbeOverlap):
-        extract_crack_coefficients(J, probe_radius=0.9, cfg=fd5)
+        extract_crack_coefficients(J, probe_radius=0.9)
 
 
-def test_closed_crack_rejected(circle1, fd5):
+def test_closed_crack_rejected(circle1):
     J = crack_functional(Ball(np.zeros(2), 3.0), circle1)
     with pytest.raises(ProbeOverlap):
-        extract_crack_coefficients(J, cfg=fd5)
+        extract_crack_coefficients(J)
 
 
 def test_length_density_quadrature_matches_closed_form(circle1, radial2):
@@ -477,23 +476,23 @@ def test_pullback_fields_property_on_open_curves(M, tube_points, assert_fd_jacob
 
 
 def test_crack_suite_runs_only_the_probes_it_reports(crack_segment, crack_arc,
-                                                     fd5, monkeypatch):
+                                                     monkeypatch):
     # straight tips: two tip probes, three interior probes, and the two tip
     # probes again at half the radius; curved tips skip the halving
     from shapecalc import validation
 
     calls = []
-    real = validation.fd_quotients
-    monkeypatch.setattr(validation, "fd_quotients",
+    real = validation.discrete_variation
+    monkeypatch.setattr(validation, "discrete_variation",
                         lambda *args: calls.append(1) or real(*args))
     for curve, expected in ((crack_segment, 7), (crack_arc, 5)):
         calls.clear()
         J = crack_functional(Ball(np.zeros(2), 4.0), curve)
-        crack_suite(J, cfg=fd5)
+        crack_suite(J)
         assert len(calls) == expected
 
 
-def test_nullity_measures_field_only_cases_once(circle1, fd5, monkeypatch):
+def test_nullity_measures_field_only_cases_once(circle1, monkeypatch):
     from shapecalc import validation
 
     counts = {"check_tangency": 0, "invariance_residual": 0}
@@ -505,20 +504,20 @@ def test_nullity_measures_field_only_cases_once(circle1, fd5, monkeypatch):
     probes = tangential_probe_fields(circle1, n=1, seed=0)
     neg = [nullity_negative_field(circle1)]
     Js = [length_functional(), elastic_functional()]
-    results = tangential_nullity_suite(Js, circle1, probes, cfg=fd5, negative=neg)
+    results = tangential_nullity_suite(Js, circle1, probes, negative=neg)
     # one tangency check per probe, one invariance flow per tangent probe
     assert counts == {"check_tangency": 2, "invariance_residual": 1}
     monkeypatch.undo()
     # each functional's result is the one it gets alone, under its own tag
     for J, res in zip(Js, results):
         assert all(f"[{J.name}/circle1/" in c.description for c in res.cases)
-        assert [res] == tangential_nullity_suite([J], circle1, probes, cfg=fd5,
+        assert [res] == tangential_nullity_suite([J], circle1, probes,
                                                  negative=neg)
 
 
-def test_crack_coefficients_carry_their_interior_probes(crack_arc, fd5):
+def test_crack_coefficients_carry_their_interior_probes(crack_arc):
     J = crack_functional(Ball(np.zeros(2), 4.0), crack_arc)
-    co = extract_crack_coefficients(J, cfg=fd5)
+    co = extract_crack_coefficients(J)
     assert len(co.probes) == len(co.stations)
     for X, t in zip(co.probes, co.stations):
         np.testing.assert_array_equal(X.support.center, crack_arc.chart(t)[0])
