@@ -22,17 +22,10 @@ other object can take their ids) and on cfg, so functionals asked about one
 The oracle is entirely independent of the closed-form derivatives in
 `functionals`: only J.evaluate and the flow are used.
 
-`discrete_variation` reads J.discrete_derivative instead: the exact
-t-derivative at t = 0 of the same quadrature on the same transported
-charts, the limit the Richardson triangle extrapolates toward, from X and
-dX on M with no flow.  The nullity, normal-dependence and crack suites
-read it: there it tests the structure theorem, since the Jacobian form
-int T.(dX T) ds of a tangent field vanishes only through an integration by
-parts.  The locality suite and `compare` keep the FD oracle.  DV depends on
-X only along M, so two fields that agree on M have equal DV by
-construction and locality would test nothing; and `compare` is where the
-oracle keeps DV itself honest (|FD - DV| stays within the oracle's error
-estimate).
+`discrete_variation` reads J.discrete_derivative instead, the flow-free
+limit this triangle extrapolates toward (formulas in `functionals`).  The
+nullity, normal-dependence and crack suites read it; locality and `compare`
+keep the oracle, for the reasons given in `validation`.
 """
 from __future__ import annotations
 
@@ -153,9 +146,6 @@ def fd_quotients(J, M, X: AmbientField, cfg: FDConfig | None = None) -> FDTrace:
 def discrete_variation(J, M, X: AmbientField) -> float:
     """J's discrete first variation dJ_h(M)(X); NonFinite when it is not
     finite."""
-    if J.discrete_derivative is None:
-        raise InvariantViolation(
-            f"functional '{J.name}' has no discrete first variation")
     value = float(J.discrete_derivative(M, X))
     if not np.isfinite(value):
         raise NonFinite(

@@ -63,16 +63,16 @@ SIDE_PANELS = 64
 class ShapeFunctional:
     """A real-valued functional of a parametric manifold.
 
-    evaluate must be reparametrization-invariant; analytic_derivative, when
-    present, returns the closed-form first variation along an ambient field,
-    and discrete_derivative the discrete first variation of evaluate's
-    quadrature (see the module docstring).
+    evaluate must be reparametrization-invariant; discrete_derivative
+    returns the discrete first variation of evaluate's quadrature along an
+    ambient field (see the module docstring), and analytic_derivative, when
+    present, the closed-form first variation.
     """
 
     name: str
     evaluate: Callable[[object], float]
+    discrete_derivative: Callable[[object, AmbientField], float]
     analytic_derivative: Optional[Callable[[object, AmbientField], float]] = None
-    discrete_derivative: Optional[Callable[[object, AmbientField], float]] = None
 
 
 def _eta(X: AmbientField, chart, partials, params) -> list[np.ndarray]:
@@ -118,11 +118,10 @@ def analytic_dlength(curve: ParamCurve, X: AmbientField) -> float:
     return total
 
 
-def discrete_dlength(curve: ParamCurve, X: AmbientField,
-                     panels: int = CURVE_PANELS) -> float:
+def discrete_dlength(curve: ParamCurve, X: AmbientField) -> float:
     """DV of length: sum_w T.(dX gamma'), the Jacobian form int T.(dX T) ds
     on length's nodes.  It needs no frame."""
-    nodes, wts = gauss_legendre(curve.a, curve.b, panels)
+    nodes, wts = gauss_legendre(curve.a, curve.b, CURVE_PANELS)
     d1 = curve.dgamma(nodes)
     (eta,) = _eta(X, curve.gamma, (curve.dgamma,), (nodes,))
     return float(np.sum(wts * _dot(d1, eta) / np.linalg.norm(d1, axis=1)))
@@ -137,11 +136,10 @@ def surface_area(surf: ParamSurface, panels: tuple[int, int] = SURFACE_PANELS) -
     return integrate_surface(surf, lambda us, vs: np.ones_like(us), panels=panels)
 
 
-def discrete_darea(surf: ParamSurface, X: AmbientField,
-                   panels: tuple[int, int] = SURFACE_PANELS) -> float:
+def discrete_darea(surf: ParamSurface, X: AmbientField) -> float:
     """DV of surface_area: the t-derivative of |phi_u x phi_v| summed with
     surface_area's weights."""
-    uu, vv, W = surface_nodes(surf, panels)
+    uu, vv, W = surface_nodes(surf, SURFACE_PANELS)
     pu, pv = surf.phi_u(uu, vv), surf.phi_v(uu, vv)
     eu, ev = _eta(X, surf.phi, (surf.phi_u, surf.phi_v), (uu, vv))
     n = np.cross(pu, pv)
@@ -208,13 +206,12 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.cross(a, b)
 
 
-def discrete_delastic(curve: ParamCurve, X: AmbientField,
-                      panels: int = CURVE_PANELS) -> float:
+def discrete_delastic(curve: ParamCurve, X: AmbientField) -> float:
     """DV of bending_energy, whose integrand is |c|^2 / |gamma'|^5 with
     c = gamma' x gamma''.  gamma'' and eta'' are 5-point stencils at the
     step the flowed curves take theirs with, as on the oracle's t = 0
     curve."""
-    nodes, wts = gauss_legendre(curve.a, curve.b, panels)
+    nodes, wts = gauss_legendre(curve.a, curve.b, CURVE_PANELS)
     h2 = second_derivative_step(X, curve)
 
     def eta(ts):
@@ -275,18 +272,18 @@ def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
 
 
 def length_functional() -> ShapeFunctional:
-    return ShapeFunctional("length", length, analytic_dlength, discrete_dlength)
+    return ShapeFunctional("length", length, discrete_dlength, analytic_dlength)
 
 
 def area_functional() -> ShapeFunctional:
-    return ShapeFunctional("area", surface_area, analytic_darea, discrete_darea)
+    return ShapeFunctional("area", surface_area, discrete_darea, analytic_darea)
 
 
 def elastic_functional() -> ShapeFunctional:
     # bending_energy keeps the value well-defined on flowed (no longer
     # arc-length) transports of an arc-length base curve
-    return ShapeFunctional("elastic", bending_energy, analytic_delastic,
-                           discrete_delastic)
+    return ShapeFunctional("elastic", bending_energy, discrete_delastic,
+                           analytic_delastic)
 
 
 @dataclass(frozen=True)
@@ -307,7 +304,7 @@ class CrackFunctional:
     margin: float
     evaluate: Callable[[object], float] = field(init=False)
     analytic_derivative: Optional[Callable] = field(init=False)
-    discrete_derivative: Optional[Callable] = field(init=False)
+    discrete_derivative: Callable = field(init=False)
 
     def __post_init__(self):
         for name in ("evaluate", "analytic_derivative", "discrete_derivative"):

@@ -21,7 +21,10 @@ Jacobian form of a tangent field, or of a field's tangential part, vanishes
 only through an integration by parts, and a tip bump gives the crack's
 endpoint weight.  Locality keeps the flow-based FD oracle: the discrete
 variation depends on X only along M, so two fields that agree on M would
-agree by construction.
+agree by construction.  `derivative.compare` keeps the oracle too, so
+each closed form is checked against a derivative that shares no formula
+with it; on the same comparisons the tests hold |FD - DV| within the
+oracle's error.
 
 Failures are recorded in the result cases, never raised: negative controls
 are first-class citizens and carry expect_zero/expect_equal flags so that a

@@ -9,7 +9,8 @@ from shapecalc.derivative import FDConfig, compare, fd_quotients
 from shapecalc.errors import InvariantViolation, NoConvergence
 from shapecalc.fields import sum_field
 from shapecalc.functionals import (ShapeFunctional, analytic_dlength,
-                                   elastic_functional, length)
+                                   discrete_dlength, elastic_functional,
+                                   length)
 
 TWO_PI = 2.0 * np.pi
 
@@ -24,7 +25,8 @@ def test_trace_layout(circle1, radial2, fd5):
 
 
 def length_functional_plain():
-    return ShapeFunctional(name="length", evaluate=length)
+    return ShapeFunctional(name="length", evaluate=length,
+                           discrete_derivative=discrete_dlength)
 
 
 def test_fd_matches_growth_rate(circle1, radial2, fd5):
@@ -73,6 +75,7 @@ def test_compare_detects_corrupted_closed_form(circle1, radial2, fd5):
     skewed = ShapeFunctional(
         name="length",
         evaluate=length,
+        discrete_derivative=discrete_dlength,
         analytic_derivative=lambda M, X: analytic_dlength(M, X) + 1e-3,
     )
     rep = compare(skewed, circle1, radial2, cfg=fd5)
@@ -81,7 +84,8 @@ def test_compare_detects_corrupted_closed_form(circle1, radial2, fd5):
 
 
 def test_compare_needs_closed_form(circle1, radial2, fd5):
-    bare = ShapeFunctional(name="length", evaluate=length)
+    bare = ShapeFunctional(name="length", evaluate=length,
+                           discrete_derivative=discrete_dlength)
     with pytest.raises(InvariantViolation):
         compare(bare, circle1, radial2, cfg=fd5)
 
@@ -92,6 +96,7 @@ def test_square_root_kink_is_flagged(circle1, radial2, fd5):
     kink = ShapeFunctional(
         name="kink",
         evaluate=lambda M: float(np.sqrt(abs(length(M) - TWO_PI))),
+        discrete_derivative=lambda M, X: np.inf,
     )
     with pytest.raises(NoConvergence):
         fd_quotients(kink, circle1, radial2, cfg=fd5)

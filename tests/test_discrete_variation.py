@@ -13,17 +13,29 @@ import pytest
 
 from shapecalc import cli, validation
 from shapecalc.derivative import discrete_variation, fd_quotients
-from shapecalc.errors import InvariantViolation
 from shapecalc.fields import Ball
 from shapecalc.functionals import (ShapeFunctional, analytic_darea,
                                    analytic_delastic, bending_energy,
                                    crack_functional, discrete_darea,
-                                   discrete_delastic, elastic_functional,
-                                   length)
+                                   discrete_delastic, elastic_functional)
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNS = {"paper_suite": ROOT / "src" / "shapecalc" / "configs" / "paper_suite.json",
         "general_curves": ROOT / "perfbench" / "general_curves.json"}
+
+
+# The oracle's error estimate is the last difference of its Richardson
+# diagonal, with no roundoff term beyond its own floor, so it can fall a
+# little short of FD's real scatter: on helix1's bending energy under radial
+# FD moves by up to 2.7e-10 around DV over the schedules (t0, levels) =
+# (1e-2, 4..6), (5e-3, 5) and (2e-2, 6), and at (1e-2, 5) the estimate reads
+# 9.9e-11 against a disagreement of 1.04e-10.  Below ORACLE_FLOOR relative
+# the comparison says nothing about DV.
+ORACLE_FLOOR = 1e-9
+
+
+def _oracle_bound(tr):
+    return max(tr.error_estimate, ORACLE_FLOOR * (1.0 + abs(tr.value)))
 
 
 def _assert_oracle_agrees(plan, triples):
@@ -31,7 +43,7 @@ def _assert_oracle_agrees(plan, triples):
     for J, M, X in triples:
         tr = fd_quotients(J, M, X, plan.cfg)
         dv = discrete_variation(J, M, X)
-        ratios[f"{J.name}/{M.name}/{X.name}"] = abs(tr.value - dv) / tr.error_estimate
+        ratios[f"{J.name}/{M.name}/{X.name}"] = abs(tr.value - dv) / _oracle_bound(tr)
     worst = max(ratios, key=ratios.get)
     assert ratios[worst] <= 1.0, (worst, ratios[worst])
 
@@ -97,15 +109,11 @@ def test_dv_elastic_circle(circle2, radial2, rotation2, segment01, identity2):
 
 def test_dv_elastic_space_curve(helix1, e3_field, radial3, fd5):
     # bending_energy takes |gamma' x gamma''| in space; no closed form
-    # covers it, so the oracle is the reference.  Under radial its value
-    # scatters by up to 2.7e-10 around DV over the schedules (t0, levels) =
-    # (1e-2, 4..6), (5e-3, 5) and (2e-2, 6), and at fd5 its own estimate
-    # reads 9.9e-11 against a disagreement of 1.04e-10: the bound is that
-    # scatter, not the estimate
+    # covers it, so the oracle is the reference
+    J = ShapeFunctional("elastic", bending_energy, discrete_delastic)
     for X in (e3_field, radial3):
-        tr = fd_quotients(ShapeFunctional("elastic", bending_energy), helix1, X, fd5)
-        assert abs(discrete_delastic(helix1, X) - tr.value) <= max(
-            tr.error_estimate, 1e-9 * (1.0 + abs(tr.value)))
+        tr = fd_quotients(J, helix1, X, fd5)
+        assert abs(discrete_variation(J, helix1, X) - tr.value) <= _oracle_bound(tr)
 
 
 def test_crack_functional_delegates_dv(crack_arc, radial2):
@@ -114,8 +122,3 @@ def test_crack_functional_delegates_dv(crack_arc, radial2):
     assert J.discrete_derivative is J.inner.discrete_derivative
     assert discrete_variation(J, crack_arc, radial2) == discrete_delastic(
         crack_arc, radial2)
-
-
-def test_dv_needs_a_discrete_derivative(circle1, radial2):
-    with pytest.raises(InvariantViolation, match="no discrete first variation"):
-        discrete_variation(ShapeFunctional("plain", length), circle1, radial2)
