@@ -188,7 +188,7 @@ def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
     return replace(
         manifold, **{chart: chart_t, second: second_t}, **firsts,
         name=f"{manifold.name}@{field.name}:{cfg.t_final:g}",
-        transported=True, foot=None)
+        base=manifold, foot=None)
 
 
 def invariance_residual(field: AmbientField, manifold, t: float) -> float:

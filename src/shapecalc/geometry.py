@@ -47,7 +47,8 @@ input too.
 * conormal_extension(params): smooth tangent field equal to the outward
   unit conormal on the boundary, ramped by ((s - a)/L)^4 - ((b - s)/L)^4
   in between (s = t or u, L = b - a), zero without a boundary.
-* diameter: the largest distance between two construction-grid points.
+* diameter: the largest distance between two construction-grid points
+  (computed on first read where the certificate below decided).
 * grid_ball: (centroid, radius) of the construction grid, computed once;
   every grid point lies within radius of the centroid, and radius is at
   most the diameter.
@@ -69,6 +70,20 @@ input too.
   search from grid seeds and raise NoConvergence when it still moves
   after NEWTON_MAX_ITER steps.  nearest_curve_param and
   nearest_surface_param are the module functions behind project.
+
+Desk checks evaluate each chart callable once per construction, on the
+grid, closure ends or seam edges and derivative-check samples concatenated.
+
+The embedding desk check keeps non-adjacent grid samples 1e-7 of the
+diameter apart.  A transported manifold (`base`: the manifold it was flowed
+from) is certified from its base: with delta = max |y_i - x_i| over the
+grid points x of the base and y of its own, |y_i - y_j| >= |x_i - x_j| -
+2 delta and its diameter is at most diam_base + 2 delta.  On first request
+the base lists its non-adjacent pairs at most R = 0.1 diam_base apart; the
+transported manifold passes when min(its listed distances, R - 2 delta) >=
+1e-7 (diam_base + 2 delta).  Otherwise (delta near R / 2, a near fold, an
+adjacency or a foot hook of its own) the full O(n^2) check runs as on a
+base manifold.
 """
 from __future__ import annotations
 
@@ -165,19 +180,22 @@ def _ramp(s: np.ndarray, a: float, b: float) -> np.ndarray:
 # embedding desk check
 
 
+def _sq_dist(p: np.ndarray, q: np.ndarray, diff=np.subtract) -> np.ndarray:
+    """Squared distances row by row, or of every pair with np.subtract.outer
+    (no (n, n, dim) temporary), summed in norm's order: the same bits."""
+    d2 = diff(p[:, 0], q[:, 0]) ** 2
+    for k in range(1, p.shape[1]):
+        d2 += diff(p[:, k], q[:, k]) ** 2
+    return d2
+
+
 def _embedding_extent(pts: np.ndarray, nonadj: np.ndarray) -> tuple[float, float]:
     """(diameter, separation) of a sample set: the largest distance between
     two samples and the smallest between two non-adjacent ones (inf when
-    no pair is non-adjacent).
-
-    Squared distances accumulate coordinate by coordinate, in the order of
-    norm's reduction, so no (n, n, dim) temporary is built; sqrt is
-    monotone and correctly rounded, so taking it after max / min gives the
-    same bits as taking it first.
+    no pair is non-adjacent).  sqrt is monotone and correctly rounded, so
+    taking it after max / min gives the same bits as taking it first.
     """
-    d2 = np.subtract.outer(pts[:, 0], pts[:, 0]) ** 2
-    for k in range(1, pts.shape[1]):
-        d2 += np.subtract.outer(pts[:, k], pts[:, k]) ** 2
+    d2 = _sq_dist(pts, pts, np.subtract.outer)
     sep2 = np.min(d2, where=nonadj, initial=np.inf)
     return float(np.sqrt(d2.max())), float(np.sqrt(sep2))
 
@@ -213,11 +231,12 @@ def _surface_nonadjacent(n: int, u_closed: bool, periodic_v: bool) -> np.ndarray
 
 
 def _check_difference(where: str, label: str, plus, minus, got, h: float,
-                      rel_tol: float, ts=None):
+                      rel_tol: float, at: tuple):
     """Derivative desk check shared by curves and surfaces: `got` must match
     the central difference (plus - minus) / 2h of f to rel_tol of
     1 + |got|, or to the difference's roundoff DIFF_ROUNDOFF max|f| / h
-    when that is larger.  `ts`, when given, names the failing parameter."""
+    when that is larger.  `at`, the sample parameters (t,) or (u, v), names
+    the failing one."""
     scale = 1.0 + np.linalg.norm(got, axis=1)
     rel = np.linalg.norm((plus - minus) / (2.0 * h) - got, axis=1) / scale
     fmax = max(np.linalg.norm(plus, axis=1).max(),
@@ -225,9 +244,10 @@ def _check_difference(where: str, label: str, plus, minus, got, h: float,
     tol = np.maximum(rel_tol, DIFF_ROUNDOFF * fmax / h / scale)
     if np.any(rel > tol):
         k = int(np.argmax(rel / tol))
-        near = "" if ts is None else f" near t = {ts[k]:g}"
+        vals = ", ".join(f"{x[k]:g}" for x in at)
+        near = f"t = {vals}" if len(at) == 1 else f"(u, v) = ({vals})"
         raise InvariantViolation(
-            f"{where}: {label} disagrees with finite differences{near} "
+            f"{where}: {label} disagrees with finite differences near {near} "
             f"(rel {rel[k]:.2e})")
 
 
@@ -278,17 +298,59 @@ def _check_foot(where: str, foot, chart, partials, pts, normals, diam: float,
 
 
 class _Sampled:
-    """Construction-grid facts that curves and surfaces share (see the
-    module docstring)."""
+    """Construction-grid facts and the embedding desk check that curves
+    and surfaces share (see the module docstring)."""
 
     @property
+    def transported(self) -> bool:
+        return self.base is not None
+
+    @cached_property
     def diameter(self) -> float:
-        return self._diameter
+        return _embedding_extent(self._grid_points, self._nonadj)[0]
 
     @cached_property
     def grid_ball(self) -> tuple[np.ndarray, float]:
         mid = _frozen(self._grid_points.mean(axis=0))
         return mid, float(np.linalg.norm(self._grid_points - mid, axis=1).max())
+
+    @cached_property
+    def _near_pairs(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(i, j, R): the non-adjacent grid pairs i < j at most R = 0.1
+        diameter apart, built when a transported manifold first asks."""
+        radius = 0.1 * self.diameter
+        d2 = _sq_dist(self._grid_points, self._grid_points, np.subtract.outer)
+        i, j = np.nonzero(np.triu(self._nonadj) & (d2 <= radius * radius))
+        return i.astype(np.int32), j.astype(np.int32), radius
+
+    def _values(self, where: str, label: str, *blocks) -> list:
+        """The callable `label` on the concatenated parameter blocks, each a
+        tuple of (k,) arrays (t, or u and v), checked against the array
+        contract and split back into one value array per block."""
+        args = [np.concatenate(x) for x in zip(*blocks)]
+        out = _checked(where, label, getattr(self, label)(*args),
+                       (len(args[0]), self.dim))
+        return np.split(out, np.cumsum([len(b[0]) for b in blocks[:-1]]))
+
+    def _check_embedding(self, where: str, pts: np.ndarray, nonadj: np.ndarray):
+        """Keeps the grid points and adjacency; DegenerateImmersion when
+        non-adjacent samples nearly coincide.  Returns the (diameter,
+        separation) of a full check, None where the certificate decided."""
+        object.__setattr__(self, "_grid_points", pts)
+        object.__setattr__(self, "_nonadj", nonadj)
+        base = self.base
+        if base is not None and base._nonadj is nonadj and self.foot is None:
+            i, j, radius = base._near_pairs
+            delta = float(np.linalg.norm(pts - base._grid_points, axis=1).max())
+            near = np.sqrt(np.min(_sq_dist(pts[i], pts[j]), initial=np.inf))
+            if min(near, radius - 2.0 * delta) >= 1e-7 * (base.diameter + 2.0 * delta):
+                return None
+        diam, sep = _embedding_extent(pts, nonadj)
+        if sep < 1e-7 * diam:
+            raise DegenerateImmersion(
+                f"{where}: samples nearly coincide (self-intersection?)")
+        object.__setattr__(self, "diameter", diam)
+        return diam, sep
 
 
 @dataclass(frozen=True)
@@ -301,9 +363,10 @@ class ParamCurve(_Sampled):
     grid, endpoint matching for closed curves, and a finite-difference
     consistency test of the supplied derivatives.
 
-    transported marks curves produced by numerically flowing another curve;
-    their derivative callables carry integrator and Jacobian-transport
-    noise (~1e-11 absolute), so the endpoint-matching and FD-consistency
+    base is the curve this one was numerically flowed from (None on a
+    hand-written chart; transported says whether it is set).  Its
+    derivative callables carry integrator and Jacobian-transport noise
+    (~1e-11 absolute), so the endpoint-matching and FD-consistency
     tolerances are relaxed accordingly.  Hand-written charts stay strict.
 
     foot, when set, is an exact nearest-point map foot(pts, extend) -> t
@@ -322,7 +385,7 @@ class ParamCurve(_Sampled):
     ddgamma: Callable[[np.ndarray], np.ndarray]
     closed: bool
     name: str = "curve"
-    transported: bool = False
+    base: ParamCurve | None = None
     foot: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -336,61 +399,51 @@ class ParamCurve(_Sampled):
         else:
             grid = np.linspace(self.a, self.b, n)
         where = f"curve '{self.name}'"
-        pts = _checked(where, "gamma", self.gamma(grid), (n, self.dim))
+        # the derivative check's samples ts and their shifts ts +- h
+        h = 1e-6 * (self.b - self.a)
+        ts = np.random.default_rng(_CHECK_RNG_SEED).uniform(
+            self.a + 2 * h, self.b - 2 * h, 32)
+        ends, probes = (np.array([self.a, self.b]),), ((ts,), (ts + h,), (ts - h,))
+        pts, g_ends, g_plus, g_minus = self._values(
+            where, "gamma", (grid,), ends, *probes[1:])
         if not np.all(np.isfinite(pts)):
             raise InvariantViolation(
                 f"{where}: gamma must map (n,) to finite (n, {self.dim})"
             )
-        vel = _checked(where, "dgamma", self.dgamma(grid), (n, self.dim))
+        vel, dg_ends, dg_ts, dg_plus, dg_minus = self._values(
+            where, "dgamma", (grid,), ends, *probes)
         speed = np.linalg.norm(vel, axis=1)
         if speed.min() <= 1e-12 * max(1.0, speed.max()):
             raise DegenerateImmersion(
                 f"curve '{self.name}': speed vanishes near t = {grid[speed.argmin()]:g}"
             )
-        # embedding desk check: non-adjacent samples must stay separated
-        diam, sep = _embedding_extent(pts, _curve_nonadjacent(n, self.closed))
-        if sep < 1e-7 * diam:
-            raise DegenerateImmersion(
-                f"curve '{self.name}': samples nearly coincide (self-intersection?)"
-            )
+        extent = self._check_embedding(
+            where, pts, _curve_nonadjacent(n, self.closed))
+        ddg_ends, ddg_ts = self._values(where, "ddgamma", ends, probes[0])
         scale = 1.0 + np.abs(pts).max()
         # transported curves inherit integrator noise in their derivatives
         slack = 1e3 if self.transported else 1.0
         if self.closed:
-            ends = np.array([self.a, self.b])
-            for fn, label, tol in (
-                (self.gamma, "gamma", 1e-12 * scale * slack),
-                (self.dgamma, "dgamma", 1e-12 * scale * slack),
-                (self.ddgamma, "ddgamma", 1e-8 * scale * slack),
+            for (va, vb), label, tol in (
+                (g_ends, "gamma", 1e-12 * scale * slack),
+                (dg_ends, "dgamma", 1e-12 * scale * slack),
+                (ddg_ends, "ddgamma", 1e-8 * scale * slack),
             ):
-                va, vb = _checked(where, label, fn(ends), (2, self.dim))
                 if np.linalg.norm(va - vb) > tol:
                     raise InvariantViolation(
                         f"{where}: closed but {label}(a) != {label}(b)"
                     )
-        self._check_derivative_consistency()
+        rel_tol = 1e-5 if self.transported else 1e-6
+        _check_difference(where, "dgamma", g_plus, g_minus, dg_ts, h, rel_tol,
+                          (ts,))
+        _check_difference(where, "ddgamma", dg_plus, dg_minus, ddg_ts, h,
+                          rel_tol, (ts,))
         if self.foot is not None:
             _check_foot(where, lambda p: (self.foot(p, 0.0),),
                         self.gamma, (self.dgamma,), pts, self.unit_normal(grid),
-                        diam, sep, f"(n, {self.dim}) to an (n,) array")
+                        *extent, f"(n, {self.dim}) to an (n,) array")
         object.__setattr__(self, "_grid_ts", grid)
-        object.__setattr__(self, "_grid_points", pts)
         object.__setattr__(self, "grid_speed", _frozen(speed))
-        object.__setattr__(self, "_diameter", diam)
-
-    def _check_derivative_consistency(self):
-        rng = np.random.default_rng(_CHECK_RNG_SEED)
-        h = 1e-6 * (self.b - self.a)
-        ts = rng.uniform(self.a + 2 * h, self.b - 2 * h, 32)
-        where = f"curve '{self.name}'"
-        rel_tol = 1e-5 if self.transported else 1e-6
-        for fn, dfn, label in (
-            (self.gamma, self.dgamma, "dgamma"),
-            (self.dgamma, self.ddgamma, "ddgamma"),
-        ):
-            _check_difference(where, label, fn(ts + h), fn(ts - h),
-                              _checked(where, label, dfn(ts), (32, self.dim)),
-                              h, rel_tol, ts)
 
     # -- manifold queries (see the module docstring) ----------------------
 
@@ -446,9 +499,12 @@ class ParamSurface(_Sampled):
     construction and stored in periodic_v / u_closed; operations that need
     the cylinder topology check those flags.
 
-    transported marks surfaces produced by numerically flowing another
-    surface; seam detection and consistency checks then tolerate the
-    integrator and Jacobian-transport noise in the derivative callables.
+    base is the surface this one was numerically flowed from (None on a
+    hand-written chart; transported says whether it is set).  A
+    transported surface inherits periodic_v and u_closed from its base,
+    and raises InvariantViolation naming a seam that does not close alike
+    at the 1e-6 tolerance of its integrator and Jacobian-transport noise,
+    which its consistency check tolerates too.
 
     foot, when set, is an exact nearest-point map foot(pts, extend_u) ->
     (u, v) onto the surface with its u-range widened by extend_u; it
@@ -465,7 +521,7 @@ class ParamSurface(_Sampled):
     phi_v: Callable[[np.ndarray, np.ndarray], np.ndarray]
     phi_vv: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "surface"
-    transported: bool = False
+    base: ParamSurface | None = None
     foot: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]] | None = None
 
     dim = 3
@@ -479,13 +535,28 @@ class ParamSurface(_Sampled):
         U, V = np.meshgrid(us, vs, indexing="ij")
         uu, vv = U.ravel(), V.ravel()
         where = f"surface '{self.name}'"
-        pts = _checked(where, "phi", self.phi(uu, vv), (n * n, 3))
+        # seam edges: v = c then v = d along us, u = a then u = b along vs
+        v_seam = (np.concatenate([us, us]), np.repeat([self.c, self.d], n))
+        u_seam = (np.repeat([self.a, self.b], n), np.concatenate([vs, vs]))
+        # the derivative check's samples (su, sv) and their shifts
+        rng = np.random.default_rng(_CHECK_RNG_SEED + 1)
+        hu = 1e-6 * (self.b - self.a)
+        hv = 1e-6 * (self.d - self.c)
+        su = rng.uniform(self.a + 2 * hu, self.b - 2 * hu, 32)
+        sv = rng.uniform(self.c + 2 * hv, self.d - 2 * hv, 32)
+        v_shifts = ((su, sv + hv), (su, sv - hv))
+        pts, phi_vs, phi_us, phi_up, phi_um, phi_vp, phi_vm = self._values(
+            where, "phi", (uu, vv), v_seam, u_seam, (su + hu, sv), (su - hu, sv),
+            *v_shifts)
         if not np.all(np.isfinite(pts)):
             raise InvariantViolation(
                 f"{where}: phi must map (n,),(n,) to finite (n, 3)"
             )
-        pu = _checked(where, "phi_u", self.phi_u(uu, vv), (n * n, 3))
-        pv = _checked(where, "phi_v", self.phi_v(uu, vv), (n * n, 3))
+        # phi_u and phi_v on one array: a transported surface flows one
+        # Jacobian for both
+        partials = ((uu, vv), v_seam, u_seam, (su, sv), *v_shifts)
+        pu, _, pu_us, pu_s, _, _ = self._values(where, "phi_u", *partials)
+        pv, pv_vs, pv_us, pv_s, pv_p, pv_m = self._values(where, "phi_v", *partials)
         jac = np.linalg.norm(np.cross(pu, pv), axis=1)
         if jac.min() <= 1e-12 * max(1.0, jac.max()):
             k = jac.argmin()
@@ -493,58 +564,39 @@ class ParamSurface(_Sampled):
                 f"{where}: |phi_u x phi_v| vanishes near "
                 f"(u, v) = ({uu[k]:g}, {vv[k]:g})"
             )
-        # before seam detection, which reads phi_vv
-        self._check_derivative_consistency()
+        pvv_vs, pvv_s = self._values(where, "phi_vv", v_seam, (su, sv))
+        rel_tol = 1e-5 if self.transported else 1e-6
+        for plus, minus, got, label, step in (
+            (phi_up, phi_um, pu_s, "phi_u", hu),
+            (phi_vp, phi_vm, pv_s, "phi_v", hv),
+            (pv_p, pv_m, pvv_s, "phi_vv", hv),
+        ):
+            _check_difference(where, label, plus, minus, got, step, rel_tol,
+                              (su, sv))
         scale = 1.0 + np.abs(pts).max()
-        # seam detection; transported charts match only up to integrator noise
+        # seam detection; transported charts match only up to integrator
+        # noise and must close where their base does
         tol = (1e-6 if self.transported else 1e-12) * scale
-        per_v = all(
-            np.abs(fn(us, np.full(n, self.c)) - fn(us, np.full(n, self.d))).max()
-            <= tol for fn in (self.phi, self.phi_v, self.phi_vv)
-        )
-        object.__setattr__(self, "periodic_v", bool(per_v))
-        u_closed = all(
-            np.abs(fn(np.full(n, self.a), vs) - fn(np.full(n, self.b), vs)).max()
-            <= tol for fn in (self.phi, self.phi_u, self.phi_v)
-        )
-        object.__setattr__(self, "u_closed", bool(u_closed))
-        # embedding desk check, adjacency on the sample grid (8-neighborhood)
-        diam, sep = _embedding_extent(
-            pts, _surface_nonadjacent(n, u_closed, per_v))
-        if sep < 1e-7 * diam:
-            raise DegenerateImmersion(
-                f"{where}: samples nearly coincide (self-intersection?)"
-            )
+        for flag, seam, edges in (
+            ("periodic_v", "v = c / v = d", (phi_vs, pv_vs, pvv_vs)),
+            ("u_closed", "u = a / u = b", (phi_us, pu_us, pv_us)),
+        ):
+            closes = all(np.abs(x[:n] - x[n:]).max() <= tol for x in edges)
+            if self.base is not None and closes != getattr(self.base, flag):
+                raise InvariantViolation(
+                    f"{where}: the {seam} seam {'closes' if closes else 'opens'} under"
+                    f" transport ({flag} = {not closes} on base '{self.base.name}')")
+            object.__setattr__(self, flag, closes)
+        extent = self._check_embedding(
+            where, pts, _surface_nonadjacent(n, self.u_closed, self.periodic_v))
         if self.foot is not None:
             _check_foot(where, lambda p: self.foot(p, 0.0),
                         self.phi, (self.phi_u, self.phi_v), pts,
-                        _unit_rows(np.cross(pu, pv)), diam, sep,
+                        _unit_rows(np.cross(pu, pv)), *extent,
                         "(n, 3) to two (n,) arrays")
         object.__setattr__(self, "_grid_us", uu)
         object.__setattr__(self, "_grid_vs", vv)
-        object.__setattr__(self, "_grid_points", pts)
         object.__setattr__(self, "grid_speed", _frozen(np.linalg.norm(pu, axis=1)))
-        object.__setattr__(self, "_diameter", diam)
-
-    def _check_derivative_consistency(self):
-        rng = np.random.default_rng(_CHECK_RNG_SEED + 1)
-        hu = 1e-6 * (self.b - self.a)
-        hv = 1e-6 * (self.d - self.c)
-        us = rng.uniform(self.a + 2 * hu, self.b - 2 * hu, 32)
-        vs = rng.uniform(self.c + 2 * hv, self.d - 2 * hv, 32)
-        where = f"surface '{self.name}'"
-        rel_tol = 1e-5 if self.transported else 1e-6
-        # (f, its derivative, steps in u and in v)
-        checks = (
-            (self.phi, self.phi_u, "phi_u", hu, 0.0),
-            (self.phi, self.phi_v, "phi_v", 0.0, hv),
-            (self.phi_v, self.phi_vv, "phi_vv", 0.0, hv),
-        )
-        for fn, dfn, label, du, dv in checks:
-            _check_difference(where, label, fn(us + du, vs + dv),
-                              fn(us - du, vs - dv),
-                              _checked(where, label, dfn(us, vs), (32, 3)),
-                              du + dv, rel_tol)
 
     # -- manifold queries (see the module docstring) ----------------------
 

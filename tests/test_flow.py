@@ -1,11 +1,16 @@
 """Flow integration: RK4 accuracy, jacobians, manifold transport, invariance."""
 
+import dataclasses
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from shapecalc.errors import NoConvergence, NonFinite
+from shapecalc import cli, geometry, validation
+from shapecalc.derivative import flow_schedule
+from shapecalc.errors import (DegenerateImmersion, InvariantViolation,
+                              NoConvergence, NonFinite)
 from shapecalc.fields import AmbientField, bump_field
 from shapecalc.flow import (
     INVARIANCE_BUDGET,
@@ -323,3 +328,139 @@ def test_zero_time_flow_is_the_identity_without_field_calls(radial2, t_final):
     np.testing.assert_array_equal(x, pts)
     np.testing.assert_array_equal(J, np.broadcast_to(np.eye(2), (3, 2, 2)))
     assert calls == []
+
+
+# -- flowed manifolds certify their embedding from the base ----------------
+
+ROOT = Path(__file__).resolve().parents[1]
+RUNS = {"paper_suite": ROOT / "src" / "shapecalc" / "configs" / "paper_suite.json",
+        "general_curves": ROOT / "perfbench" / "general_curves.json"}
+
+
+def _full_checks(monkeypatch):
+    """Record every full O(n^2) embedding check from here on."""
+    calls = []
+    real = geometry._embedding_extent
+
+    def recorded(pts, nonadj):
+        calls.append(len(pts))
+        return real(pts, nonadj)
+
+    monkeypatch.setattr(geometry, "_embedding_extent", recorded)
+    return calls
+
+
+def _moved(shape, request):
+    base = request.getfixturevalue(shape)
+    field = bump_field(np.zeros(base.dim), 3.0, 0.3 * np.ones(base.dim))
+    return flow_manifold(field, base, FlowConfig(0.1, 10))
+
+
+def _folded(M, i, j):
+    """M's chart with grid points i and j both sent to their midpoint."""
+    if isinstance(M, geometry.ParamCurve):
+        label, grid = "gamma", (M._grid_ts,)
+    else:
+        label, grid = "phi", (M._grid_us, M._grid_vs)
+    chart = getattr(M, label)
+    mid = chart(*(g[[i, j]] for g in grid)).mean(axis=0)
+
+    def fold(*params):
+        out = chart(*params).copy()
+        for k in (i, j):
+            out[np.all([p == g[k] for p, g in zip(params, grid)], axis=0)] = mid
+        return out
+
+    return dataclasses.replace(M, **{label: fold}, name="folded")
+
+
+# grid pairs (i, j), non-adjacent: two steps apart, so within the listed
+# radius of the base, and across the shape, far beyond it
+FOLDS = {"circle1": [(100, 102), (100, 356)],
+         "cylinder": [(10 * 24 + 5, 12 * 24 + 5), (10 * 24 + 5, 10 * 24 + 17)]}
+
+
+@pytest.mark.parametrize("shape, pair", [(s, p) for s in FOLDS for p in FOLDS[s]])
+def test_transported_fold_still_raises(shape, pair, request):
+    moved = _moved(shape, request)
+    with pytest.raises(DegenerateImmersion, match=r"'folded': samples nearly "
+                                                  r"coincide \(self-intersection\?\)"):
+        _folded(moved, *pair)
+
+
+def test_certificate_falls_back_beyond_its_radius(circle1, radial2, monkeypatch):
+    calls = _full_checks(monkeypatch)
+    near = flow_manifold(radial2, circle1, FlowConfig(0.01, 1))
+    assert calls == []
+    # the unit radial field grows the circle to radius 1.5: every grid
+    # point moves by 0.5, more than half the listed radius 0.1 diameter
+    far = flow_manifold(radial2, circle1, FlowConfig(0.5, 50))
+    assert calls == [512]
+    assert far.diameter == pytest.approx(3.0, rel=1e-6)
+    assert near.diameter == pytest.approx(2.02, rel=1e-6)
+
+
+@pytest.mark.parametrize("shape, label", [("circle1", "dgamma"),
+                                          ("cylinder", "phi_u"),
+                                          ("cylinder", "phi_v")])
+def test_transported_partial_scaled_still_raises(shape, label, request):
+    moved = _moved(shape, request)
+    partial = getattr(moved, label)
+    with pytest.raises(InvariantViolation,
+                       match=rf"{label} disagrees with finite differences"):
+        dataclasses.replace(moved, **{label: lambda *p: partial(*p) * (1.0 + 1e-4)})
+
+
+def test_transported_surface_keeps_its_seams(cylinder, e3_field):
+    moved = flow_manifold(e3_field, cylinder, FlowConfig(0.1, 10))
+    assert moved.periodic_v and not moved.u_closed
+    # phi drifts by 1e-5 across v: the seam opens by more than its 1e-6
+    # tolerance, while phi_v still agrees with phi's differences
+    drift = np.array([1e-5 / (cylinder.d - cylinder.c), 0.0, 0.0])
+
+    def opened(u, v):
+        return moved.phi(u, v) + (v - cylinder.c)[:, None] * drift
+
+    with pytest.raises(InvariantViolation,
+                       match=r"the v = c / v = d seam opens under transport "
+                             r"\(periodic_v = True on base 'cylinder'\)"):
+        dataclasses.replace(moved, phi=opened)
+
+
+def _schedule_inputs(plan, monkeypatch):
+    """(M, X) of every FD schedule a run builds: its comparisons' and its
+    locality suite's (recorded with the suite's oracle stubbed out)."""
+    cache: dict = {}
+    inputs = [(M, X) for M in cli._generic_shapes(plan)
+              if any(cli.compatible(J, M) for J in cli._plain_functionals(plan))
+              for X in cli._fields_for(plan, M, cache)]
+
+    def recorded(J, M, X, cfg):
+        inputs.append((M, X))
+        return SimpleNamespace(value=0.0)
+
+    with monkeypatch.context() as m:
+        m.setattr(validation, "fd_quotients", recorded)
+        for job in cli.suite_jobs(plan):
+            if job.label.startswith("locality"):
+                job.run()
+    return inputs
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_certificate_decides_every_flowed_manifold(run, monkeypatch):
+    plan = cli.load_plan(str(RUNS[run]))
+    inputs = _schedule_inputs(plan, monkeypatch)
+    # comparisons and locality pairs: 18 + 12 and 6 + 8 schedules
+    assert len(inputs) == {"paper_suite": 30, "general_curves": 14}[run]
+    calls = _full_checks(monkeypatch)
+    for M, X in inputs:
+        for Mt in flow_schedule(X, M, plan.cfg):
+            assert calls == [], Mt.name
+            # the full check agrees: it passes, inside the certified bounds
+            # (to rounding: a radial flow widens the diameter by exactly 2 delta)
+            delta = np.linalg.norm(Mt._grid_points - M._grid_points, axis=1).max()
+            diam, sep = geometry._embedding_extent(Mt._grid_points, Mt._nonadj)
+            assert sep >= 1e-7 * diam
+            assert diam <= (M.diameter + 2.0 * delta) * (1.0 + 4e-16)
+            calls.clear()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -1072,5 +1073,26 @@ def test_derivative_off_by_1e6_near_origin_still_rejected(circle1, cylinder):
                        match=r"dgamma disagrees with finite differences .*rel 1\.2"):
         dataclasses.replace(circle1, dgamma=nudged, foot=None, name="nudged")
     with pytest.raises(InvariantViolation,
-                       match=r"phi_u disagrees with finite differences \(rel 1\.2"):
+                       match=r"phi_u disagrees with finite differences near "
+                             r"\(u, v\) = \(\S+, \S+\) \(rel 1\.2"):
         dataclasses.replace(cylinder, phi_u=tilted, foot=None, name="tilted")
+
+
+@pytest.mark.parametrize("label, region", [
+    ("phi_u", lambda u, v: v > np.pi),
+    ("phi_v", lambda u, v: (u < 1.0) & (v < 3.0)),
+    ("phi_vv", lambda u, v: u > 1.5),
+])
+def test_surface_derivative_check_names_the_failing_sample(cylinder, label,
+                                                           region):
+    # the partial is off by 1e-5 only inside the region, so the (u, v) the
+    # message names must lie there
+    def off(u, v):
+        return getattr(cylinder, label)(u, v) + 1e-5 * region(u, v)[:, None]
+
+    with pytest.raises(InvariantViolation,
+                       match=rf"{label} disagrees with finite differences near") as err:
+        dataclasses.replace(cylinder, **{label: off}, foot=None, name="off")
+    at = re.search(r"near \(u, v\) = \((\S+), (\S+)\) \(rel", str(err.value))
+    u, v = map(float, at.groups())
+    assert region(np.array([u]), np.array([v]))[0]
