@@ -16,6 +16,11 @@ a curve, phi_u and phi_v on a surface).  The second derivative is a
 5-point difference of the last transported partial in the last parameter
 (wrapped across the seam of a closed curve / v-periodic surface, shifted
 inside open ends).
+
+Each RK4 flow opens one projection session (geometry.projection_session):
+inside it, a nearest-point projection onto a hook-free curve starts Newton
+from the feet of the previous stage's projection onto the same curve when
+the points have moved little, instead of from the curve's grid.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ import numpy as np
 from ._stencil import sample_derivative
 from .errors import InvariantViolation, NoConvergence, NonFinite
 from .fields import AmbientField, last_call_memo
-from .geometry import ParamCurve
+from .geometry import ParamCurve, projection_session
 
 DEFAULT_MAX_STEP = 0.01
 MAX_FLOW_STEPS = 10**6  # ~35 min on 2,560 nodes with Jacobian transport
@@ -64,20 +69,25 @@ class FlowConfig:
 
 def _rk4(rhs, state: tuple, cfg: FlowConfig, name: str) -> tuple:
     """Classical RK4 on a tuple of arrays; rhs maps the arrays to their
-    rates.  At t_final = 0 this returns copies without calling rhs."""
+    rates.  At t_final = 0 this returns copies without calling rhs.
+
+    The steps run in one projection session, so a field that projects
+    onto a hook-free curve warm-starts each stage's Newton search from the
+    feet of the stage before (geometry.nearest_curve_param)."""
     h = cfg.t_final / cfg.n_steps
     if h == 0.0:
         return tuple(s.copy() for s in state)
     half, sixth = 0.5 * h, h / 6.0
-    for _ in range(cfg.n_steps):
-        k1 = rhs(*state)
-        k2 = rhs(*[s + half * k for s, k in zip(state, k1)])
-        k3 = rhs(*[s + half * k for s, k in zip(state, k2)])
-        k4 = rhs(*[s + h * k for s, k in zip(state, k3)])
-        state = [s + sixth * (a + 2.0 * b + 2.0 * c + d)
-                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        if not all(np.isfinite(s).all() for s in state):
-            raise NonFinite(f"flow of '{name}' left the numeric range")
+    with projection_session():
+        for _ in range(cfg.n_steps):
+            k1 = rhs(*state)
+            k2 = rhs(*[s + half * k for s, k in zip(state, k1)])
+            k3 = rhs(*[s + half * k for s, k in zip(state, k2)])
+            k4 = rhs(*[s + h * k for s, k in zip(state, k3)])
+            state = [s + sixth * (a + 2.0 * b + 2.0 * c + d)
+                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            if not all(np.isfinite(s).all() for s in state):
+                raise NonFinite(f"flow of '{name}' left the numeric range")
     return tuple(state)
 
 

@@ -67,9 +67,14 @@ input too.
     gradient of t, 0 where t is held at an end of the widened range.
   A manifold with a foot hook returns the hook's exact feet, with no
   seeding and no Newton iteration; otherwise both kinds run a Newton
-  search from grid seeds and raise NoConvergence when it still moves
-  after NEWTON_MAX_ITER steps.  nearest_curve_param and
-  nearest_surface_param are the module functions behind project.
+  search and raise NoConvergence when it still moves after NEWTON_MAX_ITER
+  steps.  Newton starts from grid seeds, except on a hook-free curve inside
+  a projection session (one per running flow, see projection_session),
+  where it may start from the feet of the session's previous projection
+  on the same curve and extend (the warm rule of nearest_curve_param).
+  Outside a session a projection is a pure function of its input.
+  nearest_curve_param and nearest_surface_param are the module functions
+  behind project.
 
 Desk checks evaluate each chart callable once per construction, on the
 grid, closure ends or seam edges and derivative-check samples concatenated.
@@ -88,6 +93,8 @@ base manifold.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from typing import Callable
@@ -480,14 +487,23 @@ class ParamCurve(_Sampled):
 
     def project(self, pts, extend: float = 0.0) -> "Foot":
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        session = _SESSION.get() if self.foot is None else None
+        seed = None
+        if session is not None:
+            key = (id(self), extend)
+            seed = _warm_seed(self, session.get(key), pts)
         # called through the module global, so a wrapper installed there
         # sees every projection
-        t = nearest_curve_param(self, pts, extend)
+        t = nearest_curve_param(self, pts, extend, seed)
         if self.closed:
             held = np.zeros(len(t), dtype=bool)
         else:
             held = (t <= self.a - extend) | (t >= self.b + extend)
-        return Foot(self, t, pts - self.chart(t), held)
+        foot = Foot(self, t, pts - self.chart(t), held)
+        if session is not None:
+            # the entry holds the curve, so its id is not reused meanwhile
+            session[key] = (self, pts.copy(), t, foot.dist)
+        return foot
 
 
 @dataclass(frozen=True)
@@ -879,32 +895,87 @@ def _nearest_seed(pts: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return best
 
 
+# the projection session of the innermost running flow, None outside every
+# flow: a dict keyed on (id(curve), extend) holding (curve, pts, t, dist)
+# of the last projection onto that curve (see ParamCurve.project)
+_SESSION: ContextVar[dict | None] = ContextVar("projection_session",
+                                               default=None)
+
+
+@contextmanager
+def projection_session():
+    """Scope in which projections onto a hook-free curve may start Newton
+    from the feet of the previous projection onto the same curve and
+    extend (the warm rule of nearest_curve_param).  flow._rk4 opens one per
+    flow; a nested session shadows the outer one until it closes.  Being a
+    context variable, a session is private to its thread."""
+    token = _SESSION.set({})
+    try:
+        yield
+    finally:
+        _SESSION.reset(token)
+
+
+def _warm_seed(curve: ParamCurve, last, pts: np.ndarray) -> np.ndarray | None:
+    """The feet of the session's last projection onto curve as Newton seeds
+    for pts, or None (grid seeds) unless the warm rule holds."""
+    if last is None:
+        return None
+    _, old_pts, old_t, old_dist = last
+    if len(old_pts) != len(pts):
+        return None
+    move = np.linalg.norm(pts - old_pts, axis=1)
+    reach = curve.reach
+    if move.max() <= 0.1 * reach and (old_dist + move).max() < reach:
+        return old_t
+    return None
+
+
 def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
-                        extend: float = 0.0) -> np.ndarray:
+                        extend: float = 0.0,
+                        seed: np.ndarray | None = None) -> np.ndarray:
     """Parameter of the point on the curve nearest to each ambient point.
 
     With extend > 0 the search interval widens to [a - extend, b + extend]
     (the callables must remain valid there); closed curves wrap instead.
     A curve with a foot hook returns foot(pts, extend): no seeding and no
     Newton cap.  Otherwise: seeds from the construction grid (a 768-point
-    grid of the widened interval when extend > 0 on an open curve) plus
-    Newton on (p - gamma(t)).gamma'(t) = 0, every step taken downhill in
-    the distance, so it settles in a minimum and not in a farthest point (a
+    grid of the widened interval when extend > 0 on an open curve), or the
+    caller's seed parameters, one per point, plus Newton on
+    (p - gamma(t)).gamma'(t) = 0, every step taken downhill in the
+    distance, so it settles in a minimum and not in a farthest point (a
     seed at an open end where the distance rises inward stays there).
     Raises NoConvergence when Newton still moves after NEWTON_MAX_ITER
     steps.
+
+    The result is the nearest point when p lies inside the reach: there the
+    foot is unique and the nearest grid seed lies in its basin.  Farther
+    out a local minimum can be returned; callers keep their points inside
+    the reach (tubes and probes are sized by it).  `reach` bounds only the
+    curvature, so this assumes that no two stretches of the curve far apart
+    along it, and no open end and another stretch, come closer than twice
+    the reach.
+
+    ParamCurve.project passes a seed only inside a projection session, and
+    only under the warm rule: the points are as many as in the session's
+    previous projection onto the same curve and extend, each has moved at
+    most 0.1 reach since, and each one's old distance plus its move is
+    below the reach.  The segment from old to new point then stays inside
+    the reach, where the foot is unique and moves continuously (Federer,
+    Curvature measures, 1959, Thm 4.8), so no point can cross the medial
+    axis and the old foot lies in the basin of the new one.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if curve.foot is not None:
         return curve.foot(pts, extend)
     span = curve.b - curve.a
-    if curve.closed or extend == 0.0:
-        seeds_t = curve._grid_ts
-        seeds_p = curve._grid_points
+    if seed is not None:
+        t = seed
+    elif curve.closed or extend == 0.0:
+        t = curve._grid_ts[_nearest_seed(pts, curve._grid_points)]
     else:
         seeds_t = np.linspace(curve.a - extend, curve.b + extend, 768)
-        seeds_p = curve.gamma(seeds_t)
-    t = seeds_t[_nearest_seed(pts, seeds_p)]
+        t = seeds_t[_nearest_seed(pts, curve.gamma(seeds_t))]
     lo = curve.a - extend
     hi = curve.b + extend
     tol = 1e-13 * span

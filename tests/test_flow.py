@@ -186,6 +186,46 @@ def test_invariance_flow_counts(circle1, request, monkeypatch):
     assert steps[:2] == [50, 100] and len(steps) == 3 and steps[2] > 100
 
 
+def test_warm_feet_match_grid_feet(ellipse21, helix1, radial3, fd5,
+                                   monkeypatch):
+    """Inside the invariance flows of both ellipse21 tangent probes and one
+    helix1 FD schedule (an open curve, widened), every warm-started
+    projection lands on the grid-seeded feet to Newton's tolerance, and an
+    ellipse21 invariance residual seeds from the grid at most 4 times."""
+    from shapecalc.derivative import fd_quotients
+    from shapecalc.fields import restriction_field
+    from shapecalc.functionals import length_functional
+    from shapecalc.validation import NULLITY_TIME, tangential_probe_fields
+
+    real = geometry.nearest_curve_param
+    warm, grid = [], []
+
+    def recorded(curve, pts, extend=0.0, seed=None):
+        t = real(curve, pts, extend, seed)
+        if seed is None:
+            grid.append(len(pts))
+            return t
+        span = curve.b - curve.a
+        d = t - real(curve, pts, extend)
+        if curve.closed:
+            d = np.mod(d + 0.5 * span, span) - 0.5 * span
+        warm.append(np.abs(d).max() / span)
+        return t
+
+    monkeypatch.setattr(geometry, "nearest_curve_param", recorded)
+    for probe in tangential_probe_fields(ellipse21, n=2, seed=0):
+        grid.clear()
+        n_warm = len(warm)
+        invariance_residual(probe, ellipse21, NULLITY_TIME)
+        assert len(grid) <= 4
+        assert len(warm) - n_warm > 100
+    n_warm = len(warm)
+    fd_quotients(length_functional(), helix1,
+                 restriction_field(helix1, radial3, "perp"), fd5)
+    assert len(warm) > n_warm
+    assert max(warm) <= 1e-13
+
+
 def test_invariance_flow_over_the_step_cap_raises_before_flowing(circle1,
                                                                  monkeypatch):
     # x' = 300 x reaches e^150 ~ 1e65 at t = 0.5: finite, but the 50- and

@@ -853,6 +853,118 @@ def test_newton_projection_matches_brute_force(shape, request):
 
 
 # ---------------------------------------------------------------------------
+# warm-started curve projections inside a projection session
+
+
+@pytest.fixture
+def seeds_passed(monkeypatch):
+    """List that gains the seed argument of each nearest_curve_param call."""
+    seeds = []
+    real = geometry.nearest_curve_param
+
+    def recorded(curve, pts, extend=0.0, seed=None):
+        seeds.append(seed)
+        return real(curve, pts, extend, seed)
+
+    monkeypatch.setattr(geometry, "nearest_curve_param", recorded)
+    return seeds
+
+
+def test_projection_outside_a_session_has_no_history(ellipse21):
+    p2 = np.array([[2.3, 0.4], [-0.3, 1.1], [0.7, -0.8]])
+    fresh = ellipse21.project(p2)
+    ellipse21.project(p2 + 1e-3)
+    again = ellipse21.project(p2)
+    assert geometry._SESSION.get() is None
+    np.testing.assert_array_equal(again.params, fresh.params)
+    np.testing.assert_array_equal(again.dist, fresh.dist)
+
+
+def _moved_in_session(curve, p1, p2):
+    """Feet of p2 projected right after p1 inside one projection session."""
+    with geometry.projection_session():
+        curve.project(p1)
+        return curve.project(p2)
+
+
+def test_warm_start_taken_on_a_small_move(ellipse21, seeds_passed):
+    p1 = np.array([[2.1, 0.1], [-0.3, 1.05], [0.7, -0.9]])
+    p2 = p1 + np.array([0.01, -0.01])
+    ft = _moved_in_session(ellipse21, p1, p2)
+    assert seeds_passed[0] is None and seeds_passed[1] is not None
+    np.testing.assert_allclose(ft.params, ellipse21.project(p2).params,
+                               rtol=0.0, atol=1e-13 * TWO_PI)
+
+
+@pytest.mark.parametrize("case", ["rows", "move", "medial_axis"])
+def test_warm_start_falls_back_to_grid_seeds(case, ellipse21, seeds_passed):
+    # reach 0.25: moves up to 0.025, old distance plus move below 0.25
+    assert ellipse21.reach == pytest.approx(0.25, rel=1e-9)
+    p1 = np.array([[2.1, 0.1], [-0.3, 1.05], [0.7, -0.9]])
+    if case == "rows":
+        p2 = p1[:2] + 1e-3
+    elif case == "move":
+        p2 = p1 + np.array([0.0, 0.03])
+    else:
+        # (1.3, +-0.01) lie inside the evolute, on either side of the medial
+        # axis y = 0: each keeps a local foot on both halves.  The move,
+        # 0.02, is allowed; the old distance, 0.65, is past the reach
+        p1, p2 = np.array([[1.3, 0.01]]), np.array([[1.3, -0.01]])
+    ft = _moved_in_session(ellipse21, p1, p2)
+    assert seeds_passed[1] is None
+    fresh = ellipse21.project(p2)
+    np.testing.assert_array_equal(ft.params, fresh.params)
+    if case == "medial_axis":
+        # the global foot is on the lower half; the old upper foot would
+        # have seeded Newton into the upper, farther local minimum
+        assert ellipse21.gamma(ft.params)[0, 1] < 0.0
+        t_up = nearest_curve_param(ellipse21, p2, seed=ellipse21.project(p1).params)
+        assert ellipse21.gamma(t_up)[0, 1] > 0.0
+        assert np.linalg.norm(p2 - ellipse21.gamma(t_up)) > ft.dist[0] + 1e-3
+
+
+def test_foot_hook_curves_never_touch_the_session(circle1, crack_arc):
+    pts = np.array([[1.2, 0.1], [-0.3, 0.8]])
+    with geometry.projection_session():
+        for M in (circle1, crack_arc):
+            M.project(pts)
+            M.project(pts + 1e-3)
+        assert geometry._SESSION.get() == {}
+
+
+def test_warm_newton_cap_raises(ellipse21, seeds_passed, monkeypatch):
+    p1 = np.array([[2.1, 0.1], [-0.3, 1.05], [0.7, -0.9]])
+    with geometry.projection_session():
+        ellipse21.project(p1)
+        monkeypatch.setattr(geometry, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NoConvergence,
+                           match=r"^curve 'ellipse21': nearest-point Newton still "
+                                 r"moving after 1 steps \(worst step \S+ at t = \S+, "
+                                 r"tolerance \S+\)$"):
+            ellipse21.project(p1 + 1e-3)
+    assert seeds_passed[1] is not None
+
+
+@pytest.mark.parametrize("shape", ["crack_arc", "ellipse21", "helix1"])
+def test_warm_projection_matches_brute_force(shape, request, tube_points,
+                                             seeds_passed):
+    M = dataclasses.replace(request.getfixturevalue(shape), foot=None)
+    rng = np.random.default_rng(1)
+    p1 = tube_points(M, 0.5 * M.reach, n=200)
+    step = rng.normal(size=p1.shape)
+    p2 = p1 + 0.09 * M.reach * step / np.linalg.norm(step, axis=1)[:, None]
+    ft = _moved_in_session(M, p1, p2)
+    assert seeds_passed[1] is not None
+    dense = M.gamma(np.linspace(M.a, M.b, 20001))
+    brute = np.min(np.linalg.norm(p2[:, None] - dense[None], axis=2), axis=1)
+    assert np.all(ft.dist <= brute + 1e-12)
+    # these points sit close to the curve, where sampling the curve errs by
+    # more than the 2e-6 the far points of the test above allow; the
+    # grid-seeded feet are the reference instead
+    np.testing.assert_allclose(ft.dist, M.project(p2).dist, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # the manifold queries shared by curves and surfaces
 
 
