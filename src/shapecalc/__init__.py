@@ -17,7 +17,7 @@ from .geometry import (Foot, FrenetFrame, ParamCurve, ParamSurface,
                        integrate_curve, integrate_surface,
                        nearest_curve_param, nearest_surface_param,
                        surface_max_curvature, surface_mean_curvature)
-from .fields import (AmbientField, Ball, FieldSplit, TangencyReport,
+from .fields import (AmbientField, Ball, TangencyReport,
                      bump_field, bump_profile, check_tangency,
                      default_holdall, fd_jacobian, pullback_field,
                      restriction_field, smooth_step, split_field, sum_field)
@@ -42,7 +42,7 @@ from .catalog import (FIELD_KINDS, FUNCTIONAL_KINDS, SHAPE_KINDS, ParsedField,
                       build_field, build_shape, compatible, parse_field,
                       parse_functional)
 from .report_io import (comparison_record, comparisons_csv, dumps_canonical,
-                        load_report, plot_csv, report_document, suite_record,
+                        load_json, plot_csv, report_document, suite_record,
                         suites_csv, write_json, write_text)
 
 __version__ = "0.1.0"

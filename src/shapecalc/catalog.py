@@ -65,8 +65,6 @@ class _Params:
 
     def scalar(self, key: str, default=_MISSING, positive: bool = False) -> float:
         val = self._take(key, default)
-        if val is None and default is None:
-            return None
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             raise ConfigError(f"{self.where}: parameter '{key}' must be a number")
         val = float(val)
@@ -512,9 +510,8 @@ def _field_bump(p: _Params, name: str):
     radius = p.scalar("radius", positive=True)
     direction = p.vector("dir", dims=(len(center),))
     p.finish()
-    dim = len(center)
-    return frozenset({dim}), lambda d: bump_field(center, radius, direction,
-                                                  dim=dim, name=name)
+    return frozenset({len(center)}), lambda d: bump_field(center, radius,
+                                                          direction, name=name)
 
 
 def _field_sum(p: _Params, name: str):

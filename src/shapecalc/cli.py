@@ -24,7 +24,6 @@ converge, 2 the config, an option or an input file is unusable.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -36,7 +35,7 @@ from .catalog import (ParsedField, _Params, build_shape, compatible,
 from .derivative import ABS_TOL, REL_TOL, FDConfig, compare
 from .errors import ConfigError, InvariantViolation, ShapecalcError
 from .functionals import CrackFunctional
-from .report_io import (comparison_record, comparisons_csv, load_report,
+from .report_io import (comparison_record, comparisons_csv, load_json,
                         plot_csv, report_document, suite_record, suites_csv,
                         write_json, write_text)
 from .validation import (crack_suite, locality_pairs, locality_suite,
@@ -63,21 +62,8 @@ class RunPlan:
     formats: tuple[str, ...]
 
 
-def _read_json(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config '{path}': {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config '{path}' is not valid JSON: {exc}") from exc
-
-
 def load_plan(path: str) -> RunPlan:
-    raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config '{path}': root must be a JSON object")
-    top = _Params(raw, "config")
+    top = _Params(load_json(path, "config"), "config")
     label = top.string("name", default="run")
 
     fd = _Params(top.mapping("fd", default=None), "config.fd")
@@ -328,7 +314,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    doc = load_report(args.report)
+    doc = load_json(args.report, "report")
     text = plot_csv(doc)
     write_text(args.out, text)
     print(f"wrote {args.out} ({text.count(chr(10)) - 1} rows)")

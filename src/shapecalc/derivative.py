@@ -97,10 +97,8 @@ def flow_schedule(X: AmbientField, M, cfg: FDConfig) -> list:
     return _schedule[3]
 
 
-def fd_quotients(J, M, X: AmbientField, cfg: FDConfig | None = None) -> FDTrace:
+def fd_quotients(J, M, X: AmbientField, cfg: FDConfig) -> FDTrace:
     """Difference quotients plus Richardson diagonal for dJ(M)(X)."""
-    if cfg is None:
-        cfg = FDConfig()
     ts = cfg.t0 / 2.0 ** np.arange(cfg.levels)
     base, *flowed = flow_schedule(X, M, cfg)
     J0 = float(J.evaluate(base))
@@ -173,12 +171,8 @@ class DerivativeReport:
     verdict: str
     trace: Optional[FDTrace] = None
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
-
-def compare(J, M, X: AmbientField, cfg: FDConfig | None = None,
+def compare(J, M, X: AmbientField, cfg: FDConfig,
             rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> DerivativeReport:
     """Run the FD oracle against J.analytic_derivative and record the verdict."""
     if J.analytic_derivative is None:

@@ -2,9 +2,10 @@
 
 An AmbientField is a compactly supported C^k field on the hold-all domain,
 given by vectorized callables X: (n, d) -> (n, d) and dX: (n, d) -> (n, d, d).
-split_field decomposes the restriction X|_M into X = X_perp + X_tan + X_nu
+split_field decomposes X|_M at given parameters into X_perp + X_tan + X_nu
 with the manifold's own queries (see geometry): X_perp is normal_part, X_nu
-the component along conormal_extension, X_tan the remainder.
+the component along conormal_extension, X_tan the remainder.  The perp
+restriction reads normal_part alone, so it needs no conormal.
 
 pullback_field carries a vector off a manifold along the nearest-point
 projection, inside a tube about the manifold widened past its open ends.
@@ -223,20 +224,19 @@ def last_call_memo(fn: Callable[..., object]) -> Callable[..., object]:
     return call
 
 
-def bump_field(center, radius: float, direction, dim: int | None = None,
-               name: str = "bump", direction_jacobian=None) -> AmbientField:
+def bump_field(center, radius: float, direction, name: str = "bump",
+               direction_jacobian=None) -> AmbientField:
     """Smooth bump supported in the ball B(center, radius).
 
     X(p) = beta(|p - center| / radius) * direction(p); `direction` is a
     constant vector or a vectorized callable (n, d) -> (n, d).  A callable
     direction comes with `direction_jacobian`, (n, d) -> (n, d, d); both
     are called only where the bump is alive, and X calls only the first.
-    Raises SupportViolation if the ball is not contained in the hold-all
-    default_holdall(dim).
+    The ambient dimension is len(center).  Raises SupportViolation if the
+    ball is not contained in the hold-all default_holdall(dim).
     """
     center = np.asarray(center, dtype=float)
-    if dim is None:
-        dim = len(center)
+    dim = len(center)
     if not default_holdall(dim).contains_ball(center, radius):
         raise SupportViolation(
             f"bump at {center.tolist()} radius {radius:g} escapes the hold-all"
@@ -315,29 +315,6 @@ def sum_field(fields: Sequence[AmbientField], name: str = "sum") -> AmbientField
 # projections and splitting
 
 
-def _conormal_part(manifold, params, x: np.ndarray) -> np.ndarray:
-    nu = manifold.conormal_extension(params)
-    return np.einsum("ij,ij->i", x, nu)[:, None] * nu
-
-
-@dataclass(frozen=True)
-class FieldSplit:
-    """Sampled decomposition X = x_perp + x_tan + x_nu along a manifold.
-
-    params: (n,) curve parameters or (n, 2) surface parameters; points and
-    the component arrays are (n, d); boundary_mask marks samples on the
-    manifold boundary.
-    """
-
-    params: np.ndarray
-    points: np.ndarray
-    x: np.ndarray
-    x_perp: np.ndarray
-    x_tan: np.ndarray
-    x_nu: np.ndarray
-    boundary_mask: np.ndarray
-
-
 def _sample_params(manifold, n_samples: int):
     if isinstance(manifold, ParamCurve):
         return np.linspace(manifold.a, manifold.b, n_samples)
@@ -348,16 +325,14 @@ def _sample_params(manifold, n_samples: int):
     return U.ravel(), V.ravel()
 
 
-def split_field(manifold, field: AmbientField, n_samples: int = 64) -> FieldSplit:
-    """Decompose the restriction of `field` at sampled parameters."""
-    params = _sample_params(manifold, n_samples)
-    pts = manifold.chart(params)
-    x = field.X(pts)
-    x_perp = manifold.normal_part(params, x)
-    x_nu = _conormal_part(manifold, params, x)
-    return FieldSplit(params=np.asarray(params).T, points=pts, x=x,
-                      x_perp=x_perp, x_tan=x - x_perp - x_nu, x_nu=x_nu,
-                      boundary_mask=manifold.on_boundary(params))
+def split_field(manifold, field: AmbientField, params
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, x_perp, x_nu) of `field` on the manifold at params, each (n, d);
+    the tangential part x_tan is x - x_perp - x_nu."""
+    x = field.X(manifold.chart(params))
+    nu = manifold.conormal_extension(params)
+    return (x, manifold.normal_part(params, x),
+            np.einsum("ij,ij->i", x, nu)[:, None] * nu)
 
 
 @dataclass(frozen=True)
@@ -367,17 +342,14 @@ class TangencyReport:
 
 
 def check_tangency(manifold, field: AmbientField) -> TangencyReport:
-    """Max |X_perp| over 200 samples and max |X . nu| over the boundary
-    samples among them."""
-    split = split_field(manifold, field, n_samples=200)
-    normal_res = float(np.linalg.norm(split.x_perp, axis=1).max())
-    bmask = split.boundary_mask
-    if not bmask.any():
-        return TangencyReport(normal_res, 0.0)
-    # the conormal extension is the outward unit conormal on the boundary
-    nu = manifold.conormal_extension(split.params[bmask].T)
-    res = float(np.abs(np.einsum("ij,ij->i", split.x[bmask], nu)).max())
-    return TangencyReport(normal_res, res)
+    """Max |X_perp| over 200 samples and max |X_nu| = |X . nu| (nu the unit
+    conormal) over the boundary samples among them."""
+    params = _sample_params(manifold, 200)
+    _, x_perp, x_nu = split_field(manifold, field, params)
+    on_bd = manifold.on_boundary(params)
+    return TangencyReport(
+        float(np.linalg.norm(x_perp, axis=1).max()),
+        float(np.linalg.norm(x_nu[on_bd], axis=1).max(initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +360,9 @@ def _component_on_params(manifold, field: AmbientField, which: str):
     """Return V(params) evaluating one split component, valid slightly
     beyond the parameter domain (frames extend through the callables)."""
     def V(params):
-        x = field.X(manifold.chart(params))
-        x_perp = manifold.normal_part(params, x)
         if which == "perp":
-            return x_perp
-        x_nu = _conormal_part(manifold, params, x)
+            return manifold.normal_part(params, field.X(manifold.chart(params)))
+        x, x_perp, x_nu = split_field(manifold, field, params)
         return x_nu if which == "nu" else x - x_perp - x_nu
     return V
 

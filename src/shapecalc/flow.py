@@ -50,19 +50,14 @@ def step_count(t: float, max_step: float) -> int:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Fixed-step RK4 flow to time t_final.
-
-    n_steps defaults to step_count(t_final, DEFAULT_MAX_STEP), keeping the
-    step at or below 0.01.
-    """
+    """Fixed-step RK4 flow to time t_final in n_steps steps, a positive
+    integer; step_count(t_final, max_step) is the fewest steps of at most
+    max_step."""
 
     t_final: float
-    n_steps: int | None = None
+    n_steps: int
 
     def __post_init__(self):
-        if self.n_steps is None:
-            object.__setattr__(self, "n_steps",
-                               step_count(self.t_final, DEFAULT_MAX_STEP))
         if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
             raise InvariantViolation("n_steps must be a positive integer")
 

@@ -12,7 +12,7 @@ circle / segment / cylinder model cases:
   d elastic(X) =  int (2 kappa'' + kappa^3)(X.N) ds
                  + [kappa^2 (X.T) + 2 kappa d/ds(X.N) - 2 kappa' (X.N)]_a^b
 
-with the brackets dropped on closed curves / u-closed surfaces.
+with the brackets dropped on closed curves.
 
 Each functional also has a discrete first variation (DV): the exact
 t-derivative at t = 0 of its own quadrature on a manifold transported by
@@ -45,7 +45,7 @@ from ._stencil import sample_derivative
 from .errors import CrackNotInterior, InvariantViolation, NotArcLength
 from .fields import AmbientField, Ball
 from .flow import second_derivative_step
-from .geometry import (ParamCurve, ParamSurface, curvature,
+from .geometry import (ParamCurve, ParamSurface, _cross, curvature,
                        curve_curvature_derivs, curve_frame, frenet_rows,
                        gauss_legendre, integrate_curve, integrate_surface,
                        surface_mean_curvature, surface_nodes)
@@ -90,9 +90,9 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # length
 
 
-def length(curve: ParamCurve, panels: int = CURVE_PANELS) -> float:
-    """Arc length by composite Gauss-Legendre quadrature."""
-    return integrate_curve(curve, lambda ts: np.ones_like(ts), panels=panels)
+def length(curve: ParamCurve) -> float:
+    """Arc length by composite Gauss-Legendre quadrature on CURVE_PANELS."""
+    return integrate_curve(curve, lambda ts: np.ones_like(ts), panels=CURVE_PANELS)
 
 
 def length_density(curve: ParamCurve, X: AmbientField):
@@ -131,9 +131,11 @@ def discrete_dlength(curve: ParamCurve, X: AmbientField) -> float:
 # surface area
 
 
-def surface_area(surf: ParamSurface, panels: tuple[int, int] = SURFACE_PANELS) -> float:
-    """Area by composite Gauss-Legendre quadrature of |phi_u x phi_v|."""
-    return integrate_surface(surf, lambda us, vs: np.ones_like(us), panels=panels)
+def surface_area(surf: ParamSurface) -> float:
+    """Area by composite Gauss-Legendre quadrature of |phi_u x phi_v| on
+    SURFACE_PANELS."""
+    return integrate_surface(surf, lambda us, vs: np.ones_like(us),
+                             panels=SURFACE_PANELS)
 
 
 def discrete_darea(surf: ParamSurface, X: AmbientField) -> float:
@@ -162,7 +164,7 @@ def _side_flux(surf: ParamSurface, X: AmbientField, end: str) -> float:
 
 def analytic_darea(surf: ParamSurface, X: AmbientField) -> float:
     """First variation of area: mean-curvature interior term plus outward
-    flux through the u-side boundary circles (absent when u-closed)."""
+    flux through the u-side boundary circles."""
     if not surf.periodic_v:
         raise InvariantViolation(
             f"surface '{surf.name}': area variation needs a v-periodic chart"
@@ -175,9 +177,7 @@ def analytic_darea(surf: ParamSurface, X: AmbientField) -> float:
         return H * np.einsum("ij,ij->i", xv, N)
 
     total = integrate_surface(surf, density, panels=SURFACE_PANELS)
-    if not surf.u_closed:
-        total += _side_flux(surf, X, "b") + _side_flux(surf, X, "a")
-    return total
+    return total + (_side_flux(surf, X, "b") + _side_flux(surf, X, "a"))
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +192,10 @@ def _require_arc_length(curve: ParamCurve):
         )
 
 
-def bending_energy(curve: ParamCurve, panels: int = CURVE_PANELS) -> float:
-    """int kappa^2 ds in any regular parametrization."""
+def bending_energy(curve: ParamCurve) -> float:
+    """int kappa^2 ds in any regular parametrization, on CURVE_PANELS."""
     return integrate_curve(curve, lambda ts: curvature(curve, ts) ** 2,
-                           panels=panels)
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # the planar cross product as a one-column array, so |c|^2 and c.dc
-    # read the same in the plane and in space
-    if a.shape[1] == 2:
-        return (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])[:, None]
-    return np.cross(a, b)
+                           panels=CURVE_PANELS)
 
 
 def discrete_delastic(curve: ParamCurve, X: AmbientField) -> float:

@@ -13,6 +13,10 @@ Conventions, fixed once and used by every downstream module:
   where its ramp is exactly -1 / +1: -T(a) and +T(b) at curve ends, and
   -+ phi_v x N / |phi_v| on the u = a / u = b sides of a surface.
 
+A surface's u-sides are always boundary: a chart that also closes in u (a
+torus) repeats its grid row u = a at u = b, which the embedding desk check
+rejects with DegenerateImmersion.
+
 One array contract for every chart callable: gamma, dgamma, ddgamma take
 one (n,) float64 parameter array, phi, phi_u, phi_v, phi_vv two of one
 length, and each returns float64 rows, (n, dim) on a curve and (n, 3) on a
@@ -23,15 +27,17 @@ that broke it; every other reader uses the values as they are.
 
 ParamCurve and ParamSurface answer the same manifold queries, so callers
 never branch on the type to ask them.  `params` is t for a curve and the
-pair (u, v) for a surface, scalars or (n,) arrays; every query, and every
-curvature function below, returns one row per parameter point, for scalar
-input too.
+pair (u, v) for a surface, scalars or (n,) arrays, u and v of one shape;
+every query, and every curvature function below, returns one row per
+parameter point, for scalar input too.
 
 * dim: ambient dimension (2 or 3 for curves, 3 for surfaces).
-* reach: 0.5 / (largest |curvature| on the construction grid), inf when
-  that is at most 1e-12; half the smallest focal radius seen, the scale
-  below which tubes and probes keep the nearest-point projection single
-  valued and smooth.  Computed once per manifold.
+* reach: 0.5 / (largest |curvature| kmax on the construction grid), inf
+  when kmax is at most 1e-12, half the smallest focal radius seen; on a
+  curve at most half the distance of two points more than pi / kmax apart
+  along it (_far_separation), such as an open end and another stretch.
+  The scale below which tubes and probes keep the nearest-point projection
+  single valued and smooth.  Computed once per manifold.
 * chart(params): points on the manifold, (n, dim).
 * tangent_frame(params): orthonormal tangent vectors, (T,) for a curve and
   Gram-Schmidt (e1, e2) of (phi_u, phi_v) for a surface; needs only first
@@ -43,7 +49,7 @@ input too.
 * normal_part(params, x): x minus its tangent-frame components; a
   projection (idempotent, self-adjoint).
 * on_boundary(params): mask of parameters on the boundary, the ends of
-  [a, b] in t or u; empty for closed curves and u-closed surfaces.
+  [a, b] in t or u; empty for closed curves.
 * conormal_extension(params): smooth tangent field equal to the outward
   unit conormal on the boundary, ramped by ((s - a)/L)^4 - ((b - s)/L)^4
   in between (s = t or u, L = b - a), zero without a boundary.
@@ -132,15 +138,10 @@ DIFF_ROUNDOFF = 4.0 * np.finfo(float).eps
 
 def _params(params, k: int) -> tuple[np.ndarray, ...]:
     """The k parameter arrays of a query as chart arguments: t for a curve
-    (k = 1), the pair (u, v) for a surface (k = 2), scalars as one row and
-    a pair of unequal shapes broadcast."""
-    xs = [np.atleast_1d(np.asarray(x, dtype=float))
-          for x in ((params,) if k == 1 else params)]
-    # the hot callers pass equal shapes, where broadcasting is a no-op
-    # that still costs more than the query it serves
-    if all(x.shape == xs[0].shape for x in xs):
-        return tuple(xs)
-    return tuple(np.broadcast_arrays(*xs))
+    (k = 1), the pair (u, v) of one shape for a surface (k = 2), scalars as
+    one row."""
+    return tuple(np.atleast_1d(np.asarray(x, dtype=float))
+                 for x in ((params,) if k == 1 else params))
 
 
 def _checked(where: str, label: str, value, shape: tuple) -> np.ndarray:
@@ -207,6 +208,24 @@ def _embedding_extent(pts: np.ndarray, nonadj: np.ndarray) -> tuple[float, float
     return float(np.sqrt(d2.max())), float(np.sqrt(sep2))
 
 
+def _far_separation(pts: np.ndarray, closed: bool, far: float) -> float:
+    """A lower bound on the distance of two points of a sampled curve more
+    than `far` apart along its polygon (closed across the seam), inf when
+    none are: the least such distance between every 4th sample and the
+    last, less the longest polygon stride between two of them."""
+    if closed:
+        pts = np.vstack([pts, pts[:1]])
+    arc = np.concatenate(
+        [[0.0], np.cumsum(np.linalg.norm(np.diff(pts, axis=0), axis=1))])
+    idx = np.unique(np.append(np.arange(0, len(pts), 4), len(pts) - 1))
+    gap = np.abs(np.subtract.outer(arc[idx], arc[idx]))
+    if closed:
+        gap = np.minimum(gap, arc[-1] - gap)
+    d2 = _sq_dist(pts[idx], pts[idx], np.subtract.outer)
+    near = np.sqrt(np.min(d2, where=gap > far, initial=np.inf))
+    return max(near - np.diff(arc[idx]).max(), 0.0)
+
+
 def _frozen(mask: np.ndarray) -> np.ndarray:
     mask.flags.writeable = False
     return mask
@@ -224,14 +243,12 @@ def _curve_nonadjacent(n: int, closed: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _surface_nonadjacent(n: int, u_closed: bool, periodic_v: bool) -> np.ndarray:
+def _surface_nonadjacent(n: int, periodic_v: bool) -> np.ndarray:
     """Pairs of an n x n surface grid outside each other's 8-neighborhood,
-    the first and last rows / columns adjacent where the chart closes."""
+    the first and last columns adjacent where the chart closes in v."""
     iu, iv = np.divmod(np.arange(n * n), n)
     du = np.abs(iu[:, None] - iu[None, :])
     dv = np.abs(iv[:, None] - iv[None, :])
-    if u_closed:
-        du = np.minimum(du, n - 1 - du)
     if periodic_v:
         dv = np.minimum(dv, n - 1 - dv)
     return _frozen((du > 1) | (dv > 1))
@@ -456,7 +473,10 @@ class ParamCurve(_Sampled):
 
     @cached_property
     def reach(self) -> float:
-        return _reach(np.abs(curvature(self, self._grid_ts)))
+        curv = _reach(np.abs(curvature(self, self._grid_ts)))
+        # pi / kmax = 2 pi curv
+        far = _far_separation(self._grid_points, self.closed, 2.0 * np.pi * curv)
+        return min(curv, 0.5 * far)
 
     def chart(self, t) -> np.ndarray:
         return self.gamma(*_params(t, 1))
@@ -511,16 +531,16 @@ class ParamSurface(_Sampled):
     """Regular parametrized surface phi: [a,b] x [c,d] -> R^3.
 
     phi, phi_u, phi_v, phi_vv map pairs of (n,) arrays to (n, 3).  Whether
-    the surface closes up in v (cylinder-like seam) or in u is detected at
-    construction and stored in periodic_v / u_closed; operations that need
-    the cylinder topology check those flags.
+    the surface closes up in v (cylinder-like seam) is detected at
+    construction and stored in periodic_v; operations that need the
+    cylinder topology check it.  The u-sides are always boundary.
 
     base is the surface this one was numerically flowed from (None on a
     hand-written chart; transported says whether it is set).  A
-    transported surface inherits periodic_v and u_closed from its base,
-    and raises InvariantViolation naming a seam that does not close alike
-    at the 1e-6 tolerance of its integrator and Jacobian-transport noise,
-    which its consistency check tolerates too.
+    transported surface inherits periodic_v from its base, and raises
+    InvariantViolation when its v-seam does not close alike at the 1e-6
+    tolerance of its integrator and Jacobian-transport noise, which its
+    consistency check tolerates too.
 
     foot, when set, is an exact nearest-point map foot(pts, extend_u) ->
     (u, v) onto the surface with its u-range widened by extend_u; it
@@ -551,9 +571,8 @@ class ParamSurface(_Sampled):
         U, V = np.meshgrid(us, vs, indexing="ij")
         uu, vv = U.ravel(), V.ravel()
         where = f"surface '{self.name}'"
-        # seam edges: v = c then v = d along us, u = a then u = b along vs
+        # seam edges: v = c then v = d along us
         v_seam = (np.concatenate([us, us]), np.repeat([self.c, self.d], n))
-        u_seam = (np.repeat([self.a, self.b], n), np.concatenate([vs, vs]))
         # the derivative check's samples (su, sv) and their shifts
         rng = np.random.default_rng(_CHECK_RNG_SEED + 1)
         hu = 1e-6 * (self.b - self.a)
@@ -561,8 +580,8 @@ class ParamSurface(_Sampled):
         su = rng.uniform(self.a + 2 * hu, self.b - 2 * hu, 32)
         sv = rng.uniform(self.c + 2 * hv, self.d - 2 * hv, 32)
         v_shifts = ((su, sv + hv), (su, sv - hv))
-        pts, phi_vs, phi_us, phi_up, phi_um, phi_vp, phi_vm = self._values(
-            where, "phi", (uu, vv), v_seam, u_seam, (su + hu, sv), (su - hu, sv),
+        pts, phi_vs, phi_up, phi_um, phi_vp, phi_vm = self._values(
+            where, "phi", (uu, vv), v_seam, (su + hu, sv), (su - hu, sv),
             *v_shifts)
         if not np.all(np.isfinite(pts)):
             raise InvariantViolation(
@@ -570,9 +589,9 @@ class ParamSurface(_Sampled):
             )
         # phi_u and phi_v on one array: a transported surface flows one
         # Jacobian for both
-        partials = ((uu, vv), v_seam, u_seam, (su, sv), *v_shifts)
-        pu, _, pu_us, pu_s, _, _ = self._values(where, "phi_u", *partials)
-        pv, pv_vs, pv_us, pv_s, pv_p, pv_m = self._values(where, "phi_v", *partials)
+        partials = ((uu, vv), v_seam, (su, sv), *v_shifts)
+        pu, _, pu_s, _, _ = self._values(where, "phi_u", *partials)
+        pv, pv_vs, pv_s, pv_p, pv_m = self._values(where, "phi_v", *partials)
         jac = np.linalg.norm(np.cross(pu, pv), axis=1)
         if jac.min() <= 1e-12 * max(1.0, jac.max()):
             k = jac.argmin()
@@ -593,18 +612,16 @@ class ParamSurface(_Sampled):
         # seam detection; transported charts match only up to integrator
         # noise and must close where their base does
         tol = (1e-6 if self.transported else 1e-12) * scale
-        for flag, seam, edges in (
-            ("periodic_v", "v = c / v = d", (phi_vs, pv_vs, pvv_vs)),
-            ("u_closed", "u = a / u = b", (phi_us, pu_us, pv_us)),
-        ):
-            closes = all(np.abs(x[:n] - x[n:]).max() <= tol for x in edges)
-            if self.base is not None and closes != getattr(self.base, flag):
-                raise InvariantViolation(
-                    f"{where}: the {seam} seam {'closes' if closes else 'opens'} under"
-                    f" transport ({flag} = {not closes} on base '{self.base.name}')")
-            object.__setattr__(self, flag, closes)
+        closes = all(np.abs(x[:n] - x[n:]).max() <= tol
+                     for x in (phi_vs, pv_vs, pvv_vs))
+        if self.base is not None and closes != self.base.periodic_v:
+            raise InvariantViolation(
+                f"{where}: the v = c / v = d seam {'closes' if closes else 'opens'}"
+                f" under transport (periodic_v = {not closes} on base "
+                f"'{self.base.name}')")
+        object.__setattr__(self, "periodic_v", closes)
         extent = self._check_embedding(
-            where, pts, _surface_nonadjacent(n, self.u_closed, self.periodic_v))
+            where, pts, _surface_nonadjacent(n, self.periodic_v))
         if self.foot is not None:
             _check_foot(where, lambda p: self.foot(p, 0.0),
                         self.phi, (self.phi_u, self.phi_v), pts,
@@ -645,12 +662,10 @@ class ParamSurface(_Sampled):
 
     def on_boundary(self, params) -> np.ndarray:
         us, _ = _params(params, 2)
-        return ((us == self.a) | (us == self.b)) & (not self.u_closed)
+        return (us == self.a) | (us == self.b)
 
     def conormal_extension(self, params) -> np.ndarray:
         us, vs = _params(params, 2)
-        if self.u_closed:
-            return np.zeros((len(us), 3))
         if not self.periodic_v:
             raise InvariantViolation(
                 f"surface '{self.name}': boundary-normal extension needs a "
@@ -684,14 +699,20 @@ class FrenetFrame:
 # frames and curvature
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b row by row; in the plane the signed a0 b1 - a1 b0 as a
+    one-column array, so |c|^2 and c.dc read the same in the plane and in
+    space."""
+    if a.shape[1] == 2:
+        return (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])[:, None]
+    return np.cross(a, b)
+
+
 def _kappa(d1: np.ndarray, d2: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Curvature from gamma', gamma'' and the speed v: the signed planar
     cross product, or |gamma' x gamma''| in space, over v^3."""
-    if d1.shape[1] == 2:
-        cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    else:
-        cross = np.linalg.norm(np.cross(d1, d2), axis=1)
-    return cross / v**3
+    c = _cross(d1, d2)
+    return (c[:, 0] if d1.shape[1] == 2 else np.linalg.norm(c, axis=1)) / v**3
 
 
 def curvature(curve: ParamCurve, t) -> np.ndarray:
@@ -778,8 +799,7 @@ def _weingarten(surf: ParamSurface, params):
     us, vs = _params(params, 2)
     h = 1e-5 * min(surf.b - surf.a, surf.d - surf.c)
     normal = lambda *uv: surf.unit_normal(uv)
-    Nu = sample_derivative(normal, (us, vs), h, 1, surf.a, surf.b,
-                           periodic=surf.u_closed, along=0)
+    Nu = sample_derivative(normal, (us, vs), h, 1, surf.a, surf.b, along=0)
     Nv = sample_derivative(normal, (us, vs), h, 1, surf.c, surf.d,
                            periodic=surf.periodic_v)
     pu = surf.phi_u(us, vs)

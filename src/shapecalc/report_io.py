@@ -23,7 +23,7 @@ from .validation import StructureSuiteResult
 __all__ = [
     "comparison_record", "suite_record", "summary_record", "report_document",
     "dumps_canonical", "write_json", "write_text",
-    "comparisons_csv", "suites_csv", "plot_csv", "load_report",
+    "comparisons_csv", "suites_csv", "plot_csv", "load_json",
 ]
 
 
@@ -34,18 +34,16 @@ def _num(x) -> float:
     return x
 
 
+# the fields of a comparison record before its trace, and the CSV columns
+_COMPARISON_COLUMNS = ["functional", "manifold", "field", "fd_value",
+                       "fd_error_estimate", "analytic_value", "abs_diff",
+                       "rel_diff", "verdict"]
+
+
 def comparison_record(rep: DerivativeReport) -> dict:
-    rec = {
-        "functional": rep.functional,
-        "manifold": rep.manifold,
-        "field": rep.field,
-        "fd_value": _num(rep.fd_value),
-        "fd_error_estimate": _num(rep.fd_error_estimate),
-        "analytic_value": _num(rep.analytic_value),
-        "abs_diff": _num(rep.abs_diff),
-        "rel_diff": _num(rep.rel_diff),
-        "verdict": rep.verdict,
-    }
+    values = (getattr(rep, k) for k in _COMPARISON_COLUMNS)
+    rec = {k: v if isinstance(v, str) else _num(v)
+           for k, v in zip(_COMPARISON_COLUMNS, values)}
     if rep.trace is not None:
         rec["trace"] = {
             "ts": [_num(t) for t in rep.trace.ts],
@@ -179,12 +177,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def comparisons_csv(comparisons: Sequence[dict]) -> str:
-    rows = [[c["functional"], c["manifold"], c["field"], c["fd_value"],
-             c["fd_error_estimate"], c["analytic_value"], c["abs_diff"],
-             c["rel_diff"], c["verdict"]] for c in comparisons]
-    return _csv_text(["functional", "manifold", "field", "fd_value",
-                      "fd_error_estimate", "analytic_value", "abs_diff",
-                      "rel_diff", "verdict"], rows)
+    return _csv_text(_COMPARISON_COLUMNS,
+                     [[c[k] for k in _COMPARISON_COLUMNS] for c in comparisons])
 
 
 def suites_csv(suites: Sequence[dict]) -> str:
@@ -221,14 +215,16 @@ def plot_csv(doc: dict) -> str:
                       "quotient", "extrapolant"], rows)
 
 
-def load_report(path: str) -> dict:
+def load_json(path: str, what: str) -> dict:
+    """The JSON object in the UTF-8 file at path; ConfigError naming `what`
+    (config, report) and path when it cannot be read or holds no object."""
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except OSError as exc:
-        raise ConfigError(f"cannot read report '{path}': {exc}") from exc
+        raise ConfigError(f"cannot read {what} '{path}': {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"report '{path}' is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} '{path}' is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"report '{path}': top level must be an object")
+        raise ConfigError(f"{what} '{path}': top level must be an object")
     return doc

@@ -12,6 +12,7 @@ import pytest
 from shapecalc.catalog import build_field, build_shape
 from shapecalc.derivative import FDConfig
 from shapecalc.fields import fd_jacobian
+from shapecalc.geometry import ParamSurface
 
 TWO_PI = 2.0 * np.pi
 
@@ -71,6 +72,23 @@ def helix1():
 def cylinder():
     return build_shape(
         {"kind": "cylinder", "radius": 1.0, "height": 2.0, "name": "cylinder"}
+    )
+
+
+@pytest.fixture(scope="session")
+def saddle():
+    # z = u^2 - v^2 has principal curvatures +-2 at the origin and H = 0;
+    # it closes in neither direction
+    return ParamSurface(
+        a=-0.5, b=0.5, c=-0.5, d=0.5,
+        phi=lambda u, v: np.stack([u, v, u * u - v * v], axis=-1),
+        phi_u=lambda u, v: np.stack(
+            [np.ones_like(u), np.zeros_like(u), 2.0 * u], axis=-1),
+        phi_v=lambda u, v: np.stack(
+            [np.zeros_like(v), np.ones_like(v), -2.0 * v], axis=-1),
+        phi_vv=lambda u, v: np.stack(
+            [np.zeros_like(v), np.zeros_like(v), np.full_like(v, -2.0)], axis=-1),
+        name="saddle",
     )
 
 

@@ -51,6 +51,12 @@ def test_unknown_shape_kind():
         build_shape({"kind": "torus", "radius": 1.0})
 
 
+def test_unknown_parameters_rejected():
+    with pytest.raises(ConfigError,
+                       match=r"^shape: unknown parameter\(s\) 'colour', 'size'$"):
+        build_shape({"kind": "circle", "size": 1.0, "colour": "red"})
+
+
 def test_shape_parameter_diagnostics():
     with pytest.raises(ConfigError, match="pitch"):
         build_shape({"kind": "helix"})

@@ -5,8 +5,9 @@ import pytest
 
 from shapecalc import derivative
 from shapecalc.catalog import build_field, build_shape
-from shapecalc.derivative import FDConfig, compare, fd_quotients
-from shapecalc.errors import InvariantViolation, NoConvergence
+from shapecalc.derivative import (FDConfig, compare, discrete_variation,
+                                  fd_quotients)
+from shapecalc.errors import InvariantViolation, NoConvergence, NonFinite
 from shapecalc.fields import sum_field
 from shapecalc.functionals import (ShapeFunctional, analytic_dlength,
                                    discrete_dlength, elastic_functional,
@@ -100,6 +101,26 @@ def test_square_root_kink_is_flagged(circle1, radial2, fd5):
     )
     with pytest.raises(NoConvergence):
         fd_quotients(kink, circle1, radial2, cfg=fd5)
+
+
+def test_non_finite_values_raise(circle1, radial2, fd5):
+    nan = ShapeFunctional(name="nan", evaluate=lambda M: np.nan,
+                          discrete_derivative=lambda M, X: np.nan)
+    with pytest.raises(NonFinite,
+                       match="functional 'nan' is not finite on the base manifold"):
+        fd_quotients(nan, circle1, radial2, fd5)
+    # finite on the t = 0 flow only
+    late = ShapeFunctional(
+        name="late",
+        evaluate=lambda M: length(M) if M.name.endswith(":0") else np.inf,
+        discrete_derivative=discrete_dlength)
+    with pytest.raises(NonFinite,
+                       match=f"functional 'late' not finite at flow time {fd5.t0:g}"):
+        fd_quotients(late, circle1, radial2, fd5)
+    with pytest.raises(NonFinite,
+                       match=f"discrete first variation of 'nan' on 'circle1' "
+                             f"along '{radial2.name}' is not finite"):
+        discrete_variation(nan, circle1, radial2)
 
 
 def test_fd_config_validation():

@@ -20,6 +20,7 @@ from shapecalc.fields import (
     smooth_step_deriv,
     split_field,
     sum_field,
+    _sample_params,
 )
 from shapecalc.validation import tangential_probe_fields
 
@@ -131,6 +132,13 @@ def test_sum_field_values_and_scale(e1_field):
     assert sum_field([e1_field, e1_field]).scale is None
 
 
+def test_sum_field_rejects_no_fields_and_mixed_dimensions(e1_field, e3_field):
+    with pytest.raises(ValueError, match="sum_field needs at least one field"):
+        sum_field([])
+    with pytest.raises(InvariantViolation, match="sum_field: mixed dimensions"):
+        sum_field([e1_field, e3_field])
+
+
 def test_fd_jacobian_matches_linear_map():
     A = np.array([[0.3, -1.2], [0.7, 0.1]])
     X = lambda p: p @ A.T
@@ -140,24 +148,41 @@ def test_fd_jacobian_matches_linear_map():
 
 
 def test_split_field_reassembles(segment01, e1_field):
-    sp = split_field(segment01, e1_field, n_samples=32)
-    np.testing.assert_allclose(sp.x, sp.x_perp + sp.x_tan + sp.x_nu, atol=1e-12)
+    params = _sample_params(segment01, 32)
+    x, x_perp, x_nu = split_field(segment01, e1_field, params)
+    np.testing.assert_array_equal(x, e1_field.X(segment01.chart(params)))
+    # the remainder x - x_perp - x_nu is tangent
+    np.testing.assert_allclose(
+        segment01.normal_part(params, x - x_perp - x_nu), 0.0, atol=1e-12)
     # horizontal field on a horizontal segment has no normal part
-    np.testing.assert_allclose(sp.x_perp, 0.0, atol=1e-12)
-    assert sp.boundary_mask[0] and sp.boundary_mask[-1]
-    assert not sp.boundary_mask[1:-1].any()
+    np.testing.assert_allclose(x_perp, 0.0, atol=1e-12)
+    on_bd = segment01.on_boundary(params)
+    assert on_bd[0] and on_bd[-1] and not on_bd[1:-1].any()
     # the conormal share dominates at the ends and dies off inside
-    np.testing.assert_allclose(sp.x_nu[0], [1.0, 0.0], atol=1e-12)
-    assert np.linalg.norm(sp.x_nu[len(sp.x_nu) // 2]) < 1e-3
+    np.testing.assert_allclose(x_nu[0], [1.0, 0.0], atol=1e-12)
+    assert np.linalg.norm(x_nu[len(x_nu) // 2]) < 1e-3
 
 
 def test_split_field_closed_curve_has_no_conormal(circle1, radial2):
-    sp = split_field(circle1, radial2, n_samples=64)
-    np.testing.assert_allclose(sp.x_nu, 0.0, atol=1e-12)
-    np.testing.assert_allclose(sp.x, sp.x_perp + sp.x_tan, atol=1e-12)
+    params = _sample_params(circle1, 64)
+    x, x_perp, x_nu = split_field(circle1, radial2, params)
+    np.testing.assert_allclose(x_nu, 0.0, atol=1e-12)
     # the radial field is purely normal on a centered circle
-    np.testing.assert_allclose(sp.x_tan, 0.0, atol=1e-9)
-    assert not sp.boundary_mask.any()
+    np.testing.assert_allclose(x - x_perp, 0.0, atol=1e-9)
+    assert not circle1.on_boundary(params).any()
+
+
+def test_perp_restriction_needs_no_conormal(saddle, linear_field):
+    # the saddle closes in neither direction, so it has no conormal
+    # extension; the perp part reads the normal part alone
+    field = linear_field(3)
+    with pytest.raises(InvariantViolation, match="v-periodic"):
+        restriction_field(saddle, field, "nu")
+    F = restriction_field(saddle, field, "perp")
+    pts = saddle.chart((np.array([0.1, -0.2]), np.array([0.3, 0.0])))
+    np.testing.assert_allclose(F.X(pts), saddle.normal_part(
+        (np.array([0.1, -0.2]), np.array([0.3, 0.0])), field.X(pts)),
+        atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -174,9 +199,10 @@ def test_split_field_orthogonality_property(seed):
     ell, rot = _SPLIT_CACHE[key]
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 48))
-    sp = split_field(ell, rot, n_samples=n)
-    np.testing.assert_allclose(sp.x, sp.x_perp + sp.x_tan + sp.x_nu, atol=1e-12)
-    assert np.all(np.abs(np.sum(sp.x_perp * sp.x_tan, axis=1)) < 1e-12)
+    x, x_perp, x_nu = split_field(ell, rot, _sample_params(ell, n))
+    x_tan = x - x_perp - x_nu
+    assert np.all(np.abs(np.sum(x_perp * x_tan, axis=1)) < 1e-12)
+    assert np.all(np.abs(np.sum(x_perp * x_nu, axis=1)) < 1e-12)
 
 
 _SPLIT_CACHE = {}

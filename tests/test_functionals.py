@@ -6,6 +6,7 @@ import pytest
 from shapecalc.errors import CrackNotInterior, NotArcLength
 from shapecalc.fields import Ball
 from shapecalc.functionals import (
+    CURVE_PANELS,
     analytic_darea,
     analytic_delastic,
     analytic_dlength,
@@ -18,6 +19,7 @@ from shapecalc.functionals import (
     length_functional,
     surface_area,
 )
+from shapecalc.geometry import integrate_curve
 
 TWO_PI = 2.0 * np.pi
 # perimeter of the 2:1 ellipse, 8 E(3/4) in complete elliptic integrals
@@ -33,9 +35,9 @@ def test_exact_lengths(circle1, circle2, segment01, helix1, ellipse21):
 
 
 def test_quadrature_panels_converged(ellipse21):
-    assert length(ellipse21, panels=512) == pytest.approx(
-        length(ellipse21, panels=2048), rel=1e-12
-    )
+    # length's CURVE_PANELS against four times as many
+    fine = integrate_curve(ellipse21, np.ones_like, panels=4 * CURVE_PANELS)
+    assert length(ellipse21) == pytest.approx(fine, rel=1e-12)
 
 
 def test_elastic_energy_circle(circle1, circle2):

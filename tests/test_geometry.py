@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapecalc._stencil import sample_derivative
 from shapecalc.errors import (
     DegenerateFrame,
     DegenerateImmersion,
+    IllConditioned,
     InvariantViolation,
     NoConvergence,
 )
@@ -505,21 +507,6 @@ def test_wrong_foot_rejected(cylinder):
         _without_foot(cylinder, foot=shifted, name="cylinder_bad_foot")
 
 
-def _saddle():
-    # z = u^2 - v^2 has principal curvatures +-2 at the origin and H = 0
-    return ParamSurface(
-        a=-0.5, b=0.5, c=-0.5, d=0.5,
-        phi=lambda u, v: np.stack([u, v, u * u - v * v], axis=-1),
-        phi_u=lambda u, v: np.stack(
-            [np.ones_like(u), np.zeros_like(u), 2.0 * u], axis=-1),
-        phi_v=lambda u, v: np.stack(
-            [np.zeros_like(v), np.ones_like(v), -2.0 * v], axis=-1),
-        phi_vv=lambda u, v: np.stack(
-            [np.zeros_like(v), np.zeros_like(v), np.full_like(v, -2.0)], axis=-1),
-        name="saddle",
-    )
-
-
 def _reference_surface_normal(surf, us, vs):
     """phi_u x phi_v / |phi_u x phi_v|, as the free surface_normal function
     that ParamSurface.unit_normal replaced computed it."""
@@ -528,9 +515,9 @@ def _reference_surface_normal(surf, us, vs):
     return cr / np.linalg.norm(cr, axis=1)[:, None]
 
 
-def test_unit_normal_is_the_reference_formula(cylinder):
+def test_unit_normal_is_the_reference_formula(cylinder, saddle):
     rng = np.random.default_rng(3)
-    for M in (cylinder, _saddle()):
+    for M in (cylinder, saddle):
         us = rng.uniform(M.a, M.b, 200)
         vs = rng.uniform(M.c, M.d, 200)
         np.testing.assert_array_equal(M.unit_normal((us, vs)),
@@ -552,10 +539,9 @@ def test_unit_normal_is_the_reference_formula(cylinder):
     assert str(exc.value) == "surface 'cone': normal undefined at (0, 0.3)"
 
 
-def test_saddle_newton_matches_brute_force():
+def test_saddle_newton_matches_brute_force(saddle):
     # phi_u . phi_v = -4uv couples u and v, so a foot held at a u-side must
     # still minimise the distance over v along that side
-    saddle = _saddle()
     rng = np.random.default_rng(0)
     n = 120
     us, vs = rng.uniform(-0.7, 0.7, n), rng.uniform(-0.45, 0.45, n)
@@ -572,11 +558,10 @@ def test_saddle_newton_matches_brute_force():
     assert np.all(brute - dist <= 2e-3)
 
 
-def test_saddle_newton_exact_in_u_past_the_v_edges():
+def test_saddle_newton_exact_in_u_past_the_v_edges(saddle):
     # tube points past v = +-0.5: each foot is held on a v-edge, where only
     # the u equation is left, and the u-u entry must be the Hessian's (with
     # phi_uu) for Newton to converge inside the iteration cap
-    saddle = _saddle()
     rng = np.random.default_rng(0)
     n = 400
     us = rng.uniform(-0.5, 0.5, n)
@@ -595,8 +580,7 @@ def test_saddle_newton_exact_in_u_past_the_v_edges():
         assert brute - ft.dist[k] <= 1e-7
 
 
-def test_surface_max_curvature_saddle_and_cylinder(cylinder):
-    saddle = _saddle()
+def test_surface_max_curvature_saddle_and_cylinder(cylinder, saddle):
     assert surface_mean_curvature(saddle, (0.0, 0.0))[0] == pytest.approx(0.0, abs=1e-6)
     assert surface_max_curvature(saddle, (0.0, 0.0))[0] == pytest.approx(2.0, rel=1e-6)
     us = np.linspace(cylinder.a, cylinder.b, 7)
@@ -730,12 +714,10 @@ def _reference_curve_mask(n, closed):
     return gap > 1
 
 
-def _reference_surface_mask(n, u_closed, periodic_v):
+def _reference_surface_mask(n, periodic_v):
     iu, iv = np.divmod(np.arange(n * n), n)
     du = np.abs(iu[:, None] - iu[None, :])
     dv = np.abs(iv[:, None] - iv[None, :])
-    if u_closed:
-        du = np.minimum(du, n - 1 - du)
     if periodic_v:
         dv = np.minimum(dv, n - 1 - dv)
     return (du > 1) | (dv > 1)
@@ -757,14 +739,12 @@ def test_curve_embedding_extent_bit_equal_to_reference(dim, closed):
         assert diam == ref_diam and sep == ref_sep
 
 
-@pytest.mark.parametrize("u_closed", [False, True])
 @pytest.mark.parametrize("periodic_v", [False, True])
-def test_surface_embedding_extent_bit_equal_to_reference(u_closed, periodic_v):
+def test_surface_embedding_extent_bit_equal_to_reference(periodic_v):
     n = 24
-    mask = geometry._surface_nonadjacent(n, u_closed, periodic_v)
-    np.testing.assert_array_equal(
-        mask, _reference_surface_mask(n, u_closed, periodic_v))
-    rng = np.random.default_rng(29 + u_closed + 2 * periodic_v)
+    mask = geometry._surface_nonadjacent(n, periodic_v)
+    np.testing.assert_array_equal(mask, _reference_surface_mask(n, periodic_v))
+    rng = np.random.default_rng(29 + 2 * periodic_v)
     for _ in range(10):
         pts = rng.standard_normal((n * n, 3)) * rng.uniform(0.1, 10.0)
         diam, sep = geometry._embedding_extent(pts, mask)
@@ -774,7 +754,7 @@ def test_surface_embedding_extent_bit_equal_to_reference(u_closed, periodic_v):
 
 def test_nonadjacency_masks_are_shared_and_read_only():
     for make, args in ((geometry._curve_nonadjacent, (512, True)),
-                       (geometry._surface_nonadjacent, (24, False, True))):
+                       (geometry._surface_nonadjacent, (24, True))):
         mask = make(*args)
         assert make(*args) is mask
         assert not mask.flags.writeable
@@ -804,6 +784,79 @@ def test_lapped_surface_chart_rejected():
                 [-np.cos(v), -np.sin(v), np.zeros_like(u)], axis=-1),
             name="lapped-cylinder",
         )
+
+
+def test_torus_chart_rejected():
+    # a chart that closes in u as well as v: its u-sides are boundary, so
+    # the grid rows u = a and u = b coincide as non-adjacent samples
+    R, r = 2.0, 0.5
+    with pytest.raises(DegenerateImmersion, match="samples nearly coincide"):
+        ParamSurface(
+            a=0.0, b=TWO_PI, c=0.0, d=TWO_PI,
+            phi=lambda u, v: np.stack([(R + r * np.cos(u)) * np.cos(v),
+                                       (R + r * np.cos(u)) * np.sin(v),
+                                       r * np.sin(u)], axis=-1),
+            phi_u=lambda u, v: np.stack([-r * np.sin(u) * np.cos(v),
+                                         -r * np.sin(u) * np.sin(v),
+                                         r * np.cos(u)], axis=-1),
+            phi_v=lambda u, v: np.stack([-(R + r * np.cos(u)) * np.sin(v),
+                                         (R + r * np.cos(u)) * np.cos(v),
+                                         np.zeros_like(v)], axis=-1),
+            phi_vv=lambda u, v: np.stack([-(R + r * np.cos(u)) * np.cos(v),
+                                          -(R + r * np.cos(u)) * np.sin(v),
+                                          np.zeros_like(v)], axis=-1),
+            name="torus",
+        )
+
+
+def _line(dim=2, a=0.0, b=1.0):
+    e = np.eye(dim)[0]
+    return dict(dim=dim, a=a, b=b,
+                gamma=lambda t: t[:, None] * e,
+                dgamma=lambda t: np.broadcast_to(e, (len(t), dim)).copy(),
+                ddgamma=lambda t: np.zeros((len(t), dim)),
+                closed=False, name="line")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (_line(dim=4), "dim must be 2 or 3"),
+    (_line(a=1.0, b=1.0), "need b > a"),
+])
+def test_curve_rejects_its_dimension_and_interval(kwargs, message):
+    with pytest.raises(InvariantViolation, match=f"curve 'line': {message}"):
+        ParamCurve(**kwargs)
+
+
+def test_surface_rejects_an_empty_box(cylinder):
+    for box in (dict(b=cylinder.a), dict(d=cylinder.c)):
+        with pytest.raises(InvariantViolation,
+                           match="surface 'flat': empty parameter box"):
+            dataclasses.replace(cylinder, name="flat", foot=None, **box)
+
+
+def test_ill_conditioned_tangent_gram_raises():
+    # phi_u = (1e-6, 0, 0) against phi_v = (0, 1, 0): the Gram system's
+    # condition is 1e12, past the 1e10 the Weingarten solve allows
+    surf = ParamSurface(
+        a=0.0, b=1e6, c=0.0, d=1.0,
+        phi=lambda u, v: np.stack([1e-6 * u, v, np.zeros_like(u)], axis=-1),
+        phi_u=lambda u, v: np.stack(
+            [np.full_like(u, 1e-6), np.zeros_like(u), np.zeros_like(u)], axis=-1),
+        phi_v=lambda u, v: np.stack(
+            [np.zeros_like(v), np.ones_like(v), np.zeros_like(v)], axis=-1),
+        phi_vv=lambda u, v: np.zeros((len(v), 3)),
+        name="stretched",
+    )
+    with pytest.raises(IllConditioned,
+                       match="surface 'stretched': tangent Gram system "
+                             "condition exceeds 1e10"):
+        surf.reach
+
+
+def test_stencil_step_too_large_raises():
+    with pytest.raises(ValueError, match="stencil step too large"):
+        sample_derivative(lambda t: t[:, None], (np.array([0.5]),), 0.3, 1,
+                          0.0, 1.0)
 
 
 def test_lapped_open_arc_rejected():
@@ -975,6 +1028,53 @@ def test_reach_values(circle2, segment01, helix1, cylinder):
     assert segment01.reach == np.inf
     assert helix1.reach == pytest.approx(1.0, rel=1e-12)
     assert cylinder.reach == pytest.approx(0.5, rel=1e-9)
+
+
+def test_reach_sees_far_stretches_that_come_close(seeds_passed):
+    # an arc (kappa = 1) whose open ends are 2 sin(0.1) apart, and a helix
+    # (kappa = 0.994) whose turns lie 0.5 apart: the curvature alone gives
+    # a reach near 0.5, past half of either gap.  The reach is half the gap
+    # less at most half the longest stride of 4 grid steps
+    from shapecalc.catalog import build_shape
+
+    arc = dataclasses.replace(
+        build_shape({"kind": "arc", "radius": 1.0, "angle0": 0.1,
+                     "angle1": TWO_PI - 0.1}), foot=None)
+    helix = build_shape({"kind": "helix", "radius": 1.0, "pitch": 0.5,
+                         "turns": 3.0})
+    for M, gap in ((arc, 2.0 * np.sin(0.1)), (helix, 0.5)):
+        stride = 4.0 * float(M.grid_speed.max()) * (M.b - M.a) / 511
+        assert 0.5 * (gap - stride) - 1e-12 <= M.reach <= 0.5 * gap
+    # each first foot lies past the reach, so inside a session the second
+    # projection seeds from the grid; a curvature-only reach of 0.5 would
+    # let it keep the first foot on the other stretch (arc: t = a at 0.1228
+    # for 0.1053 at t = b; helix: the upper turn at 0.2592 for 0.2392)
+    for M, p1, p2 in ((arc, [[1.05, 0.01]], [[1.05, -0.01]]),
+                      (helix, [[1.0, 0.0, 0.76]], [[1.0, 0.0, 0.74]])):
+        seeds_passed.clear()
+        ft = _moved_in_session(M, np.array(p1), np.array(p2))
+        assert seeds_passed == [None, None]
+        dense = M.gamma(np.linspace(M.a, M.b, 200001))
+        brute = np.linalg.norm(dense - np.array(p2), axis=1).min()
+        assert ft.dist[0] <= brute + 1e-12
+        assert brute - ft.dist[0] <= 1e-9
+
+
+def test_far_separation_is_a_lower_bound():
+    # a half circle: points more than 3 apart along it lie at least
+    # 2 sin(1.5) apart, which the bound may undercut by one stride of 4
+    # grid steps, and no two lie farther than pi apart along it
+    n = 512
+    t = np.linspace(0.0, np.pi, n)
+    pts = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    got = geometry._far_separation(pts, False, 3.0)
+    assert 2.0 * np.sin(1.5) - 4.0 * np.pi / (n - 1) <= got <= 2.0 * np.sin(1.5)
+    assert geometry._far_separation(pts, False, np.pi) == np.inf
+    # on a closed polygon the distance along it wraps: no pair of a circle
+    # lies more than half its length apart
+    ring = np.stack([np.cos(t[:-1] * 2), np.sin(t[:-1] * 2)], axis=-1)
+    assert geometry._far_separation(ring, True, 0.99 * np.pi) < 2.0
+    assert geometry._far_separation(ring, True, np.pi) == np.inf
 
 
 def _query_params(M, n=9):

@@ -8,7 +8,7 @@ import pytest
 
 from shapecalc.errors import ConfigError, NonFinite
 from shapecalc.report_io import (_num, comparisons_csv, dumps_canonical,
-                                 load_report, plot_csv, suites_csv,
+                                 load_json, plot_csv, suites_csv,
                                  write_text)
 
 
@@ -87,18 +87,22 @@ def test_plot_csv_rejects_missing_section_and_ragged_trace():
 
 def test_load_report_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read report"):
-        load_report(str(tmp_path / "absent.json"))
+        load_json(str(tmp_path / "absent.json"), "report")
     bad = tmp_path / "bad.json"
     bad.write_text("{\"comparisons\": [")
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        load_report(str(bad))
+    with pytest.raises(ConfigError, match="report '.*bad.json' is not valid JSON"):
+        load_json(str(bad), "report")
     top = tmp_path / "list.json"
     top.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="top level must be an object"):
-        load_report(str(top))
+        load_json(str(top), "report")
+    # the one reader names what it read: a config reads as a config
+    with pytest.raises(ConfigError,
+                       match="config '.*list.json': top level must be an object"):
+        load_json(str(top), "config")
     good = tmp_path / "good.json"
     good.write_text("{\"comparisons\": []}")
-    assert load_report(str(good)) == {"comparisons": []}
+    assert load_json(str(good), "report") == {"comparisons": []}
 
 
 def test_csv_writers_format_floats_at_17_digits():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapecalc import validation
 from shapecalc.errors import ProbeOverlap
 from shapecalc.fields import Ball, check_tangency
 from shapecalc.functionals import (
@@ -68,6 +69,22 @@ def test_nullity_suite_accepts_tangent_rejects_normal(circle1):
     assert len(neg) == 1 and neg[0].passed
 
 
+def test_nullity_suite_on_an_open_curve(segment01):
+    # an interior normal bump leaves a straight segment's length stationary,
+    # so the control of an open curve pushes its end b along the outward
+    # conormal instead
+    neg = nullity_negative_field(segment01)
+    assert neg.name == "conormal-bump[segment01]"
+    np.testing.assert_allclose(neg.X(segment01.chart(segment01.b)),
+                               segment01.conormal_extension(segment01.b))
+    probes = tangential_probe_fields(segment01, n=2, seed=0)
+    (res,) = tangential_nullity_suite([length_functional()], segment01, probes,
+                                      negative=[neg])
+    assert res.passed
+    (control,) = [c for c in res.cases if "negative control" in c.description]
+    assert control.measured > control.bound
+
+
 def test_nullity_suite_flags_normal_probe(circle1, radial2):
     (res,) = tangential_nullity_suite([length_functional()], circle1, [radial2])
     assert not res.passed
@@ -109,10 +126,22 @@ def test_locality_pairs_surface_and_space_curve(shape, fields, request):
             assert gap > 1e-3
 
 
-def test_locality_suite_passes(circle1, e1_field, rotation2, fd5):
+def test_locality_suite_passes(circle1, e1_field, rotation2, fd5, monkeypatch):
+    oracle = []
+    real = validation.fd_quotients
+
+    def recorded(J, M, X, cfg):
+        oracle.append(X)
+        return real(J, M, X, cfg)
+
+    monkeypatch.setattr(validation, "fd_quotients", recorded)
     pairs = locality_pairs(circle1, [e1_field, rotation2])
     res = locality_suite(length_functional(), circle1, pairs, cfg=fd5)
     assert res.passed
+    # one FD derivative per distinct field: the negative control's X is
+    # pair 0's X
+    assert pairs[-1].X is pairs[0].X
+    assert len(oracle) == 5 and len({id(X) for X in oracle}) == 5
     agree = [c for c in res.cases if c.description.startswith("|dJ(X) - dJ(Y)|")]
     assert len(agree) == 2
     neg = [c for c in res.cases if "negative control" in c.description]
