@@ -21,6 +21,9 @@ Each RK4 flow opens one projection session (geometry.projection_session):
 inside it, a nearest-point projection onto a hook-free curve starts Newton
 from the feet of the previous stage's projection onto the same curve when
 the points have moved little, instead of from the curve's grid.
+invariance_residual projects its flowed samples in one more session, so
+on a hook-free curve each of its projections after the first starts from
+the feet before it.
 """
 from __future__ import annotations
 
@@ -37,8 +40,8 @@ from .geometry import ParamCurve, projection_session
 DEFAULT_MAX_STEP = 0.01
 MAX_FLOW_STEPS = 10**6  # ~35 min on 2,560 nodes with Jacobian transport
 # samples flowed by a tangent field may stray from M by at most
-# INVARIANCE_BOUND; invariance_residual holds the RK4 error of the flow it
-# measures to a 1e-5 share of that, so the residual speaks of the field
+# INVARIANCE_BOUND; invariance_residual holds the RK4 error in the residual
+# it measures to a 1e-5 share of that, so the residual speaks of the field
 INVARIANCE_BOUND = 1e-7
 INVARIANCE_BUDGET = 1e-5 * INVARIANCE_BOUND
 
@@ -202,22 +205,36 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
 
     A tangent field keeps the manifold invariant, so the residual is the
     integrator error unless that error is budgeted.  One step-doubling rule
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.4) holds it to
-    INVARIANCE_BUDGET = 1e-12: the samples flow with n = step_count(t,
-    DEFAULT_MAX_STEP) and with 2n steps, and E = max|x_2n - x_n| / 15, the
-    largest coordinate difference over the samples, is the Richardson
-    estimate of the 2n run's error.  If E <= 1e-12 the 2n run is measured;
-    otherwise the samples flow once more with n* = ceil(2n (E / 1e-12)^(1/4))
-    steps, which the h^4 law puts at the budget, and that run is measured.
-    Raises NoConvergence, before flowing a third time, when n* exceeds
-    MAX_FLOW_STEPS.
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4) holds the error the
+    residual reads to INVARIANCE_BUDGET = 1e-12: the samples flow with n =
+    step_count(t, DEFAULT_MAX_STEP) and with 2n steps, both runs are
+    projected, and E = max|r_2n - r_n| / 15, the largest coordinate
+    difference of the residual vectors r = x - chart(foot(x)) (Foot.r), is
+    the Richardson estimate of the error in the 2n run's residual.  If
+    E <= 1e-12 the 2n run is measured; otherwise the samples flow once more
+    with n* = ceil(2n (E / 1e-12)^(1/4)) steps, which the h^4 law puts at
+    the budget, and that run is measured.  Raises NoConvergence, before
+    flowing a third time, when n* exceeds MAX_FLOW_STEPS.
+
+    The residual reads an RK4 error e of a sample x through
+    r(x + e) = r(x) + dr(x) e + O(|e|^2 / reach), and dist = |r| moves by at
+    most |r(x + e) - r(x)|.  On M, dr(x) is the projection onto the normal
+    space, so the phase error along M, most of e on a tangent probe, is not
+    budgeted.  The rule needs the linear term to dominate, so that the
+    residual error follows the h^4 law of e: |e| far below `reach`.  In the
+    n runs measured below |e| < 3e-8 wherever the reach is finite, and it
+    is at least 0.25.
+
+    The projections run in one projection session, so on a hook-free
+    curve only the first (of the 2n run) seeds from the grid and the later
+    ones start from the feet before them.
 
     Measured at t = 0.5 on the two tangent probes and the control of
-    circle1, circle2, segment01, cylinder, ellipse21 and helix1: from
-    h = 6.25e-2 each halving of the step cuts the error 13- to 18-fold, the
-    h^4 law, until it meets roundoff near 1e-13; n* runs from 123 to 687
-    steps on the tangent probes, and the measured samples lie at most
-    1.41e-12 from a 4,000-step reference (1.57e-12 on helix1's control).
+    circle1, circle2, segment01, cylinder, ellipse21 and helix1: from n to
+    2n steps the residual error falls 15.5- to 16.3-fold, the h^4 law; n*
+    runs from 101 to 263 steps on the tangent probes (5 of the 12 need no
+    third flow), and the measured distances lie at most 1.09e-12 from those
+    of a 4,000-step flow (1.30e-12 on the controls).
     """
     if isinstance(manifold, ParamCurve):
         params = np.linspace(manifold.a, manifold.b, 200)
@@ -229,13 +246,17 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
     n = step_count(t, DEFAULT_MAX_STEP)
     coarse = flow_point(field, pts, FlowConfig(t, n))
     flowed = flow_point(field, pts, FlowConfig(t, 2 * n))
-    err = float(np.abs(flowed - coarse).max()) / 15.0
-    if err > INVARIANCE_BUDGET:
-        steps = 2 * n * (err / INVARIANCE_BUDGET) ** 0.25
-        if not steps <= MAX_FLOW_STEPS:
-            raise NoConvergence(
-                f"flow of '{field.name}' to t = {t:g}: step doubling estimates "
-                f"an error of {err:.3e} at {2 * n} steps, so {steps:.3e} steps "
-                f"would reach {INVARIANCE_BUDGET:g}, more than {MAX_FLOW_STEPS:.0e}")
-        flowed = flow_point(field, pts, FlowConfig(t, math.ceil(steps)))
-    return float(manifold.project(flowed).dist.max())
+    with projection_session():
+        foot = manifold.project(flowed)
+        err = float(np.abs(foot.r - manifold.project(coarse).r).max()) / 15.0
+        if err > INVARIANCE_BUDGET:
+            steps = 2 * n * (err / INVARIANCE_BUDGET) ** 0.25
+            if not steps <= MAX_FLOW_STEPS:
+                raise NoConvergence(
+                    f"flow of '{field.name}' to t = {t:g}: step doubling estimates "
+                    f"an error of {err:.3e} in the residual at {2 * n} steps, so "
+                    f"{steps:.3e} steps would reach {INVARIANCE_BUDGET:g}, more "
+                    f"than {MAX_FLOW_STEPS:.0e}")
+            foot = manifold.project(
+                flow_point(field, pts, FlowConfig(t, math.ceil(steps))))
+    return float(foot.dist.max())

@@ -66,8 +66,9 @@ parameter point, for scalar input too.
   extend past open ends (t on a curve, u on a surface; closed directions
   wrap).  Returns a Foot:
   - params: the foot parameters, t or the pair (u, v);
-  - dist: |p - chart(params)|;
-  - grad_dist = (p - chart)/dist, 0 where dist = 0, computed on first use;
+  - r: the residual vector p - chart(params);
+  - dist: |r|;
+  - grad_dist = r/dist, 0 where dist = 0, computed on first use;
     it is the gradient of the distance on any manifold inside the reach;
   - grad_t (curves only, computed on first use): the implicit-function
     gradient of t, 0 where t is held at an end of the widened range.
@@ -859,7 +860,7 @@ def gauss_legendre(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.nd
 
 
 def integrate_curve(curve: ParamCurve, density: Callable[[np.ndarray], np.ndarray],
-                    panels: int = 64) -> float:
+                    panels: int) -> float:
     """Integral of density(t) against the arc-length measure |gamma'(t)| dt.
 
     Composite 5-point Gauss-Legendre with `panels` equal panels.  Non-finite
@@ -887,7 +888,7 @@ def surface_nodes(surf: ParamSurface, panels: tuple[int, int]
 
 def integrate_surface(surf: ParamSurface,
                       density: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                      panels: tuple[int, int] = (16, 16)) -> float:
+                      panels: tuple[int, int]) -> float:
     """Integral of density(u, v) against the area measure |phi_u x phi_v| du dv."""
     uu, vv, W = surface_nodes(surf, panels)
     jac = np.linalg.norm(np.cross(surf.phi_u(uu, vv), surf.phi_v(uu, vv)), axis=1)
@@ -1033,10 +1034,10 @@ class Foot:
     """Nearest-point data of ambient points p over a curve or a surface, as
     returned by project (see the module docstring).
 
-    params are the foot parameters (t, or the pair (u, v)) and
-    dist = |p - chart(params)|.  The gradients are computed on first use,
-    so a caller that needs only the values pays for no more than the
-    projection:
+    params are the foot parameters (t, or the pair (u, v)),
+    r = p - chart(params) the residual vector and dist = |r|.  The gradients
+    are computed on first use, so a caller that needs only the values pays
+    for no more than the projection:
 
     * grad_dist = (p - chart)/dist, 0 where dist = 0;
     * grad_t, curves only: gamma'^T / (|gamma'|^2 - (p - gamma).gamma''),
@@ -1051,14 +1052,14 @@ class Foot:
         self.manifold = manifold
         self.params = params
         self.dist = np.linalg.norm(r, axis=1)
-        self._r = r
+        self.r = r
         self._held = held
 
     @cached_property
     def grad_dist(self) -> np.ndarray:
-        out = np.zeros_like(self._r)
+        out = np.zeros_like(self.r)
         m = self.dist > 0.0
-        out[m] = self._r[m] / self.dist[m, None]
+        out[m] = self.r[m] / self.dist[m, None]
         return out
 
     @cached_property
@@ -1066,7 +1067,7 @@ class Foot:
         curve = self.manifold
         dg = curve.dgamma(self.params)
         ddg = curve.ddgamma(self.params)
-        den = np.einsum("ij,ij->i", dg, dg) - np.einsum("ij,ij->i", self._r, ddg)
+        den = np.einsum("ij,ij->i", dg, dg) - np.einsum("ij,ij->i", self.r, ddg)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = dg / den[:, None]
         out[self._held] = 0.0

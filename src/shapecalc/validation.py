@@ -44,7 +44,7 @@ from .fields import (AmbientField, Ball, _sample_params, bump_field,
                      pullback_field, restriction_field, smooth_step,
                      smooth_step_deriv, sum_field)
 from .flow import INVARIANCE_BOUND, invariance_residual
-from .functionals import CrackFunctional, length_density
+from .functionals import CrackFunctional, length, length_density
 from .geometry import ParamCurve, curvature, integrate_curve
 
 TANGENCY_TOL = 1e-12
@@ -406,9 +406,8 @@ def extract_crack_coefficients(J_crack: CrackFunctional,
     curve = J_crack.crack
     if curve.closed:
         raise ProbeOverlap("crack endpoint probes need an open curve")
-    length_val = float(integrate_curve(curve, lambda ts: np.ones_like(ts)))
     if probe_radius is None:
-        probe_radius = min(0.1 * length_val, 0.5 * J_crack.margin)
+        probe_radius = min(0.1 * length(curve), 0.5 * J_crack.margin)
     J_crack.require_probe(probe_radius)
 
     A, B = curve.chart(curve.a)[0], curve.chart(curve.b)[0]
