@@ -1039,7 +1039,7 @@ class Foot:
     are computed on first use, so a caller that needs only the values pays
     for no more than the projection:
 
-    * grad_dist = (p - chart)/dist, 0 where dist = 0;
+    * grad_dist = r/dist, 0 where dist = 0;
     * grad_t, curves only: gamma'^T / (|gamma'|^2 - (p - gamma).gamma''),
       the implicit-function derivative of (p - gamma(t)).gamma'(t) = 0; 0
       where t is held at an open end of the search interval, and not finite
