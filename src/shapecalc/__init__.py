@@ -10,8 +10,8 @@ coefficients.
 
 from .errors import (ConfigError, CrackNotInterior, DegenerateFrame,
                      DegenerateImmersion, IllConditioned, InvariantViolation,
-                     NoConvergence, NonFinite, NotArcLength, ProbeOverlap,
-                     ShapecalcError, SupportViolation)
+                     NoConvergence, NonFinite, ProbeOverlap, ShapecalcError,
+                     SupportViolation)
 from .geometry import (Foot, FrenetFrame, ParamCurve, ParamSurface,
                        curvature, curve_curvature_derivs, curve_frame,
                        integrate_curve, integrate_surface,

@@ -16,9 +16,8 @@ import numpy as np
 from .errors import ConfigError, ShapecalcError
 from .fields import (AmbientField, Ball, bump_field, smooth_step,
                      smooth_step_deriv, sum_field)
-from .functionals import (ARC_LENGTH_TOL, CrackFunctional, area_functional,
-                          crack_functional, elastic_functional,
-                          length_functional)
+from .functionals import (CrackFunctional, area_functional, crack_functional,
+                          elastic_functional, length_functional)
 from .geometry import ParamCurve, ParamSurface
 
 __all__ = [
@@ -637,9 +636,9 @@ def parse_functional(desc, shapes: Mapping[str, object],
 def compatible(functional, shape) -> bool:
     """Whether a (functional, shape) pairing is well-posed.
 
-    length takes any curve, area any surface, elastic planar arc-length
-    curves.  Crack functionals are tied to the crack curve they were built
-    around and never enter the generic cross product.
+    length takes any curve, area any surface, elastic any planar curve.
+    Crack functionals are tied to the crack curve they were built around
+    and never enter the generic cross product.
     """
     if isinstance(functional, CrackFunctional):
         return False
@@ -648,7 +647,5 @@ def compatible(functional, shape) -> bool:
     if functional.name == "area":
         return isinstance(shape, ParamSurface)
     if functional.name == "elastic":
-        if not (isinstance(shape, ParamCurve) and shape.dim == 2):
-            return False
-        return float(np.abs(shape.grid_speed - 1.0).max()) <= ARC_LENGTH_TOL
+        return isinstance(shape, ParamCurve) and shape.dim == 2
     return False

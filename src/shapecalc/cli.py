@@ -100,10 +100,18 @@ def load_plan(path: str) -> RunPlan:
                      FORMAT_NAMES, "config.output.formats", "format")
     out.finish()
     top.finish()
-    return RunPlan(label=label, cfg=cfg, rel_tol=rel_tol, abs_tol=abs_tol,
+    plan = RunPlan(label=label, cfg=cfg, rel_tol=rel_tol, abs_tol=abs_tol,
                    shapes=shapes, fields=fields, functionals=functionals,
                    suites=tuple(suites), out_path=out_path,
                    formats=tuple(dict.fromkeys(formats)))
+    # a functional with no shape to run on would silently run nothing
+    generic = _generic_shapes(plan)
+    for J in _plain_functionals(plan):
+        if not any(compatible(J, M) for M in generic):
+            raise ConfigError(
+                f"config.functionals: '{J.name}' is compatible with no shape "
+                f"outside a crack (shapes: {', '.join(plan.shapes)})")
+    return plan
 
 
 def _named(descs: list, section: str, parse) -> list:

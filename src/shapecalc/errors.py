@@ -26,10 +26,6 @@ class IllConditioned(ShapecalcError):
     """A tangent Gram system is numerically singular (condition > 1e10)."""
 
 
-class NotArcLength(ShapecalcError):
-    """Operation requires an arc-length parametrization (| |gamma'| - 1 | <= 1e-8)."""
-
-
 class SupportViolation(ShapecalcError):
     """Requested field support escapes the hold-all domain."""
 

@@ -320,7 +320,7 @@ def _sample_params(manifold, n_samples: int):
         return np.linspace(manifold.a, manifold.b, n_samples)
     k = max(2, int(np.ceil(np.sqrt(n_samples))))
     us = np.linspace(manifold.a, manifold.b, k)
-    vs = np.linspace(manifold.c, manifold.d, k, endpoint=not manifold.periodic_v)
+    vs = np.linspace(manifold.c, manifold.d, k, endpoint=False)
     U, V = np.meshgrid(us, vs, indexing="ij")
     return U.ravel(), V.ravel()
 

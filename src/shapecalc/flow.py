@@ -14,8 +14,8 @@ carried by the Jacobian flow of the base chart at the same parameters,
 and the partials at one parameter set share one Jacobian flow (gamma' on
 a curve, phi_u and phi_v on a surface).  The second derivative is a
 5-point difference of the last transported partial in the last parameter
-(wrapped across the seam of a closed curve / v-periodic surface, shifted
-inside open ends).
+(wrapped across the seam of a closed curve and of every surface, which
+closes in v; shifted inside open ends).
 
 Each RK4 flow opens one projection session (geometry.projection_session):
 inside it, a nearest-point projection onto a hook-free curve starts Newton
@@ -167,7 +167,7 @@ def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
         h2 = second_derivative_step(field, manifold)
     else:
         chart, partials, second = "phi", ("phi_u", "phi_v"), "phi_vv"
-        lo, hi, periodic = manifold.c, manifold.d, manifold.periodic_v
+        lo, hi, periodic = manifold.c, manifold.d, True
         h2 = 1e-5 * (hi - lo)
     base = getattr(manifold, chart)
 

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._stencil import sample_derivative
-from .errors import CrackNotInterior, InvariantViolation, NotArcLength
+from .errors import CrackNotInterior, InvariantViolation
 from .fields import AmbientField, Ball
 from .flow import second_derivative_step
 from .geometry import (ParamCurve, ParamSurface, _cross, curvature,
@@ -50,7 +50,6 @@ from .geometry import (ParamCurve, ParamSurface, _cross, curvature,
                        gauss_legendre, integrate_curve, integrate_surface,
                        surface_mean_curvature, surface_nodes)
 
-ARC_LENGTH_TOL = 1e-8
 # default quadrature resolution: fine enough that sharply modulated probe
 # fields (compactly supported bumps) are integrated well below the
 # comparison tolerances
@@ -165,10 +164,6 @@ def _side_flux(surf: ParamSurface, X: AmbientField, end: str) -> float:
 def analytic_darea(surf: ParamSurface, X: AmbientField) -> float:
     """First variation of area: mean-curvature interior term plus outward
     flux through the u-side boundary circles."""
-    if not surf.periodic_v:
-        raise InvariantViolation(
-            f"surface '{surf.name}': area variation needs a v-periodic chart"
-        )
 
     def density(us, vs):
         H = surface_mean_curvature(surf, (us, vs))
@@ -182,14 +177,6 @@ def analytic_darea(surf: ParamSurface, X: AmbientField) -> float:
 
 # ---------------------------------------------------------------------------
 # elastic (bending) energy
-
-
-def _require_arc_length(curve: ParamCurve):
-    dev = float(np.abs(curve.grid_speed - 1.0).max())
-    if dev > ARC_LENGTH_TOL:
-        raise NotArcLength(
-            f"curve '{curve.name}': |gamma'| deviates from 1 by {dev:.3e}"
-        )
 
 
 def bending_energy(curve: ParamCurve) -> float:
@@ -223,17 +210,18 @@ def discrete_delastic(curve: ParamCurve, X: AmbientField) -> float:
 
 
 def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
-    """First variation of int kappa^2 ds for planar arc-length curves.
+    """First variation of int kappa^2 ds for planar curves in any regular
+    parametrization: primes are arc-length derivatives (the chain rule of
+    curve_curvature_derivs) and the integral is taken against ds.
 
     Interior density (2 kappa'' + kappa^3)(X.N); open ends add
     kappa^2 (X.T) + 2 kappa d/ds(X.N) - 2 kappa' (X.N), where d/ds(X.N)
-    expands to (dX T).N - kappa (X.T) since N' = -kappa T.
+    expands to (dX T).N - kappa (X.T) since dN/ds = -kappa T.
     """
     if curve.dim != 2:
         raise InvariantViolation(
             "elastic first variation is implemented for planar curves"
         )
-    _require_arc_length(curve)
 
     def density(ts):
         fr = curve_frame(curve, ts)
@@ -272,8 +260,8 @@ def area_functional() -> ShapeFunctional:
 
 
 def elastic_functional() -> ShapeFunctional:
-    # bending_energy keeps the value well-defined on flowed (no longer
-    # arc-length) transports of an arc-length base curve
+    # value, DV and closed form all take any regular planar chart, flowed
+    # ones included
     return ShapeFunctional("elastic", bending_energy, discrete_delastic,
                            analytic_delastic)
 

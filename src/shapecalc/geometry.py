@@ -13,9 +13,11 @@ Conventions, fixed once and used by every downstream module:
   where its ramp is exactly -1 / +1: -T(a) and +T(b) at curve ends, and
   -+ phi_v x N / |phi_v| on the u = a / u = b sides of a surface.
 
-A surface's u-sides are always boundary: a chart that also closes in u (a
-torus) repeats its grid row u = a at u = b, which the embedding desk check
-rejects with DegenerateImmersion.
+A surface's u-sides are always boundary and v always closes: construction
+rejects a chart whose v = c and v = d seams do not meet with
+InvariantViolation, and a chart that also closes in u (a torus) repeats its
+grid row u = a at u = b, which the embedding desk check rejects with
+DegenerateImmersion.
 
 One array contract for every chart callable: gamma, dgamma, ddgamma take
 one (n,) float64 parameter array, phi, phi_u, phi_v, phi_vv two of one
@@ -244,15 +246,13 @@ def _curve_nonadjacent(n: int, closed: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _surface_nonadjacent(n: int, periodic_v: bool) -> np.ndarray:
+def _surface_nonadjacent(n: int) -> np.ndarray:
     """Pairs of an n x n surface grid outside each other's 8-neighborhood,
-    the first and last columns adjacent where the chart closes in v."""
+    the first and last columns adjacent: the chart closes in v."""
     iu, iv = np.divmod(np.arange(n * n), n)
-    du = np.abs(iu[:, None] - iu[None, :])
     dv = np.abs(iv[:, None] - iv[None, :])
-    if periodic_v:
-        dv = np.minimum(dv, n - 1 - dv)
-    return _frozen((du > 1) | (dv > 1))
+    dv = np.minimum(dv, n - 1 - dv)
+    return _frozen((np.abs(iu[:, None] - iu[None, :]) > 1) | (dv > 1))
 
 
 def _check_difference(where: str, label: str, plus, minus, got, h: float,
@@ -531,17 +531,15 @@ class ParamCurve(_Sampled):
 class ParamSurface(_Sampled):
     """Regular parametrized surface phi: [a,b] x [c,d] -> R^3.
 
-    phi, phi_u, phi_v, phi_vv map pairs of (n,) arrays to (n, 3).  Whether
-    the surface closes up in v (cylinder-like seam) is detected at
-    construction and stored in periodic_v; operations that need the
-    cylinder topology check it.  The u-sides are always boundary.
+    phi, phi_u, phi_v, phi_vv map pairs of (n,) arrays to (n, 3).  The
+    surface has the topology of a cylinder: the u-sides are boundary, and
+    construction raises InvariantViolation when phi, phi_v or phi_vv at
+    v = c differs from its value at v = d, so every chart closes in v.
 
     base is the surface this one was numerically flowed from (None on a
-    hand-written chart; transported says whether it is set).  A
-    transported surface inherits periodic_v from its base, and raises
-    InvariantViolation when its v-seam does not close alike at the 1e-6
-    tolerance of its integrator and Jacobian-transport noise, which its
-    consistency check tolerates too.
+    hand-written chart; transported says whether it is set); a transported
+    seam need close only to 1e-6, the integrator and Jacobian-transport
+    noise that its consistency check tolerates too.
 
     foot, when set, is an exact nearest-point map foot(pts, extend_u) ->
     (u, v) onto the surface with its u-range widened by extend_u; it
@@ -610,19 +608,15 @@ class ParamSurface(_Sampled):
             _check_difference(where, label, plus, minus, got, step, rel_tol,
                               (su, sv))
         scale = 1.0 + np.abs(pts).max()
-        # seam detection; transported charts match only up to integrator
-        # noise and must close where their base does
+        # the v = c and v = d seams meet; transported charts only up to
+        # integrator noise
         tol = (1e-6 if self.transported else 1e-12) * scale
-        closes = all(np.abs(x[:n] - x[n:]).max() <= tol
-                     for x in (phi_vs, pv_vs, pvv_vs))
-        if self.base is not None and closes != self.base.periodic_v:
-            raise InvariantViolation(
-                f"{where}: the v = c / v = d seam {'closes' if closes else 'opens'}"
-                f" under transport (periodic_v = {not closes} on base "
-                f"'{self.base.name}')")
-        object.__setattr__(self, "periodic_v", closes)
-        extent = self._check_embedding(
-            where, pts, _surface_nonadjacent(n, self.periodic_v))
+        for label, x in (("phi", phi_vs), ("phi_v", pv_vs), ("phi_vv", pvv_vs)):
+            if (gap := np.abs(x[:n] - x[n:]).max()) > tol:
+                raise InvariantViolation(
+                    f"{where}: does not close in v ({label} at v = c and "
+                    f"v = d differs by {gap:.3e} > {tol:.3e})")
+        extent = self._check_embedding(where, pts, _surface_nonadjacent(n))
         if self.foot is not None:
             _check_foot(where, lambda p: self.foot(p, 0.0),
                         self.phi, (self.phi_u, self.phi_v), pts,
@@ -667,11 +661,6 @@ class ParamSurface(_Sampled):
 
     def conormal_extension(self, params) -> np.ndarray:
         us, vs = _params(params, 2)
-        if not self.periodic_v:
-            raise InvariantViolation(
-                f"surface '{self.name}': boundary-normal extension needs a "
-                "v-periodic (cylinder-like) surface"
-            )
         pv = self.phi_v(us, vs)
         nu = np.cross(pv, self.unit_normal((us, vs)))
         nu /= np.linalg.norm(pv, axis=1)[:, None]
@@ -802,7 +791,7 @@ def _weingarten(surf: ParamSurface, params):
     normal = lambda *uv: surf.unit_normal(uv)
     Nu = sample_derivative(normal, (us, vs), h, 1, surf.a, surf.b, along=0)
     Nv = sample_derivative(normal, (us, vs), h, 1, surf.c, surf.d,
-                           periodic=surf.periodic_v)
+                           periodic=True)
     pu = surf.phi_u(us, vs)
     pv = surf.phi_v(us, vs)
     E = np.einsum("ij,ij->i", pu, pu)
@@ -1093,7 +1082,7 @@ def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
     # Gauss-Newton below recovers the rest
     nu_, nv_ = 24, 24
     us = np.linspace(surf.a - extend_u, surf.b + extend_u, nu_)
-    vs = np.linspace(surf.c, surf.d, nv_, endpoint=not surf.periodic_v)
+    vs = np.linspace(surf.c, surf.d, nv_, endpoint=False)
     U, V = np.meshgrid(us, vs, indexing="ij")
     best = _nearest_seed(pts, surf.phi(U.ravel(), V.ravel()))
     u, v = U.ravel()[best], V.ravel()[best]
@@ -1126,20 +1115,14 @@ def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
         det = np.maximum(E * G - F * F, 1e-300)
         du = (G * g1 - F * g2) / det
         dv = (E * g2 - F * g1) / det
-        # a coordinate that the step pushes out of the search box is held
-        # at its bound, and the other one solves its own equation there
+        # where the step pushes u out of the search box, u is held at its
+        # bound and v solves its own equation there; v wraps at the seam
         held_u = (u + du < lo_u) | (u + du > hi_u)
-        held_v = ((v + dv < surf.c) | (v + dv > surf.d)) & (not surf.periodic_v)
-        du = np.clip(np.where(held_v, g1 / E, du), -0.1 * span_u, 0.1 * span_u)
+        du = np.clip(du, -0.1 * span_u, 0.1 * span_u)
         dv = np.clip(np.where(held_u, g2 / G, dv), -0.1 * span_v, 0.1 * span_v)
         u_next = np.clip(u + du, lo_u, hi_u)
-        if surf.periodic_v:
-            v_next = surf.c + np.mod(v + dv - surf.c, span_v)
-            step = np.maximum(np.abs(u_next - u), np.abs(dv))
-        else:
-            v_next = np.clip(v + dv, surf.c, surf.d)
-            step = np.maximum(np.abs(u_next - u), np.abs(v_next - v))
-        u, v = u_next, v_next
+        step = np.maximum(np.abs(u_next - u), np.abs(dv))
+        u, v = u_next, surf.c + np.mod(v + dv - surf.c, span_v)
         if step.max() < tol:
             return u, v
     k = int(np.argmax(step))

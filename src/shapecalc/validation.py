@@ -322,10 +322,8 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0) -> list[AmbientField]:
             ft = M.project(pts[near])
             us, vs = ft.params
             w = smooth_step(ft.dist / delta)
-            # modulation vanishing at open sides keeps X . nu = 0 there
+            # modulation vanishing at the u-sides keeps X . nu = 0 there
             w = w * np.sin(np.pi * (us - M.a) / span_u) ** 2
-            if not M.periodic_v:
-                w = w * np.sin(np.pi * (vs - M.c) / span_v) ** 2
             e1, e2 = M.tangent_frame((us, vs))
             ang = 2.0 * np.pi * (vs - M.c) / span_v
             mod1 = np.cos(k1 * ang + th1)

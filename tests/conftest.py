@@ -76,19 +76,24 @@ def cylinder():
 
 
 @pytest.fixture(scope="session")
-def saddle():
-    # z = u^2 - v^2 has principal curvatures +-2 at the origin and H = 0;
-    # it closes in neither direction
+def catenoid():
+    # (cosh u cos v, cosh u sin v, u): a minimal surface (H = 0, every point
+    # a saddle) with principal curvatures +-1/cosh^2 u, so |kappa| peaks at
+    # 1 on u = 0; it closes in v and has no foot hook
     return ParamSurface(
-        a=-0.5, b=0.5, c=-0.5, d=0.5,
-        phi=lambda u, v: np.stack([u, v, u * u - v * v], axis=-1),
+        a=-0.5, b=0.5, c=0.0, d=TWO_PI,
+        phi=lambda u, v: np.stack(
+            [np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), u], axis=-1),
         phi_u=lambda u, v: np.stack(
-            [np.ones_like(u), np.zeros_like(u), 2.0 * u], axis=-1),
+            [np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), np.ones_like(u)],
+            axis=-1),
         phi_v=lambda u, v: np.stack(
-            [np.zeros_like(v), np.ones_like(v), -2.0 * v], axis=-1),
+            [-np.cosh(u) * np.sin(v), np.cosh(u) * np.cos(v), np.zeros_like(u)],
+            axis=-1),
         phi_vv=lambda u, v: np.stack(
-            [np.zeros_like(v), np.zeros_like(v), np.full_like(v, -2.0)], axis=-1),
-        name="saddle",
+            [-np.cosh(u) * np.cos(v), -np.cosh(u) * np.sin(v), np.zeros_like(u)],
+            axis=-1),
+        name="catenoid",
     )
 
 

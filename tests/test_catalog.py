@@ -209,12 +209,13 @@ def test_crack_functional_config_errors(crack_segment, cylinder):
         parse_functional({"kind": "spectral"}, shapes)
 
 
-def test_compatibility_matrix(circle1, helix1, segment01, cylinder):
+def test_compatibility_matrix(circle1, ellipse21, helix1, segment01, cylinder):
     L, E, A = length_functional(), elastic_functional(), area_functional()
     assert compatible(L, circle1) and compatible(L, helix1) and compatible(L, segment01)
     assert not compatible(L, cylinder)
+    # the bending first variation takes any planar chart, arc-length or not
     assert compatible(E, circle1) and compatible(E, segment01)
-    # the bending first-variation needs a planar curve
+    assert compatible(E, ellipse21)
     assert not compatible(E, helix1)
     assert compatible(A, cylinder)
     assert not compatible(A, circle1)

@@ -387,3 +387,40 @@ def test_interleaved_functionals_report_in_config_order(tmp_path, capsys,
     out = capsys.readouterr().out
     assert "run: 4 comparisons, 3 suites" in out
     assert "  nullity elastic/circle1: pass (1 cases)" in out
+
+
+ELASTIC_ELLIPSE = {
+    "name": "elastic-ellipse",
+    "shapes": [{"kind": "ellipse", "a": 2.0, "b": 1.0, "name": "ellipse21"}],
+    "fields": [{"kind": "radial", "name": "radial"},
+               {"kind": "rotation", "name": "rotation"},
+               {"kind": "constant", "vector": [1.0, 0.0], "name": "e1"},
+               {"kind": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                "name": "identity"},
+               {"kind": "linear", "matrix": [[0.0, 1.0], [0.0, 0.0]],
+                "name": "shear"}],
+    "functionals": [{"kind": "elastic"}],
+    "suites": ["compare"],
+}
+
+
+def test_elastic_on_an_ellipse_runs_every_field(tmp_path):
+    # the ellipse's chart is not arc-length (speed 1 to 2); the elastic
+    # closed form takes it, so each field brings one comparison
+    assert _run_config(ELASTIC_ELLIPSE, tmp_path) == 0
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [c["field"] for c in doc["comparisons"]] == [
+        "radial", "rotation", "e1", "identity", "shear"]
+    assert all(c["verdict"] == "pass" for c in doc["comparisons"])
+
+
+def test_functional_without_a_compatible_shape_exits_2(tmp_path, capsys):
+    # elastic takes planar curves only: on a helix alone it would run nothing
+    cfg = dict(ELASTIC_ELLIPSE, shapes=[
+        {"kind": "helix", "radius": 1.0, "pitch": 3.0, "turns": 1.0,
+         "name": "helix1"}])
+    assert _run_config(cfg, tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: config.functionals: 'elastic' is compatible with no shape "
+        "outside a crack (shapes: helix1)\n")
+    assert not (tmp_path / "out").exists()

@@ -172,17 +172,19 @@ def test_split_field_closed_curve_has_no_conormal(circle1, radial2):
     assert not circle1.on_boundary(params).any()
 
 
-def test_perp_restriction_needs_no_conormal(saddle, linear_field):
-    # the saddle closes in neither direction, so it has no conormal
-    # extension; the perp part reads the normal part alone
+def test_perp_restriction_needs_no_conormal(catenoid, linear_field):
+    # the perp part reads the normal part alone, on a hook-free surface
+    # whose conormal extension the nu part builds on
     field = linear_field(3)
-    with pytest.raises(InvariantViolation, match="v-periodic"):
-        restriction_field(saddle, field, "nu")
-    F = restriction_field(saddle, field, "perp")
-    pts = saddle.chart((np.array([0.1, -0.2]), np.array([0.3, 0.0])))
-    np.testing.assert_allclose(F.X(pts), saddle.normal_part(
-        (np.array([0.1, -0.2]), np.array([0.3, 0.0])), field.X(pts)),
-        atol=1e-12)
+    params = (np.array([0.1, -0.2]), np.array([0.3, 0.0]))
+    pts = catenoid.chart(params)
+    x = field.X(pts)
+    nu = catenoid.conormal_extension(params)
+    np.testing.assert_allclose(restriction_field(catenoid, field, "perp").X(pts),
+                               catenoid.normal_part(params, x), atol=1e-12)
+    np.testing.assert_allclose(restriction_field(catenoid, field, "nu").X(pts),
+                               np.einsum("ij,ij->i", x, nu)[:, None] * nu,
+                               atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)

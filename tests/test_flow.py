@@ -464,7 +464,6 @@ def test_transported_partial_scaled_still_raises(shape, label, request):
 
 def test_transported_surface_keeps_its_seams(cylinder, e3_field):
     moved = flow_manifold(e3_field, cylinder, FlowConfig(0.1, 10))
-    assert moved.periodic_v
     # phi drifts by 1e-5 across v: the seam opens by more than its 1e-6
     # tolerance, while phi_v still agrees with phi's differences
     drift = np.array([1e-5 / (cylinder.d - cylinder.c), 0.0, 0.0])
@@ -473,8 +472,8 @@ def test_transported_surface_keeps_its_seams(cylinder, e3_field):
         return moved.phi(u, v) + (v - cylinder.c)[:, None] * drift
 
     with pytest.raises(InvariantViolation,
-                       match=r"the v = c / v = d seam opens under transport "
-                             r"\(periodic_v = True on base 'cylinder'\)"):
+                       match=r"surface 'cylinder@e3:0.1': does not close in v "
+                             r"\(phi at v = c and v = d differs by"):
         dataclasses.replace(moved, phi=opened)
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from shapecalc.errors import CrackNotInterior, NotArcLength
+from shapecalc import functionals
+from shapecalc.errors import CrackNotInterior
 from shapecalc.fields import Ball
 from shapecalc.functionals import (
     CURVE_PANELS,
@@ -13,13 +14,14 @@ from shapecalc.functionals import (
     area_functional,
     bending_energy,
     crack_functional,
+    discrete_delastic,
     discrete_dlength,
     elastic_functional,
     length,
     length_functional,
     surface_area,
 )
-from shapecalc.geometry import integrate_curve
+from shapecalc.geometry import ParamCurve, integrate_curve
 
 TWO_PI = 2.0 * np.pi
 # perimeter of the 2:1 ellipse, 8 E(3/4) in complete elliptic integrals
@@ -139,9 +141,7 @@ def test_crack_must_sit_inside_region(crack_segment):
         crack_functional(Ball(np.zeros(2), 1.0), crack_segment)
 
 
-def test_arc_length_guard(e1_field):
-    from shapecalc.geometry import ParamCurve
-
+def test_elastic_on_a_fast_straight_chart(e1_field):
     fast = ParamCurve(
         dim=2,
         a=0.0,
@@ -152,8 +152,46 @@ def test_arc_length_guard(e1_field):
         closed=False,
         name="fast",
     )
-    # bending_energy accepts any regular chart, its closed-form first
-    # variation only an arc-length one
+    # speed 2 everywhere: the value and the closed form take any regular chart
     assert bending_energy(fast) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(NotArcLength):
-        analytic_delastic(fast, e1_field)
+    assert analytic_delastic(fast, e1_field) == pytest.approx(0.0, abs=1e-12)
+
+
+def _elliptic_arc() -> ParamCurve:
+    """(2 cos t, sin t) on [0.3, 2]: speed 1.12 to 2, and kappa' != 0 at
+    both ends, so every end term of the elastic closed form is nonzero."""
+    return ParamCurve(
+        dim=2, a=0.3, b=2.0,
+        gamma=lambda t: np.stack([2.0 * np.cos(t), np.sin(t)], axis=-1),
+        dgamma=lambda t: np.stack([-2.0 * np.sin(t), np.cos(t)], axis=-1),
+        ddgamma=lambda t: np.stack([-2.0 * np.cos(t), -np.sin(t)], axis=-1),
+        closed=False, name="elliptic-arc")
+
+
+ELASTIC_FIELDS = ["radial2", "rotation2", "e1_field", "identity2", "shear2"]
+
+
+@pytest.mark.parametrize("field", ELASTIC_FIELDS)
+@pytest.mark.parametrize("shape", ["ellipse21", "elliptic-arc"])
+def test_delastic_off_arc_length_matches_dv(shape, field, request):
+    # the closed form takes arc-length derivatives by the chain rule and
+    # integrates against ds, so no chart needs unit speed; 1e-8 is the
+    # comparison abs_tol (measured: at most 4.93e-9)
+    M = _elliptic_arc() if shape == "elliptic-arc" else request.getfixturevalue(shape)
+    X = request.getfixturevalue(field)
+    assert abs(analytic_delastic(M, X) - discrete_delastic(M, X)) <= 1e-8
+
+
+def test_delastic_end_kappa_prime_term_is_read(monkeypatch, radial2, identity2):
+    # with the -2 kappa' (X.N) end term patched to 0, the elliptic arc's
+    # closed form leaves DV by 4.94 (radial) and 9.35 (identity)
+    real = functionals.curve_curvature_derivs
+
+    def no_kappa_prime(curve, t):
+        k, k1, k2 = real(curve, t)
+        return k, np.zeros_like(k1), k2
+
+    monkeypatch.setattr(functionals, "curve_curvature_derivs", no_kappa_prime)
+    arc = _elliptic_arc()
+    for X in (radial2, identity2):
+        assert abs(analytic_delastic(arc, X) - discrete_delastic(arc, X)) > 1.0

@@ -515,9 +515,9 @@ def _reference_surface_normal(surf, us, vs):
     return cr / np.linalg.norm(cr, axis=1)[:, None]
 
 
-def test_unit_normal_is_the_reference_formula(cylinder, saddle):
+def test_unit_normal_is_the_reference_formula(cylinder, catenoid):
     rng = np.random.default_rng(3)
-    for M in (cylinder, saddle):
+    for M in (cylinder, catenoid):
         us = rng.uniform(M.a, M.b, 200)
         vs = rng.uniform(M.c, M.d, 200)
         np.testing.assert_array_equal(M.unit_normal((us, vs)),
@@ -539,50 +539,38 @@ def test_unit_normal_is_the_reference_formula(cylinder, saddle):
     assert str(exc.value) == "surface 'cone': normal undefined at (0, 0.3)"
 
 
-def test_saddle_newton_matches_brute_force(saddle):
-    # phi_u . phi_v = -4uv couples u and v, so a foot held at a u-side must
-    # still minimise the distance over v along that side
+def test_saddle_newton_matches_brute_force(catenoid):
+    # the catenoid is saddle shaped at every point and has no foot hook;
+    # tube points past the u-sides have their foot held on a side, where v
+    # must still minimise the distance along that side, and v wraps
     rng = np.random.default_rng(0)
     n = 120
-    us, vs = rng.uniform(-0.7, 0.7, n), rng.uniform(-0.45, 0.45, n)
-    off = 0.4 * saddle.reach * rng.uniform(-1.0, 1.0, n)
-    pts = saddle.phi(us, vs) + off[:, None] * saddle.unit_normal((us, vs))
-    u, v = nearest_surface_param(saddle, pts)
+    us, vs = rng.uniform(-0.7, 0.7, n), rng.uniform(catenoid.c, catenoid.d, n)
+    off = 0.4 * catenoid.reach * rng.uniform(-1.0, 1.0, n)
+    pts = catenoid.phi(us, vs) + off[:, None] * catenoid.unit_normal((us, vs))
+    u, v = nearest_surface_param(catenoid, pts)
     assert np.sum(np.abs(u) == 0.5) > 20
-    dist = saddle.project(pts).dist
-    g = np.linspace(-0.5, 0.5, 401)
-    dense = saddle.phi(*(x.ravel() for x in np.meshgrid(g, g, indexing="ij")))
+    assert np.all((v >= catenoid.c) & (v < catenoid.d))
+    dist = catenoid.project(pts).dist
+    # inside the reach a foot inside the box lies back along the normal
+    inside = np.abs(us) < 0.5
+    np.testing.assert_allclose(dist[inside], np.abs(off[inside]),
+                               rtol=0.0, atol=1e-14)
+    gu = np.linspace(-0.5, 0.5, 201)
+    gv = np.linspace(catenoid.c, catenoid.d, 801)
+    dense = catenoid.phi(*(x.ravel() for x in np.meshgrid(gu, gv, indexing="ij")))
     brute = np.array([np.linalg.norm(dense - p, axis=1).min() for p in pts])
     # sampling can never beat the true minimum
     assert np.all(dist <= brute + 1e-12)
     assert np.all(brute - dist <= 2e-3)
 
 
-def test_saddle_newton_exact_in_u_past_the_v_edges(saddle):
-    # tube points past v = +-0.5: each foot is held on a v-edge, where only
-    # the u equation is left, and the u-u entry must be the Hessian's (with
-    # phi_uu) for Newton to converge inside the iteration cap
-    rng = np.random.default_rng(0)
-    n = 400
-    us = rng.uniform(-0.5, 0.5, n)
-    vs = np.sign(rng.uniform(-1.0, 1.0, n)) * rng.uniform(0.5, 0.7, n)
-    off = 0.4 * saddle.reach * rng.uniform(-1.0, 1.0, n)
-    pts = saddle.phi(us, vs) + off[:, None] * saddle.unit_normal((us, vs))
-    ft = saddle.project(pts)
-    u, v = ft.params
-    np.testing.assert_array_equal(np.abs(v), 0.5)
-    g = np.linspace(-0.5, 0.5, 20001)
-    for k in range(n):
-        # brute force along the edge the foot sits on
-        brute = np.linalg.norm(saddle.phi(g, np.full_like(g, v[k])) - pts[k],
-                               axis=1).min()
-        assert ft.dist[k] <= brute + 1e-12
-        assert brute - ft.dist[k] <= 1e-7
-
-
-def test_surface_max_curvature_saddle_and_cylinder(cylinder, saddle):
-    assert surface_mean_curvature(saddle, (0.0, 0.0))[0] == pytest.approx(0.0, abs=1e-6)
-    assert surface_max_curvature(saddle, (0.0, 0.0))[0] == pytest.approx(2.0, rel=1e-6)
+def test_surface_max_curvature_saddle_and_cylinder(cylinder, catenoid):
+    # the catenoid's principal curvatures are +-1/cosh^2 u: a saddle with
+    # H = 0 whose |kappa| peaks at 1 on u = 0, which sets the reach
+    assert surface_mean_curvature(catenoid, (0.0, 0.0))[0] == pytest.approx(0.0, abs=1e-6)
+    assert surface_max_curvature(catenoid, (0.0, 0.0))[0] == pytest.approx(1.0, rel=1e-6)
+    assert catenoid.reach == pytest.approx(0.5, rel=1e-3)
     us = np.linspace(cylinder.a, cylinder.b, 7)
     vs = np.linspace(cylinder.c, cylinder.d, 7)
     np.testing.assert_allclose(surface_max_curvature(cylinder, (us, vs)), 1.0,
@@ -715,12 +703,11 @@ def _reference_curve_mask(n, closed):
     return gap > 1
 
 
-def _reference_surface_mask(n, periodic_v):
+def _reference_surface_mask(n):
     iu, iv = np.divmod(np.arange(n * n), n)
     du = np.abs(iu[:, None] - iu[None, :])
     dv = np.abs(iv[:, None] - iv[None, :])
-    if periodic_v:
-        dv = np.minimum(dv, n - 1 - dv)
+    dv = np.minimum(dv, n - 1 - dv)
     return (du > 1) | (dv > 1)
 
 
@@ -740,12 +727,11 @@ def test_curve_embedding_extent_bit_equal_to_reference(dim, closed):
         assert diam == ref_diam and sep == ref_sep
 
 
-@pytest.mark.parametrize("periodic_v", [False, True])
-def test_surface_embedding_extent_bit_equal_to_reference(periodic_v):
+def test_surface_embedding_extent_bit_equal_to_reference():
     n = 24
-    mask = geometry._surface_nonadjacent(n, periodic_v)
-    np.testing.assert_array_equal(mask, _reference_surface_mask(n, periodic_v))
-    rng = np.random.default_rng(29 + 2 * periodic_v)
+    mask = geometry._surface_nonadjacent(n)
+    np.testing.assert_array_equal(mask, _reference_surface_mask(n))
+    rng = np.random.default_rng(31)
     for _ in range(10):
         pts = rng.standard_normal((n * n, 3)) * rng.uniform(0.1, 10.0)
         diam, sep = geometry._embedding_extent(pts, mask)
@@ -755,7 +741,7 @@ def test_surface_embedding_extent_bit_equal_to_reference(periodic_v):
 
 def test_nonadjacency_masks_are_shared_and_read_only():
     for make, args in ((geometry._curve_nonadjacent, (512, True)),
-                       (geometry._surface_nonadjacent, (24, True))):
+                       (geometry._surface_nonadjacent, (24,))):
         mask = make(*args)
         assert make(*args) is mask
         assert not mask.flags.writeable
@@ -770,21 +756,34 @@ def test_embedding_extent_without_nonadjacent_pairs():
     assert sep == np.inf and diam > 0.0
 
 
+def _wound_cylinder(turns: float) -> ParamSurface:
+    """The unit cylinder chart over v in [0, 2 pi turns]."""
+    return ParamSurface(
+        a=0.0, b=2.0, c=0.0, d=TWO_PI * turns,
+        phi=lambda u, v: np.stack([np.cos(v), np.sin(v), u], axis=-1),
+        phi_u=lambda u, v: np.stack(
+            [np.zeros_like(u), np.zeros_like(u), np.ones_like(u)], axis=-1),
+        phi_v=lambda u, v: np.stack(
+            [-np.sin(v), np.cos(v), np.zeros_like(u)], axis=-1),
+        phi_vv=lambda u, v: np.stack(
+            [-np.cos(v), -np.sin(v), np.zeros_like(u)], axis=-1),
+        name="lapped-cylinder",
+    )
+
+
 def test_lapped_surface_chart_rejected():
-    # the cylinder chart over v in [0, 2 pi 23/12]: grid column 12 lands on
-    # column 0, so non-adjacent samples coincide
-    with pytest.raises(DegenerateImmersion):
-        ParamSurface(
-            a=0.0, b=2.0, c=0.0, d=TWO_PI * 23.0 / 12.0,
-            phi=lambda u, v: np.stack([np.cos(v), np.sin(v), u], axis=-1),
-            phi_u=lambda u, v: np.stack(
-                [np.zeros_like(u), np.zeros_like(u), np.ones_like(u)], axis=-1),
-            phi_v=lambda u, v: np.stack(
-                [-np.sin(v), np.cos(v), np.zeros_like(u)], axis=-1),
-            phi_vv=lambda u, v: np.stack(
-                [-np.cos(v), -np.sin(v), np.zeros_like(u)], axis=-1),
-            name="lapped-cylinder",
-        )
+    # wound 23 times the chart closes in v, but its 24 grid columns land on
+    # one another, so non-adjacent samples coincide
+    with pytest.raises(DegenerateImmersion, match="samples nearly coincide"):
+        _wound_cylinder(23.0)
+
+
+def test_surface_open_in_v_rejected():
+    # wound 23/12 times the v = c and v = d seams do not meet
+    with pytest.raises(InvariantViolation,
+                       match=r"surface 'lapped-cylinder': does not close in v "
+                             r"\(phi at v = c and v = d differs by"):
+        _wound_cylinder(23.0 / 12.0)
 
 
 def test_torus_chart_rejected():
@@ -836,16 +835,18 @@ def test_surface_rejects_an_empty_box(cylinder):
 
 
 def test_ill_conditioned_tangent_gram_raises():
-    # phi_u = (1e-6, 0, 0) against phi_v = (0, 1, 0): the Gram system's
-    # condition is 1e12, past the 1e10 the Weingarten solve allows
+    # (cos v, sin v, 1e-6 u): phi_u = (0, 0, 1e-6) against a unit phi_v, so
+    # the Gram system's condition is 1e12, past the 1e10 the Weingarten
+    # solve allows
     surf = ParamSurface(
-        a=0.0, b=1e6, c=0.0, d=1.0,
-        phi=lambda u, v: np.stack([1e-6 * u, v, np.zeros_like(u)], axis=-1),
+        a=0.0, b=1e6, c=0.0, d=TWO_PI,
+        phi=lambda u, v: np.stack([np.cos(v), np.sin(v), 1e-6 * u], axis=-1),
         phi_u=lambda u, v: np.stack(
-            [np.full_like(u, 1e-6), np.zeros_like(u), np.zeros_like(u)], axis=-1),
+            [np.zeros_like(u), np.zeros_like(u), np.full_like(u, 1e-6)], axis=-1),
         phi_v=lambda u, v: np.stack(
-            [np.zeros_like(v), np.ones_like(v), np.zeros_like(v)], axis=-1),
-        phi_vv=lambda u, v: np.zeros((len(v), 3)),
+            [-np.sin(v), np.cos(v), np.zeros_like(v)], axis=-1),
+        phi_vv=lambda u, v: np.stack(
+            [-np.cos(v), -np.sin(v), np.zeros_like(v)], axis=-1),
         name="stretched",
     )
     with pytest.raises(IllConditioned,
