@@ -396,10 +396,14 @@ def _localized(nominal_X, nominal_dX, dim: int, name: str) -> AmbientField:
     span = CUTOFF_OUTER - CUTOFF_INNER
 
     def shell_of(pts):
+        # |p| > CUTOFF_INNER read on squares: sqrt is monotone and correctly
+        # rounded, so the shell is the same set, and only its rows take norms
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rr = np.linalg.norm(pts, axis=1)
-        shell = rr > CUTOFF_INNER
-        return pts, rr[shell], shell
+        r2 = pts[:, 0] * pts[:, 0]
+        for k in range(1, dim):
+            r2 += pts[:, k] * pts[:, k]
+        shell = r2 > CUTOFF_INNER ** 2
+        return pts, np.linalg.norm(pts[shell], axis=1), shell
 
     def X(pts):
         pts, rr, shell = shell_of(pts)

@@ -104,13 +104,21 @@ def load_plan(path: str) -> RunPlan:
                    shapes=shapes, fields=fields, functionals=functionals,
                    suites=tuple(suites), out_path=out_path,
                    formats=tuple(dict.fromkeys(formats)))
-    # a functional with no shape to run on would silently run nothing
+    # a functional with no shape to run on, or a compared pair with no
+    # field, would silently run nothing
     generic = _generic_shapes(plan)
     for J in _plain_functionals(plan):
         if not any(compatible(J, M) for M in generic):
             raise ConfigError(
                 f"config.functionals: '{J.name}' is compatible with no shape "
                 f"outside a crack (shapes: {', '.join(plan.shapes)})")
+        if "compare" not in plan.suites:
+            continue
+        for M in generic:
+            if compatible(J, M) and not any(M.dim in f.dims for f in fields):
+                raise ConfigError(
+                    f"config.fields: none lives in dimension {M.dim}, so "
+                    f"'{J.name}' on '{M.name}' has nothing to compare")
     return plan
 
 

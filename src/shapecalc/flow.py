@@ -159,7 +159,9 @@ def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
     each first partial is the base partial times one memoized Jacobian
     flow per parameter set, and the second derivative is a 5-point stencil
     of the last transported partial (on a curve at
-    second_derivative_step).  The callables evaluate flows lazily.
+    second_derivative_step).  Construction flows nothing and calls no field:
+    the result runs no desk check (geometry: a flow keeps its base regular,
+    closed and embedded), and each callable flows when it is called.
     """
     if isinstance(manifold, ParamCurve):
         chart, partials, second = "gamma", ("dgamma",), "ddgamma"

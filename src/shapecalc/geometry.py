@@ -55,8 +55,7 @@ parameter point, for scalar input too.
 * conormal_extension(params): smooth tangent field equal to the outward
   unit conormal on the boundary, ramped by ((s - a)/L)^4 - ((b - s)/L)^4
   in between (s = t or u, L = b - a), zero without a boundary.
-* diameter: the largest distance between two construction-grid points
-  (computed on first read where the certificate below decided).
+* diameter: the largest distance between two construction-grid points.
 * grid_ball: (centroid, radius) of the construction grid, computed once;
   every grid point lies within radius of the centroid, and radius is at
   most the diameter.
@@ -87,17 +86,16 @@ parameter point, for scalar input too.
 
 Desk checks evaluate each chart callable once per construction, on the
 grid, closure ends or seam edges and derivative-check samples concatenated.
-
 The embedding desk check keeps non-adjacent grid samples 1e-7 of the
-diameter apart.  A transported manifold (`base`: the manifold it was flowed
-from) is certified from its base: with delta = max |y_i - x_i| over the
-grid points x of the base and y of its own, |y_i - y_j| >= |x_i - x_j| -
-2 delta and its diameter is at most diam_base + 2 delta.  On first request
-the base lists its non-adjacent pairs at most R = 0.1 diam_base apart; the
-transported manifold passes when min(its listed distances, R - 2 delta) >=
-1e-7 (diam_base + 2 delta).  Otherwise (delta near R / 2, a near fold, an
-adjacency or a foot hook of its own) the full O(n^2) check runs as on a
-base manifold.
+diameter apart.
+
+Desk checks run on hand-written charts only: a transported manifold
+(`base`: the manifold it was flowed from) is the image of a checked one
+under a flow, a diffeomorphism, so it is as regular, closed and embedded
+as its base.  It is built with no check and no construction grid, and
+answers the queries built on the chart callables alone, all that
+J.evaluate reads; reach, diameter, grid_ball, grid_speed and project read
+the grid and are for hand-written charts.
 """
 from __future__ import annotations
 
@@ -191,12 +189,12 @@ def _ramp(s: np.ndarray, a: float, b: float) -> np.ndarray:
 # embedding desk check
 
 
-def _sq_dist(p: np.ndarray, q: np.ndarray, diff=np.subtract) -> np.ndarray:
-    """Squared distances row by row, or of every pair with np.subtract.outer
-    (no (n, n, dim) temporary), summed in norm's order: the same bits."""
-    d2 = diff(p[:, 0], q[:, 0]) ** 2
-    for k in range(1, p.shape[1]):
-        d2 += diff(p[:, k], q[:, k]) ** 2
+def _pair_sq_dist(pts: np.ndarray) -> np.ndarray:
+    """Squared distances of every pair of rows by np.subtract.outer (no
+    (n, n, dim) temporary), summed in norm's order: the same bits."""
+    d2 = np.subtract.outer(pts[:, 0], pts[:, 0]) ** 2
+    for k in range(1, pts.shape[1]):
+        d2 += np.subtract.outer(pts[:, k], pts[:, k]) ** 2
     return d2
 
 
@@ -206,7 +204,7 @@ def _embedding_extent(pts: np.ndarray, nonadj: np.ndarray) -> tuple[float, float
     no pair is non-adjacent).  sqrt is monotone and correctly rounded, so
     taking it after max / min gives the same bits as taking it first.
     """
-    d2 = _sq_dist(pts, pts, np.subtract.outer)
+    d2 = _pair_sq_dist(pts)
     sep2 = np.min(d2, where=nonadj, initial=np.inf)
     return float(np.sqrt(d2.max())), float(np.sqrt(sep2))
 
@@ -224,7 +222,7 @@ def _far_separation(pts: np.ndarray, closed: bool, far: float) -> float:
     gap = np.abs(np.subtract.outer(arc[idx], arc[idx]))
     if closed:
         gap = np.minimum(gap, arc[-1] - gap)
-    d2 = _sq_dist(pts[idx], pts[idx], np.subtract.outer)
+    d2 = _pair_sq_dist(pts[idx])
     near = np.sqrt(np.min(d2, where=gap > far, initial=np.inf))
     return max(near - np.diff(arc[idx]).max(), 0.0)
 
@@ -331,22 +329,9 @@ class _Sampled:
         return self.base is not None
 
     @cached_property
-    def diameter(self) -> float:
-        return _embedding_extent(self._grid_points, self._nonadj)[0]
-
-    @cached_property
     def grid_ball(self) -> tuple[np.ndarray, float]:
         mid = _frozen(self._grid_points.mean(axis=0))
         return mid, float(np.linalg.norm(self._grid_points - mid, axis=1).max())
-
-    @cached_property
-    def _near_pairs(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(i, j, R): the non-adjacent grid pairs i < j at most R = 0.1
-        diameter apart, built when a transported manifold first asks."""
-        radius = 0.1 * self.diameter
-        d2 = _sq_dist(self._grid_points, self._grid_points, np.subtract.outer)
-        i, j = np.nonzero(np.triu(self._nonadj) & (d2 <= radius * radius))
-        return i.astype(np.int32), j.astype(np.int32), radius
 
     def _values(self, where: str, label: str, *blocks) -> list:
         """The callable `label` on the concatenated parameter blocks, each a
@@ -358,18 +343,10 @@ class _Sampled:
         return np.split(out, np.cumsum([len(b[0]) for b in blocks[:-1]]))
 
     def _check_embedding(self, where: str, pts: np.ndarray, nonadj: np.ndarray):
-        """Keeps the grid points and adjacency; DegenerateImmersion when
-        non-adjacent samples nearly coincide.  Returns the (diameter,
-        separation) of a full check, None where the certificate decided."""
+        """Keeps the grid points and the diameter; DegenerateImmersion when
+        non-adjacent samples nearly coincide.  Returns (diameter,
+        separation)."""
         object.__setattr__(self, "_grid_points", pts)
-        object.__setattr__(self, "_nonadj", nonadj)
-        base = self.base
-        if base is not None and base._nonadj is nonadj and self.foot is None:
-            i, j, radius = base._near_pairs
-            delta = float(np.linalg.norm(pts - base._grid_points, axis=1).max())
-            near = np.sqrt(np.min(_sq_dist(pts[i], pts[j]), initial=np.inf))
-            if min(near, radius - 2.0 * delta) >= 1e-7 * (base.diameter + 2.0 * delta):
-                return None
         diam, sep = _embedding_extent(pts, nonadj)
         if sep < 1e-7 * diam:
             raise DegenerateImmersion(
@@ -383,16 +360,15 @@ class ParamCurve(_Sampled):
     """Regular parametrized curve gamma: [a, b] -> R^dim (dim = 2 or 3).
 
     gamma, dgamma, ddgamma map (n,) float64 parameter arrays to float64
-    (n, dim) values.  Construction runs desk checks: that array contract on
-    every value they compute, regularity and an embedding test on a dense
-    grid, endpoint matching for closed curves, and a finite-difference
-    consistency test of the supplied derivatives.
+    (n, dim) values.  Construction of a hand-written chart runs desk checks:
+    that array contract on every value they compute, regularity and an
+    embedding test on a dense grid, endpoint matching for closed curves, and
+    a finite-difference consistency test of the supplied derivatives.
 
     base is the curve this one was numerically flowed from (None on a
-    hand-written chart; transported says whether it is set).  Its
-    derivative callables carry integrator and Jacobian-transport noise
-    (~1e-11 absolute), so the endpoint-matching and FD-consistency
-    tolerances are relaxed accordingly.  Hand-written charts stay strict.
+    hand-written chart; transported says whether it is set).  A transported
+    curve checks only its parameter range and has no construction grid
+    (see the module docstring).
 
     foot, when set, is an exact nearest-point map foot(pts, extend) -> t
     onto the curve with its parameter range widened to [a - extend,
@@ -418,6 +394,8 @@ class ParamCurve(_Sampled):
             raise InvariantViolation(f"curve '{self.name}': dim must be 2 or 3")
         if not self.b > self.a:
             raise InvariantViolation(f"curve '{self.name}': need b > a")
+        if self.transported:
+            return
         n = 512
         if self.closed:
             grid = np.linspace(self.a, self.b, n + 1)[:-1]
@@ -446,23 +424,20 @@ class ParamCurve(_Sampled):
             where, pts, _curve_nonadjacent(n, self.closed))
         ddg_ends, ddg_ts = self._values(where, "ddgamma", ends, probes[0])
         scale = 1.0 + np.abs(pts).max()
-        # transported curves inherit integrator noise in their derivatives
-        slack = 1e3 if self.transported else 1.0
         if self.closed:
             for (va, vb), label, tol in (
-                (g_ends, "gamma", 1e-12 * scale * slack),
-                (dg_ends, "dgamma", 1e-12 * scale * slack),
-                (ddg_ends, "ddgamma", 1e-8 * scale * slack),
+                (g_ends, "gamma", 1e-12 * scale),
+                (dg_ends, "dgamma", 1e-12 * scale),
+                (ddg_ends, "ddgamma", 1e-8 * scale),
             ):
                 if np.linalg.norm(va - vb) > tol:
                     raise InvariantViolation(
                         f"{where}: closed but {label}(a) != {label}(b)"
                     )
-        rel_tol = 1e-5 if self.transported else 1e-6
-        _check_difference(where, "dgamma", g_plus, g_minus, dg_ts, h, rel_tol,
+        _check_difference(where, "dgamma", g_plus, g_minus, dg_ts, h, 1e-6,
                           (ts,))
-        _check_difference(where, "ddgamma", dg_plus, dg_minus, ddg_ts, h,
-                          rel_tol, (ts,))
+        _check_difference(where, "ddgamma", dg_plus, dg_minus, ddg_ts, h, 1e-6,
+                          (ts,))
         if self.foot is not None:
             _check_foot(where, lambda p: (self.foot(p, 0.0),),
                         self.gamma, (self.dgamma,), pts, self.unit_normal(grid),
@@ -537,9 +512,9 @@ class ParamSurface(_Sampled):
     v = c differs from its value at v = d, so every chart closes in v.
 
     base is the surface this one was numerically flowed from (None on a
-    hand-written chart; transported says whether it is set); a transported
-    seam need close only to 1e-6, the integrator and Jacobian-transport
-    noise that its consistency check tolerates too.
+    hand-written chart; transported says whether it is set).  A transported
+    surface checks only its parameter box and has no construction grid
+    (see the module docstring).
 
     foot, when set, is an exact nearest-point map foot(pts, extend_u) ->
     (u, v) onto the surface with its u-range widened by extend_u; it
@@ -564,6 +539,8 @@ class ParamSurface(_Sampled):
     def __post_init__(self):
         if not (self.b > self.a and self.d > self.c):
             raise InvariantViolation(f"surface '{self.name}': empty parameter box")
+        if self.transported:
+            return
         n = 24
         us = np.linspace(self.a, self.b, n)
         vs = np.linspace(self.c, self.d, n)
@@ -586,8 +563,6 @@ class ParamSurface(_Sampled):
             raise InvariantViolation(
                 f"{where}: phi must map (n,),(n,) to finite (n, 3)"
             )
-        # phi_u and phi_v on one array: a transported surface flows one
-        # Jacobian for both
         partials = ((uu, vv), v_seam, (su, sv), *v_shifts)
         pu, _, pu_s, _, _ = self._values(where, "phi_u", *partials)
         pv, pv_vs, pv_s, pv_p, pv_m = self._values(where, "phi_v", *partials)
@@ -599,18 +574,15 @@ class ParamSurface(_Sampled):
                 f"(u, v) = ({uu[k]:g}, {vv[k]:g})"
             )
         pvv_vs, pvv_s = self._values(where, "phi_vv", v_seam, (su, sv))
-        rel_tol = 1e-5 if self.transported else 1e-6
         for plus, minus, got, label, step in (
             (phi_up, phi_um, pu_s, "phi_u", hu),
             (phi_vp, phi_vm, pv_s, "phi_v", hv),
             (pv_p, pv_m, pvv_s, "phi_vv", hv),
         ):
-            _check_difference(where, label, plus, minus, got, step, rel_tol,
+            _check_difference(where, label, plus, minus, got, step, 1e-6,
                               (su, sv))
-        scale = 1.0 + np.abs(pts).max()
-        # the v = c and v = d seams meet; transported charts only up to
-        # integrator noise
-        tol = (1e-6 if self.transported else 1e-12) * scale
+        # the v = c and v = d seams meet
+        tol = 1e-12 * (1.0 + np.abs(pts).max())
         for label, x in (("phi", phi_vs), ("phi_v", pv_vs), ("phi_vv", pvv_vs)):
             if (gap := np.abs(x[:n] - x[n:]).max()) > tol:
                 raise InvariantViolation(

@@ -273,9 +273,8 @@ def _cutoff_points(dim, rng):
     return radii[:, None] * e
 
 
-@pytest.mark.parametrize("desc,dim", LOCALIZED_KINDS,
-                         ids=[f"{d['name']}-{k}" for d, k in LOCALIZED_KINDS])
-def test_localized_cutoff_matches_whole_array_formula(desc, dim, monkeypatch):
+def _field_and_nominals(desc, dim, monkeypatch):
+    """The built field and the (X, dX) nominal forms _localized wrapped."""
     nominals = []
     real = catalog._localized
 
@@ -285,7 +284,14 @@ def test_localized_cutoff_matches_whole_array_formula(desc, dim, monkeypatch):
 
     monkeypatch.setattr(catalog, "_localized", spy)
     field = build_field(desc, dim)
-    (nominal_X, nominal_dX), = nominals
+    (nominals,) = nominals
+    return field, nominals
+
+
+@pytest.mark.parametrize("desc,dim", LOCALIZED_KINDS,
+                         ids=[f"{d['name']}-{k}" for d, k in LOCALIZED_KINDS])
+def test_localized_cutoff_matches_whole_array_formula(desc, dim, monkeypatch):
+    field, (nominal_X, nominal_dX) = _field_and_nominals(desc, dim, monkeypatch)
     pts = _cutoff_points(dim, np.random.default_rng(dim))
     ref_X, ref_dX = _reference_localized(nominal_X, nominal_dX, pts)
     X = field.X(pts)
@@ -296,3 +302,64 @@ def test_localized_cutoff_matches_whole_array_formula(desc, dim, monkeypatch):
     # rows inside the inner radius are the nominal field itself
     inside = np.linalg.norm(pts, axis=1) <= catalog.CUTOFF_INNER
     np.testing.assert_array_equal(field.dX(pts[inside]), nominal_dX(pts[inside]))
+
+
+def _norm_shell_localized(nominal_X, nominal_dX, dim):
+    """_localized as it read when its shell test took the norm of every
+    point (kept here as the reference)."""
+    span = catalog.CUTOFF_OUTER - catalog.CUTOFF_INNER
+
+    def shell_of(pts):
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        rr = np.linalg.norm(pts, axis=1)
+        shell = rr > catalog.CUTOFF_INNER
+        return pts, rr[shell], shell
+
+    def X(pts):
+        pts, rr, shell = shell_of(pts)
+        out = nominal_X(pts)
+        if shell.any():
+            w = smooth_step((rr - catalog.CUTOFF_INNER) / span)
+            out[shell] = w[:, None] * out[shell]
+        return out
+
+    def dX(pts):
+        pts, rr, shell = shell_of(pts)
+        out = nominal_dX(pts)
+        if shell.any():
+            s = (rr - catalog.CUTOFF_INNER) / span
+            w = smooth_step(s)
+            dw = smooth_step_deriv(s) / span
+            grad = np.zeros((len(rr), dim))
+            act = dw != 0.0
+            grad[act] = (dw[act] / rr[act])[:, None] * pts[shell][act]
+            out[shell] = (w[:, None, None] * out[shell]
+                          + nominal_X(pts)[shell][:, :, None] * grad[:, None, :])
+        return out
+
+    return X, dX
+
+
+@pytest.mark.parametrize("desc,dim", LOCALIZED_KINDS,
+                         ids=[f"{d['name']}-{k}" for d, k in LOCALIZED_KINDS])
+def test_localized_shell_on_squares_is_bit_equal_to_the_norm_test(desc, dim,
+                                                                  monkeypatch):
+    field, nominals = _field_and_nominals(desc, dim, monkeypatch)
+    ref_X, ref_dX = _norm_shell_localized(*nominals, dim)
+    rng = np.random.default_rng(10 + dim)
+    inner = catalog.CUTOFF_INNER
+    # within 8 ulps of the inner radius, where |p|^2 rounds to either side
+    # of 36 (and onto it), inside it, on it along an axis, and out to the
+    # outer radius
+    e = rng.standard_normal((6000, dim))
+    e /= np.linalg.norm(e, axis=1)[:, None]
+    radii = np.concatenate([
+        inner * (1.0 + rng.integers(-8, 9, 4000) * np.finfo(float).eps),
+        rng.uniform(0.0, inner, 1000),
+        rng.uniform(inner, catalog.CUTOFF_OUTER, 1000)])
+    pts = np.vstack([radii[:, None] * e, inner * np.eye(dim),
+                     catalog.CUTOFF_OUTER * np.eye(dim)])
+    r2 = (pts ** 2).sum(axis=1)
+    assert (r2 > inner ** 2).sum() > 2000 and (r2 == inner ** 2).sum() > 50
+    assert field.X(pts).tobytes() == ref_X(pts).tobytes()
+    assert field.dX(pts).tobytes() == ref_dX(pts).tobytes()

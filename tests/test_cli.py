@@ -424,3 +424,18 @@ def test_functional_without_a_compatible_shape_exits_2(tmp_path, capsys):
         "error: config.functionals: 'elastic' is compatible with no shape "
         "outside a crack (shapes: helix1)\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_compared_pair_without_a_field_exits_2(tmp_path, capsys):
+    # the cylinder takes area, but the only field is planar: compare would
+    # run no comparison and pass
+    cfg = {"shapes": [{"kind": "cylinder", "name": "cylinder"}],
+           "fields": [{"kind": "constant", "vector": [1.0, 0.0], "name": "e1"}],
+           "functionals": [{"kind": "area"}], "suites": ["compare"]}
+    assert _run_config(cfg, tmp_path) == 2
+    assert capsys.readouterr().err == (
+        "error: config.fields: none lives in dimension 3, so 'area' on "
+        "'cylinder' has nothing to compare\n")
+    assert not (tmp_path / "out").exists()
+    # without compare the same pair has nothing to miss
+    assert _run_config(dict(cfg, suites=["nullity"]), tmp_path) == 0
