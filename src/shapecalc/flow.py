@@ -24,6 +24,14 @@ the points have moved little, instead of from the curve's grid.
 invariance_residual projects its flowed samples in one more session, so
 on a hook-free curve each of its projections after the first starts from
 the feet before it.
+
+The first RK4 stage of a flow, the field at its start points (with J = I
+in a joint flow), is shared by consecutive flows of one field and kind
+from the same points (_first_stage).  Every level of an FD schedule
+flows the base nodes, so a schedule computes that stage once, at its
+first level; invariance_residual computes it once for its n, 2n and n*
+runs.  A served stage comes with the projection session its computation
+left behind, so sharing changes no bit.
 """
 from __future__ import annotations
 
@@ -65,9 +73,36 @@ class FlowConfig:
             raise InvariantViolation("n_steps must be a positive integer")
 
 
-def _rk4(rhs, state: tuple, cfg: FlowConfig, name: str) -> tuple:
+# (field, key, stage, session) of the last flow's first RK4 stage, replaced
+# as one object; holding the field keeps its id from being reused
+_first: list = [None]
+
+
+def _first_stage(rhs, state: tuple, field, kind: str, session: dict) -> tuple:
+    """rhs(*state) at the start of a flow, from a one-entry memo keyed on
+    the field, the flow kind ("point" or "joint") and the start points'
+    shape and bytes: the levels of an FD schedule flow the same points
+    (from J = I in a joint flow) one after the other.  A miss drops the old
+    entry before computing; _rk4 never writes into a stage.
+
+    The flow's projection session is empty at its first stage, and the
+    memo keeps what the stage put there: a hit restores it, so the second
+    stage warm-starts from the same feet as when the first is computed."""
+    x = state[0]
+    key = (kind, x.shape, x.tobytes())
+    entry = _first[0]
+    if entry is None or entry[0] is not field or entry[1] != key:
+        _first[0] = None
+        entry = _first[0] = (field, key, rhs(*state), dict(session))
+    else:
+        session.update(entry[3])
+    return entry[2]
+
+
+def _rk4(rhs, state: tuple, cfg: FlowConfig, field, kind: str) -> tuple:
     """Classical RK4 on a tuple of arrays; rhs maps the arrays to their
-    rates.  At t_final = 0 this returns copies without calling rhs.
+    rates.  At t_final = 0 this returns copies without calling rhs.  The
+    first stage comes from _first_stage.
 
     The steps run in one projection session, so a field that projects
     onto a hook-free curve warm-starts each stage's Newton search from the
@@ -76,16 +111,27 @@ def _rk4(rhs, state: tuple, cfg: FlowConfig, name: str) -> tuple:
     if h == 0.0:
         return tuple(s.copy() for s in state)
     half, sixth = 0.5 * h, h / 6.0
-    with projection_session():
-        for _ in range(cfg.n_steps):
-            k1 = rhs(*state)
+    with projection_session() as session:
+        for step in range(cfg.n_steps):
+            k1 = (_first_stage(rhs, state, field, kind, session) if step == 0
+                  else rhs(*state))
             k2 = rhs(*[s + half * k for s, k in zip(state, k1)])
             k3 = rhs(*[s + half * k for s, k in zip(state, k2)])
             k4 = rhs(*[s + h * k for s, k in zip(state, k3)])
-            state = [s + sixth * (a + 2.0 * b + 2.0 * c + d)
-                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            # s + sixth * (a + 2b + 2c + d), summed in place in that order
+            # (the sums commute bit for bit)
+            new = []
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4):
+                acc = 2.0 * b
+                acc += a
+                acc += 2.0 * c
+                acc += d
+                acc *= sixth
+                acc += s
+                new.append(acc)
+            state = new
             if not all(np.isfinite(s).all() for s in state):
-                raise NonFinite(f"flow of '{name}' left the numeric range")
+                raise NonFinite(f"flow of '{field.name}' left the numeric range")
     return tuple(state)
 
 
@@ -96,7 +142,7 @@ def flow_point(field: AmbientField, x0, cfg: FlowConfig) -> np.ndarray:
     """
     x = np.asarray(x0, dtype=float)
     X = field.X
-    (out,) = _rk4(lambda xc: (X(xc),), (np.atleast_2d(x),), cfg, field.name)
+    (out,) = _rk4(lambda xc: (X(xc),), (np.atleast_2d(x),), cfg, field, "point")
     return out[0] if x.ndim == 1 else out
 
 
@@ -113,7 +159,7 @@ def flow_with_jacobian(field: AmbientField, x0,
         return X(xc), _jacobian_product(dX(xc), Jc)
 
     return _rk4(rhs, (x, np.broadcast_to(np.eye(d), (n, d, d)).copy()), cfg,
-                field.name)
+                field, "joint")
 
 
 def _jacobian_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:

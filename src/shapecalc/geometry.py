@@ -80,7 +80,8 @@ parameter point, for scalar input too.
   a projection session (one per running flow, see projection_session),
   where it may start from the feet of the session's previous projection
   on the same curve and extend (the warm rule of nearest_curve_param).
-  Outside a session a projection is a pure function of its input.
+  Outside a session a projection is a pure function of its input.  Zero
+  points give an empty Foot on every kind.
   nearest_curve_param and nearest_surface_param are the module functions
   behind project.
 
@@ -136,6 +137,12 @@ FOOT_ROUNDOFF = 32.0 * np.finfo(float).eps
 # (200, 0) read up to 0.29 of it in dgamma, and the circle 2.25 in ddgamma
 DIFF_ROUNDOFF = 4.0 * np.finfo(float).eps
 
+# rows per block of the pair kernels (_nearest_seed, _embedding_extent): a
+# 128 x 512 float64 block is 512 KiB and stays in cache.  Seeding 2,560
+# points on a 512-point curve grid as one matrix builds three 10 MB
+# temporaries and takes 10-12 ms on a 2-core Xeon, 2.5-3 ms in blocks
+_BLOCK = 128
+
 
 def _params(params, k: int) -> tuple[np.ndarray, ...]:
     """The k parameter arrays of a query as chart arguments: t for a curve
@@ -189,24 +196,30 @@ def _ramp(s: np.ndarray, a: float, b: float) -> np.ndarray:
 # embedding desk check
 
 
-def _pair_sq_dist(pts: np.ndarray) -> np.ndarray:
-    """Squared distances of every pair of rows by np.subtract.outer (no
-    (n, n, dim) temporary), summed in norm's order: the same bits."""
-    d2 = np.subtract.outer(pts[:, 0], pts[:, 0]) ** 2
-    for k in range(1, pts.shape[1]):
-        d2 += np.subtract.outer(pts[:, k], pts[:, k]) ** 2
+def _pair_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances of every row of a to every row of b by
+    np.subtract.outer (no (n, m, dim) temporary), summed in norm's order:
+    the same bits."""
+    d2 = np.subtract.outer(a[:, 0], b[:, 0]) ** 2
+    for k in range(1, a.shape[1]):
+        d2 += np.subtract.outer(a[:, k], b[:, k]) ** 2
     return d2
 
 
 def _embedding_extent(pts: np.ndarray, nonadj: np.ndarray) -> tuple[float, float]:
     """(diameter, separation) of a sample set: the largest distance between
     two samples and the smallest between two non-adjacent ones (inf when
-    no pair is non-adjacent).  sqrt is monotone and correctly rounded, so
-    taking it after max / min gives the same bits as taking it first.
+    no pair is non-adjacent).  Both are taken over blocks of _BLOCK rows of
+    the distance matrix; max and min are exact, so the blocks change no
+    bit.  sqrt is monotone and correctly rounded, so taking it after max /
+    min gives the same bits as taking it first.
     """
-    d2 = _pair_sq_dist(pts)
-    sep2 = np.min(d2, where=nonadj, initial=np.inf)
-    return float(np.sqrt(d2.max())), float(np.sqrt(sep2))
+    diam2, sep2 = 0.0, np.inf
+    for k0 in range(0, len(pts), _BLOCK):
+        d2 = _pair_sq_dist(pts[k0:k0 + _BLOCK], pts)
+        diam2 = max(diam2, d2.max())
+        sep2 = min(sep2, np.min(d2, where=nonadj[k0:k0 + _BLOCK], initial=np.inf))
+    return float(np.sqrt(diam2)), float(np.sqrt(sep2))
 
 
 def _far_separation(pts: np.ndarray, closed: bool, far: float) -> float:
@@ -222,7 +235,7 @@ def _far_separation(pts: np.ndarray, closed: bool, far: float) -> float:
     gap = np.abs(np.subtract.outer(arc[idx], arc[idx]))
     if closed:
         gap = np.minimum(gap, arc[-1] - gap)
-    d2 = _pair_sq_dist(pts[idx])
+    d2 = _pair_sq_dist(pts[idx], pts[idx])
     near = np.sqrt(np.min(d2, where=gap > far, initial=np.inf))
     return max(near - np.diff(arc[idx]).max(), 0.0)
 
@@ -232,25 +245,31 @@ def _frozen(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _far_indices(n: int, period: int | None) -> np.ndarray:
+    """Pairs of n indices more than one apart, cyclically when a period is
+    given: the complement of a few bool diagonals, so no n x n integer
+    array is built."""
+    near = np.zeros((n, n), dtype=bool)
+    for k in (-1, 0, 1):
+        for shift in (0,) if period is None else (-period, 0, period):
+            near |= np.eye(n, k=k + shift, dtype=bool)
+    return ~near
+
+
 @lru_cache(maxsize=None)
 def _curve_nonadjacent(n: int, closed: bool) -> np.ndarray:
     """Pairs of n curve samples more than one step apart (across the seam
     of a closed curve too)."""
-    idx = np.arange(n)
-    gap = np.abs(idx[:, None] - idx[None, :])
-    if closed:
-        gap = np.minimum(gap, n - gap)
-    return _frozen(gap > 1)
+    return _frozen(_far_indices(n, n if closed else None))
 
 
 @lru_cache(maxsize=None)
 def _surface_nonadjacent(n: int) -> np.ndarray:
     """Pairs of an n x n surface grid outside each other's 8-neighborhood,
     the first and last columns adjacent: the chart closes in v."""
-    iu, iv = np.divmod(np.arange(n * n), n)
-    dv = np.abs(iv[:, None] - iv[None, :])
-    dv = np.minimum(dv, n - 1 - dv)
-    return _frozen((np.abs(iu[:, None] - iu[None, :]) > 1) | (dv > 1))
+    far_u, far_v = _far_indices(n, None), _far_indices(n, n - 1)
+    return _frozen((far_u[:, None, :, None] | far_v[None, :, None, :])
+                   .reshape(n * n, n * n))
 
 
 def _check_difference(where: str, label: str, plus, minus, got, h: float,
@@ -868,12 +887,18 @@ def integrate_surface(surf: ParamSurface,
 
 def _nearest_seed(pts: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Index of the seed nearest to each point: a |p - s|^2 argmin over
-    chunks of 8192 points, which builds no n x m x dim temporary."""
+    blocks of _BLOCK points, so no n x m x dim temporary and no n x m
+    matrix is built; a block's distances stay in cache.  Each block is
+    s2 - 2 (p @ s.T) computed in place, the same arithmetic (the products
+    by -2 and 2 are exact and addition commutes), so the argmin is bit for
+    bit that of the whole matrix: ties go to the first seed."""
     s2 = (seeds ** 2).sum(axis=1)
     best = np.empty(len(pts), dtype=np.intp)
-    for k0 in range(0, len(pts), 8192):
-        d2 = s2[None, :] - 2.0 * (pts[k0:k0 + 8192] @ seeds.T)
-        best[k0:k0 + 8192] = d2.argmin(axis=1)
+    for k0 in range(0, len(pts), _BLOCK):
+        d2 = pts[k0:k0 + _BLOCK] @ seeds.T
+        d2 *= -2.0
+        d2 += s2
+        best[k0:k0 + _BLOCK] = d2.argmin(axis=1)
     return best
 
 
@@ -890,10 +915,13 @@ def projection_session():
     from the feet of the previous projection onto the same curve and
     extend (the warm rule of nearest_curve_param).  flow._rk4 opens one per
     flow; a nested session shadows the outer one until it closes.  Being a
-    context variable, a session is private to its thread."""
-    token = _SESSION.set({})
+    context variable, a session is private to its thread.  Yields the
+    session's dict, which flow._first_stage saves and restores with the
+    stage it memoizes."""
+    session = {}
+    token = _SESSION.set(session)
     try:
-        yield
+        yield session
     finally:
         _SESSION.reset(token)
 
@@ -908,7 +936,9 @@ def _warm_seed(curve: ParamCurve, last, pts: np.ndarray) -> np.ndarray | None:
         return None
     move = np.linalg.norm(pts - old_pts, axis=1)
     reach = curve.reach
-    if move.max() <= 0.1 * reach and (old_dist + move).max() < reach:
+    # initial=0.0 lets zero points through (both maxima are of norms)
+    if (move.max(initial=0.0) <= 0.1 * reach
+            and (old_dist + move).max(initial=0.0) < reach):
         return old_t
     return None
 
@@ -981,7 +1011,8 @@ def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
             # points out of it has converged there
             step = np.where(((t == lo) & (step < 0.0)) | ((t == hi) & (step > 0.0)),
                             0.0, step)
-        if np.abs(step).max() < tol:
+        # initial=0.0: zero points have converged
+        if np.abs(step).max(initial=0.0) < tol:
             return t
     k = int(np.argmax(np.abs(step)))
     raise NoConvergence(
@@ -1095,7 +1126,7 @@ def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
         u_next = np.clip(u + du, lo_u, hi_u)
         step = np.maximum(np.abs(u_next - u), np.abs(dv))
         u, v = u_next, surf.c + np.mod(v + dv - surf.c, span_v)
-        if step.max() < tol:
+        if step.max(initial=0.0) < tol:
             return u, v
     k = int(np.argmax(step))
     raise NoConvergence(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from shapecalc import cli, geometry, validation
+from shapecalc import flow as flow_mod
 from shapecalc.derivative import flow_schedule
 from shapecalc.errors import (DegenerateImmersion, InvariantViolation,
                               NoConvergence, NonFinite)
@@ -20,6 +21,7 @@ from shapecalc.flow import (
     flow_point,
     flow_with_jacobian,
     invariance_residual,
+    step_count,
 )
 from shapecalc.functionals import length
 
@@ -379,6 +381,83 @@ def test_zero_time_flow_is_the_identity_without_field_calls(radial2, t_final):
     np.testing.assert_array_equal(x, pts)
     np.testing.assert_array_equal(J, np.broadcast_to(np.eye(2), (3, 2, 2)))
     assert calls == []
+
+
+# -- one first RK4 stage per FD schedule --------------------------------------
+
+
+def test_fd_schedule_computes_one_first_stage(circle1, radial2, fd5):
+    # every level takes one RK4 step from the same nodes with J = I; length
+    # reads dgamma alone, one joint flow per level
+    field, calls = _counted(radial2)
+    calls.clear()
+    for Mt in flow_schedule(field, circle1, fd5):
+        length(Mt)
+    assert calls.count("X") == calls.count("dX") == 1 + 3 * fd5.levels
+
+
+def _schedule_values(field, M, cfg, clear):
+    """dgamma, then gamma, of every level of one FD schedule on fixed
+    nodes, the first-stage memo emptied before each flow when `clear`."""
+    nodes = np.linspace(M.a, M.b, 40)
+    ts = (cfg.t0 / 2.0 ** np.arange(cfg.levels)).tolist()
+    levels = [flow_manifold(field, M, FlowConfig(t, step_count(t, cfg.max_step)))
+              for t in ts]
+    out = []
+    for name in ("dgamma", "gamma"):
+        for Mt in levels:
+            if clear:
+                flow_mod._first[0] = None
+            out.append(getattr(Mt, name)(nodes))
+    return out
+
+
+@pytest.mark.parametrize("shape, field", [("circle1", "radial2"),
+                                          ("ellipse21", "radial2"),
+                                          ("helix1", "radial3")])
+def test_first_stage_memo_changes_no_bit(shape, field, fd5, request):
+    # circle1 flows the catalog field; the hook-free curves flow its normal
+    # restriction, which projects in every stage and warm-starts the second
+    # from the first stage's feet, memoized or not
+    from shapecalc.fields import restriction_field
+
+    M = request.getfixturevalue(shape)
+    X = request.getfixturevalue(field)
+    if M.foot is None:
+        X = restriction_field(M, X, "perp")
+    cold = _schedule_values(X, M, fd5, clear=True)
+    warm = _schedule_values(X, M, fd5, clear=False)
+    for a, b in zip(cold, warm):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_point_and_joint_flows_never_share_a_first_stage(radial2):
+    field, calls = _counted(radial2)
+    pts = np.random.default_rng(8).uniform(-1.0, 1.0, (9, 2))
+    cfg = FlowConfig(0.01, 1)
+    flow_mod._first[0] = None
+    calls.clear()
+    x = flow_point(field, pts, cfg)
+    assert calls == ["X"] * 4
+    calls.clear()
+    xj, _ = flow_with_jacobian(field, pts, cfg)
+    assert calls == ["X", "dX"] * 4
+    np.testing.assert_array_equal(xj, x)
+    calls.clear()
+    flow_point(field, pts, cfg)
+    assert calls == ["X"] * 4
+    # the same kind from the same points is served; another field, or
+    # other points, is not
+    calls.clear()
+    flow_point(field, pts, FlowConfig(0.005, 1))
+    assert calls == ["X"] * 3
+    other, other_calls = _counted(radial2)
+    other_calls.clear()
+    flow_point(other, pts, cfg)
+    assert other_calls == ["X"] * 4
+    calls.clear()
+    flow_point(field, pts[:-1], cfg)
+    assert calls == ["X"] * 4
 
 
 # -- flowed manifolds are built unchecked; Tier-1 checks them here ---------

@@ -749,6 +749,18 @@ def test_nonadjacency_masks_are_shared_and_read_only():
             mask[0, 0] = True
 
 
+def test_nonadjacency_masks_match_reference_at_small_sizes():
+    # the masks are unions of bool diagonals; at small n the wrapped ones
+    # overlap the central ones
+    for n in range(1, 9):
+        for closed in (False, True):
+            np.testing.assert_array_equal(geometry._curve_nonadjacent(n, closed),
+                                          _reference_curve_mask(n, closed))
+        if n >= 2:
+            np.testing.assert_array_equal(geometry._surface_nonadjacent(n),
+                                          _reference_surface_mask(n))
+
+
 def test_embedding_extent_without_nonadjacent_pairs():
     # no pair to compare: the separation is inf, so no coincidence is flagged
     pts = np.random.default_rng(3).standard_normal((4, 3))
@@ -1128,6 +1140,28 @@ def test_project_has_one_signature():
             == inspect.signature(ParamSurface.project))
 
 
+@pytest.mark.parametrize("extend", [0.0, 0.3])
+@pytest.mark.parametrize("in_session", [False, True])
+@pytest.mark.parametrize(
+    "shape", ["circle1", "segment01", "ellipse21", "helix1", "cylinder", "catenoid"])
+def test_projecting_zero_points_gives_an_empty_foot(shape, in_session, extend,
+                                                    request):
+    # hook and hook-free kinds alike; inside a session the second projection
+    # meets the first one's zero-point entry (the warm rule's maxima)
+    M = request.getfixturevalue(shape)
+    pts = np.zeros((0, M.dim))
+    if in_session:
+        with geometry.projection_session():
+            M.project(pts, extend)
+            ft = M.project(pts, extend)
+    else:
+        ft = M.project(pts, extend)
+    assert ft.r.shape == (0, M.dim) and ft.dist.shape == (0,)
+    params = (ft.params,) if isinstance(M, ParamCurve) else ft.params
+    assert all(x.shape == (0,) for x in params)
+    assert ft.grad_dist.shape == (0, M.dim)
+
+
 def _reference_rule(lo, hi, panels):
     # reference: the composite rule written out in full
     edges = np.linspace(lo, hi, panels + 1)
@@ -1161,12 +1195,38 @@ def test_gauss_legendre_matches_the_inline_rule(circle1, crack_arc, cylinder):
 
 
 def test_nearest_seed_matches_brute_force():
-    # more points than one chunk of the search
+    # more points than one block of the search
     rng = np.random.default_rng(3)
-    pts = rng.normal(size=(8192 + 1500, 3))
+    pts = rng.normal(size=(3 * geometry._BLOCK + 50, 3))
     seeds = rng.normal(size=(97, 3))
     brute = np.argmin(np.linalg.norm(pts[:, None, :] - seeds[None], axis=2), axis=1)
     np.testing.assert_array_equal(geometry._nearest_seed(pts, seeds), brute)
+
+
+def _dense_nearest_seed(pts, seeds):
+    # reference: the whole distance matrix at once
+    s2 = (seeds ** 2).sum(axis=1)
+    return (s2 - 2.0 * (pts @ seeds.T)).argmin(axis=1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("blocks, extra",
+                         [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 77)])
+def test_nearest_seed_bit_equal_to_the_dense_formula(blocks, extra, dim):
+    # zero rows, block boundaries and a count that is no multiple of the
+    # block; every 5th point sits on a duplicated seed, whose tie goes to
+    # the first copy
+    n = blocks * geometry._BLOCK + extra
+    rng = np.random.default_rng(7 + 10 * blocks + extra + dim)
+    seeds = rng.normal(size=(64, dim))
+    seeds[40:] = seeds[:24]
+    pts = rng.normal(size=(n, dim))
+    first = np.arange(len(pts[::5])) % 24
+    pts[::5] = seeds[40 + first]
+    got = geometry._nearest_seed(pts, seeds)
+    assert got.shape == (n,) and got.dtype == np.intp
+    np.testing.assert_array_equal(got, _dense_nearest_seed(pts, seeds))
+    np.testing.assert_array_equal(got[::5], first)
 
 
 def test_grid_speed_and_grid_ball(ellipse21, helix1, cylinder):
