@@ -8,12 +8,11 @@ nullity, locality, normal-dependence decomposition, and crack endpoint
 coefficients.
 """
 
-from .errors import (ConfigError, CrackNotInterior, DegenerateFrame,
-                     DegenerateImmersion, IllConditioned, InvariantViolation,
-                     NoConvergence, NonFinite, ProbeOverlap, ShapecalcError,
-                     SupportViolation)
+from .errors import (ConfigError, CrackNotInterior, DegenerateImmersion,
+                     IllConditioned, InvariantViolation, NoConvergence,
+                     NonFinite, ProbeOverlap, ShapecalcError, SupportViolation)
 from .geometry import (Foot, FrenetFrame, ParamCurve, ParamSurface,
-                       curvature, curve_curvature_derivs, curve_frame,
+                       curvature, curve_curvature_derivs, frenet_rows,
                        integrate_curve, integrate_surface,
                        nearest_curve_param, nearest_surface_param,
                        surface_max_curvature, surface_mean_curvature)

@@ -8,6 +8,7 @@ numerics run.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -160,6 +161,17 @@ class _Params:
         if self.raw:
             extra = ", ".join(repr(k) for k in sorted(self.raw))
             raise ConfigError(f"{self.where}: unknown parameter(s) {extra}")
+
+
+@contextmanager
+def _as_config_error(prefix: str):
+    """A builder's ShapecalcError, re-raised as a ConfigError led by prefix."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ShapecalcError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _split_desc(desc, where: str, kinds, named: bool = True):
@@ -372,12 +384,8 @@ SHAPE_KINDS: Mapping[str, Callable] = {
 def build_shape(desc, where: str = "shape"):
     """Build a ParamCurve or ParamSurface from a descriptor."""
     kind, name, params = _split_desc(desc, where, SHAPE_KINDS)
-    try:
+    with _as_config_error(f"{where}: cannot build shape '{name}': "):
         return SHAPE_KINDS[kind](_Params(params, where), name)
-    except ConfigError:
-        raise
-    except ShapecalcError as exc:
-        raise ConfigError(f"{where}: cannot build shape '{name}': {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +552,15 @@ FIELD_KINDS: Mapping[str, Callable] = {
 
 @dataclass(frozen=True)
 class ParsedField:
-    """Validated field descriptor, instantiable per ambient dimension."""
+    """Validated field descriptor, instantiable per ambient dimension; build
+    makes each dimension's field once, and every job of a plan shares it."""
 
     name: str
     dims: frozenset
     where: str
     _make: Callable[[int], AmbientField] = field(repr=False)
+    _built: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def build(self, dim: int) -> AmbientField:
         if dim not in self.dims:
@@ -558,14 +569,11 @@ class ParsedField:
                 f"{self.where}: field '{self.name}' lives in dimension "
                 f"{have}, not {dim}"
             )
-        try:
-            return self._make(dim)
-        except ConfigError:
-            raise
-        except ShapecalcError as exc:
-            raise ConfigError(
-                f"{self.where}: cannot build field '{self.name}': {exc}"
-            ) from exc
+        if dim not in self._built:
+            with _as_config_error(
+                    f"{self.where}: cannot build field '{self.name}': "):
+                self._built[dim] = self._make(dim)
+        return self._built[dim]
 
 
 def parse_field(desc, where: str = "field") -> ParsedField:
@@ -629,12 +637,8 @@ def parse_functional(desc, shapes: Mapping[str, object],
             f"'{crack_name}' has dimension {crack.dim}"
         )
     inner = length_functional() if inner_kind == "length" else elastic_functional()
-    try:
+    with _as_config_error(f"{where}: "):
         return crack_functional(Ball(center, radius), crack, inner=inner)
-    except ConfigError:
-        raise
-    except ShapecalcError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def compatible(functional, shape) -> bool:

@@ -3,8 +3,10 @@
 `shapecalc run config.json` builds the catalog entries named in the config,
 cross-checks every compatible (functional, shape, field) triple against the
 flow oracle, runs the requested structure suites, and writes a canonical
-JSON report (plus CSV extracts on request).  `shapecalc plot report.json`
-flattens the stored quotient traces into a CSV for plotting.
+JSON report (plus CSV extracts with `--format json,csv`) into the
+directory `--out`, the current one by default; the config says nothing of
+output.  `shapecalc plot report.json` flattens the stored quotient traces
+into a CSV for plotting.
 
 Cases run one after another in a single thread, so a run's report is the
 same bytes every time; `--jobs` is accepted for scripts that pass
@@ -58,8 +60,6 @@ class RunPlan:
     fields: list[ParsedField]
     functionals: list
     suites: tuple[str, ...]
-    out_path: Optional[str]
-    formats: tuple[str, ...]
 
 
 def load_plan(path: str) -> RunPlan:
@@ -71,10 +71,9 @@ def load_plan(path: str) -> RunPlan:
     levels = fd.integer("levels", default=FDConfig.levels, minimum=2)
     if not fd.boolean("richardson", default=True):  # always extrapolated
         raise ConfigError("config.fd: richardson must be true")
-    max_step = fd.scalar("max_step", default=FDConfig.max_step, positive=True)
     fd.finish()
     try:
-        cfg = FDConfig(t0=t0, levels=levels, max_step=max_step)
+        cfg = FDConfig(t0=t0, levels=levels)
     except InvariantViolation as exc:
         raise ConfigError(f"config.fd: {exc}") from None
 
@@ -94,16 +93,10 @@ def load_plan(path: str) -> RunPlan:
     if len(set(suites)) != len(suites):
         raise ConfigError("config.suites: duplicate suite names")
 
-    out = _Params(top.mapping("output", default=None), "config.output")
-    out_path = out.string("path", default=None)
-    formats = _known(out.sequence("formats", default=None) or ["json"],
-                     FORMAT_NAMES, "config.output.formats", "format")
-    out.finish()
     top.finish()
     plan = RunPlan(label=label, cfg=cfg, rel_tol=rel_tol, abs_tol=abs_tol,
                    shapes=shapes, fields=fields, functionals=functionals,
-                   suites=tuple(suites), out_path=out_path,
-                   formats=tuple(dict.fromkeys(formats)))
+                   suites=tuple(suites))
     # a functional with no shape to run on, or a compared pair with no
     # field, would silently run nothing
     generic = _generic_shapes(plan)
@@ -174,24 +167,16 @@ def _plain_functionals(plan: RunPlan) -> list:
     return [J for J in plan.functionals if not isinstance(J, CrackFunctional)]
 
 
-def _fields_for(plan: RunPlan, M, cache: dict) -> list:
-    out = []
-    for f in plan.fields:
-        if M.dim in f.dims:
-            key = (f.name, M.dim)
-            if key not in cache:
-                cache[key] = f.build(M.dim)
-            out.append(cache[key])
-    return out
+def _fields_for(plan: RunPlan, M) -> list:
+    return [f.build(M.dim) for f in plan.fields if M.dim in f.dims]
 
 
 def comparison_jobs(plan: RunPlan) -> list[_Job]:
     # the functionals of one (M, X) run one after the other: one FD schedule
-    cache: dict = {}
     jobs = []
     for M in _generic_shapes(plan):
         Js = [J for J in _plain_functionals(plan) if compatible(J, M)]
-        for X in _fields_for(plan, M, cache) if Js else ():
+        for X in _fields_for(plan, M) if Js else ():
             jobs.extend(_single(f"{J.name}/{M.name}/{X.name}",
                                 lambda J=J, M=M, X=X: compare(
                                     J, M, X, cfg=plan.cfg,
@@ -224,9 +209,8 @@ def suite_jobs(plan: RunPlan) -> list[_Job]:
     # locality and normal dependence take the first functional whose shape
     # has fields
     if {"locality", "normal_dependence"} & set(plan.suites):
-        cache: dict = {}
         rep = next(((J, M, fs) for J, M in firsts
-                    if (fs := _fields_for(plan, M, cache))), None)
+                    if (fs := _fields_for(plan, M))), None)
         if rep is not None:
             J, M, fs = rep
             if "locality" in plan.suites:
@@ -284,11 +268,9 @@ def _cmd_run(args) -> int:
         raise ConfigError(
             f"--jobs must be 1, got {args.jobs}: cases run in one thread")
     plan = load_plan(args.config)
-    formats = (_known(args.format.split(","), FORMAT_NAMES, "--format", "format")
-               if args.format else plan.formats)
+    formats = _known(args.format.split(","), FORMAT_NAMES, "--format", "format")
     # an unusable output path fails before any job is built
-    out_dir = args.out or plan.out_path or "."
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
 
     cjobs = comparison_jobs(plan) if "compare" in plan.suites else []
     sjobs = suite_jobs(plan)
@@ -308,13 +290,13 @@ def _cmd_run(args) -> int:
     summary = doc["summary"]
 
     if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
+        path = os.path.join(args.out, "report.json")
         write_json(path, doc)
         print(f"wrote {path}")
     if "csv" in formats:
-        cpath = os.path.join(out_dir, "comparisons.csv")
+        cpath = os.path.join(args.out, "comparisons.csv")
         write_text(cpath, comparisons_csv(comparisons))
-        spath = os.path.join(out_dir, "suites.csv")
+        spath = os.path.join(args.out, "suites.csv")
         write_text(spath, suites_csv(suites))
         print(f"wrote {cpath}")
         print(f"wrote {spath}")
@@ -345,10 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run the suites described by a JSON config")
     run_p.add_argument("config", help="path to the run config (JSON)")
-    run_p.add_argument("--out", default=None, metavar="DIR",
-                       help="output directory (default: config output.path or cwd)")
-    run_p.add_argument("--format", default=None, metavar="LIST",
-                       help="comma-separated output formats: json,csv")
+    run_p.add_argument("--out", default=".", metavar="DIR",
+                       help="output directory (default: the current one)")
+    run_p.add_argument("--format", default="json", metavar="LIST",
+                       help="comma-separated output formats, json and csv "
+                            "(default: json)")
     run_p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="must be 1 (the default): cases run one after "
                             "another in a single thread")

@@ -48,20 +48,17 @@ ABS_TOL = 1e-8
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Halving schedule t_i = t0/2^i, i = 0..levels-1; max_step caps the
-    RK4 step of every flow in the schedule."""
+    """Halving schedule t_i = t0/2^i, i = 0..levels-1, each flowed in RK4
+    steps of at most flow.DEFAULT_MAX_STEP, as invariance flows are."""
 
     t0: float = 1e-2
     levels: int = 5
-    max_step: float = DEFAULT_MAX_STEP
 
     def __post_init__(self):
         if not self.t0 > 0:
             raise InvariantViolation("t0 must be positive")
         if self.levels < 2:
             raise InvariantViolation("need at least 2 levels")
-        if not self.max_step > 0:
-            raise InvariantViolation("max_step must be positive")
         if self.levels > 1024:  # 2.0**1024 overflows
             raise InvariantViolation(
                 f"levels = {self.levels} overflows the Richardson weights 2^j - 1")
@@ -69,10 +66,10 @@ class FDConfig:
             raise InvariantViolation(
                 f"t0 = {self.t0:g} and levels = {self.levels}: the finest time "
                 "t0/2^(levels-1) is not a positive float")
-        if not self.t0 / self.max_step <= MAX_FLOW_STEPS:
+        if not self.t0 / DEFAULT_MAX_STEP <= MAX_FLOW_STEPS:
             raise InvariantViolation(
-                f"t0 = {self.t0:g} and max_step = {self.max_step:g}: the "
-                f"coarsest flow needs more than {MAX_FLOW_STEPS:.0e} RK4 steps")
+                f"t0 = {self.t0:g}: the coarsest flow needs more than "
+                f"{MAX_FLOW_STEPS:.0e} RK4 steps of {DEFAULT_MAX_STEP:g}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,7 @@ def flow_schedule(X: AmbientField, M, cfg: FDConfig) -> list:
     if not (_schedule[0] is X and _schedule[1] is M and _schedule[2] == cfg):
         ts = [0.0, *(cfg.t0 / 2.0 ** np.arange(cfg.levels)).tolist()]
         _schedule[:] = X, M, cfg, [
-            flow_manifold(X, M, FlowConfig(t, step_count(t, cfg.max_step)))
-            for t in ts]
+            flow_manifold(X, M, FlowConfig(t, step_count(t))) for t in ts]
     return _schedule[3]
 
 

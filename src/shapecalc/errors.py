@@ -18,10 +18,6 @@ class DegenerateImmersion(ShapecalcError):
     """Zero speed / rank-deficient parametrization on the sampled grid."""
 
 
-class DegenerateFrame(ShapecalcError):
-    """Unit normal undefined: |T'| vanishes on a 3d curve."""
-
-
 class IllConditioned(ShapecalcError):
     """A tangent Gram system is numerically singular (condition > 1e10)."""
 

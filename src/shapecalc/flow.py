@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -54,16 +55,16 @@ INVARIANCE_BOUND = 1e-7
 INVARIANCE_BUDGET = 1e-5 * INVARIANCE_BOUND
 
 
-def step_count(t: float, max_step: float) -> int:
-    """Fewest RK4 steps that reach time t with steps of at most max_step."""
-    return max(1, math.ceil(abs(t) / max_step))
+def step_count(t: float) -> int:
+    """Fewest RK4 steps of at most DEFAULT_MAX_STEP that reach time t."""
+    return max(1, math.ceil(abs(t) / DEFAULT_MAX_STEP))
 
 
 @dataclass(frozen=True)
 class FlowConfig:
     """Fixed-step RK4 flow to time t_final in n_steps steps, a positive
-    integer; step_count(t_final, max_step) is the fewest steps of at most
-    max_step."""
+    integer; step_count(t_final) is the fewest steps of at most
+    DEFAULT_MAX_STEP."""
 
     t_final: float
     n_steps: int
@@ -198,25 +199,36 @@ def second_derivative_step(field: AmbientField, curve: ParamCurve) -> float:
     return h2
 
 
+def curve_stencil(field: AmbientField, curve: ParamCurve, f, ts) -> np.ndarray:
+    """d/dt at (n,) parameters ts of f, a callable on the curve's
+    parameters: the 5-point stencil at second_derivative_step on [a, b],
+    wrapped across the seam of a closed curve.  A flowed curve's ddgamma,
+    and DV's gamma'' and eta'' (functionals), are this stencil."""
+    return sample_derivative(f, (ts,), second_derivative_step(field, curve), 1,
+                             curve.a, curve.b, periodic=curve.closed)
+
+
 def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
     """Manifold transported by the flow, same type as the input.
 
     One body for both kinds: the chart is flow_point of the base chart,
     each first partial is the base partial times one memoized Jacobian
     flow per parameter set, and the second derivative is a 5-point stencil
-    of the last transported partial (on a curve at
-    second_derivative_step).  Construction flows nothing and calls no field:
-    the result runs no desk check (geometry: a flow keeps its base regular,
-    closed and embedded), and each callable flows when it is called.
+    of the last transported partial (on a curve, curve_stencil).
+    Construction flows nothing and calls no field: the result runs no desk
+    check (geometry: a flow keeps its base regular, closed and embedded),
+    and each callable flows when it is called.
     """
     if isinstance(manifold, ParamCurve):
         chart, partials, second = "gamma", ("dgamma",), "ddgamma"
-        lo, hi, periodic = manifold.a, manifold.b, manifold.closed
-        h2 = second_derivative_step(field, manifold)
+        stencil = partial(curve_stencil, field, manifold)
     else:
         chart, partials, second = "phi", ("phi_u", "phi_v"), "phi_vv"
-        lo, hi, periodic = manifold.c, manifold.d, True
-        h2 = 1e-5 * (hi - lo)
+        h2 = 1e-5 * (manifold.d - manifold.c)
+
+        def stencil(f, *uv):
+            return sample_derivative(f, uv, h2, 1, manifold.c, manifold.d,
+                                     periodic=True)
     base = getattr(manifold, chart)
 
     # the callables take the chart's (n,) parameter arrays (see geometry).
@@ -230,16 +242,13 @@ def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
     jacobian = last_call_memo(
         lambda *params: flow_with_jacobian(field, base(*params), cfg)[1])
 
-    def transported(partial):
+    def transported(first):
         def partial_t(*params):
-            return np.einsum("nij,nj->ni", jacobian(*params), partial(*params))
+            return np.einsum("nij,nj->ni", jacobian(*params), first(*params))
         return partial_t
 
     firsts = {name: transported(getattr(manifold, name)) for name in partials}
-    last = firsts[partials[-1]]
-
-    def second_t(*params):
-        return sample_derivative(last, params, h2, 1, lo, hi, periodic=periodic)
+    second_t = partial(stencil, firsts[partials[-1]])
 
     return replace(
         manifold, **{chart: chart_t, second: second_t}, **firsts,
@@ -254,11 +263,11 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
     A tangent field keeps the manifold invariant, so the residual is the
     integrator error unless that error is budgeted.  One step-doubling rule
     (Hairer, Norsett & Wanner, Solving ODEs I, II.4) holds the error the
-    residual reads to INVARIANCE_BUDGET = 1e-12: the samples flow with n =
-    step_count(t, DEFAULT_MAX_STEP) and with 2n steps, both runs are
-    projected, and E = max|r_2n - r_n| / 15, the largest coordinate
-    difference of the residual vectors r = x - chart(foot(x)) (Foot.r), is
-    the Richardson estimate of the error in the 2n run's residual.  If
+    residual reads to INVARIANCE_BUDGET = 1e-12: the samples flow with
+    n = step_count(t) and with 2n steps, both runs are projected, and
+    E = max|r_2n - r_n| / 15, the largest coordinate difference of the
+    residual vectors r = x - chart(foot(x)) (Foot.r), is the Richardson
+    estimate of the error in the 2n run's residual.  If
     E <= 1e-12 the 2n run is measured; otherwise the samples flow once more
     with n* = ceil(2n (E / 1e-12)^(1/4)) steps, which the h^4 law puts at
     the budget, and that run is measured.  Raises NoConvergence, before
@@ -291,7 +300,7 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
                            np.linspace(manifold.c, manifold.d, 15), indexing="ij")
         params = (U.ravel(), V.ravel())
     pts = manifold.chart(params)
-    n = step_count(t, DEFAULT_MAX_STEP)
+    n = step_count(t)
     coarse = flow_point(field, pts, FlowConfig(t, n))
     flowed = flow_point(field, pts, FlowConfig(t, 2 * n))
     with projection_session():

@@ -18,9 +18,8 @@ Each functional also has a discrete first variation (DV): the exact
 t-derivative at t = 0 of its own quadrature on a manifold transported by
 the flow of X.  To first order in t the flow moves the chart by X o chart
 and each first partial p by eta = dX(chart) p, and the flowed curve's
-second derivative is the 5-point stencil of its first at
-flow.second_derivative_step, so DV needs X, dX and that stencil, and no
-flow:
+second derivative is the 5-point stencil of its first
+(flow.curve_stencil), so DV needs X, dX and that stencil, and no flow:
 
   DV length(X)  = sum_w T.eta                      (eta = dX gamma')
   DV area(X)    = sum_W n.(eta_u x phi_v + phi_u x eta_v) / |n|,
@@ -30,7 +29,7 @@ flow:
                   c = gamma' x gamma''
 
 on the nodes and weights of length, surface_area and bending_energy, with
-gamma'' and eta'' the stencils of gamma' and eta.  The FD oracle in
+gamma'' and eta'' the curve_stencil of gamma' and eta.  The FD oracle in
 `derivative` extrapolates toward the same number; |FD - DV| is the
 oracle's own error.
 """
@@ -41,13 +40,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._stencil import sample_derivative
 from .errors import CrackNotInterior, InvariantViolation
 from .fields import AmbientField, Ball
-from .flow import second_derivative_step
+from .flow import curve_stencil
 from .geometry import (ParamCurve, ParamSurface, _cross, curvature,
-                       curve_curvature_derivs, curve_frame, frenet_rows,
-                       gauss_legendre, integrate_curve, integrate_surface,
+                       curve_curvature_derivs, frenet_rows, gauss_legendre,
+                       integrate_curve, integrate_surface,
                        surface_mean_curvature, surface_nodes)
 
 # default quadrature resolution: fine enough that sharply modulated probe
@@ -187,21 +185,16 @@ def bending_energy(curve: ParamCurve) -> float:
 
 def discrete_delastic(curve: ParamCurve, X: AmbientField) -> float:
     """DV of bending_energy, whose integrand is |c|^2 / |gamma'|^5 with
-    c = gamma' x gamma''.  gamma'' and eta'' are 5-point stencils at the
-    step the flowed curves take theirs with, as on the oracle's t = 0
-    curve."""
+    c = gamma' x gamma''.  gamma'' and eta'' are the flow.curve_stencil of
+    gamma' and eta, so gamma'' is that of the oracle's t = 0 curve."""
     nodes, wts = gauss_legendre(curve.a, curve.b, CURVE_PANELS)
-    h2 = second_derivative_step(X, curve)
 
     def eta(ts):
         return _eta(X, curve.gamma, (curve.dgamma,), (ts,))[0]
 
-    def stencil(f):
-        return sample_derivative(f, (nodes,), h2, 1, curve.a, curve.b,
-                                 periodic=curve.closed)
-
     d1, e1 = curve.dgamma(nodes), eta(nodes)
-    d2, e2 = stencil(curve.dgamma), stencil(eta)
+    d2 = curve_stencil(X, curve, curve.dgamma, nodes)
+    e2 = curve_stencil(X, curve, eta, nodes)
     c = _cross(d1, d2)
     dc = _cross(e1, d2) + _cross(d1, e2)
     v2 = _dot(d1, d1)
@@ -224,7 +217,7 @@ def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
         )
 
     def density(ts):
-        fr = curve_frame(curve, ts)
+        fr, _ = frenet_rows(curve, ts)
         _, _, k2 = curve_curvature_derivs(curve, ts)
         xv = X.X(curve.gamma(ts))
         return (2.0 * k2 + fr.kappa**3) * np.einsum("ij,ij->i", xv, fr.N)
@@ -233,7 +226,7 @@ def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
     if curve.closed:
         return total
     for t, sgn in ((curve.b, 1.0), (curve.a, -1.0)):
-        fr = curve_frame(curve, t)
+        fr, _ = frenet_rows(curve, t)
         T, N = fr.T[0], fr.N[0]
         k, k1, _ = curve_curvature_derivs(curve, t)
         k, k1 = float(k[0]), float(k1[0])
@@ -278,7 +271,6 @@ class CrackFunctional:
     """
 
     name: str
-    region: Ball
     crack: ParamCurve
     inner: ShapeFunctional
     margin: float
@@ -315,5 +307,5 @@ def crack_functional(region: Ball, crack: ParamCurve,
             f"crack '{crack.name}' is not strictly inside the region "
             f"(max point distance {dmax:g} vs radius {region.radius:g})"
         )
-    return CrackFunctional(name=f"crack[{inner.name}@{crack.name}]", region=region,
+    return CrackFunctional(name=f"crack[{inner.name}@{crack.name}]",
                            crack=crack, inner=inner, margin=margin)

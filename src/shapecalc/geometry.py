@@ -5,7 +5,7 @@ Conventions, fixed once and used by every downstream module:
 * plane curves: N is the tangent rotated 90 degrees counter-clockwise,
   curvature is signed via T' = v*kappa*N (unit CCW circle has kappa = +1);
 * space curves: kappa = |gamma' x gamma''| / v^3 >= 0, N = T'/|T'|
-  (undefined where the curve is straight -> DegenerateFrame);
+  (undefined where the curve is straight: frenet_rows sets N = 0 there);
 * surfaces: N = phi_u x phi_v / |phi_u x phi_v|; the mean curvature returned
   by surface_mean_curvature is the trace of the Weingarten map in the
   {phi_u, phi_v} basis, so its sign is tied to the orientation of N;
@@ -100,7 +100,6 @@ the grid and are for hand-written charts.
 """
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -111,11 +110,11 @@ import numpy as np
 
 from ._stencil import sample_derivative
 from .errors import (
-    DegenerateFrame,
     DegenerateImmersion,
     IllConditioned,
     InvariantViolation,
     NoConvergence,
+    NonFinite,
 )
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -352,6 +351,9 @@ class _Sampled:
         mid = _frozen(self._grid_points.mean(axis=0))
         return mid, float(np.linalg.norm(self._grid_points - mid, axis=1).max())
 
+    def normal_part(self, params, x) -> np.ndarray:
+        return _reject(x, self.tangent_frame(params))
+
     def _values(self, where: str, label: str, *blocks) -> list:
         """The callable `label` on the concatenated parameter blocks, each a
         tuple of (k,) arrays (t, or u and v), checked against the array
@@ -486,9 +488,6 @@ class ParamCurve(_Sampled):
         e = np.eye(3)[np.argmin(np.abs(T), axis=1)]
         e -= T * np.einsum("ij,ij->i", e, T)[:, None]
         return _unit_rows(e)
-
-    def normal_part(self, t, x) -> np.ndarray:
-        return _reject(x, self.tangent_frame(t))
 
     def on_boundary(self, t) -> np.ndarray:
         (t,) = _params(t, 1)
@@ -643,9 +642,6 @@ class ParamSurface(_Sampled):
             )
         return cr / ncr[:, None]
 
-    def normal_part(self, params, x) -> np.ndarray:
-        return _reject(x, self.tangent_frame(params))
-
     def on_boundary(self, params) -> np.ndarray:
         us, _ = _params(params, 2)
         return (us == self.a) | (us == self.b)
@@ -666,13 +662,10 @@ class ParamSurface(_Sampled):
 @dataclass(frozen=True)
 class FrenetFrame:
     """Frame data along a curve, one row per parameter: unit tangent T, unit
-    normal N, binormal B (None in the plane), speed v = |gamma'| and
-    curvature kappa."""
+    normal N and curvature kappa."""
 
     T: np.ndarray
     N: np.ndarray
-    B: np.ndarray | None
-    speed: np.ndarray
     kappa: np.ndarray
 
 
@@ -706,10 +699,12 @@ def curvature(curve: ParamCurve, t) -> np.ndarray:
     return _kappa(d1, curve.ddgamma(ts), np.linalg.norm(d1, axis=1))
 
 
-def frenet_rows(curve: ParamCurve, ts: np.ndarray) -> tuple[FrenetFrame, np.ndarray]:
-    """Frame at (n,) parameters ts and the mask of rows where a space curve
-    is straight (|T'| at most 1e-12 relative to gamma''); N and B are 0 on
-    those rows, so kappa N is the curvature vector on every row."""
+def frenet_rows(curve: ParamCurve, t) -> tuple[FrenetFrame, np.ndarray]:
+    """Frame at parameter(s) t and the mask of rows where a space curve is
+    straight (|T'| at most 1e-12 relative to gamma''); N is 0 on those
+    rows, so kappa N is the curvature vector on every row.  In the plane N
+    is T turned by 90 degrees and the mask is all False."""
+    (ts,) = _params(t, 1)
     d1 = curve.dgamma(ts)
     d2 = curve.ddgamma(ts)
     v = np.linalg.norm(d1, axis=1)
@@ -721,27 +716,14 @@ def frenet_rows(curve: ParamCurve, ts: np.ndarray) -> tuple[FrenetFrame, np.ndar
     kap = _kappa(d1, d2, v)
     if curve.dim == 2:
         N = np.stack([-T[:, 1], T[:, 0]], axis=-1)
-        return FrenetFrame(T, N, None, v, kap), np.zeros(len(ts), dtype=bool)
+        return FrenetFrame(T, N, kap), np.zeros(len(ts), dtype=bool)
     Tp = (d2 - T * np.einsum("ij,ij->i", T, d2)[:, None]) / v[:, None]
     nTp = np.linalg.norm(Tp, axis=1)
     straight = nTp <= 1e-12 * (1.0 + np.linalg.norm(d2, axis=1).max())
     with np.errstate(divide="ignore", invalid="ignore"):
         N = Tp / nTp[:, None]
     N[straight] = 0.0
-    return FrenetFrame(T, N, np.cross(T, N), v, kap), straight
-
-
-def curve_frame(curve: ParamCurve, t) -> FrenetFrame:
-    """Tangent/normal frame, speed and curvature at parameter(s) t.  Raises
-    DegenerateFrame where a space curve is straight."""
-    (ts,) = _params(t, 1)
-    fr, straight = frenet_rows(curve, ts)
-    if straight.any():
-        raise DegenerateFrame(
-            f"curve '{curve.name}': unit normal undefined at t = "
-            f"{ts[straight.argmax()]:g} (straight segment)"
-        )
-    return fr
+    return FrenetFrame(T, N, kap), straight
 
 
 def curve_curvature_derivs(curve: ParamCurve, t):
@@ -843,16 +825,15 @@ def integrate_curve(curve: ParamCurve, density: Callable[[np.ndarray], np.ndarra
                     panels: int) -> float:
     """Integral of density(t) against the arc-length measure |gamma'(t)| dt.
 
-    Composite 5-point Gauss-Legendre with `panels` equal panels.  Non-finite
-    density values propagate to a NaN result (with a warning).
+    Composite 5-point Gauss-Legendre with `panels` equal panels.  A
+    non-finite result raises NonFinite naming the curve.
     """
     nodes, wts = gauss_legendre(curve.a, curve.b, panels)
     speed = np.linalg.norm(curve.dgamma(nodes), axis=1)
     vals = np.asarray(density(nodes), dtype=float)
     total = float(np.sum(wts * vals * speed))
     if not np.isfinite(total):
-        warnings.warn(f"integrate_curve('{curve.name}'): non-finite density",
-                      RuntimeWarning, stacklevel=2)
+        raise NonFinite(f"integral over '{curve.name}' is not finite")
     return total
 
 
@@ -869,14 +850,14 @@ def surface_nodes(surf: ParamSurface, panels: tuple[int, int]
 def integrate_surface(surf: ParamSurface,
                       density: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       panels: tuple[int, int]) -> float:
-    """Integral of density(u, v) against the area measure |phi_u x phi_v| du dv."""
+    """Integral of density(u, v) against the area measure |phi_u x phi_v| du
+    dv; a non-finite result raises NonFinite naming the surface."""
     uu, vv, W = surface_nodes(surf, panels)
     jac = np.linalg.norm(np.cross(surf.phi_u(uu, vv), surf.phi_v(uu, vv)), axis=1)
     vals = np.asarray(density(uu, vv), dtype=float)
     total = float(np.sum(W * vals * jac))
     if not np.isfinite(total):
-        warnings.warn(f"integrate_surface('{surf.name}'): non-finite density",
-                      RuntimeWarning, stacklevel=2)
+        raise NonFinite(f"integral over '{surf.name}' is not finite")
     return total
 
 

@@ -180,10 +180,12 @@ def locality_pairs(M, fields: Sequence[AmbientField]) -> list[LocalityPair]:
         # pullback_field ignores extend on a closed curve
         extend = min(0.5 * (M.b - M.a), 1.3 * delta / float(M.grid_speed.min()))
         params = M.a + (M.b - M.a) * np.array([0.3, 0.55, 0.8])
+        mid = params[1]
     else:
         open_curve, extend = False, 0.0
         params = (M.a + (M.b - M.a) * np.array([0.3, 0.55, 0.8]),
                   M.c + (M.d - M.c) * np.array([0.2, 0.5, 0.85]))
+        mid = (params[0][1], params[1][1])
     # witness points half a tube radius off the manifold
     foot = M.chart(params)
     off = M.unit_normal(params)
@@ -199,13 +201,8 @@ def locality_pairs(M, fields: Sequence[AmbientField]) -> list[LocalityPair]:
                                   witnesses, f"{X.name} vs +off-M tube term", True))
     if fields:
         X = fields[0]
-        if open_curve:
-            # interior normal bumps leave a geodesic's length stationary;
-            # move an endpoint along the outward conormal instead
-            center, d_dir = M.chart(M.b)[0], M.conormal_extension(M.b)[0]
-        else:
-            center, d_dir = foot[1], off[1]
-        D_on = bump_field(center, delta, d_dir, name=f"on-manifold-bump[{M.name}]")
+        D_on = _moving_bump(M, mid, delta, f"on-manifold-bump[{M.name}]",
+                            open_curve)
         pairs.append(LocalityPair(X, sum_field([X, D_on], f"{X.name}+{D_on.name}"),
                                   witnesses, f"{X.name} vs +on-M bump", False))
     return pairs
@@ -338,23 +335,30 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0) -> list[AmbientField]:
     return out
 
 
-def nullity_negative_field(M) -> AmbientField:
-    """Control field that must break the nullity suite.
+def _moving_bump(M, params, rho: float, name: str, at_end: bool
+                 ) -> AmbientField:
+    """A bump of radius rho that moves M: along the outward conormal at the
+    end b of an open curve when at_end, else along the unit normal at the
+    point params.  An interior normal bump leaves a geodesic's length
+    stationary at first order, so open curves move an end instead."""
+    if at_end:
+        center, direction = M.chart(M.b)[0], M.conormal_extension(M.b)[0]
+    else:
+        center, direction = M.chart(params)[0], M.unit_normal(params)[0]
+    return bump_field(center, rho, direction, name=name)
 
-    Closed curves and surfaces get a normal-direction bump at an interior
-    point; open curves get a conormal bump at an endpoint, since an interior
-    normal bump leaves a geodesic's length stationary at first order."""
+
+def nullity_negative_field(M) -> AmbientField:
+    """Control field that must break the nullity suite: a _moving_bump, at
+    the end of an open curve and inside any other manifold."""
     if isinstance(M, ParamCurve):
-        rho = 0.2 * M.diameter
-        if not M.closed:
-            return bump_field(M.chart(M.b)[0], rho, M.conormal_extension(M.b)[0],
-                              name=f"conormal-bump[{M.name}]")
+        rho, at_end = 0.2 * M.diameter, not M.closed
         params = M.a + 0.37 * (M.b - M.a)
     else:
-        rho = 0.2 * M.grid_ball[1]
+        rho, at_end = 0.2 * M.grid_ball[1], False
         params = (0.5 * (M.a + M.b), M.c + 0.37 * (M.d - M.c))
-    return bump_field(M.chart(params)[0], rho, M.unit_normal(params)[0],
-                      name=f"normal-bump[{M.name}]")
+    kind = "conormal-bump" if at_end else "normal-bump"
+    return _moving_bump(M, params, rho, f"{kind}[{M.name}]", at_end)
 
 
 # ---------------------------------------------------------------------------

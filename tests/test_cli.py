@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shapecalc import cli
@@ -94,6 +95,19 @@ def curve_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "tiny_curve.json"
     path.write_text(json.dumps(TINY_CURVE))
     return str(path)
+
+
+def test_non_finite_closed_form_exits_1_naming_the_manifold(
+        curve_config, tmp_path, capsys, monkeypatch):
+    from shapecalc import functionals
+
+    monkeypatch.setattr(functionals, "length_density",
+                        lambda M, X: lambda ts: np.full(len(ts), np.nan))
+    assert cli.main(["run", curve_config, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "suite aborted: length/circle1/radial: integral over 'circle1' is not "
+        "finite\n")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_corrupted_closed_form_exits_1(curve_config, tmp_path, monkeypatch):
@@ -240,8 +254,8 @@ def test_null_required_vector_exits_2(section, entry, key, tmp_path, capsys):
                                      ({"t0": 1e308}, "t0")],
                          ids=["levels-1030", "t0-1e308"])
 def test_uncomputable_fd_schedule_exits_2(fd, key, tmp_path, capsys):
-    # 2^1029 overflows the Richardson weights; 1e308 / max_step overflows
-    # the flow's step count
+    # 2^1029 overflows the Richardson weights; 1e308 / DEFAULT_MAX_STEP
+    # overflows the flow's step count
     path = tmp_path / "fd.json"
     path.write_text(json.dumps(dict(TINY_CURVE, fd=fd)))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -275,8 +289,7 @@ def test_report_files_are_utf8_whatever_the_locale(tmp_path):
     # locale's default one a warning, here an error, would be raised
     cfg = dict(TINY_CURVE, suites=["compare"],
                shapes=[{"kind": "circle", "radius": 1.0, "name": "cercle-é"}],
-               fields=[{"kind": "radial", "name": "radial"}],
-               output={"formats": ["json", "csv"]})
+               fields=[{"kind": "radial", "name": "radial"}])
     path = tmp_path / "utf8.json"
     path.write_text(json.dumps(cfg, ensure_ascii=False), encoding="utf-8")
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -285,7 +298,7 @@ def test_report_files_are_utf8_whatever_the_locale(tmp_path):
     python = [sys.executable, "-X", "warn_default_encoding",
               "-W", "error::EncodingWarning", "-m", "shapecalc.cli"]
     out = tmp_path / "out"
-    for args in (["run", str(path), "--out", str(out)],
+    for args in (["run", str(path), "--out", str(out), "--format", "json,csv"],
                  ["plot", str(out / "report.json"), "--out", str(out / "plot.csv")]):
         proc = subprocess.run(python + args, env=env, capture_output=True,
                               encoding="utf-8", timeout=300)
@@ -318,11 +331,56 @@ def test_richardson_false_exits_2(tmp_path, capsys):
 
 
 def test_flow_needing_too_many_steps_is_a_config_error(tmp_path):
-    # t0/max_step = 1e298 RK4 steps would never finish
-    path = tmp_path / "tiny_step.json"
-    path.write_text(json.dumps(dict(TINY_CURVE, fd={"max_step": 1e-300})))
+    # t0 / DEFAULT_MAX_STEP = 1e7 RK4 steps: an hour's flow per level
+    path = tmp_path / "long_flow.json"
+    path.write_text(json.dumps(dict(TINY_CURVE, fd={"t0": 1e5})))
     with pytest.raises(ConfigError, match="more than 1e[+]06 RK4 steps"):
         cli.load_plan(str(path))
+
+
+@pytest.mark.parametrize("extra, where, key", [
+    ({"fd": dict(TINY_CURVE["fd"], max_step=0.01)}, "config.fd", "max_step"),
+    ({"output": {"path": "elsewhere"}}, "config", "output"),
+    ({"output": {"formats": ["json", "csv"]}}, "config", "output"),
+], ids=["fd.max_step", "output.path", "output.formats"])
+def test_removed_settings_exit_2(extra, where, key, tmp_path, capsys):
+    # RK4 steps are capped by flow.DEFAULT_MAX_STEP; where and what a run
+    # writes is set by --out and --format alone
+    assert _run_config(dict(TINY_CURVE, **extra), tmp_path) == 2
+    assert capsys.readouterr().err == (
+        f"error: {where}: unknown parameter(s) '{key}'\n")
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_out_and_format_default_to_a_json_report_in_the_cwd(curve_config,
+                                                            tmp_path,
+                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", curve_config]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize("run", ["paper_suite", "general_curves"])
+def test_one_plan_builds_each_field_once_per_dimension(run):
+    root = Path(__file__).resolve().parents[1]
+    path = {"paper_suite": root / "src/shapecalc/configs/paper_suite.json",
+            "general_curves": root / "perfbench/general_curves.json"}[run]
+    plan = cli.load_plan(str(path))
+    built = []
+    for f in plan.fields:
+        def counted(dim, f=f, make=f._make):
+            built.append((f.name, dim))
+            return make(dim)
+        object.__setattr__(f, "_make", counted)
+    cli.comparison_jobs(plan)
+    cli.suite_jobs(plan)
+    # both job builders ran over shapes of every dimension the fields live in
+    assert {dim for _, dim in built} == {M.dim for M in plan.shapes.values()}
+    assert len(built) == len(set(built))
+    for M in cli._generic_shapes(plan):
+        assert all(a is b for a, b in zip(cli._fields_for(plan, M),
+                                          cli._fields_for(plan, M)))
 
 
 def test_duplicate_functional_names_exit_2(tmp_path, capsys):

@@ -135,7 +135,7 @@ def test_fd_config_validation():
     ({"levels": 1025}, False),         # 2^1024 overflows
     ({"t0": 1e-300, "levels": 60}, True),
     ({"t0": 1e-300, "levels": 90}, False),   # finest time underflows to 0
-    ({"t0": 1e300, "max_step": 1e-10}, False),  # step count overflows
+    ({"t0": 1e300}, False),             # step count overflows
 ], ids=["levels-1024", "levels-1025", "tiny-t0-60", "tiny-t0-90", "huge-t0"])
 def test_fd_schedule_must_be_computable(kwargs, ok):
     if ok:
@@ -143,14 +143,6 @@ def test_fd_schedule_must_be_computable(kwargs, ok):
     else:
         with pytest.raises(InvariantViolation):
             FDConfig(**kwargs)
-
-
-def test_max_step_resolution():
-    assert FDConfig().max_step == pytest.approx(0.01)
-    assert FDConfig(max_step=0.005).max_step == pytest.approx(0.005)
-    for bad in (0.0, -0.005):
-        with pytest.raises(InvariantViolation):
-            FDConfig(max_step=bad)
 
 
 def test_error_estimate_has_floor(segment01, e1_field, fd5):

@@ -11,13 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shapecalc import cli, validation
+from shapecalc import cli, flow, functionals, validation
 from shapecalc.derivative import discrete_variation, fd_quotients
-from shapecalc.fields import Ball
-from shapecalc.functionals import (ShapeFunctional, analytic_darea,
-                                   analytic_delastic, bending_energy,
-                                   crack_functional, discrete_darea,
-                                   discrete_delastic, elastic_functional)
+from shapecalc.fields import Ball, bump_field
+from shapecalc.flow import FlowConfig, flow_manifold
+from shapecalc.functionals import (CURVE_PANELS, ShapeFunctional,
+                                   analytic_darea, analytic_delastic,
+                                   bending_energy, crack_functional,
+                                   discrete_darea, discrete_delastic,
+                                   elastic_functional)
+from shapecalc.geometry import gauss_legendre
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNS = {"paper_suite": ROOT / "src" / "shapecalc" / "configs" / "paper_suite.json",
@@ -52,7 +55,7 @@ def _assert_oracle_agrees(plan, triples):
 def test_dv_within_fd_error_on_every_comparison(run):
     plan = cli.load_plan(str(RUNS[run]))
     triples = [(J, M, X) for M in cli._generic_shapes(plan)
-               for X in cli._fields_for(plan, M, {})
+               for X in cli._fields_for(plan, M)
                for J in cli._plain_functionals(plan) if cli.compatible(J, M)]
     assert len(triples) == {"paper_suite": 33, "general_curves": 6}[run]
     _assert_oracle_agrees(plan, triples)
@@ -105,6 +108,32 @@ def test_dv_elastic_circle(circle2, radial2, rotation2, segment01, identity2):
     assert discrete_delastic(circle2, rotation2) == pytest.approx(0.0, abs=1e-9)
     assert discrete_delastic(segment01, identity2) == pytest.approx(
         analytic_delastic(segment01, identity2), abs=1e-10)
+
+
+@pytest.mark.parametrize("shape", ["circle1", "segment01", "ellipse21"])
+def test_dv_takes_gamma2_from_the_flowed_curve_stencil(shape, request,
+                                                      monkeypatch):
+    # DV's gamma'' is the oracle's t = 0 curve's, bit for bit, because both
+    # come from flow.curve_stencil; the bump's scale sets the stencil step
+    M = request.getfixturevalue(shape)
+    X = bump_field(M.chart(M.a + 0.4 * (M.b - M.a))[0], 0.3,
+                   np.array([0.6, 0.8]), name="bump")
+    assert X.scale == 0.3
+    calls, real = [], flow.curve_stencil
+
+    def recorded(field, curve, f, ts):
+        calls.append((field, curve, f, real(field, curve, f, ts)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(flow, "curve_stencil", recorded)
+    monkeypatch.setattr(functionals, "curve_stencil", recorded)
+    nodes, _ = gauss_legendre(M.a, M.b, CURVE_PANELS)
+    at_zero = flow_manifold(X, M, FlowConfig(0.0, 1)).ddgamma(nodes)
+    discrete_delastic(M, X)
+    (_, _, _, flowed), (field, curve, f, dv_gamma2), _ = calls
+    assert field is X and curve is M and f is M.dgamma
+    np.testing.assert_array_equal(flowed, at_zero)
+    np.testing.assert_array_equal(dv_gamma2, at_zero)
 
 
 def test_dv_elastic_space_curve(helix1, e3_field, radial3, fd5):

@@ -401,8 +401,7 @@ def _schedule_values(field, M, cfg, clear):
     nodes, the first-stage memo emptied before each flow when `clear`."""
     nodes = np.linspace(M.a, M.b, 40)
     ts = (cfg.t0 / 2.0 ** np.arange(cfg.levels)).tolist()
-    levels = [flow_manifold(field, M, FlowConfig(t, step_count(t, cfg.max_step)))
-              for t in ts]
+    levels = [flow_manifold(field, M, FlowConfig(t, step_count(t))) for t in ts]
     out = []
     for name in ("dgamma", "gamma"):
         for Mt in levels:
@@ -557,10 +556,9 @@ def test_transported_surface_keeps_its_seams(cylinder, e3_field):
 def _schedule_inputs(plan, monkeypatch):
     """(M, X) of every FD schedule a run builds: its comparisons' and its
     locality suite's (recorded with the suite's oracle stubbed out)."""
-    cache: dict = {}
     inputs = [(M, X) for M in cli._generic_shapes(plan)
               if any(cli.compatible(J, M) for J in cli._plain_functionals(plan))
-              for X in cli._fields_for(plan, M, cache)]
+              for X in cli._fields_for(plan, M)]
 
     def recorded(J, M, X, cfg):
         inputs.append((M, X))

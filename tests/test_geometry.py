@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from shapecalc._stencil import sample_derivative
 from shapecalc.errors import (
-    DegenerateFrame,
     DegenerateImmersion,
     IllConditioned,
     InvariantViolation,
     NoConvergence,
+    NonFinite,
 )
 from shapecalc import geometry
 from shapecalc.geometry import (
@@ -23,7 +23,7 @@ from shapecalc.geometry import (
     ParamSurface,
     curvature,
     curve_curvature_derivs,
-    curve_frame,
+    frenet_rows,
     integrate_curve,
     integrate_surface,
     nearest_curve_param,
@@ -101,52 +101,64 @@ def test_catenary_curvature_derivs_match_closed_forms():
 
 
 def test_circle_frame_convention(circle1):
-    fr = curve_frame(circle1, np.array([0.0, 1.3]))
+    fr, straight = frenet_rows(circle1, np.array([0.0, 1.3]))
     np.testing.assert_allclose(fr.T[0], [0.0, 1.0], atol=1e-14)
     # planar normal is the tangent rotated a quarter turn, inward here
     np.testing.assert_allclose(fr.N[0], [-1.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(fr.speed, 1.0, rtol=1e-14)
     np.testing.assert_allclose(fr.kappa, 1.0, rtol=1e-12)
-    assert fr.B is None
+    assert not straight.any()
 
 
 def test_helix_frame_orthonormal(helix1):
     ts = np.linspace(helix1.a + 0.1, helix1.b - 0.1, 7)
-    fr = curve_frame(helix1, ts)
-    for vec in (fr.T, fr.N, fr.B):
+    fr, straight = frenet_rows(helix1, ts)
+    assert not straight.any()
+    for vec in (fr.T, fr.N):
         np.testing.assert_allclose(np.linalg.norm(vec, axis=1), 1.0, rtol=1e-12)
     np.testing.assert_allclose(np.sum(fr.T * fr.N, axis=1), 0.0, atol=1e-12)
-    np.testing.assert_allclose(np.sum(fr.T * fr.B, axis=1), 0.0, atol=1e-12)
+    # radius 1, pitch 2 pi: kappa = 1 / 2 and N points at the axis
+    np.testing.assert_allclose(fr.kappa, 0.5, rtol=1e-12)
     np.testing.assert_allclose(
-        np.cross(fr.T, fr.N), fr.B, atol=1e-12
-    )
-    np.testing.assert_allclose(fr.speed, np.sqrt(2.0), rtol=1e-12)
+        fr.N, -np.stack([np.cos(ts), np.sin(ts), 0.0 * ts], axis=-1),
+        atol=1e-12)
 
 
 def test_planar_straight_frame_from_rotated_tangent(segment01):
     # in the plane the normal comes from rotating the tangent, so straight
-    # pieces still carry a frame with zero curvature
-    fr = curve_frame(segment01, np.array([0.5]))
+    # pieces still carry a frame with zero curvature and no straight row
+    fr, straight = frenet_rows(segment01, np.array([0.5]))
     np.testing.assert_allclose(fr.T[0], [1.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(fr.N[0], [0.0, 1.0], atol=1e-14)
     assert fr.kappa[0] == pytest.approx(0.0, abs=1e-14)
+    assert not straight.any()
 
 
 def test_straight_space_curve_frame_is_degenerate():
-    seg3 = ParamCurve(
-        dim=3,
-        a=0.0,
-        b=1.0,
-        gamma=lambda t: np.stack([t, t, np.zeros_like(t)], axis=-1),
-        dgamma=lambda t: np.stack(
-            [np.ones_like(t), np.ones_like(t), np.zeros_like(t)], axis=-1
-        ),
-        ddgamma=lambda t: np.zeros((len(np.atleast_1d(t)), 3)),
-        closed=False,
-        name="diag3",
-    )
-    with pytest.raises(DegenerateFrame):
-        curve_frame(seg3, np.array([0.5]))
+    # a space curve has no Frenet normal where it is straight: those rows
+    # are masked and carry N = 0, so kappa N is still the curvature vector
+    def gamma(t):
+        return np.stack([t, t, np.where(t > 0.5, (t - 0.5) ** 3, 0.0)], axis=-1)
+
+    def dgamma(t):
+        return np.stack([np.ones_like(t), np.ones_like(t),
+                         np.where(t > 0.5, 3.0 * (t - 0.5) ** 2, 0.0)], axis=-1)
+
+    def ddgamma(t):
+        return np.stack([np.zeros_like(t), np.zeros_like(t),
+                         np.where(t > 0.5, 6.0 * (t - 0.5), 0.0)], axis=-1)
+
+    bent = ParamCurve(dim=3, a=0.0, b=1.0, gamma=gamma, dgamma=dgamma,
+                      ddgamma=ddgamma, closed=False, name="bent3")
+    ts = np.array([0.2, 0.5, 0.8])
+    fr, straight = frenet_rows(bent, ts)
+    np.testing.assert_array_equal(straight, [True, True, False])
+    np.testing.assert_array_equal(fr.N[:2], 0.0)
+    assert fr.kappa[0] == fr.kappa[1] == 0.0
+    np.testing.assert_allclose(np.linalg.norm(fr.N[2]), 1.0, rtol=1e-12)
+    # the curvature vector is gamma'' less its tangent part, over v^2
+    d1, d2, T = dgamma(ts[2:])[0], ddgamma(ts[2:])[0], fr.T[2]
+    np.testing.assert_allclose(fr.kappa[2] * fr.N[2] * (d1 @ d1),
+                               d2 - T * (T @ d2), rtol=1e-12)
 
 
 def test_zero_speed_curve_rejected():
@@ -659,11 +671,25 @@ def test_cylinder_surface_quantities(cylinder):
                                                                    rel=1e-10)
 
 
+def test_non_finite_integral_raises_naming_the_manifold(circle1, cylinder):
+    # one bad node is enough: the integral is an error, not a NaN
+    def one_nan(*params):
+        out = np.ones_like(params[0])
+        out[len(out) // 2] = np.nan
+        return out
+
+    with pytest.raises(NonFinite, match="integral over 'circle1' is not finite"):
+        integrate_curve(circle1, one_nan, 64)
+    with pytest.raises(NonFinite, match="integral over 'cylinder' is not finite"):
+        integrate_surface(cylinder, one_nan, (16, 16))
+
+
 @settings(max_examples=25, deadline=None)
 @given(t=st.floats(min_value=0.0, max_value=TWO_PI))
 def test_ellipse_frame_orthonormal_property(t):
     ell = _ellipse_cached()
-    fr = curve_frame(ell, np.array([t]))
+    fr, _ = frenet_rows(ell, np.array([t]))
+    speed = np.linalg.norm(ell.dgamma(np.array([t]))[0])
     assert np.linalg.norm(fr.T[0]) == pytest.approx(1.0, rel=1e-12)
     assert np.linalg.norm(fr.N[0]) == pytest.approx(1.0, rel=1e-12)
     assert abs(float(fr.T[0] @ fr.N[0])) < 1e-12
@@ -671,7 +697,7 @@ def test_ellipse_frame_orthonormal_property(t):
     d2 = ell.ddgamma(np.array([t]))[0]
     tangential = float(d2 @ fr.T[0]) * fr.T[0]
     np.testing.assert_allclose(
-        d2 - tangential, fr.kappa[0] * fr.speed[0] ** 2 * fr.N[0], atol=1e-9
+        d2 - tangential, fr.kappa[0] * speed ** 2 * fr.N[0], atol=1e-9
     )
 
 
@@ -1280,7 +1306,7 @@ def test_malformed_surface_callable_rejected_at_construction(cylinder):
 def test_curvature_queries_return_rows_for_scalar_input(circle1, segment01,
                                                         cylinder):
     assert curvature(circle1, 0.5).shape == (1,)
-    assert curve_frame(circle1, 0.5).T.shape == (1, 2)
+    assert frenet_rows(circle1, 0.5)[0].T.shape == (1, 2)
     assert all(x.shape == (1,) for x in curve_curvature_derivs(segment01, 0.5))
     assert surface_mean_curvature(cylinder, (0.5, 1.0)).shape == (1,)
     assert surface_max_curvature(cylinder, (0.5, 1.0)).shape == (1,)
