@@ -8,10 +8,11 @@ triangle
 
     R[i][0] = q(t_i),   R[i][j] = R[i][j-1] + (R[i][j-1] - R[i-1][j-1]) / (2^j - 1),
 
-which removes the t, t^2, ... terms of a smooth q.  The baseline J(M) is
-evaluated through the t = 0 flow (an exact identity) so that any systematic
-discretization inside the flowed-manifold representation is shared by every
-term of the quotient and cancels.
+which removes the t, t^2, ... terms of a smooth q (flow.richardson_row
+with leading order p = 1).  The baseline J(M) is evaluated through the
+t = 0 flow (an exact identity) so that any systematic discretization
+inside the flowed-manifold representation is shared by every term of the
+quotient and cancels.
 
 The flowed manifolds at t = 0, t0, t0/2, ... depend on (M, X, cfg), not on
 J: `flow_schedule` builds these levels + 1 manifolds once and keeps them in
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import InvariantViolation, NoConvergence, NonFinite
 from .fields import AmbientField
 from .flow import (DEFAULT_MAX_STEP, MAX_FLOW_STEPS, FlowConfig,
-                   flow_manifold, step_count)
+                   flow_manifold, richardson_row, step_count)
 
 REL_TOL = 1e-5
 ABS_TOL = 1e-8
@@ -110,15 +111,10 @@ def fd_quotients(J, M, X: AmbientField, cfg: FDConfig) -> FDTrace:
             raise NonFinite(f"functional '{J.name}' not finite at flow time {t:g}")
         q[i] = (Jt - J0) / t
 
-    row = q.copy()
-    diag = [q[0]]
-    for i in range(1, cfg.levels):
-        new = np.empty(i + 1)
-        new[0] = q[i]
-        for j in range(1, i + 1):
-            new[j] = new[j - 1] + (new[j - 1] - row[j - 1]) / (2.0**j - 1.0)
-        row[: i + 1] = new
-        diag.append(new[i])
+    row, diag = [], []
+    for qi in q:
+        row = richardson_row(row, qi, 1)
+        diag.append(row[-1])
     extr = np.asarray(diag)
 
     value = float(extr[-1])

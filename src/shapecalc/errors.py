@@ -32,8 +32,9 @@ class NonFinite(ShapecalcError):
 
 class NoConvergence(ShapecalcError):
     """Finite-difference quotient sequence diverges (ratio test), a
-    nearest-point Newton search reaches its iteration cap, or an invariance
-    flow would need more than MAX_FLOW_STEPS steps to meet its budget."""
+    nearest-point Newton search reaches its iteration cap, or the
+    Richardson table of an invariance flow would need a level of more than
+    MAX_FLOW_STEPS steps to meet its budget."""
 
 
 class CrackNotInterior(ShapecalcError):

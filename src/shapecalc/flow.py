@@ -29,9 +29,13 @@ The first RK4 stage of a flow, the field at its start points (with J = I
 in a joint flow), is shared by consecutive flows of one field and kind
 from the same points (_first_stage).  Every level of an FD schedule
 flows the base nodes, so a schedule computes that stage once, at its
-first level; invariance_residual computes it once for its n, 2n and n*
-runs.  A served stage comes with the projection session its computation
-left behind, so sharing changes no bit.
+first level; invariance_residual computes it once for all the levels of
+its Richardson table.  A served stage comes with the projection session
+its computation left behind, so sharing changes no bit.
+
+richardson_row is the one row update of both Richardson triangles: the
+FD quotients' (derivative, leading order 1) and the invariance
+residual's (RK4, leading order 4).
 """
 from __future__ import annotations
 
@@ -58,6 +62,22 @@ INVARIANCE_BUDGET = 1e-5 * INVARIANCE_BOUND
 def step_count(t: float) -> int:
     """Fewest RK4 steps of at most DEFAULT_MAX_STEP that reach time t."""
     return max(1, math.ceil(abs(t) / DEFAULT_MAX_STEP))
+
+
+def richardson_row(row: list, value, p: int) -> list:
+    """Row i of a Richardson triangle from row i - 1 (`row`, [] at i = 0)
+    and the value at level i, whose step is half that of level i - 1:
+
+        R[i][0] = value,
+        R[i][j] = R[i][j-1] + (R[i][j-1] - R[i-1][j-1]) / (2^(p+j-1) - 1),
+
+    which removes the h^p, h^(p+1), ... terms of a value with leading
+    error order p (Hairer, Norsett & Wanner, Solving ODEs I, II.9).  The
+    entries may be floats or arrays."""
+    new = [value]
+    for j, below in enumerate(row, start=1):
+        new.append(new[-1] + (new[-1] - below) / (2.0 ** (p + j - 1) - 1.0))
+    return new
 
 
 @dataclass(frozen=True)
@@ -261,37 +281,55 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
     on a curve, a 15 x 15 grid on a surface, seams included.
 
     A tangent field keeps the manifold invariant, so the residual is the
-    integrator error unless that error is budgeted.  One step-doubling rule
-    (Hairer, Norsett & Wanner, Solving ODEs I, II.4) holds the error the
-    residual reads to INVARIANCE_BUDGET = 1e-12: the samples flow with
-    n = step_count(t) and with 2n steps, both runs are projected, and
-    E = max|r_2n - r_n| / 15, the largest coordinate difference of the
-    residual vectors r = x - chart(foot(x)) (Foot.r), is the Richardson
-    estimate of the error in the 2n run's residual.  If
-    E <= 1e-12 the 2n run is measured; otherwise the samples flow once more
-    with n* = ceil(2n (E / 1e-12)^(1/4)) steps, which the h^4 law puts at
-    the budget, and that run is measured.  Raises NoConvergence, before
-    flowing a third time, when n* exceeds MAX_FLOW_STEPS.
+    integrator error unless that error is budgeted.  A Richardson table on
+    the residual vectors r = x - chart(foot(x)) (Foot.r) holds the error the
+    residual reads to INVARIANCE_BUDGET = 1e-12 (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.9).  The samples flow with n0 = ceil(step_count(t)/2),
+    2 n0 and 4 n0 steps, and each level is projected (r_n0, r_2n0, r_4n0).
+    RK4's global error has an expansion in h^4, h^5, ... (II.8), so the
+    table
+
+        e1 = r_2n0 + (r_2n0 - r_n0) / 15,   e2 = r_4n0 + (r_4n0 - r_2n0) / 15,
+        ext = e2 + (e2 - e1) / 31
+
+    (richardson_row with p = 4) removes its h^4 and h^5 terms, and
+    E = max|e2 - e1| / 31, the largest coordinate of the last correction,
+    estimates the error of e2, and so bounds that of ext where the
+    expansion holds.  If E <= 1e-12 the residual is the largest |ext| over
+    the samples.  Otherwise one more level (8 n0, then 16 n0, ...) adds
+    one row, with weights 1 / (2^(3+j) - 1), and E is again the last
+    correction.  Before each
+    further level the estimate's own order law, h^(levels + 2) (h^5 at
+    three levels), predicts the steps that meet the budget; NoConvergence
+    is raised without flowing when that prediction or the next level's
+    steps exceed MAX_FLOW_STEPS.
+
+    The coarsest level steps 2 DEFAULT_MAX_STEP (0.02 at t = 0.5).  It is
+    only an input of the extrapolation, and no residual is read from it
+    alone: it needs to lie where the expansion holds, which the h^4 ratio
+    of its differences shows (below), and E bounds what is left.
 
     The residual reads an RK4 error e of a sample x through
-    r(x + e) = r(x) + dr(x) e + O(|e|^2 / reach), and dist = |r| moves by at
-    most |r(x + e) - r(x)|.  On M, dr(x) is the projection onto the normal
-    space, so the phase error along M, most of e on a tangent probe, is not
-    budgeted.  The rule needs the linear term to dominate, so that the
-    residual error follows the h^4 law of e: |e| far below `reach`.  In the
-    n runs measured below |e| < 3e-8 wherever the reach is finite, and it
-    is at least 0.25.
+    r(x + e) = r(x) + dr(x) e + O(|e|^2 / reach), so r_n inherits the
+    expansion of e.  On M, dr(x) is the projection onto the normal space,
+    so the phase error along M, most of e on a tangent probe, is not
+    budgeted.  The table needs the linear term to dominate: |e| far below
+    `reach`.  In the levels measured below |e| < 4e-7 wherever the reach
+    is finite, and it is at least 0.25.
 
     The projections run in one projection session, so on a hook-free
-    curve only the first (of the 2n run) seeds from the grid and the later
-    ones start from the feet before them.
+    curve only the first (of the n0 level) seeds from the grid and the
+    later ones start from the feet before them.
 
     Measured at t = 0.5 on the two tangent probes and the control of
-    circle1, circle2, segment01, cylinder, ellipse21 and helix1: from n to
-    2n steps the residual error falls 15.5- to 16.3-fold, the h^4 law; n*
-    runs from 101 to 263 steps on the tangent probes (5 of the 12 need no
-    third flow), and the measured distances lie at most 1.09e-12 from those
-    of a 4,000-step flow (1.30e-12 on the controls).
+    circle1, circle2, segment01, cylinder, ellipse21 and helix1: from one
+    level to the next the residual differences fall 15.0- to 16.7-fold, the
+    h^4 law (on segment01's tangent probes r is exactly 0); every tangent
+    probe takes 25, 50 and 100 steps but tangent-bump0[ellipse21], which
+    takes a fourth level of 200 (175 or 375 steps per probe, where step
+    doubling with one more flow at the h^4 law's count took 150 to 413);
+    and the |ext| lie at most 2.0e-14 from the distances of a 4,000-step
+    flow (2.4e-13 on the controls).
     """
     if isinstance(manifold, ParamCurve):
         params = np.linspace(manifold.a, manifold.b, 200)
@@ -300,20 +338,22 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
                            np.linspace(manifold.c, manifold.d, 15), indexing="ij")
         params = (U.ravel(), V.ravel())
     pts = manifold.chart(params)
-    n = step_count(t)
-    coarse = flow_point(field, pts, FlowConfig(t, n))
-    flowed = flow_point(field, pts, FlowConfig(t, 2 * n))
+    steps = math.ceil(step_count(t) / 2)
+    row = []
     with projection_session():
-        foot = manifold.project(flowed)
-        err = float(np.abs(foot.r - manifold.project(coarse).r).max()) / 15.0
-        if err > INVARIANCE_BUDGET:
-            steps = 2 * n * (err / INVARIANCE_BUDGET) ** 0.25
-            if not steps <= MAX_FLOW_STEPS:
-                raise NoConvergence(
-                    f"flow of '{field.name}' to t = {t:g}: step doubling estimates "
-                    f"an error of {err:.3e} in the residual at {2 * n} steps, so "
-                    f"{steps:.3e} steps would reach {INVARIANCE_BUDGET:g}, more "
-                    f"than {MAX_FLOW_STEPS:.0e}")
-            foot = manifold.project(
-                flow_point(field, pts, FlowConfig(t, math.ceil(steps))))
-    return float(foot.dist.max())
+        while True:
+            flowed = flow_point(field, pts, FlowConfig(t, steps))
+            row = richardson_row(row, manifold.project(flowed).r, 4)
+            if len(row) >= 3:
+                est = float(np.abs(row[-1] - row[-2]).max())
+                if est <= INVARIANCE_BUDGET:
+                    return float(np.linalg.norm(row[-1], axis=1).max())
+                need = steps * (est / INVARIANCE_BUDGET) ** (1.0 / (len(row) + 2))
+                if not (need <= MAX_FLOW_STEPS and 2 * steps <= MAX_FLOW_STEPS):
+                    raise NoConvergence(
+                        f"flow of '{field.name}' to t = {t:g}: the Richardson "
+                        f"table estimates an error of {est:.3e} in the residual "
+                        f"at {steps} steps, so {need:.3e} steps would reach "
+                        f"{INVARIANCE_BUDGET:g} and the next level takes "
+                        f"{2 * steps}, against a cap of {MAX_FLOW_STEPS:.0e}")
+            steps *= 2

@@ -21,6 +21,7 @@ from shapecalc.flow import (
     flow_point,
     flow_with_jacobian,
     invariance_residual,
+    richardson_row,
     step_count,
 )
 from shapecalc.functionals import length
@@ -164,39 +165,63 @@ def test_invariance_flow_meets_its_error_budget(shape, probe, request,
     flows = _recording_point_flows(monkeypatch)
     residual = invariance_residual(field, M, 0.5)
     monkeypatch.undo()
-    # the last flow is the one measured.  The budget holds the error the
-    # residual reads, not the phase error along M, so the distances, not
-    # the points, match those of four times its steps (exact to about
-    # 1e-12 / 4^4)
-    x0, cfg, measured = flows[-1]
-    dist = M.project(measured).dist
-    assert residual == dist.max()
+    # the residual is the largest |ext| of the table on the levels' residual
+    # vectors.  The budget holds the error the residual reads, not the phase
+    # error along M, so the distances, not the points, match those of a
+    # plain flow at four times the finest level's steps (whose own error is
+    # 4^-4 of that level's)
+    row = []
+    for _, _, out in flows:
+        row = richardson_row(row, M.project(out).r, 4)
+    ext = np.linalg.norm(row[-1], axis=1)
+    assert residual == ext.max()
+    x0, cfg, _ = flows[-1]
     ref = M.project(flow_point(field, x0, FlowConfig(cfg.t_final, 4 * cfg.n_steps)))
-    assert np.abs(dist - ref.dist).max() <= 2.0 * INVARIANCE_BUDGET
+    assert np.abs(ext - ref.dist).max() <= 2.0 * INVARIANCE_BUDGET
+    assert abs(residual - ref.dist.max()) <= 2.0 * INVARIANCE_BUDGET
 
 
-def test_invariance_flow_counts(circle1, cylinder, monkeypatch):
+def test_invariance_flow_counts(circle1, cylinder, ellipse21, monkeypatch):
     from shapecalc.catalog import build_field
     from shapecalc.validation import tangential_probe_fields
 
-    # RK4 integrates a constant field exactly, so the step-doubling pair
-    # already meets the budget; so does the cylinder's second wave, whose
-    # RK4 error runs along the cylinder.  The first circle1 bump needs a
-    # third flow
+    # RK4 integrates a constant field exactly, so the three levels of the
+    # table already meet the budget, as they do for the cylinder's second
+    # wave, whose RK4 error runs along the cylinder.  The first ellipse21
+    # bump estimates just over the budget at three levels and takes a
+    # fourth, the Romberg step
     const = build_field({"kind": "constant", "vector": [0.3, -0.2],
                          "name": "c"}, 2)
     wave1 = tangential_probe_fields(cylinder, n=2, seed=0)[1]
     assert wave1.name == "tangent-wave1[cylinder]"
-    bump = tangential_probe_fields(circle1, n=2, seed=0)[0]
+    bump = tangential_probe_fields(ellipse21, n=2, seed=0)[0]
+    assert bump.name == "tangent-bump0[ellipse21]"
     flows = _recording_point_flows(monkeypatch)
-    for field, M in ((const, circle1), (wave1, cylinder)):
+    for field, M, steps in ((const, circle1, [25, 50, 100]),
+                            (wave1, cylinder, [25, 50, 100]),
+                            (bump, ellipse21, [25, 50, 100, 200])):
         flows.clear()
         invariance_residual(field, M, 0.5)
-        assert [cfg.n_steps for _, cfg, _ in flows] == [50, 100]
-    flows.clear()
-    invariance_residual(bump, circle1, 0.5)
-    steps = [cfg.n_steps for _, cfg, _ in flows]
-    assert steps[:2] == [50, 100] and len(steps) == 3 and 100 < steps[2] < 250
+        assert [cfg.n_steps for _, cfg, _ in flows] == steps
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_richardson_row_removes_the_leading_terms(p):
+    """Two columns past the first remove the h^p and h^(p+1) terms of a
+    series halved level by level, so a + b h^p + c h^(p+1) comes back as a,
+    which pins the weights 2^(p+j-1) - 1: 15 and 31 at p = 4 (RK4), 1 and 3
+    at p = 1 (the FD quotients, a + b t + c t^2)."""
+    a, b, c = 0.75, -3.0, 5.0
+    row = []
+    for h in 0.1 / 2.0 ** np.arange(3):
+        row = richardson_row(row, a + b * h**p + c * h ** (p + 1), p)
+    assert len(row) == 3
+    assert abs(row[-1] - a) <= 1e-15
+    # and entrywise on arrays, as the invariance table uses it
+    vec = []
+    for h in 0.1 / 2.0 ** np.arange(3):
+        vec = richardson_row(vec, np.array([a, 2 * a]) + b * h**p, p)
+    np.testing.assert_allclose(vec[-1], [a, 2 * a], rtol=0, atol=1e-15)
 
 
 def test_warm_feet_match_grid_feet(ellipse21, helix1, radial3, fd5,
@@ -241,14 +266,14 @@ def test_warm_feet_match_grid_feet(ellipse21, helix1, radial3, fd5,
 
 def test_invariance_flow_over_the_step_cap_raises_before_flowing(circle1,
                                                                  monkeypatch):
-    # x' = 300 x reaches e^150 ~ 1e65 at t = 0.5: finite, but the 50- and
-    # 100-step flows differ by ~1e64, far beyond any affordable step.  The
-    # catalog fields are compactly supported, so a bare stand-in serves
+    # x' = 300 x reaches e^150 ~ 1e65 at t = 0.5: finite, but the 25-, 50-
+    # and 100-step flows differ by ~1e64, far beyond any affordable step.
+    # The catalog fields are compactly supported, so a bare stand-in serves
     fast = SimpleNamespace(X=lambda p: 300.0 * p, name="fast")
     flows = _recording_point_flows(monkeypatch)
     with pytest.raises(NoConvergence, match=r"'fast'.*error of \S+e\+6\d.*steps"):
         invariance_residual(fast, circle1, 0.5)
-    assert [cfg.n_steps for _, cfg, _ in flows] == [50, 100]
+    assert [cfg.n_steps for _, cfg, _ in flows] == [25, 50, 100]
     assert all(np.isfinite(out).all() for _, _, out in flows)
 
 
