@@ -30,9 +30,10 @@ __all__ = [
 
 # Fields whose nominal forms do not decay (constant, linear, rotation, ...)
 # are multiplied by a radial cutoff: identity on |p| <= CUTOFF_INNER, zero
-# from CUTOFF_OUTER out.  Catalog shapes live well inside the inner radius,
-# so on and near them the cutoff is exactly 1 and closed-form first
-# variations are unaffected.
+# from CUTOFF_OUTER out, where a comparison would pass on 0 = 0, so
+# cli.load_plan rejects a shape that reaches |p| >= CUTOFF_OUTER.  In between
+# (helix1 reaches 6.36) closed forms and the oracle read the same cut-off
+# field, Jacobian included.
 CUTOFF_INNER = 6.0
 CUTOFF_OUTER = 10.0
 
@@ -325,10 +326,6 @@ def _shape_cylinder(p: _Params, name: str) -> ParamSurface:
         return np.stack([-r * np.sin(vs), r * np.cos(vs),
                          np.zeros_like(vs)], axis=-1)
 
-    def phi_vv(us, vs):
-        return np.stack([-r * np.cos(vs), -r * np.sin(vs),
-                         np.zeros_like(vs)], axis=-1)
-
     # exact nearest point: height clipped to the widened axis range, angle
     # read off the position (a point on the axis takes angle 0)
     def foot(pts, extend_u):
@@ -337,8 +334,7 @@ def _shape_cylinder(p: _Params, name: str) -> ParamSurface:
         return u, v
 
     return ParamSurface(a=0.0, b=h, c=0.0, d=2.0 * np.pi, phi=phi,
-                        phi_u=phi_u, phi_v=phi_v, phi_vv=phi_vv, name=name,
-                        foot=foot)
+                        phi_u=phi_u, phi_v=phi_v, name=name, foot=foot)
 
 
 def _shape_arc(p: _Params, name: str) -> ParamCurve:

@@ -32,8 +32,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .catalog import (ParsedField, _Params, build_shape, compatible,
-                      parse_field, parse_functional)
+from .catalog import (CUTOFF_OUTER, ParsedField, _Params, build_shape,
+                      compatible, parse_field, parse_functional)
 from .derivative import ABS_TOL, REL_TOL, FDConfig, compare
 from .errors import ConfigError, InvariantViolation, ShapecalcError
 from .functionals import CrackFunctional
@@ -83,7 +83,7 @@ def load_plan(path: str) -> RunPlan:
     tol.finish()
 
     shapes = {M.name: M for M in _named(top.sequence("shapes"), "shapes",
-                                        build_shape)}
+                                        _shape_in_hold_all)}
     fields = _named(top.sequence("fields", default=None), "fields", parse_field)
     functionals = _named(top.sequence("functionals"), "functionals",
                          lambda d, where: parse_functional(d, shapes, where=where))
@@ -113,6 +113,19 @@ def load_plan(path: str) -> RunPlan:
                     f"config.fields: none lives in dimension {M.dim}, so "
                     f"'{J.name}' on '{M.name}' has nothing to compare")
     return plan
+
+
+def _shape_in_hold_all(desc, where: str):
+    """build_shape, with every construction-grid point inside
+    |p| < CUTOFF_OUTER: from there out every cut-off catalog field is 0,
+    so a comparison would pass on 0 = 0."""
+    M = build_shape(desc, where=where)
+    far = float((M._grid_points ** 2).sum(axis=1).max()) ** 0.5
+    if far >= CUTOFF_OUTER:
+        raise ConfigError(
+            f"{where}: shape '{M.name}' reaches |p| = {far:.6g}, and every "
+            f"cut-off field is 0 from |p| = {CUTOFF_OUTER:g} out")
+    return M
 
 
 def _named(descs: list, section: str, parse) -> list:

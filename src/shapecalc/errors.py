@@ -31,8 +31,8 @@ class NonFinite(ShapecalcError):
 
 
 class NoConvergence(ShapecalcError):
-    """Finite-difference quotient sequence diverges (ratio test), a
-    nearest-point Newton search reaches its iteration cap, or the
+    """Finite-difference quotient sequence diverges (ratio test), the
+    nearest-point Newton search on a curve reaches its iteration cap, or the
     Richardson table of an invariance flow would need a level of more than
     MAX_FLOW_STEPS steps to meet its budget."""
 

@@ -12,10 +12,10 @@ carried by the Jacobian flow of the base chart at the same parameters,
     (Phi_t o gamma)'(s) = dPhi_t(gamma(s)) gamma'(s),
 
 and the partials at one parameter set share one Jacobian flow (gamma' on
-a curve, phi_u and phi_v on a surface).  The second derivative is a
-5-point difference of the last transported partial in the last parameter
-(wrapped across the seam of a closed curve and of every surface, which
-closes in v; shifted inside open ends).
+a curve, phi_u and phi_v on a surface).  A curve's second derivative is a
+5-point difference of its transported gamma' (wrapped across the seam of
+a closed curve, shifted inside open ends); a surface gets none, since
+area reads only the first partials.
 
 Each RK4 flow opens one projection session (geometry.projection_session):
 inside it, a nearest-point projection onto a hook-free curve starts Newton
@@ -231,24 +231,17 @@ def curve_stencil(field: AmbientField, curve: ParamCurve, f, ts) -> np.ndarray:
 def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
     """Manifold transported by the flow, same type as the input.
 
-    One body for both kinds: the chart is flow_point of the base chart,
+    One body for both kinds: the chart is flow_point of the base chart and
     each first partial is the base partial times one memoized Jacobian
-    flow per parameter set, and the second derivative is a 5-point stencil
-    of the last transported partial (on a curve, curve_stencil).
+    flow per parameter set.  A curve's ddgamma is curve_stencil of its
+    transported dgamma; a surface has its chart and first partials only.
     Construction flows nothing and calls no field: the result runs no desk
     check (geometry: a flow keeps its base regular, closed and embedded),
     and each callable flows when it is called.
     """
-    if isinstance(manifold, ParamCurve):
-        chart, partials, second = "gamma", ("dgamma",), "ddgamma"
-        stencil = partial(curve_stencil, field, manifold)
-    else:
-        chart, partials, second = "phi", ("phi_u", "phi_v"), "phi_vv"
-        h2 = 1e-5 * (manifold.d - manifold.c)
-
-        def stencil(f, *uv):
-            return sample_derivative(f, uv, h2, 1, manifold.c, manifold.d,
-                                     periodic=True)
+    is_curve = isinstance(manifold, ParamCurve)
+    chart, partials = (("gamma", ("dgamma",)) if is_curve
+                       else ("phi", ("phi_u", "phi_v")))
     base = getattr(manifold, chart)
 
     # the callables take the chart's (n,) parameter arrays (see geometry).
@@ -267,11 +260,13 @@ def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
             return np.einsum("nij,nj->ni", jacobian(*params), first(*params))
         return partial_t
 
-    firsts = {name: transported(getattr(manifold, name)) for name in partials}
-    second_t = partial(stencil, firsts[partials[-1]])
+    derivs = {name: transported(getattr(manifold, name)) for name in partials}
+    if is_curve:
+        derivs["ddgamma"] = partial(curve_stencil, field, manifold,
+                                    derivs["dgamma"])
 
     return replace(
-        manifold, **{chart: chart_t, second: second_t}, **firsts,
+        manifold, **{chart: chart_t}, **derivs,
         name=f"{manifold.name}@{field.name}:{cfg.t_final:g}",
         base=manifold, foot=None)
 

@@ -20,10 +20,10 @@ grid row u = a at u = b, which the embedding desk check rejects with
 DegenerateImmersion.
 
 One array contract for every chart callable: gamma, dgamma, ddgamma take
-one (n,) float64 parameter array, phi, phi_u, phi_v, phi_vv two of one
-length, and each returns float64 rows, (n, dim) on a curve and (n, 3) on a
-surface.  A foot hook takes (n, dim) float64 points and returns float64
-(n,) parameter arrays.  Construction checks the contract on every value
+one (n,) float64 parameter array, phi, phi_u, phi_v two of one length, and
+each returns float64 rows, (n, dim) on a curve and (n, 3) on a surface.  A
+foot hook takes (n, dim) float64 points and returns float64 (n,) parameter
+arrays.  Construction checks the contract on every value
 its desk checks compute and raises InvariantViolation naming the callable
 that broke it; every other reader uses the values as they are.
 
@@ -74,14 +74,14 @@ parameter point, for scalar input too.
   - grad_t (curves only, computed on first use): the implicit-function
     gradient of t, 0 where t is held at an end of the widened range.
   A manifold with a foot hook returns the hook's exact feet, with no
-  seeding and no Newton iteration; otherwise both kinds run a Newton
-  search and raise NoConvergence when it still moves after NEWTON_MAX_ITER
-  steps.  Newton starts from grid seeds, except on a hook-free curve inside
-  a projection session (one per running flow, see projection_session),
-  where it may start from the feet of the session's previous projection
-  on the same curve and extend (the warm rule of nearest_curve_param).
-  Outside a session a projection is a pure function of its input.  Zero
-  points give an empty Foot on every kind.
+  seeding and no Newton iteration; a surface without one raises
+  InvariantViolation.  A hook-free curve runs a Newton search and raises
+  NoConvergence when it still moves after NEWTON_MAX_ITER steps.  Newton
+  starts from grid seeds, except inside a projection session (one per
+  running flow, see projection_session), where it may start from the feet
+  of the session's previous projection on the same curve and extend (the
+  warm rule of nearest_curve_param).  Outside a session a projection is a
+  pure function of its input.  Zero points give an empty Foot on every kind.
   nearest_curve_param and nearest_surface_param are the module functions
   behind project.
 
@@ -121,8 +121,8 @@ GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 _CHECK_RNG_SEED = 1097
 
-# iteration cap of the nearest-point Newton searches, which raise
-# NoConvergence when it is reached
+# iteration cap of the nearest-point Newton search on a curve without a foot
+# hook, which raises NoConvergence when it is reached
 NEWTON_MAX_ITER = 25
 
 # roundoff of p - chart(foot(p)) per unit |p| in the foot-hook desk check:
@@ -524,20 +524,21 @@ class ParamCurve(_Sampled):
 class ParamSurface(_Sampled):
     """Regular parametrized surface phi: [a,b] x [c,d] -> R^3.
 
-    phi, phi_u, phi_v, phi_vv map pairs of (n,) arrays to (n, 3).  The
-    surface has the topology of a cylinder: the u-sides are boundary, and
-    construction raises InvariantViolation when phi, phi_v or phi_vv at
-    v = c differs from its value at v = d, so every chart closes in v.
+    phi, phi_u, phi_v map pairs of (n,) arrays to (n, 3).  The surface has
+    the topology of a cylinder: the u-sides are boundary, and construction
+    raises InvariantViolation when phi or phi_v at v = c differs from its
+    value at v = d, so every chart closes in v.
 
     base is the surface this one was numerically flowed from (None on a
     hand-written chart; transported says whether it is set).  A transported
     surface checks only its parameter box and has no construction grid
     (see the module docstring).
 
-    foot, when set, is an exact nearest-point map foot(pts, extend_u) ->
-    (u, v) onto the surface with its u-range widened by extend_u; it
-    replaces the Newton search in nearest_surface_param.  Construction
-    checks it on grid points pushed off the surface along +-N.
+    foot is the exact nearest-point map foot(pts, extend_u) -> (u, v) onto
+    the surface with its u-range widened by extend_u: the only way a
+    surface projects.  Construction checks it on grid points pushed off the
+    surface along +-N.  Flowed surfaces, and hand-written charts that are
+    never projected, have none.
     """
 
     a: float
@@ -547,7 +548,6 @@ class ParamSurface(_Sampled):
     phi: Callable[[np.ndarray, np.ndarray], np.ndarray]
     phi_u: Callable[[np.ndarray, np.ndarray], np.ndarray]
     phi_v: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    phi_vv: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "surface"
     base: ParamSurface | None = None
     foot: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]] | None = None
@@ -573,17 +573,16 @@ class ParamSurface(_Sampled):
         hv = 1e-6 * (self.d - self.c)
         su = rng.uniform(self.a + 2 * hu, self.b - 2 * hu, 32)
         sv = rng.uniform(self.c + 2 * hv, self.d - 2 * hv, 32)
-        v_shifts = ((su, sv + hv), (su, sv - hv))
         pts, phi_vs, phi_up, phi_um, phi_vp, phi_vm = self._values(
             where, "phi", (uu, vv), v_seam, (su + hu, sv), (su - hu, sv),
-            *v_shifts)
+            (su, sv + hv), (su, sv - hv))
         if not np.all(np.isfinite(pts)):
             raise InvariantViolation(
                 f"{where}: phi must map (n,),(n,) to finite (n, 3)"
             )
-        partials = ((uu, vv), v_seam, (su, sv), *v_shifts)
-        pu, _, pu_s, _, _ = self._values(where, "phi_u", *partials)
-        pv, pv_vs, pv_s, pv_p, pv_m = self._values(where, "phi_v", *partials)
+        partials = ((uu, vv), v_seam, (su, sv))
+        pu, _, pu_s = self._values(where, "phi_u", *partials)
+        pv, pv_vs, pv_s = self._values(where, "phi_v", *partials)
         jac = np.linalg.norm(np.cross(pu, pv), axis=1)
         if jac.min() <= 1e-12 * max(1.0, jac.max()):
             k = jac.argmin()
@@ -591,17 +590,11 @@ class ParamSurface(_Sampled):
                 f"{where}: |phi_u x phi_v| vanishes near "
                 f"(u, v) = ({uu[k]:g}, {vv[k]:g})"
             )
-        pvv_vs, pvv_s = self._values(where, "phi_vv", v_seam, (su, sv))
-        for plus, minus, got, label, step in (
-            (phi_up, phi_um, pu_s, "phi_u", hu),
-            (phi_vp, phi_vm, pv_s, "phi_v", hv),
-            (pv_p, pv_m, pvv_s, "phi_vv", hv),
-        ):
-            _check_difference(where, label, plus, minus, got, step, 1e-6,
-                              (su, sv))
+        _check_difference(where, "phi_u", phi_up, phi_um, pu_s, hu, 1e-6, (su, sv))
+        _check_difference(where, "phi_v", phi_vp, phi_vm, pv_s, hv, 1e-6, (su, sv))
         # the v = c and v = d seams meet
         tol = 1e-12 * (1.0 + np.abs(pts).max())
-        for label, x in (("phi", phi_vs), ("phi_v", pv_vs), ("phi_vv", pvv_vs)):
+        for label, x in (("phi", phi_vs), ("phi_v", pv_vs)):
             if (gap := np.abs(x[:n] - x[n:]).max()) > tol:
                 raise InvariantViolation(
                     f"{where}: does not close in v ({label} at v = c and "
@@ -1049,69 +1042,9 @@ class Foot:
 
 def nearest_surface_param(surf: ParamSurface, pts: np.ndarray,
                           extend_u: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v) of the nearest surface point per ambient point.
-
-    Uses the surface's exact foot map when it has one, otherwise coarse grid
-    seeding plus Newton on |p - phi|^2 / 2, with phi_uu and phi_uv taken by
-    5-point differences of phi_u and phi_v in u (the chart has neither).
-    Raises NoConvergence when the search still moves after NEWTON_MAX_ITER
-    steps.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if surf.foot is not None:
-        return surf.foot(pts, extend_u)
-    span_u = surf.b - surf.a
-    span_v = surf.d - surf.c
-    # coarse enough to keep the distance matrix small for big batches;
-    # Gauss-Newton below recovers the rest
-    nu_, nv_ = 24, 24
-    us = np.linspace(surf.a - extend_u, surf.b + extend_u, nu_)
-    vs = np.linspace(surf.c, surf.d, nv_, endpoint=False)
-    U, V = np.meshgrid(us, vs, indexing="ij")
-    best = _nearest_seed(pts, surf.phi(U.ravel(), V.ravel()))
-    u, v = U.ravel()[best], V.ravel()[best]
-    lo_u, hi_u = surf.a - extend_u, surf.b + extend_u
-    tol = 1e-13 * max(span_u, span_v)
-    h_u = 1e-4 * span_u
-    for _ in range(NEWTON_MAX_ITER):
-        r = pts - surf.phi(u, v)
-        pu = surf.phi_u(u, v)
-        pv = surf.phi_v(u, v)
-        pvv = surf.phi_vv(u, v)
-        g1 = np.einsum("ij,ij->i", r, pu)
-        g2 = np.einsum("ij,ij->i", r, pv)
-        E = np.einsum("ij,ij->i", pu, pu)
-        F = np.einsum("ij,ij->i", pu, pv)
-        G = np.einsum("ij,ij->i", pv, pv)
-        d_u = sample_derivative(
-            lambda uu, vv: np.hstack([surf.phi_u(uu, vv), surf.phi_v(uu, vv)]),
-            (u, v), h_u, 1, lo_u, hi_u, along=0)
-        # the Hessian's own entries, so both coordinates converge
-        # quadratically off the surface, wherever they form a positive
-        # definite matrix; elsewhere the u entries stay Gauss-Newton, and
-        # the v-v entry the Hessian's where that is positive definite
-        Ec = E - np.einsum("ij,ij->i", r, d_u[:, :3])
-        Fc = F - np.einsum("ij,ij->i", r, d_u[:, 3:])
-        Gc = G - np.einsum("ij,ij->i", r, pvv)
-        full = (Ec > 0.0) & (Ec * Gc - Fc * Fc > 0.0)
-        G = np.where(full | (E * Gc - F * F > 0.0), Gc, G)
-        E, F = np.where(full, Ec, E), np.where(full, Fc, F)
-        det = np.maximum(E * G - F * F, 1e-300)
-        du = (G * g1 - F * g2) / det
-        dv = (E * g2 - F * g1) / det
-        # where the step pushes u out of the search box, u is held at its
-        # bound and v solves its own equation there; v wraps at the seam
-        held_u = (u + du < lo_u) | (u + du > hi_u)
-        du = np.clip(du, -0.1 * span_u, 0.1 * span_u)
-        dv = np.clip(np.where(held_u, g2 / G, dv), -0.1 * span_v, 0.1 * span_v)
-        u_next = np.clip(u + du, lo_u, hi_u)
-        step = np.maximum(np.abs(u_next - u), np.abs(dv))
-        u, v = u_next, surf.c + np.mod(v + dv - surf.c, span_v)
-        if step.max(initial=0.0) < tol:
-            return u, v
-    k = int(np.argmax(step))
-    raise NoConvergence(
-        f"surface '{surf.name}': nearest-point Newton still moving after "
-        f"{NEWTON_MAX_ITER} steps (worst step {step[k]:.3e} at "
-        f"(u, v) = ({u[k]:g}, {v[k]:g}), tolerance {tol:.3e})"
-    )
+    """(u, v) of the nearest surface point per ambient point: the chart's
+    exact foot(pts, extend_u); InvariantViolation on a surface without one."""
+    if surf.foot is None:
+        raise InvariantViolation(
+            f"surface '{surf.name}': no foot map, so it cannot be projected")
+    return surf.foot(np.atleast_2d(np.asarray(pts, dtype=float)), extend_u)

@@ -79,7 +79,8 @@ def cylinder():
 def catenoid():
     # (cosh u cos v, cosh u sin v, u): a minimal surface (H = 0, every point
     # a saddle) with principal curvatures +-1/cosh^2 u, so |kappa| peaks at
-    # 1 on u = 0; it closes in v and has no foot hook
+    # 1 on u = 0; it closes in v and has no foot hook, so it cannot be
+    # projected
     return ParamSurface(
         a=-0.5, b=0.5, c=0.0, d=TWO_PI,
         phi=lambda u, v: np.stack(
@@ -89,9 +90,6 @@ def catenoid():
             axis=-1),
         phi_v=lambda u, v: np.stack(
             [-np.cosh(u) * np.sin(v), np.cosh(u) * np.cos(v), np.zeros_like(u)],
-            axis=-1),
-        phi_vv=lambda u, v: np.stack(
-            [-np.cosh(u) * np.cos(v), -np.cosh(u) * np.sin(v), np.zeros_like(u)],
             axis=-1),
         name="catenoid",
     )

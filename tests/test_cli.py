@@ -497,3 +497,18 @@ def test_compared_pair_without_a_field_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     # without compare the same pair has nothing to miss
     assert _run_config(dict(cfg, suites=["nullity"]), tmp_path) == 0
+
+
+@pytest.mark.parametrize("center, far", [([20.0, 0.0], "21"),
+                                         ([9.5, 0.0], "10.5")])
+def test_shape_past_the_field_cutoff_exits_2(center, far, tmp_path, capsys):
+    # every cut-off field is 0 from |p| = CUTOFF_OUTER out, so the tiny run
+    # moved there would compare fd = analytic = 0 and pass
+    tiny = Path(__file__).resolve().parents[1] / "perfbench" / "tiny.json"
+    cfg = json.loads(tiny.read_text())
+    cfg["shapes"][0]["center"] = center
+    assert _run_config(cfg, tmp_path) == 2
+    assert capsys.readouterr().err == (
+        f"error: config.shapes[0]: shape 'circle1' reaches |p| = {far}, and "
+        "every cut-off field is 0 from |p| = 10 out\n")
+    assert not (tmp_path / "out").exists()

@@ -429,55 +429,79 @@ def test_nearest_point_on_cylinder(cylinder):
 def _without_foot(surf, **overrides):
     """The same chart with the foot hook left out, or overridden."""
     kw = dict(a=surf.a, b=surf.b, c=surf.c, d=surf.d, phi=surf.phi,
-              phi_u=surf.phi_u, phi_v=surf.phi_v, phi_vv=surf.phi_vv,
-              name=surf.name + "_newton")
+              phi_u=surf.phi_u, phi_v=surf.phi_v, name=surf.name + "_bare")
     kw.update(overrides)
     return ParamSurface(**kw)
 
 
-def test_cylinder_foot_matches_newton(cylinder):
+def test_cylinder_foot_matches_brute_force(cylinder):
+    # seam points on either side of v = 0 = 2 pi, and heights out to the
+    # widened rims
     rng = np.random.default_rng(11)
     n = 300
     r = rng.uniform(0.6, 1.4, n)
     z = rng.uniform(-0.3, 2.3, n)
     th = rng.uniform(0.0, TWO_PI, n)
-    # seam points on either side of v = 0 = 2*pi
     th[:6] = [0.0, 1e-9, -1e-9, TWO_PI - 1e-9, 1e-14, -1e-14]
     pts = np.stack([r * np.cos(th), r * np.sin(th), z], axis=-1)
-    newton = _without_foot(cylinder)
-    assert cylinder.foot is not None and newton.foot is None
-    uf, vf = nearest_surface_param(cylinder, pts, extend_u=0.3)
-    un, vn = nearest_surface_param(newton, pts, extend_u=0.3)
-    np.testing.assert_allclose(uf, un, rtol=0.0, atol=1e-12)
-    assert np.all((vf >= 0.0) & (vf <= TWO_PI))
-    dv = np.abs(np.angle(np.exp(1j * (vf - vn))))
-    df = np.linalg.norm(pts - cylinder.phi(uf, vf), axis=1)
-    dn = np.linalg.norm(pts - cylinder.phi(un, vn), axis=1)
-    np.testing.assert_allclose(df, dn, rtol=0.0, atol=1e-12)
-    # with the phi_vv term the search is Newton in v, so it converges
-    # quadratically across the whole tube and both feet are stationary
-    assert dv.max() <= 1e-12
-    rf = np.abs(np.einsum("ij,ij->i", pts - cylinder.phi(uf, vf),
-                          cylinder.phi_v(uf, vf)))
-    rn = np.abs(np.einsum("ij,ij->i", pts - cylinder.phi(un, vn),
-                          cylinder.phi_v(un, vn)))
-    assert rf.max() <= 1e-14
-    assert rn.max() <= 1e-14
+    lo, hi = cylinder.a - 0.3, cylinder.b + 0.3
+    u, v = nearest_surface_param(cylinder, pts, extend_u=0.3)
+    assert np.all((u >= lo) & (u <= hi))
+    assert np.all((v >= 0.0) & (v <= TWO_PI))
+    res = pts - cylinder.phi(u, v)
+    dist = np.linalg.norm(res, axis=1)
+    gu = np.linspace(lo, hi, 131)
+    gv = np.linspace(cylinder.c, cylinder.d, 721)
+    dense = cylinder.phi(*(x.ravel() for x in np.meshgrid(gu, gv, indexing="ij")))
+    brute = np.array([np.linalg.norm(dense - p, axis=1).min() for p in pts])
+    # sampling can never beat the true minimum, and misses it by at most
+    # the distance from the foot to its nearest sample (the unit cylinder's
+    # chart is an isometry up to the chord of v): half a cell diagonal
+    assert np.all(dist <= brute + 1e-12)
+    assert np.all(brute - dist <= 0.5 * np.hypot(gu[1] - gu[0], gv[1] - gv[0]))
+    # the foot is stationary: p - phi is orthogonal to phi_v, and to phi_u
+    # where u is not held at a rim
+    free = (u > lo) & (u < hi)
+    assert np.abs(np.einsum("ij,ij->i", res, cylinder.phi_v(u, v))).max() <= 1e-14
+    assert np.abs(np.einsum("ij,ij->i", res[free],
+                            cylinder.phi_u(u[free], v[free]))).max() <= 1e-14
 
 
-def test_surface_newton_cap_raises(cylinder, monkeypatch):
-    newton = _without_foot(cylinder)
-    pts = np.array([[1.3, 0.4, 0.7], [-0.2, 0.9, 1.5], [0.6, -0.6, 0.1]])
-    nearest_surface_param(newton, pts)
-    # feet held at the rims by steps pointing out of the box have converged
+def test_cylinder_foot_holds_points_past_the_rims(cylinder):
+    # points past the rims take u = b and u = a (widened by extend_u), and
+    # v their angle
     past = np.array([[1.2, 0.3, 2.5], [0.4, -0.8, -0.6]])
-    u, v = nearest_surface_param(newton, past)
-    np.testing.assert_array_equal(u, [newton.b, newton.a])
-    np.testing.assert_allclose(v, np.mod(np.arctan2(past[:, 1], past[:, 0]), TWO_PI),
-                               rtol=0.0, atol=1e-14)
-    monkeypatch.setattr(geometry, "NEWTON_MAX_ITER", 1)
-    with pytest.raises(NoConvergence, match="cylinder_newton.*worst step"):
-        nearest_surface_param(newton, pts)
+    angle = np.mod(np.arctan2(past[:, 1], past[:, 0]), TWO_PI)
+    for extend in (0.0, 0.3):
+        u, v = nearest_surface_param(cylinder, past, extend_u=extend)
+        np.testing.assert_array_equal(u, [cylinder.b + extend,
+                                          cylinder.a - extend])
+        np.testing.assert_allclose(v, angle, rtol=0.0, atol=1e-14)
+
+
+def test_surface_without_a_foot_cannot_be_projected(catenoid, cylinder,
+                                                    e3_field):
+    from shapecalc.flow import FlowConfig, flow_manifold
+
+    pts = np.array([[1.2, 0.0, 0.1]])
+    moved = flow_manifold(e3_field, cylinder, FlowConfig(0.1, 10))
+    for M in (catenoid, moved):
+        with pytest.raises(InvariantViolation,
+                           match=rf"^surface '{re.escape(M.name)}': no foot map, "
+                                 r"so it cannot be projected$"):
+            M.project(pts)
+
+
+def test_every_catalog_surface_kind_has_a_foot():
+    from typing import get_type_hints
+
+    from shapecalc import catalog
+
+    kinds = [kind for kind, build in catalog.SHAPE_KINDS.items()
+             if get_type_hints(build)["return"] is ParamSurface]
+    assert kinds
+    for kind in kinds:
+        assert catalog.build_shape(kind).foot is not None
 
 
 def _reference_distance(M, pts):
@@ -542,39 +566,11 @@ def test_unit_normal_is_the_reference_formula(cylinder, catenoid):
             [np.cos(v), np.sin(v), np.ones_like(u)], axis=-1),
         phi_v=lambda u, v: np.stack(
             [-u * np.sin(v), u * np.cos(v), np.zeros_like(u)], axis=-1),
-        phi_vv=lambda u, v: np.stack(
-            [-u * np.cos(v), -u * np.sin(v), np.zeros_like(u)], axis=-1),
         name="cone",
     )
     with pytest.raises(DegenerateImmersion) as exc:
         cone.unit_normal((np.array([1.5, 0.0]), np.array([0.1, 0.3])))
     assert str(exc.value) == "surface 'cone': normal undefined at (0, 0.3)"
-
-
-def test_saddle_newton_matches_brute_force(catenoid):
-    # the catenoid is saddle shaped at every point and has no foot hook;
-    # tube points past the u-sides have their foot held on a side, where v
-    # must still minimise the distance along that side, and v wraps
-    rng = np.random.default_rng(0)
-    n = 120
-    us, vs = rng.uniform(-0.7, 0.7, n), rng.uniform(catenoid.c, catenoid.d, n)
-    off = 0.4 * catenoid.reach * rng.uniform(-1.0, 1.0, n)
-    pts = catenoid.phi(us, vs) + off[:, None] * catenoid.unit_normal((us, vs))
-    u, v = nearest_surface_param(catenoid, pts)
-    assert np.sum(np.abs(u) == 0.5) > 20
-    assert np.all((v >= catenoid.c) & (v < catenoid.d))
-    dist = catenoid.project(pts).dist
-    # inside the reach a foot inside the box lies back along the normal
-    inside = np.abs(us) < 0.5
-    np.testing.assert_allclose(dist[inside], np.abs(off[inside]),
-                               rtol=0.0, atol=1e-14)
-    gu = np.linspace(-0.5, 0.5, 201)
-    gv = np.linspace(catenoid.c, catenoid.d, 801)
-    dense = catenoid.phi(*(x.ravel() for x in np.meshgrid(gu, gv, indexing="ij")))
-    brute = np.array([np.linalg.norm(dense - p, axis=1).min() for p in pts])
-    # sampling can never beat the true minimum
-    assert np.all(dist <= brute + 1e-12)
-    assert np.all(brute - dist <= 2e-3)
 
 
 def test_surface_max_curvature_saddle_and_cylinder(cylinder, catenoid):
@@ -803,8 +799,6 @@ def _wound_cylinder(turns: float) -> ParamSurface:
             [np.zeros_like(u), np.zeros_like(u), np.ones_like(u)], axis=-1),
         phi_v=lambda u, v: np.stack(
             [-np.sin(v), np.cos(v), np.zeros_like(u)], axis=-1),
-        phi_vv=lambda u, v: np.stack(
-            [-np.cos(v), -np.sin(v), np.zeros_like(u)], axis=-1),
         name="lapped-cylinder",
     )
 
@@ -840,9 +834,6 @@ def test_torus_chart_rejected():
             phi_v=lambda u, v: np.stack([-(R + r * np.cos(u)) * np.sin(v),
                                          (R + r * np.cos(u)) * np.cos(v),
                                          np.zeros_like(v)], axis=-1),
-            phi_vv=lambda u, v: np.stack([-(R + r * np.cos(u)) * np.cos(v),
-                                          -(R + r * np.cos(u)) * np.sin(v),
-                                          np.zeros_like(v)], axis=-1),
             name="torus",
         )
 
@@ -883,8 +874,6 @@ def test_ill_conditioned_tangent_gram_raises():
             [np.zeros_like(u), np.zeros_like(u), np.full_like(u, 1e-6)], axis=-1),
         phi_v=lambda u, v: np.stack(
             [-np.sin(v), np.cos(v), np.zeros_like(v)], axis=-1),
-        phi_vv=lambda u, v: np.stack(
-            [-np.cos(v), -np.sin(v), np.zeros_like(v)], axis=-1),
         name="stretched",
     )
     with pytest.raises(IllConditioned,
@@ -1169,7 +1158,7 @@ def test_project_has_one_signature():
 @pytest.mark.parametrize("extend", [0.0, 0.3])
 @pytest.mark.parametrize("in_session", [False, True])
 @pytest.mark.parametrize(
-    "shape", ["circle1", "segment01", "ellipse21", "helix1", "cylinder", "catenoid"])
+    "shape", ["circle1", "segment01", "ellipse21", "helix1", "cylinder"])
 def test_projecting_zero_points_gives_an_empty_foot(shape, in_session, extend,
                                                     request):
     # hook and hook-free kinds alike; inside a session the second projection
@@ -1293,10 +1282,10 @@ def test_malformed_curve_callable_rejected_at_construction(label, wrap):
 
 
 def test_malformed_surface_callable_rejected_at_construction(cylinder):
-    bad = lambda u, v: cylinder.phi_vv(u, v).astype(np.float32)
+    bad = lambda u, v: cylinder.phi_v(u, v).astype(np.float32)
     with pytest.raises(InvariantViolation,
-                       match=r"cylinder_newton': phi_vv must return a float64"):
-        _without_foot(cylinder, phi_vv=bad)
+                       match=r"cylinder_bare': phi_v must return a float64"):
+        _without_foot(cylinder, phi_v=bad)
     bad_foot = lambda pts, extend_u: tuple(x.astype(np.float32)
                                            for x in cylinder.foot(pts, extend_u))
     with pytest.raises(InvariantViolation, match="foot must map"):
@@ -1381,7 +1370,6 @@ def test_derivative_off_by_1e6_near_origin_still_rejected(circle1, cylinder):
 @pytest.mark.parametrize("label, region", [
     ("phi_u", lambda u, v: v > np.pi),
     ("phi_v", lambda u, v: (u < 1.0) & (v < 3.0)),
-    ("phi_vv", lambda u, v: u > 1.5),
 ])
 def test_surface_derivative_check_names_the_failing_sample(cylinder, label,
                                                            region):
