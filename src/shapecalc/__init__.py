@@ -32,8 +32,7 @@ from .derivative import (DerivativeReport, FDConfig, FDTrace, compare,
                          discrete_variation, fd_quotients)
 from .validation import (CrackCoefficients, LocalityPair,
                          StructureSuiteResult, SuiteCase, crack_suite,
-                         extract_crack_coefficients,
-                         length_density_quadrature, locality_pairs,
+                         extract_crack_coefficients, locality_pairs,
                          locality_suite, normal_dependence_suite,
                          nullity_negative_field, tangential_nullity_suite,
                          tangential_probe_fields)

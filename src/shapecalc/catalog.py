@@ -15,8 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigError, ShapecalcError
-from .fields import (AmbientField, Ball, bump_field, smooth_step,
-                     smooth_step_deriv, sum_field)
+from .fields import AmbientField, Ball, smooth_step, smooth_step_deriv
 from .functionals import (CrackFunctional, area_functional, crack_functional,
                           elastic_functional, length_functional)
 from .geometry import ParamCurve, ParamSurface
@@ -512,37 +511,11 @@ def _field_linear(p: _Params, name: str):
     return frozenset({dim}), lambda d: _localized(*_linear_nominal(A), dim, name)
 
 
-def _field_bump(p: _Params, name: str):
-    center = p.vector("center")
-    radius = p.scalar("radius", positive=True)
-    direction = p.vector("dir", dims=(len(center),))
-    p.finish()
-    return frozenset({len(center)}), lambda d: bump_field(center, radius,
-                                                          direction, name=name)
-
-
-def _field_sum(p: _Params, name: str):
-    raw_terms = p.sequence("terms")
-    p.finish()
-    parsed = [parse_field(t, where=f"{p.where}.terms[{i}]")
-              for i, t in enumerate(raw_terms)]
-    dims = frozenset.intersection(*[q.dims for q in parsed])
-    if not dims:
-        raise ConfigError(f"{p.where}: terms have no common dimension")
-
-    def make(dim):
-        return sum_field([q.build(dim) for q in parsed], name=name)
-
-    return dims, make
-
-
 FIELD_KINDS: Mapping[str, Callable] = {
     "constant": _field_constant,
     "radial": _field_radial,
     "rotation": _field_rotation,
     "linear": _field_linear,
-    "bump": _field_bump,
-    "sum": _field_sum,
 }
 
 

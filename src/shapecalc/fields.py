@@ -376,7 +376,9 @@ def pullback_field(manifold, V, tube: float, extend: float, name: str,
     profile is (g, g'), g zero from s = 1 on.  X and dX share one
     projection.  dX = V (x) g'(s) grad d / tube, plus g dV/dt (x) grad t
     for a callable V on a curve (dV/dt by a 5-point difference); a callable
-    V on a surface gets a central-difference dX.
+    V on a surface (the tangent-wave probes of
+    validation.tangential_probe_fields, and surface restriction fields)
+    gets a central-difference dX of step 1e-6 (1 + diameter).
     """
     g, dg = profile
     is_curve = isinstance(manifold, ParamCurve)

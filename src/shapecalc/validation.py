@@ -39,13 +39,12 @@ import numpy as np
 
 from .derivative import FDConfig, discrete_variation, fd_quotients
 from .errors import ProbeOverlap
-from .fields import (AmbientField, Ball, _sample_params, bump_field,
-                     check_tangency, fd_jacobian, last_call_memo,
-                     pullback_field, restriction_field, smooth_step,
-                     smooth_step_deriv, sum_field)
+from .fields import (AmbientField, _sample_params, bump_field, check_tangency,
+                     last_call_memo, pullback_field, restriction_field,
+                     smooth_step, smooth_step_deriv, sum_field)
 from .flow import INVARIANCE_BOUND, invariance_residual
-from .functionals import CrackFunctional, length, length_density
-from .geometry import ParamCurve, curvature, integrate_curve
+from .functionals import CrackFunctional, length
+from .geometry import ParamCurve, curvature
 
 TANGENCY_TOL = 1e-12
 NULLITY_TIME = 0.5
@@ -246,9 +245,10 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0) -> list[AmbientField]:
 
     Curves get bump-modulated unit-tangent fields localized away from the
     endpoints and inside the focal radius; surfaces get tangent-frame waves
-    cut off in a tube around the surface.  Both constructions keep the
-    restriction to M smooth enough for the fixed-panel quadrature used by
-    the built-in functionals."""
+    on the chart, carried off the surface by pullback_field (tube 0.8 reach,
+    no widening).  Both constructions keep the restriction to M smooth
+    enough for the fixed-panel quadrature used by the built-in
+    functionals."""
     rng = np.random.default_rng(seed)
     out: list[AmbientField] = []
 
@@ -292,16 +292,15 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0) -> list[AmbientField]:
                                   direction_jacobian=direction_jacobian))
         return out
 
-    # surfaces: tangent-frame waves localized to a tube around the surface.
-    # The chart modulation keeps the restriction to the surface analytic,
-    # which fixed-panel quadrature resolves far better than sharp bumps; the
-    # tube cutoff makes the ambient support compact and masks the region
-    # where nearest-point projection stops being single valued.
+    # surfaces: tangent-frame waves carried off the surface by
+    # pullback_field, cut off in a tube of width delta.  The chart
+    # modulation keeps the restriction to the surface analytic, which
+    # fixed-panel quadrature resolves far better than sharp bumps; the tube
+    # keeps the ambient support compact and masks the region where
+    # nearest-point projection stops being single valued.
     span_u = M.b - M.a
     span_v = M.d - M.c
-    mx = float(np.linalg.norm(M._grid_points, axis=1).max())
     delta = 0.8 * M.reach if np.isfinite(M.reach) else 0.5
-    support = Ball(np.zeros(3), mx + delta + 0.5)
     for i in range(n):
         c1 = rng.uniform(0.5, 1.5)
         c2 = rng.uniform(-1.0, 1.0)
@@ -310,28 +309,16 @@ def tangential_probe_fields(M, n: int = 5, seed: int = 0) -> list[AmbientField]:
         th1 = rng.uniform(0.0, 2.0 * np.pi)
         th2 = rng.uniform(0.0, 2.0 * np.pi)
 
-        def X(pts, c1=c1, c2=c2, k1=k1, k2=k2, th1=th1, th2=th2):
-            pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            out_ = np.zeros_like(pts)
-            near = np.linalg.norm(pts, axis=1) <= mx + delta
-            if not np.any(near):
-                return out_
-            ft = M.project(pts[near])
-            us, vs = ft.params
-            w = smooth_step(ft.dist / delta)
-            # modulation vanishing at the u-sides keeps X . nu = 0 there
-            w = w * np.sin(np.pi * (us - M.a) / span_u) ** 2
-            e1, e2 = M.tangent_frame((us, vs))
+        def V(params, c1=c1, c2=c2, k1=k1, k2=k2, th1=th1, th2=th2):
+            us, vs = params
+            e1, e2 = M.tangent_frame(params)
             ang = 2.0 * np.pi * (vs - M.c) / span_v
-            mod1 = np.cos(k1 * ang + th1)
-            mod2 = np.cos(k2 * ang + th2)
-            out_[near] = w[:, None] * (c1 * mod1[:, None] * e1
-                                       + c2 * mod2[:, None] * e2)
-            return out_
+            # modulation vanishing at the u-sides keeps X . nu = 0 there
+            side = np.sin(np.pi * (us - M.a) / span_u) ** 2
+            return side[:, None] * (c1 * np.cos(k1 * ang + th1)[:, None] * e1
+                                    + c2 * np.cos(k2 * ang + th2)[:, None] * e2)
 
-        out.append(AmbientField(
-            dim=3, X=X, dX=fd_jacobian(X, 3, 1e-6 * (1.0 + mx)),
-            support=support, name=f"tangent-wave{i}[{M.name}]"))
+        out.append(pullback_field(M, V, delta, 0.0, f"tangent-wave{i}[{M.name}]"))
     return out
 
 
@@ -439,13 +426,6 @@ def extract_crack_coefficients(J_crack: CrackFunctional,
                              probe_radius=float(probe_radius), probes=probes)
 
 
-def length_density_quadrature(curve: ParamCurve, X: AmbientField) -> float:
-    """Quadrature of the interior length-variation density -kappa (X.N)
-    against the arc measure, on 256 panels; the closed-form target for
-    interior h-samples of a crack-length functional."""
-    return integrate_curve(curve, length_density(curve, X), panels=256)
-
-
 def crack_suite(J_crack: CrackFunctional) -> StructureSuiteResult:
     """Recorded crack-coefficient checks on the functional's own crack
     curve, J_crack.crack.
@@ -456,8 +436,10 @@ def crack_suite(J_crack: CrackFunctional) -> StructureSuiteResult:
     variation.  Straight tips, any inner functional: the coefficients must
     be stable under probe halving (curved tips pollute that test at second
     order in the radius, so only the values are recorded there).  Length as
-    the inner functional: interior h-samples against the curvature-density
-    quadrature.
+    the inner functional: each interior h-sample against the closed form
+    J_crack.analytic_derivative on its probe, which reads the curvature
+    density alone (extract_crack_coefficients keeps every probe clear of
+    both tips).  Measured values and bounds are Python floats.
     """
     cases: list[SuiteCase] = []
     curve = J_crack.crack
@@ -482,9 +464,8 @@ def crack_suite(J_crack: CrackFunctional) -> StructureSuiteResult:
             f"tip values recorded: alpha1={co.alpha1:.6g}, "
             f"alpha2={co.alpha2:.6g} (curved tips) [{tag}]", 0.0, 0.0, True))
     if is_length:
-        for t_j, h_j, X in zip(co.stations, co.h_samples, co.probes):
-            target = length_density_quadrature(curve, X)
-            err = abs(h_j - target)
+        for t_j, h_j, X in zip(co.stations, co.h_samples.tolist(), co.probes):
+            err = abs(h_j - J_crack.analytic_derivative(curve, X))
             bound = 1e-5 * (1.0 + abs(h_j))
             cases.append(SuiteCase(
                 f"h-sample at t={t_j:.4g} matches curvature density [{tag}]",

@@ -26,7 +26,7 @@ from shapecalc.geometry import ParamCurve, ParamSurface
 
 def test_kind_registries():
     assert set(SHAPE_KINDS) == {"arc", "circle", "cylinder", "ellipse", "helix", "segment"}
-    assert set(FIELD_KINDS) == {"bump", "constant", "linear", "radial", "rotation", "sum"}
+    assert set(FIELD_KINDS) == {"constant", "linear", "radial", "rotation"}
     assert set(FUNCTIONAL_KINDS) == {"area", "crack", "elastic", "length"}
 
 
@@ -97,30 +97,6 @@ def test_linear_field_matrix_validation():
     f = build_field({"kind": "linear", "matrix": [[0.0, 1.0], [0.0, 0.0]]}, 2)
     pts = np.array([[1.0, 2.0], [0.5, -1.0]])
     np.testing.assert_allclose(f.X(pts), [[2.0, 0.0], [-1.0, 0.0]], rtol=1e-12)
-
-
-def test_bump_field_from_config():
-    f = build_field(
-        {"kind": "bump", "center": [0.5, 0.0], "radius": 0.25, "dir": [0.0, 1.0]},
-        2,
-    )
-    assert f.scale == pytest.approx(0.25)
-    np.testing.assert_allclose(f.X(np.array([[0.5, 0.0]]))[0], [0.0, 1.0], rtol=1e-14)
-
-
-def test_sum_field_from_config():
-    f = build_field(
-        {
-            "kind": "sum",
-            "terms": [
-                {"kind": "constant", "vector": [1.0, 0.0]},
-                {"kind": "bump", "center": [0.0, 0.0], "radius": 0.5, "dir": [0.0, 2.0]},
-            ],
-        },
-        2,
-    )
-    assert f.scale == pytest.approx(0.5)
-    np.testing.assert_allclose(f.X(np.array([[0.0, 0.0]]))[0], [1.0, 2.0], rtol=1e-12)
 
 
 def test_circle_and_arc_charts_match_their_reference_formulas():

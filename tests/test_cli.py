@@ -239,8 +239,7 @@ def test_plot_of_a_report_without_comparisons_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("section, entry, key", [
     ("shapes", {"kind": "segment", "p0": None, "p1": [1.0, 0.0]}, "p0"),
-    ("fields", {"kind": "bump", "center": None, "radius": 0.5,
-                "dir": [1.0, 0.0]}, "center"),
+    ("fields", {"kind": "constant", "vector": None}, "vector"),
 ])
 def test_null_required_vector_exits_2(section, entry, key, tmp_path, capsys):
     cfg = dict(TINY_CURVE, **{section: TINY_CURVE[section] + [entry]})
@@ -351,6 +350,50 @@ def test_removed_settings_exit_2(extra, where, key, tmp_path, capsys):
         f"error: {where}: unknown parameter(s) '{key}'\n")
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "elsewhere").exists()
+
+
+_CRACK_SHAPE = {"kind": "segment", "p0": [-1.0, 0.0], "p1": [1.0, 0.0],
+                "name": "crack"}
+
+
+def _crack_config(**functional):
+    return dict(TINY_CURVE, shapes=TINY_CURVE["shapes"] + [_CRACK_SHAPE],
+                functionals=[{"kind": "crack", "crack": "crack", **functional}])
+
+
+@pytest.mark.parametrize("cfg, message", [
+    # json.dump writes NaN, which json.load accepts
+    (dict(TINY_CURVE, fd={"t0": float("nan")}),
+     "config.fd: parameter 't0' must be finite"),
+    (dict(TINY_CURVE, fd={"levels": 1}),
+     "config.fd: parameter 'levels' must be at least 2, got 1"),
+    (dict(TINY_CURVE, shapes=[3]),
+     "config.shapes[0]: expected an object with a 'kind' key, got int"),
+    (dict(TINY_CURVE, shapes=[{"radius": 1.0}]), "config.shapes[0]: missing 'kind'"),
+    (dict(TINY_CURVE, shapes=[{"kind": "circle", "name": 3}]),
+     "config.shapes[0]: 'name' must be a non-empty string"),
+    (dict(TINY_CURVE, shapes=[{"kind": "segment", "p0": [0.0, 0.0],
+                               "p1": [1.0, 0.0, 0.0]}]),
+     "config.shapes[0]: p0 and p1 have different dimensions"),
+    (dict(TINY_CURVE, shapes=[{"kind": "arc", "angle0": 0.0, "angle1": 7.0}]),
+     "config.shapes[0]: arc spans a full turn or more; use a circle"),
+    (dict(TINY_CURVE, fields=[{"kind": "rotation", "axis": [0.0, 0.0, 0.0]}]),
+     "config.fields[0]: parameter 'axis' must be nonzero"),
+    (_crack_config(region_center=[0.0, 0.0, 0.0], region_radius=3.0),
+     "config.functionals[0]: region_center has dimension 3, crack 'crack' has "
+     "dimension 2"),
+    (_crack_config(region_center=[0.0, 0.0], region_radius=0.5),
+     "config.functionals[0]: crack 'crack' is not strictly inside the region "
+     "(max point distance 1 vs radius 0.5)"),
+    (dict(TINY_CURVE, suites=["compare", "compare"]),
+     "config.suites: duplicate suite names"),
+], ids=["non-finite-t0", "levels-1", "descriptor-int", "no-kind", "name-int",
+        "segment-mixed-dims", "arc-full-turn", "rotation-zero-axis",
+        "crack-center-dims", "crack-outside-region", "duplicate-suites"])
+def test_config_entry_errors_exit_2(cfg, message, tmp_path, capsys):
+    assert _run_config(cfg, tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_and_format_default_to_a_json_report_in_the_cwd(curve_config,

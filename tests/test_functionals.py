@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shapecalc import functionals
-from shapecalc.errors import CrackNotInterior
+from shapecalc.errors import CrackNotInterior, InvariantViolation
 from shapecalc.fields import Ball
 from shapecalc.functionals import (
     CURVE_PANELS,
@@ -139,6 +139,11 @@ def test_crack_must_sit_inside_region(crack_segment):
     # touching the rim is not strictly interior either
     with pytest.raises(CrackNotInterior):
         crack_functional(Ball(np.zeros(2), 1.0), crack_segment)
+
+
+def test_delastic_rejects_a_space_curve(helix1, e3_field):
+    with pytest.raises(InvariantViolation, match="implemented for planar curves"):
+        analytic_delastic(helix1, e3_field)
 
 
 def test_elastic_on_a_fast_straight_chart(e1_field):

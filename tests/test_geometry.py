@@ -856,6 +856,34 @@ def test_curve_rejects_its_dimension_and_interval(kwargs, message):
         ParamCurve(**kwargs)
 
 
+def _nan_rows(*args):
+    return np.full((len(args[0]), 3), np.nan)
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(_line(dim=3), gamma=_nan_rows), InvariantViolation,
+     r"gamma must map \(n,\) to finite \(n, 3\)"),
+    (dict(_line(), closed=True), InvariantViolation,
+     r"closed but gamma\(a\) != gamma\(b\)"),
+], ids=["non-finite-gamma", "open-ends-closed"])
+def test_curve_rejects_a_bad_chart(kwargs, error, message):
+    with pytest.raises(error, match=f"curve 'line': {message}"):
+        ParamCurve(**kwargs)
+
+
+@pytest.mark.parametrize("chart, error, message", [
+    (dict(phi=_nan_rows), InvariantViolation,
+     r"phi must map \(n,\),\(n,\) to finite \(n, 3\)"),
+    # phi_u parallel to phi_v along the whole grid
+    (dict(phi_u=lambda u, v: np.stack([-np.sin(v), np.cos(v), np.zeros_like(v)],
+                                      axis=-1)),
+     DegenerateImmersion, r"\|phi_u x phi_v\| vanishes near"),
+], ids=["non-finite-phi", "vanishing-normal"])
+def test_surface_rejects_a_bad_chart(cylinder, chart, error, message):
+    with pytest.raises(error, match=f"surface 'flat': {message}"):
+        dataclasses.replace(cylinder, name="flat", foot=None, **chart)
+
+
 def test_surface_rejects_an_empty_box(cylinder):
     for box in (dict(b=cylinder.a), dict(d=cylinder.c)):
         with pytest.raises(InvariantViolation,

@@ -43,6 +43,11 @@ def test_num_rejects_non_finite(bad):
         dumps_canonical({"x": bad})
 
 
+def test_dumps_canonical_rejects_an_unsupported_type():
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        dumps_canonical({"x": {1.0}})
+
+
 def test_write_text_leaves_no_temp_file(tmp_path):
     path = tmp_path / "out.txt"
     write_text(str(path), "first\n")

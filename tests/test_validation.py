@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shapecalc import validation
-from shapecalc.errors import ProbeOverlap
+from shapecalc.errors import CrackNotInterior, ProbeOverlap
 from shapecalc.fields import Ball, check_tangency
 from shapecalc.functionals import (
     analytic_dlength,
@@ -17,7 +17,6 @@ from shapecalc.functionals import (
 from shapecalc.validation import (
     crack_suite,
     extract_crack_coefficients,
-    length_density_quadrature,
     locality_pairs,
     locality_suite,
     normal_dependence_suite,
@@ -41,6 +40,45 @@ def test_surface_probes_are_tangent(cylinder):
     for p in tangential_probe_fields(cylinder, n=2, seed=1):
         rep = check_tangency(cylinder, p)
         assert rep.max_normal_residual <= 1e-12
+
+
+def test_surface_probes_are_pullback_fields(cylinder, monkeypatch):
+    from shapecalc.fields import smooth_step
+
+    built = []
+    real = validation.pullback_field
+    monkeypatch.setattr(validation, "pullback_field",
+                        lambda *args: built.append(args) or real(*args))
+    probes = tangential_probe_fields(cylinder, n=2, seed=1)
+    delta = 0.8 * cylinder.reach
+    assert [(a[2], a[3], a[4]) for a in built] == [
+        (delta, 0.0, f"tangent-wave{i}[cylinder]") for i in range(2)]
+    mid, rad = cylinder.grid_ball
+    rng = np.random.default_rng(1)
+    # the draws tangential_probe_fields makes for each probe
+    draws = [(rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0), int(rng.integers(1, 4)),
+              int(rng.integers(1, 4)), rng.uniform(0.0, 2.0 * np.pi),
+              rng.uniform(0.0, 2.0 * np.pi)) for _ in probes]
+    us = rng.uniform(cylinder.a, cylinder.b, 64)
+    vs = rng.uniform(cylinder.c, cylinder.d, 64)
+    on_m = cylinder.chart((us, vs))
+    n = cylinder.unit_normal((us, vs))
+    off = np.concatenate([on_m + delta * n, on_m + 1.5 * delta * n,
+                          on_m - delta * n, [mid + np.array([0.0, 0.0, rad + delta])]])
+    for P, (c1, c2, k1, k2, th1, th2) in zip(probes, draws):
+        np.testing.assert_array_equal(P.support.center, mid)
+        assert P.support.radius == rad + delta
+        # the hand-written tube formula the probes had before
+        ft = cylinder.project(on_m)
+        fu, fv = ft.params
+        w = smooth_step(ft.dist / delta) * np.sin(np.pi * (fu - cylinder.a)
+                                                  / (cylinder.b - cylinder.a)) ** 2
+        e1, e2 = cylinder.tangent_frame((fu, fv))
+        ang = 2.0 * np.pi * (fv - cylinder.c) / (cylinder.d - cylinder.c)
+        old = w[:, None] * (c1 * np.cos(k1 * ang + th1)[:, None] * e1
+                            + c2 * np.cos(k2 * ang + th2)[:, None] * e2)
+        assert np.array_equal(P.X(on_m), old)
+        np.testing.assert_array_equal(P.X(off), 0.0)
 
 
 def test_open_curve_probes_respect_endpoints(segment01):
@@ -208,15 +246,39 @@ def test_probe_overlap_detected(crack_segment):
         extract_crack_coefficients(J, probe_radius=0.9)
 
 
+def test_probe_reaching_the_region_boundary_rejected(crack_segment):
+    # margin 2 in a region of radius 3 about the segment's midpoint
+    J = crack_functional(Ball(np.zeros(2), 3.0), crack_segment)
+    with pytest.raises(CrackNotInterior, match="reaches the region boundary"):
+        extract_crack_coefficients(J, probe_radius=J.margin)
+
+
 def test_closed_crack_rejected(circle1):
     J = crack_functional(Ball(np.zeros(2), 3.0), circle1)
     with pytest.raises(ProbeOverlap):
         extract_crack_coefficients(J)
 
 
-def test_length_density_quadrature_matches_closed_form(circle1, radial2):
-    got = length_density_quadrature(circle1, radial2)
-    assert got == pytest.approx(analytic_dlength(circle1, radial2), rel=1e-9)
+def test_crack_h_samples_measure_dv_against_the_closed_form(crack_arc):
+    from shapecalc.derivative import discrete_variation
+
+    J = crack_functional(Ball(np.zeros(2), 4.0), crack_arc)
+    co = extract_crack_coefficients(J)
+    cases = [c for c in crack_suite(J).cases if c.description.startswith("h-sample")]
+    assert len(cases) == len(co.probes) == 3
+    for case, X in zip(cases, co.probes):
+        want = abs(discrete_variation(J, crack_arc, X) - analytic_dlength(crack_arc, X))
+        assert case.measured == want
+        assert case.passed
+
+
+@pytest.mark.parametrize("curve", ["crack_segment", "crack_arc"])
+def test_crack_suite_cases_hold_python_scalars(curve, request):
+    # numpy scalars in a SuiteCase break json.dumps of the report
+    J = crack_functional(Ball(np.zeros(2), 4.0), request.getfixturevalue(curve))
+    for c in crack_suite(J).cases:
+        assert type(c.measured) is float and type(c.bound) is float, c.description
+        assert type(c.passed) is bool, c.description
 
 
 # ---------------------------------------------------------------------------
