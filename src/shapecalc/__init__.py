@@ -39,8 +39,8 @@ from .validation import (CrackCoefficients, LocalityPair,
 from .catalog import (FIELD_KINDS, FUNCTIONAL_KINDS, SHAPE_KINDS, ParsedField,
                       build_field, build_shape, compatible, parse_field,
                       parse_functional)
-from .report_io import (comparison_record, comparisons_csv, dumps_canonical,
-                        load_json, plot_csv, report_document, suite_record,
+from .report_io import (comparison_record, comparisons_csv, load_json,
+                        plot_csv, report_document, suite_record,
                         suites_csv, write_json, write_text)
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 `shapecalc run config.json` builds the catalog entries named in the config,
 cross-checks every compatible (functional, shape, field) triple against the
-flow oracle, runs the requested structure suites, and writes a canonical
-JSON report (plus CSV extracts with `--format json,csv`) into the
-directory `--out`, the current one by default; the config says nothing of
+flow oracle, runs the requested structure suites, and writes a JSON
+report (plus CSV extracts with `--format json,csv`) into the directory
+`--out`, the current one by default; the config says nothing of
 output.  `shapecalc plot report.json` flattens the stored quotient traces
 into a CSV for plotting.
 
@@ -248,8 +248,6 @@ def _run_jobs(jobs: Sequence[_Job], verbose: bool,
     for job in jobs:
         try:
             outs = job.run()
-        except ConfigError:
-            raise
         except ShapecalcError as exc:
             # keep the type, name the case
             raise type(exc)(f"{job.label}: {exc}") from exc

@@ -1,8 +1,10 @@
 """Deterministic report serialization.
 
-JSON documents are emitted with fixed field order and floats formatted at
-17 significant digits, so identical runs produce byte-identical files.
-Writes are atomic: temp file in the target directory, then rename.
+Reports go out through the standard library: `json.dumps` with the
+records' field order, and `csv.writer` for the CSV mirrors.  Both print a
+float as its shortest round-trip repr, so every value reads back as the
+float written and identical runs produce byte-identical files.  Writes
+are atomic: temp file in the target directory, then rename.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .validation import StructureSuiteResult
 
 __all__ = [
     "comparison_record", "suite_record", "summary_record", "report_document",
-    "dumps_canonical", "write_json", "write_text",
+    "write_json", "write_text",
     "comparisons_csv", "suites_csv", "plot_csv", "load_json",
 ]
 
@@ -62,7 +64,7 @@ def suite_record(res: StructureSuiteResult) -> dict:
                 "description": c.description,
                 "measured": _num(c.measured),
                 "bound": _num(c.bound),
-                "passed": c.passed,
+                "passed": bool(c.passed),
             }
             for c in res.cases
         ],
@@ -96,51 +98,7 @@ def report_document(comparisons: Sequence[dict], suites: Sequence[dict]) -> dict
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON
-
-
-def _render(obj, out: list, indent: int):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(f"{pad}  {json.dumps(str(k))}: ")
-            _render(v, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _render(v, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format(_num(obj), ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def dumps_canonical(obj) -> str:
-    """Pretty JSON with insertion-ordered keys and .17g floats."""
-    out: list[str] = []
-    _render(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+# writers
 
 
 def write_text(path: str, text: str):
@@ -159,7 +117,9 @@ def write_text(path: str, text: str):
 
 
 def write_json(path: str, doc: dict):
-    write_text(path, dumps_canonical(doc))
+    """Pretty JSON with insertion-ordered keys; every float prints as its
+    shortest round-trip repr."""
+    write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +130,7 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
-    for row in rows:
-        w.writerow([format(v, ".17g") if isinstance(v, float) else v
-                    for v in row])
+    w.writerows(rows)
     return buf.getvalue()
 
 
@@ -217,10 +175,19 @@ def plot_csv(doc: dict) -> str:
 
 def load_json(path: str, what: str) -> dict:
     """The JSON object in the UTF-8 file at path; ConfigError naming `what`
-    (config, report) and path when it cannot be read or holds no object."""
+    (config, report) and path when it cannot be read, holds no object or
+    gives one key twice in an object."""
+    def unique(pairs: list) -> dict:
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(f"{what} '{path}': duplicate key '{key}'")
+            seen.add(key)
+        return dict(pairs)
+
     try:
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+            doc = json.load(f, object_pairs_hook=unique)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} '{path}': {exc}") from exc
     except json.JSONDecodeError as exc:

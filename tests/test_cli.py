@@ -315,9 +315,10 @@ def test_no_subcommand_is_a_usage_error(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-def _run_config(cfg: dict, tmp_path, *extra) -> int:
+def _run_config(cfg, tmp_path, *extra) -> int:
+    """Run the config cfg, a dict or the JSON text of one."""
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     return cli.main(["run", str(path), "--out", str(tmp_path / "out"), *extra])
 
 
@@ -356,6 +357,14 @@ _CRACK_SHAPE = {"kind": "segment", "p0": [-1.0, 0.0], "p1": [1.0, 0.0],
                 "name": "crack"}
 
 
+def _duplicated(entry: str, twice: str) -> str:
+    """TINY_CURVE's JSON text with its first `entry` replaced by `twice`,
+    which gives one of entry's keys a second time."""
+    text = json.dumps(TINY_CURVE)
+    assert entry in text
+    return text.replace(entry, twice, 1)
+
+
 def _crack_config(**functional):
     return dict(TINY_CURVE, shapes=TINY_CURVE["shapes"] + [_CRACK_SHAPE],
                 functionals=[{"kind": "crack", "crack": "crack", **functional}])
@@ -387,13 +396,33 @@ def _crack_config(**functional):
      "(max point distance 1 vs radius 0.5)"),
     (dict(TINY_CURVE, suites=["compare", "compare"]),
      "config.suites: duplicate suite names"),
+    # json.load alone keeps the last value of a key given twice
+    (_duplicated('"suites": ', '"suites": ["compare"], "suites": '),
+     "config '{path}': duplicate key 'suites'"),
+    (_duplicated('"t0": 0.01', '"t0": 0.01, "t0": 0.02'),
+     "config '{path}': duplicate key 't0'"),
+    (_duplicated('"radius": 1.0', '"radius": 1.0, "radius": 0.5'),
+     "config '{path}': duplicate key 'radius'"),
 ], ids=["non-finite-t0", "levels-1", "descriptor-int", "no-kind", "name-int",
         "segment-mixed-dims", "arc-full-turn", "rotation-zero-axis",
-        "crack-center-dims", "crack-outside-region", "duplicate-suites"])
+        "crack-center-dims", "crack-outside-region", "duplicate-suites",
+        "duplicated-top-level-key", "duplicated-fd-key",
+        "duplicated-shape-key"])
 def test_config_entry_errors_exit_2(cfg, message, tmp_path, capsys):
     assert _run_config(cfg, tmp_path) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    path = tmp_path / "cfg.json"
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_plot_of_a_report_with_a_duplicated_key_exits_2(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text('{"comparisons": [], "comparisons": []}')
+    out = tmp_path / "plot.csv"
+    assert cli.main(["plot", str(report), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: report '{report}': duplicate key 'comparisons'\n")
+    assert not out.exists()
 
 
 def test_out_and_format_default_to_a_json_report_in_the_cwd(curve_config,

@@ -176,6 +176,25 @@ def test_zero_speed_curve_rejected():
         )
 
 
+def test_frenet_rows_rejects_zero_speed_between_grid_points():
+    # speed 3(t - 1/2)^2 vanishes midway between two construction-grid
+    # points, where it is 2.9e-6: the chart is built, its frame is not
+    cubic = ParamCurve(
+        dim=2,
+        a=0.0,
+        b=1.0,
+        gamma=lambda t: np.stack([(t - 0.5) ** 3, np.zeros_like(t)], axis=-1),
+        dgamma=lambda t: np.stack([3 * (t - 0.5) ** 2, np.zeros_like(t)], axis=-1),
+        ddgamma=lambda t: np.stack([6 * (t - 0.5), np.zeros_like(t)], axis=-1),
+        closed=False,
+        name="cubic",
+    )
+    assert cubic.grid_speed.min() > 1e-6
+    with pytest.raises(DegenerateImmersion,
+                       match=r"curve 'cubic': zero speed at t = 0\.5$"):
+        frenet_rows(cubic, 0.5)
+
+
 def test_self_intersecting_curve_rejected():
     # figure-eight crosses itself at the origin
     with pytest.raises(DegenerateImmersion):
