@@ -65,6 +65,12 @@ def sample_derivative(
     its value there, repeated here over the nodes.  f maps flat (k,)
     argument arrays to values (k, ...); the result keeps f's trailing
     shape.  Requires hi - lo >= 4h.
+
+    Zero-weight nodes are not evaluated: the centre of the symmetric
+    m = 1 stencil weighs exactly 0.0, so f sees 4 nodes there and 5 on the
+    shifted end stencils and at m = 2.  Skipped slots hold 0.0, so the
+    result is the all-node weighted sum bit for bit (up to the sign of a
+    sum of zeros).
     """
     along %= len(params)
     t = params[along]
@@ -84,8 +90,10 @@ def sample_derivative(
         s = np.clip(np.full(n, 2), np.maximum(4 - right, 0), np.minimum(left, 4))
         nodes = np.clip(t[:, None] + h * (_OFFSETS - s[:, None]), lo, hi)
         w = _W[m][s]
-    vals = f(*(nodes.ravel() if k == along else np.repeat(x, 5)
-               for k, x in enumerate(params)))
-    vals = vals.reshape((n, 5) + vals.shape[1:])
+    keep = w != 0.0
+    got = f(*(nodes[keep] if k == along else np.repeat(x, 5)[keep.ravel()]
+              for k, x in enumerate(params)))
+    vals = np.zeros(keep.shape + got.shape[1:])
+    vals[keep] = got
     w = w.reshape((n, 5) + (1,) * (vals.ndim - 2))
     return (w * vals).sum(axis=1) / h**m

@@ -279,7 +279,7 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
     integrator error unless that error is budgeted.  A Richardson table on
     the residual vectors r = x - chart(foot(x)) (Foot.r) holds the error the
     residual reads to INVARIANCE_BUDGET = 1e-12 (Hairer, Norsett & Wanner,
-    Solving ODEs I, II.9).  The samples flow with n0 = ceil(step_count(t)/2),
+    Solving ODEs I, II.9).  The samples flow with n0 = ceil(step_count(t)/4),
     2 n0 and 4 n0 steps, and each level is projected (r_n0, r_2n0, r_4n0).
     RK4's global error has an expansion in h^4, h^5, ... (II.8), so the
     table
@@ -299,17 +299,18 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
     is raised without flowing when that prediction or the next level's
     steps exceed MAX_FLOW_STEPS.
 
-    The coarsest level steps 2 DEFAULT_MAX_STEP (0.02 at t = 0.5).  It is
-    only an input of the extrapolation, and no residual is read from it
-    alone: it needs to lie where the expansion holds, which the h^4 ratio
-    of its differences shows (below), and E bounds what is left.
+    The coarsest level steps about 4 DEFAULT_MAX_STEP (0.5 / 13 at
+    t = 0.5).  It is only an input of the extrapolation, and no residual
+    is read from it alone: it needs to lie where the expansion holds,
+    which the h^4 ratio of its differences shows (below), and E bounds
+    what is left.
 
     The residual reads an RK4 error e of a sample x through
     r(x + e) = r(x) + dr(x) e + O(|e|^2 / reach), so r_n inherits the
     expansion of e.  On M, dr(x) is the projection onto the normal space,
     so the phase error along M, most of e on a tangent probe, is not
     budgeted.  The table needs the linear term to dominate: |e| far below
-    `reach`.  In the levels measured below |e| < 4e-7 wherever the reach
+    `reach`.  In the levels measured below |e| < 6e-6 wherever the reach
     is finite, and it is at least 0.25.
 
     The projections run in one projection session, so on a hook-free
@@ -318,13 +319,14 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
 
     Measured at t = 0.5 on the two tangent probes and the control of
     circle1, circle2, segment01, cylinder, ellipse21 and helix1: from one
-    level to the next the residual differences fall 15.0- to 16.7-fold, the
-    h^4 law (on segment01's tangent probes r is exactly 0); every tangent
-    probe takes 25, 50 and 100 steps but tangent-bump0[ellipse21], which
-    takes a fourth level of 200 (175 or 375 steps per probe, where step
-    doubling with one more flow at the h^4 law's count took 150 to 413);
-    and the |ext| lie at most 2.0e-14 from the distances of a 4,000-step
-    flow (2.4e-13 on the controls).
+    level to the next the residual differences fall 14.1- to 17.3-fold
+    (15.2- to 17.1-fold on the tangent probes), the h^4 law (on
+    segment01's tangent probes r is exactly 0).  Every tangent probe takes
+    13, 26 and 52 steps but the first of circle1 and both of ellipse21,
+    which take a fourth level of 104 (91 or 195 steps per probe: 1,040 on
+    the eight probes of the bundled runs, where a first level of
+    ceil(step_count(t)/2) took 1,600), and the |ext| lie at most 2.7e-14
+    from the distances of a 4,000-step flow (2.4e-13 on the controls).
     """
     if isinstance(manifold, ParamCurve):
         params = np.linspace(manifold.a, manifold.b, 200)
@@ -333,7 +335,7 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
                            np.linspace(manifold.c, manifold.d, 15), indexing="ij")
         params = (U.ravel(), V.ravel())
     pts = manifold.chart(params)
-    steps = math.ceil(step_count(t) / 2)
+    steps = math.ceil(step_count(t) / 4)
     row = []
     with projection_session():
         while True:

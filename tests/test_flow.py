@@ -149,19 +149,25 @@ def _recording_point_flows(monkeypatch):
     return flows
 
 
-def _first_probe(shape, request):
+def _bundled_probe(shape, probe, request):
+    """The shape fixture and its tangent probe of that name, among the two
+    the bundled runs build (n = 2, seed 0)."""
     from shapecalc.validation import tangential_probe_fields
 
     M = request.getfixturevalue(shape)
-    return M, tangential_probe_fields(M, n=2, seed=0)[0]
+    (field,) = [f for f in tangential_probe_fields(M, n=2, seed=0)
+                if f.name == probe]
+    return M, field
 
 
-@pytest.mark.parametrize("shape, probe", [("circle1", "tangent-bump0[circle1]"),
-                                          ("cylinder", "tangent-wave0[cylinder]")])
+@pytest.mark.parametrize("shape, probe", [
+    (shape, f"tangent-{kind}{i}[{shape}]")
+    for shape, kind in (("circle1", "bump"), ("ellipse21", "bump"),
+                        ("helix1", "bump"), ("cylinder", "wave"))
+    for i in range(2)])
 def test_invariance_flow_meets_its_error_budget(shape, probe, request,
                                                 monkeypatch):
-    M, field = _first_probe(shape, request)
-    assert field.name == probe
+    M, field = _bundled_probe(shape, probe, request)
     flows = _recording_point_flows(monkeypatch)
     residual = invariance_residual(field, M, 0.5)
     monkeypatch.undo()
@@ -169,10 +175,13 @@ def test_invariance_flow_meets_its_error_budget(shape, probe, request,
     # vectors.  The budget holds the error the residual reads, not the phase
     # error along M, so the distances, not the points, match those of a
     # plain flow at four times the finest level's steps (whose own error is
-    # 4^-4 of that level's)
+    # 4^-4 of that level's).  The levels are projected again in one session
+    # and in order, as invariance_residual does, so that a hook-free curve's
+    # warm-started feet are the same
     row = []
-    for _, _, out in flows:
-        row = richardson_row(row, M.project(out).r, 4)
+    with geometry.projection_session():
+        for _, _, out in flows:
+            row = richardson_row(row, M.project(out).r, 4)
     ext = np.linalg.norm(row[-1], axis=1)
     assert residual == ext.max()
     x0, cfg, _ = flows[-1]
@@ -188,8 +197,9 @@ def test_invariance_flow_counts(circle1, cylinder, ellipse21, monkeypatch):
     # RK4 integrates a constant field exactly, so the three levels of the
     # table already meet the budget, as they do for the cylinder's second
     # wave, whose RK4 error runs along the cylinder.  The first ellipse21
-    # bump estimates just over the budget at three levels and takes a
-    # fourth, the Romberg step
+    # bump estimates over the budget at three levels and takes a fourth,
+    # the Romberg step.  The first level steps about 4 DEFAULT_MAX_STEP:
+    # ceil(50 / 4) = 13 steps at t = 0.5
     const = build_field({"kind": "constant", "vector": [0.3, -0.2],
                          "name": "c"}, 2)
     wave1 = tangential_probe_fields(cylinder, n=2, seed=0)[1]
@@ -197,9 +207,9 @@ def test_invariance_flow_counts(circle1, cylinder, ellipse21, monkeypatch):
     bump = tangential_probe_fields(ellipse21, n=2, seed=0)[0]
     assert bump.name == "tangent-bump0[ellipse21]"
     flows = _recording_point_flows(monkeypatch)
-    for field, M, steps in ((const, circle1, [25, 50, 100]),
-                            (wave1, cylinder, [25, 50, 100]),
-                            (bump, ellipse21, [25, 50, 100, 200])):
+    for field, M, steps in ((const, circle1, [13, 26, 52]),
+                            (wave1, cylinder, [13, 26, 52]),
+                            (bump, ellipse21, [13, 26, 52, 104])):
         flows.clear()
         invariance_residual(field, M, 0.5)
         assert [cfg.n_steps for _, cfg, _ in flows] == steps
@@ -266,14 +276,14 @@ def test_warm_feet_match_grid_feet(ellipse21, helix1, radial3, fd5,
 
 def test_invariance_flow_over_the_step_cap_raises_before_flowing(circle1,
                                                                  monkeypatch):
-    # x' = 300 x reaches e^150 ~ 1e65 at t = 0.5: finite, but the 25-, 50-
-    # and 100-step flows differ by ~1e64, far beyond any affordable step.
+    # x' = 300 x reaches e^150 ~ 1e65 at t = 0.5: finite, but the 13-, 26-
+    # and 52-step flows differ by far more, beyond any affordable step.
     # The catalog fields are compactly supported, so a bare stand-in serves
     fast = SimpleNamespace(X=lambda p: 300.0 * p, name="fast")
     flows = _recording_point_flows(monkeypatch)
-    with pytest.raises(NoConvergence, match=r"'fast'.*error of \S+e\+6\d.*steps"):
+    with pytest.raises(NoConvergence, match=r"'fast'.*error of \S+e\+5\d.*steps"):
         invariance_residual(fast, circle1, 0.5)
-    assert [cfg.n_steps for _, cfg, _ in flows] == [25, 50, 100]
+    assert [cfg.n_steps for _, cfg, _ in flows] == [13, 26, 52]
     assert all(np.isfinite(out).all() for _, _, out in flows)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shapecalc._stencil import sample_derivative
+from shapecalc._stencil import _OFFSETS, _W, sample_derivative
 from shapecalc.errors import (
     DegenerateImmersion,
     IllConditioned,
@@ -933,6 +933,79 @@ def test_stencil_step_too_large_raises():
     with pytest.raises(ValueError, match="stencil step too large"):
         sample_derivative(lambda t: t[:, None], (np.array([0.5]),), 0.3, 1,
                           0.0, 1.0)
+
+
+def _all_node_derivative(f, t, h, m, lo, hi, periodic):
+    """The 5-point stencil derivative with f evaluated at all five nodes of
+    every point, zero weights included: the reference sample_derivative
+    must reproduce bit for bit."""
+    n = len(t)
+    if periodic:
+        span = hi - lo
+        rel = t - lo
+        rel = np.where(rel >= span, rel - span, rel)
+        nodes = lo + np.mod(rel[:, None] + h * (_OFFSETS - 2.0), span)
+        w = np.broadcast_to(_W[m][2], (n, 5))
+    else:
+        left = np.floor((t - lo) / h + 1e-9).astype(int)
+        right = np.floor((hi - t) / h + 1e-9).astype(int)
+        s = np.clip(np.full(n, 2), np.maximum(4 - right, 0), np.minimum(left, 4))
+        nodes = np.clip(t[:, None] + h * (_OFFSETS - s[:, None]), lo, hi)
+        w = _W[m][s]
+    vals = f(nodes.ravel())
+    vals = vals.reshape((n, 5) + vals.shape[1:])
+    w = w.reshape((n, 5) + (1,) * (vals.ndim - 2))
+    return (w * vals).sum(axis=1) / h**m
+
+
+def _counting(f):
+    """f, recording the parameters of every call."""
+    seen = []
+
+    def counted(t):
+        seen.append(t.copy())
+        return f(t)
+    return counted, seen
+
+
+def _vector(t):
+    return np.stack([np.sin(3.0 * t) + 2.0, np.cos(2.0 * t) + t**2], axis=-1)
+
+
+def _matrix(t):
+    # an (n, d, d) output, as a transported Jacobian
+    A = np.array([[1.0, -2.0], [0.5, 3.0]])
+    return np.sin(t[:, None, None] * A + 0.25) + 1.5
+
+
+def _hex(a):
+    return [float.hex(float(x)) for x in np.ravel(a)]
+
+
+@pytest.mark.parametrize("values", [_vector, _matrix])
+@pytest.mark.parametrize("m, periodic, t, rows", [
+    # closed: the centre node of the m = 1 stencil has weight 0.0
+    (1, True, np.linspace(0.0, TWO_PI, 41), 4 * 41),
+    # open: the four points within 2h of an end keep all five nodes
+    (1, False, np.array([0.0, 0.07, 0.5, 0.93, 1.0]), 5 * 4 + 4),
+    # m = 2 weights every node
+    (2, True, np.linspace(0.0, TWO_PI, 41), 5 * 41),
+    (2, False, np.array([0.0, 0.07, 0.5, 0.93, 1.0]), 5 * 5),
+])
+def test_stencil_evaluates_only_weighted_nodes(values, m, periodic, t, rows):
+    lo, hi = (0.0, TWO_PI) if periodic else (0.0, 1.0)
+    h = 0.01 if periodic else 0.05
+    f, seen = _counting(values)
+    got = sample_derivative(f, (t,), h, m, lo, hi, periodic=periodic)
+    assert len(seen) == 1 and len(seen[0]) == rows
+    assert got.shape == (len(t),) + values(t).shape[1:]
+    assert _hex(got) == _hex(_all_node_derivative(values, t, h, m, lo, hi,
+                                                  periodic))
+    if not periodic:
+        # the end stencil of t = 0 runs over 0, h, ..., 4h, its third node
+        # included; an m = 1 interior point is not evaluated itself
+        assert np.isin(np.arange(5) * h, seen[0]).all()
+        assert (0.5 in seen[0]) == (m == 2)
 
 
 def test_lapped_open_arc_rejected():

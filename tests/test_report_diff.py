@@ -91,10 +91,22 @@ def test_repeated_case_keys_are_all_compared(tmp_path, capsys):
                              "[length/c/b0] (#2): measured 1e-12 -> 3e-12")
 
 
-@pytest.mark.parametrize("text", ["{", "[1]", '{"comparisons": [], "suites": [1]}'])
+# the general-curves golden report with an empty "suites" given before its
+# real one: json.load would keep the last value and diff it as unchanged
+_GOLDEN = TOOL.parents[1] / "tests" / "golden" / "general_curves_report.json"
+_DUPLICATED = _GOLDEN.read_text(encoding="utf-8").replace(
+    '"suites": [', '"suites": [],\n  "suites": [', 1)
+
+
+@pytest.mark.parametrize("text", [
+    "{", "[1]", '{"comparisons": [], "suites": [1]}',
+    pytest.param(_DUPLICATED, id="duplicated-suites-key")])
 def test_an_unreadable_report_exits_2(tmp_path, capsys, text):
     (tmp_path / "bad.json").write_text(text, encoding="utf-8")
     (tmp_path / "good.json").write_text(json.dumps(_report()), encoding="utf-8")
     assert report_diff.main([str(tmp_path / "good.json"),
                              str(tmp_path / "bad.json")]) == 2
-    assert "report_diff:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "report_diff:" in err
+    if text is _DUPLICATED:
+        assert "bad.json: duplicate key 'suites'" in err

@@ -32,9 +32,20 @@ class ReportError(Exception):
 
 
 def _load(path: str) -> dict:
+    """The report at path; ReportError when it cannot be read, is not a
+    report, or gives one key twice in an object (as `shapecalc plot`
+    refuses it, rather than keep the last value)."""
+    def unique(pairs: list) -> dict:
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ReportError(f"{path}: duplicate key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique)
     except (OSError, ValueError) as exc:
         raise ReportError(f"{path}: {exc}") from exc
     if not (isinstance(doc, dict) and isinstance(doc.get("comparisons"), list)
