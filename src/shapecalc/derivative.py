@@ -27,9 +27,9 @@ The oracle is entirely independent of the closed-form derivatives in
 `functionals`: only J.evaluate and the flow are used.
 
 `discrete_variation` reads J.discrete_derivative instead, the flow-free
-limit this triangle extrapolates toward (formulas in `functionals`).  The
-nullity, normal-dependence and crack suites read it; locality and `compare`
-keep the oracle, for the reasons given in `validation`.
+limit this triangle extrapolates toward (the complex step in `functionals`).
+The nullity, normal-dependence and crack suites read it; locality and
+`compare` keep the oracle, for the reasons given in `validation`.
 """
 from __future__ import annotations
 

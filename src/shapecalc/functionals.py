@@ -14,39 +14,35 @@ circle / segment / cylinder model cases:
 
 with the brackets dropped on closed curves.
 
-Each functional also has a discrete first variation (DV): the exact
-t-derivative at t = 0 of its own quadrature on a manifold transported by
-the flow of X.  To first order in t the flow moves the chart by X o chart
-and each first partial p by eta = dX(chart) p, and the flowed curve's
-second derivative is the 5-point stencil of its first
-(flow.curve_stencil), so DV needs X, dX and that stencil, and no flow:
-
-  DV length(X)  = sum_w T.eta                      (eta = dX gamma')
-  DV area(X)    = sum_W n.(eta_u x phi_v + phi_u x eta_v) / |n|,
-                  n = phi_u x phi_v
-  DV elastic(X) = sum_w [2 c.(eta x gamma'' + gamma' x eta'') / |gamma'|^5
-                         - 5 |c|^2 (gamma'.eta) / |gamma'|^7],
-                  c = gamma' x gamma''
-
-on the nodes and weights of length, surface_area and bending_energy, with
-gamma'' and eta'' the curve_stencil of gamma' and eta.  The FD oracle in
+Each functional is one quadrature, sum_w density * measure on the nodes
+of CURVE_PANELS or SURFACE_PANELS: density 1 (length, area) or kappa^2
+(bending energy, geometry.curvature) against |gamma'| or |phi_u x phi_v|.
+Its discrete first variation (DV) is the exact t-derivative at t = 0 of
+that sum on M flowed by X, whose jets are to first order gamma' + t eta
+and gamma'' + t eta'' (eta = dX(gamma) gamma'; gamma'', eta'' the 5-point
+flow.curve_stencil of gamma', eta), or phi_u + t eta_u and phi_v + t eta_v.
+DV is the complex step Im J(jets at t = ih) / h: it takes no difference,
+so h = IM_STEP = 1e-200 sits far below roundoff and DV is exact to it.
+The sums are complex-safe: no abs or np.linalg.norm of a jet
+(geometry._row_norm is sqrt of the unconjugated x.x), no comparison on a
+jet value, and no float cast on the stepped path.  The FD oracle in
 `derivative` extrapolates toward the same number; |FD - DV| is the
 oracle's own error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import CrackNotInterior, InvariantViolation
-from .fields import AmbientField, Ball
+from .fields import AmbientField, Ball, last_call_memo
 from .flow import curve_stencil
-from .geometry import (ParamCurve, ParamSurface, _cross, curvature,
+from .geometry import (ParamCurve, ParamSurface, curvature,
                        curve_curvature_derivs, frenet_rows, gauss_legendre,
                        integrate_curve, integrate_surface,
-                       surface_mean_curvature, surface_nodes)
+                       surface_mean_curvature)
 
 # default quadrature resolution: fine enough that sharply modulated probe
 # fields (compactly supported bumps) are integrated well below the
@@ -54,6 +50,8 @@ from .geometry import (ParamCurve, ParamSurface, _cross, curvature,
 CURVE_PANELS = 512
 SURFACE_PANELS = (8, 24)
 SIDE_PANELS = 64
+# h of the complex step DV = Im J(jets at t = ih) / h
+IM_STEP = 1e-200
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,9 @@ class ShapeFunctional:
 
     evaluate must be reparametrization-invariant; discrete_derivative
     returns the discrete first variation of evaluate's quadrature along an
-    ambient field (see the module docstring), and analytic_derivative, when
-    present, the closed-form first variation.
+    ambient field (the complex step of the module docstring for the
+    built-in functionals), and analytic_derivative, when present, the
+    closed-form first variation.
     """
 
     name: str
@@ -79,8 +78,38 @@ def _eta(X: AmbientField, chart, partials, params) -> list[np.ndarray]:
     return [np.einsum("nij,nj->ni", J, p(*params)) for p in partials]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
+def stepped_curve(curve: ParamCurve, X: AmbientField, step) -> ParamCurve:
+    """curve with the jets its quadratures read stepped along X (see the
+    module docstring): at step = ih, curve flowed by X for the time ih."""
+    def eta(ts):
+        return _eta(X, curve.gamma, (curve.dgamma,), (ts,))[0]
+
+    def ddgamma(ts):
+        return (curve_stencil(X, curve, curve.dgamma, ts)
+                + step * curve_stencil(X, curve, eta, ts))
+
+    # bending energy reads gamma' twice on the same nodes
+    dgamma = last_call_memo(lambda ts: curve.dgamma(ts) + step * eta(ts))
+    return replace(curve, dgamma=dgamma, ddgamma=ddgamma, base=curve,
+                   foot=None, name=f"{curve.name}@{X.name}:{step:g}")
+
+
+def stepped_surface(surf: ParamSurface, X: AmbientField, step) -> ParamSurface:
+    """surf with phi_u, phi_v stepped along X, as stepped_curve."""
+    etas = last_call_memo(lambda us, vs: _eta(
+        X, surf.phi, (surf.phi_u, surf.phi_v), (us, vs)))
+    return replace(
+        surf, phi_u=lambda us, vs: surf.phi_u(us, vs) + step * etas(us, vs)[0],
+        phi_v=lambda us, vs: surf.phi_v(us, vs) + step * etas(us, vs)[1],
+        base=surf, foot=None, name=f"{surf.name}@{X.name}:{step:g}")
+
+
+def complex_step(evaluate, stepped):
+    """The DV of evaluate: Im evaluate(stepped(M, X, ih)) / h."""
+    def discrete_derivative(M, X: AmbientField) -> float:
+        return evaluate(stepped(M, X, 1j * IM_STEP)).imag / IM_STEP
+
+    return discrete_derivative
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +144,6 @@ def analytic_dlength(curve: ParamCurve, X: AmbientField) -> float:
     return total
 
 
-def discrete_dlength(curve: ParamCurve, X: AmbientField) -> float:
-    """DV of length: sum_w T.(dX gamma'), the Jacobian form int T.(dX T) ds
-    on length's nodes.  It needs no frame."""
-    nodes, wts = gauss_legendre(curve.a, curve.b, CURVE_PANELS)
-    d1 = curve.dgamma(nodes)
-    (eta,) = _eta(X, curve.gamma, (curve.dgamma,), (nodes,))
-    return float(np.sum(wts * _dot(d1, eta) / np.linalg.norm(d1, axis=1)))
-
-
 # ---------------------------------------------------------------------------
 # surface area
 
@@ -133,17 +153,6 @@ def surface_area(surf: ParamSurface) -> float:
     SURFACE_PANELS."""
     return integrate_surface(surf, lambda us, vs: np.ones_like(us),
                              panels=SURFACE_PANELS)
-
-
-def discrete_darea(surf: ParamSurface, X: AmbientField) -> float:
-    """DV of surface_area: the t-derivative of |phi_u x phi_v| summed with
-    surface_area's weights."""
-    uu, vv, W = surface_nodes(surf, SURFACE_PANELS)
-    pu, pv = surf.phi_u(uu, vv), surf.phi_v(uu, vv)
-    eu, ev = _eta(X, surf.phi, (surf.phi_u, surf.phi_v), (uu, vv))
-    n = np.cross(pu, pv)
-    dn = np.cross(eu, pv) + np.cross(pu, ev)
-    return float(np.sum(W * _dot(n, dn) / np.linalg.norm(n, axis=1)))
 
 
 def _side_flux(surf: ParamSurface, X: AmbientField, end: str) -> float:
@@ -181,25 +190,6 @@ def bending_energy(curve: ParamCurve) -> float:
     """int kappa^2 ds in any regular parametrization, on CURVE_PANELS."""
     return integrate_curve(curve, lambda ts: curvature(curve, ts) ** 2,
                            panels=CURVE_PANELS)
-
-
-def discrete_delastic(curve: ParamCurve, X: AmbientField) -> float:
-    """DV of bending_energy, whose integrand is |c|^2 / |gamma'|^5 with
-    c = gamma' x gamma''.  gamma'' and eta'' are the flow.curve_stencil of
-    gamma' and eta, so gamma'' is that of the oracle's t = 0 curve."""
-    nodes, wts = gauss_legendre(curve.a, curve.b, CURVE_PANELS)
-
-    def eta(ts):
-        return _eta(X, curve.gamma, (curve.dgamma,), (ts,))[0]
-
-    d1, e1 = curve.dgamma(nodes), eta(nodes)
-    d2 = curve_stencil(X, curve, curve.dgamma, nodes)
-    e2 = curve_stencil(X, curve, eta, nodes)
-    c = _cross(d1, d2)
-    dc = _cross(e1, d2) + _cross(d1, e2)
-    v2 = _dot(d1, d1)
-    return float(np.sum(wts * (2.0 * _dot(c, dc) / v2**2.5
-                               - 5.0 * _dot(c, c) * _dot(d1, e1) / v2**3.5)))
 
 
 def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
@@ -245,17 +235,21 @@ def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
 
 
 def length_functional() -> ShapeFunctional:
-    return ShapeFunctional("length", length, discrete_dlength, analytic_dlength)
+    return ShapeFunctional("length", length,
+                           complex_step(length, stepped_curve), analytic_dlength)
 
 
 def area_functional() -> ShapeFunctional:
-    return ShapeFunctional("area", surface_area, discrete_darea, analytic_darea)
+    return ShapeFunctional("area", surface_area,
+                           complex_step(surface_area, stepped_surface),
+                           analytic_darea)
 
 
 def elastic_functional() -> ShapeFunctional:
     # value, DV and closed form all take any regular planar chart, flowed
     # ones included
-    return ShapeFunctional("elastic", bending_energy, discrete_delastic,
+    return ShapeFunctional("elastic", bending_energy,
+                           complex_step(bending_energy, stepped_curve),
                            analytic_delastic)
 
 

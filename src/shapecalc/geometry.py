@@ -675,11 +675,17 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.cross(a, b)
 
 
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """|x| row by row as sqrt(x.x), unconjugated: np.linalg.norm's bits on
+    real rows, and analytic, so complex-step safe (functionals)."""
+    return np.sqrt(np.sum(x * x, axis=1))
+
+
 def _kappa(d1: np.ndarray, d2: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Curvature from gamma', gamma'' and the speed v: the signed planar
     cross product, or |gamma' x gamma''| in space, over v^3."""
     c = _cross(d1, d2)
-    return (c[:, 0] if d1.shape[1] == 2 else np.linalg.norm(c, axis=1)) / v**3
+    return (c[:, 0] if d1.shape[1] == 2 else _row_norm(c)) / v**3
 
 
 def curvature(curve: ParamCurve, t) -> np.ndarray:
@@ -689,7 +695,7 @@ def curvature(curve: ParamCurve, t) -> np.ndarray:
     """
     (ts,) = _params(t, 1)
     d1 = curve.dgamma(ts)
-    return _kappa(d1, curve.ddgamma(ts), np.linalg.norm(d1, axis=1))
+    return _kappa(d1, curve.ddgamma(ts), _row_norm(d1))
 
 
 def frenet_rows(curve: ParamCurve, t) -> tuple[FrenetFrame, np.ndarray]:
@@ -818,16 +824,15 @@ def integrate_curve(curve: ParamCurve, density: Callable[[np.ndarray], np.ndarra
                     panels: int) -> float:
     """Integral of density(t) against the arc-length measure |gamma'(t)| dt.
 
-    Composite 5-point Gauss-Legendre with `panels` equal panels.  A
-    non-finite result raises NonFinite naming the curve.
+    Composite 5-point Gauss-Legendre with `panels` equal panels; complex
+    jets give a complex sum.  A non-finite one raises NonFinite.
     """
     nodes, wts = gauss_legendre(curve.a, curve.b, panels)
-    speed = np.linalg.norm(curve.dgamma(nodes), axis=1)
-    vals = np.asarray(density(nodes), dtype=float)
-    total = float(np.sum(wts * vals * speed))
+    speed = _row_norm(curve.dgamma(nodes))
+    total = np.sum(wts * density(nodes) * speed)
     if not np.isfinite(total):
         raise NonFinite(f"integral over '{curve.name}' is not finite")
-    return total
+    return total.item()
 
 
 def surface_nodes(surf: ParamSurface, panels: tuple[int, int]
@@ -844,14 +849,13 @@ def integrate_surface(surf: ParamSurface,
                       density: Callable[[np.ndarray, np.ndarray], np.ndarray],
                       panels: tuple[int, int]) -> float:
     """Integral of density(u, v) against the area measure |phi_u x phi_v| du
-    dv; a non-finite result raises NonFinite naming the surface."""
+    dv, complex on complex jets; NonFinite when it is not finite."""
     uu, vv, W = surface_nodes(surf, panels)
-    jac = np.linalg.norm(np.cross(surf.phi_u(uu, vv), surf.phi_v(uu, vv)), axis=1)
-    vals = np.asarray(density(uu, vv), dtype=float)
-    total = float(np.sum(W * vals * jac))
+    jac = _row_norm(np.cross(surf.phi_u(uu, vv), surf.phi_v(uu, vv)))
+    total = np.sum(W * density(uu, vv) * jac)
     if not np.isfinite(total):
         raise NonFinite(f"integral over '{surf.name}' is not finite")
-    return total
+    return total.item()
 
 
 # ---------------------------------------------------------------------------

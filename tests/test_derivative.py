@@ -1,5 +1,7 @@
 """Finite-difference shape derivatives: quotients, Richardson, diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from shapecalc.derivative import (FDConfig, compare, discrete_variation,
 from shapecalc.errors import InvariantViolation, NoConvergence, NonFinite
 from shapecalc.fields import sum_field
 from shapecalc.functionals import (ShapeFunctional, analytic_dlength,
-                                   discrete_dlength, elastic_functional,
-                                   length)
+                                   elastic_functional, length,
+                                   length_functional)
 
 TWO_PI = 2.0 * np.pi
 
@@ -26,8 +28,7 @@ def test_trace_layout(circle1, radial2, fd5):
 
 
 def length_functional_plain():
-    return ShapeFunctional(name="length", evaluate=length,
-                           discrete_derivative=discrete_dlength)
+    return replace(length_functional(), analytic_derivative=None)
 
 
 def test_fd_matches_growth_rate(circle1, radial2, fd5):
@@ -66,27 +67,17 @@ def test_compare_verdict_and_fields(circle1, radial2, fd5):
     assert rep.trace is not None
 
 
-def length_functional():
-    from shapecalc.functionals import length_functional as mk
-
-    return mk()
-
-
 def test_compare_detects_corrupted_closed_form(circle1, radial2, fd5):
-    skewed = ShapeFunctional(
-        name="length",
-        evaluate=length,
-        discrete_derivative=discrete_dlength,
-        analytic_derivative=lambda M, X: analytic_dlength(M, X) + 1e-3,
-    )
+    skewed = replace(
+        length_functional(),
+        analytic_derivative=lambda M, X: analytic_dlength(M, X) + 1e-3)
     rep = compare(skewed, circle1, radial2, cfg=fd5)
     assert rep.verdict == "fail"
     assert rep.abs_diff == pytest.approx(1e-3, rel=1e-3)
 
 
 def test_compare_needs_closed_form(circle1, radial2, fd5):
-    bare = ShapeFunctional(name="length", evaluate=length,
-                           discrete_derivative=discrete_dlength)
+    bare = length_functional_plain()
     with pytest.raises(InvariantViolation):
         compare(bare, circle1, radial2, cfg=fd5)
 
@@ -113,7 +104,7 @@ def test_non_finite_values_raise(circle1, radial2, fd5):
     late = ShapeFunctional(
         name="late",
         evaluate=lambda M: length(M) if M.name.endswith(":0") else np.inf,
-        discrete_derivative=discrete_dlength)
+        discrete_derivative=length_functional().discrete_derivative)
     with pytest.raises(NonFinite,
                        match=f"functional 'late' not finite at flow time {fd5.t0:g}"):
         fd_quotients(late, circle1, radial2, fd5)

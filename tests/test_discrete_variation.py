@@ -13,13 +13,13 @@ import pytest
 
 from shapecalc import cli, flow, functionals, validation
 from shapecalc.derivative import discrete_variation, fd_quotients
-from shapecalc.fields import Ball, bump_field
+from shapecalc.fields import Ball, bump_field, sum_field
 from shapecalc.flow import FlowConfig, flow_manifold
-from shapecalc.functionals import (CURVE_PANELS, ShapeFunctional,
-                                   analytic_darea, analytic_delastic,
-                                   bending_energy, crack_functional,
-                                   discrete_darea, discrete_delastic,
-                                   elastic_functional)
+from shapecalc.functionals import (CURVE_PANELS, analytic_darea,
+                                   analytic_delastic, area_functional,
+                                   crack_functional, elastic_functional,
+                                   length_functional, stepped_curve,
+                                   stepped_surface)
 from shapecalc.geometry import gauss_legendre
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -35,6 +35,8 @@ RUNS = {"paper_suite": ROOT / "src" / "shapecalc" / "configs" / "paper_suite.jso
 # 9.9e-11 against a disagreement of 1.04e-10.  Below ORACLE_FLOOR relative
 # the comparison says nothing about DV.
 ORACLE_FLOOR = 1e-9
+DV_AREA = area_functional().discrete_derivative
+DV_ELASTIC = elastic_functional().discrete_derivative
 
 
 def _oracle_bound(tr):
@@ -95,18 +97,18 @@ def test_dv_within_fd_error_on_every_suite_field(run, monkeypatch):
 
 
 def test_dv_area_cylinder(cylinder, radial3, e3_field, stretch_z):
-    assert discrete_darea(cylinder, radial3) == pytest.approx(
+    assert DV_AREA(cylinder, radial3) == pytest.approx(
         analytic_darea(cylinder, radial3), rel=1e-8)
-    assert discrete_darea(cylinder, e3_field) == pytest.approx(0.0, abs=1e-12)
-    assert discrete_darea(cylinder, stretch_z) == pytest.approx(
+    assert DV_AREA(cylinder, e3_field) == pytest.approx(0.0, abs=1e-12)
+    assert DV_AREA(cylinder, stretch_z) == pytest.approx(
         analytic_darea(cylinder, stretch_z), rel=1e-8)
 
 
 def test_dv_elastic_circle(circle2, radial2, rotation2, segment01, identity2):
     # E(r) = 2 pi / r, so unit radial growth gives -2 pi / r^2
-    assert discrete_delastic(circle2, radial2) == pytest.approx(-np.pi / 2, rel=1e-8)
-    assert discrete_delastic(circle2, rotation2) == pytest.approx(0.0, abs=1e-9)
-    assert discrete_delastic(segment01, identity2) == pytest.approx(
+    assert DV_ELASTIC(circle2, radial2) == pytest.approx(-np.pi / 2, rel=1e-8)
+    assert DV_ELASTIC(circle2, rotation2) == pytest.approx(0.0, abs=1e-9)
+    assert DV_ELASTIC(segment01, identity2) == pytest.approx(
         analytic_delastic(segment01, identity2), abs=1e-10)
 
 
@@ -129,7 +131,7 @@ def test_dv_takes_gamma2_from_the_flowed_curve_stencil(shape, request,
     monkeypatch.setattr(functionals, "curve_stencil", recorded)
     nodes, _ = gauss_legendre(M.a, M.b, CURVE_PANELS)
     at_zero = flow_manifold(X, M, FlowConfig(0.0, 1)).ddgamma(nodes)
-    discrete_delastic(M, X)
+    DV_ELASTIC(M, X)
     (_, _, _, flowed), (field, curve, f, dv_gamma2), _ = calls
     assert field is X and curve is M and f is M.dgamma
     np.testing.assert_array_equal(flowed, at_zero)
@@ -139,7 +141,7 @@ def test_dv_takes_gamma2_from_the_flowed_curve_stencil(shape, request,
 def test_dv_elastic_space_curve(helix1, e3_field, radial3, fd5):
     # bending_energy takes |gamma' x gamma''| in space; no closed form
     # covers it, so the oracle is the reference
-    J = ShapeFunctional("elastic", bending_energy, discrete_delastic)
+    J = elastic_functional()
     for X in (e3_field, radial3):
         tr = fd_quotients(J, helix1, X, fd5)
         assert abs(discrete_variation(J, helix1, X) - tr.value) <= _oracle_bound(tr)
@@ -149,5 +151,58 @@ def test_crack_functional_delegates_dv(crack_arc, radial2):
     J = crack_functional(Ball(np.zeros(2), 4.0), crack_arc,
                          inner=elastic_functional())
     assert J.discrete_derivative is J.inner.discrete_derivative
-    assert discrete_variation(J, crack_arc, radial2) == discrete_delastic(
+    assert discrete_variation(J, crack_arc, radial2) == DV_ELASTIC(
         crack_arc, radial2)
+
+
+# ---------------------------------------------------------------------------
+# the complex step, independent of the flow
+
+# each functional with the jet stepping its DV reads
+STEPPED = {"length": (length_functional, stepped_curve),
+           "elastic": (elastic_functional, stepped_curve),
+           "area": (area_functional, stepped_surface)}
+# on segment01 the elastic DV is 0: kappa^2 is quadratic in the stepped
+# curvature, and the central difference reads roundoff only
+STEP_CASES = [("length", "circle1"), ("length", "segment01"),
+              ("elastic", "circle1"), ("elastic", "segment01"),
+              ("elastic", "helix1"), ("area", "cylinder")]
+BUMP_AT = {"circle1": ([0.6, 0.8], [1.0, 0.5]),
+           "segment01": ([0.9, 0.0], [0.3, 1.0]),
+           "helix1": ([1.0, 0.0, 0.0], [0.2, 1.0, 0.4]),
+           "cylinder": ([1.0, 0.0, 0.3], [1.0, 0.3, -0.5])}
+
+
+def _bump(shape, swapped=False):
+    center, direction = BUMP_AT[shape]
+    return bump_field(center, 0.8, direction[::-1] if swapped else direction,
+                      name="bump")
+
+
+@pytest.mark.parametrize("functional, shape", STEP_CASES)
+def test_dv_is_the_jet_space_derivative_of_the_quadrature(functional, shape,
+                                                          request):
+    # the central difference of evaluate on real steps of the same jets:
+    # truncation s^2 and roundoff eps |J| / s, both near 1e-10 here.  An
+    # abs or a conjugating norm of a jet drops the imaginary part of the
+    # sum, and DV with it
+    make, stepped = STEPPED[functional]
+    J, M = make(), request.getfixturevalue(shape)
+    radial = request.getfixturevalue(f"radial{M.dim}")
+    s = 1e-6
+    for X in (radial, _bump(shape)):
+        fd = (J.evaluate(stepped(M, X, s))
+              - J.evaluate(stepped(M, X, -s))) / (2 * s)
+        dv = J.discrete_derivative(M, X)
+        assert abs(dv - fd) <= 1e-7 * (1.0 + abs(dv)), X.name
+
+
+@pytest.mark.parametrize("functional, shape", STEP_CASES)
+def test_dv_is_linear_in_the_field(functional, shape, request):
+    # two bumps of one radius: the stencil step of DV's gamma'' follows the
+    # field's scale (flow.second_derivative_step), so X, Y and X + Y share it
+    J, M = STEPPED[functional][0](), request.getfixturevalue(shape)
+    X, Y = _bump(shape), _bump(shape, swapped=True)
+    both = J.discrete_derivative(M, sum_field([X, Y]))
+    parts = J.discrete_derivative(M, X) + J.discrete_derivative(M, Y)
+    assert abs(both - parts) <= 1e-13 * (1.0 + abs(both))

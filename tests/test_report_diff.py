@@ -93,7 +93,8 @@ def test_repeated_case_keys_are_all_compared(tmp_path, capsys):
 
 # the general-curves golden report with an empty "suites" given before its
 # real one: json.load would keep the last value and diff it as unchanged
-_GOLDEN = TOOL.parents[1] / "tests" / "golden" / "general_curves_report.json"
+_GOLDEN = (TOOL.parents[1] / "tests" / "golden" / "general_curves"
+           / "report.json")
 _DUPLICATED = _GOLDEN.read_text(encoding="utf-8").replace(
     '"suites": [', '"suites": [],\n  "suites": [', 1)
 
