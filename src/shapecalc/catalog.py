@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigError, ShapecalcError
-from .fields import AmbientField, Ball, smooth_step, smooth_step_deriv
+from .fields import AmbientField, Ball, smooth_step, smooth_step_jet
 from .functionals import (CrackFunctional, area_functional, crack_functional,
                           elastic_functional, length_functional)
 from .geometry import ParamCurve, ParamSurface
@@ -32,7 +32,7 @@ __all__ = [
 # from CUTOFF_OUTER out, where a comparison would pass on 0 = 0, so
 # cli.load_plan rejects a shape that reaches |p| >= CUTOFF_OUTER.  In between
 # (helix1 reaches 6.36) closed forms and the oracle read the same cut-off
-# field, Jacobian included.
+# field, first and second derivatives included.
 CUTOFF_INNER = 6.0
 CUTOFF_OUTER = 10.0
 
@@ -387,14 +387,17 @@ def build_shape(desc, where: str = "shape"):
 # fields
 
 
-def _localized(nominal_X, nominal_dX, dim: int, name: str) -> AmbientField:
+def _localized(nominal_X, nominal_dX, dim: int, name: str,
+               nominal_d2X=None) -> AmbientField:
     """Multiply a smooth unbounded field by the hold-all cutoff.
 
     The cutoff is identically 1 on |p| <= CUTOFF_INNER, so values and
-    Jacobians near the catalog shapes are exactly those of the nominal
-    field, returned as they are; the cutoff and, for the Jacobian, the
+    derivatives near the catalog shapes are exactly those of the nominal
+    field, returned as they are; the cutoff and, for the derivatives, the
     product rule are applied only to the rows outside that radius, in
-    place (the nominal forms return new arrays).
+    place (the nominal forms return new arrays).  nominal_d2X(pts, v) is
+    the nominal D^2N[v, v]; None stands for an affine nominal field, whose
+    D^2N is 0.
     """
     span = CUTOFF_OUTER - CUTOFF_INNER
 
@@ -420,9 +423,8 @@ def _localized(nominal_X, nominal_dX, dim: int, name: str) -> AmbientField:
         pts, rr, shell = shell_of(pts)
         out = nominal_dX(pts)
         if shell.any():
-            s = (rr - CUTOFF_INNER) / span
-            w = smooth_step(s)
-            dw = smooth_step_deriv(s) / span
+            w, dw, _ = smooth_step_jet((rr - CUTOFF_INNER) / span)
+            dw = dw / span
             grad = np.zeros((len(rr), dim))
             act = dw != 0.0
             grad[act] = (dw[act] / rr[act])[:, None] * pts[shell][act]
@@ -430,8 +432,27 @@ def _localized(nominal_X, nominal_dX, dim: int, name: str) -> AmbientField:
                           + nominal_X(pts)[shell][:, :, None] * grad[:, None, :])
         return out
 
+    def d2X(pts, v):
+        # the second-order product rule on the shell rows:
+        # D^2(wN)[v, v] = w D^2N[v, v] + 2 (grad w . v) DN v + (v^T Hess w v) N
+        pts, rr, shell = shell_of(pts)
+        out = (np.zeros_like(pts) if nominal_d2X is None
+               else nominal_d2X(pts, v))
+        if shell.any():
+            p, vs = pts[shell], v[shell]
+            w, dw, d2w = smooth_step_jet((rr - CUTOFF_INNER) / span)
+            dw, d2w = dw / span, d2w / (span * span)
+            pv = np.einsum("ij,ij->i", p, vs) / rr  # radial part of v
+            gv = dw * pv
+            hvv = d2w * pv * pv + dw * (np.einsum("ij,ij->i", vs, vs) - pv * pv) / rr
+            DNv = np.einsum("nij,nj->ni", nominal_dX(p), vs)
+            out[shell] = (w[:, None] * out[shell] + (2.0 * gv)[:, None] * DNv
+                          + hvv[:, None] * nominal_X(p))
+        return out
+
     return AmbientField(dim=dim, X=X, dX=dX,
-                        support=Ball(np.zeros(dim), CUTOFF_OUTER), name=name)
+                        support=Ball(np.zeros(dim), CUTOFF_OUTER), name=name,
+                        d2X=d2X)
 
 
 def _linear_nominal(A: np.ndarray):
@@ -483,7 +504,16 @@ def _field_radial(p: _Params, name: str):
             return (proj[None, :, :] / rho[:, None, None]
                     - q[:, :, None] * q[:, None, :] / rho[:, None, None]**3)
 
-        return _localized(X, dX, dim, name)
+        def d2X(pts, v):
+            # -2 w (q.w)/rho^3 - q |w|^2/rho^3 + 3 q (q.w)^2/rho^5, w = proj v
+            q, w = pts @ proj, v @ proj
+            rho2 = (q * q).sum(axis=1) + RADIAL_EPS**2
+            rho3 = rho2 * np.sqrt(rho2)
+            qw = (q * w).sum(axis=1)
+            along_q = (3.0 * qw * qw / rho2 - (w * w).sum(axis=1)) / rho3
+            return (-2.0 * qw / rho3)[:, None] * w + along_q[:, None] * q
+
+        return _localized(X, dX, dim, name, d2X)
 
     return frozenset({2, 3}), make
 

@@ -19,8 +19,9 @@ J: `flow_schedule` builds these levels + 1 manifolds once and keeps them in
 a one-entry memo keyed on the identity of X and M (which it holds, so no
 other object can take their ids) and on cfg, so functionals asked about one
 (M, X) one after the other read the same flowed manifolds.  Every level
-flows the same base nodes, and its first RK4 stage, X (and dX with J = I)
-at those nodes, is the same for every t: the flow computes it at the
+flows the same base nodes, and its first RK4 stage, X at those nodes
+(and dX applied to the chart's jets, or to J = I on a surface), is the
+same for every t: the flow computes it at the
 first level and serves it to the next ones (flow._first_stage).
 
 The oracle is entirely independent of the closed-form derivatives in

@@ -1,7 +1,10 @@
 """Ambient vector fields and their decomposition along a manifold.
 
 An AmbientField is a compactly supported C^k field on the hold-all domain,
-given by vectorized callables X: (n, d) -> (n, d) and dX: (n, d) -> (n, d, d).
+given by vectorized callables X: (n, d) -> (n, d) and dX: (n, d) -> (n, d, d),
+and optionally d2X: ((n, d), (n, d)) -> (n, d), the second derivative
+D^2X[v, v] along given rows v, which a flowed curve's second jet reads
+(flow).
 split_field decomposes X|_M at given parameters into X_perp + X_tan + X_nu
 with the manifold's own queries (see geometry): X_perp is normal_part, X_nu
 the component along conormal_extension, X_tan the remainder.  The perp
@@ -54,6 +57,48 @@ def bump_profile_deriv(s) -> np.ndarray:
     return out
 
 
+def bump_profile_deriv2(s) -> np.ndarray:
+    """d^2 beta/d s^2 = beta (4 s^2 / q^4 - 8 s^2 / q^3 - 2 / q^2), q = 1 - s^2;
+    -2 at s = 0."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    m = np.abs(s) < 1.0 - 1e-12
+    s2 = s[m] * s[m]
+    q = 1.0 - s2
+    q2 = q * q
+    out[m] = np.exp(1.0 - 1.0 / q) * (4.0 * s2 / (q2 * q2) - 8.0 * s2 / (q2 * q)
+                                      - 2.0 / q2)
+    return out
+
+
+def smooth_step_jet(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, S', S'') of the C^infinity transition S: 1 for s <= 0, 0 for
+    s >= 1, monotone between.  With f(u) = exp(-1/u), fa = f(1 - s),
+    fb = f(s), D = fa + fb and N = fa' fb - fa fb' (primes d/ds):
+
+        S = fa / D,   S' = N / D^2,
+        S'' = (fa'' fb - fa fb'') / D^2 - 2 N (fa' + fb') / D^3,
+
+    and f' = f / u^2, f'' = f (1 - 2u) / u^4.  Outside (1e-12, 1 - 1e-12)
+    one of fa, fb underflows to 0, so S is 1 or 0 and S', S'' are 0."""
+    s = np.asarray(s, dtype=float)
+    S = (s < 0.5).astype(float)
+    dS, d2S = np.zeros_like(s), np.zeros_like(s)
+    m = (s > 1e-12) & (s < 1.0 - 1e-12)
+    a, b = 1.0 - s[m], s[m]
+    fa, fb = np.exp(-1.0 / a), np.exp(-1.0 / b)
+    dfa, dfb = -fa / (a * a), fb / (b * b)
+    d2fa = fa * (1.0 - 2.0 * a) / (a * a * a * a)
+    d2fb = fb * (1.0 - 2.0 * b) / (b * b * b * b)
+    den = fa + fb
+    num = dfa * fb - fa * dfb
+    S[m] = fa / den
+    dS[m] = num / (den * den)
+    d2S[m] = ((d2fa * fb - fa * d2fb) / (den * den)
+              - 2.0 * num * (dfa + dfb) / (den * den * den))
+    return S, dS, d2S
+
+
 def _f_exp(u: np.ndarray) -> np.ndarray:
     out = np.zeros_like(u)
     m = u > 1e-12
@@ -61,15 +106,9 @@ def _f_exp(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _f_exp_deriv(u: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(u)
-    m = u > 1e-12
-    out[m] = np.exp(-1.0 / u[m]) / (u[m] * u[m])
-    return out
-
-
 def smooth_step(s) -> np.ndarray:
-    """C^infinity transition: 1 for s <= 0, 0 for s >= 1, monotone between."""
+    """C^infinity transition: 1 for s <= 0, 0 for s >= 1, monotone between;
+    smooth_step_jet(s)[0] bit for bit, at half its cost."""
     s = np.asarray(s, dtype=float)
     sc = np.clip(s, 0.0, 1.0)
     fa = _f_exp(1.0 - sc)
@@ -78,15 +117,7 @@ def smooth_step(s) -> np.ndarray:
 
 
 def smooth_step_deriv(s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    m = (s > 1e-12) & (s < 1.0 - 1e-12)
-    sm = s[m]
-    fa, fb = _f_exp(1.0 - sm), _f_exp(sm)
-    dfa, dfb = -_f_exp_deriv(1.0 - sm), _f_exp_deriv(sm)
-    den = fa + fb
-    out[m] = (dfa * fb - fa * dfb) / (den * den)
-    return out
+    return smooth_step_jet(s)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +165,24 @@ class AmbientField:
     """Compactly supported ambient field with analytic or FD Jacobian.
 
     X maps (n, dim) float64 points to float64 (n, dim) rows and dX to
-    float64 (n, dim, dim) rows.  Construction checks that contract on the
-    values its desk checks compute and raises InvariantViolation naming the
-    callable that broke it; every other reader uses the values as they
-    are.  It samples 64 points outside `support` (X and dX must vanish
-    there) and checks dX against central differences of X at 32 interior
-    points to relative 1e-6, Richardson-combined with a second step where
-    one step alone misses.
+    float64 (n, dim, dim) rows.  d2X, when set, maps (n, dim) points and
+    (n, dim) rows v to the float64 (n, dim) rows D^2X[v, v]; a flowed
+    curve carries its second derivative through the second variational
+    equation only for a field that has it (flow).  Construction checks
+    that contract on the values its desk checks compute and raises
+    InvariantViolation naming the callable that broke it; every other
+    reader uses the values as they are.  It samples 64 points outside
+    `support` (X and dX must vanish there) and checks dX against
+    central differences of X at 32 interior points to relative 1e-6,
+    Richardson-combined with a second step where one step alone misses.
+    d2X gets the same check at the same points, against the central
+    difference of dX along one random unit row v per point; one dX call
+    serves the points and their +-h v rows.
 
     `scale`, when set, is the characteristic width of the field's spatial
-    variation (a bump's radius); consumers that stencil through the field
-    use it to keep truncation under control.
+    variation (a bump's radius); it caps the step of the 5-point stencil
+    that gives DV, and a flowed curve of a field without d2X, gamma''
+    (flow.second_derivative_step).
     """
 
     dim: int
@@ -153,6 +191,7 @@ class AmbientField:
     support: Ball
     name: str = "field"
     scale: float | None = None
+    d2X: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.scale is not None and not self.scale > 0.0:
@@ -167,29 +206,69 @@ class AmbientField:
         if np.abs(Xo).max() > 1e-13 or np.abs(dXo).max() > 1e-13:
             raise InvariantViolation(f"{where}: does not vanish outside its support")
         pts = self.support.interior_points(32, rng)
-        got = _checked(where, "dX", self.dX(pts), (32, d, d))
         h = 1e-6 * (1.0 + self.support.radius)
-        fd = _central_difference(self.X, pts, self.dim, h)
-        denom = 1.0 + np.abs(got).max(axis=(1, 2))
-        if (np.abs(fd - got).max(axis=(1, 2)) / denom).max() > 1e-6:
-            # on a tube a few hundredths wide the h^2 error alone reaches
-            # the tolerance: Richardson-combine with a step of 2h
-            fd = (4.0 * fd - _central_difference(self.X, pts, self.dim, 2.0 * h)) / 3.0
-        rel = np.abs(fd - got).max(axis=(1, 2)) / denom
-        if rel.max() > 1e-6:
-            raise InvariantViolation(
-                f"{where}: dX disagrees with finite differences "
-                f"(rel {rel.max():.2e})"
-            )
+        if self.d2X is None:
+            got = _checked(where, "dX", self.dX(pts), (32, d, d))
+        else:
+            # one dX call on pts and the +-h v rows of the d2X check
+            v = rng.normal(size=(32, d))
+            v /= np.linalg.norm(v, axis=1)[:, None]
+            rows = np.concatenate([pts, pts + h * v, pts - h * v])
+            got, plus, minus = np.split(
+                _checked(where, "dX", self.dX(rows), (96, d, d)), 3)
+        _check_fd(where, "dX", got,
+                  lambda step: _central_difference(self.X, pts, d, step), h)
+        if self.d2X is not None:
+            def directional(step):
+                # (dX(pts + step v) v - dX(pts - step v) v) / 2 step
+                P, M = ((plus, minus) if step == h else
+                        np.split(self.dX(np.concatenate([pts + step * v,
+                                                         pts - step * v])), 2))
+                return np.einsum("nij,nj->ni", P - M, v) / (2 * step)
+
+            _check_fd(where, "d2X", _checked(where, "d2X", self.d2X(pts, v), (32, d)),
+                      directional, h)
+
+
+def _check_fd(where: str, label: str, got: np.ndarray, fd_at, h: float):
+    """InvariantViolation unless got agrees with the central difference
+    fd_at(h) to relative 1e-6 of 1 + max|got| per point; where one step
+    misses, the difference is Richardson-combined with fd_at(2h)."""
+    axes = tuple(range(1, got.ndim))
+    denom = 1.0 + np.abs(got).max(axis=axes)
+    fd = fd_at(h)
+    if (np.abs(fd - got).max(axis=axes) / denom).max() > 1e-6:
+        # on a tube a few hundredths wide the h^2 error alone reaches
+        # the tolerance: Richardson-combine with a step of 2h
+        fd = (4.0 * fd - fd_at(2.0 * h)) / 3.0
+    rel = np.abs(fd - got).max(axis=axes) / denom
+    if rel.max() > 1e-6:
+        raise InvariantViolation(
+            f"{where}: {label} disagrees with finite differences "
+            f"(rel {rel.max():.2e})"
+        )
+
+
+_STACKED_ROWS = 256
 
 
 def _central_difference(X, pts, dim: int, h: float) -> np.ndarray:
+    """Central-difference Jacobian of X at pts.  Up to _STACKED_ROWS
+    shifted rows pts +- h e_j go to X in one call (a desk check's 32
+    points: the per-call cost dominates there); more take one call per
+    shift, which keeps the peak memory of a projecting X (fd_jacobian of a
+    pullback) that of len(pts) rows.  X is row-wise, so both give the
+    same values."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    out = np.empty((len(pts), dim, dim))
+    n = len(pts)
+    shifts = [s * h * e for e in np.eye(dim) for s in (1.0, -1.0)]
+    if 2 * dim * n <= _STACKED_ROWS:
+        vals = np.split(X(np.concatenate([pts + e for e in shifts])), 2 * dim)
+    else:
+        vals = [X(pts + e) for e in shifts]
+    out = np.empty((n, dim, dim))
     for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = h
-        out[:, :, j] = (X(pts + e) - X(pts - e)) / (2 * h)
+        out[:, :, j] = (vals[2 * j] - vals[2 * j + 1]) / (2 * h)
     return out
 
 
@@ -204,12 +283,13 @@ def last_call_memo(fn: Callable[..., object]) -> Callable[..., object]:
     arguments.
 
     Pairs of evaluations on the same arrays one after the other share one
-    computation: a field's X and dX in an RK4 stage with Jacobian transport
-    (one nearest-point projection), the transported partials of a flowed
-    manifold (one Jacobian flow: gamma' read twice on a curve, phi_u and
-    phi_v on a surface).  The memo is private to the closure that holds
-    it, and the (key, value) pair is replaced as one object, so a reader
-    never sees a key with another key's value.
+    computation: a field's X and dX in an RK4 stage with jet or Jacobian
+    transport (one nearest-point projection), the transported derivatives
+    of a flowed manifold (one jet flow for gamma' and gamma'' on a curve,
+    one Jacobian flow for phi_u and phi_v on a surface).  The memo is
+    private to the closure that holds it, and the (key, value) pair is
+    replaced as one object, so a reader never sees a key with another
+    key's value.
     """
     last = [(None, None)]
 
@@ -232,6 +312,7 @@ def bump_field(center, radius: float, direction, name: str = "bump",
     constant vector or a vectorized callable (n, d) -> (n, d).  A callable
     direction comes with `direction_jacobian`, (n, d) -> (n, d, d); both
     are called only where the bump is alive, and X calls only the first.
+    Only a constant direction gives the field a d2X.
     The ambient dimension is len(center).  Raises SupportViolation if the
     ball is not contained in the hold-all default_holdall(dim).
     """
@@ -284,12 +365,31 @@ def bump_field(center, radius: float, direction, name: str = "bump",
                                                          dtype=float))
         return out
 
+    def d2X(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # (v^T H v) dvec with H the Hessian of beta(|r| / radius):
+        # H radius^2 = beta'' r^ r^T + (beta' / s)(I - r^ r^T), r^ = r / |r|,
+        # and beta' / s -> beta''(0) = -2 at the centre
+        r = pts - center
+        dist = np.linalg.norm(r, axis=1)
+        s = dist / radius
+        rv = np.zeros(len(pts))
+        over_s = np.full(len(pts), -2.0)
+        m = dist > 1e-300
+        rv[m] = np.einsum("ij,ij->i", r[m], v[m]) / dist[m]
+        over_s[m] = bump_profile_deriv(s[m]) / s[m]
+        rv2 = rv * rv
+        hess = (bump_profile_deriv2(s) * rv2
+                + over_s * (np.einsum("ij,ij->i", v, v) - rv2)) / (radius * radius)
+        return hess[:, None] * dvec[None, :]
+
     return AmbientField(dim=dim, X=X, dX=dX,
-                        support=Ball(center, radius), name=name, scale=radius)
+                        support=Ball(center, radius), name=name, scale=radius,
+                        d2X=d2X if const_dir else None)
 
 
 def sum_field(fields: Sequence[AmbientField], name: str = "sum") -> AmbientField:
-    """Pointwise sum; support is the smallest ball containing all supports."""
+    """Pointwise sum; support is the smallest ball containing all supports.
+    It has a d2X when every part has one."""
     if not fields:
         raise ValueError("sum_field needs at least one field")
     dim = fields[0].dim
@@ -306,9 +406,13 @@ def sum_field(fields: Sequence[AmbientField], name: str = "sum") -> AmbientField
     def dX(pts):
         return sum(f.dX(pts) for f in fields)
 
+    def d2X(pts, v):
+        return sum(f.d2X(pts, v) for f in fields)
+
     scales = [f.scale for f in fields if f.scale is not None]
     return AmbientField(dim=dim, X=X, dX=dX, support=Ball(mid, rad), name=name,
-                        scale=min(scales) if scales else None)
+                        scale=min(scales) if scales else None,
+                        d2X=d2X if all(f.d2X is not None for f in fields) else None)
 
 
 # ---------------------------------------------------------------------------

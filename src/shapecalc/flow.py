@@ -1,21 +1,31 @@
 """Flows of ambient fields and transported manifolds.
 
-The flow map Phi_t solves x' = X(x) with a fixed-step RK4 integrator; the
-space Jacobian dPhi_t is co-transported through the variational equation
-(dPhi)' = dX(Phi) dPhi.  Both flows step one RK4 loop, so the points of the
-joint flow are bit for bit those of the point flow.
+The flow map Phi_t solves x' = X(x) with a fixed-step RK4 integrator.  Three
+flows step one RK4 loop, so their points are bit for bit those of the point
+flow:
+- the point flow, x alone
+- the joint flow, which co-transports the space Jacobian dPhi_t through the
+  variational equation (dPhi)' = dX(Phi) dPhi
+- the curve jet flow, which carries a curve's first and second derivatives
+  through the second variational equation (Hairer, Norsett & Wanner,
+  Solving ODEs I, I.14)
 
-A transported manifold is one body for curves and surfaces.  Its chart is
-the point flow of the base chart; each first partial is the base partial
-carried by the Jacobian flow of the base chart at the same parameters,
+      x' = X(x),   v' = dX(x) v,   a' = dX(x) a + D^2X(x)[v, v].
 
-    (Phi_t o gamma)'(s) = dPhi_t(gamma(s)) gamma'(s),
+A transported manifold's chart is the point flow of the base chart.  On a
+curve, (x, v, a) start at (gamma, gamma', gamma'') and end at the flowed
+chart and its two derivatives,
 
-and the partials at one parameter set share one Jacobian flow (gamma' on
-a curve, phi_u and phi_v on a surface).  A curve's second derivative is a
-5-point difference of its transported gamma' (wrapped across the seam of
-a closed curve, shifted inside open ends); a surface gets none, since
-area reads only the first partials.
+    (Phi_t o gamma)'  = dPhi_t(gamma) gamma',
+    (Phi_t o gamma)'' = dPhi_t(gamma) gamma'' + D^2Phi_t(gamma)[gamma', gamma'],
+
+where (x, v) alone give gamma' and (x, v, a) give gamma''.  For a field
+without d2X (AmbientField) the curve's second derivative is instead a
+5-point difference of its transported gamma' (wrapped across the seam
+of a closed curve, shifted inside open ends).  A surface's first
+partials are its base partials carried by the Jacobian flow, phi_u and
+phi_v at one parameter set sharing one flow; it gets no second
+derivative, since area reads only the first partials.
 
 Each RK4 flow opens one projection session (geometry.projection_session):
 inside it, a nearest-point projection onto a hook-free curve starts Newton
@@ -27,7 +37,7 @@ the feet before it.
 
 The first RK4 stage of a flow, the field at its start points (with J = I
 in a joint flow), is shared by consecutive flows of one field and kind
-from the same points (_first_stage).  Every level of an FD schedule
+from the same start arrays (_first_stage).  Every level of an FD schedule
 flows the base nodes, so a schedule computes that stage once, at its
 first level; invariance_residual computes it once for all the levels of
 its Richardson table.  A served stage comes with the projection session
@@ -101,16 +111,20 @@ _first: list = [None]
 
 def _first_stage(rhs, state: tuple, field, kind: str, session: dict) -> tuple:
     """rhs(*state) at the start of a flow, from a one-entry memo keyed on
-    the field, the flow kind ("point" or "joint") and the start points'
-    shape and bytes: the levels of an FD schedule flow the same points
-    (from J = I in a joint flow) one after the other.  A miss drops the old
-    entry before computing; _rk4 never writes into a stage.
+    the field, the flow kind ("point", "joint" or "jet") and the shape and
+    bytes of the start arrays: the levels of an FD schedule flow the same
+    points (from J = I in a joint flow, from one chart's gamma' and gamma''
+    in a jet flow) one after the other.  A jet flow keys on every start
+    array, since two charts can share their node points and differ in
+    speed.  A miss drops the old entry before computing; _rk4 never
+    writes into a stage.
 
     The flow's projection session is empty at its first stage, and the
     memo keeps what the stage put there: a hit restores it, so the second
     stage warm-starts from the same feet as when the first is computed."""
-    x = state[0]
-    key = (kind, x.shape, x.tobytes())
+    # a joint flow starts from J = I, so its x alone tells its start
+    start = state[:1] if kind == "joint" else state
+    key = (kind, *((a.shape, a.tobytes()) for a in start))
     entry = _first[0]
     if entry is None or entry[0] is not field or entry[1] != key:
         _first[0] = None
@@ -183,6 +197,32 @@ def flow_with_jacobian(field: AmbientField, x0,
                 field, "joint")
 
 
+def flow_curve_jet(field: AmbientField, x0: np.ndarray, v0: np.ndarray,
+                   a0: np.ndarray | None, cfg: FlowConfig) -> tuple:
+    """(x, v, a) at t_final from (x0, v0, a0), (n, d) rows each: the RK4
+    flow of the second variational equation
+
+        x' = X(x),   v' = dX(x) v,   a' = dX(x) a + D^2X(x)[v, v],
+
+    so that x = Phi_t(x0), v = dPhi_t(x0) v0 and a is the t-transport of
+    the second derivative a0 of a curve through x0 with velocity v0.
+    With a0 = None only (x, v) are flowed; a field without d2X needs it.
+    Each stage calls X and dX on the same array, in that order, and
+    applies the one dX to the v and a rows.  At t_final = 0 this returns
+    copies without a field call."""
+    X, dX, d2X = field.X, field.dX, field.d2X
+
+    def rhs(xc, vc, ac=None):
+        Xc, D = X(xc), dX(xc)
+        Dv = np.einsum("nij,nj->ni", D, vc)
+        if ac is None:
+            return Xc, Dv
+        return Xc, Dv, np.einsum("nij,nj->ni", D, ac) + d2X(xc, vc)
+
+    state = (x0, v0) if a0 is None else (x0, v0, a0)
+    return _rk4(rhs, state, cfg, field, "jet")
+
+
 def _jacobian_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Per-point matrix product A[n] @ B[n] of two (n, d, d) stacks.
 
@@ -203,8 +243,9 @@ def _jacobian_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def second_derivative_step(field: AmbientField, curve: ParamCurve) -> float:
-    """Step of the 5-point stencil that gives a curve transported by
-    `field` its second derivative (see flow_manifold).
+    """Step of the 5-point stencil of curve_stencil, which gives DV its
+    gamma'' and eta'' (functionals), and a curve transported by a field
+    without d2X its second derivative (see flow_manifold).
 
     Wide by default: fields with composed direction callables carry value
     jitter that the differencing amplifies by 1/h, and the curvature of
@@ -222,8 +263,9 @@ def second_derivative_step(field: AmbientField, curve: ParamCurve) -> float:
 def curve_stencil(field: AmbientField, curve: ParamCurve, f, ts) -> np.ndarray:
     """d/dt at (n,) parameters ts of f, a callable on the curve's
     parameters: the 5-point stencil at second_derivative_step on [a, b],
-    wrapped across the seam of a closed curve.  A flowed curve's ddgamma,
-    and DV's gamma'' and eta'' (functionals), are this stencil."""
+    wrapped across the seam of a closed curve.  DV's gamma'' and eta''
+    (functionals), and the ddgamma of a curve flowed by a field without
+    d2X, are this stencil."""
     return sample_derivative(f, (ts,), second_derivative_step(field, curve), 1,
                              curve.a, curve.b, periodic=curve.closed)
 
@@ -231,39 +273,63 @@ def curve_stencil(field: AmbientField, curve: ParamCurve, f, ts) -> np.ndarray:
 def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
     """Manifold transported by the flow, same type as the input.
 
-    One body for both kinds: the chart is flow_point of the base chart and
-    each first partial is the base partial times one memoized Jacobian
-    flow per parameter set.  A curve's ddgamma is curve_stencil of its
-    transported dgamma; a surface has its chart and first partials only.
-    Construction flows nothing and calls no field: the result runs no desk
-    check (geometry: a flow keeps its base regular, closed and embedded),
-    and each callable flows when it is called.
+    The chart is flow_point of the base chart.  A curve's dgamma is the
+    v of a memoized flow_curve_jet of (x, gamma') per parameter set, and
+    its ddgamma the a of a memoized jet flow of (x, gamma', gamma''), or,
+    for a field without d2X, curve_stencil of the transported dgamma.
+    Length reads gamma' alone and so flows no a rows, whose d2X call costs
+    about as much as a dX; bending energy reads both and pays both flows
+    (their v agree bit for bit).  A surface's first partials are the base
+    partials times one memoized Jacobian flow per parameter set.
+    Construction flows nothing and calls no field: the result runs
+    no desk check (geometry: a flow keeps its base regular, closed and
+    embedded), and each callable flows when it is called.
     """
     is_curve = isinstance(manifold, ParamCurve)
-    chart, partials = (("gamma", ("dgamma",)) if is_curve
-                       else ("phi", ("phi_u", "phi_v")))
+    chart = "gamma" if is_curve else "phi"
     base = getattr(manifold, chart)
 
     # the callables take the chart's (n,) parameter arrays (see geometry).
-    # flow_point and flow_with_jacobian are called through the module
-    # globals, so a wrapper installed there sees every flow
+    # flow_point, flow_curve_jet and flow_with_jacobian are called through
+    # the module globals, so a wrapper installed there sees every flow
     def chart_t(*params):
         return flow_point(field, base(*params), cfg)
 
-    # the partials are nearly always asked for on the same nodes one after
-    # the other; the last transported Jacobian serves them all
-    jacobian = last_call_memo(
-        lambda *params: flow_with_jacobian(field, base(*params), cfg)[1])
-
-    def transported(first):
-        def partial_t(*params):
-            return np.einsum("nij,nj->ni", jacobian(*params), first(*params))
-        return partial_t
-
-    derivs = {name: transported(getattr(manifold, name)) for name in partials}
     if is_curve:
-        derivs["ddgamma"] = partial(curve_stencil, field, manifold,
-                                    derivs["dgamma"])
+        # each derivative is nearly always asked for on the same nodes
+        # several times over, so the last flow of each is kept (without its
+        # points: no reader of a flowed curve takes them)
+        def jet(second: bool):
+            return last_call_memo(lambda ts: flow_curve_jet(
+                field, manifold.gamma(ts), manifold.dgamma(ts),
+                manifold.ddgamma(ts) if second else None, cfg)[1:])
+
+        velocity = jet(False)
+
+        def dgamma(ts):
+            return velocity(ts)[0]
+
+        if field.d2X is None:
+            ddgamma = partial(curve_stencil, field, manifold, dgamma)
+        else:
+            full = jet(True)
+
+            def ddgamma(ts):
+                return full(ts)[1]
+
+        derivs = {"dgamma": dgamma, "ddgamma": ddgamma}
+    else:
+        # phi_u and phi_v share one transported Jacobian per node set
+        jacobian = last_call_memo(
+            lambda *params: flow_with_jacobian(field, base(*params), cfg)[1])
+
+        def transported(first):
+            def partial_t(*params):
+                return np.einsum("nij,nj->ni", jacobian(*params), first(*params))
+            return partial_t
+
+        derivs = {name: transported(getattr(manifold, name))
+                  for name in ("phi_u", "phi_v")}
 
     return replace(
         manifold, **{chart: chart_t}, **derivs,

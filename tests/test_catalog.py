@@ -254,9 +254,9 @@ def _field_and_nominals(desc, dim, monkeypatch):
     nominals = []
     real = catalog._localized
 
-    def spy(nominal_X, nominal_dX, d, name):
+    def spy(nominal_X, nominal_dX, *rest):
         nominals.append((nominal_X, nominal_dX))
-        return real(nominal_X, nominal_dX, d, name)
+        return real(nominal_X, nominal_dX, *rest)
 
     monkeypatch.setattr(catalog, "_localized", spy)
     field = build_field(desc, dim)
@@ -339,3 +339,88 @@ def test_localized_shell_on_squares_is_bit_equal_to_the_norm_test(desc, dim,
     assert (r2 > inner ** 2).sum() > 2000 and (r2 == inner ** 2).sum() > 50
     assert field.X(pts).tobytes() == ref_X(pts).tobytes()
     assert field.dX(pts).tobytes() == ref_dX(pts).tobytes()
+
+
+# the second derivative D^2X[v, v] that a flowed curve's jet reads
+
+
+def _d2X_by_differences(field, pts, v, h=1e-5):
+    """Central difference of dX along v, applied to v."""
+    plus = np.einsum("nij,nj->ni", field.dX(pts + h * v), v)
+    minus = np.einsum("nij,nj->ni", field.dX(pts - h * v), v)
+    return (plus - minus) / (2 * h)
+
+
+@pytest.mark.parametrize("desc,dim", LOCALIZED_KINDS,
+                         ids=[f"{d['name']}-{k}" for d, k in LOCALIZED_KINDS])
+def test_localized_d2X_matches_differences_of_dX(desc, dim):
+    # inside the inner radius, in the shell (6, 10) and outside, where the
+    # cutoff's second-order product rule has all three terms to get right
+    field = build_field(desc, dim)
+    assert field.d2X is not None
+    rng = np.random.default_rng(20 + dim)
+    inner, outer = catalog.CUTOFF_INNER, catalog.CUTOFF_OUTER
+    for lo, hi in ((0.5, inner), (inner, outer), (outer, 12.0)):
+        e = rng.standard_normal((400, dim))
+        e /= np.linalg.norm(e, axis=1)[:, None]
+        pts = rng.uniform(lo, hi, 400)[:, None] * e
+        if dim == 3:
+            # keep the radial field's smoothed axis out of the difference
+            pts = pts[np.linalg.norm(pts[:, :2], axis=1) > 0.3]
+        v = rng.standard_normal(pts.shape)
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        got = field.d2X(pts, v)
+        want = _d2X_by_differences(field, pts, v)
+        assert got.shape == pts.shape
+        err = np.abs(got - want).max(axis=1) / (1.0 + np.abs(got).max(axis=1))
+        assert err.max() <= 1e-8
+        if lo >= outer:
+            np.testing.assert_array_equal(got, 0.0)
+        elif hi <= inner and desc["kind"] != "radial":
+            # constant and linear fields: 0 inside the cutoff
+            np.testing.assert_array_equal(got, 0.0)
+
+
+def _corrupted(field, d2X):
+    from shapecalc.fields import AmbientField
+
+    return AmbientField(dim=field.dim, X=field.X, dX=field.dX,
+                        support=field.support, name="corrupt", d2X=d2X)
+
+
+def _radial_nominal_d2X(dim, monkeypatch):
+    captured = []
+    real = catalog._localized
+
+    def spy(nominal_X, nominal_dX, d, name, nominal_d2X=None):
+        captured.append(nominal_d2X)
+        return real(nominal_X, nominal_dX, d, name, nominal_d2X)
+
+    monkeypatch.setattr(catalog, "_localized", spy)
+    field = build_field({"kind": "radial", "name": "radial"}, dim)
+    monkeypatch.undo()
+    (nominal,) = captured
+    return field, nominal
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_corrupted_d2X_is_rejected_at_construction(dim, monkeypatch):
+    from shapecalc.errors import InvariantViolation
+
+    radial, nominal = _radial_nominal_d2X(dim, monkeypatch)
+    const = build_field({"kind": "constant", "vector": [1.0] * dim, "name": "c"}, dim)
+    bad = {
+        # the cutoff shell's product-rule terms dropped
+        "radial without its shell term": (radial, nominal),
+        "constant without its shell term": (const, lambda p, v: np.zeros_like(p)),
+        # scaled by 1 + 1e-5: the check holds 1e-6 of 1 + |d2X| per point
+        "radial scaled": (radial, lambda p, v: (1.0 + 1e-5) * radial.d2X(p, v)),
+    }
+    for label, (field, d2X) in bad.items():
+        with pytest.raises(InvariantViolation,
+                           match=r"field 'corrupt': d2X disagrees with finite "
+                                 r"differences"):
+            _corrupted(field, d2X)
+    # the intact closed forms pass the same check
+    _corrupted(radial, radial.d2X)
+    _corrupted(const, const.d2X)

@@ -12,12 +12,14 @@ from shapecalc.fields import (
     bump_field,
     bump_profile,
     bump_profile_deriv,
+    bump_profile_deriv2,
     check_tangency,
     default_holdall,
     fd_jacobian,
     restriction_field,
     smooth_step,
     smooth_step_deriv,
+    smooth_step_jet,
     split_field,
     sum_field,
     _sample_params,
@@ -377,4 +379,117 @@ def test_field_jacobian_of_wrong_shape_rejected_at_construction(e1_field):
     # dX rows must be (d, d) matrices: an (n, d) return names dX
     with pytest.raises(InvariantViolation, match=r"field 'flat': dX must return"):
         AmbientField(dim=2, X=e1_field.X, dX=lambda p: e1_field.dX(p)[:, :, 0],
+                     support=e1_field.support, name="flat")
+
+
+# second derivatives: the profiles, and D^2X[v, v] of bumps and sums
+
+
+def test_profile_second_derivatives_match_fd():
+    h = 1e-5
+    s = np.linspace(-0.95, 0.95, 41)
+    fd = (bump_profile_deriv(s + h) - bump_profile_deriv(s - h)) / (2 * h)
+    np.testing.assert_allclose(bump_profile_deriv2(s), fd, atol=1e-7)
+    assert bump_profile_deriv2(np.array([0.0]))[0] == -2.0
+    np.testing.assert_array_equal(bump_profile_deriv2(np.array([1.0, -1.5])), 0.0)
+    inner = np.linspace(0.02, 0.98, 49)
+    fd = (smooth_step_deriv(inner + h) - smooth_step_deriv(inner - h)) / (2 * h)
+    np.testing.assert_allclose(smooth_step_jet(inner)[2], fd, atol=1e-7)
+    ends = np.array([-0.5, 0.0, 1.0, 1.5])
+    S, dS, d2S = smooth_step_jet(ends)
+    np.testing.assert_array_equal(S, [1.0, 1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(dS, 0.0)
+    np.testing.assert_array_equal(d2S, 0.0)
+
+
+def _reference_smooth_step(s):
+    """smooth_step and its derivative as they read before smooth_step_jet
+    (kept here as the reference)."""
+    def f(u):
+        out = np.zeros_like(u)
+        m = u > 1e-12
+        out[m] = np.exp(-1.0 / u[m])
+        return out
+
+    def df(u):
+        out = np.zeros_like(u)
+        m = u > 1e-12
+        out[m] = np.exp(-1.0 / u[m]) / (u[m] * u[m])
+        return out
+
+    sc = np.clip(s, 0.0, 1.0)
+    S = f(1.0 - sc) / (f(1.0 - sc) + f(sc) + 1e-300)
+    dS = np.zeros_like(s)
+    m = (s > 1e-12) & (s < 1.0 - 1e-12)
+    sm = s[m]
+    fa, fb = f(1.0 - sm), f(sm)
+    den = fa + fb
+    dS[m] = (-df(1.0 - sm) * fb - fa * df(sm)) / (den * den)
+    return S, dS
+
+
+def test_smooth_step_jet_is_the_reference_step_bit_for_bit():
+    rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
+    s = np.concatenate([rng.uniform(-0.5, 1.5, 20000), [0.0, 1.0, 0.5, 1e-12,
+                        1.0 - 1e-12, 2e-12, 1.0 - 2e-12, eps, 1.0 - eps,
+                        -np.inf, np.inf]])
+    S, dS, _ = smooth_step_jet(s)
+    ref_S, ref_dS = _reference_smooth_step(s)
+    assert S.tobytes() == ref_S.tobytes() and dS.tobytes() == ref_dS.tobytes()
+    assert smooth_step(s).tobytes() == S.tobytes()
+    assert smooth_step_deriv(s).tobytes() == dS.tobytes()
+
+
+def _d2X_by_differences(field, pts, v, h=1e-6):
+    plus = np.einsum("nij,nj->ni", field.dX(pts + h * v), v)
+    minus = np.einsum("nij,nj->ni", field.dX(pts - h * v), v)
+    return (plus - minus) / (2 * h)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_constant_direction_bump_d2X(dim):
+    rng = np.random.default_rng(30 + dim)
+    center, radius = rng.uniform(-1.0, 1.0, dim), 0.7
+    b = bump_field(center, radius, rng.standard_normal(dim))
+    e = rng.standard_normal((300, dim))
+    e /= np.linalg.norm(e, axis=1)[:, None]
+    # inside the ball, past its edge, and the centre itself
+    pts = center + rng.uniform(0.0, 1.2 * radius, 300)[:, None] * e
+    pts = np.vstack([pts, center])
+    v = rng.standard_normal(pts.shape)
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    got = b.d2X(pts, v)
+    np.testing.assert_allclose(got, _d2X_by_differences(b, pts, v), atol=1e-7)
+    # at the centre the Hessian is beta''(0) I / radius^2, beta''(0) = -2
+    np.testing.assert_allclose(got[-1], -2.0 / radius**2 * b.X(center[None])[0],
+                               rtol=1e-14)
+    outside = np.linalg.norm(pts - center, axis=1) >= radius
+    np.testing.assert_array_equal(got[outside], 0.0)
+
+
+def test_callable_bump_has_no_d2X():
+    b = bump_field(np.array([0.5, 0.0]), 0.3, lambda p: np.ones_like(p),
+                   direction_jacobian=lambda p: np.zeros((len(p), 2, 2)))
+    assert b.d2X is None
+
+
+def test_sum_field_d2X_only_when_every_part_has_one(e1_field, radial2):
+    b1 = bump_field(np.array([0.5, 0.0]), 0.3, np.array([1.0, 0.0]))
+    b2 = bump_field(np.array([-0.5, 0.0]), 0.5, np.array([0.0, 1.0]))
+    s = sum_field([b1, b2, radial2])
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.0, 1.0, (200, 2))
+    v = rng.standard_normal((200, 2))
+    np.testing.assert_array_equal(
+        s.d2X(pts, v), b1.d2X(pts, v) + b2.d2X(pts, v) + radial2.d2X(pts, v))
+    free = bump_field(np.array([0.5, 0.0]), 0.3, lambda p: np.ones_like(p),
+                      direction_jacobian=lambda p: np.zeros((len(p), 2, 2)))
+    assert sum_field([b1, free]).d2X is None
+
+
+def test_field_d2X_of_wrong_shape_rejected_at_construction(e1_field):
+    with pytest.raises(InvariantViolation, match=r"field 'flat': d2X must return"):
+        AmbientField(dim=2, X=e1_field.X, dX=e1_field.dX,
+                     d2X=lambda p, v: e1_field.d2X(p, v)[:, 0],
                      support=e1_field.support, name="flat")

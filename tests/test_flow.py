@@ -17,6 +17,7 @@ from shapecalc.flow import (
     INVARIANCE_BUDGET,
     FlowConfig,
     _jacobian_product,
+    flow_curve_jet,
     flow_manifold,
     flow_point,
     flow_with_jacobian,
@@ -71,6 +72,54 @@ def test_flow_jacobian_matches_fd():
         e[j] = h
         fd[:, j] = (flow_point(b, x0 + e, cfg) - flow_point(b, x0 - e, cfg)) / (2 * h)
     np.testing.assert_allclose(J[0], fd, atol=1e-8)
+
+
+def test_curve_jet_under_identity_grows_by_exp_t(circle1, identity2):
+    # inside the cutoff X(x) = x, so v' = v and a' = a: the flowed gamma'
+    # and gamma'' are e^t times the chart's, up to RK4's error.  Each of n
+    # RK4 steps of h multiplies by the degree-4 Taylor polynomial of e^h,
+    # so that error is n h^5 / 120 = 8.3e-12 relative here
+    ts = np.linspace(circle1.a, circle1.b, 17)
+    t, n = 0.1, step_count(0.1)
+    h = t / n
+    rk4 = (1.0 + h + h**2 / 2 + h**3 / 6 + h**4 / 24) ** n
+    moved = flow_manifold(identity2, circle1, FlowConfig(t, n))
+    for name in ("dgamma", "ddgamma"):
+        got, start = getattr(moved, name)(ts), getattr(circle1, name)(ts)
+        np.testing.assert_allclose(got, rk4 * start, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(got, np.exp(t) * start, rtol=1e-11, atol=1e-15)
+
+
+def test_curve_jet_matches_differences_of_the_flowed_chart(crack_arc, radial2):
+    # the jet's gamma' and gamma'' against 5-point differences of the
+    # flowed chart itself, on a field whose d2X is not zero
+    t = 0.05
+    moved = flow_manifold(radial2, crack_arc, FlowConfig(t, step_count(t)))
+    ts = np.linspace(crack_arc.a + 0.1, crack_arc.b - 0.1, 9)
+    h = 1e-3
+    chart = [moved.gamma(ts + k * h) for k in (-2, -1, 0, 1, 2)]
+    d1 = (chart[0] - 8 * chart[1] + 8 * chart[3] - chart[4]) / (12 * h)
+    d2 = (-chart[0] + 16 * chart[1] - 30 * chart[2] + 16 * chart[3]
+          - chart[4]) / (12 * h * h)
+    np.testing.assert_allclose(moved.dgamma(ts), d1, atol=1e-10)
+    np.testing.assert_allclose(moved.ddgamma(ts), d2, atol=1e-7)
+    # the second variational term is what moves gamma'' off dPhi gamma''
+    _, J = flow_with_jacobian(radial2, crack_arc.gamma(ts),
+                              FlowConfig(t, step_count(t)))
+    first_order = np.einsum("nij,nj->ni", J, crack_arc.ddgamma(ts))
+    assert np.abs(moved.ddgamma(ts) - first_order).max() > 1e-3
+
+
+def test_elastic_fd_under_a_constant_field_is_exactly_zero(circle1, e1_field, fd5):
+    # dX = 0 and d2X = 0 inside the cutoff, so the jet flow leaves gamma'
+    # and gamma'' bit for bit as they are and the FD quotients are exact
+    # zeros: the case that sets paper-compare's margin_max
+    from shapecalc.derivative import fd_quotients
+    from shapecalc.functionals import elastic_functional
+
+    tr = fd_quotients(elastic_functional(), circle1, e1_field, fd5)
+    assert tr.value == 0.0
+    assert np.all(tr.quotients == 0.0)
 
 
 def test_flow_manifold_scales_circle(circle1, identity2):
@@ -301,31 +350,49 @@ def _counting_flows(monkeypatch):
     return calls
 
 
+def _counting_jet_flows(monkeypatch):
+    calls = []
+    real = flow_mod.flow_curve_jet
+
+    def counted(field, x0, v0, a0, cfg):
+        calls.append((len(x0), "a" if a0 is not None else "v"))
+        return real(field, x0, v0, a0, cfg)
+
+    monkeypatch.setattr(flow_mod, "flow_curve_jet", counted)
+    return calls
+
+
 # per shape: bump centre and direction, the transported partials asked for
-# one after the other, and the parameter set they are asked at
+# one after the other, the parameter set they are asked at, and the flows
+# they take.  A curve's dgamma reads one jet flow of (x, gamma') and its
+# ddgamma one of (x, gamma', gamma''), however often they are asked; a
+# surface's phi_u and phi_v share one Jacobian flow
 SHARED_JACOBIAN = {
-    "circle1": ([1.0, 0.0], [0.3, 0.2], ("dgamma", "dgamma"),
-                (np.linspace(0.2, 1.8, 9),)),
+    "circle1": ([1.0, 0.0], [0.3, 0.2], ("dgamma", "ddgamma", "dgamma", "ddgamma"),
+                (np.linspace(0.2, 1.8, 9),), [(9, "v"), (9, "a")]),
     "cylinder": ([1.0, 0.0, 1.0], [0.3, 0.2, 0.1], ("phi_u", "phi_v"),
-                 (np.linspace(0.2, 1.8, 9), np.linspace(0.0, 1.5, 9))),
+                 (np.linspace(0.2, 1.8, 9), np.linspace(0.0, 1.5, 9)), [9]),
 }
 
 
 @pytest.mark.parametrize("shape", SHARED_JACOBIAN)
 def test_flowed_manifold_shares_one_jacobian_per_node_set(shape, request,
                                                           monkeypatch):
-    center, direction, partials, params = SHARED_JACOBIAN[shape]
+    center, direction, partials, params, flows = SHARED_JACOBIAN[shape]
     field = bump_field(np.array(center), 0.8, np.array(direction))
+    assert field.d2X is not None
     base = request.getfixturevalue(shape)
 
     def make():
         return flow_manifold(field, base, FlowConfig(0.1, 10))
 
-    calls = _counting_flows(monkeypatch)
+    jacobians = _counting_flows(monkeypatch)
+    jets = _counting_jet_flows(monkeypatch)
+    calls, other = (jets, jacobians) if base.dim == 2 else (jacobians, jets)
     moved = make()
     calls.clear()
     got = [getattr(moved, name)(*params) for name in partials]
-    assert calls == [9]
+    assert calls == flows
     # each derivative taken cold on its own flowed manifold agrees bit for bit
     for name, value in zip(partials, got):
         np.testing.assert_array_equal(value, getattr(make(), name)(*params))
@@ -334,7 +401,7 @@ def test_flowed_manifold_shares_one_jacobian_per_node_set(shape, request,
     shifted = params[:-1] + (params[-1] + 0.01,)
     getattr(moved, partials[-1])(*shifted)
     getattr(moved, partials[0])(shifted[0] + 0.01, *shifted[1:])
-    assert calls == [9, 9]
+    assert calls == flows[-1:] + flows[:1] and other == []
 
 
 @pytest.mark.parametrize("n_steps", [1, 7])
@@ -347,10 +414,19 @@ def test_point_flow_is_the_point_part_of_the_joint_flow(kind, n_steps):
     else:
         field = build_field({"kind": "linear", "matrix": [[0.3, -1.0], [0.7, 0.2]],
                              "name": "lin"}, 2)
-    pts = np.random.default_rng(5).uniform(-1.0, 1.0, (11, 2))
+    rng = np.random.default_rng(5)
+    pts, v, a = rng.uniform(-1.0, 1.0, (3, 11, 2))
     cfg = FlowConfig(0.3, n_steps)
-    np.testing.assert_array_equal(flow_point(field, pts, cfg),
-                                  flow_with_jacobian(field, pts, cfg)[0])
+    x = flow_point(field, pts, cfg)
+    np.testing.assert_array_equal(x, flow_with_jacobian(field, pts, cfg)[0])
+    # the curve jet flow, with and without its second-derivative rows,
+    # whose v agree too
+    assert field.d2X is not None
+    full, velocity = (flow_curve_jet(field, pts, v, a, cfg),
+                      flow_curve_jet(field, pts, v, None, cfg))
+    np.testing.assert_array_equal(x, full[0])
+    np.testing.assert_array_equal(x, velocity[0])
+    np.testing.assert_array_equal(full[1], velocity[1])
 
 
 @pytest.mark.parametrize("shape", ["circle1", "segment01", "crack_arc", "cylinder"])
@@ -415,6 +491,9 @@ def test_zero_time_flow_is_the_identity_without_field_calls(radial2, t_final):
     x, J = flow_with_jacobian(field, pts, cfg)
     np.testing.assert_array_equal(x, pts)
     np.testing.assert_array_equal(J, np.broadcast_to(np.eye(2), (3, 2, 2)))
+    jet = flow_curve_jet(field, pts, 2.0 * pts, 3.0 * pts, cfg)
+    for got, start in zip(jet, (pts, 2.0 * pts, 3.0 * pts)):
+        np.testing.assert_array_equal(got, start)
     assert calls == []
 
 
@@ -422,8 +501,9 @@ def test_zero_time_flow_is_the_identity_without_field_calls(radial2, t_final):
 
 
 def test_fd_schedule_computes_one_first_stage(circle1, radial2, fd5):
-    # every level takes one RK4 step from the same nodes with J = I; length
-    # reads dgamma alone, one joint flow per level
+    # every level takes one RK4 step from the same nodes and jets; length
+    # reads dgamma alone, one jet flow per level (the counted field has no
+    # d2X, so the jets are gamma' alone)
     field, calls = _counted(radial2)
     calls.clear()
     for Mt in flow_schedule(field, circle1, fd5):
@@ -463,6 +543,24 @@ def test_first_stage_memo_changes_no_bit(shape, field, fd5, request):
     warm = _schedule_values(X, M, fd5, clear=False)
     for a, b in zip(cold, warm):
         np.testing.assert_array_equal(a, b)
+    # M at twice the speed: its nodes ts / 2 are M's node points at ts, its
+    # gamma' and gamma'' differ.  Flowed right after M, each must read its
+    # own first stage, not the one keyed on the shared points
+    fast = geometry.ParamCurve(
+        dim=M.dim, a=M.a, b=M.a + 0.5 * (M.b - M.a), closed=M.closed,
+        gamma=lambda t: M.gamma(2.0 * t), dgamma=lambda t: 2.0 * M.dgamma(2.0 * t),
+        ddgamma=lambda t: 4.0 * M.ddgamma(2.0 * t), name="fast")
+    ts = np.linspace(M.a, M.b, 40)
+    cfg = FlowConfig(fd5.t0, step_count(fd5.t0))
+    np.testing.assert_array_equal(fast.gamma(0.5 * ts), M.gamma(ts))
+    for name in ("dgamma", "ddgamma"):
+        fresh = []
+        for C, nodes in ((M, ts), (fast, 0.5 * ts)):
+            flow_mod._first[0] = None
+            fresh.append(getattr(flow_manifold(X, C, cfg), name)(nodes))
+        for (C, nodes), want in zip(((M, ts), (fast, 0.5 * ts)), fresh):
+            np.testing.assert_array_equal(
+                getattr(flow_manifold(X, C, cfg), name)(nodes), want)
 
 
 def test_point_and_joint_flows_never_share_a_first_stage(radial2):
@@ -515,9 +613,10 @@ def test_flow_manifold_constructs_without_flowing(shape, request, monkeypatch):
     calls.clear()  # the field's own construction checks sample it
     points = _recording_point_flows(monkeypatch)
     jacobians = _counting_flows(monkeypatch)
+    jets = _counting_jet_flows(monkeypatch)
     moved = flow_manifold(field, base, FlowConfig(0.1, 10))
     assert moved.transported and moved.base is base
-    assert calls == [] and points == [] and jacobians == []
+    assert calls == [] and points == [] and jacobians == [] and jets == []
 
 
 def _moved(shape, request):
