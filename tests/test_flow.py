@@ -1,6 +1,7 @@
 """Flow integration: RK4 accuracy, jacobians, manifold transport, invariance."""
 
 import dataclasses
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -137,9 +138,11 @@ def test_flow_manifold_preserves_surface_area_when_tangent(cylinder, e3_field):
     assert surface_area(moved) == pytest.approx(surface_area(cylinder), rel=1e-10)
 
 
-def test_blowup_is_reported():
+def test_blowup_is_reported(circle1):
     # a compactly supported field is bounded and cannot blow up, so the
-    # overflow guard is exercised with a bare duck-typed stand-in
+    # overflow guards of both steppers are exercised with a bare
+    # duck-typed stand-in: x' = x^2 leaves every point with x > 1/2 of
+    # the unit circle before t = 2
     def X(p):
         out = np.zeros_like(p)
         out[:, 0] = p[:, 0] ** 2
@@ -149,6 +152,8 @@ def test_blowup_is_reported():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFinite):
             flow_point(field, np.array([1.0, 0.0]), FlowConfig(2.0, 60))
+        with pytest.raises(NonFinite, match="'quad' left the numeric range"):
+            invariance_residual(field, circle1, 2.0)
 
 
 @pytest.mark.parametrize("n_steps", [0, -3, 2.0, None])
@@ -198,43 +203,67 @@ def _recording_point_flows(monkeypatch):
     return flows
 
 
-def _bundled_probe(shape, probe, request):
-    """The shape fixture and its tangent probe of that name, among the two
-    the bundled runs build (n = 2, seed 0)."""
+def _recording_rk6_flows(monkeypatch):
+    flows = []
+    real = flow_mod._rk6
+
+    def recorded(field, x, t, n_steps):
+        out = real(field, x, t, n_steps)
+        flows.append((x, t, n_steps, out))
+        return out
+
+    monkeypatch.setattr(flow_mod, "_rk6", recorded)
+    return flows
+
+
+def _tangent_probe(shape, probe, request, n=2, seed=0):
+    """The shape fixture and its tangent probe of that name, among the n
+    that tangential_probe_fields builds from seed (the bundled runs take
+    n = 2, seed 0)."""
     from shapecalc.validation import tangential_probe_fields
 
     M = request.getfixturevalue(shape)
-    (field,) = [f for f in tangential_probe_fields(M, n=2, seed=0)
+    (field,) = [f for f in tangential_probe_fields(M, n=n, seed=seed)
                 if f.name == probe]
     return M, field
 
 
-@pytest.mark.parametrize("shape, probe", [
-    (shape, f"tangent-{kind}{i}[{shape}]")
+# the bundled runs' probes (n = 2, seed 0), and three off that set on the
+# shape of least reach, where an extrapolated-midpoint table never met the
+# budget
+BUDGET_CASES = [
+    pytest.param(shape, f"tangent-{kind}{i}[{shape}]", 2, 0,
+                 id=f"{shape}-tangent-{kind}{i}[{shape}]")
     for shape, kind in (("circle1", "bump"), ("ellipse21", "bump"),
                         ("helix1", "bump"), ("cylinder", "wave"))
-    for i in range(2)])
-def test_invariance_flow_meets_its_error_budget(shape, probe, request,
+    for i in range(2)] + [
+    pytest.param("ellipse21", f"tangent-bump{i}[ellipse21]", 3, 1,
+                 id=f"ellipse21-tangent-bump{i}[ellipse21]-n3-seed1")
+    for i in range(3)]
+
+
+@pytest.mark.parametrize("shape, probe, n, seed", BUDGET_CASES)
+def test_invariance_flow_meets_its_error_budget(shape, probe, n, seed, request,
                                                 monkeypatch):
-    M, field = _bundled_probe(shape, probe, request)
-    flows = _recording_point_flows(monkeypatch)
+    M, field = _tangent_probe(shape, probe, request, n, seed)
+    flows = _recording_rk6_flows(monkeypatch)
     residual = invariance_residual(field, M, 0.5)
     monkeypatch.undo()
     # the residual is the largest |ext| of the table on the levels' residual
     # vectors.  The budget holds the error the residual reads, not the phase
-    # error along M, so the distances, not the points, match those of a
-    # plain flow at four times the finest level's steps (whose own error is
-    # 4^-4 of that level's).  The levels are projected again in one session
+    # error along M, so the distances, not the points, match those of an
+    # RK6 flow at four times the finest level's steps (whose own error is
+    # 4^-6 of that level's).  The levels are projected again in one session
     # and in order, as invariance_residual does, so that a hook-free curve's
     # warm-started feet are the same
     row = []
     with geometry.projection_session():
-        for _, _, out in flows:
-            row = richardson_row(row, M.project(out).r, 4)
+        for _, _, _, out in flows:
+            row = richardson_row(row, M.project(out).r, 6)
     ext = np.linalg.norm(row[-1], axis=1)
     assert residual == ext.max()
-    x0, cfg, _ = flows[-1]
-    ref = M.project(flow_point(field, x0, FlowConfig(cfg.t_final, 4 * cfg.n_steps)))
+    x0, t, n_steps, _ = flows[-1]
+    ref = M.project(flow_mod._rk6(field, x0, t, 4 * n_steps))
     assert np.abs(ext - ref.dist).max() <= 2.0 * INVARIANCE_BUDGET
     assert abs(residual - ref.dist.max()) <= 2.0 * INVARIANCE_BUDGET
 
@@ -243,33 +272,74 @@ def test_invariance_flow_counts(circle1, cylinder, ellipse21, monkeypatch):
     from shapecalc.catalog import build_field
     from shapecalc.validation import tangential_probe_fields
 
-    # RK4 integrates a constant field exactly, so the three levels of the
+    # RK6 integrates a constant field exactly, so the three levels of the
     # table already meet the budget, as they do for the cylinder's second
-    # wave, whose RK4 error runs along the cylinder.  The first ellipse21
-    # bump estimates over the budget at three levels and takes a fourth,
-    # the Romberg step.  The first level steps about 4 DEFAULT_MAX_STEP:
-    # ceil(50 / 4) = 13 steps at t = 0.5
+    # wave.  The first ellipse21 bump estimates over the budget at three
+    # levels and takes a fourth.  The first level steps at most 20
+    # DEFAULT_MAX_STEP: ceil(50 / 20) = 3 steps at t = 0.5
     const = build_field({"kind": "constant", "vector": [0.3, -0.2],
                          "name": "c"}, 2)
     wave1 = tangential_probe_fields(cylinder, n=2, seed=0)[1]
     assert wave1.name == "tangent-wave1[cylinder]"
     bump = tangential_probe_fields(ellipse21, n=2, seed=0)[0]
     assert bump.name == "tangent-bump0[ellipse21]"
-    flows = _recording_point_flows(monkeypatch)
-    for field, M, steps in ((const, circle1, [13, 26, 52]),
-                            (wave1, cylinder, [13, 26, 52]),
-                            (bump, ellipse21, [13, 26, 52, 104])):
+    flows = _recording_rk6_flows(monkeypatch)
+    for field, M, steps in ((const, circle1, [3, 6, 12]),
+                            (wave1, cylinder, [3, 6, 12]),
+                            (bump, ellipse21, [3, 6, 12, 24])):
         flows.clear()
         invariance_residual(field, M, 0.5)
-        assert [cfg.n_steps for _, cfg, _ in flows] == steps
+        assert [n for _, _, n, _ in flows] == steps
 
 
-@pytest.mark.parametrize("p", [1, 4])
+# x' = (sin y, -sin x cos y): smooth, nonlinear, with no closed-form flow
+SMOOTH_2D = SimpleNamespace(
+    X=lambda p: np.stack([np.sin(p[:, 1]),
+                          -np.sin(p[:, 0]) * np.cos(p[:, 1])], axis=1),
+    name="smooth")
+
+
+def _rk6_error_ratios():
+    x0 = np.array([[0.3, 0.7]])
+    ref = flow_mod._rk6(SMOOTH_2D, x0, 1.0, 512)
+    errors = [np.abs(flow_mod._rk6(SMOOTH_2D, x0, 1.0, n) - ref).max()
+              for n in (4, 8, 16)]
+    return errors[0] / errors[1], errors[1] / errors[2]
+
+
+def test_rk6_tableau_is_consistent():
+    # the coefficients are the nearest floats to rationals of denominator
+    # at most 120, whose sums are taken exactly
+    def exact(values):
+        return [Fraction(v).limit_denominator(120) for v in values]
+
+    c, A, b = flow_mod.RK6_TABLEAU
+    assert len(c) == len(A) == len(b) == 7
+    assert all(len(row) == i for i, row in enumerate(A))
+    assert sum(exact(b)) == 1
+    assert [sum(exact(row)) for row in A] == exact(c)
+
+
+def test_rk6_error_falls_64_fold_per_halving():
+    # sixth order: each halving of the step divides the error by about 2^6
+    for ratio in _rk6_error_ratios():
+        assert 56.0 <= ratio <= 72.0
+
+
+def test_rk6_order_test_fails_on_a_mutated_coefficient(monkeypatch):
+    c, A, b = flow_mod.RK6_TABLEAU
+    last = A[6][:5] + (-15 / 11,)  # a76 = -16/11 in the method
+    monkeypatch.setattr(flow_mod, "RK6_TABLEAU", (c, A[:6] + (last,), b))
+    assert not all(56.0 <= r <= 72.0 for r in _rk6_error_ratios())
+
+
+@pytest.mark.parametrize("p", [1, 4, 6])
 def test_richardson_row_removes_the_leading_terms(p):
     """Two columns past the first remove the h^p and h^(p+1) terms of a
     series halved level by level, so a + b h^p + c h^(p+1) comes back as a,
-    which pins the weights 2^(p+j-1) - 1: 15 and 31 at p = 4 (RK4), 1 and 3
-    at p = 1 (the FD quotients, a + b t + c t^2)."""
+    which pins the weights 2^(p+j-1) - 1: 63 and 127 at p = 6 (RK6, the
+    invariance table), 15 and 31 at p = 4 (RK4), 1 and 3 at p = 1 (the FD
+    quotients, a + b t + c t^2)."""
     a, b, c = 0.75, -3.0, 5.0
     row = []
     for h in 0.1 / 2.0 ** np.arange(3):
@@ -287,8 +357,11 @@ def test_warm_feet_match_grid_feet(ellipse21, helix1, radial3, fd5,
                                    monkeypatch):
     """Inside the invariance flows of both ellipse21 tangent probes and one
     helix1 FD schedule (an open curve, widened), every warm-started
-    projection lands on the grid-seeded feet to Newton's tolerance, and an
-    ellipse21 invariance residual seeds from the grid at most 4 times."""
+    projection lands on the grid-seeded feet to Newton's tolerance.  An
+    ellipse21 invariance residual seeds from the grid in its coarse
+    levels' stages, whose samples move by more than 0.1 reach from one
+    stage to the next (16 and 14 times on the two probes), and starts every
+    other projection warm."""
     from shapecalc.derivative import fd_quotients
     from shapecalc.fields import restriction_field
     from shapecalc.functionals import length_functional
@@ -314,7 +387,7 @@ def test_warm_feet_match_grid_feet(ellipse21, helix1, radial3, fd5,
         grid.clear()
         n_warm = len(warm)
         invariance_residual(probe, ellipse21, NULLITY_TIME)
-        assert len(grid) <= 4
+        assert len(grid) <= 16
         assert len(warm) - n_warm > 100
     n_warm = len(warm)
     fd_quotients(length_functional(), helix1,
@@ -325,15 +398,18 @@ def test_warm_feet_match_grid_feet(ellipse21, helix1, radial3, fd5,
 
 def test_invariance_flow_over_the_step_cap_raises_before_flowing(circle1,
                                                                  monkeypatch):
-    # x' = 300 x reaches e^150 ~ 1e65 at t = 0.5: finite, but the 13-, 26-
-    # and 52-step flows differ by far more, beyond any affordable step.
-    # The catalog fields are compactly supported, so a bare stand-in serves
+    # x' = 300 x reaches e^150 ~ 1e65 at t = 0.5: finite, but the 3-, 6-
+    # and 12-step flows differ by far more, beyond any affordable step:
+    # the order law h^7 of three levels predicts 12 (1.5e47 / 1e-12)^(1/7),
+    # about 3e9 steps.  The catalog fields are compactly supported, so a
+    # bare stand-in serves
     fast = SimpleNamespace(X=lambda p: 300.0 * p, name="fast")
-    flows = _recording_point_flows(monkeypatch)
-    with pytest.raises(NoConvergence, match=r"'fast'.*error of \S+e\+5\d.*steps"):
+    flows = _recording_rk6_flows(monkeypatch)
+    with pytest.raises(NoConvergence, match=r"'fast'.*error of 1\.5\d*e\+47 "
+                       r".* at 12 steps, so 3\.\d*e\+09 steps"):
         invariance_residual(fast, circle1, 0.5)
-    assert [cfg.n_steps for _, cfg, _ in flows] == [13, 26, 52]
-    assert all(np.isfinite(out).all() for _, _, out in flows)
+    assert [n for _, _, n, _ in flows] == [3, 6, 12]
+    assert all(np.isfinite(out).all() for _, _, _, out in flows)
 
 
 def _counting_flows(monkeypatch):
