@@ -13,9 +13,11 @@ same bytes every time; `--jobs` is accepted for scripts that pass
 `--jobs 1`, and any other value is a usage error.
 
 Comparisons run shape by shape, then field by field, so the functionals of
-one (shape, field) share its FD schedule; the report lists them functional
-by functional.  Nullity runs one job per shape for the functionals whose
-first compatible shape it is, in the order of their first functional, so
+one (shape, field) share its FD schedule, flowed at the highest order among
+them (flow.flow_manifold), and each closed form builds its kernel once per
+shape (functionals); the report lists them functional by functional.
+Nullity runs one job per shape for the functionals whose first compatible
+shape it is, in the order of their first functional, so
 functionals that interleave shapes (length, area, elastic) report nullity
 grouped by shape (length, elastic, area).  `-v` prints each report record.
 
@@ -185,15 +187,18 @@ def _fields_for(plan: RunPlan, M) -> list:
 
 
 def comparison_jobs(plan: RunPlan) -> list[_Job]:
-    # the functionals of one (M, X) run one after the other: one FD schedule
+    # the functionals of one (M, X) run one after the other on one FD
+    # schedule, flowed at the highest order among them
     jobs = []
     for M in _generic_shapes(plan):
         Js = [J for J in _plain_functionals(plan) if compatible(J, M)]
+        order = max((J.order for J in Js), default=1)
         for X in _fields_for(plan, M) if Js else ():
             jobs.extend(_single(f"{J.name}/{M.name}/{X.name}",
-                                lambda J=J, M=M, X=X: compare(
+                                lambda J=J, M=M, X=X, order=order: compare(
                                     J, M, X, cfg=plan.cfg,
-                                    rel_tol=plan.rel_tol, abs_tol=plan.abs_tol))
+                                    rel_tol=plan.rel_tol, abs_tol=plan.abs_tol,
+                                    order=order))
                         for J in Js)
     return jobs
 

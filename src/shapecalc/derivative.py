@@ -17,8 +17,13 @@ quotient and cancels.
 The flowed manifolds at t = 0, t0, t0/2, ... depend on (M, X, cfg), not on
 J: `flow_schedule` builds these levels + 1 manifolds once and keeps them in
 a one-entry memo keyed on the identity of X and M (which it holds, so no
-other object can take their ids) and on cfg, so functionals asked about one
-(M, X) one after the other read the same flowed manifolds.  Every level
+other object can take their ids), on cfg and on its order
+(flow.flow_manifold), so functionals asked about one (M, X) one after the
+other read the same flowed manifolds.  A schedule serves any order up to
+its own, and every order gives the same quotients: `cli` builds an
+(M, X) group's schedule at the highest ShapeFunctional.order among its
+functionals, so length reads gamma' from the one jet flow per level that
+bending energy needs anyway.  Every level
 flows the same base nodes, and its first RK4 stage, X at those nodes
 (and dX applied to the chart's jets, or to J = I on a surface), is the
 same for every t: the flow computes it at the
@@ -85,23 +90,31 @@ class FDTrace:
     error_estimate: float
 
 
-# X, M, cfg and the manifolds of the last schedule built
-_schedule: list = [None] * 4
+# X, M, cfg, order and the manifolds of the last schedule built
+_schedule: list = [None] * 5
 
 
-def flow_schedule(X: AmbientField, M, cfg: FDConfig) -> list:
-    """Phi_t(M) at t = 0 and at t = t0/2^i, i = 0..levels-1."""
-    if not (_schedule[0] is X and _schedule[1] is M and _schedule[2] == cfg):
+def flow_schedule(X: AmbientField, M, cfg: FDConfig, order: int = 1) -> list:
+    """Phi_t(M) at t = 0 and at t = t0/2^i, i = 0..levels-1, flowed at
+    `order` (flow.flow_manifold); a schedule of a higher order serves."""
+    if not (_schedule[0] is X and _schedule[1] is M and _schedule[2] == cfg
+            and _schedule[3] >= order):
         ts = [0.0, *(cfg.t0 / 2.0 ** np.arange(cfg.levels)).tolist()]
-        _schedule[:] = X, M, cfg, [
-            flow_manifold(X, M, FlowConfig(t, step_count(t))) for t in ts]
-    return _schedule[3]
+        _schedule[:] = X, M, cfg, order, [
+            flow_manifold(X, M, FlowConfig(t, step_count(t)), order)
+            for t in ts]
+    return _schedule[4]
 
 
-def fd_quotients(J, M, X: AmbientField, cfg: FDConfig) -> FDTrace:
-    """Difference quotients plus Richardson diagonal for dJ(M)(X)."""
+def fd_quotients(J, M, X: AmbientField, cfg: FDConfig,
+                 order: int = 1) -> FDTrace:
+    """Difference quotients plus Richardson diagonal for dJ(M)(X), on a
+    schedule of `order`.  The quotients are the same at any order; a
+    caller that runs functionals of order 2 (ShapeFunctional.order) on
+    one (M, X) passes 2, so that they read gamma' and gamma'' from one
+    flow per level."""
     ts = cfg.t0 / 2.0 ** np.arange(cfg.levels)
-    base, *flowed = flow_schedule(X, M, cfg)
+    base, *flowed = flow_schedule(X, M, cfg, order)
     J0 = float(J.evaluate(base))
     if not np.isfinite(J0):
         raise NonFinite(f"functional '{J.name}' is not finite on the base manifold")
@@ -169,11 +182,13 @@ class DerivativeReport:
 
 
 def compare(J, M, X: AmbientField, cfg: FDConfig,
-            rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL) -> DerivativeReport:
-    """Run the FD oracle against J.analytic_derivative and record the verdict."""
+            rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL,
+            order: int = 1) -> DerivativeReport:
+    """Run the FD oracle (at the schedule `order`, see fd_quotients)
+    against J.analytic_derivative and record the verdict."""
     if J.analytic_derivative is None:
         raise InvariantViolation(f"functional '{J.name}' has no closed form")
-    tr = fd_quotients(J, M, X, cfg)
+    tr = fd_quotients(J, M, X, cfg, order)
     analytic = float(J.analytic_derivative(M, X))
     abs_diff = abs(analytic - tr.value)
     denom = max(abs(analytic), abs(tr.value))

@@ -19,10 +19,14 @@ chart and its two derivatives,
     (Phi_t o gamma)'  = dPhi_t(gamma) gamma',
     (Phi_t o gamma)'' = dPhi_t(gamma) gamma'' + D^2Phi_t(gamma)[gamma', gamma'],
 
-where (x, v) alone give gamma' and (x, v, a) give gamma''.  For a field
-without d2X (AmbientField) the curve's second derivative is instead a
-5-point difference of its transported gamma' (wrapped across the seam
-of a closed curve, shifted inside open ends).  A surface's first
+where (x, v) alone give gamma' and (x, v, a) give gamma''.  Which rows a
+flowed curve flows follows the order of its readers (flow_manifold): at
+order 2 (bending energy) one (x, v, a) flow per node set serves gamma'
+and gamma''; at order 1 (length) gamma' flows (x, v) alone, and gamma''
+its own (x, v, a), so a reader of gamma' alone never pays for D^2X.  For
+a field without d2X (AmbientField) the curve's second derivative is
+instead a 5-point difference of its transported gamma' (wrapped across
+the seam of a closed curve, shifted inside open ends).  A surface's first
 partials are its base partials carried by the Jacobian flow, phi_u and
 phi_v at one parameter set sharing one flow; it gets no second
 derivative, since area reads only the first partials.
@@ -77,6 +81,11 @@ MAX_FLOW_STEPS = 10**6  # ~35 min on 2,560 nodes with Jacobian transport
 # Richardson table), so the residual speaks of the field
 INVARIANCE_BOUND = 1e-7
 INVARIANCE_BUDGET = 1e-5 * INVARIANCE_BOUND
+# the residual differences of an h^6 error fall 2^6-fold per halving of the
+# step; invariance_residual raises when two fall less than 2^5-fold while
+# the later one is above the roundoff of a residual reading
+ORDER_FALL = 2.0 ** 5
+INVARIANCE_ROUNDOFF = 1e-13
 
 
 def step_count(t: float) -> int:
@@ -318,17 +327,23 @@ def curve_stencil(field: AmbientField, curve: ParamCurve, f, ts) -> np.ndarray:
                              curve.a, curve.b, periodic=curve.closed)
 
 
-def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
+def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig,
+                  order: int = 1):
     """Manifold transported by the flow, same type as the input.
 
     The chart is flow_point of the base chart.  A curve's dgamma is the
-    v of a memoized flow_curve_jet of (x, gamma') per parameter set, and
-    its ddgamma the a of a memoized jet flow of (x, gamma', gamma''), or,
-    for a field without d2X, curve_stencil of the transported dgamma.
-    Length reads gamma' alone and so flows no a rows, whose d2X call costs
-    about as much as a dX; bending energy reads both and pays both flows
-    (their v agree bit for bit).  A surface's first partials are the base
-    partials times one memoized Jacobian flow per parameter set.
+    v of a memoized flow_curve_jet per parameter set, and its ddgamma the
+    a of a memoized jet flow of (x, gamma', gamma''), or, for a field
+    without d2X, curve_stencil of the transported dgamma.  `order` is the
+    highest derivative of the chart its readers take
+    (ShapeFunctional.order).  At order 2, under a field with d2X, one
+    (x, gamma', gamma'') flow per parameter set serves both derivatives.
+    Otherwise dgamma flows (x, gamma') alone, so that a reader of gamma'
+    alone (length) pays no a rows, whose d2X call costs about as much as
+    a dX.  The v of the two flows agree bit for bit, so the order decides
+    which flows are shared and moves no value.  A surface's first
+    partials are the base partials times one memoized Jacobian flow per
+    parameter set, at any order.
     Construction flows nothing and calls no field: the result runs
     no desk check (geometry: a flow keeps its base regular, closed and
     embedded), and each callable flows when it is called.
@@ -352,16 +367,15 @@ def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig):
                 field, manifold.gamma(ts), manifold.dgamma(ts),
                 manifold.ddgamma(ts) if second else None, cfg)[1:])
 
-        velocity = jet(False)
+        full = None if field.d2X is None else jet(True)
+        velocity = full if full is not None and order >= 2 else jet(False)
 
         def dgamma(ts):
             return velocity(ts)[0]
 
-        if field.d2X is None:
+        if full is None:
             ddgamma = partial(curve_stencil, field, manifold, dgamma)
         else:
-            full = jet(True)
-
             def ddgamma(ts):
                 return full(ts)[1]
 
@@ -410,7 +424,14 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
     correction.  Before each further level the estimate's own order law,
     h^(levels + 4) (h^7 at three levels), predicts the steps that meet the
     budget; NoConvergence is raised without flowing when that prediction
-    or the next level's steps exceed MAX_FLOW_STEPS.
+    or the next level's steps exceed MAX_FLOW_STEPS.  It is also raised
+    when the flows do not follow the order the table assumes: before a
+    further level, the last two differences of the first column,
+    max|r_2n - r_n| and max|r_4n - r_2n|, must fall at least ORDER_FALL =
+    2^5-fold (h^6 reads 64), unless the later one is below
+    INVARIANCE_ROUNDOFF = 1e-13, where roundoff decides their ratio.  An
+    RK6 stepper of lower order (one coefficient wrong) fails there after
+    three levels instead of flowing ever finer ones.
 
     The coarsest level steps at most 20 DEFAULT_MAX_STEP (3 steps of 1/6
     at t = 0.5).  It is only an input of the extrapolation, and no residual
@@ -435,8 +456,8 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
 
     Measured at t = 0.5 on the two tangent probes of circle1, circle2,
     ellipse21, helix1, crack_arc and the cylinder: from one level to the
-    next the residual differences fall 56- to 88-fold, the h^6 law (on
-    segment01's tangent probes r is exactly 0).  Every tangent probe takes
+    next the residual differences fall 56- to 88-fold, the h^6 law, and
+    are at least 4.2e-12 (on segment01's tangent probes r is exactly 0).  Every tangent probe takes
     3, 6 and 12 steps but the first of circle1 and both of ellipse21,
     which take a fourth level of 24 (21 or 45 steps per probe).  With the
     first stage shared by the levels, the bundled runs' probes take 747
@@ -453,11 +474,14 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
         params = (U.ravel(), V.ravel())
     pts = manifold.chart(params)
     steps = math.ceil(step_count(t) / 20)
-    row = []
+    row, diffs = [], []
     with projection_session():
         while True:
-            flowed = _rk6(field, pts, t, steps)
-            row = richardson_row(row, manifold.project(flowed).r, 6)
+            r = manifold.project(_rk6(field, pts, t, steps)).r
+            if row:
+                # the first column's difference to the level before
+                diffs.append(float(np.abs(r - row[0]).max()))
+            row = richardson_row(row, r, 6)
             if len(row) >= 3:
                 est = float(np.abs(row[-1] - row[-2]).max())
                 if est <= INVARIANCE_BUDGET:
@@ -470,4 +494,14 @@ def invariance_residual(field: AmbientField, manifold, t: float) -> float:
                         f"at {steps} steps, so {need:.3e} steps would reach "
                         f"{INVARIANCE_BUDGET:g} and the next level takes "
                         f"{2 * steps}, against a cap of {MAX_FLOW_STEPS:.0e}")
+                if (diffs[-1] > INVARIANCE_ROUNDOFF
+                        and diffs[-2] < ORDER_FALL * diffs[-1]):
+                    raise NoConvergence(
+                        f"flow of '{field.name}' to t = {t:g}: the residual "
+                        f"differences of the levels of {steps // 4}, "
+                        f"{steps // 2} and {steps} steps fell "
+                        f"{diffs[-2] / diffs[-1]:.3g}-fold, less than the "
+                        f"{ORDER_FALL:g}-fold the h^6 law of the Richardson "
+                        f"table needs, so its estimate {est:.3e} bounds "
+                        f"nothing")
             steps *= 2

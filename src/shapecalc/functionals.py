@@ -14,6 +14,20 @@ circle / segment / cylinder model cases:
 
 with the brackets dropped on closed curves.
 
+Each closed form is the paper's structure theorem: a kernel that depends
+on M alone, paired with the normal trace X.N on M and with the traces of
+X on the boundary (Hadamard-Zolesio is the interior case; Delfour &
+Zolesio, Shapes and Geometries, ch. 9).  length_kernel, area_kernel and
+elastic_kernel hold weights, measure, density g (-kappa, H or
+2 kappa'' + kappa^3), N and the chart at the nodes, and the boundary data
+of the end terms, each in a one-entry memo keyed on the identity of M
+(which it holds, so no other manifold takes its id): `cli` runs every
+field of a shape before the next shape, so each is built once per (J, M).
+The pairing sums wts * (g * (X.N)) * measure, then adds the end terms at
+b before those at a (the side fluxes, each a float sum, b before a), as
+one quadrature of the density g (X.N) does: folding wts * g * measure
+into one array ahead of time would move bits.
+
 Each functional is one quadrature, sum_w density * measure on the nodes
 of CURVE_PANELS or SURFACE_PANELS: density 1 (length, area) or kappa^2
 (bending energy, geometry.curvature) against |gamma'| or |phi_u x phi_v|.
@@ -36,13 +50,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CrackNotInterior, InvariantViolation
+from .errors import CrackNotInterior, InvariantViolation, NonFinite
 from .fields import AmbientField, Ball, last_call_memo
 from .flow import curve_stencil
-from .geometry import (ParamCurve, ParamSurface, curvature,
+from .geometry import (ParamCurve, ParamSurface, _row_norm, curvature,
                        curve_curvature_derivs, frenet_rows, gauss_legendre,
                        integrate_curve, integrate_surface,
-                       surface_mean_curvature)
+                       surface_mean_curvature, surface_nodes)
 
 # default quadrature resolution: fine enough that sharply modulated probe
 # fields (compactly supported bumps) are integrated well below the
@@ -62,13 +76,16 @@ class ShapeFunctional:
     returns the discrete first variation of evaluate's quadrature along an
     ambient field (the complex step of the module docstring for the
     built-in functionals), and analytic_derivative, when present, the
-    closed-form first variation.
+    closed-form first variation.  order is the highest derivative of the
+    chart that evaluate reads: 1 for gamma' or phi_u and phi_v, 2 for
+    gamma'' (flow.flow_manifold).
     """
 
     name: str
     evaluate: Callable[[object], float]
     discrete_derivative: Callable[[object, AmbientField], float]
     analytic_derivative: Optional[Callable[[object, AmbientField], float]] = None
+    order: int = 1
 
 
 def _eta(X: AmbientField, chart, partials, params) -> list[np.ndarray]:
@@ -113,6 +130,59 @@ def complex_step(evaluate, stepped):
 
 
 # ---------------------------------------------------------------------------
+# structure-theorem kernels
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """The half of a closed form that does not depend on X: a density g
+    against the unit normal N at the quadrature points pts, with weights
+    wts and measure (|gamma'| or |phi_u x phi_v|), and the closed form's
+    own boundary data `ends`, in the order its terms are added."""
+
+    wts: np.ndarray
+    measure: np.ndarray
+    g: np.ndarray
+    N: np.ndarray
+    pts: np.ndarray
+    ends: tuple
+
+
+def _memo_on_identity(build):
+    """build(M) with a one-entry memo keyed on the identity of M, which the
+    entry holds, so that no other manifold takes its id meanwhile."""
+    last = [(None, None)]
+
+    def kernel(M) -> Kernel:
+        held, value = last[0]
+        if held is not M:
+            value = build(M)
+            last[0] = (M, value)
+        return value
+
+    return kernel
+
+
+def _interior(k: Kernel, M, X: AmbientField) -> float:
+    """sum wts * (g * (X.N)) * measure: the interior term of the closed
+    form; NonFinite, naming M, when it is not finite."""
+    xn = np.einsum("ij,ij->i", X.X(k.pts), k.N)
+    total = np.sum(k.wts * (k.g * xn) * k.measure)
+    if not np.isfinite(total):
+        raise NonFinite(f"integral over '{M.name}' is not finite")
+    return total.item()
+
+
+def _curve_kernel(curve: ParamCurve, g, ends: tuple) -> Kernel:
+    """The kernel on the curve quadrature's nodes, its density g(frame,
+    nodes)."""
+    nodes, wts = gauss_legendre(curve.a, curve.b, CURVE_PANELS)
+    speed = _row_norm(curve.dgamma(nodes))
+    fr, _ = frenet_rows(curve, nodes)
+    return Kernel(wts, speed, g(fr, nodes), fr.N, curve.gamma(nodes), ends)
+
+
+# ---------------------------------------------------------------------------
 # length
 
 
@@ -121,26 +191,24 @@ def length(curve: ParamCurve) -> float:
     return integrate_curve(curve, lambda ts: np.ones_like(ts), panels=CURVE_PANELS)
 
 
-def length_density(curve: ParamCurve, X: AmbientField):
-    """ts -> -kappa (X.N): the interior density of the length variation
-    against the arc measure.  kappa N is the curvature vector, 0 where a
-    space curve is straight and its Frenet N does not exist."""
-    def density(ts):
-        fr, _ = frenet_rows(curve, ts)
-        xv = X.X(curve.gamma(ts))
-        return -fr.kappa * np.einsum("ij,ij->i", xv, fr.N)
-
-    return density
+@_memo_on_identity
+def length_kernel(curve: ParamCurve) -> Kernel:
+    """-kappa against N: kappa N is the curvature vector, 0 where a space
+    curve is straight and its Frenet N does not exist.  An open curve's
+    ends are (chart point, outward unit conormal) at b, then at a."""
+    ends = () if curve.closed else tuple(
+        (curve.chart(t), curve.conormal_extension(t)[0])
+        for t in (curve.b, curve.a))
+    return _curve_kernel(curve, lambda fr, nodes: -fr.kappa, ends)
 
 
 def analytic_dlength(curve: ParamCurve, X: AmbientField) -> float:
     """First variation of arc length along X: the curvature density plus,
     on an open curve, X against the outward unit conormal at both ends."""
-    total = integrate_curve(curve, length_density(curve, X), panels=CURVE_PANELS)
-    if not curve.closed:
-        for t in (curve.b, curve.a):
-            xv = X.X(curve.chart(t))[0]
-            total += float(xv @ curve.conormal_extension(t)[0])
+    k = length_kernel(curve)
+    total = _interior(k, curve, X)
+    for p, nu in k.ends:
+        total += float(X.X(p)[0] @ nu)
     return total
 
 
@@ -155,31 +223,34 @@ def surface_area(surf: ParamSurface) -> float:
                              panels=SURFACE_PANELS)
 
 
-def _side_flux(surf: ParamSurface, X: AmbientField, end: str) -> float:
-    # int_c^d (X . nu_out)(phi(u0, v)) |phi_v(u0, v)| dv on one u-side
+@_memo_on_identity
+def area_kernel(surf: ParamSurface) -> Kernel:
+    """H against N; the ends are the u-sides, b then a, each (weights,
+    outward unit conormal, |phi_v|, phi) on SIDE_PANELS nodes in v."""
+    uu, vv, W = surface_nodes(surf, SURFACE_PANELS)
+    jac = _row_norm(np.cross(surf.phi_u(uu, vv), surf.phi_v(uu, vv)))
+    H = surface_mean_curvature(surf, (uu, vv))
     vn, wts = gauss_legendre(surf.c, surf.d, SIDE_PANELS)
-    u0 = surf.a if end == "a" else surf.b
-    us = np.full_like(vn, u0)
-    # the conormal extension is the outward unit conormal on the u-sides
-    nu = surf.conormal_extension((us, vn))
-    pv = surf.phi_v(us, vn)
-    xv = X.X(surf.phi(us, vn))
-    vals = np.einsum("ij,ij->i", xv, nu) * np.linalg.norm(pv, axis=1)
-    return float(np.sum(wts * vals))
+    sides = []
+    for u0 in (surf.b, surf.a):
+        us = np.full_like(vn, u0)
+        # the conormal extension is the outward unit conormal on the u-sides
+        sides.append((wts, surf.conormal_extension((us, vn)),
+                      np.linalg.norm(surf.phi_v(us, vn), axis=1),
+                      surf.phi(us, vn)))
+    return Kernel(W, jac, H, surf.unit_normal((uu, vv)), surf.phi(uu, vv),
+                  tuple(sides))
 
 
 def analytic_darea(surf: ParamSurface, X: AmbientField) -> float:
     """First variation of area: mean-curvature interior term plus outward
     flux through the u-side boundary circles."""
-
-    def density(us, vs):
-        H = surface_mean_curvature(surf, (us, vs))
-        N = surf.unit_normal((us, vs))
-        xv = X.X(surf.phi(us, vs))
-        return H * np.einsum("ij,ij->i", xv, N)
-
-    total = integrate_surface(surf, density, panels=SURFACE_PANELS)
-    return total + (_side_flux(surf, X, "b") + _side_flux(surf, X, "a"))
+    k = area_kernel(surf)
+    # int_c^d (X . nu_out)(phi(u0, v)) |phi_v(u0, v)| dv on each u-side
+    flux_b, flux_a = (
+        float(np.sum(wts * (np.einsum("ij,ij->i", X.X(pts), nu) * norm_pv)))
+        for wts, nu, norm_pv, pts in k.ends)
+    return _interior(k, surf, X) + (flux_b + flux_a)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +261,21 @@ def bending_energy(curve: ParamCurve) -> float:
     """int kappa^2 ds in any regular parametrization, on CURVE_PANELS."""
     return integrate_curve(curve, lambda ts: curvature(curve, ts) ** 2,
                            panels=CURVE_PANELS)
+
+
+@_memo_on_identity
+def elastic_kernel(curve: ParamCurve) -> Kernel:
+    """2 kappa'' + kappa^3 against N; an open curve's ends are (sign, T, N,
+    kappa, kappa', chart point) at b (+1), then at a (-1)."""
+    ends = []
+    for t, sgn in () if curve.closed else ((curve.b, 1.0), (curve.a, -1.0)):
+        fr, _ = frenet_rows(curve, t)
+        kap, k1, _ = curve_curvature_derivs(curve, t)
+        ends.append((sgn, fr.T[0], fr.N[0], float(kap[0]), float(k1[0]),
+                     curve.chart(t)))
+    return _curve_kernel(curve, lambda fr, nodes: (
+        2.0 * curve_curvature_derivs(curve, nodes)[2] + fr.kappa**3),
+        tuple(ends))
 
 
 def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
@@ -205,28 +291,15 @@ def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
         raise InvariantViolation(
             "elastic first variation is implemented for planar curves"
         )
-
-    def density(ts):
-        fr, _ = frenet_rows(curve, ts)
-        _, _, k2 = curve_curvature_derivs(curve, ts)
-        xv = X.X(curve.gamma(ts))
-        return (2.0 * k2 + fr.kappa**3) * np.einsum("ij,ij->i", xv, fr.N)
-
-    total = integrate_curve(curve, density, panels=CURVE_PANELS)
-    if curve.closed:
-        return total
-    for t, sgn in ((curve.b, 1.0), (curve.a, -1.0)):
-        fr, _ = frenet_rows(curve, t)
-        T, N = fr.T[0], fr.N[0]
-        k, k1, _ = curve_curvature_derivs(curve, t)
-        k, k1 = float(k[0]), float(k1[0])
-        p = curve.chart(t)
+    k = elastic_kernel(curve)
+    total = _interior(k, curve, X)
+    for sgn, T, N, kap, k1, p in k.ends:
         xv = X.X(p)[0]
         dxv = X.dX(p)[0]
         x_t = float(xv @ T)
         x_n = float(xv @ N)
-        dxn_ds = float((dxv @ T) @ N) - k * x_t
-        total += sgn * (k**2 * x_t + 2.0 * k * dxn_ds - 2.0 * k1 * x_n)
+        dxn_ds = float((dxv @ T) @ N) - kap * x_t
+        total += sgn * (kap**2 * x_t + 2.0 * kap * dxn_ds - 2.0 * k1 * x_n)
     return total
 
 
@@ -250,7 +323,7 @@ def elastic_functional() -> ShapeFunctional:
     # ones included
     return ShapeFunctional("elastic", bending_energy,
                            complex_step(bending_energy, stepped_curve),
-                           analytic_delastic)
+                           analytic_delastic, order=2)
 
 
 @dataclass(frozen=True)
@@ -271,9 +344,11 @@ class CrackFunctional:
     evaluate: Callable[[object], float] = field(init=False)
     analytic_derivative: Optional[Callable] = field(init=False)
     discrete_derivative: Callable = field(init=False)
+    order: int = field(init=False)
 
     def __post_init__(self):
-        for name in ("evaluate", "analytic_derivative", "discrete_derivative"):
+        for name in ("evaluate", "analytic_derivative", "discrete_derivative",
+                     "order"):
             object.__setattr__(self, name, getattr(self.inner, name))
 
     def require_probe(self, radius: float):

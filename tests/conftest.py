@@ -3,7 +3,10 @@
 Shapes and fields are built through the JSON catalog so the tests exercise
 the same constructors the CLI uses.  Everything is session scoped: the
 geometry objects are immutable and their construction-time self checks are
-not free.
+not free.  The closed forms keep their kernels in memos keyed on the
+manifold (functionals), so a test that patches a helper of a kernel builds
+its own manifold: a session fixture may be served a kernel built before
+the patch.
 """
 
 import numpy as np

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -101,8 +102,15 @@ def test_non_finite_closed_form_exits_1_naming_the_manifold(
         curve_config, tmp_path, capsys, monkeypatch):
     from shapecalc import functionals
 
-    monkeypatch.setattr(functionals, "length_density",
-                        lambda M, X: lambda ts: np.full(len(ts), np.nan))
+    # a NaN curvature in the kernel's interior density; the run builds its
+    # own circle1, so no kernel memoized before the patch is served
+    real = functionals.frenet_rows
+
+    def nan_kappa(curve, t):
+        fr, straight = real(curve, t)
+        return replace(fr, kappa=np.full_like(fr.kappa, np.nan)), straight
+
+    monkeypatch.setattr(functionals, "frenet_rows", nan_kappa)
     assert cli.main(["run", curve_config, "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == (
         "suite aborted: length/circle1/radial: integral over 'circle1' is not "
@@ -584,3 +592,52 @@ def test_shape_past_the_field_cutoff_exits_2(center, far, tmp_path, capsys):
         f"error: config.shapes[0]: shape 'circle1' reaches |p| = {far}, and "
         "every cut-off field is 0 from |p| = 10 out\n")
     assert not (tmp_path / "out").exists()
+
+
+GROUPS = {
+    "name": "groups",
+    "fd": {"t0": 0.01, "levels": LEVELS, "richardson": True},
+    "shapes": [{"kind": "circle", "radius": 1.0, "name": "circle1"},
+               {"kind": "cylinder", "radius": 1.0, "height": 2.0,
+                "name": "cylinder"}],
+    "fields": [{"kind": "radial", "name": "radial"},
+               {"kind": "rotation", "name": "rotation"}],
+    "functionals": [{"kind": "length"}, {"kind": "elastic"}, {"kind": "area"}],
+    "suites": ["compare"],
+}
+
+
+def _jet_flows(functionals: list, tmp_path, monkeypatch) -> list:
+    """a0 is None, for every flow_curve_jet call of the comparisons of
+    GROUPS with `functionals`."""
+    from shapecalc import flow
+
+    path = tmp_path / "groups.json"
+    path.write_text(json.dumps(dict(GROUPS, functionals=functionals)))
+    plan = cli.load_plan(str(path))
+    calls = []
+    real = flow.flow_curve_jet
+
+    def recorded(field, x0, v0, a0, cfg):
+        calls.append(a0 is None)
+        return real(field, x0, v0, a0, cfg)
+
+    monkeypatch.setattr(flow, "flow_curve_jet", recorded)
+    for job in cli.comparison_jobs(plan):
+        assert [rep.verdict for rep in job.run()] == ["pass"]
+    return calls
+
+
+def test_order_one_group_flows_no_second_jet(tmp_path, monkeypatch):
+    # length alone on circle1: (x, gamma') flows, one per level and field
+    calls = _jet_flows([{"kind": "length"}, {"kind": "area"}], tmp_path,
+                       monkeypatch)
+    assert calls == [True] * (2 * (LEVELS + 1))
+
+
+def test_order_two_group_flows_one_jet_per_level(tmp_path, monkeypatch):
+    # length and elastic on circle1 share one (x, gamma', gamma'') flow per
+    # level and field; the cylinder's area, compared last, takes none and
+    # does not lower the circle's order
+    calls = _jet_flows(GROUPS["functionals"], tmp_path, monkeypatch)
+    assert calls == [False] * (2 * (LEVELS + 1))

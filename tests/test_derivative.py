@@ -199,3 +199,39 @@ def test_schedule_is_never_served_to_another_cfg_or_pair(flowed):
         assert len(flowed) == before + cfg.levels + 1
         assert all(c[0] is X_ and c[1] is M_ for c in flowed[before:])
         assert _same_trace(tr, fd_quotients(J, *_fresh_pair(), cfg=cfg))
+
+
+# -- the order of a schedule ----------------------------------------------------
+
+PLANAR_FIELDS = [{"kind": "radial", "name": "radial"},
+                 {"kind": "rotation", "name": "rotation"},
+                 {"kind": "constant", "vector": [1.0, 0.0], "name": "e1"},
+                 {"kind": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                  "name": "identity"},
+                 {"kind": "linear", "matrix": [[0.0, 1.0], [0.0, 0.0]],
+                  "name": "shear"}]
+
+
+@pytest.mark.parametrize("shape", ["circle1", "segment01"])
+@pytest.mark.parametrize("fdesc", PLANAR_FIELDS, ids=lambda d: d["name"])
+def test_schedule_order_moves_no_quotient(shape, fdesc, flowed, request):
+    # an order-2 schedule reads gamma' and gamma'' from one jet flow per
+    # level, an order-1 schedule flows them apart: the same bits
+    M = request.getfixturevalue(shape)
+    X = build_field(fdesc, 2)
+    Js = (length_functional(), elastic_functional())
+    by_order = {}
+    for order in (1, 2):
+        by_order[order] = [fd_quotients(J, M, X, cfg=FD3, order=order)
+                           for J in Js]
+    # one schedule per order: each serves length and elastic, and the
+    # order-1 schedule is not served to order 2
+    n = FD3.levels + 1
+    assert [c[3] for c in flowed] == [1] * n + [2] * n
+    for a, b in zip(by_order[1], by_order[2]):
+        assert _same_trace(a, b)
+    # a schedule of order 2 serves order 1
+    before = len(flowed)
+    assert _same_trace(fd_quotients(Js[0], M, X, cfg=FD3, order=1),
+                       by_order[1][0])
+    assert len(flowed) == before

@@ -412,6 +412,22 @@ def test_invariance_flow_over_the_step_cap_raises_before_flowing(circle1,
     assert all(np.isfinite(out).all() for _, _, _, out in flows)
 
 
+def test_invariance_flow_of_the_wrong_order_raises(request, monkeypatch):
+    # with a76 = -15/11 the stepper is of order about 1: on circle1's
+    # tangent-bump0 the residual differences fall about 2-fold per level,
+    # not 2^6, and the table raises at three levels (21 steps) instead of
+    # flowing levels up to 12,288 steps
+    M, field = _tangent_probe("circle1", "tangent-bump0[circle1]", request)
+    c, A, b = flow_mod.RK6_TABLEAU
+    monkeypatch.setattr(flow_mod, "RK6_TABLEAU",
+                        (c, A[:6] + (A[6][:5] + (-15 / 11,),), b))
+    flows = _recording_rk6_flows(monkeypatch)
+    with pytest.raises(NoConvergence, match=r"levels of 3, 6 and 12 steps "
+                       r"fell [12]\.\d+-fold, less than the 32-fold"):
+        invariance_residual(field, M, 0.5)
+    assert [n for _, _, n, _ in flows] == [3, 6, 12]
+
+
 def _counting_flows(monkeypatch):
     import shapecalc.flow as flow_mod
 

@@ -201,3 +201,95 @@ def test_delastic_end_kappa_prime_term_is_read(monkeypatch, radial2, identity2):
     arc = _elliptic_arc()
     for X in (radial2, identity2):
         assert abs(analytic_delastic(arc, X) - DV_ELASTIC(arc, X)) > 1.0
+
+
+# -- structure-theorem kernels, built once per (J, M) -------------------------
+
+PAPER_FIELDS = [{"kind": "radial"}, {"kind": "rotation"},
+                {"kind": "constant", "vector": [1.0, 0.0]},
+                {"kind": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+                {"kind": "linear", "matrix": [[0.0, 1.0], [0.0, 0.0]]}]
+
+
+def _fresh(desc):
+    # a new object misses every kernel memo, which is keyed on identity
+    from shapecalc.catalog import build_shape
+    return build_shape(dict(desc))
+
+
+def test_elastic_kernel_is_built_once_for_the_paper_fields(monkeypatch):
+    # the five planar fields of the paper suite on circle1 read one set of
+    # curvature derivatives (five before kernels)
+    from shapecalc.catalog import build_field
+
+    M = _fresh({"kind": "circle", "radius": 1.0, "name": "circle1"})
+    calls = []
+    real = functionals.curve_curvature_derivs
+
+    def counted(curve, t):
+        calls.append(curve)
+        return real(curve, t)
+
+    monkeypatch.setattr(functionals, "curve_curvature_derivs", counted)
+    for i, desc in enumerate(PAPER_FIELDS):
+        analytic_delastic(M, build_field(dict(desc, name=f"f{i}"), 2))
+    assert calls == [M]
+
+
+KERNEL_CASES = [
+    (functionals.length_kernel, analytic_dlength,
+     {"kind": "circle", "radius": 1.0, "name": "circle1"}, 2),
+    (functionals.length_kernel, analytic_dlength,
+     {"kind": "segment", "p0": [0.5, 0.0], "p1": [1.5, 0.0], "name": "s"}, 2),
+    (functionals.length_kernel, analytic_dlength,
+     {"kind": "helix", "radius": 1.0, "pitch": TWO_PI, "turns": 1.0,
+      "name": "helix1"}, 3),
+    (functionals.elastic_kernel, analytic_delastic,
+     {"kind": "circle", "radius": 1.0, "name": "circle1"}, 2),
+    (functionals.elastic_kernel, analytic_delastic,
+     {"kind": "segment", "p0": [0.5, 0.0], "p1": [1.5, 0.0], "name": "s"}, 2),
+    (functionals.area_kernel, analytic_darea,
+     {"kind": "cylinder", "radius": 1.0, "height": 2.0, "name": "cylinder"}, 3),
+]
+
+
+def _same_kernel(a, b) -> bool:
+    arrays = ("wts", "measure", "g", "N", "pts")
+    if not all(np.array_equal(getattr(a, k), getattr(b, k)) for k in arrays):
+        return False
+    return len(a.ends) == len(b.ends) and all(
+        np.array_equal(x, y)
+        for ea, eb in zip(a.ends, b.ends) for x, y in zip(ea, eb))
+
+
+@pytest.mark.parametrize("kernel, closed_form, desc, dim", KERNEL_CASES)
+def test_memoized_kernel_is_bit_equal_to_a_fresh_rebuild(kernel, closed_form,
+                                                         desc, dim):
+    from shapecalc.catalog import build_field
+
+    fields = [build_field(dict(d, name=f"f{i}"), dim) for i, d in enumerate(
+        [{"kind": "radial"}, {"kind": "linear", "matrix": np.eye(dim).tolist()}])]
+    M = _fresh(desc)
+    k = kernel(M)
+    memoized = [closed_form(M, X) for X in fields]
+    assert kernel(M) is k                 # every value read the one kernel
+    other = _fresh(desc)
+    assert kernel(other) is not k
+    assert _same_kernel(kernel(other), k)
+    assert [closed_form(other, X) for X in fields] == memoized
+
+
+def test_same_name_other_geometry_gets_its_own_kernel(identity2):
+    # two circles named c, of radius 1 and 2, under X = p, which scales
+    # them at rate 1: length 2 pi r grows by 2 pi r, bending energy 2 pi / r
+    # falls by 2 pi / r
+    c1 = _fresh({"kind": "circle", "radius": 1.0, "name": "c"})
+    c2 = _fresh({"kind": "circle", "radius": 2.0, "name": "c"})
+    for M, r in ((c1, 1.0), (c2, 2.0), (c1, 1.0)):
+        assert analytic_dlength(M, identity2) == pytest.approx(TWO_PI * r,
+                                                               rel=1e-12)
+        assert analytic_delastic(M, identity2) == pytest.approx(-TWO_PI / r,
+                                                                rel=1e-8)
+    assert functionals.length_kernel(c1) is not functionals.length_kernel(c2)
+    assert not np.array_equal(functionals.length_kernel(c1).g,
+                              functionals.length_kernel(c2).g)
