@@ -269,22 +269,40 @@ def _shape_segment(p: _Params, name: str) -> ParamCurve:
                       ddgamma=ddgamma, closed=False, name=name, foot=foot)
 
 
+def _columns(*cols) -> np.ndarray:
+    """(n, len(cols)) rows whose columns are cols, (n,) arrays or scalars,
+    filled into one array."""
+    out = np.empty((len(cols[0]), len(cols)))
+    for j, col in enumerate(cols):
+        out[:, j] = col
+    return out
+
+
+def _trig_chart(forms):
+    """(gamma, dgamma, ddgamma, jets) of a chart whose three rows are
+    forms[i](ts, cos ts, sin ts), each a tuple of columns; jets builds the
+    three from one cos/sin pair."""
+    def one(form):
+        return lambda ts: _columns(*form(ts, np.cos(ts), np.sin(ts)))
+
+    def jets(ts):
+        c, s = np.cos(ts), np.sin(ts)
+        return tuple(_columns(*form(ts, c, s)) for form in forms)
+
+    return (*map(one, forms), jets)
+
+
 def _shape_ellipse(p: _Params, name: str) -> ParamCurve:
     sa = p.scalar("a", positive=True)
     sb = p.scalar("b", positive=True)
     p.finish()
-
-    def gamma(ts):
-        return np.stack([sa * np.cos(ts), sb * np.sin(ts)], axis=-1)
-
-    def dgamma(ts):
-        return np.stack([-sa * np.sin(ts), sb * np.cos(ts)], axis=-1)
-
-    def ddgamma(ts):
-        return np.stack([-sa * np.cos(ts), -sb * np.sin(ts)], axis=-1)
-
+    gamma, dgamma, ddgamma, jets = _trig_chart((
+        lambda ts, c, s: (sa * c, sb * s),
+        lambda ts, c, s: (-sa * s, sb * c),
+        lambda ts, c, s: (-sa * c, -sb * s)))
     return ParamCurve(dim=2, a=0.0, b=2.0 * np.pi, gamma=gamma,
-                      dgamma=dgamma, ddgamma=ddgamma, closed=True, name=name)
+                      dgamma=dgamma, ddgamma=ddgamma, closed=True, name=name,
+                      jets=jets)
 
 
 def _shape_helix(p: _Params, name: str) -> ParamCurve:
@@ -292,21 +310,14 @@ def _shape_helix(p: _Params, name: str) -> ParamCurve:
     pitch = p.scalar("pitch")
     turns = p.scalar("turns", default=1.0, positive=True)
     p.finish()
-    c = pitch / (2.0 * np.pi)
-
-    def gamma(ts):
-        return np.stack([r * np.cos(ts), r * np.sin(ts), c * ts], axis=-1)
-
-    def dgamma(ts):
-        return np.stack([-r * np.sin(ts), r * np.cos(ts),
-                         np.full_like(ts, c)], axis=-1)
-
-    def ddgamma(ts):
-        return np.stack([-r * np.cos(ts), -r * np.sin(ts),
-                         np.zeros_like(ts)], axis=-1)
-
+    k = pitch / (2.0 * np.pi)
+    gamma, dgamma, ddgamma, jets = _trig_chart((
+        lambda ts, c, s: (r * c, r * s, k * ts),
+        lambda ts, c, s: (-r * s, r * c, k),
+        lambda ts, c, s: (-r * c, -r * s, 0.0)))
     return ParamCurve(dim=3, a=0.0, b=2.0 * np.pi * turns, gamma=gamma,
-                      dgamma=dgamma, ddgamma=ddgamma, closed=False, name=name)
+                      dgamma=dgamma, ddgamma=ddgamma, closed=False, name=name,
+                      jets=jets)
 
 
 def _shape_cylinder(p: _Params, name: str) -> ParamSurface:
@@ -395,7 +406,9 @@ def _localized(nominal_X, nominal_dX, dim: int, name: str,
     derivatives near the catalog shapes are exactly those of the nominal
     field, returned as they are; the cutoff and, for the derivatives, the
     product rule are applied only to the rows outside that radius, in
-    place (the nominal forms return new arrays).  nominal_d2X(pts, v) is
+    place (the nominal forms return new arrays).  X, dX and jet are one
+    body: jet takes one shell, one nominal X and one cutoff jet for both.
+    nominal_d2X(pts, v) is
     the nominal D^2N[v, v]; None stands for an affine nominal field, whose
     D^2N is 0.
     """
@@ -411,26 +424,36 @@ def _localized(nominal_X, nominal_dX, dim: int, name: str,
         shell = r2 > CUTOFF_INNER ** 2
         return pts, np.linalg.norm(pts[shell], axis=1), shell
 
-    def X(pts):
+    def _eval(pts, with_dX: bool):
+        # one shell, one nominal X and one cutoff per call; dX is None
+        # unless with_dX
         pts, rr, shell = shell_of(pts)
-        out = nominal_X(pts)
+        x = nominal_X(pts)
+        dx = nominal_dX(pts) if with_dX else None
         if shell.any():
-            w = smooth_step((rr - CUTOFF_INNER) / span)
-            out[shell] = w[:, None] * out[shell]
-        return out
-
-    def dX(pts):
-        pts, rr, shell = shell_of(pts)
-        out = nominal_dX(pts)
-        if shell.any():
-            w, dw, _ = smooth_step_jet((rr - CUTOFF_INNER) / span)
+            s = (rr - CUTOFF_INNER) / span
+            if not with_dX:
+                x[shell] = smooth_step(s)[:, None] * x[shell]
+                return x, None
+            w, dw = smooth_step_jet(s, order=1)
             dw = dw / span
             grad = np.zeros((len(rr), dim))
             act = dw != 0.0
             grad[act] = (dw[act] / rr[act])[:, None] * pts[shell][act]
-            out[shell] = (w[:, None, None] * out[shell]
-                          + nominal_X(pts)[shell][:, :, None] * grad[:, None, :])
-        return out
+            xs = x[shell]
+            x[shell] = w[:, None] * xs
+            dx[shell] = (w[:, None, None] * dx[shell]
+                         + xs[:, :, None] * grad[:, None, :])
+        return x, dx
+
+    def X(pts):
+        return _eval(pts, False)[0]
+
+    def dX(pts):
+        return _eval(pts, True)[1]
+
+    def jet(pts):
+        return _eval(pts, True)
 
     def d2X(pts, v):
         # the second-order product rule on the shell rows:
@@ -452,7 +475,7 @@ def _localized(nominal_X, nominal_dX, dim: int, name: str,
 
     return AmbientField(dim=dim, X=X, dX=dX,
                         support=Ball(np.zeros(dim), CUTOFF_OUTER), name=name,
-                        d2X=d2X)
+                        d2X=d2X, jet=jet)
 
 
 def _linear_nominal(A: np.ndarray):

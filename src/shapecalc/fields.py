@@ -4,7 +4,13 @@ An AmbientField is a compactly supported C^k field on the hold-all domain,
 given by vectorized callables X: (n, d) -> (n, d) and dX: (n, d) -> (n, d, d),
 and optionally d2X: ((n, d), (n, d)) -> (n, d), the second derivative
 D^2X[v, v] along given rows v, which a flowed curve's second jet reads
-(flow).
+(flow).  jet: (n, d) -> (X, dX) gives both in one pass, bit for bit the
+values of X and dX (forward mode: a value and its derivative share every
+intermediate, Griewank & Walther, Evaluating Derivatives, 2008, ch. 3).
+Bumps, sums and pullbacks compute it from the same body as their X and
+dX, sharing the support test, the projection, the distance and the
+cutoff; any other field's jet is (X(pts), dX(pts)), and construction
+checks a supplied one against them (AmbientField).
 split_field decomposes X|_M at given parameters into X_perp + X_tan + X_nu
 with the manifold's own queries (see geometry): X_perp is normal_part, X_nu
 the component along conormal_extension, X_tan the remainder.  The perp
@@ -18,6 +24,7 @@ so X and dX are 0 on and outside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,10 +78,11 @@ def bump_profile_deriv2(s) -> np.ndarray:
     return out
 
 
-def smooth_step_jet(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def smooth_step_jet(s, order: int = 2) -> tuple[np.ndarray, ...]:
     """(S, S', S'') of the C^infinity transition S: 1 for s <= 0, 0 for
-    s >= 1, monotone between.  With f(u) = exp(-1/u), fa = f(1 - s),
-    fb = f(s), D = fa + fb and N = fa' fb - fa fb' (primes d/ds):
+    s >= 1, monotone between, or (S, S') at order 1.  With f(u) =
+    exp(-1/u), fa = f(1 - s), fb = f(s), D = fa + fb and N = fa' fb - fa fb'
+    (primes d/ds):
 
         S = fa / D,   S' = N / D^2,
         S'' = (fa'' fb - fa fb'') / D^2 - 2 N (fa' + fb') / D^3,
@@ -83,17 +91,20 @@ def smooth_step_jet(s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one of fa, fb underflows to 0, so S is 1 or 0 and S', S'' are 0."""
     s = np.asarray(s, dtype=float)
     S = (s < 0.5).astype(float)
-    dS, d2S = np.zeros_like(s), np.zeros_like(s)
+    dS = np.zeros_like(s)
     m = (s > 1e-12) & (s < 1.0 - 1e-12)
     a, b = 1.0 - s[m], s[m]
     fa, fb = np.exp(-1.0 / a), np.exp(-1.0 / b)
     dfa, dfb = -fa / (a * a), fb / (b * b)
-    d2fa = fa * (1.0 - 2.0 * a) / (a * a * a * a)
-    d2fb = fb * (1.0 - 2.0 * b) / (b * b * b * b)
     den = fa + fb
     num = dfa * fb - fa * dfb
     S[m] = fa / den
     dS[m] = num / (den * den)
+    if order == 1:
+        return S, dS
+    d2S = np.zeros_like(s)
+    d2fa = fa * (1.0 - 2.0 * a) / (a * a * a * a)
+    d2fb = fb * (1.0 - 2.0 * b) / (b * b * b * b)
     d2S[m] = ((d2fa * fb - fa * d2fb) / (den * den)
               - 2.0 * num * (dfa + dfb) / (den * den * den))
     return S, dS, d2S
@@ -114,10 +125,6 @@ def smooth_step(s) -> np.ndarray:
     fa = _f_exp(1.0 - sc)
     fb = _f_exp(sc)
     return fa / (fa + fb + 1e-300)
-
-
-def smooth_step_deriv(s) -> np.ndarray:
-    return smooth_step_jet(s)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +172,30 @@ class AmbientField:
     """Compactly supported ambient field with analytic or FD Jacobian.
 
     X maps (n, dim) float64 points to float64 (n, dim) rows and dX to
-    float64 (n, dim, dim) rows.  d2X, when set, maps (n, dim) points and
+    float64 (n, dim, dim) rows.  jet maps points to the pair (X, dX) in
+    one pass: a field whose X and dX share work (a support test, a
+    projection, a cutoff) supplies its own, computed by the same body as
+    its X and dX, and a field without one gets (X(pts), dX(pts)).  Either
+    way jet(pts) equals (X(pts), dX(pts)) bit for bit, so a reader of both
+    (an RK4 stage of a joint or jet flow) calls jet and a reader of one
+    calls X or dX.  d2X, when set, maps (n, dim) points and
     (n, dim) rows v to the float64 (n, dim) rows D^2X[v, v]; a flowed
     curve carries its second derivative through the second variational
     equation only for a field that has it (flow).  Construction checks
     that contract on the values its desk checks compute and raises
     InvariantViolation naming the callable that broke it; every other
     reader uses the values as they are.  It samples 64 points outside
-    `support` (X and dX must vanish there) and checks dX against
-    central differences of X at 32 interior points to relative 1e-6,
+    `support` (X and dX must vanish there) and checks dX against central
+    differences of X at 32 interior points to relative 1e-6,
     Richardson-combined with a second step where one step alone misses.
     d2X gets the same check at the same points, against the central
     difference of dX along one random unit row v per point; one dX call
-    serves the points and their +-h v rows.
+    serves the points and their +-h v rows.  A supplied jet takes the
+    place of that interior dX call, with the 64 exterior points stacked
+    before its rows: it must return X and dX there bit for bit
+    (np.array_equal), and its dX takes the interior checks.  So the check
+    costs no field call and no projection more than a field without a jet
+    (its bitwise agreement inside the support is Tier-1's to test).
 
     `scale`, when set, is the characteristic width of the field's spatial
     variation (a bump's radius); it caps the step of the 5-point stencil
@@ -192,12 +210,17 @@ class AmbientField:
     name: str = "field"
     scale: float | None = None
     d2X: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.scale is not None and not self.scale > 0.0:
             raise InvariantViolation(
                 f"field '{self.name}': scale must be positive, got {self.scale!r}"
             )
+        own_jet = self.jet is not None
+        if not own_jet:
+            X, dX = self.X, self.dX
+            object.__setattr__(self, "jet", lambda pts: (X(pts), dX(pts)))
         where, d = f"field '{self.name}'", self.dim
         rng = np.random.default_rng(_CHECK_RNG_SEED)
         out = self.support.exterior_points(64, rng)
@@ -207,18 +230,32 @@ class AmbientField:
             raise InvariantViolation(f"{where}: does not vanish outside its support")
         pts = self.support.interior_points(32, rng)
         h = 1e-6 * (1.0 + self.support.radius)
-        if self.d2X is None:
-            got = _checked(where, "dX", self.dX(pts), (32, d, d))
-        else:
+        rows = [pts]
+        if self.d2X is not None:
             # one dX call on pts and the +-h v rows of the d2X check
             v = rng.normal(size=(32, d))
             v /= np.linalg.norm(v, axis=1)[:, None]
-            rows = np.concatenate([pts, pts + h * v, pts - h * v])
-            got, plus, minus = np.split(
-                _checked(where, "dX", self.dX(rows), (96, d, d)), 3)
-        _check_fd(where, "dX", got,
+            rows += [pts + h * v, pts - h * v]
+        n = 32 * len(rows)
+        if own_jet:
+            # the jet in place of dX at the interior rows, the exterior
+            # stacked before them: one call, no projection more
+            label = "jet's dX"
+            jX, jdX = self.jet(np.concatenate([out, *rows]))
+            if not (np.array_equal(jX[:64], Xo) and np.array_equal(jdX[:64], dXo)):
+                raise InvariantViolation(
+                    f"{where}: jet differs from (X, dX) bit for bit outside "
+                    f"its support")
+            dXr = _checked(where, label, jdX[64:], (n, d, d))
+        else:
+            label = "dX"
+            dXr = _checked(where, label, self.dX(np.concatenate(rows)), (n, d, d))
+        got, *shifted = np.split(dXr, len(rows))
+        _check_fd(where, label, got,
                   lambda step: _central_difference(self.X, pts, d, step), h)
         if self.d2X is not None:
+            plus, minus = shifted
+
             def directional(step):
                 # (dX(pts + step v) v - dX(pts - step v) v) / 2 step
                 P, M = ((plus, minus) if step == h else
@@ -283,10 +320,11 @@ def last_call_memo(fn: Callable[..., object]) -> Callable[..., object]:
     arguments.
 
     Pairs of evaluations on the same arrays one after the other share one
-    computation: a field's X and dX in an RK4 stage with jet or Jacobian
-    transport (one nearest-point projection), the transported derivatives
-    of a flowed manifold (one jet flow for gamma' and gamma'' on a curve,
-    one Jacobian flow for phi_u and phi_v on a surface).  The memo is
+    computation: the transported derivatives of a flowed manifold (one jet
+    flow for gamma' and gamma'' on a curve, one Jacobian flow for phi_u
+    and phi_v on a surface), a stepped curve's gamma' read twice on the
+    same nodes, a tangent bump's direction and its Jacobian (one
+    nearest-point projection).  The memo is
     private to the closure that holds it, and the (key, value) pair is
     replaced as one object, so a reader never sees a key with another
     key's value.
@@ -312,7 +350,8 @@ def bump_field(center, radius: float, direction, name: str = "bump",
     constant vector or a vectorized callable (n, d) -> (n, d).  A callable
     direction comes with `direction_jacobian`, (n, d) -> (n, d, d); both
     are called only where the bump is alive, and X calls only the first.
-    Only a constant direction gives the field a d2X.
+    jet computes the radius, the profile and the direction once for X and
+    dX.  Only a constant direction gives the field a d2X.
     The ambient dimension is len(center).  Raises SupportViolation if the
     ball is not contained in the hold-all default_holdall(dim).
     """
@@ -328,42 +367,49 @@ def bump_field(center, radius: float, direction, name: str = "bump",
     elif direction_jacobian is None:
         raise ValueError("a callable bump direction needs direction_jacobian")
 
-    def X(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        s = np.linalg.norm(pts - center, axis=1) / radius
-        beta = bump_profile(s)
-        if const_dir:
-            return beta[:, None] * dvec[None, :]
-        # callable directions (e.g. nearest-point pullbacks) are only
-        # meaningful, and only needed, where the bump is alive
-        out = np.zeros_like(pts)
-        m = beta > 0.0
-        if np.any(m):
-            out[m] = beta[m, None] * np.asarray(direction(pts[m]), dtype=float)
-        return out
-
-    def dX(pts: np.ndarray) -> np.ndarray:
+    def _eval(pts: np.ndarray, with_dX: bool):
+        # (X, dX) from one radius, one profile and one direction call;
+        # dX is None unless with_dX
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         r = pts - center
         dist = np.linalg.norm(r, axis=1)
         s = dist / radius
+        beta = bump_profile(s)
+        if const_dir:
+            x = beta[:, None] * dvec[None, :]
+        else:
+            # callable directions (e.g. nearest-point pullbacks) are only
+            # meaningful, and only needed, where the bump is alive
+            x = np.zeros_like(pts)
+            m = beta > 0.0
+            if np.any(m):
+                q = pts[m]
+                D = np.asarray(direction(q), dtype=float)
+                x[m] = beta[m, None] * D
+        if not with_dX:
+            return x, None
         grad_s = np.zeros_like(pts)
-        m = dist > 1e-300
-        grad_s[m] = r[m] / (dist[m, None] * radius)
+        k = dist > 1e-300
+        grad_s[k] = r[k] / (dist[k, None] * radius)
         grad_beta = bump_profile_deriv(s)[:, None] * grad_s
         if const_dir:
-            return dvec[None, :, None] * grad_beta[:, None, :]
+            return x, dvec[None, :, None] * grad_beta[:, None, :]
         # d(beta D) = D (x) grad beta + beta dD
-        out = np.zeros((len(pts), dim, dim))
-        beta = bump_profile(s)
-        m = beta > 0.0
+        dx = np.zeros((len(pts), dim, dim))
         if np.any(m):
-            q = pts[m]
-            out[m] = (np.asarray(direction(q), dtype=float)[:, :, None]
-                      * grad_beta[m, None, :]
-                      + beta[m, None, None] * np.asarray(direction_jacobian(q),
-                                                         dtype=float))
-        return out
+            dx[m] = (D[:, :, None] * grad_beta[m, None, :]
+                     + beta[m, None, None] * np.asarray(direction_jacobian(q),
+                                                        dtype=float))
+        return x, dx
+
+    def X(pts: np.ndarray) -> np.ndarray:
+        return _eval(pts, False)[0]
+
+    def dX(pts: np.ndarray) -> np.ndarray:
+        return _eval(pts, True)[1]
+
+    def jet(pts: np.ndarray):
+        return _eval(pts, True)
 
     def d2X(pts: np.ndarray, v: np.ndarray) -> np.ndarray:
         # (v^T H v) dvec with H the Hessian of beta(|r| / radius):
@@ -384,12 +430,12 @@ def bump_field(center, radius: float, direction, name: str = "bump",
 
     return AmbientField(dim=dim, X=X, dX=dX,
                         support=Ball(center, radius), name=name, scale=radius,
-                        d2X=d2X if const_dir else None)
+                        d2X=d2X if const_dir else None, jet=jet)
 
 
 def sum_field(fields: Sequence[AmbientField], name: str = "sum") -> AmbientField:
     """Pointwise sum; support is the smallest ball containing all supports.
-    It has a d2X when every part has one."""
+    Its jet sums the parts' jets.  It has a d2X when every part has one."""
     if not fields:
         raise ValueError("sum_field needs at least one field")
     dim = fields[0].dim
@@ -406,13 +452,19 @@ def sum_field(fields: Sequence[AmbientField], name: str = "sum") -> AmbientField
     def dX(pts):
         return sum(f.dX(pts) for f in fields)
 
+    def jet(pts):
+        # each part's one pass, summed in the order of X and dX
+        xs, dxs = zip(*(f.jet(pts) for f in fields))
+        return sum(xs), sum(dxs)
+
     def d2X(pts, v):
         return sum(f.d2X(pts, v) for f in fields)
 
     scales = [f.scale for f in fields if f.scale is not None]
     return AmbientField(dim=dim, X=X, dX=dX, support=Ball(mid, rad), name=name,
                         scale=min(scales) if scales else None,
-                        d2X=d2X if all(f.d2X is not None for f in fields) else None)
+                        d2X=d2X if all(f.d2X is not None for f in fields) else None,
+                        jet=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -471,20 +523,34 @@ def _component_on_params(manifold, field: AmbientField, which: str):
     return V
 
 
+def _scatter(rows, vals: np.ndarray, n: int) -> np.ndarray:
+    """n rows, vals on `rows` (a mask or indices, as many as vals) and 0
+    elsewhere; vals itself when they fill all n."""
+    if len(vals) == n:
+        return vals
+    out = np.zeros((n,) + vals.shape[1:])
+    out[rows] = vals
+    return out
+
+
 def pullback_field(manifold, V, tube: float, extend: float, name: str,
-                   profile=(smooth_step, smooth_step_deriv)) -> AmbientField:
+                   profile=(smooth_step, partial(smooth_step_jet, order=1))
+                   ) -> AmbientField:
     """X(p) = g(d / tube) V, d = |p - foot|, with V a constant vector or a
     callable of the foot parameters, taken at the nearest-point foot on the
     manifold widened by `extend` (see project; a closed curve ignores it).
 
-    profile is (g, g'), g zero from s = 1 on.  X and dX share one
-    projection.  dX = V (x) g'(s) grad d / tube, plus g dV/dt (x) grad t
-    for a callable V on a curve (dV/dt by a 5-point difference); a callable
-    V on a surface (the tangent-wave probes of
-    validation.tangential_probe_fields, and surface restriction fields)
-    gets a central-difference dX of step 1e-6 (1 + diameter).
+    profile is (g, g_jet): g(s) and g_jet(s) = (g(s), g'(s)), the g of
+    both bit for bit, g zero from s = 1 on.  dX = V (x) g'(s) grad d /
+    tube, plus g dV/dt (x) grad t for a callable V on a curve (dV/dt by a
+    5-point difference); there X, dX and jet are one body, which makes one
+    support-ball test, one projection and one g or g_jet call per call, so
+    jet projects once for both.  A callable V on a surface (the
+    tangent-wave probes of validation.tangential_probe_fields, and surface
+    restriction fields) gets a central-difference dX of step
+    1e-6 (1 + diameter) and the default jet.
     """
-    g, dg = profile
+    g, g_jet = profile
     is_curve = isinstance(manifold, ParamCurve)
     if is_curve and manifold.closed:
         extend = 0.0
@@ -494,50 +560,56 @@ def pullback_field(manifold, V, tube: float, extend: float, name: str,
     mid, rad = manifold.grid_ball
     rad = rad + extend * float(manifold.grid_speed.max()) + tube
     dim = manifold.dim
-    foot = last_call_memo(lambda pts: manifold.project(pts, extend))
 
-    def in_ball(pts):
+    def _eval(pts, with_X: bool, with_dX: bool):
         # projection is only needed inside the support ball; everything
         # outside is zero by construction
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return pts, np.linalg.norm(pts - mid, axis=1) <= rad
-
-    def X(pts):
-        pts, m = in_ball(pts)
-        out = np.zeros_like(pts)
-        if np.any(m):
-            ft = foot(pts[m])
-            out[m] = g(ft.dist / tube)[:, None] * (V if const else V(ft.params))
-        return out
-
-    def dX(pts):
-        pts, m = in_ball(pts)
-        out = np.zeros((len(pts), dim, dim))
+        n = len(pts)
+        m = np.linalg.norm(pts - mid, axis=1) <= rad
         if not np.any(m):
-            return out
-        ft = foot(pts[m])
+            return (np.zeros_like(pts) if with_X else None,
+                    np.zeros((n, dim, dim)) if with_dX else None)
+        ft = manifold.project(pts if m.all() else pts[m], extend)
         s = ft.dist / tube
-        gs = g(s)
+        gs, dgs = g_jet(s) if with_dX else (g(s), None)
+        x = (_scatter(m, gs[:, None] * (V if const else V(ft.params)), n)
+             if with_X else None)
+        if not with_dX:
+            return x, None
         # g' vanishes wherever g does (the two underflow together), and
         # inside the tube grad t is finite
         k = gs > 0.0
         rows = np.flatnonzero(m)[k]
-        grad = (dg(s[k])[:, None] * ft.grad_dist[k] / tube)[:, None, :]
+        grad = (dgs[k][:, None] * ft.grad_dist[k] / tube)[:, None, :]
         if const:
-            out[rows] = V[None, :, None] * grad
+            dx = V[None, :, None] * grad
         elif np.any(k):
             t = ft.params[k]
             dV = sample_derivative(V, (t,), 1e-4 * (manifold.b - manifold.a), 1,
                                    manifold.a - extend, manifold.b + extend,
                                    periodic=manifold.closed)
-            out[rows] = (V(t)[:, :, None] * grad
-                         + gs[k, None, None] * dV[:, :, None] * ft.grad_t[k, None, :])
-        return out
+            dx = (V(t)[:, :, None] * grad
+                  + gs[k, None, None] * dV[:, :, None] * ft.grad_t[k, None, :])
+        else:
+            dx = np.zeros((0, dim, dim))
+        return x, _scatter(rows, dx, n)
 
-    if not (const or is_curve):
+    def X(pts):
+        return _eval(pts, True, False)[0]
+
+    if const or is_curve:
+        def dX(pts):
+            return _eval(pts, False, True)[1]
+
+        def jet(pts):
+            return _eval(pts, True, True)
+    else:
         # a surface chart has no phi_uu or phi_uv, so no exact foot gradient
         dX = fd_jacobian(X, dim, 1e-6 * (1.0 + manifold.diameter))
-    return AmbientField(dim=dim, X=X, dX=dX, support=Ball(mid, rad), name=name)
+        jet = None
+    return AmbientField(dim=dim, X=X, dX=dX, support=Ball(mid, rad), name=name,
+                        jet=jet)
 
 
 def restriction_field(manifold, field: AmbientField, component: str,

@@ -2,7 +2,9 @@
 
 The flow map Phi_t solves x' = X(x) with a fixed-step RK4 integrator.  Three
 flows step one RK4 loop, so their points are bit for bit those of the point
-flow:
+flow.  Each RK4 stage calls the field once: X in the point flow, and in
+the other two the field's jet, X and dX from one pass (AmbientField), plus
+d2X for a curve's second derivative:
 - the point flow, x alone
 - the joint flow, which co-transports the space Jacobian dPhi_t through the
   variational equation (dPhi)' = dX(Phi) dPhi
@@ -245,10 +247,11 @@ def flow_with_jacobian(field: AmbientField, x0,
     field call."""
     x = np.atleast_2d(np.asarray(x0, dtype=float))
     n, d = x.shape
-    X, dX = field.X, field.dX
+    jet = field.jet
 
     def rhs(xc, Jc):
-        return X(xc), _jacobian_product(dX(xc), Jc)
+        Xc, D = jet(xc)
+        return Xc, _jacobian_product(D, Jc)
 
     return _rk4(rhs, (x, np.broadcast_to(np.eye(d), (n, d, d)).copy()), cfg,
                 field, "joint")
@@ -264,13 +267,13 @@ def flow_curve_jet(field: AmbientField, x0: np.ndarray, v0: np.ndarray,
     so that x = Phi_t(x0), v = dPhi_t(x0) v0 and a is the t-transport of
     the second derivative a0 of a curve through x0 with velocity v0.
     With a0 = None only (x, v) are flowed; a field without d2X needs it.
-    Each stage calls X and dX on the same array, in that order, and
-    applies the one dX to the v and a rows.  At t_final = 0 this returns
-    copies without a field call."""
-    X, dX, d2X = field.X, field.dX, field.d2X
+    Each stage takes X and dX from one jet call and applies the one dX to
+    the v and a rows.  At t_final = 0 this returns copies without a field
+    call."""
+    jet, d2X = field.jet, field.d2X
 
     def rhs(xc, vc, ac=None):
-        Xc, D = X(xc), dX(xc)
+        Xc, D = jet(xc)
         Dv = np.einsum("nij,nj->ni", D, vc)
         if ac is None:
             return Xc, Dv
@@ -379,7 +382,8 @@ def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig,
             def ddgamma(ts):
                 return full(ts)[1]
 
-        derivs = {"dgamma": dgamma, "ddgamma": ddgamma}
+        # jets=None: the base's chart jets would project through its chart
+        derivs = {"dgamma": dgamma, "ddgamma": ddgamma, "jets": None}
     else:
         # phi_u and phi_v share one transported Jacobian per node set
         jacobian = last_call_memo(

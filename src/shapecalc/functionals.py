@@ -108,7 +108,7 @@ def stepped_curve(curve: ParamCurve, X: AmbientField, step) -> ParamCurve:
     # bending energy reads gamma' twice on the same nodes
     dgamma = last_call_memo(lambda ts: curve.dgamma(ts) + step * eta(ts))
     return replace(curve, dgamma=dgamma, ddgamma=ddgamma, base=curve,
-                   foot=None, name=f"{curve.name}@{X.name}:{step:g}")
+                   foot=None, jets=None, name=f"{curve.name}@{X.name}:{step:g}")
 
 
 def stepped_surface(surf: ParamSurface, X: AmbientField, step) -> ParamSurface:
@@ -266,16 +266,20 @@ def bending_energy(curve: ParamCurve) -> float:
 @_memo_on_identity
 def elastic_kernel(curve: ParamCurve) -> Kernel:
     """2 kappa'' + kappa^3 against N; an open curve's ends are (sign, T, N,
-    kappa, kappa', chart point) at b (+1), then at a (-1)."""
+    kappa, kappa', chart point) at b (+1), then at a (-1).  One
+    curve_curvature_derivs call on the nodes with b and a appended gives
+    both: its stencils are row-wise, so every row reads as on its own."""
+    nodes, _ = gauss_legendre(curve.a, curve.b, CURVE_PANELS)
+    n = len(nodes)
+    ends_t = () if curve.closed else (curve.b, curve.a)
+    kap, k1, k2 = curve_curvature_derivs(curve, np.concatenate([nodes, ends_t]))
     ends = []
-    for t, sgn in () if curve.closed else ((curve.b, 1.0), (curve.a, -1.0)):
+    for i, (t, sgn) in enumerate(zip(ends_t, (1.0, -1.0)), start=n):
         fr, _ = frenet_rows(curve, t)
-        kap, k1, _ = curve_curvature_derivs(curve, t)
-        ends.append((sgn, fr.T[0], fr.N[0], float(kap[0]), float(k1[0]),
+        ends.append((sgn, fr.T[0], fr.N[0], float(kap[i]), float(k1[i]),
                      curve.chart(t)))
-    return _curve_kernel(curve, lambda fr, nodes: (
-        2.0 * curve_curvature_derivs(curve, nodes)[2] + fr.kappa**3),
-        tuple(ends))
+    return _curve_kernel(curve, lambda fr, nodes: 2.0 * k2[:n] + fr.kappa**3,
+                         tuple(ends))
 
 
 def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
@@ -294,8 +298,7 @@ def analytic_delastic(curve: ParamCurve, X: AmbientField) -> float:
     k = elastic_kernel(curve)
     total = _interior(k, curve, X)
     for sgn, T, N, kap, k1, p in k.ends:
-        xv = X.X(p)[0]
-        dxv = X.dX(p)[0]
+        xv, dxv = (v[0] for v in X.jet(p))
         x_t = float(xv @ T)
         x_n = float(xv @ N)
         dxn_ds = float((dxv @ T) @ N) - kap * x_t

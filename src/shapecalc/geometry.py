@@ -21,7 +21,8 @@ DegenerateImmersion.
 
 One array contract for every chart callable: gamma, dgamma, ddgamma take
 one (n,) float64 parameter array, phi, phi_u, phi_v two of one length, and
-each returns float64 rows, (n, dim) on a curve and (n, 3) on a surface.  A
+each returns float64 rows, (n, dim) on a curve and (n, 3) on a surface; a
+curve's optional jets returns the three rows of gamma, dgamma, ddgamma.  A
 foot hook takes (n, dim) float64 points and returns float64 (n,) parameter
 arrays.  Construction checks the contract on every value
 its desk checks compute and raises InvariantViolation naming the callable
@@ -397,6 +398,14 @@ class ParamCurve(_Sampled):
     returns it with no grid seeding and no Newton iteration.  Construction
     checks it on grid points pushed off the curve along +-normal
     directions.  Flowed curves carry none.
+
+    jets, when set, maps (n,) parameters to (gamma, gamma', gamma'') in one
+    call, bit for bit the values of the three callables, which
+    nearest_curve_param reads once per Newton iteration (a chart computes
+    them from shared work, the catalog's ellipse and helix from one cos/sin
+    pair).  Construction checks it against the three at the ends and the
+    derivative check's samples.  Flowed and stepped curves carry none,
+    since a copy of their base's jets would be its chart's.
     """
 
     dim: int
@@ -409,6 +418,8 @@ class ParamCurve(_Sampled):
     name: str = "curve"
     base: ParamCurve | None = None
     foot: Callable[[np.ndarray, float], np.ndarray] | None = None
+    jets: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]
+                   ] | None = None
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -428,8 +439,8 @@ class ParamCurve(_Sampled):
         ts = np.random.default_rng(_CHECK_RNG_SEED).uniform(
             self.a + 2 * h, self.b - 2 * h, 32)
         ends, probes = (np.array([self.a, self.b]),), ((ts,), (ts + h,), (ts - h,))
-        pts, g_ends, g_plus, g_minus = self._values(
-            where, "gamma", (grid,), ends, *probes[1:])
+        pts, g_ends, g_ts, g_plus, g_minus = self._values(
+            where, "gamma", (grid,), ends, *probes)
         if not np.all(np.isfinite(pts)):
             raise InvariantViolation(
                 f"{where}: gamma must map (n,) to finite (n, {self.dim})"
@@ -459,6 +470,15 @@ class ParamCurve(_Sampled):
                           (ts,))
         _check_difference(where, "ddgamma", dg_plus, dg_minus, ddg_ts, h, 1e-6,
                           (ts,))
+        if self.jets is not None:
+            got = self.jets(np.concatenate([ends[0], ts]))
+            want = [np.concatenate(v) for v in ((g_ends, g_ts), (dg_ends, dg_ts),
+                                                (ddg_ends, ddg_ts))]
+            if not (isinstance(got, tuple) and len(got) == 3 and all(
+                    np.array_equal(x, y) for x, y in zip(got, want))):
+                raise InvariantViolation(
+                    f"{where}: jets differ from (gamma, dgamma, ddgamma) "
+                    f"bit for bit")
         if self.foot is not None:
             _check_foot(where, lambda p: (self.foot(p, 0.0),),
                         self.gamma, (self.dgamma,), pts, self.unit_normal(grid),
@@ -810,14 +830,16 @@ def surface_max_curvature(surf: ParamSurface, params) -> np.ndarray:
 # quadrature
 
 
+@lru_cache(maxsize=4)
 def gauss_legendre(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, weights) of composite 5-point Gauss-Legendre on [lo, hi] with
-    `panels` equal panels."""
+    `panels` equal panels.  The last four rules are kept, keyed on (lo, hi,
+    panels), as read-only arrays that every caller shares."""
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     halfw = 0.5 * (edges[1] - edges[0])
-    return ((mid[:, None] + halfw * GL_NODES[None, :]).ravel(),
-            np.tile(halfw * GL_WEIGHTS, panels))
+    return (_frozen((mid[:, None] + halfw * GL_NODES[None, :]).ravel()),
+            _frozen(np.tile(halfw * GL_WEIGHTS, panels)))
 
 
 def integrate_curve(curve: ParamCurve, density: Callable[[np.ndarray], np.ndarray],
@@ -936,7 +958,8 @@ def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
     distance, so it settles in a minimum and not in a farthest point (a
     seed at an open end where the distance rises inward stays there).
     Raises NoConvergence when Newton still moves after NEWTON_MAX_ITER
-    steps.
+    steps.  Each iteration reads gamma, gamma' and gamma'' from one call
+    of the curve's jets, or from its three callables when it has none.
 
     The result is the nearest point when p lies inside the reach: there the
     foot is unique and the nearest grid seed lies in its basin.  Farther
@@ -969,10 +992,11 @@ def nearest_curve_param(curve: ParamCurve, pts: np.ndarray,
     lo = curve.a - extend
     hi = curve.b + extend
     tol = 1e-13 * span
+    jets = curve.jets or (lambda t: (curve.gamma(t), curve.dgamma(t),
+                                     curve.ddgamma(t)))
     for _ in range(NEWTON_MAX_ITER):
-        r = pts - curve.gamma(t)
-        dg = curve.dgamma(t)
-        ddg = curve.ddgamma(t)
+        g, dg, ddg = jets(t)
+        r = pts - g
         f = np.einsum("ij,ij->i", r, dg)
         fp = np.einsum("ij,ij->i", r, ddg) - np.einsum("ij,ij->i", dg, dg)
         # f and fp are -F' and -F'' for F = |p - gamma(t)|^2 / 2.  Where F is
@@ -1027,8 +1051,10 @@ class Foot:
 
     @cached_property
     def grad_dist(self) -> np.ndarray:
-        out = np.zeros_like(self.r)
         m = self.dist > 0.0
+        if m.all():
+            return self.r / self.dist[:, None]
+        out = np.zeros_like(self.r)
         out[m] = self.r[m] / self.dist[m, None]
         return out
 

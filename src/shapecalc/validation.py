@@ -41,7 +41,7 @@ from .derivative import FDConfig, discrete_variation, fd_quotients
 from .errors import ProbeOverlap
 from .fields import (AmbientField, _sample_params, bump_field, check_tangency,
                      last_call_memo, pullback_field, restriction_field,
-                     smooth_step, smooth_step_deriv, sum_field)
+                     smooth_step, smooth_step_jet, sum_field)
 from .flow import INVARIANCE_BOUND, invariance_residual
 from .functionals import CrackFunctional, length
 from .geometry import ParamCurve, curvature
@@ -160,11 +160,15 @@ def locality_suite(J, M, pairs: Sequence[LocalityPair],
     return StructureSuiteResult("locality", cases)
 
 
-# g(s) = s^2 step(s) and g'(s): a tube profile that vanishes to second
+def _squared_step_jet(s):
+    S, dS = smooth_step_jet(s, order=1)
+    return s * s * S, 2.0 * s * S + s * s * dS
+
+
+# g(s) = s^2 step(s) and (g, g'): a tube profile that vanishes to second
 # order on M, so a pullback_field built on it changes nothing on M,
 # first space derivatives included, and shape derivatives must not move
-_SQUARED_STEP = (lambda s: s * s * smooth_step(s),
-                 lambda s: 2.0 * s * smooth_step(s) + s * s * smooth_step_deriv(s))
+_SQUARED_STEP = (lambda s: s * s * smooth_step(s), _squared_step_jet)
 
 
 def locality_pairs(M, fields: Sequence[AmbientField]) -> list[LocalityPair]:

@@ -15,7 +15,7 @@ from shapecalc.catalog import (
     parse_functional,
 )
 from shapecalc.errors import ConfigError
-from shapecalc.fields import smooth_step, smooth_step_deriv
+from shapecalc.fields import smooth_step, smooth_step_jet
 from shapecalc.functionals import (
     area_functional,
     elastic_functional,
@@ -225,7 +225,7 @@ def _reference_localized(nominal_X, nominal_dX, pts):
     rr = np.linalg.norm(pts, axis=1)
     s = (rr - catalog.CUTOFF_INNER) / span
     w = smooth_step(s)
-    dw = np.asarray(smooth_step_deriv(s), dtype=float) / span
+    dw = np.asarray(smooth_step_jet(s)[1], dtype=float) / span
     grad = np.zeros_like(pts)
     act = dw != 0.0
     if act.any():
@@ -305,7 +305,7 @@ def _norm_shell_localized(nominal_X, nominal_dX, dim):
         if shell.any():
             s = (rr - catalog.CUTOFF_INNER) / span
             w = smooth_step(s)
-            dw = smooth_step_deriv(s) / span
+            dw = smooth_step_jet(s)[1] / span
             grad = np.zeros((len(rr), dim))
             act = dw != 0.0
             grad[act] = (dw[act] / rr[act])[:, None] * pts[shell][act]

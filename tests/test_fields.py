@@ -18,7 +18,6 @@ from shapecalc.fields import (
     fd_jacobian,
     restriction_field,
     smooth_step,
-    smooth_step_deriv,
     smooth_step_jet,
     split_field,
     sum_field,
@@ -52,7 +51,7 @@ def test_smooth_step_shape():
     assert np.all(np.diff(smooth_step(inner)) < 0.0)
     h = 1e-6
     fd = (smooth_step(inner + h) - smooth_step(inner - h)) / (2 * h)
-    np.testing.assert_allclose(smooth_step_deriv(inner), fd, atol=1e-7)
+    np.testing.assert_allclose(smooth_step_jet(inner)[1], fd, atol=1e-7)
 
 
 def test_ball_membership():
@@ -343,11 +342,14 @@ def test_restriction_field_shares_one_projection(curve, request, tube_points,
                           tube_radius=TUBE[curve])
     pts = tube_points(M, TUBE[curve], n=16, seed=11)
     projection_calls.clear()
-    F.X(pts)
-    F.dX(pts)
+    # X and dX from one jet call take one projection, and every other call
+    # takes its own (the pullback keeps no memo)
+    F.jet(pts)
     assert len(projection_calls) == 1
     F.dX(tube_points(M, TUBE[curve], n=16, seed=12))
     assert len(projection_calls) == 2
+    F.X(pts)
+    assert len(projection_calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +395,7 @@ def test_profile_second_derivatives_match_fd():
     assert bump_profile_deriv2(np.array([0.0]))[0] == -2.0
     np.testing.assert_array_equal(bump_profile_deriv2(np.array([1.0, -1.5])), 0.0)
     inner = np.linspace(0.02, 0.98, 49)
-    fd = (smooth_step_deriv(inner + h) - smooth_step_deriv(inner - h)) / (2 * h)
+    fd = (smooth_step_jet(inner + h)[1] - smooth_step_jet(inner - h)[1]) / (2 * h)
     np.testing.assert_allclose(smooth_step_jet(inner)[2], fd, atol=1e-7)
     ends = np.array([-0.5, 0.0, 1.0, 1.5])
     S, dS, d2S = smooth_step_jet(ends)
@@ -438,7 +440,8 @@ def test_smooth_step_jet_is_the_reference_step_bit_for_bit():
     ref_S, ref_dS = _reference_smooth_step(s)
     assert S.tobytes() == ref_S.tobytes() and dS.tobytes() == ref_dS.tobytes()
     assert smooth_step(s).tobytes() == S.tobytes()
-    assert smooth_step_deriv(s).tobytes() == dS.tobytes()
+    S1, dS1 = smooth_step_jet(s, order=1)
+    assert S1.tobytes() == S.tobytes() and dS1.tobytes() == dS.tobytes()
 
 
 def _d2X_by_differences(field, pts, v, h=1e-6):

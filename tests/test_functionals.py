@@ -236,6 +236,41 @@ def test_elastic_kernel_is_built_once_for_the_paper_fields(monkeypatch):
     assert calls == [M]
 
 
+def _parabola():
+    """gamma(t) = (t, t^2 / 2) on [-1, 1.5]: an open planar curve whose
+    curvature moves at both ends."""
+    return ParamCurve(
+        dim=2, a=-1.0, b=1.5, closed=False, name="parabola",
+        gamma=lambda t: np.stack([t, 0.5 * t * t], axis=-1),
+        dgamma=lambda t: np.stack([np.ones_like(t), t], axis=-1),
+        ddgamma=lambda t: np.stack([np.zeros_like(t), np.ones_like(t)], axis=-1))
+
+
+@pytest.mark.parametrize("make", [_parabola, lambda: _fresh(
+    {"kind": "segment", "p0": [0.5, 0.0], "p1": [1.5, 0.0], "name": "s"})])
+def test_elastic_kernel_takes_its_ends_from_the_node_call(make, monkeypatch):
+    # one curvature-derivative call on the nodes with b and a appended; its
+    # rows are bit for bit those of separate calls on the nodes and each end
+    from shapecalc.geometry import curve_curvature_derivs, gauss_legendre
+
+    M = make()
+    calls = []
+    monkeypatch.setattr(functionals, "curve_curvature_derivs",
+                        lambda curve, t: calls.append(len(t))
+                        or curve_curvature_derivs(curve, t))
+    k = functionals.elastic_kernel(M)
+    nodes, _ = gauss_legendre(M.a, M.b, CURVE_PANELS)
+    assert calls == [len(nodes) + 2]
+    kap, k1, k2 = curve_curvature_derivs(M, nodes)
+    fr = functionals.frenet_rows(M, nodes)[0]
+    assert np.array_equal(k.g, 2.0 * k2 + fr.kappa**3)
+    for (sgn, T, N, kap_end, k1_end, p), t in zip(k.ends, (M.b, M.a)):
+        e0, e1, _ = curve_curvature_derivs(M, t)
+        assert (kap_end, k1_end) == (float(e0[0]), float(e1[0]))
+    if M.name == "parabola":
+        assert all(end[4] != 0.0 for end in k.ends)
+
+
 KERNEL_CASES = [
     (functionals.length_kernel, analytic_dlength,
      {"kind": "circle", "radius": 1.0, "name": "circle1"}, 2),

@@ -323,8 +323,7 @@ def test_tube_discrepancy_analytic_jacobian(curve, request, tube_points,
     assert np.array_equal(D.X(pts), _tube_formula(M, W, delta, extend, pts))
     fresh = tube_points(M, delta, n=16, seed=4)
     projection_calls.clear()
-    D.X(fresh)
-    D.dX(fresh)
+    D.jet(fresh)  # X and dX in one pass: one projection
     assert len(projection_calls) == 1
     D.X(tube_points(M, delta, n=16, seed=5))
     assert len(projection_calls) == 2
@@ -362,8 +361,7 @@ def test_tube_discrepancy_exact_jacobian_on_surface(cylinder, assert_fd_jacobian
     monkeypatch.setattr(geometry, "nearest_surface_param",
                         lambda *args: calls.append(1) or real(*args))
     fresh = pts + 1e-3
-    D.X(fresh)
-    D.dX(fresh)
+    D.jet(fresh)  # X and dX in one pass: one projection
     assert len(calls) == 1
 
 
@@ -382,12 +380,10 @@ def test_locality_sums_analytic_jacobian(curve, request, tube_points, linear_fie
                           X.X(pts) + _tube_formula(M, W, delta, extend, pts))
     fresh = tube_points(M, delta, n=16, seed=4)
     projection_calls.clear()
-    tube_pair.Y.X(fresh)
-    tube_pair.Y.dX(fresh)
+    tube_pair.Y.jet(fresh)
     assert len(projection_calls) == 1
     # the on-manifold bump has a constant direction: no projection at all
-    bump_pair.Y.X(fresh)
-    bump_pair.Y.dX(fresh)
+    bump_pair.Y.jet(fresh)
     assert len(projection_calls) == 1
 
 
@@ -443,11 +439,11 @@ def test_tangent_probe_analytic_jacobian(curve, request, assert_fd_jacobian,
 def _tube_jacobian_formula(M, W, delta, extend, pts):
     """W (x) g'(s) grad d / delta for g(s) = s^2 step(s), as the discrepancy
     wrote it inline before it became a pullback field."""
-    from shapecalc.fields import smooth_step, smooth_step_deriv
+    from shapecalc.fields import smooth_step, smooth_step_jet
 
     ft = M.project(pts, extend)
     s = ft.dist / delta
-    dg = 2.0 * s * smooth_step(s) + s * s * smooth_step_deriv(s)
+    dg = 2.0 * s * smooth_step(s) + s * s * smooth_step_jet(s)[1]
     return W[None, :, None] * (dg[:, None] * ft.grad_dist / delta)[:, None, :]
 
 
