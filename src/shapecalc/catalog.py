@@ -18,7 +18,7 @@ from .errors import ConfigError, ShapecalcError
 from .fields import AmbientField, Ball, smooth_step, smooth_step_jet
 from .functionals import (CrackFunctional, area_functional, crack_functional,
                           elastic_functional, length_functional)
-from .geometry import ParamCurve, ParamSurface
+from .geometry import ParamCurve, ParamSurface, _row_dot
 
 __all__ = [
     "SHAPE_KINDS", "FIELD_KINDS", "FUNCTIONAL_KINDS",
@@ -416,12 +416,13 @@ def _localized(nominal_X, nominal_dX, dim: int, name: str,
 
     def shell_of(pts):
         # |p| > CUTOFF_INNER read on squares: sqrt is monotone and correctly
-        # rounded, so the shell is the same set, and only its rows take norms
+        # rounded, so the shell is the same set, and only its rows take
+        # norms.  An empty shell (every node of the bundled shapes) is None,
+        # with no norms taken
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        r2 = pts[:, 0] * pts[:, 0]
-        for k in range(1, dim):
-            r2 += pts[:, k] * pts[:, k]
-        shell = r2 > CUTOFF_INNER ** 2
+        shell = _row_dot(pts, pts) > CUTOFF_INNER ** 2
+        if not shell.any():
+            return pts, None, None
         return pts, np.linalg.norm(pts[shell], axis=1), shell
 
     def _eval(pts, with_dX: bool):
@@ -430,7 +431,7 @@ def _localized(nominal_X, nominal_dX, dim: int, name: str,
         pts, rr, shell = shell_of(pts)
         x = nominal_X(pts)
         dx = nominal_dX(pts) if with_dX else None
-        if shell.any():
+        if shell is not None:
             s = (rr - CUTOFF_INNER) / span
             if not with_dX:
                 x[shell] = smooth_step(s)[:, None] * x[shell]
@@ -461,7 +462,7 @@ def _localized(nominal_X, nominal_dX, dim: int, name: str,
         pts, rr, shell = shell_of(pts)
         out = (np.zeros_like(pts) if nominal_d2X is None
                else nominal_d2X(pts, v))
-        if shell.any():
+        if shell is not None:
             p, vs = pts[shell], v[shell]
             w, dw, d2w = smooth_step_jet((rr - CUTOFF_INNER) / span)
             dw, d2w = dw / span, d2w / (span * span)
@@ -518,22 +519,29 @@ def _field_radial(p: _Params, name: str):
 
         def X(pts):
             q = pts @ proj
-            rho = np.sqrt((q * q).sum(axis=1) + RADIAL_EPS**2)
+            rho = np.sqrt(_row_dot(q, q) + RADIAL_EPS**2)
             return q / rho[:, None]
 
         def dX(pts):
+            # proj / rho - q q^T / rho^3, one column of one (n, d, d) array
+            # at a time: the same operations in the same order, without
+            # the broadcast outer product over the short axes
             q = pts @ proj
-            rho = np.sqrt((q * q).sum(axis=1) + RADIAL_EPS**2)
-            return (proj[None, :, :] / rho[:, None, None]
-                    - q[:, :, None] * q[:, None, :] / rho[:, None, None]**3)
+            rho = np.sqrt(_row_dot(q, q) + RADIAL_EPS**2)
+            rho3 = rho**3
+            out = np.empty((len(q), dim, dim))
+            for i in range(dim):
+                for j in range(dim):
+                    out[:, i, j] = proj[i, j] / rho - q[:, i] * q[:, j] / rho3
+            return out
 
         def d2X(pts, v):
             # -2 w (q.w)/rho^3 - q |w|^2/rho^3 + 3 q (q.w)^2/rho^5, w = proj v
             q, w = pts @ proj, v @ proj
-            rho2 = (q * q).sum(axis=1) + RADIAL_EPS**2
+            rho2 = _row_dot(q, q) + RADIAL_EPS**2
             rho3 = rho2 * np.sqrt(rho2)
-            qw = (q * w).sum(axis=1)
-            along_q = (3.0 * qw * qw / rho2 - (w * w).sum(axis=1)) / rho3
+            qw = _row_dot(q, w)
+            along_q = (3.0 * qw * qw / rho2 - _row_dot(w, w)) / rho3
             return (-2.0 * qw / rho3)[:, None] * w + along_q[:, None] * q
 
         return _localized(X, dX, dim, name, d2X)

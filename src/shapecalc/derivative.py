@@ -24,10 +24,15 @@ its own, and every order gives the same quotients: `cli` builds an
 (M, X) group's schedule at the highest ShapeFunctional.order among its
 functionals, so length reads gamma' from the one jet flow per level that
 bending energy needs anyway.  Every level
-flows the same base nodes, and its first RK4 stage, X at those nodes
-(and dX applied to the chart's jets, or to J = I on a surface), is the
-same for every t: the flow computes it at the
-first level and serves it to the next ones (flow._first_stage).
+flows the same base nodes, so two things are the same for every t and
+computed once per schedule: the base jets at the nodes (gamma, gamma',
+gamma'' of a curve, phi, phi_u, phi_v of a surface; flow._base_value)
+and the first RK4 stage, X at those nodes (and dX applied to the chart's
+jets, or to J = I on a surface; flow._first_stage).  The flow computes
+both at the first level and serves them, bit for bit, to the next ones,
+so a level pays for its RK4 stages and its quadratures only.  Once the
+levels are read, fd_quotients lets the base jets go
+(flow.release_base_values).
 
 The oracle is entirely independent of the closed-form derivatives in
 `functionals`: only J.evaluate and the flow are used.
@@ -47,7 +52,8 @@ import numpy as np
 from .errors import InvariantViolation, NoConvergence, NonFinite
 from .fields import AmbientField
 from .flow import (DEFAULT_MAX_STEP, MAX_FLOW_STEPS, FlowConfig,
-                   flow_manifold, richardson_row, step_count)
+                   flow_manifold, release_base_values, richardson_row,
+                   step_count)
 
 REL_TOL = 1e-5
 ABS_TOL = 1e-8
@@ -124,6 +130,8 @@ def fd_quotients(J, M, X: AmbientField, cfg: FDConfig,
         if not np.isfinite(Jt):
             raise NonFinite(f"functional '{J.name}' not finite at flow time {t:g}")
         q[i] = (Jt - J0) / t
+    # every level is read: the base jets they shared are let go
+    release_base_values()
 
     row, diag = [], []
     for qi in q:

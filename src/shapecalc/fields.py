@@ -190,7 +190,8 @@ class AmbientField:
     Richardson-combined with a second step where one step alone misses.
     d2X gets the same check at the same points, against the central
     difference of dX along one random unit row v per point; one dX call
-    serves the points and their +-h v rows.  A supplied jet takes the
+    serves the points and their +-h v rows, and one X call the exterior
+    points and the central difference at h.  A supplied jet takes the
     place of that interior dX call, with the 64 exterior points stacked
     before its rows: it must return X and dX there bit for bit
     (np.array_equal), and its dX takes the interior checks.  So the check
@@ -224,10 +225,6 @@ class AmbientField:
         where, d = f"field '{self.name}'", self.dim
         rng = np.random.default_rng(_CHECK_RNG_SEED)
         out = self.support.exterior_points(64, rng)
-        Xo = _checked(where, "X", self.X(out), (64, d))
-        dXo = _checked(where, "dX", self.dX(out), (64, d, d))
-        if np.abs(Xo).max() > 1e-13 or np.abs(dXo).max() > 1e-13:
-            raise InvariantViolation(f"{where}: does not vanish outside its support")
         pts = self.support.interior_points(32, rng)
         h = 1e-6 * (1.0 + self.support.radius)
         rows = [pts]
@@ -237,6 +234,14 @@ class AmbientField:
             v /= np.linalg.norm(v, axis=1)[:, None]
             rows += [pts + h * v, pts - h * v]
         n = 32 * len(rows)
+        # one X call on the exterior points and the central difference's
+        # rows at h, 64 + 2 d 32 <= _STACKED_ROWS of them
+        Xs = _checked(where, "X", self.X(np.concatenate(
+            [out, *_shifted(pts, d, h)])), (64 * (1 + d), d))
+        Xo, at_h = Xs[:64], np.split(Xs[64:], 2 * d)
+        dXo = _checked(where, "dX", self.dX(out), (64, d, d))
+        if np.abs(Xo).max() > 1e-13 or np.abs(dXo).max() > 1e-13:
+            raise InvariantViolation(f"{where}: does not vanish outside its support")
         if own_jet:
             # the jet in place of dX at the interior rows, the exterior
             # stacked before them: one call, no projection more
@@ -251,8 +256,9 @@ class AmbientField:
             label = "dX"
             dXr = _checked(where, label, self.dX(np.concatenate(rows)), (n, d, d))
         got, *shifted = np.split(dXr, len(rows))
-        _check_fd(where, label, got,
-                  lambda step: _central_difference(self.X, pts, d, step), h)
+        _check_fd(where, label, got, lambda step: (
+            _difference(at_h, d, h) if step == h
+            else _central_difference(self.X, pts, d, step)), h)
         if self.d2X is not None:
             plus, minus = shifted
 
@@ -289,6 +295,22 @@ def _check_fd(where: str, label: str, got: np.ndarray, fd_at, h: float):
 _STACKED_ROWS = 256
 
 
+def _shifted(pts: np.ndarray, dim: int, h: float):
+    """The rows pts +- h e_j, j = 0, ..., dim - 1, that _difference reads,
+    one shift at a time."""
+    for e in np.eye(dim):
+        for s in (1.0, -1.0):
+            yield pts + s * h * e
+
+
+def _difference(vals: list, dim: int, h: float) -> np.ndarray:
+    """Central-difference Jacobian from X at the rows of _shifted."""
+    out = np.empty((len(vals[0]), dim, dim))
+    for j in range(dim):
+        out[:, :, j] = (vals[2 * j] - vals[2 * j + 1]) / (2 * h)
+    return out
+
+
 def _central_difference(X, pts, dim: int, h: float) -> np.ndarray:
     """Central-difference Jacobian of X at pts.  Up to _STACKED_ROWS
     shifted rows pts +- h e_j go to X in one call (a desk check's 32
@@ -297,16 +319,11 @@ def _central_difference(X, pts, dim: int, h: float) -> np.ndarray:
     pullback) that of len(pts) rows.  X is row-wise, so both give the
     same values."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n = len(pts)
-    shifts = [s * h * e for e in np.eye(dim) for s in (1.0, -1.0)]
-    if 2 * dim * n <= _STACKED_ROWS:
-        vals = np.split(X(np.concatenate([pts + e for e in shifts])), 2 * dim)
+    if 2 * dim * len(pts) <= _STACKED_ROWS:
+        vals = np.split(X(np.concatenate([*_shifted(pts, dim, h)])), 2 * dim)
     else:
-        vals = [X(pts + e) for e in shifts]
-    out = np.empty((n, dim, dim))
-    for j in range(dim):
-        out[:, :, j] = (vals[2 * j] - vals[2 * j + 1]) / (2 * h)
-    return out
+        vals = [X(rows) for rows in _shifted(pts, dim, h)]
+    return _difference(vals, dim, h)
 
 
 def fd_jacobian(X: Callable[[np.ndarray], np.ndarray], dim: int,

@@ -50,13 +50,19 @@ of from the curve's grid.  invariance_residual projects its flowed
 samples in one more session, so on a hook-free curve each of its
 projections after the first starts from the feet before it.
 
-The first stage of a flow, the field at its start points (with J = I
-in a joint flow), is shared by consecutive flows of one field and kind
-from the same start arrays (_first_stage).  Every level of an FD schedule
-flows the base nodes, so a schedule computes that stage once, at its
-first level; invariance_residual computes it once for all the levels of
-its Richardson table.  A served stage comes with the projection session
-its computation left behind, so sharing changes no bit.
+Every level of an FD schedule flows the same base nodes, so a schedule
+shares two things across its levels, each from a one-entry memo:
+- the base jets: gamma, gamma' and gamma'' of a curve, phi, phi_u and
+  phi_v of a surface, read at a node set once for every level and served
+  read-only (_base_value), until the quotients of the schedule are read
+  (release_base_values)
+- the first RK4 stage, the field at the start points (with J = I in a
+  joint flow), shared by consecutive flows of one field and kind from the
+  same start arrays (_first_stage): a schedule computes it once, at its
+  first level, and invariance_residual once for all the levels of its
+  Richardson table.  A served stage comes with the projection session its
+  computation left behind, so sharing changes no bit.
+What is left per level is its RK4 stages and its quadratures.
 
 richardson_row is the one row update of both Richardson triangles: the
 FD quotients' (derivative, leading order 1) and the invariance
@@ -153,6 +159,43 @@ def _first_stage(rhs, state: tuple, field, kind: str, session: dict) -> tuple:
     else:
         session.update(entry[3])
     return entry[2]
+
+
+# (manifold, key, {name: value}) of the last parameter set a flowed
+# manifold read its base at, replaced as one object; holding the manifold
+# keeps its id from being reused
+_base: list = [None]
+
+
+def _base_value(manifold, name: str, params: tuple) -> np.ndarray:
+    """The base manifold's callable `name` (gamma, dgamma, ddgamma; phi,
+    phi_u, phi_v) at params, from a one-entry memo keyed on the manifold
+    and the shape and bytes of the parameter arrays: every level of an FD
+    schedule flows the same base jets from the same quadrature nodes.
+    The entry holds each callable's value once read; a new parameter set
+    or manifold drops it, and so does release_base_values.  A value
+    is served as a read-only view, so a reader that writes into it raises
+    (_rk4 and the flows build new arrays and never write into their
+    start)."""
+    key = tuple((p.shape, p.tobytes()) for p in params)
+    entry = _base[0]
+    if entry is None or entry[0] is not manifold or entry[1] != key:
+        _base[0] = None
+        entry = _base[0] = (manifold, key, {})
+    values = entry[2]
+    if name not in values:
+        value = getattr(manifold, name)(*params).view()
+        value.flags.writeable = False
+        values[name] = value
+    return values[name]
+
+
+def release_base_values() -> None:
+    """Drop the entry of _base_value's memo.  fd_quotients calls this once
+    it has read every level of a schedule, so the base jets live for one
+    pass over the levels and not into what runs after it (a closed form's
+    kernel, a suite's discrete variations)."""
+    _base[0] = None
 
 
 def _rk4(rhs, state: tuple, cfg: FlowConfig, field, kind: str) -> tuple:
@@ -268,19 +311,44 @@ def flow_curve_jet(field: AmbientField, x0: np.ndarray, v0: np.ndarray,
     the second derivative a0 of a curve through x0 with velocity v0.
     With a0 = None only (x, v) are flowed; a field without d2X needs it.
     Each stage takes X and dX from one jet call and applies the one dX to
-    the v and a rows.  At t_final = 0 this returns copies without a field
-    call."""
+    the v and a rows (_row_products).  At t_final = 0 this returns copies
+    without a field call."""
     jet, d2X = field.jet, field.d2X
 
     def rhs(xc, vc, ac=None):
         Xc, D = jet(xc)
-        Dv = np.einsum("nij,nj->ni", D, vc)
         if ac is None:
-            return Xc, Dv
-        return Xc, Dv, np.einsum("nij,nj->ni", D, ac) + d2X(xc, vc)
+            return Xc, _row_products(D, vc)[0]
+        Dv, Da = _row_products(D, vc, ac)
+        Da += d2X(xc, vc)
+        return Xc, Dv, Da
 
     state = (x0, v0) if a0 is None else (x0, v0, a0)
     return _rk4(rhs, state, cfg, field, "jet")
+
+
+def _row_products(D: np.ndarray, *rows: np.ndarray):
+    """D[n] @ r[n] for each (n, d) row set r, with the values of
+    einsum("nij,nj->ni", D, r).
+
+    In the plane each entry is two column products and one add, written
+    into one (len(rows), n, 2) array: a sum of two terms has one order,
+    and the accumulator starts from +0.0 as einsum's does, so two -0.0
+    products read +0.0 (a segment's gamma'' rows are zeros).  In space
+    this is einsum itself: its three-term sums are not left to right (on
+    numpy 2.4 they read (p0 + p2) + p1), an order of its SIMD loops that
+    no column sum should copy."""
+    n, d, _ = D.shape
+    if d != 2:
+        return [np.einsum("nij,nj->ni", D, r) for r in rows]
+    out = np.empty((len(rows), n, 2))
+    for o, r in zip(out, rows):
+        for i in range(2):
+            acc = D[:, i, 0] * r[:, 0]
+            acc += 0.0
+            acc += D[:, i, 1] * r[:, 1]
+            o[:, i] = acc
+    return out
 
 
 def _jacobian_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -345,21 +413,25 @@ def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig,
     alone (length) pays no a rows, whose d2X call costs about as much as
     a dX.  The v of the two flows agree bit for bit, so the order decides
     which flows are shared and moves no value.  A surface's first
-    partials are the base partials times one memoized Jacobian flow per
-    parameter set, at any order.
+    partials are the base partials times one Jacobian flow per parameter
+    set, at any order; the last pair is memoized, not the Jacobian.  The
+    base chart and its derivatives are read through _base_value, so the
+    levels of a schedule share them.
     Construction flows nothing and calls no field: the result runs
     no desk check (geometry: a flow keeps its base regular, closed and
     embedded), and each callable flows when it is called.
     """
     is_curve = isinstance(manifold, ParamCurve)
     chart = "gamma" if is_curve else "phi"
-    base = getattr(manifold, chart)
+
+    def base(name, *params):
+        return _base_value(manifold, name, params)
 
     # the callables take the chart's (n,) parameter arrays (see geometry).
     # flow_point, flow_curve_jet and flow_with_jacobian are called through
     # the module globals, so a wrapper installed there sees every flow
     def chart_t(*params):
-        return flow_point(field, base(*params), cfg)
+        return flow_point(field, base(chart, *params), cfg)
 
     if is_curve:
         # each derivative is nearly always asked for on the same nodes
@@ -367,8 +439,8 @@ def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig,
         # points: no reader of a flowed curve takes them)
         def jet(second: bool):
             return last_call_memo(lambda ts: flow_curve_jet(
-                field, manifold.gamma(ts), manifold.dgamma(ts),
-                manifold.ddgamma(ts) if second else None, cfg)[1:])
+                field, base("gamma", ts), base("dgamma", ts),
+                base("ddgamma", ts) if second else None, cfg)[1:])
 
         full = None if field.d2X is None else jet(True)
         velocity = full if full is not None and order >= 2 else jet(False)
@@ -385,17 +457,18 @@ def flow_manifold(field: AmbientField, manifold, cfg: FlowConfig,
         # jets=None: the base's chart jets would project through its chart
         derivs = {"dgamma": dgamma, "ddgamma": ddgamma, "jets": None}
     else:
-        # phi_u and phi_v share one transported Jacobian per node set
-        jacobian = last_call_memo(
-            lambda *params: flow_with_jacobian(field, base(*params), cfg)[1])
+        # phi_u and phi_v share one transported Jacobian per node set; the
+        # last pair is kept, and the (n, 3, 3) Jacobian let go
+        @last_call_memo
+        def partials(*params):
+            J = flow_with_jacobian(field, base("phi", *params), cfg)[1]
+            return tuple(np.einsum("nij,nj->ni", J, base(name, *params))
+                         for name in ("phi_u", "phi_v"))
 
-        def transported(first):
-            def partial_t(*params):
-                return np.einsum("nij,nj->ni", jacobian(*params), first(*params))
-            return partial_t
+        def transported(k):
+            return lambda *params: partials(*params)[k]
 
-        derivs = {name: transported(getattr(manifold, name))
-                  for name in ("phi_u", "phi_v")}
+        derivs = {"phi_u": transported(0), "phi_v": transported(1)}
 
     return replace(
         manifold, **{chart: chart_t}, **derivs,

@@ -695,10 +695,23 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.cross(a, b)
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a.b row by row, unconjugated, as column sums from the left:
+    a0 b0 + a1 b1 (+ a2 b2), the order np.sum(a * b, axis=1) takes on rows
+    of 2 and 3 (measured bit-equal on real and complex rows, n = 1 to
+    4,800), without a reduction over the short axis."""
+    acc = a[:, 0] * b[:, 0]
+    for k in range(1, a.shape[1]):
+        acc += a[:, k] * b[:, k]
+    return acc
+
+
 def _row_norm(x: np.ndarray) -> np.ndarray:
-    """|x| row by row as sqrt(x.x), unconjugated: np.linalg.norm's bits on
-    real rows, and analytic, so complex-step safe (functionals)."""
-    return np.sqrt(np.sum(x * x, axis=1))
+    """|x| row by row as sqrt(x.x), unconjugated, with x.x summed by
+    _row_dot from the left, (x0 x0 + x1 x1) + x2 x2: np.linalg.norm's bits
+    on real rows, and analytic (no abs, no conj), so complex-step safe
+    (functionals)."""
+    return np.sqrt(_row_dot(x, x))
 
 
 def _kappa(d1: np.ndarray, d2: np.ndarray, v: np.ndarray) -> np.ndarray:

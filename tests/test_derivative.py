@@ -5,14 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from collections import Counter
+
 from shapecalc import derivative
+from shapecalc import flow as flow_mod
 from shapecalc.catalog import build_field, build_shape
 from shapecalc.derivative import (FDConfig, compare, discrete_variation,
                                   fd_quotients)
 from shapecalc.errors import InvariantViolation, NoConvergence, NonFinite
 from shapecalc.fields import sum_field
+from shapecalc.flow import FlowConfig, flow_curve_jet, flow_manifold
 from shapecalc.functionals import (ShapeFunctional, analytic_dlength,
-                                   elastic_functional, length,
+                                   area_functional, elastic_functional, length,
                                    length_functional)
 
 TWO_PI = 2.0 * np.pi
@@ -235,3 +239,82 @@ def test_schedule_order_moves_no_quotient(shape, fdesc, flowed, request):
     assert _same_trace(fd_quotients(Js[0], M, X, cfg=FD3, order=1),
                        by_order[1][0])
     assert len(flowed) == before
+
+
+# -- one base read per schedule -------------------------------------------------
+
+
+def _spied(M, names):
+    """A copy of M whose callables `names` log (name, parameter bytes) per
+    call, and the log, emptied after the copy's desk checks."""
+    calls = []
+
+    def spy(name):
+        real = getattr(M, name)
+
+        def call(*params):
+            calls.append((name, b"".join(p.tobytes() for p in params)))
+            return real(*params)
+        return call
+
+    spied = replace(M, **{n: spy(n) for n in names}, name=f"{M.name}-spied")
+    calls.clear()
+    return spied, calls
+
+
+def _unshared(manifold, name, params):
+    return getattr(manifold, name)(*params)
+
+
+@pytest.mark.parametrize("shape, fdesc, J, names", [
+    ("circle1", {"kind": "radial", "name": "radial"}, elastic_functional(),
+     ("gamma", "dgamma", "ddgamma")),
+    ("cylinder", {"kind": "constant", "vector": [0.0, 0.0, 1.0], "name": "e3"},
+     area_functional(), ("phi", "phi_u", "phi_v"))])
+def test_a_schedule_reads_its_base_once(shape, fdesc, J, names, request,
+                                        monkeypatch):
+    # every level of an order-2 curve schedule and of an area schedule flows
+    # the same base jets from the same nodes: each base callable is called
+    # once per node set, where an unshared read calls it at all levels + 1
+    M = request.getfixturevalue(shape)
+    traces = {}
+    for shared in (True, False):
+        if not shared:
+            monkeypatch.setattr(flow_mod, "_base_value", _unshared)
+        spied, calls = _spied(M, names)
+        X = build_field(fdesc, M.dim)
+        traces[shared] = fd_quotients(J, spied, X, cfg=FD3, order=J.order)
+        # the levels are read, and the base jets let go
+        assert flow_mod._base[0] is None
+        counts = Counter(calls)
+        assert {name for name, _ in counts} == set(names)
+        assert set(counts.values()) == {1 if shared else FD3.levels + 1}
+    assert _same_trace(traces[True], traces[False])
+
+
+def test_the_base_memo_serves_each_node_set_and_manifold_its_own_values(
+        circle1, circle2, radial2):
+    # two node sets of one length on one curve, then the first again, and
+    # one node set on two curves: each read is that of a fresh flow
+    cfg = FlowConfig(1e-2, 1)
+    first = np.linspace(0.0, 1.0, 40)
+    reads = [(circle1, first), (circle1, first + 0.5), (circle1, first),
+             (circle2, first), (circle1, first)]
+    flowed = {M.name: flow_manifold(radial2, M, cfg, order=2)
+              for M in (circle1, circle2)}
+    for M, nodes in reads:
+        want = flow_curve_jet(radial2, M.gamma(nodes), M.dgamma(nodes),
+                              M.ddgamma(nodes), cfg)
+        Mt = flowed[M.name]
+        np.testing.assert_array_equal(Mt.dgamma(nodes), want[1])
+        np.testing.assert_array_equal(Mt.ddgamma(nodes), want[2])
+        np.testing.assert_array_equal(Mt.gamma(nodes), want[0])
+
+
+def test_a_served_base_value_is_read_only(circle1):
+    nodes = np.linspace(0.0, 1.0, 8)
+    value = flow_mod._base_value(circle1, "gamma", (nodes,))
+    np.testing.assert_array_equal(value, circle1.gamma(nodes))
+    assert flow_mod._base_value(circle1, "gamma", (nodes,)) is value
+    with pytest.raises(ValueError, match="read-only"):
+        value[0, 0] = 1.0
